@@ -14,7 +14,7 @@ from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
 from repro.core.ordering import schedule_from_order
 from repro.core.tree_order import min_delay_tree_order
 from repro.net.routing import gateway_tree
-from repro.net.topology import grid_topology
+from repro.net.topology import grid_topology, random_disk_topology
 from repro.phy.interference import interference_graph
 
 TOPOLOGY = grid_topology(4, 4)
@@ -26,6 +26,9 @@ TREE_DEMANDS = {link: 1 for link in ORDER.links()}
 FRAME = 2 * len(TREE_DEMANDS)
 SCHEDULE = schedule_from_order(CONFLICTS, TREE_DEMANDS, FRAME, ORDER)
 ROUTE = tuple((i, i + 1) for i in (0, 1, 2))  # 0-1-2-3 along the top row
+#: The 36-node, 220 m range, 900 m field random-disk mesh that E20 and the
+#: mesh-churn workload move around: conflict builds at the size churn pays.
+CHURN_MESH = random_disk_topology(36, radio_range=220.0, area=900.0, seed=1)
 
 
 def test_bench_micro_conflict_graph(benchmark):
@@ -33,11 +36,22 @@ def test_bench_micro_conflict_graph(benchmark):
     assert graph.number_of_nodes() == TOPOLOGY.num_links()
 
 
+def test_bench_micro_conflict_graph_churn_mesh(benchmark):
+    graph = benchmark(conflict_graph, CHURN_MESH, 2)
+    assert graph.number_of_nodes() == CHURN_MESH.num_links()
+
+
 def test_bench_micro_interference_graph(benchmark):
     # Incidence-map construction: work scales with actual interference
-    # edges, not with all O(L^2) link pairs (see repro.phy.interference).
+    # edges, not with all O(L^2) link pairs (see repro.core.conflict).
     graph = benchmark(interference_graph, TOPOLOGY)
     assert graph.number_of_nodes() == TOPOLOGY.num_links()
+    assert graph.number_of_edges() > 0
+
+
+def test_bench_micro_interference_graph_churn_mesh(benchmark):
+    graph = benchmark(interference_graph, CHURN_MESH)
+    assert graph.number_of_nodes() == CHURN_MESH.num_links()
     assert graph.number_of_edges() > 0
 
 

@@ -14,16 +14,26 @@ hop distance between their endpoint sets is at most ``k - 1``:
 
 Larger ``k`` models wider interference ranges (e.g. carrier sense ranges
 exceeding communication range).
+
+One builder serves the k-hop model, the channel's exact interference rule
+(:mod:`repro.phy.interference`) and the engine's delta updates: a relation
+is two node sets per link (:data:`_NearSets`), :func:`_conflict_rows` scans
+an incidence map for them, :func:`_graph_from_edges` materialises.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import networkx as nx
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology
+
+#: Row link ``a`` -> (nodes whose outgoing links conflict with ``a``, nodes
+#: whose incoming links do): ``(tb, rb)`` conflicts with ``a`` iff ``tb`` is
+#: in the first set or ``rb`` in the second.  Must define a symmetric relation.
+_NearSets = Callable[[Link], tuple[set[int], set[int]]]
 
 
 def conflict_graph(topology: MeshTopology, hops: int = 2,
@@ -50,24 +60,8 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     """
     if hops < 1:
         raise ConfigurationError(f"interference model needs hops >= 1, got {hops}")
-    if links is None:
-        link_list = list(topology.links)
-    else:
-        link_list = sorted(set(links))
-        for link in link_list:
-            if not topology.has_link(link):
-                raise ConfigurationError(f"{link} is not a link of the topology")
-
-    graph = nx.Graph()
-    graph.add_nodes_from(link_list)
-
-    # Precompute the "within k-1 hops" node relation once; the pairwise link
-    # check then reduces to set intersection on neighbourhoods.
-    reach: dict[int, set[int]] = {}
-    for node in topology.graph.nodes:
-        reach[node] = set(
-            nx.single_source_shortest_path_length(
-                topology.graph, node, cutoff=hops - 1))
+    link_list = _resolve_links(topology, links)
+    near = _khop_near_sets(topology, hops)
 
     # A widened model (hops > 2) whose reach spans the whole mesh from
     # every link is degenerate: all links pairwise conflict, the schedule
@@ -77,8 +71,7 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     # graph.
     if hops > 2 and link_list:
         num_nodes = topology.graph.number_of_nodes()
-        if all(len(reach[u] | reach[v]) == num_nodes
-               for u, v in link_list):
+        if all(len(near(link)[0]) == num_nodes for link in link_list):
             raise ConfigurationError(
                 f"hops={hops} reaches the whole {num_nodes}-node mesh "
                 "from every link (hops >= network diameter): the "
@@ -86,14 +79,104 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
                 "to one link per slot. Use a smaller hops value, or an "
                 "SinrModel if you need wider-than-communication "
                 "interference (see docs/interference.md)")
+    return _build_conflict_graph(link_list, near)
 
-    for i, link_a in enumerate(link_list):
-        endpoints_a = set(link_a)
-        near_a = reach[link_a[0]] | reach[link_a[1]]
-        for link_b in link_list[i + 1:]:
-            if endpoints_a & set(link_b) or link_b[0] in near_a or link_b[1] in near_a:
-                graph.add_edge(link_a, link_b)
+
+def _resolve_links(topology: MeshTopology,
+                   links: Iterable[Link] | None) -> list[Link]:
+    """All topology links, or the sorted, deduplicated, validated subset."""
+    if links is None:
+        return list(topology.links)
+    link_list = sorted(set(links))
+    for link in link_list:
+        if not topology.has_link(link):
+            raise ConfigurationError(f"{link} is not a link of the topology")
+    return link_list
+
+
+def _ball(neighbors: Callable[[int], Iterable[int]], seeds: Iterable[int],
+          cutoff: int) -> set[int]:
+    """Multi-source BFS ball: every node within ``cutoff`` hops of a seed."""
+    seen = set(seeds)
+    frontier = list(seen)
+    for _ in range(cutoff):
+        if not frontier:
+            break
+        nxt = []
+        for node in frontier:
+            for other in neighbors(node):
+                if other not in seen:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return seen
+
+
+def _khop_near_sets(topology: MeshTopology, hops: int) -> _NearSets:
+    """The k-hop model's near sets: both are ``reach(tx) | reach(rx)``.
+
+    Reach is every node within ``hops - 1``, computed only for endpoints
+    of the rows asked for.
+    """
+    adjacency = topology.graph.adj
+    reach: dict[int, set[int]] = {}
+
+    def near(link: Link) -> tuple[set[int], set[int]]:
+        for node in link:
+            if node not in reach:
+                reach[node] = _ball(adjacency.__getitem__, (node,), hops - 1)
+        both = reach[link[0]] | reach[link[1]]
+        return both, both
+
+    return near
+
+
+def _conflict_rows(link_list: Sequence[Link], near: _NearSets,
+                   rows: Optional[Iterable[Link]] = None
+                   ) -> Iterator[tuple[Link, set[Link]]]:
+    """The relation over ``link_list``, one ``(a, partners)`` row at a time.
+
+    Rows come for every link of ``link_list`` (or of ``rows``, a subset)
+    in sorted order; ``partners`` is the set of links conflicting with
+    ``a``.  Candidates come from a node -> links incidence map, so the
+    work is proportional to the output.
+    """
+    out_links: dict[int, list[Link]] = {}
+    in_links: dict[int, list[Link]] = {}
+    for link in link_list:
+        out_links.setdefault(link[0], []).append(link)
+        in_links.setdefault(link[1], []).append(link)
+    for a in link_list if rows is None else sorted(rows):
+        out_near, in_near = near(a)
+        partners: set[Link] = set()
+        for node in out_near:
+            partners.update(out_links.get(node, ()))
+        for node in in_near:
+            partners.update(in_links.get(node, ()))
+        partners.discard(a)
+        yield a, partners
+
+
+def _graph_from_edges(link_list: Iterable[Link],
+                      edges: Iterable[tuple[Link, Link]]) -> nx.Graph:
+    """Materialise a conflict graph in the canonical insertion order.
+
+    ``link_list`` must be sorted and ``edges`` sorted ``(a, b)`` pairs with
+    ``a < b``; every adjacency list then comes out sorted, whichever
+    builder produced the edges.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(link_list)
+    graph.add_edges_from(edges)
     return graph
+
+
+def _build_conflict_graph(link_list: Sequence[Link],
+                          near: _NearSets) -> nx.Graph:
+    """The whole conflict relation over ``link_list`` as a graph."""
+    return _graph_from_edges(
+        link_list, ((a, b) for a, partners in _conflict_rows(link_list, near)
+                    for b in sorted(p for p in partners if p > a)))
 
 
 def conflicting_pairs(conflicts: nx.Graph) -> Iterator[tuple[Link, Link]]:

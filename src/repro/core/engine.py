@@ -9,21 +9,18 @@ probe, repair and sweep point as a cold solve:
 
 1. **Cached conflict-graph layer.**  :meth:`SolverEngine.conflict_index`
    returns an immutable :class:`ConflictIndex` -- the conflict graph plus
-   CSR adjacency and the per-node incidence that backs the clique demand
-   bound -- keyed by a topology/links/hops fingerprint and kept in a small
-   LRU, so minslots, repair, distributed validation and analysis share one
-   build per scenario instead of each calling
+   CSR adjacency -- keyed by a topology/links/hops fingerprint and kept in
+   a small LRU, so minslots, repair, distributed validation and analysis
+   share one build per scenario instead of each calling
    :func:`~repro.core.conflict.conflict_graph` independently.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Cache *misses* on
    a churning topology are answered incrementally where possible: the
    request is diffed against the last index of the same hops value and
-   only the dirty links are rescanned (:func:`updated_conflict_edges`),
-   turning the per-event quadratic rebuild that used to dominate
-   churn-heavy workloads into work proportional to the change --
-   ``core.engine.delta_updates`` vs ``core.engine.index_builds`` count
-   the rebuilds avoided.
+   only the dirty rows go back through the conflict-relation builder
+   (:func:`updated_conflict_edges`) -- ``core.engine.delta_updates`` vs
+   ``core.engine.index_builds`` count the rebuilds avoided.
 
 2. **Warm-started probe search.**  Inside one
    :func:`~repro.core.minslots.minimum_slots` search the engine carries the
@@ -74,7 +71,15 @@ import networkx as nx
 import numpy as np
 
 from repro import obs
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    _ball,
+    _conflict_rows,
+    _graph_from_edges,
+    _khop_near_sets,
+    _resolve_links,
+    conflict_graph,
+    conflicting_pairs,
+)
 from repro.core.ilp import (
     DelayConstraint,
     ILPResult,
@@ -141,7 +146,7 @@ def _edges_fingerprint(graph: nx.Graph) -> str:
     """Content hash of a conflict graph (vertices + edges)."""
     digest = hashlib.sha256()
     digest.update(repr(sorted(graph.nodes)).encode())
-    digest.update(repr(sorted(tuple(sorted(e)) for e in graph.edges)).encode())
+    digest.update(repr(list(conflicting_pairs(graph))).encode())
     return digest.hexdigest()[:16]
 
 
@@ -200,8 +205,7 @@ class ConflictIndex:
     Wraps the :mod:`networkx` graph every existing consumer expects
     (:attr:`graph`) and adds the precomputed structure repeated solves
     want: CSR adjacency over the canonical link ordering
-    (:attr:`indptr`/:attr:`indices`) and the per-node link incidence
-    backing :meth:`clique_demand_bound`.
+    (:attr:`indptr`/:attr:`indices`).
 
     ``hops`` is the protocol-model distance, or ``None`` for the exact
     interference relation.  Treat instances (and :attr:`graph`) as frozen:
@@ -213,12 +217,11 @@ class ConflictIndex:
     The snapshot is what makes *delta updates* possible: a later request
     for a slightly different topology/link set can be diffed against it
     and answered by rescanning only the dirty links instead of rebuilding
-    the whole quadratic pairwise conflict relation (see
-    :meth:`SolverEngine.delta_index`).
+    the whole conflict relation (see :func:`updated_conflict_edges`).
     """
 
     __slots__ = ("key", "hops", "links", "graph", "indptr", "indices",
-                 "_positions", "_node_links", "topo_nodes", "topo_edges")
+                 "_positions", "topo_nodes", "topo_edges")
 
     def __init__(self, key: str, hops: Optional[int],
                  graph: nx.Graph,
@@ -241,12 +244,6 @@ class ConflictIndex:
             indptr[i + 1] = len(flat)
         self.indptr = indptr
         self.indices = np.asarray(flat, dtype=np.int64)
-        node_links: dict[int, list[Link]] = {}
-        for link in self.links:
-            for node in link:
-                node_links.setdefault(node, []).append(link)
-        self._node_links = {node: tuple(ls)
-                            for node, ls in node_links.items()}
 
     @property
     def num_links(self) -> int:
@@ -274,22 +271,6 @@ class ConflictIndex:
         i = self.position(link)
         return int(self.indptr[i + 1] - self.indptr[i])
 
-    def clique_demand_bound(self, demands: Mapping[Link, int]) -> int:
-        """The node-induced clique lower bound on frame slots.
-
-        Identical to
-        :func:`~repro.core.conflict.max_conflict_clique_demand` (all links
-        incident to one node mutually conflict under any ``k >= 1`` model),
-        computed from the precomputed incidence.
-        """
-        per_node: dict[int, int] = {}
-        for link, demand in demands.items():
-            if demand < 0:
-                raise ConfigurationError(f"negative demand on {link}")
-            for node in link:
-                per_node[node] = per_node.get(node, 0) + demand
-        return max(per_node.values()) if per_node else 0
-
 
 def _topology_snapshot(topology: MeshTopology
                        ) -> tuple[frozenset[int],
@@ -297,23 +278,6 @@ def _topology_snapshot(topology: MeshTopology
     """The (nodes, undirected sorted edges) snapshot a delta diffs against."""
     return (frozenset(topology.graph.nodes),
             frozenset(tuple(sorted(e)) for e in topology.graph.edges))
-
-
-def _ball(neighbors, seeds, cutoff: int) -> set[int]:
-    """Multi-source BFS ball: every node within ``cutoff`` hops of a seed."""
-    seen = set(seeds)
-    frontier = list(seeds)
-    for _ in range(cutoff):
-        if not frontier:
-            break
-        nxt = []
-        for node in frontier:
-            for other in neighbors(node):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return seen
 
 
 def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
@@ -324,7 +288,8 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
     Diffs the request against the ``old`` index's stored topology
     snapshot and link set, identifies the *dirty* links -- added links
     plus links whose endpoints' ``hops - 1`` reach sets may have changed
-    -- and rescans only those rows against the new topology.  Conflict
+    -- and rebuilds only those rows, through the same conflict-relation
+    builder as a cold build (:mod:`repro.core.conflict`).  Conflict
     rows between clean links are provably unchanged: under the protocol
     model, ``conflict(a, b)`` depends only on ``a``'s endpoint reach
     sets and ``b``'s endpoint identities, so an untouched reach set
@@ -368,43 +333,11 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
     for a, b in old.graph.edges:
         if a in clean and b in clean:
             edges.add((a, b) if a <= b else (b, a))
-    # Rescan dirty rows against the node -> links incidence: under the
-    # protocol model conflict(a, b) holds iff b touches ``near_a`` (the
-    # shared-endpoint case is subsumed -- reach includes the source), so
-    # the scan is proportional to the rows' output, not to |links|.
-    incidence: dict[int, list[Link]] = {}
-    for link in link_list:
-        incidence.setdefault(link[0], []).append(link)
-        incidence.setdefault(link[1], []).append(link)
-    reach: dict[int, set[int]] = {}
-    graph = topology.graph
-    for a in dirty:
-        near_a: set[int] = set()
-        for node in a:
-            if node not in reach:
-                reach[node] = set(nx.single_source_shortest_path_length(
-                    graph, node, cutoff=hops - 1))
-            near_a |= reach[node]
-        for node in near_a:
-            for b in incidence.get(node, ()):
-                if b != a:
-                    edges.add((a, b) if a <= b else (b, a))
+    for a, partners in _conflict_rows(link_list,
+                                      _khop_near_sets(topology, hops),
+                                      rows=dirty):
+        edges.update((a, b) if a < b else (b, a) for b in partners)
     return edges
-
-
-def _graph_from_conflicts(link_list: Sequence[Link],
-                          edges: set[tuple[Link, Link]]) -> nx.Graph:
-    """Materialize a conflict graph with the canonical insertion order.
-
-    Nodes in sorted link order, edges in sorted lexicographic order --
-    exactly the order :func:`~repro.core.conflict.conflict_graph`'s
-    pairwise scan produces, so a delta-built graph is indistinguishable
-    from a rebuilt one right down to adjacency iteration order.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(link_list)
-    graph.add_edges_from(sorted(edges))
-    return graph
 
 
 class SolverEngine:
@@ -426,8 +359,8 @@ class SolverEngine:
     delta_updates:
         When a :meth:`conflict_index` request misses the cache but a
         previously-built index for the same ``hops`` exists, diff the two
-        and rescan only the dirty links instead of rebuilding the whole
-        pairwise conflict relation (:func:`updated_conflict_edges`).  The
+        and rebuild only the dirty rows instead of the whole conflict
+        relation (:func:`updated_conflict_edges`).  The
         resulting index is semantically identical to a rebuild;
         ``stats["delta_updates"]`` / the ``core.engine.delta_updates``
         counter record the rebuilds avoided.  Requires ``max_indexes > 0``
@@ -525,49 +458,26 @@ class SolverEngine:
             return self._model_index(model, topology, links)
         hops = model.hops
         link_key = None if links is None else tuple(sorted(set(links)))
+        lineage = (hops, link_key is None)
+
+        def build() -> tuple[str, nx.Graph]:
+            link_list = _resolve_links(topology, link_key)
+            base = (self._delta_bases.get(lineage)
+                    if self.delta_updates and self.max_indexes > 0 else None)
+            edges = (None if base is None else
+                     updated_conflict_edges(base, topology, hops, link_list))
+            if edges is None:
+                stat = "index_builds"
+                graph = conflict_graph(topology, hops=hops, links=link_list)
+            else:
+                stat = "delta_updates"
+                graph = _graph_from_edges(link_list, sorted(edges))
+            obs.counter("core.interference.protocol_edges").inc(
+                graph.number_of_edges())
+            return stat, graph
+
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            self._indexes.move_to_end(key)
-            self.stats["index_hits"] += 1
-            obs.counter("core.engine.index_hits").inc()
-            self._delta_bases[(hops, link_key is None)] = cached
-            return cached
-        if link_key is None:
-            link_list: Sequence[Link] = list(topology.links)
-        else:
-            link_list = list(link_key)
-            for link in link_list:
-                if not topology.has_link(link):
-                    raise ConfigurationError(
-                        f"{link} is not a link of the topology")
-        index: Optional[ConflictIndex] = None
-        base = (self._delta_bases.get((hops, link_key is None))
-                if self.delta_updates and self.max_indexes > 0 else None)
-        if base is not None:
-            edges = updated_conflict_edges(base, topology, hops, link_list)
-            if edges is not None:
-                index = ConflictIndex(
-                    "/".join(map(repr, key)), hops,
-                    _graph_from_conflicts(link_list, edges),
-                    *_topology_snapshot(topology))
-                self.stats["delta_updates"] += 1
-                obs.counter("core.engine.delta_updates").inc()
-        if index is None:
-            index = ConflictIndex(
-                "/".join(map(repr, key)), hops,
-                conflict_graph(topology, hops=hops, links=link_list),
-                *_topology_snapshot(topology))
-            self.stats["index_builds"] += 1
-            obs.counter("core.engine.index_builds").inc()
-        obs.counter("core.interference.protocol_edges").inc(
-            index.num_conflicts)
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-            self._delta_bases[(hops, link_key is None)] = index
-        return index
+        return self._index_for(key, hops, build, lineage, topology)
 
     def _model_index(self, model, topology: MeshTopology,
                      links: Optional[Sequence[Link]]) -> ConflictIndex:
@@ -583,24 +493,15 @@ class SolverEngine:
         link_key = None if links is None else tuple(sorted(set(links)))
         key = ("conflict", topology_fingerprint(topology),
                model.cache_token(topology), link_key)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            self._indexes.move_to_end(key)
-            self.stats["index_hits"] += 1
-            obs.counter("core.engine.index_hits").inc()
-            return cached
-        graph = model.conflict_graph(
-            topology, links=None if link_key is None else list(link_key))
-        index = ConflictIndex("/".join(map(repr, key)), None, graph)
-        self.stats["index_builds"] += 1
-        obs.counter("core.engine.index_builds").inc()
-        obs.counter(f"core.interference.{model.kind}_edges").inc(
-            index.num_conflicts)
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
-        return index
+
+        def build() -> tuple[str, nx.Graph]:
+            graph = model.conflict_graph(
+                topology, links=None if link_key is None else list(link_key))
+            obs.counter(f"core.interference.{model.kind}_edges").inc(
+                graph.number_of_edges())
+            return "index_builds", graph
+
+        return self._index_for(key, None, build)
 
     def zone_index(self, base: ConflictIndex,
                    links: Sequence[Link]) -> ConflictIndex:
@@ -629,10 +530,12 @@ class SolverEngine:
         for link in zone:
             base.position(link)  # membership check with the usual error
         members = set(zone)
-        edges = {(a, b) if a <= b else (b, a)
-                 for a in zone for b in base.neighbors(a) if b in members}
-        index = ConflictIndex("/".join(map(repr, key)), base.hops,
-                              _graph_from_conflicts(zone, edges))
+        # base.neighbors() is in canonical order, so the induced edges
+        # come out canonical without a sort.
+        graph = _graph_from_edges(zone, ((a, b) for a in zone
+                                         for b in base.neighbors(a)
+                                         if b > a and b in members))
+        index = ConflictIndex("/".join(map(repr, key)), base.hops, graph)
         self.stats["zone_index_builds"] += 1
         obs.counter("core.engine.zone_index_builds").inc()
         if self.max_indexes > 0:
@@ -655,23 +558,36 @@ class SolverEngine:
 
         key = ("interference", topology_fingerprint(topology))
         return self._index_for(
-            key, None, lambda: interference_graph(topology))
+            key, None, lambda: ("index_builds", interference_graph(topology)))
 
-    def _index_for(self, key: tuple, hops: Optional[int],
-                   build) -> ConflictIndex:
-        cached = self._indexes.get(key)
-        if cached is not None:
+    def _index_for(self, key: tuple, hops: Optional[int], build,
+                   lineage: Optional[tuple[int, bool]] = None,
+                   topology: Optional[MeshTopology] = None) -> ConflictIndex:
+        """The one LRU path of the main index cache.
+
+        Returns the cached index for ``key``, or wraps ``build()``'s graph
+        -- ``build`` returns ``(stats entry to count, graph)`` -- and
+        caches it.  A ``lineage`` index carries ``topology``'s snapshot and
+        becomes the base of that protocol delta lineage.
+        """
+        index = self._indexes.get(key)
+        if index is not None:
             self._indexes.move_to_end(key)
             self.stats["index_hits"] += 1
             obs.counter("core.engine.index_hits").inc()
-            return cached
-        index = ConflictIndex("/".join(map(repr, key)), hops, build())
-        self.stats["index_builds"] += 1
-        obs.counter("core.engine.index_builds").inc()
-        if self.max_indexes > 0:
-            self._indexes[key] = index
-            while len(self._indexes) > self.max_indexes:
-                self._indexes.popitem(last=False)
+        else:
+            stat, graph = build()
+            snapshot = () if lineage is None else _topology_snapshot(topology)
+            index = ConflictIndex("/".join(map(repr, key)), hops, graph,
+                                  *snapshot)
+            self.stats[stat] += 1
+            obs.counter(f"core.engine.{stat}").inc()
+            if self.max_indexes > 0:
+                self._indexes[key] = index
+                while len(self._indexes) > self.max_indexes:
+                    self._indexes.popitem(last=False)
+        if lineage is not None and self.max_indexes > 0:
+            self._delta_bases[lineage] = index
         return index
 
     # -- cached ILP layer -----------------------------------------------------

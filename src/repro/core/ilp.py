@@ -41,6 +41,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import obs
+from repro.core.conflict import conflicting_pairs
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, SolverError
@@ -173,9 +174,8 @@ def _solve(problem: SchedulingProblem,
     # -- variable layout ---------------------------------------------------
     s_index = {link: i for i, link in enumerate(links)}
     demanded = set(links)
-    pairs = sorted(
-        tuple(sorted(edge)) for edge in problem.conflicts.edges
-        if edge[0] in demanded and edge[1] in demanded)
+    pairs = [pair for pair in conflicting_pairs(problem.conflicts)
+             if pair[0] in demanded and pair[1] in demanded]
     o_index = {pair: len(links) + j for j, pair in enumerate(pairs)}
     pair_set = set(pairs)
     num_vars = len(links) + len(pairs)

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Optional
 import networkx as nx
 
 from repro.core.bellman_ford import DifferenceConstraints
+from repro.core.conflict import conflicting_pairs
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
@@ -130,8 +131,7 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
         system.add_lower(ORIGIN, link, 0)
         system.add_upper(ORIGIN, link, frame_slots - demand)
     demanded = set(scheduled)
-    for edge in sorted(tuple(sorted(e)) for e in conflicts.edges):
-        a, b = edge
+    for a, b in conflicting_pairs(conflicts):
         if a not in demanded or b not in demanded:
             continue
         if order.precedes(a, b):

@@ -24,6 +24,11 @@ reception iff any of:
 - ``tb`` is a radio neighbour of ``ra`` (b's signal collides at a's
   receiver);
 - ``ta`` is a radio neighbour of ``rb`` (symmetrically).
+
+This module only states that rule as per-link node sets
+(:func:`_channel_near_sets`); the relation itself comes from the same
+conflict-relation builder in :mod:`repro.core.conflict` that builds the
+k-hop protocol graphs.
 """
 
 from __future__ import annotations
@@ -32,46 +37,36 @@ from typing import Optional, Union
 
 import networkx as nx
 
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    _build_conflict_graph,
+    _NearSets,
+    conflict_graph,
+    conflicting_pairs,
+)
 from repro.net.topology import Link, MeshTopology
 
 ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
 
 
 def interference_graph(topology: MeshTopology) -> nx.Graph:
-    """The exact link-interference relation implied by the channel model.
+    """The exact link-interference relation implied by the channel model."""
+    return _build_conflict_graph(list(topology.links),
+                                 _channel_near_sets(topology))
 
-    Built from the node -> links incidence maps, so the work is
-    proportional to the actual interference edges (the old
-    all-pairs double loop was O(L^2) regardless of the answer --
-    ``test_bench_micro_interference_graph`` tracks the difference).
-    Vertex set, edge set and insertion order are identical to the
-    pairwise scan's.
+
+def _channel_near_sets(topology: MeshTopology) -> _NearSets:
+    """The channel rule's near sets for a link ``(ta, ra)``.
+
+    Outgoing links from ``{ta, ra} | N(ra)`` and incoming links into
+    ``{ta, ra} | N(ta)`` interfere with it.
     """
-    links = topology.links  # sorted directed links
-    graph = nx.Graph()
-    graph.add_nodes_from(links)
-    out_links: dict[int, list[Link]] = {}
-    in_links: dict[int, list[Link]] = {}
-    for link in links:
-        out_links.setdefault(link[0], []).append(link)
-        in_links.setdefault(link[1], []).append(link)
-    for ta, ra in links:
-        link_a = (ta, ra)
-        candidates: set[Link] = set()
-        for node in (ta, ra):  # shared-radio conflicts
-            candidates.update(out_links.get(node, ()))
-            candidates.update(in_links.get(node, ()))
-        for nb in topology.graph[ra]:  # tb in N(ra): collides at a's receiver
-            candidates.update(out_links.get(nb, ()))
-        for nb in topology.graph[ta]:  # ta in N(rb): collides at b's receiver
-            candidates.update(in_links.get(nb, ()))
-        # Emit each undirected edge once, from its smaller endpoint, in
-        # sorted order -- the exact insertion order of an i < j pairwise
-        # scan over the sorted link list.
-        for link_b in sorted(c for c in candidates if c > link_a):
-            graph.add_edge(link_a, link_b)
-    return graph
+    adjacency = topology.graph.adj
+
+    def near(link: Link) -> tuple[set[int], set[int]]:
+        ta, ra = link
+        return ({ta, ra, *adjacency[ra]}, {ta, ra, *adjacency[ta]})
+
+    return near
 
 
 def _model_graph(topology: MeshTopology, hops: int,
@@ -114,9 +109,8 @@ def uncovered_interference(topology: MeshTopology, hops: int = 2,
     """
     physical = _truth_graph(topology, truth)
     abstraction = _model_graph(topology, hops, model)
-    missing = [tuple(sorted(edge)) for edge in physical.edges
-               if not abstraction.has_edge(*edge)]
-    return sorted(missing)
+    return [pair for pair in conflicting_pairs(physical)
+            if not abstraction.has_edge(*pair)]
 
 
 def overcautious_pairs(topology: MeshTopology, hops: int = 2,
@@ -132,6 +126,5 @@ def overcautious_pairs(topology: MeshTopology, hops: int = 2,
     """
     physical = _truth_graph(topology, truth)
     abstraction = _model_graph(topology, hops, model)
-    extra = [tuple(sorted(edge)) for edge in abstraction.edges
-             if not physical.has_edge(*edge)]
-    return sorted(extra)
+    return [pair for pair in conflicting_pairs(abstraction)
+            if not physical.has_edge(*pair)]

@@ -41,7 +41,11 @@ from typing import Iterable, Optional, Sequence
 import networkx as nx
 
 from repro import obs
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import (
+    _graph_from_edges,
+    _resolve_links,
+    conflict_graph,
+)
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology
 
@@ -440,24 +444,13 @@ class SinrModel(InterferenceModel):
         links validated against the topology.
         """
         self._require_positions(topology)
-        if links is None:
-            link_list = list(topology.links)
-        else:
-            link_list = sorted(set(links))
-            for link in link_list:
-                if not topology.has_link(link):
-                    raise ConfigurationError(
-                        f"{link} is not a link of the topology")
+        link_list = _resolve_links(topology, links)
         rates = self.link_rates(topology, link_list)
-        graph = nx.Graph()
-        graph.add_nodes_from(link_list)
-        edges = 0
-        for i, a in enumerate(link_list):
-            for b in link_list[i + 1:]:
-                if self._conflict(topology, a, b, rates):
-                    graph.add_edge(a, b)
-                    edges += 1
-        obs.counter("phy.sinr.conflict_edges").inc(edges)
+        graph = _graph_from_edges(
+            link_list, ((a, b) for i, a in enumerate(link_list)
+                        for b in link_list[i + 1:]
+                        if self._conflict(topology, a, b, rates)))
+        obs.counter("phy.sinr.conflict_edges").inc(graph.number_of_edges())
         return graph
 
     def _conflict(self, topology: MeshTopology, a: Link, b: Link,

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro import obs
-from repro.core.conflict import conflict_graph, max_conflict_clique_demand
+from repro.core.conflict import conflict_graph
 from repro.core.engine import (
     BF_CERTIFIED,
     ConflictIndex,
@@ -100,19 +100,6 @@ def test_conflict_index_csr_adjacency():
         assert index.degree(link) == index.graph.degree(link)
     with pytest.raises(ConfigurationError):
         index.position((99, 100))
-
-
-def test_clique_demand_bound_matches_reference():
-    topo = grid_topology(2, 3)
-    demands = {link: (i % 3) + 1
-               for i, link in enumerate(sorted(topo.links))}
-    index = SolverEngine().conflict_index(topo, hops=2,
-                                          links=demands.keys())
-    assert (index.clique_demand_bound(demands)
-            == max_conflict_clique_demand(index.graph, demands))
-    assert index.clique_demand_bound({}) == 0
-    with pytest.raises(ConfigurationError):
-        index.clique_demand_bound({next(iter(demands)): -1})
 
 
 def test_interference_index_is_exact_relation():

@@ -9,15 +9,33 @@ hash; on arbitrary random-disk meshes, through delta updates and
 mobility-style churn, and through the shared engine cache (both
 spellings must resolve to the *same* index object, or warm solver state
 would silently fork per spelling).
+
+Both relations -- k-hop and the channel's exact rule -- come from one
+incidence-map builder; the reference tests at the end pin it to naive
+pairwise scans, down to node, edge and adjacency order.
 """
 
+import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.conflict import (
+    _build_conflict_graph,
+    _conflict_rows,
+    _khop_near_sets,
+    conflict_graph,
+)
 from repro.core.engine import SolverEngine, canonical_problem_key
 from repro.core.ilp import SchedulingProblem
-from repro.net.topology import random_disk_topology
+from repro.errors import ConfigurationError
+from repro.net.topology import (
+    chain_topology,
+    grid_topology,
+    random_disk_topology,
+)
+from repro.phy.interference import _channel_near_sets, interference_graph
 from repro.phy.models import ProtocolModel
 
 HOPS = st.integers(min_value=1, max_value=2)
@@ -102,3 +120,89 @@ def test_identity_survives_delta_updates(topology, hops, data):
     cold = SolverEngine().conflict_index(topology, hops=hops)
     _assert_same_index(cold, via_model)
     _assert_same_problem_hash(cold, via_model)
+
+
+# -- the shared builder against pairwise reference scans --------------------
+
+def _khop_reference(topology, hops, link_list):
+    """The O(L^2) pairwise k-hop scan: link pairs in i < j order."""
+    reach = {node: set(nx.single_source_shortest_path_length(
+        topology.graph, node, cutoff=hops - 1))
+        for node in topology.graph.nodes}
+    graph = nx.Graph()
+    graph.add_nodes_from(link_list)
+    for i, a in enumerate(link_list):
+        near_a = reach[a[0]] | reach[a[1]]
+        for b in link_list[i + 1:]:
+            if set(a) & set(b) or b[0] in near_a or b[1] in near_a:
+                graph.add_edge(a, b)
+    return graph
+
+
+def _channel_reference(topology, link_list):
+    """The O(L^2) pairwise scan of the channel's exact collision rule."""
+    graph = nx.Graph()
+    graph.add_nodes_from(link_list)
+    for i, (ta, ra) in enumerate(link_list):
+        for tb, rb in link_list[i + 1:]:
+            if ({ta, ra} & {tb, rb} or tb in topology.graph[ra]
+                    or ta in topology.graph[rb]):
+                graph.add_edge((ta, ra), (tb, rb))
+    return graph
+
+
+@st.composite
+def generator_meshes(draw):
+    kind = draw(st.sampled_from(["chain", "grid", "disk"]))
+    if kind == "chain":
+        return chain_topology(draw(st.integers(min_value=2, max_value=10)))
+    if kind == "grid":
+        return grid_topology(draw(st.integers(min_value=1, max_value=4)),
+                             draw(st.integers(min_value=2, max_value=5)))
+    return random_disk_topology(
+        draw(st.integers(min_value=3, max_value=14)), radio_range=45.0,
+        area=80.0, seed=draw(st.integers(min_value=0, max_value=10_000)))
+
+
+def _adjacency(graph):
+    return [list(graph.adj[node]) for node in graph.nodes]
+
+
+@pytest.mark.parametrize("relation", ["hops=1", "hops=2", "hops=3",
+                                      "exact"])
+@settings(max_examples=30, deadline=None)
+@given(generator_meshes(), st.data())
+def test_builder_matches_pairwise_reference(relation, topology, data):
+    links = topology.links
+    requested = None
+    if data.draw(st.booleans(), label="subset"):
+        requested = data.draw(st.lists(st.sampled_from(links)),
+                              label="links")
+    link_list = links if requested is None else sorted(set(requested))
+    if relation == "exact":
+        near = _channel_near_sets(topology)
+        reference = _channel_reference(topology, link_list)
+        built = (interference_graph(topology) if requested is None
+                 else _build_conflict_graph(link_list, near))
+    else:
+        hops = int(relation.split("=")[1])
+        near = _khop_near_sets(topology, hops)
+        reference = _khop_reference(topology, hops, link_list)
+        try:
+            built = conflict_graph(topology, hops=hops, links=requested)
+        except ConfigurationError:
+            # the degenerate-hops guard: only when every link reaches
+            # the whole mesh
+            num_nodes = topology.num_nodes()
+            assert hops > 2 and link_list
+            assert all(len(near(link)[0]) == num_nodes
+                       for link in link_list)
+            return
+    assert list(built.nodes) == list(reference.nodes)
+    assert list(built.edges) == list(reference.edges)
+    assert _adjacency(built) == _adjacency(reference)
+
+    rows = (data.draw(st.sets(st.sampled_from(link_list)), label="rows")
+            if link_list else set())
+    assert (list(_conflict_rows(link_list, near, rows=rows))
+            == [(a, set(built.adj[a])) for a in link_list if a in rows])
