@@ -3,11 +3,11 @@
 Unlike the experiment benches (one-shot table generation), these use
 pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph construction,
-Bellman-Ford schedule recovery, greedy packing, feasibility ILPs and the
-delay computation.
+Bellman-Ford schedule recovery, greedy packing, feasibility ILPs, the ILP
+front end's conflict-clique refutation and the delay computation.
 """
 
-from repro.core.conflict import conflict_graph
+from repro.core.conflict import _greedy_clique_demand, conflict_graph
 from repro.core.delay import path_delay_slots
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
@@ -29,6 +29,8 @@ ROUTE = tuple((i, i + 1) for i in (0, 1, 2))  # 0-1-2-3 along the top row
 #: The 36-node, 220 m range, 900 m field random-disk mesh that E20 and the
 #: mesh-churn workload move around: conflict builds at the size churn pays.
 CHURN_MESH = random_disk_topology(36, radio_range=220.0, area=900.0, seed=1)
+#: The voip-admission workload's 2x4 grid.
+ADMISSION_GRID = grid_topology(2, 4)
 
 
 def test_bench_micro_conflict_graph(benchmark):
@@ -53,6 +55,24 @@ def test_bench_micro_interference_graph_churn_mesh(benchmark):
     graph = benchmark(interference_graph, CHURN_MESH)
     assert graph.number_of_nodes() == CHURN_MESH.num_links()
     assert graph.number_of_edges() > 0
+
+
+def test_bench_micro_clique_refutation_admission_grid(benchmark):
+    conflicts = conflict_graph(ADMISSION_GRID, hops=2)
+    demands = {link: 1 for link in ADMISSION_GRID.links}
+    weight = benchmark(_greedy_clique_demand, conflicts, demands, 16)
+    assert 1 < weight <= 16
+
+
+def test_bench_micro_clique_refutation_churn_mesh(benchmark):
+    # Every link demanded and a region no clique can exceed: nothing is
+    # refuted, so every start grows its clique to maximality -- the dense
+    # worst case of the helper ILP probes pay for.
+    conflicts = conflict_graph(CHURN_MESH, hops=2)
+    demands = {link: 1 for link in CHURN_MESH.links}
+    weight = benchmark(_greedy_clique_demand, conflicts, demands,
+                       len(demands))
+    assert 1 < weight <= len(demands)
 
 
 def test_bench_micro_bellman_ford_recovery(benchmark):

@@ -15,6 +15,7 @@ from typing import Optional
 from repro.core.conflict import conflict_graph
 from repro.core.ilp import DelayConstraint
 from repro.core.minslots import MinSlotResult, minimum_slots
+from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.net.flows import Flow, FlowSet
@@ -54,6 +55,18 @@ class AdmissionController:
     guaranteed_region_slots:
         Cap on the slots available to guaranteed traffic (the rest is
         reserved for best effort); default: the whole frame.
+    search:
+        Min-slot search mode, ``"binary"`` (the default) or ``"linear"``.
+        Binary is valid because feasibility is monotone in the region size
+        for a fixed frame, and it probes far fewer infeasible regions.
+    time_limit_per_probe_s:
+        Wall-clock budget per ILP probe in seconds, positive or ``None``
+        (unbounded).  A probe undecided within it counts as infeasible,
+        so the call is rejected rather than wrongly admitted.
+
+    Bad ``search`` or ``time_limit_per_probe_s`` values raise
+    :class:`~repro.errors.ConfigurationError` here, through
+    :class:`~repro.core.policy.SolverPolicy`'s checks.
     """
 
     def __init__(self, topology: MeshTopology, frame_slots: int,
@@ -75,9 +88,8 @@ class AdmissionController:
         if not 0 < self.region_cap <= frame_slots:
             raise ConfigurationError(
                 f"guaranteed region {self.region_cap} must be in 1..frame_slots")
-        #: min-slot search mode; "binary" is valid (feasibility is monotone
-        #: in the region size for a fixed frame) and probes far fewer
-        #: infeasible instances -- the expensive ones -- than "linear"
+        SolverPolicy(search=search,  # raises on a bad knob
+                     time_limit_per_probe=time_limit_per_probe_s)
         self.search = search
         self.time_limit_per_probe_s = time_limit_per_probe_s
         self.conflicts = conflict_graph(topology, hops=conflict_hops)

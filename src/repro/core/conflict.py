@@ -23,7 +23,7 @@ an incidence map for them, :func:`_graph_from_edges` materialises.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
 
@@ -201,6 +201,12 @@ def max_conflict_clique_demand(conflicts: nx.Graph,
     induced by each topology node (all links incident to one node mutually
     conflict under any k >= 1 model), which is cheap and usually tight on
     mesh topologies.
+
+    It stays the minimum-slot search's start bound even though
+    :func:`_greedy_clique_demand` often finds heavier cliques: a higher
+    start would drop probes from every probe log and change the published
+    ``lower_bound`` columns, while the probes below the greedy clique
+    already cost no solver time -- the ILP front end refutes them with it.
     """
     best = 0
     per_node: dict[int, int] = {}
@@ -211,4 +217,47 @@ def max_conflict_clique_demand(conflicts: nx.Graph,
             per_node[node] = per_node.get(node, 0) + demand
     if per_node:
         best = max(per_node.values())
+    return best
+
+
+def _greedy_clique_demand(conflicts: nx.Graph, demands: Mapping[Link, int],
+                          region: int) -> int:
+    """Weight of a heavy clique of demanded links, stopping above ``region``.
+
+    The heaviest single link is the first candidate.  Then the search
+    starts once from each demanded link in canonical order and grows the
+    clique by the heaviest demanded common neighbour (ties: canonical
+    order) until none is left or the clique weighs more than ``region``.
+    Every clique weighed is a real one, so the result never exceeds the
+    maximum-weight clique: above ``region`` it proves that no conflict-free
+    schedule fits the region, since pairwise-conflicting links need
+    disjoint blocks.  A clique weighing at most ``region`` has at most
+    ``region`` members, so after an O(conflict edges) set-up each start
+    costs at most ``region + 1`` bitmask steps (the maximum-weight clique
+    search of networkx recurses once per member and takes seconds on a
+    dense mesh).
+    """
+    demanded = {link: d for link, d in demands.items() if d > 0}
+    best = max(demanded.values(), default=0)
+    if best > region:
+        return best
+    # Bit i stands for the i-th heaviest demanded link (ties: canonical
+    # order), so the lowest set bit of a candidate mask is the next pick.
+    heaviest = sorted(demanded, key=lambda link: (-demanded[link], link))
+    rank = {link: i for i, link in enumerate(heaviest)}
+    weights = [demanded[link] for link in heaviest]
+    near = [sum(1 << rank[other] for other in conflicts.adj[link]
+                if other in rank) if link in conflicts else 0
+            for link in heaviest]
+    for start in sorted(demanded):
+        weight = demanded[start]
+        candidates = near[rank[start]]
+        while candidates and weight <= region:
+            pick = (candidates & -candidates).bit_length() - 1
+            weight += weights[pick]
+            candidates &= near[pick]
+        if weight > best:
+            best = weight
+            if best > region:
+                break
     return best

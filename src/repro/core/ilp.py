@@ -26,7 +26,11 @@ where the wrap indicator ``w_i`` of consecutive hops equals ``1 - o`` (or
 always share a router, hence always conflict, hence always carry an order
 variable.  ``D <= budget`` is then linear.
 
-Solved with :func:`scipy.optimize.milp` (HiGHS branch-and-cut).
+Solved with :func:`scipy.optimize.milp` (HiGHS branch-and-cut).  Before
+building the model, a conflict clique of demanded links weighing more
+than the region refutes the problem without the solver (pairwise
+conflicting links need disjoint blocks); HiGHS is slow to prove such
+problems infeasible.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import obs
-from repro.core.conflict import conflicting_pairs
+from repro.core.conflict import _greedy_clique_demand, conflicting_pairs
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, SolverError
@@ -156,20 +160,22 @@ def _solve(problem: SchedulingProblem,
     region = problem.effective_region
     links = problem.demanded_links()
 
-    # Quick exits that do not need a solver.
-    if not links:
-        return ILPResult(True, Schedule(frame), TransmissionOrder({}), None,
-                         0.0, "trivial", 0, 0)
-    for link in links:
-        if problem.demands[link] > region:
-            return ILPResult(False, None, None, None, 0.0,
-                             f"demand of {link} exceeds region", 0, 0)
-
     route_links = {l for c in problem.delay_constraints for l in c.route}
     missing = route_links - set(links)
     if missing:
         raise ConfigurationError(
             f"delay-constrained routes use undemanded links: {sorted(missing)}")
+
+    # Quick exits that do not need a solver.
+    if not links:
+        return ILPResult(True, Schedule(frame), TransmissionOrder({}), None,
+                         0.0, "trivial", 0, 0)
+    clique = _greedy_clique_demand(problem.conflicts, problem.demands, region)
+    if clique > region:
+        obs.counter("core.ilp.clique_refutations").inc()
+        return ILPResult(False, None, None, None, 0.0,
+                         f"conflict clique of {clique} slots exceeds "
+                         f"region {region}", 0, 0)
 
     # -- variable layout ---------------------------------------------------
     s_index = {link: i for i, link in enumerate(links)}

@@ -143,6 +143,17 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             AdmissionController(chain_topology(3), 16, 0.0, 1000)
 
+    def test_invalid_search_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="search"):
+            AdmissionController(chain_topology(3), 16, 0.016, 1000,
+                                search="bogus")
+
+    @pytest.mark.parametrize("limit", [0, -1.0])
+    def test_invalid_probe_time_limit_rejected_at_construction(self, limit):
+        with pytest.raises(ConfigurationError, match="time_limit"):
+            AdmissionController(chain_topology(3), 16, 0.016, 1000,
+                                time_limit_per_probe_s=limit)
+
     def test_slot_duration(self):
         ctrl = controller(frame_slots=10)
         assert ctrl.slot_duration_s == pytest.approx(0.001)

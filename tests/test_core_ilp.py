@@ -1,7 +1,10 @@
 """Delay-aware scheduling ILP."""
 
+import networkx as nx
 import pytest
 
+from repro import obs
+from repro.analysis.scenarios import delay_constraints_for, make_voip_flows
 from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots, path_wraps
 from repro.core.ilp import (
@@ -10,7 +13,10 @@ from repro.core.ilp import (
     solve_schedule_ilp,
 )
 from repro.errors import ConfigurationError
-from repro.net.topology import chain_topology, star_topology
+from repro.mesh16.frame import default_frame_config
+from repro.net.topology import chain_topology, grid_topology, star_topology
+from repro.sim.random import RngRegistry
+from repro.traffic.voip import G729
 
 
 def chain_problem(hops, frame_slots, budget=None, demand=1,
@@ -70,6 +76,64 @@ class TestFeasibility:
         result.schedule.validate(conflicts)
 
 
+@pytest.fixture
+def registry():
+    reg = obs.MetricsRegistry()
+    previous = obs.set_registry(reg)
+    yield reg
+    obs.set_registry(previous)
+
+
+def _no_milp(*args, **kwargs):
+    raise AssertionError("a HiGHS model was built")
+
+
+class TestCliqueRefutation:
+    def test_clique_overload_refuted_without_solver(self, registry,
+                                                    monkeypatch):
+        monkeypatch.setattr("repro.core.ilp.milp", _no_milp)
+        conflicts = conflict_graph(star_topology(3), hops=2)
+        demands = {(0, 1): 2, (0, 2): 2, (0, 3): 2}
+        result = solve_schedule_ilp(SchedulingProblem(conflicts, demands, 5))
+        assert not result.feasible
+        assert result.solver_status == (
+            "conflict clique of 6 slots exceeds region 5")
+        counters = registry.snapshot()["counters"]
+        assert counters["core.ilp.clique_refutations"] == 1
+        assert counters["core.ilp.infeasible"] == 1
+
+    def test_e5_eighth_call_is_refuted_at_the_full_frame(self, registry,
+                                                         monkeypatch):
+        # E5 on the 3x3 grid, seed 11: the first seven calls fit, and the
+        # set with voip7 holds an 18-slot conflict clique against 16 data
+        # slots.  The greedy refutation stops at the first clique above
+        # the region, 17 slots; no HiGHS model is built.
+        topology = grid_topology(3, 3)
+        frame = default_frame_config()
+        flows = make_voip_flows(topology, 8, RngRegistry(seed=11),
+                                codec=G729, gateway=0, delay_budget_s=0.05)
+        assert [flow.name for flow in flows][-1] == "voip7"
+        demands = flows.link_demands(frame.frame_duration_s,
+                                     frame.data_slot_capacity_bits)
+        conflicts = conflict_graph(topology, hops=2, links=demands.keys())
+        graph = conflicts.subgraph(demands).copy()
+        for link in graph:
+            graph.nodes[link]["weight"] = demands[link]
+        assert nx.max_weight_clique(graph, weight="weight")[1] == 18
+        assert frame.data_slots == 16
+
+        monkeypatch.setattr("repro.core.ilp.milp", _no_milp)
+        result = solve_schedule_ilp(SchedulingProblem(
+            conflicts, demands, frame.data_slots,
+            delay_constraints=delay_constraints_for(flows, frame)))
+        assert not result.feasible
+        assert result.solver_status == (
+            "conflict clique of 17 slots exceeds region 16")
+        counters = registry.snapshot()["counters"]
+        assert counters["core.ilp.clique_refutations"] == 1
+        assert counters["core.ilp.solves"] == 1
+
+
 class TestDelayConstraints:
     def test_one_frame_budget_forces_zero_wraps(self):
         problem, route = chain_problem(hops=5, frame_slots=16, budget=16)
@@ -112,6 +176,17 @@ class TestDelayConstraints:
         conflicts = conflict_graph(chain5, hops=2)
         problem = SchedulingProblem(
             conflicts, {(0, 1): 1}, 10,
+            delay_constraints=[DelayConstraint(
+                "f", ((0, 1), (1, 2)), 10)])
+        with pytest.raises(ConfigurationError, match="undemanded"):
+            solve_schedule_ilp(problem)
+
+    def test_undemanded_route_link_rejected_before_quick_exits(self, chain5):
+        # the demand alone would be refuted without a solver; the malformed
+        # route must still raise rather than read as "infeasible"
+        conflicts = conflict_graph(chain5, hops=2)
+        problem = SchedulingProblem(
+            conflicts, {(0, 1): 11}, 10,
             delay_constraints=[DelayConstraint(
                 "f", ((0, 1), (1, 2)), 10)])
         with pytest.raises(ConfigurationError, match="undemanded"):
