@@ -2,13 +2,15 @@
 
 Unlike the experiment benches (one-shot table generation), these use
 pytest-benchmark's statistical timing to track the cost of the hot
-primitives a deployment would re-run online: conflict-graph construction,
-Bellman-Ford schedule recovery, greedy packing, feasibility ILPs, the ILP
-front end's conflict-clique refutation and the delay computation.
+primitives a deployment would re-run online: conflict-graph and
+conflict-index construction, Bellman-Ford schedule recovery, greedy
+packing, feasibility ILPs, the ILP front end's conflict-clique
+refutation and the delay computation.
 """
 
 from repro.core.conflict import _greedy_clique_demand, conflict_graph
 from repro.core.delay import path_delay_slots
+from repro.core.engine import SolverEngine
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
 from repro.core.ordering import schedule_from_order
@@ -41,6 +43,12 @@ def test_bench_micro_conflict_graph(benchmark):
 def test_bench_micro_conflict_graph_churn_mesh(benchmark):
     graph = benchmark(conflict_graph, CHURN_MESH, 2)
     assert graph.number_of_nodes() == CHURN_MESH.num_links()
+
+
+def test_bench_micro_conflict_index_churn_mesh(benchmark):
+    # a cold engine build: builder rows straight to CSR, no graph
+    index = benchmark(SolverEngine(max_indexes=0).conflict_index, CHURN_MESH)
+    assert index.num_links == CHURN_MESH.num_links()
 
 
 def test_bench_micro_interference_graph(benchmark):

@@ -1558,7 +1558,7 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
         for arm in (exact, zoned, greedy):
             if arm is None or arm.schedule is None:
                 continue
-            s8_ok &= arm.schedule.violations(index.graph) == []
+            s8_ok &= arm.schedule.violations(index) == []
             for flow in flows:
                 report = check_guarantees(arm.schedule, flow, frame,
                                           G729.packet_bits)

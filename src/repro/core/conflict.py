@@ -58,11 +58,18 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     networkx.Graph
         Vertices are directed :data:`~repro.net.topology.Link` tuples.
     """
+    link_list = _resolve_links(topology, links)
+    near = _checked_khop_near_sets(topology, hops, link_list)
+    return _graph_from_edges(
+        link_list, _row_edges(_conflict_rows(link_list, near)))
+
+
+def _checked_khop_near_sets(topology: MeshTopology, hops: int,
+                            link_list: Sequence[Link]) -> _NearSets:
+    """The k-hop near sets, after the one bad/degenerate ``hops`` guard."""
     if hops < 1:
         raise ConfigurationError(f"interference model needs hops >= 1, got {hops}")
-    link_list = _resolve_links(topology, links)
     near = _khop_near_sets(topology, hops)
-
     # A widened model (hops > 2) whose reach spans the whole mesh from
     # every link is degenerate: all links pairwise conflict, the schedule
     # serialises, and the caller almost certainly mistook ``hops`` for a
@@ -79,7 +86,7 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
                 "to one link per slot. Use a smaller hops value, or an "
                 "SinrModel if you need wider-than-communication "
                 "interference (see docs/interference.md)")
-    return _build_conflict_graph(link_list, near)
+    return near
 
 
 def _resolve_links(topology: MeshTopology,
@@ -171,12 +178,10 @@ def _graph_from_edges(link_list: Iterable[Link],
     return graph
 
 
-def _build_conflict_graph(link_list: Sequence[Link],
-                          near: _NearSets) -> nx.Graph:
-    """The whole conflict relation over ``link_list`` as a graph."""
-    return _graph_from_edges(
-        link_list, ((a, b) for a, partners in _conflict_rows(link_list, near)
-                    for b in sorted(p for p in partners if p > a)))
+def _row_edges(rows: Iterable) -> Iterator[tuple[Link, Link]]:
+    """Sorted ``(a, b)``, ``a < b`` edges of sorted ``(a, partners)`` rows."""
+    return ((a, b) for a, partners in rows
+            for b in sorted(p for p in partners if p > a))
 
 
 def conflicting_pairs(conflicts: nx.Graph) -> Iterator[tuple[Link, Link]]:

@@ -8,11 +8,11 @@ from a fixed order with one Bellman-Ford pass over the conflict graph.  A
 probe, repair and sweep point as a cold solve:
 
 1. **Cached conflict-graph layer.**  :meth:`SolverEngine.conflict_index`
-   returns an immutable :class:`ConflictIndex` -- the conflict graph plus
-   CSR adjacency -- keyed by a topology/links/hops fingerprint and kept in
-   a small LRU, so minslots, repair, distributed validation and analysis
-   share one build per scenario instead of each calling
-   :func:`~repro.core.conflict.conflict_graph` independently.
+   returns an immutable :class:`ConflictIndex` -- CSR adjacency, with the
+   conflict graph materialised on demand -- keyed by a topology/links/hops
+   fingerprint and kept in a small LRU, so minslots, repair, distributed
+   validation and analysis share one build per scenario instead of each
+   calling :func:`~repro.core.conflict.conflict_graph` independently.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Cache *misses* on
@@ -62,6 +62,7 @@ are deterministic everywhere.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
@@ -73,11 +74,13 @@ import numpy as np
 from repro import obs
 from repro.core.conflict import (
     _ball,
+    _checked_khop_near_sets,
     _conflict_rows,
     _graph_from_edges,
     _khop_near_sets,
     _resolve_links,
-    conflict_graph,
+    _row_edges,
+    conflict_graph,  # noqa: F401 -- perfbench/tracer.py wraps it by this name
     conflicting_pairs,
 )
 from repro.core.ilp import (
@@ -200,12 +203,12 @@ def canonical_problem_key(problem: SchedulingProblem,
 
 
 class ConflictIndex:
-    """An immutable, shareable view of one conflict (or interference) graph.
+    """An immutable, shareable view of one conflict (or interference) relation.
 
-    Wraps the :mod:`networkx` graph every existing consumer expects
-    (:attr:`graph`) and adds the precomputed structure repeated solves
-    want: CSR adjacency over the canonical link ordering
-    (:attr:`indptr`/:attr:`indices`).
+    Built as CSR adjacency over the canonical link ordering
+    (:attr:`indptr`/:attr:`indices`, kept with its per-row lists); the
+    :mod:`networkx` :attr:`graph` is the constructor's, or, for row-built
+    (protocol and zone) indexes, materialised once on first access.
 
     ``hops`` is the protocol-model distance, or ``None`` for the exact
     interference relation.  Treat instances (and :attr:`graph`) as frozen:
@@ -220,30 +223,47 @@ class ConflictIndex:
     the whole conflict relation (see :func:`updated_conflict_edges`).
     """
 
-    __slots__ = ("key", "hops", "links", "graph", "indptr", "indices",
-                 "_positions", "topo_nodes", "topo_edges")
+    __slots__ = ("key", "hops", "links", "indptr", "indices", "_rows",
+                 "_graph", "_positions", "topo_nodes", "topo_edges")
 
     def __init__(self, key: str, hops: Optional[int],
                  graph: nx.Graph,
                  topo_nodes: Optional[frozenset[int]] = None,
                  topo_edges: Optional[frozenset[tuple[int, int]]] = None
                  ) -> None:
-        self.key = key
-        self.hops = hops
-        self.graph = graph
-        self.topo_nodes = topo_nodes
-        self.topo_edges = topo_edges
-        self.links: tuple[Link, ...] = tuple(sorted(graph.nodes))
+        links = sorted(graph.nodes)
+        positions = {link: i for i, link in enumerate(links)}
+        self._fill(key, hops, links,
+                   [sorted(positions[other] for other in graph.neighbors(link))
+                    for link in links], topo_nodes, topo_edges)
+        self._graph = graph
+
+    @classmethod
+    def _from_rows(cls, key: str, hops: Optional[int],
+                   links: Sequence[Link], rows: list[list[int]],
+                   topo_nodes=None, topo_edges=None) -> "ConflictIndex":
+        """An index over sorted ``links`` from sorted position rows, no graph."""
+        index = cls.__new__(cls)
+        index._fill(key, hops, links, rows, topo_nodes, topo_edges)
+        return index
+
+    def _fill(self, key, hops, links, rows, topo_nodes, topo_edges) -> None:
+        self.key, self.hops = key, hops
+        self.topo_nodes, self.topo_edges = topo_nodes, topo_edges
+        self.links: tuple[Link, ...] = tuple(links)
         self._positions = {link: i for i, link in enumerate(self.links)}
-        indptr = np.zeros(len(self.links) + 1, dtype=np.int64)
-        flat: list[int] = []
-        for i, link in enumerate(self.links):
-            row = sorted(self._positions[other]
-                         for other in graph.neighbors(link))
-            flat.extend(row)
-            indptr[i + 1] = len(flat)
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=np.int64)
+        self._rows = rows
+        self._graph: Optional[nx.Graph] = None
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        self.indptr[1:] = np.cumsum([len(row) for row in rows])
+        self.indices = np.array([j for row in rows for j in row], np.int64)
+
+    @property
+    def graph(self) -> nx.Graph:
+        if self._graph is None:  # the conflict_graph() order, from the rows
+            self._graph = _graph_from_edges(self.links, _row_edges(
+                zip(self.links, map(self.neighbors, self.links))))
+        return self._graph
 
     @property
     def num_links(self) -> int:
@@ -263,27 +283,22 @@ class ConflictIndex:
 
     def neighbors(self, link: Link) -> tuple[Link, ...]:
         """Links conflicting with ``link``, in canonical order."""
-        i = self.position(link)
-        return tuple(self.links[j]
-                     for j in self.indices[self.indptr[i]:self.indptr[i + 1]])
+        return tuple(map(self.links.__getitem__,
+                         self._rows[self.position(link)]))
 
     def degree(self, link: Link) -> int:
-        i = self.position(link)
-        return int(self.indptr[i + 1] - self.indptr[i])
+        return len(self._rows[self.position(link)])
 
-
-def _topology_snapshot(topology: MeshTopology
-                       ) -> tuple[frozenset[int],
-                                  frozenset[tuple[int, int]]]:
-    """The (nodes, undirected sorted edges) snapshot a delta diffs against."""
-    return (frozenset(topology.graph.nodes),
-            frozenset(tuple(sorted(e)) for e in topology.graph.edges))
+    def __contains__(self, link: object) -> bool:
+        return link in self._positions
 
 
 def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
-                           hops: int, link_list: Sequence[Link]
-                           ) -> Optional[set[tuple[Link, Link]]]:
-    """Conflict-edge set for ``(topology, link_list)``, delta-updated.
+                           hops: int, link_list: Sequence[Link],
+                           snapshot: tuple[frozenset[int],
+                                           frozenset[tuple[int, int]]]
+                           ) -> Optional[list[list[int]]]:
+    """Conflict rows for ``(topology, link_list)``, delta-updated.
 
     Diffs the request against the ``old`` index's stored topology
     snapshot and link set, identifies the *dirty* links -- added links
@@ -293,18 +308,19 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
     rows between clean links are provably unchanged: under the protocol
     model, ``conflict(a, b)`` depends only on ``a``'s endpoint reach
     sets and ``b``'s endpoint identities, so an untouched reach set
-    means an untouched row.
+    means an untouched row, up to the dirty partners that the (symmetric)
+    rebuilt rows name.  ``snapshot`` is ``topology``'s nodes and
+    undirected sorted edges, the form :attr:`ConflictIndex.topo_edges` has.
 
-    Returns ``None`` when the delta cannot be applied (the old index has
-    no snapshot, or its hops differ) or would not pay (more than half
-    the links are dirty -- a rebuild is no slower then).  The returned
-    edge set is *semantically identical* to a cold
-    :func:`~repro.core.conflict.conflict_graph` build: the equivalence
-    is property-tested in ``tests/test_property_mobility.py``.
+    Returns one sorted position list per link of ``link_list`` -- a cold
+    build's rows, property-tested in ``tests/test_property_mobility.py``
+    -- or ``None`` when the delta cannot be applied (the old index has no
+    snapshot, or its hops differ) or would not pay (more than half the
+    links are dirty -- a rebuild is no slower then).
     """
     if old.topo_edges is None or old.topo_nodes is None or old.hops != hops:
         return None
-    new_nodes, new_edges = _topology_snapshot(topology)
+    new_nodes, new_edges = snapshot
     seeds: set[int] = set(old.topo_nodes ^ new_nodes)
     for u, v in old.topo_edges ^ new_edges:
         seeds.add(u)
@@ -329,15 +345,18 @@ def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
     if 2 * len(dirty) > len(new_set):
         return None
     clean = new_set - dirty
-    edges: set[tuple[Link, Link]] = set()
-    for a, b in old.graph.edges:
-        if a in clean and b in clean:
-            edges.add((a, b) if a <= b else (b, a))
+    position = {link: i for i, link in enumerate(link_list)}
+    # old and new positions both follow link order: clean rows stay sorted
+    rows = [[] if link in dirty else
+            [position[b] for b in old.neighbors(link) if b in clean]
+            for link in link_list]
     for a, partners in _conflict_rows(link_list,
                                       _khop_near_sets(topology, hops),
                                       rows=dirty):
-        edges.update((a, b) if a < b else (b, a) for b in partners)
-    return edges
+        rows[position[a]] = sorted(position[b] for b in partners)
+        for b in partners & clean:
+            bisect.insort(rows[position[b]], position[a])
+    return rows
 
 
 class SolverEngine:
@@ -428,8 +447,8 @@ class SolverEngine:
         an :class:`~repro.phy.models.InterferenceModel` or a bare hops
         integer.  A :class:`~repro.phy.models.ProtocolModel` routes
         through exactly the pre-seam path: same cache key (the bare hops
-        int), same delta lineage, same
-        :func:`~repro.core.conflict.conflict_graph` build -- bitwise
+        int), same delta lineage, same rows as
+        :func:`~repro.core.conflict.conflict_graph` -- bitwise
         identical.  Other models (e.g.
         :class:`~repro.phy.models.SinrModel`) are keyed by their
         :meth:`~repro.phy.models.InterferenceModel.cache_token` (which
@@ -460,24 +479,30 @@ class SolverEngine:
         link_key = None if links is None else tuple(sorted(set(links)))
         lineage = (hops, link_key is None)
 
-        def build() -> tuple[str, nx.Graph]:
+        def build(name: str) -> tuple[str, ConflictIndex]:
+            snapshot = (frozenset(topology.graph.nodes),
+                        frozenset(tuple(sorted(e))
+                                  for e in topology.graph.edges))
             link_list = _resolve_links(topology, link_key)
             base = (self._delta_bases.get(lineage)
                     if self.delta_updates and self.max_indexes > 0 else None)
-            edges = (None if base is None else
-                     updated_conflict_edges(base, topology, hops, link_list))
-            if edges is None:
+            rows = (None if base is None else updated_conflict_edges(
+                base, topology, hops, link_list, snapshot))
+            stat = "delta_updates"
+            if rows is None:
                 stat = "index_builds"
-                graph = conflict_graph(topology, hops=hops, links=link_list)
-            else:
-                stat = "delta_updates"
-                graph = _graph_from_edges(link_list, sorted(edges))
+                near = _checked_khop_near_sets(topology, hops, link_list)
+                position = {link: i for i, link in enumerate(link_list)}
+                rows = [sorted(map(position.__getitem__, partners))
+                        for _, partners in _conflict_rows(link_list, near)]
+            index = ConflictIndex._from_rows(name, hops, link_list, rows,
+                                             *snapshot)
             obs.counter("core.interference.protocol_edges").inc(
-                graph.number_of_edges())
-            return stat, graph
+                index.num_conflicts)
+            return stat, index
 
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
-        return self._index_for(key, hops, build, lineage, topology)
+        return self._index_for(key, build, lineage)
 
     def _model_index(self, model, topology: MeshTopology,
                      links: Optional[Sequence[Link]]) -> ConflictIndex:
@@ -494,14 +519,14 @@ class SolverEngine:
         key = ("conflict", topology_fingerprint(topology),
                model.cache_token(topology), link_key)
 
-        def build() -> tuple[str, nx.Graph]:
+        def build(name: str) -> tuple[str, ConflictIndex]:
             graph = model.conflict_graph(
                 topology, links=None if link_key is None else list(link_key))
             obs.counter(f"core.interference.{model.kind}_edges").inc(
                 graph.number_of_edges())
-            return "index_builds", graph
+            return "index_builds", ConflictIndex(name, None, graph)
 
-        return self._index_for(key, None, build)
+        return self._index_for(key, build)
 
     def zone_index(self, base: ConflictIndex,
                    links: Sequence[Link]) -> ConflictIndex:
@@ -527,15 +552,12 @@ class SolverEngine:
             self.stats["zone_index_hits"] += 1
             obs.counter("core.engine.zone_index_hits").inc()
             return cached
-        for link in zone:
-            base.position(link)  # membership check with the usual error
-        members = set(zone)
-        # base.neighbors() is in canonical order, so the induced edges
-        # come out canonical without a sort.
-        graph = _graph_from_edges(zone, ((a, b) for a in zone
-                                         for b in base.neighbors(a)
-                                         if b > a and b in members))
-        index = ConflictIndex("/".join(map(repr, key)), base.hops, graph)
+        # base.neighbors() checks membership and keeps rows in link order
+        members = {link: i for i, link in enumerate(zone)}
+        index = ConflictIndex._from_rows(
+            "/".join(map(repr, key)), base.hops, zone,
+            [[members[b] for b in base.neighbors(a) if b in members]
+             for a in zone])
         self.stats["zone_index_builds"] += 1
         obs.counter("core.engine.zone_index_builds").inc()
         if self.max_indexes > 0:
@@ -557,18 +579,19 @@ class SolverEngine:
         from repro.phy.interference import interference_graph
 
         key = ("interference", topology_fingerprint(topology))
-        return self._index_for(
-            key, None, lambda: ("index_builds", interference_graph(topology)))
+        return self._index_for(key, lambda name: (
+            "index_builds",
+            ConflictIndex(name, None, interference_graph(topology))))
 
-    def _index_for(self, key: tuple, hops: Optional[int], build,
-                   lineage: Optional[tuple[int, bool]] = None,
-                   topology: Optional[MeshTopology] = None) -> ConflictIndex:
+    def _index_for(self, key: tuple, build,
+                   lineage: Optional[tuple[int, bool]] = None
+                   ) -> ConflictIndex:
         """The one LRU path of the main index cache.
 
-        Returns the cached index for ``key``, or wraps ``build()``'s graph
-        -- ``build`` returns ``(stats entry to count, graph)`` -- and
-        caches it.  A ``lineage`` index carries ``topology``'s snapshot and
-        becomes the base of that protocol delta lineage.
+        Returns the cached index for ``key``, or caches ``build(name)``'s
+        index -- ``build`` returns ``(stats entry to count, index)`` and
+        names the index after ``key``.  A ``lineage`` index becomes the
+        base of that protocol delta lineage.
         """
         index = self._indexes.get(key)
         if index is not None:
@@ -576,10 +599,7 @@ class SolverEngine:
             self.stats["index_hits"] += 1
             obs.counter("core.engine.index_hits").inc()
         else:
-            stat, graph = build()
-            snapshot = () if lineage is None else _topology_snapshot(topology)
-            index = ConflictIndex("/".join(map(repr, key)), hops, graph,
-                                  *snapshot)
+            stat, index = build("/".join(map(repr, key)))
             self.stats[stat] += 1
             obs.counter(f"core.engine.{stat}").inc()
             if self.max_indexes > 0:

@@ -12,12 +12,15 @@ not wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 import networkx as nx
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.net.topology import Link
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.engine import ConflictIndex
 
 
 @dataclass(frozen=True, order=True)
@@ -131,16 +134,20 @@ class Schedule:
 
     # -- validation ----------------------------------------------------------
 
-    def violations(self, conflicts: nx.Graph) -> list[tuple[Link, Link]]:
+    def violations(self, conflicts: Union[nx.Graph, "ConflictIndex"]
+                   ) -> list[tuple[Link, Link]]:
         """All pairs of conflicting links with overlapping blocks."""
         bad = []
-        for link_a, link_b in conflicts.edges:
+        pairs = (conflicts.edges if isinstance(conflicts, nx.Graph) else
+                 ((a, b) for a in self._blocks if a in conflicts
+                  for b in conflicts.neighbors(a) if a < b))
+        for link_a, link_b in pairs:
             if link_a in self._blocks and link_b in self._blocks:
                 if self._blocks[link_a].overlaps(self._blocks[link_b]):
                     bad.append(tuple(sorted((link_a, link_b))))
         return sorted(bad)
 
-    def validate(self, conflicts: nx.Graph) -> None:
+    def validate(self, conflicts: Union[nx.Graph, "ConflictIndex"]) -> None:
         """Raise :class:`SchedulingError` unless the schedule is conflict-free."""
         bad = self.violations(conflicts)
         if bad:

@@ -370,7 +370,7 @@ class DistributedScheduler:
                     if not n.confirmed}
         if self.engine is not None:
             interference = self.engine.interference_index(self.topology)
-            clashes = schedule.violations(interference.graph)
+            clashes = schedule.violations(interference)
             obs.counter("mesh16.dsch.validated").inc()
             if clashes:  # pragma: no cover - protocol invariant breach
                 from repro.errors import SchedulingError

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import networkx as nx
+
 from repro import obs
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
@@ -103,8 +105,8 @@ class MobilityRunResult:
 def _flood_margin(alive, gateway: int, frame: MeshFrameConfig) -> int:
     # same dissemination model as E17: depth flood rounds, each moving
     # ceil(nodes / control_slots) hops of announcements, plus activation
-    depth = max((alive.hop_distance(gateway, n) for n in alive.nodes
-                 if n != gateway), default=1)
+    depth = max(nx.single_source_shortest_path_length(
+        alive.graph, gateway).values()) or 1
     return depth * math.ceil(alive.num_nodes() / frame.control_slots) + 1
 
 
@@ -228,7 +230,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
         # link the mesh could activate, and the full-topology index is
         # exactly the shape the engine's delta updates answer cheaply.
         conflicts = solver.conflict_index(
-            repair.alive, interference=repair.interference).graph
+            repair.alive, interference=repair.interference)
         conflict_ok = not repair.schedule.violations(conflicts)
         guarantee_ok = True
         for flow in repair.carried_flows:

@@ -38,8 +38,10 @@ from typing import Optional, Union
 import networkx as nx
 
 from repro.core.conflict import (
-    _build_conflict_graph,
+    _conflict_rows,
+    _graph_from_edges,
     _NearSets,
+    _row_edges,
     conflict_graph,
     conflicting_pairs,
 )
@@ -50,8 +52,8 @@ ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
 
 def interference_graph(topology: MeshTopology) -> nx.Graph:
     """The exact link-interference relation implied by the channel model."""
-    return _build_conflict_graph(list(topology.links),
-                                 _channel_near_sets(topology))
+    return _graph_from_edges(topology.links, _row_edges(_conflict_rows(
+        topology.links, _channel_near_sets(topology))))
 
 
 def _channel_near_sets(topology: MeshTopology) -> _NearSets:

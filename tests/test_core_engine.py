@@ -329,3 +329,34 @@ def test_delta_rejected_when_most_links_are_dirty():
     engine.conflict_index(topology, hops=2)
     assert engine.stats["delta_updates"] == 0
     assert engine.stats["index_builds"] == 2
+
+
+@pytest.mark.parametrize("topology, hops, links", [
+    (chain_topology(5), 4, None),
+    (chain_topology(4), 3, None),
+    (grid_topology(2, 3), 3, [(0, 1), (1, 0), (4, 5)]),
+])
+def test_engine_raises_the_conflict_graph_degenerate_hops_error(
+        topology, hops, links):
+    with pytest.raises(ConfigurationError) as from_graph:
+        conflict_graph(topology, hops=hops, links=links)
+    with pytest.raises(ConfigurationError) as from_engine:
+        SolverEngine(max_indexes=0).conflict_index(topology, hops=hops,
+                                                   links=links)
+    assert "degenerates" in str(from_graph.value)
+    assert str(from_engine.value) == str(from_graph.value)
+
+
+def test_protocol_index_materialises_its_graph_once_on_demand(monkeypatch):
+    import repro.core.engine as engine_module
+
+    calls = []
+    real = engine_module._graph_from_edges
+    monkeypatch.setattr(engine_module, "_graph_from_edges",
+                        lambda *args: calls.append(args) or real(*args))
+    index = SolverEngine().conflict_index(grid_topology(3, 3), hops=2)
+    index.neighbors(index.links[0])
+    assert calls == []
+    graph = index.graph
+    assert index.graph is graph and len(calls) == 1
+    assert graph.number_of_edges() == index.num_conflicts

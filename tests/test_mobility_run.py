@@ -1,14 +1,21 @@
 """Unit tests for repro.mobility.run: the stream -> repair driver."""
 
+import math
+
+import networkx as nx
 import pytest
 
+import repro.core.conflict
+import repro.core.engine
 from repro import obs
 from repro.core.engine import SolverEngine
 from repro.errors import ConfigurationError
-from repro.mobility.models import ConstantVelocityModel
-from repro.mobility.run import run_mobility
-from repro.mobility.stream import TopologyStream
+from repro.mesh16.frame import default_frame_config
+from repro.mobility.models import ConstantVelocityModel, RandomWaypointModel
+from repro.mobility.run import _flood_margin, run_mobility
+from repro.mobility.stream import RadioRangeModel, TopologyStream
 from repro.net.flows import Flow
+from repro.net.topology import MeshTopology
 
 
 @pytest.fixture
@@ -115,3 +122,55 @@ def test_run_mobility_rejects_unreachable_endpoints_and_bad_cadence():
         run_mobility(stream, flows((2, 0)))
     with pytest.raises(ConfigurationError):
         run_mobility(stream, flows((1, 0)), packet_interval_s=0.0)
+
+
+def test_run_mobility_never_materialises_the_alive_set_graph(monkeypatch):
+    # the per-batch S8 check runs on the whole-mesh index's CSR rows;
+    # only the small demand-link indexes repair solves on become graphs
+    materialised, whole_mesh = [], []
+    for module in (repro.core.engine, repro.core.conflict):
+        real = module._graph_from_edges
+
+        def spy(link_list, edges, real=real):
+            link_list = tuple(link_list)
+            materialised.append(link_list)
+            return real(link_list, edges)
+
+        monkeypatch.setattr(module, "_graph_from_edges", spy)
+    real_index = SolverEngine.conflict_index
+
+    def index_spy(self, topology, *args, **kwargs):
+        index = real_index(self, topology, *args, **kwargs)
+        if kwargs.get("links") is None and len(args) < 2:
+            whole_mesh.append(index.links)
+        return index
+
+    monkeypatch.setattr(SolverEngine, "conflict_index", index_spy)
+    result = run_mobility(drive_by_stream(), flows((3, 0), (4, 0)))
+    assert result.conflict_ok and len(result.steps) > 0
+    assert len(whole_mesh) >= len(result.steps)
+    assert materialised, "repair still solves on demand-link graphs"
+    assert not set(materialised) & set(whole_mesh)
+
+
+@pytest.mark.parametrize("speed", [0.0, 10.0, 30.0])
+def test_flood_margin_matches_per_node_hop_distances_on_e20_meshes(speed):
+    frame = default_frame_config()
+    stream = TopologyStream(
+        RandomWaypointModel(36, 900.0, speed, 30.0, seed=61),
+        RadioRangeModel(220.0, hysteresis=0.15), dt=0.25)
+    checked = 0
+    for _, nodes, edges in stream.snapshots()[::8]:
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(nodes)
+        alive = MeshTopology(graph.subgraph(
+            nx.node_connected_component(graph, 0)).copy())
+        depth = max((alive.hop_distance(0, n) for n in alive.nodes
+                     if n != 0), default=1)
+        assert _flood_margin(alive, 0, frame) == depth * math.ceil(
+            alive.num_nodes() / frame.control_slots) + 1
+        checked += alive.num_nodes() > 1
+    assert checked > 0
+    lone = nx.Graph()
+    lone.add_node(0)
+    assert _flood_margin(MeshTopology(lone), 0, frame) == 1 + 1

@@ -11,9 +11,13 @@ spellings must resolve to the *same* index object, or warm solver state
 would silently fork per spelling).
 
 Both relations -- k-hop and the channel's exact rule -- come from one
-incidence-map builder; the reference tests at the end pin it to naive
-pairwise scans, down to node, edge and adjacency order.
+incidence-map builder; the reference tests at the end pin it, and the
+engine's cold and delta CSR builds, to naive pairwise scans, down to
+node, edge and adjacency order, and check S8 validation on an index
+against validation on its graph.
 """
+
+import itertools
 
 import networkx as nx
 import numpy as np
@@ -22,15 +26,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.conflict import (
-    _build_conflict_graph,
     _conflict_rows,
+    _graph_from_edges,
     _khop_near_sets,
+    _row_edges,
     conflict_graph,
 )
 from repro.core.engine import SolverEngine, canonical_problem_key
 from repro.core.ilp import SchedulingProblem
+from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError
 from repro.net.topology import (
+    MeshTopology,
     chain_topology,
     grid_topology,
     random_disk_topology,
@@ -183,7 +190,8 @@ def test_builder_matches_pairwise_reference(relation, topology, data):
         near = _channel_near_sets(topology)
         reference = _channel_reference(topology, link_list)
         built = (interference_graph(topology) if requested is None
-                 else _build_conflict_graph(link_list, near))
+                 else _graph_from_edges(
+                     link_list, _row_edges(_conflict_rows(link_list, near))))
     else:
         hops = int(relation.split("=")[1])
         near = _khop_near_sets(topology, hops)
@@ -206,3 +214,109 @@ def test_builder_matches_pairwise_reference(relation, topology, data):
             if link_list else set())
     assert (list(_conflict_rows(link_list, near, rows=rows))
             == [(a, set(built.adj[a])) for a in link_list if a in rows])
+
+
+# -- engine CSR builds against the same references --------------------------
+
+def _assert_csr_matches(index, reference):
+    links = list(reference.nodes)
+    position = {link: i for i, link in enumerate(links)}
+    rows = [sorted(position[b] for b in reference.adj[a]) for a in links]
+    assert index.links == tuple(links)
+    assert index.indptr.dtype == index.indices.dtype == np.int64
+    assert index.indptr.tolist() == [0, *itertools.accumulate(map(len, rows))]
+    assert index.indices.tolist() == [j for row in rows for j in row]
+    assert [index.neighbors(link) for link in links] == [
+        tuple(links[j] for j in row) for row in rows]
+
+
+def _assert_same_graph_order(built, expected):
+    assert list(built.nodes) == list(expected.nodes)
+    assert list(built.edges) == list(expected.edges)
+    assert _adjacency(built) == _adjacency(expected)
+
+
+def _toggled(topology, edge):
+    """A copy of ``topology`` with ``edge`` removed, or added if absent."""
+    graph = topology.graph.copy()
+    if graph.has_edge(*edge):
+        graph.remove_edge(*edge)
+    else:
+        graph.add_edge(*edge)
+    return MeshTopology(graph)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(generator_meshes(), st.data())
+def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
+                                                            data):
+    links = topology.links
+    requested = None
+    if data.draw(st.booleans(), label="subset"):
+        requested = data.draw(st.lists(st.sampled_from(links)),
+                              label="links")
+    link_list = links if requested is None else sorted(set(requested))
+    reference = _khop_reference(topology, hops, link_list)
+    try:
+        expected = conflict_graph(topology, hops=hops, links=requested)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as from_engine:
+            SolverEngine().conflict_index(topology, hops=hops,
+                                          links=requested)
+        assert str(from_engine.value) == str(exc)
+        return
+    cold = SolverEngine(max_indexes=0).conflict_index(topology, hops=hops,
+                                                      links=requested)
+    _assert_csr_matches(cold, reference)
+    _assert_same_graph_order(cold.graph, expected)
+
+    # delta: diff against an index of the mesh with one edge toggled
+    bridges = set(nx.bridges(topology.graph))
+    toggles = ([e for e in topology.graph.edges
+                if e not in bridges and e[::-1] not in bridges]
+               + [e for e in itertools.combinations(topology.nodes, 2)
+                  if not topology.graph.has_edge(*e)])
+    if not toggles:
+        return
+    other = _toggled(topology,
+                     data.draw(st.sampled_from(toggles), label="toggle"))
+    engine = SolverEngine()
+    try:
+        engine.conflict_index(other, hops=hops, links=None
+                              if requested is None else
+                              [l for l in link_list if other.has_link(l)])
+    except ConfigurationError:
+        return  # the toggled base is degenerate; no lineage to diff
+    updated = engine.conflict_index(topology, hops=hops, links=requested)
+    assert engine.stats["delta_updates"] + engine.stats["index_builds"] == 2
+    _assert_csr_matches(updated, reference)
+    _assert_same_graph_order(updated.graph, expected)
+
+
+@pytest.mark.parametrize("relation", ["hops=1", "hops=2", "exact"])
+@settings(max_examples=30, deadline=None)
+@given(generator_meshes(), st.data())
+def test_violations_on_index_match_violations_on_graph(relation, topology,
+                                                       data):
+    links = topology.links
+    engine = SolverEngine()
+    if relation == "exact":
+        index = engine.interference_index(topology)
+    else:
+        requested = data.draw(st.one_of(st.none(),
+                                        st.lists(st.sampled_from(links))),
+                              label="links")
+        index = engine.conflict_index(topology,
+                                      hops=int(relation.split("=")[1]),
+                                      links=requested)
+    frame = 6
+    scheduled = data.draw(st.lists(st.sampled_from(links), unique=True),
+                          label="scheduled")
+    blocks = {}
+    for link in scheduled:
+        start = data.draw(st.integers(0, frame - 1), label="start")
+        blocks[link] = SlotBlock(start, data.draw(
+            st.integers(1, frame - start), label="length"))
+    schedule = Schedule(frame, blocks)
+    assert schedule.violations(index) == schedule.violations(index.graph)
