@@ -734,8 +734,9 @@ def e14_distributed_vs_centralized() -> ExperimentResult:
         # binary search with a probe budget: all-links instances make the
         # infeasible probes near the optimum expensive, and a near-optimal
         # central answer is enough for the comparison
-        central = minimum_slots(conflicts, demands, frame, search="binary",
-                                time_limit_per_probe=5.0, engine=solver)
+        central = minimum_slots(
+            conflicts, demands, frame, engine=solver,
+            policy=SolverPolicy(search="binary", node_limit_per_probe=100))
         outcome = DistributedScheduler(topology, frame, max_cycles=32,
                                        engine=solver).run(demands)
         result.rows.append([
@@ -1536,8 +1537,7 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
             exact = minimum_slots(
                 index.graph, demands, frame.data_slots, constraints,
                 engine=engine,
-                policy=SolverPolicy(mode="exact", search="binary",
-                                    time_limit_per_probe=30.0))
+                policy=SolverPolicy(mode="exact", search="binary"))
             exact_s = time_mod.perf_counter() - started
             exact_status = "ok" if exact.slots is not None else "dnf"
 

@@ -140,7 +140,6 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
 
 def admit_flows(topology: MeshTopology, flows: FlowSet,
                 frame_config: MeshFrameConfig,
-                time_limit_s: float = 20.0,
                 engine=None,
                 interference=None) -> tuple[FlowSet, Schedule]:
     """Greedy admission: keep each flow only if the set stays schedulable.
@@ -172,9 +171,9 @@ def admit_flows(topology: MeshTopology, flows: FlowSet,
             frame_slots=frame_config.data_slots,
             delay_constraints=delay_constraints_for(candidate, frame_config))
         try:
-            result = eng.solve(problem, time_limit=time_limit_s)
+            result = eng.solve(problem)
         except SolverError:
-            continue  # undecided within the time limit: reject the call
+            continue  # undecided within the node budget: reject the call
         if result.feasible:
             admitted = candidate
             schedule = result.schedule

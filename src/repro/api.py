@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from repro._deprecation import warn_once
 from repro.core.engine import SolverEngine
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.policy import SolverPolicy
@@ -80,9 +79,7 @@ class Scenario:
         ``"exact"``, ``"zoned"``, ``"greedy"``, ``"auto"``) governing
         how :meth:`schedule` solves.  Defaults to the engine's policy
         when ``engine=`` is given, else to the ``"auto"`` policy --
-        exact at paper scale, zoned above the link threshold.  This
-        replaces the old per-call ``schedule(search=, max_region=,
-        time_limit_per_probe=)`` kwargs, which still work but warn once.
+        exact at paper scale, zoned above the link threshold.
     mobility:
         Optional :class:`~repro.mobility.stream.TopologyStream`
         describing a *moving* mesh.  Mutually exclusive with
@@ -110,11 +107,10 @@ class Scenario:
                 "pass either hops= or interference=, not both")
         if isinstance(interference, int) and not isinstance(interference,
                                                             bool):
-            warn_once(
-                "Scenario.interference.int",
-                "Scenario(interference=<int>) is deprecated; pass "
-                "hops=<int> or interference=ProtocolModel(hops=<int>) "
-                "instead")
+            raise ConfigurationError(
+                f"Scenario(interference={interference!r}) takes an "
+                f"InterferenceModel; pass hops={interference!r} or "
+                f"interference=ProtocolModel(hops={interference!r})")
         #: the interference-model backend conflict graphs come from
         self.interference = coerce_interference(
             interference, default_hops=2 if hops is None else hops)
@@ -177,49 +173,24 @@ class Scenario:
         self.flows = route_all(self.topology, self.flows)
         return self
 
-    def schedule(self, search: Optional[str] = None,
-                 enforce_delay: bool = True,
-                 max_region: Optional[int] = None,
-                 time_limit_per_probe: Optional[float] = None
-                 ) -> MinSlotResult:
+    def schedule(self, enforce_delay: bool = True) -> MinSlotResult:
         """Run the minimum-slot search for the routed flows.
 
         *How* to solve -- exact, zoned, greedy or auto, plus the probe
-        search and region/time knobs -- is the scenario's ``solver=``
-        policy.  The pre-policy per-call ``search=`` / ``max_region=`` /
-        ``time_limit_per_probe=`` arguments still apply as overrides but
-        emit a once-per-process :class:`DeprecationWarning`; pass a
-        :class:`~repro.core.policy.SolverPolicy` instead.
+        search, region and node-budget knobs -- is the scenario's
+        ``solver=`` policy.
 
         Returns the :class:`~repro.core.minslots.MinSlotResult`; its
         ``.schedule`` / ``.order`` / ``.slots`` are the solution.  The
         result is also kept on ``self.minslots`` so :meth:`simulate`
         can pick it up.
         """
-        if search is not None:
-            warn_once(
-                "Scenario.schedule.search",
-                "Scenario.schedule(search=...) is deprecated; pass "
-                "Scenario(solver=SolverPolicy(search=...)) instead")
-        if max_region is not None:
-            warn_once(
-                "Scenario.schedule.max_region",
-                "Scenario.schedule(max_region=...) is deprecated; pass "
-                "Scenario(solver=SolverPolicy(max_region=...)) instead")
-        if time_limit_per_probe is not None:
-            warn_once(
-                "Scenario.schedule.time_limit_per_probe",
-                "Scenario.schedule(time_limit_per_probe=...) is "
-                "deprecated; pass Scenario(solver=SolverPolicy("
-                "time_limit_per_probe=...)) instead")
-        policy = self.solver.with_overrides(search, max_region,
-                                            time_limit_per_probe)
         self._require_routed("schedule")
         self.minslots = minimum_slots(
             self.conflicts, self.demands, self.frame.data_slots,
             delay_constraints=(self.delay_constraints
                                if enforce_delay else ()),
-            engine=self.engine, policy=policy)
+            engine=self.engine, policy=self.solver)
         return self.minslots
 
     def simulate(self, duration_s: float = 5.0, *,

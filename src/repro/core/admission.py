@@ -59,12 +59,11 @@ class AdmissionController:
         Min-slot search mode, ``"binary"`` (the default) or ``"linear"``.
         Binary is valid because feasibility is monotone in the region size
         for a fixed frame, and it probes far fewer infeasible regions.
-    time_limit_per_probe_s:
-        Wall-clock budget per ILP probe in seconds, positive or ``None``
-        (unbounded).  A probe undecided within it counts as infeasible,
-        so the call is rejected rather than wrongly admitted.
 
-    Bad ``search`` or ``time_limit_per_probe_s`` values raise
+    Each ILP probe runs under the deterministic node budget
+    :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`; a probe undecided within
+    it counts as infeasible, so the call is rejected rather than wrongly
+    admitted.  A bad ``search`` value raises
     :class:`~repro.errors.ConfigurationError` here, through
     :class:`~repro.core.policy.SolverPolicy`'s checks.
     """
@@ -73,8 +72,7 @@ class AdmissionController:
                  frame_duration_s: float, slot_capacity_bits: float,
                  conflict_hops: int = 2,
                  guaranteed_region_slots: Optional[int] = None,
-                 search: str = "binary",
-                 time_limit_per_probe_s: Optional[float] = 15.0) -> None:
+                 search: str = "binary") -> None:
         if frame_duration_s <= 0 or slot_capacity_bits <= 0:
             raise ConfigurationError(
                 "frame duration and slot capacity must be positive")
@@ -88,10 +86,8 @@ class AdmissionController:
         if not 0 < self.region_cap <= frame_slots:
             raise ConfigurationError(
                 f"guaranteed region {self.region_cap} must be in 1..frame_slots")
-        SolverPolicy(search=search,  # raises on a bad knob
-                     time_limit_per_probe=time_limit_per_probe_s)
+        SolverPolicy(search=search)  # raises on a bad knob
         self.search = search
-        self.time_limit_per_probe_s = time_limit_per_probe_s
         self.conflicts = conflict_graph(topology, hops=conflict_hops)
         self.admitted = FlowSet()
         self.schedule: Optional[Schedule] = None
@@ -119,8 +115,7 @@ class AdmissionController:
         return minimum_slots(
             self.conflicts, demands, self.frame_slots,
             delay_constraints=self._delay_constraints(flows),
-            max_region=self.region_cap, search=self.search,
-            time_limit_per_probe=self.time_limit_per_probe_s)
+            max_region=self.region_cap, search=self.search)
 
     def try_admit(self, flow: Flow) -> AdmissionDecision:
         """Attempt to admit ``flow``; commits state only on success."""

@@ -84,6 +84,7 @@ from repro.core.conflict import (
     conflicting_pairs,
 )
 from repro.core.ilp import (
+    DEFAULT_NODE_LIMIT,
     DelayConstraint,
     ILPResult,
     SchedulingProblem,
@@ -176,27 +177,28 @@ def _cache_salt() -> str:
 
 
 def canonical_problem_key(problem: SchedulingProblem,
-                          time_limit: Optional[float] = None,
                           node_limit: Optional[int] = None) -> str:
     """Content hash identifying a ``(problem, K)`` pair.
 
     Two problems share a key iff they have the same conflict edges, the
     same demands, the same frame geometry (frame length *and* region), the
-    same delay constraints and objective, and the same solver budgets
-    (wall-clock ``time_limit`` and branch-and-cut ``node_limit``) -- a
-    budget change can flip a verdict, so budget-distinct solves must not
-    share a cache entry.  The key is salted with the package version and
-    source fingerprint, the same invalidation discipline as
-    :func:`repro.runtime.tasks.task_key`, so it stays meaningful if
-    persisted next to runtime artifacts.
+    same delay constraints and objective, and the same effective
+    branch-and-cut node budget (``None`` resolves to
+    :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`) -- a budget change can
+    flip a verdict, so budget-distinct solves must not share a cache
+    entry, while an unset and an explicitly default budget do.  The key
+    is salted with the package version and source fingerprint, the same
+    invalidation discipline as :func:`repro.runtime.tasks.task_key`, so
+    it stays meaningful if persisted next to runtime artifacts.
     """
     digest = hashlib.sha256()
     digest.update(_cache_salt().encode())
     digest.update(_edges_fingerprint(problem.conflicts).encode())
     digest.update(repr(sorted(problem.demands.items())).encode())
     digest.update(repr((problem.frame_slots, problem.effective_region,
-                        problem.minimize_max_delay, time_limit,
-                        node_limit)).encode())
+                        problem.minimize_max_delay,
+                        DEFAULT_NODE_LIMIT if node_limit is None
+                        else node_limit)).encode())
     digest.update(repr([(c.name, c.route, c.budget_slots)
                         for c in problem.delay_constraints]).encode())
     return digest.hexdigest()[:24]
@@ -613,7 +615,6 @@ class SolverEngine:
     # -- cached ILP layer -----------------------------------------------------
 
     def solve(self, problem: SchedulingProblem,
-              time_limit: Optional[float] = None,
               node_limit: Optional[int] = None) -> ILPResult:
         """:func:`~repro.core.ilp.solve_schedule_ilp` through the problem cache.
 
@@ -622,18 +623,17 @@ class SolverEngine:
         freely; only deterministic fields are shared, and ``solve_seconds``
         reports the original solve's wall clock.  ``node_limit`` caps the
         branch-and-cut tree deterministically (see
-        :func:`~repro.core.ilp.solve_schedule_ilp`); both budgets are part
-        of the cache key.
+        :func:`~repro.core.ilp.solve_schedule_ilp`) and is part of the
+        cache key.
         """
-        key = canonical_problem_key(problem, time_limit, node_limit)
+        key = canonical_problem_key(problem, node_limit)
         cached = self._problems.get(key)
         if cached is not None:
             self._problems.move_to_end(key)
             self.stats["problem_hits"] += 1
             obs.counter("core.engine.problem_hits").inc()
             return _copy_result(cached)
-        result = solve_schedule_ilp(problem, time_limit=time_limit,
-                                    node_limit=node_limit)
+        result = solve_schedule_ilp(problem, node_limit=node_limit)
         self.stats["ilp_solves"] += 1
         if self.max_problems > 0:
             self._problems[key] = _copy_result(result)
@@ -681,29 +681,26 @@ class SolverEngine:
                       delay_constraints: Sequence[DelayConstraint] = (),
                       search: Optional[str] = None,
                       max_region: Optional[int] = None,
-                      time_limit_per_probe: Optional[float] = None,
                       warm_order: Optional[TransmissionOrder] = None,
                       policy: "SolverPolicy | str | None" = None):
         """:func:`~repro.core.minslots.minimum_slots` through this engine.
 
         With no ``policy=`` the engine's own :attr:`policy` governs the
-        solve; explicit ``search=``/``max_region=``/``time_limit_per_probe=``
-        arguments override the matching policy knobs either way.
+        solve; explicit ``search=``/``max_region=`` arguments override the
+        matching policy knobs either way.
         """
         from repro.core.minslots import minimum_slots
 
         return minimum_slots(
             conflicts, demands, frame_slots,
             delay_constraints=delay_constraints, search=search,
-            max_region=max_region,
-            time_limit_per_probe=time_limit_per_probe,
-            engine=self, warm_order=warm_order, policy=policy)
+            max_region=max_region, engine=self, warm_order=warm_order,
+            policy=policy)
 
     def run_search(self, conflicts: nx.Graph, demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
                    search: str, ceiling: int,
-                   time_limit_per_probe: Optional[float],
                    warm_order: Optional[TransmissionOrder] = None,
                    node_limit_per_probe: Optional[int] = None):
         """The probe loop behind :func:`~repro.core.minslots.minimum_slots`.
@@ -715,11 +712,11 @@ class SolverEngine:
         argument validation and search-level telemetry.
 
         ``node_limit_per_probe`` bounds each ILP probe's branch-and-cut
-        tree instead of (or in addition to) the wall clock; a probe that
-        exhausts either budget undecided is treated as infeasible.  The
+        tree (``None``: :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`); a
+        probe that exhausts it undecided is treated as infeasible.  The
         node budget is *deterministic* -- the same probe reaches the same
-        verdict regardless of machine load -- which is what keeps zoned
-        solves bitwise-identical between serial and parallel runs.
+        verdict regardless of machine load -- which is what keeps solves
+        bitwise-identical between serial and parallel runs.
         """
         from repro.core.minslots import MinSlotResult, demand_lower_bound
 
@@ -749,16 +746,14 @@ class SolverEngine:
             self.stats["ilp_probes"] += 1
             obs.counter("core.engine.ilp_probes").inc()
             try:
-                result = self.solve(problem, time_limit=time_limit_per_probe,
-                                    node_limit=node_limit_per_probe)
+                result = self.solve(problem, node_limit=node_limit_per_probe)
             except SolverError:
-                # Undecided within the probe's budget (wall clock or node
-                # count): treat as infeasible.  Conservative for admission
-                # control (a call is rejected, never wrongly admitted);
-                # the probe log records it like any miss.
+                # Undecided within the probe's node budget: treat as
+                # infeasible.  Conservative for admission control (a call
+                # is rejected, never wrongly admitted); the probe log
+                # records it like any miss.
                 obs.counter("core.minslots.probe_timeouts").inc()
-                result = ILPResult(False, None, None, None,
-                                   time_limit_per_probe or 0.0,
+                result = ILPResult(False, None, None, None, 0.0,
                                    "probe budget exhausted", 0, 0)
             if not result.feasible:
                 obs.counter("core.minslots.probes_infeasible").inc()
@@ -787,12 +782,10 @@ class SolverEngine:
                     delay_constraints=tuple(delay_constraints),
                     region_slots=slots if region is None else region)
                 try:
-                    ilp = self.solve(problem,
-                                     time_limit=time_limit_per_probe,
-                                     node_limit=node_limit_per_probe)
+                    ilp = self.solve(problem, node_limit=node_limit_per_probe)
                 except SolverError:
                     # The certificate *is* a valid feasible solution; keep
-                    # it rather than fail the search on a solver timeout.
+                    # it rather than fail the search on an exhausted budget.
                     pass
             return MinSlotResult(slots=slots, ilp=ilp, lower_bound=bound,
                                  probes=probes)

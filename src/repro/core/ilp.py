@@ -116,34 +116,39 @@ class ILPResult:
     num_constraints: int = 0
 
 
-#: Default wall-clock budget per MILP solve.  Branch-and-cut on disjunctive
-#: big-M formulations has a heavy tail: the occasional instance runs
-#: minutes where its neighbours take milliseconds, and the HiGHS C core
-#: does not respond to signals mid-solve.  A bounded default converts that
-#: tail into an explicit SolverError the caller can handle (admission
-#: controllers treat it as "reject"), instead of an unbounded stall.
-DEFAULT_TIME_LIMIT_S = 120.0
+#: Default branch-and-cut node budget per MILP solve -- the one solver
+#: budget.  Unlike a wall-clock limit it is *deterministic*: the same
+#: problem under the same budget reaches the same verdict on any machine
+#: at any load, so no result depends on the clock.  Every decided solve
+#: of the experiments and benchmark workloads closes within 156 nodes
+#: (E7's minimise-max-delay solve; admission and churn probes close at
+#: the root), so 10,000 leaves ~60x headroom for harder instances.  The
+#: budget still bounds the heavy tail of big-M disjunctive formulations,
+#: where a single infeasibility proof can run for minutes: an undecided
+#: all-links grid3x3 probe (E14) spends 18-22 s on 10,000 nodes on a
+#: 2-vCPU Xeon with HiGHS from SciPy 1.17 -- an undecided probe costs
+#: seconds, not minutes.
+DEFAULT_NODE_LIMIT = 10_000
 
 
 def solve_schedule_ilp(problem: SchedulingProblem,
-                       time_limit: Optional[float] = None,
                        node_limit: Optional[int] = None) -> ILPResult:
     """Solve the joint slot/order scheduling ILP.
 
     Returns an :class:`ILPResult`; infeasibility is reported in the result
     (``feasible=False``), while unexpected solver failures -- including
-    exceeding ``time_limit`` (default :data:`DEFAULT_TIME_LIMIT_S`) without
-    an answer -- raise :class:`~repro.errors.SolverError`.
+    exhausting ``node_limit`` branch-and-cut nodes (default
+    :data:`DEFAULT_NODE_LIMIT`) without an answer -- raise
+    :class:`~repro.errors.SolverError`.
 
-    ``node_limit`` caps the branch-and-cut tree instead of the wall
-    clock.  Unlike a time limit it is *deterministic*: the same problem
-    under the same node limit reaches the same verdict on any machine at
-    any load, which is what lets budgeted probes (the zoned arm's zone
-    sub-searches) stay bitwise-reproducible.
+    The node budget is *deterministic*: the same problem under the same
+    budget reaches the same verdict on any machine at any load, which is
+    what keeps budgeted verdicts (admission decisions, zone
+    sub-searches) bitwise-reproducible.
     """
     obs.counter("core.ilp.solves").inc()
     with obs.span("core.ilp.solve", frame_slots=problem.frame_slots):
-        result = _solve(problem, time_limit, node_limit)
+        result = _solve(problem, node_limit)
     obs.histogram("core.ilp.variables").observe(result.num_variables)
     obs.histogram("core.ilp.constraints").observe(result.num_constraints)
     if not result.feasible:
@@ -152,7 +157,6 @@ def solve_schedule_ilp(problem: SchedulingProblem,
 
 
 def _solve(problem: SchedulingProblem,
-           time_limit: Optional[float],
            node_limit: Optional[int] = None) -> ILPResult:
     frame = problem.frame_slots
     if frame <= 0:
@@ -275,11 +279,9 @@ def _solve(problem: SchedulingProblem,
         constraints.append(LinearConstraint(
             matrix.tocsr(), np.array(lower), np.array(upper)))
 
-    options: dict[str, object] = {"presolve": True}
-    options["time_limit"] = float(DEFAULT_TIME_LIMIT_S if time_limit is None
-                                  else time_limit)
-    if node_limit is not None:
-        options["node_limit"] = int(node_limit)
+    options = {"presolve": True,
+               "node_limit": (DEFAULT_NODE_LIMIT if node_limit is None
+                              else node_limit)}
 
     started = time.perf_counter()
     result = milp(c=objective, constraints=constraints,
@@ -291,7 +293,7 @@ def _solve(problem: SchedulingProblem,
     if result.status == 2:  # infeasible
         return ILPResult(False, None, None, None, elapsed, result.message,
                          num_vars, len(rows))
-    # status 1 = iteration/time limit; if HiGHS found an incumbent, use it
+    # status 1 = node limit; if HiGHS found an incumbent, use it
     # (it is a valid conflict-free schedule, merely unproven-optimal for
     # minimizing objectives).  No incumbent -> explicit failure.
     if result.status not in (0, 1) or result.x is None:

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import networkx as nx
 
 from repro import obs
-from repro._deprecation import warn_once
 from repro.core.conflict import max_conflict_clique_demand
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
@@ -41,8 +40,7 @@ class MinSlotResult:
     The schedule and transmission order of the winning probe are exposed
     directly as :attr:`schedule` and :attr:`order`; the full
     :class:`~repro.core.ilp.ILPResult` (solver status, delays, sizes) is
-    :attr:`ilp`.  The pre-redesign ``.result`` attribute still resolves to
-    :attr:`ilp` but emits a :class:`DeprecationWarning` on first use.
+    :attr:`ilp`.
     """
 
     #: Smallest feasible guaranteed region, or None if even the full frame
@@ -77,15 +75,6 @@ class MinSlotResult:
         """The winning probe's transmission order (None when infeasible)."""
         return None if self.ilp is None else self.ilp.order
 
-    @property
-    def result(self) -> Optional[ILPResult]:
-        """Deprecated alias of :attr:`ilp` (kept for pre-facade callers)."""
-        warn_once(
-            "MinSlotResult.result",
-            "MinSlotResult.result is deprecated; use .schedule / .order "
-            "for the solution or .ilp for the full ILPResult")
-        return self.ilp
-
 
 def demand_lower_bound(conflicts: nx.Graph, demands: Mapping[Link, int]) -> int:
     """A cheap valid lower bound on the guaranteed region size.
@@ -103,7 +92,6 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
                   delay_constraints: Sequence[DelayConstraint] = (),
                   search: Optional[str] = None,
                   max_region: Optional[int] = None,
-                  time_limit_per_probe: Optional[float] = None,
                   engine: Optional["SolverEngine"] = None,
                   warm_order: Optional[TransmissionOrder] = None,
                   policy: "SolverPolicy | str | None" = None,
@@ -144,8 +132,7 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
         large-topology arm, the greedy arm, or ``"auto"``.  Default: the
         engine's own policy (itself defaulting to ``"auto"``, which is
         exact at paper scale).  The explicit ``search`` /
-        ``max_region`` / ``time_limit_per_probe`` arguments override the
-        matching policy knobs.
+        ``max_region`` arguments override the matching policy knobs.
     """
     if engine is None:
         from repro.core.engine import default_engine
@@ -167,8 +154,7 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
 
     base_policy = (engine.policy if policy is None
                    else SolverPolicy.coerce(policy))
-    eff = base_policy.with_overrides(search, max_region,
-                                     time_limit_per_probe)
+    eff = base_policy.with_overrides(search, max_region)
     ceiling = frame_slots if eff.max_region is None else eff.max_region
     if ceiling > frame_slots:
         raise ConfigurationError("max_region cannot exceed frame_slots")
@@ -180,8 +166,7 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
             obs.counter("core.minslots.searches").inc()
             outcome = engine.run_search(
                 conflicts, demands, frame_slots, delay_constraints,
-                eff.search, ceiling, eff.time_limit_per_probe,
-                warm_order=warm_order,
+                eff.search, ceiling, warm_order=warm_order,
                 node_limit_per_probe=eff.node_limit_per_probe)
     else:
         from repro.core.zones import (

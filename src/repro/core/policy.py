@@ -1,7 +1,7 @@
 """The solver-policy seam: one object deciding *how* a schedule is solved.
 
 The minimum-slots search grew knobs one call site at a time -- ``search=``
-here, ``max_region=`` there, ``time_limit_per_probe=`` on a third -- and
+here, ``max_region=`` there, a probe budget on a third -- and
 the large-topology work (:mod:`repro.core.zones`) would have added three
 more.  :class:`SolverPolicy` replaces that drift with a first-class value:
 a frozen, validated description of the solving strategy that travels
@@ -85,15 +85,12 @@ class SolverPolicy:
     max_region:
         Largest guaranteed region to consider (``None``: the whole
         frame).  Subsumes the old per-call ``max_region=`` kwarg.
-    time_limit_per_probe:
-        Wall-clock budget per ILP probe, in seconds.  Subsumes the old
-        per-call ``time_limit_per_probe=`` kwarg.
     node_limit_per_probe:
-        Branch-and-cut node budget per ILP probe.  Unlike the wall
-        clock it is *deterministic* -- the same probe reaches the same
-        verdict on any machine at any load -- so it is the budget of
-        choice wherever bitwise reproducibility matters.  ``None`` means
-        unbounded for the exact arm and
+        Branch-and-cut node budget per ILP probe, a positive ``int`` --
+        the only solver budget.  It is *deterministic*: the same probe
+        reaches the same verdict on any machine at any load.  A probe
+        left undecided within it counts as infeasible.  ``None`` means
+        :data:`repro.core.ilp.DEFAULT_NODE_LIMIT` for the exact arm and
         :data:`repro.core.zones.DEFAULT_ZONE_PROBE_NODE_LIMIT` for zone
         sub-searches.
     """
@@ -104,7 +101,6 @@ class SolverPolicy:
     gap_tolerance: float = 0.10
     auto_threshold: int = DEFAULT_AUTO_THRESHOLD
     max_region: Optional[int] = None
-    time_limit_per_probe: Optional[float] = None
     node_limit_per_probe: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -127,12 +123,12 @@ class SolverPolicy:
         if self.max_region is not None and self.max_region < 1:
             raise ConfigurationError(
                 f"max_region must be >= 1, got {self.max_region}")
-        if (self.time_limit_per_probe is not None
-                and self.time_limit_per_probe <= 0):
-            raise ConfigurationError("time_limit_per_probe must be positive")
-        if (self.node_limit_per_probe is not None
-                and self.node_limit_per_probe < 1):
-            raise ConfigurationError("node_limit_per_probe must be >= 1")
+        nodes = self.node_limit_per_probe
+        if nodes is not None and (not isinstance(nodes, int)
+                                  or isinstance(nodes, bool) or nodes < 1):
+            raise ConfigurationError(
+                f"node_limit_per_probe must be an int >= 1 or None, "
+                f"got {nodes!r}")
 
     @classmethod
     def coerce(cls, value: Union["SolverPolicy", str, None]
@@ -166,15 +162,11 @@ class SolverPolicy:
         return "zoned"
 
     def with_overrides(self, search: Optional[str] = None,
-                       max_region: Optional[int] = None,
-                       time_limit_per_probe: Optional[float] = None
-                       ) -> "SolverPolicy":
+                       max_region: Optional[int] = None) -> "SolverPolicy":
         """This policy with any explicitly-given per-call knobs applied."""
         updates: dict = {}
         if search is not None:
             updates["search"] = search
         if max_region is not None:
             updates["max_region"] = max_region
-        if time_limit_per_probe is not None:
-            updates["time_limit_per_probe"] = time_limit_per_probe
         return replace(self, **updates) if updates else self

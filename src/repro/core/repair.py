@@ -106,7 +106,7 @@ class RepairEngine:
         the protocol model -- e.g. an
         :class:`~repro.phy.models.SinrModel` so repairs schedule against
         physical-model interference (needs node positions).
-    search, time_limit_per_probe_s:
+    search:
         Passed to :func:`minimum_slots` for full re-solves.
     engine:
         The :class:`~repro.core.engine.SolverEngine` sharing conflict
@@ -120,7 +120,6 @@ class RepairEngine:
     def __init__(self, topology: MeshTopology, frame_config: MeshFrameConfig,
                  gateway: int = 0, hops: Optional[int] = None,
                  search: str = "binary",
-                 time_limit_per_probe_s: Optional[float] = 15.0,
                  engine: Optional[SolverEngine] = None,
                  shed_key=None,
                  dead_nodes: Iterable[int] = (),
@@ -146,7 +145,6 @@ class RepairEngine:
                      if isinstance(self.interference, ProtocolModel)
                      else None)
         self.search = search
-        self.time_limit_per_probe_s = time_limit_per_probe_s
         #: initial fault state: a mobility stream's world at t=0 rarely has
         #: every union-topology link up, so the engine can be born degraded
         #: and :meth:`install` then routes on the t=0 survivor rather than
@@ -437,9 +435,7 @@ class RepairEngine:
         return minimum_slots(
             conflicts, demands, self.frame.data_slots,
             delay_constraints=self._delay_constraints(flows),
-            search=self.search,
-            time_limit_per_probe=self.time_limit_per_probe_s,
-            engine=self.engine, warm_order=warm_order)
+            search=self.search, engine=self.engine, warm_order=warm_order)
 
     def _spliced_order(self, flows: list[Flow],
                        demands: dict[Link, int]) -> TransmissionOrder:

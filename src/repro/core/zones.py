@@ -22,11 +22,10 @@ Bellman-Ford certificate decides the top probe for free, and the known
 greedy makespan keeps the zone ceiling feasible.  Each ILP probe runs
 under a bounded *deterministic* branch-and-cut node budget
 (:data:`DEFAULT_ZONE_PROBE_NODE_LIMIT` unless the policy sets
-``node_limit_per_probe``; ``time_limit_per_probe`` adds a wall-clock
-safety net) with undecided probes treated as infeasible -- on big-M
-disjunctive formulations a single infeasibility *proof* can take
-minutes, and the zoned arm trades provable zone minimality (which the
-stitch discards anyway) for bounded latency.
+``node_limit_per_probe``) with undecided probes treated as infeasible
+-- on big-M disjunctive formulations a single infeasibility *proof* can
+take minutes, and the zoned arm trades provable zone minimality (which
+the stitch discards anyway) for bounded latency.
 Finally the zone solutions are *stitched*: their links are
 interleaved demand-major (heaviest demand first, zone-internal start
 slot then zone creation order as tie-breaks), packed first-fit against
@@ -384,7 +383,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
             # exact probe machinery for identical empty-result shape.
             outcome = engine.run_search(
                 graph, demands, frame_slots, tuple(delay_constraints),
-                policy.search, ceiling, policy.time_limit_per_probe,
+                policy.search, ceiling,
                 node_limit_per_probe=policy.node_limit_per_probe)
             outcome.meta = meta
             return outcome
@@ -392,7 +391,6 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
         ranked: list[tuple[int, int, Link]] = []
         zone_seconds = 0.0
         reserves: list[int] = []
-        probe_limit = policy.time_limit_per_probe
         probe_nodes = (DEFAULT_ZONE_PROBE_NODE_LIMIT
                        if policy.node_limit_per_probe is None
                        else policy.node_limit_per_probe)
@@ -420,8 +418,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                 zone_ceiling = greedy_makespan
             outcome = engine.run_search(
                 zone_index.graph, zone_demands, frame_slots,
-                zone_delay, "binary", zone_ceiling,
-                probe_limit, warm_order=warm_order,
+                zone_delay, "binary", zone_ceiling, warm_order=warm_order,
                 node_limit_per_probe=probe_nodes)
             if not outcome.feasible and zone_ceiling < ceiling:
                 # The reservation is headroom, not a certificate -- the
@@ -431,8 +428,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                 obs.counter("core.zones.reserve_relaxed").inc()
                 outcome = engine.run_search(
                     zone_index.graph, zone_demands, frame_slots,
-                    zone_delay, "binary", ceiling,
-                    probe_limit, warm_order=warm_order,
+                    zone_delay, "binary", ceiling, warm_order=warm_order,
                     node_limit_per_probe=probe_nodes)
             if outcome.ilp is not None:
                 zone_seconds += outcome.ilp.solve_seconds

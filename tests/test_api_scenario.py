@@ -239,7 +239,7 @@ class TestScenarioMobility:
 
 
 class TestSolverPolicySeam:
-    """Scenario(solver=) and the deprecated schedule() kwargs (ISSUE 8)."""
+    """Scenario(solver=): the policy decides how schedule() solves."""
 
     def _disk(self):
         from repro.net.topology import random_disk_topology
@@ -295,40 +295,26 @@ class TestSolverPolicySeam:
         scenario = Scenario(topo, flows, engine=engine, solver="exact")
         assert scenario.route().schedule().meta is None
 
-    def test_deprecated_schedule_kwargs_warn_once_and_still_work(self):
-        import warnings
-
-        from repro import _deprecation
+    def test_binary_search_policy_finds_the_same_slots(self):
+        from repro import SolverPolicy
 
         topo, flows = self._disk()
-        scenario = Scenario(topo, list(flows)).route()
-        plain = scenario.schedule()
-        _deprecation.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = scenario.schedule(search="binary")
-            scenario.schedule(search="binary")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "SolverPolicy" in str(deprecations[0].message)
-        assert shimmed.slots == plain.slots  # binary finds the same K
+        plain = Scenario(topo, list(flows)).route().schedule()
+        binary = Scenario(topo, list(flows),
+                          solver=SolverPolicy(search="binary"))
+        assert binary.route().schedule().slots == plain.slots
 
-    def test_deprecated_max_region_kwarg_folds_into_the_policy(self):
-        import warnings
-
-        from repro import _deprecation
+    def test_max_region_policy_caps_the_search(self):
+        from repro import SolverPolicy
 
         topo, flows = self._disk()
-        scenario = Scenario(topo, list(flows)).route()
-        baseline = scenario.schedule()
-        _deprecation.reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            capped = scenario.schedule(max_region=baseline.slots)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert capped.slots == baseline.slots
+        baseline = Scenario(topo, list(flows)).route().schedule()
+        capped = Scenario(topo, list(flows),
+                          solver=SolverPolicy(max_region=baseline.slots))
+        assert capped.route().schedule().slots == baseline.slots
+        below = Scenario(topo, list(flows),
+                         solver=SolverPolicy(max_region=baseline.slots - 1))
+        assert not below.route().schedule().feasible
 
 
 class TestInterferenceSeam:
@@ -354,14 +340,9 @@ class TestInterferenceSeam:
         assert scenario.interference.hops == 1
         assert scenario.hops == 1
 
-    def test_bare_int_interference_warns_once_and_coerces(self):
-        from repro._deprecation import reset_warned
-
-        reset_warned()
-        with pytest.warns(DeprecationWarning, match="hops="):
-            scenario = Scenario(chain_topology(6), _flows(),
-                                interference=1)
-        assert scenario.interference.hops == 1
+    def test_bare_int_interference_raises_pointing_at_hops(self):
+        with pytest.raises(ConfigurationError, match="hops=1"):
+            Scenario(chain_topology(6), _flows(), interference=1)
 
     def test_sinr_backend_flows_through_conflicts(self):
         from repro.phy.models import SinrModel

@@ -148,11 +148,31 @@ class TestConfiguration:
             AdmissionController(chain_topology(3), 16, 0.016, 1000,
                                 search="bogus")
 
-    @pytest.mark.parametrize("limit", [0, -1.0])
-    def test_invalid_probe_time_limit_rejected_at_construction(self, limit):
-        with pytest.raises(ConfigurationError, match="time_limit"):
-            AdmissionController(chain_topology(3), 16, 0.016, 1000,
-                                time_limit_per_probe_s=limit)
+    def test_every_probe_is_budgeted_by_nodes_not_the_clock(
+            self, monkeypatch):
+        import repro.core.ilp as ilp
+        from repro.core.conflict import conflict_graph
+        from repro.core.minslots import minimum_slots
+
+        options_seen = []
+        real_milp = ilp.milp
+
+        def spy(*args, options=None, **kwargs):
+            options_seen.append(dict(options))
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(ilp, "milp", spy)
+        ctrl = controller()
+        for index, (src, dst) in enumerate([(0, 4), (4, 0), (1, 3)]):
+            ctrl.try_admit(voip_flow(f"f{index}", src, dst))
+        solves_by_admission = len(options_seen)
+        topology = chain_topology(5)
+        minimum_slots(conflict_graph(topology, hops=2),
+                      {link: 1 for link in topology.links}, 16)
+        assert 0 < solves_by_admission < len(options_seen)
+        for options in options_seen:
+            assert "time_limit" not in options
+            assert options["node_limit"] == ilp.DEFAULT_NODE_LIMIT
 
     def test_slot_duration(self):
         ctrl = controller(frame_slots=10)

@@ -13,7 +13,7 @@ from repro.core.engine import (
     default_engine,
     topology_fingerprint,
 )
-from repro.core.ilp import SchedulingProblem
+from repro.core.ilp import DEFAULT_NODE_LIMIT, SchedulingProblem
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
 from repro.mesh16.distributed import DistributedScheduler
@@ -65,14 +65,13 @@ def test_problem_key_sensitive_to_every_field():
     keys = {canonical_problem_key(p) for p in variants}
     assert canonical_problem_key(base) not in keys
     assert len(keys) == len(variants)
-    assert canonical_problem_key(base, time_limit=5.0) \
-        != canonical_problem_key(base)
-    # Solver budgets are part of the identity: a node-limited solve may
-    # reach a different verdict, so it must not share a cache entry.
+    # The node budget is part of the identity: a tighter budget may
+    # reach a different verdict, so it must not share a cache entry --
+    # but an unset budget *is* the default one.
     assert canonical_problem_key(base, node_limit=100) \
         != canonical_problem_key(base)
-    assert canonical_problem_key(base, node_limit=100) \
-        != canonical_problem_key(base, time_limit=5.0)
+    assert canonical_problem_key(base, node_limit=DEFAULT_NODE_LIMIT) \
+        == canonical_problem_key(base, node_limit=None)
 
 
 # -- ConflictIndex ---------------------------------------------------------

@@ -66,8 +66,10 @@ def test_policy_defaults_are_auto_linear():
     {"gap_tolerance": -0.1},
     {"auto_threshold": 0},
     {"max_region": 0},
-    {"time_limit_per_probe": 0.0},
     {"node_limit_per_probe": 0},
+    {"node_limit_per_probe": 2.5},
+    {"node_limit_per_probe": True},
+    {"node_limit_per_probe": "3"},
 ])
 def test_policy_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigurationError):
@@ -93,10 +95,8 @@ def test_policy_auto_resolves_on_the_threshold():
 def test_policy_with_overrides_folds_explicit_kwargs():
     policy = SolverPolicy()
     assert policy.with_overrides() is policy
-    tuned = policy.with_overrides(search="binary", max_region=8,
-                                  time_limit_per_probe=1.5)
-    assert (tuned.search, tuned.max_region,
-            tuned.time_limit_per_probe) == ("binary", 8, 1.5)
+    tuned = policy.with_overrides(search="binary", max_region=8)
+    assert (tuned.search, tuned.max_region) == ("binary", 8)
     with pytest.raises(ConfigurationError, match="search"):
         policy.with_overrides(search="ternary")
 

@@ -1,23 +1,13 @@
-"""Deprecation shims: old spellings keep working and warn exactly once."""
+"""The package's public spellings and internals raise no DeprecationWarning."""
 
 import warnings
 
-import pytest
-
-from repro import _deprecation
 from repro.core.minslots import minimum_slots
 from repro.core.conflict import conflict_graph
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
 from repro.net.topology import chain_topology
 from repro.mesh16.frame import default_frame_config
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    _deprecation.reset_warned()
-    yield
-    _deprecation.reset_warned()
 
 
 def _search():
@@ -29,31 +19,6 @@ def _search():
                                  frame.data_slot_capacity_bits)
     return minimum_slots(conflict_graph(topo, links=demands.keys()),
                          demands, frame.data_slots)
-
-
-def test_warn_once_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _deprecation.warn_once("k", "old spelling")
-        _deprecation.warn_once("k", "old spelling")
-        _deprecation.warn_once("other", "different key")
-    assert len(caught) == 2
-    assert all(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_minslot_result_dot_result_warns_once_and_still_works():
-    search = _search()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = search.result          # deprecated spelling
-        legacy_again = search.result    # second access: no second warning
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert ".schedule" in str(deprecations[0].message)
-    # the shim still hands back the full ILP result
-    assert legacy is legacy_again is search.ilp
-    assert legacy.schedule.to_dict() == search.schedule.to_dict()
 
 
 def test_new_spellings_do_not_warn():
@@ -68,12 +33,12 @@ def test_new_spellings_do_not_warn():
 
 
 def test_repro_itself_triggers_zero_deprecation_warnings():
-    """The package must not consume its own deprecated shims.
+    """The package must not call deprecated APIs, its own or its deps'.
 
     Drives a representative slice of the stack -- facade scheduling, the
     solver engine, repair, simulation -- with DeprecationWarning promoted
-    to an error, so any internal caller still on a deprecated spelling
-    fails here rather than warning downstream users.
+    to an error, so any caller still on a deprecated spelling fails here
+    rather than warning downstream users.
     """
     from repro import Scenario
     from repro.core.repair import RepairEngine

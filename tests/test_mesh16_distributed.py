@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.conflict import conflict_graph
 from repro.core.minslots import minimum_slots
+from repro.core.policy import SolverPolicy
 from repro.errors import ConfigurationError
 from repro.mesh16.distributed import DistributedScheduler
 from repro.phy.interference import interference_graph
@@ -120,9 +121,10 @@ class TestVsCentralized:
             # binary search with a tight probe budget: all-links instances
             # have a heavy branch-and-bound tail near the optimum, and
             # this test only needs sanity bounds, not the exact minimum
-            central = minimum_slots(conflicts, demands, frame,
-                                    search="binary",
-                                    time_limit_per_probe=5.0)
+            central = minimum_slots(
+                conflicts, demands, frame,
+                policy=SolverPolicy(search="binary",
+                                    node_limit_per_probe=100))
             assert central.feasible
             # the distributed protocol works against exact interference
             # (less conservative than the 2-hop model), so its makespan can

@@ -109,7 +109,7 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
                                     max_problems=0)
     reference = reference_engine.run_search(
         index.graph, demands, FRAME.data_slots, tuple(constraints),
-        "linear", FRAME.data_slots, None)
+        "linear", FRAME.data_slots)
 
     for policy in ("exact", None):  # explicit exact and default auto
         result = minimum_slots(index.graph, demands, FRAME.data_slots,
