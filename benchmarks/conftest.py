@@ -5,8 +5,8 @@ Each benchmark runs one experiment from
 timing, prints the reconstructed table, and saves it under
 ``benchmarks/results/`` so EXPERIMENTS.md can be regenerated from a run.
 
-Every run is also appended to the runtime's JSONL run ledger
-(``benchmarks/results/ledger.jsonl``), so
+Every run is also appended to the runtime's sqlite run ledger
+(``benchmarks/results/ledger.sqlite``), so
 ``python -m repro --cache-dir benchmarks/results --ledger-summary``
 shows where benchmark time goes across sessions.
 """

@@ -3,9 +3,8 @@
 Expected shape: as chaos intensity rises the fault counters climb
 (crashes, transient failures, torn writes), but because the policy
 stops injecting within the retry budget, every row stays bitwise
-identical to the chaos-free baseline and both ledger backends agree on
-the per-task history.  Damage shows up only where it belongs: retried
-tasks and quarantined cache entries.
+identical to the chaos-free baseline.  Damage shows up only where it
+belongs: retried tasks and quarantined cache entries.
 """
 
 from conftest import run_experiment
@@ -13,7 +12,6 @@ from conftest import run_experiment
 from repro.analysis.experiments import e22_chaos_sweep
 
 IDENTICAL = 10
-LEDGERS_AGREE = 11
 
 
 def test_bench_e22_chaos(benchmark):
@@ -23,8 +21,6 @@ def test_bench_e22_chaos(benchmark):
     quiet, mid, loud = result.rows
     assert all(row[IDENTICAL] for row in result.rows), \
         "chaos within the retry budget must never change results"
-    assert all(row[LEDGERS_AGREE] for row in result.rows), \
-        "jsonl and sqlite ledgers must record the same history"
     faults = [sum(row[2:8]) for row in result.rows]
     assert faults[0] == 0, "zero intensity must inject nothing"
     assert faults[2] > faults[0], \

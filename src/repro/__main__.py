@@ -9,12 +9,11 @@ Run reconstructed experiments by id and print their tables:
 Results are cached under ``.repro_cache/`` keyed by (experiment shard,
 package version, source fingerprint), so an unchanged tree re-prints in
 seconds; ``--no-cache`` forces recomputation.  Every task execution is
-appended to the run ledger (``.repro_cache/ledger.jsonl``, or a
-sqlite-WAL database with ``--ledger-backend sqlite``);
-``--ledger-summary`` prints where the time went and
-``--ledger-query 'outcome=failed,order=-wall_s,limit=5'`` filters the
-raw history.  A suite interrupted mid-run resumes from the cache
-automatically; ``--resume`` additionally skips work the ledger records
+appended to the run ledger, a sqlite-WAL database at
+``.repro_cache/ledger.sqlite``; ``--ledger-summary`` prints where the
+time went and ``--ledger-query 'outcome=failed,order=-wall_s,limit=5'``
+filters the raw history as JSON lines.  A suite interrupted mid-run
+resumes from the cache automatically; ``--resume`` additionally skips work the ledger records
 as already completed and reports orphaned tasks an earlier run never
 finished.
 
@@ -41,8 +40,6 @@ from repro.analysis.experiments import ALL_EXPERIMENTS
 from repro.runtime.cache import DEFAULT_CACHE_DIR
 from repro.runtime.ledger import (
     DEFAULT_LEDGER_NAME,
-    DEFAULT_SQLITE_LEDGER_NAME,
-    LEDGER_BACKENDS,
     RunLedger,
     format_ledger_summary,
     parse_query,
@@ -90,12 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print outcome counts, retries, orphans, "
                              "quarantined cache entries, and slowest "
                              "tasks from the run ledger, then exit")
-    parser.add_argument("--ledger-backend", choices=LEDGER_BACKENDS,
-                        default=None,
-                        help="run-ledger storage backend (default: "
-                             "inferred from the ledger path suffix; "
-                             "'sqlite' uses a WAL database with "
-                             "transactional appends)")
     parser.add_argument("--ledger-query", metavar="EXPR",
                         help="print matching ledger records as JSON "
                              "lines, then exit; EXPR is comma-separated "
@@ -168,10 +159,7 @@ def _write_report(path: str, requested: list[str],
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    ledger_name = (DEFAULT_SQLITE_LEDGER_NAME
-                   if args.ledger_backend == "sqlite"
-                   else DEFAULT_LEDGER_NAME)
-    ledger_path = pathlib.Path(args.cache_dir) / ledger_name
+    ledger_path = pathlib.Path(args.cache_dir) / DEFAULT_LEDGER_NAME
 
     if args.list:
         cache = None
@@ -196,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.ledger_summary:
         print(format_ledger_summary(summarize_ledger(
-            ledger_path, backend=args.ledger_backend,
+            ledger_path,
             quarantine_dir=pathlib.Path(args.cache_dir) / "quarantine")))
         return 0
 
@@ -205,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
 
         try:
             where, order, limit = parse_query(args.ledger_query)
-            ledger = RunLedger(ledger_path, backend=args.ledger_backend)
+            ledger = RunLedger(ledger_path)
             try:
                 rows = ledger.query(where, order=order, limit=limit)
             finally:
@@ -316,7 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         run_experiments(requested, jobs=jobs, use_cache=not args.no_cache,
                         cache_dir=args.cache_dir,
                         ledger_path=str(ledger_path),
-                        ledger_backend=args.ledger_backend,
                         resume=args.resume, params=params or None,
                         timeout_s=args.timeout,
                         retry_timeouts=args.retry_timeouts or

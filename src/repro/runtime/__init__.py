@@ -12,9 +12,8 @@ benchmarks, and the ``python -m repro`` CLI:
 - :mod:`repro.runtime.cache` -- content-addressed JSON result cache
   under ``.repro_cache/`` (invalidated by version or source changes),
   safe for concurrent writers via per-key lockfiles and atomic renames.
-- :mod:`repro.runtime.ledger` -- append-only run ledger with two
-  backends (JSONL and sqlite-WAL), a query interface, and a summary
-  reader.
+- :mod:`repro.runtime.ledger` -- append-only run ledger in a
+  sqlite-WAL database, with a query interface and a summary reader.
 - :mod:`repro.runtime.chaos` -- deterministic seeded fault injection
   (worker crashes, hangs, transient errors, torn writes, full disk)
   for hardening the runtime itself.
@@ -26,12 +25,9 @@ from repro.runtime.cache import DEFAULT_CACHE_DIR, CachedEntry, ResultCache
 from repro.runtime.chaos import ChaosPolicy, chaos_probe, deterministic_unit
 from repro.runtime.ledger import (
     DEFAULT_LEDGER_NAME,
-    DEFAULT_SQLITE_LEDGER_NAME,
-    LEDGER_BACKENDS,
     LedgerSummary,
     RunLedger,
     format_ledger_summary,
-    infer_backend,
     parse_query,
     summarize_ledger,
 )
@@ -59,8 +55,6 @@ from repro.runtime.tasks import (
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_LEDGER_NAME",
-    "DEFAULT_SQLITE_LEDGER_NAME",
-    "LEDGER_BACKENDS",
     "CachedEntry",
     "ChaosPolicy",
     "ExperimentOutcome",
@@ -77,7 +71,6 @@ __all__ = [
     "default_jobs",
     "deterministic_unit",
     "format_ledger_summary",
-    "infer_backend",
     "make_task",
     "parse_query",
     "merge_experiment_results",

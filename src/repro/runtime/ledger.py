@@ -1,32 +1,15 @@
-"""Durable run ledger with pluggable jsonl / sqlite-WAL backends.
+"""Durable run ledger: a WAL-mode sqlite database.
 
 Every task execution -- fresh, cached, failed, or timed out -- appends
 one *finish* record, giving a durable, queryable account of where suite
-time goes.  Two backends sit behind the same :class:`RunLedger` facade:
-
-``jsonl``
-    The original append-only JSON-Lines file.  Tolerant of concurrent
-    writers (each record is one ``write`` of one line) and of torn
-    lines on read: a process killed mid-write leaves the final line
-    truncated, :meth:`RunLedger.record` detects that and starts the new
-    record on a fresh line, and reads count every unparseable line on
-    the ``runtime.ledger.corrupt_lines`` metric.
-
-``sqlite``
-    A WAL-mode sqlite database with transactional appends.  Torn
-    writes are structurally impossible (a record is committed or it
-    never happened); concurrent writers serialize through sqlite's
-    locking, with contended inserts retried under a bounded backoff
-    (``runtime.ledger.write_retries``).  A database file damaged beyond
-    repair is moved aside to ``<path>.corrupt.N`` and recreated
-    (``runtime.ledger.db_recovered``) rather than wedging the run.
-
-The backend is chosen explicitly (``RunLedger(path, backend="sqlite")``)
-or inferred from the path suffix (``.sqlite`` / ``.db``).  Both
-backends speak the same record schema, so
-:func:`repro.analysis` tooling, ``--ledger-summary``, and
-``--ledger-query`` are backend-agnostic -- and experiment E22 checks
-they agree task-for-task under chaos.
+time goes.  Appends are transactional, so torn writes are structurally
+impossible (a record is committed or it never happened); concurrent
+writers serialize through sqlite's locking, with contended inserts
+retried under a bounded backoff (``runtime.ledger.write_retries``).  A
+database file damaged beyond repair is moved aside to
+``<path>.corrupt.N`` and recreated (``runtime.ledger.db_recovered``)
+rather than wedging the run.  ``--ledger-query`` prints records as JSON
+lines, the export format for other tooling.
 
 Besides finish records the ledger stores *start* and *heartbeat*
 events.  The pool stamps a start event when a task is dispatched and
@@ -49,113 +32,64 @@ import pathlib
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.runtime.tasks import Task, TaskResult
 
 #: Ledger filename used by default inside the cache directory.
-DEFAULT_LEDGER_NAME = "ledger.jsonl"
-
-#: Default filename for the sqlite backend.
-DEFAULT_SQLITE_LEDGER_NAME = "ledger.sqlite"
-
-#: Backend names accepted by :class:`RunLedger`.
-LEDGER_BACKENDS = ("jsonl", "sqlite")
-
-#: Path suffixes that imply the sqlite backend when none is given.
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+DEFAULT_LEDGER_NAME = "ledger.sqlite"
 
 #: Fields of a finish record, in canonical column order.
 _FIELDS = ("ts", "event", "target", "label", "key", "seed", "params",
            "outcome", "wall_s", "queue_s", "attempts", "worker",
            "error", "pid")
 
-#: Bounded backoff schedule (seconds) for contended sqlite appends.
-_SQLITE_RETRY_DELAYS = (0.01, 0.05, 0.2, 0.5, 1.0)
+#: Bounded backoff schedule (seconds) for contended appends.
+_RETRY_DELAYS = (0.01, 0.05, 0.2, 0.5, 1.0)
+
+#: Range of sqlite's 64-bit INTEGER storage class.
+_SQL_INT_MIN, _SQL_INT_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-def infer_backend(path: str | os.PathLike,
-                  backend: Optional[str] = None) -> str:
-    """Resolve the backend name for ``path`` (explicit choice wins)."""
-    if backend is not None:
-        if backend not in LEDGER_BACKENDS:
-            raise ConfigurationError(
-                f"unknown ledger backend {backend!r}; "
-                f"expected one of {LEDGER_BACKENDS}")
-        return backend
-    suffix = pathlib.Path(path).suffix.lower()
-    return "sqlite" if suffix in _SQLITE_SUFFIXES else "jsonl"
+def _to_sql(value: Any) -> Any:
+    """Column value for ``value``: ints beyond 64 bits become blobs.
+
+    sqlite cannot store such ints, and their decimal text would be
+    coerced to a lossy REAL by the INTEGER column, so they are kept as
+    a blob of their decimal digits (which sorts after every number).
+    """
+    if isinstance(value, int) and not (_SQL_INT_MIN <= value
+                                       <= _SQL_INT_MAX):
+        return str(value).encode("ascii")
+    return value
 
 
-class _JsonlBackend:
-    """Append-only JSON-Lines file (the original ledger format)."""
-
-    name = "jsonl"
-
-    def __init__(self, path: pathlib.Path) -> None:
-        self.path = path
-
-    def _ends_mid_line(self) -> bool:
-        """Whether the file's last byte is not a newline (torn write)."""
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return False
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) != b"\n"
-        except OSError:
-            return False
-
-    def append(self, entry: dict, torn: bool = False) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Null fields are omitted (the sqlite backend's reader drops
-        # NULL columns the same way), so both backends replay
-        # identical records.
-        line = json.dumps({k: v for k, v in entry.items()
-                           if v is not None})
-        if torn:
-            # Simulate an earlier writer killed mid-write: leave a
-            # truncated, newline-less prefix for recovery to absorb.
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line[:max(1, len(line) // 2)])
-        # Recover from a torn final line: start this record on a fresh
-        # line so the torn write stays one corrupt record, not two.
-        prefix = "\n" if self._ends_mid_line() else ""
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(prefix + line + "\n")
-
-    def rows(self) -> tuple[list[dict], int]:
-        """Every well-formed record plus the corrupt-line count."""
-        records: list[dict] = []
-        corrupt = 0
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        records.append(json.loads(line))
-                    except json.JSONDecodeError:
-                        corrupt += 1
-                        obs.counter("runtime.ledger.corrupt_lines").inc()
-        except OSError:
-            return [], 0
-        return records, corrupt
-
-    def query_rows(self, where: Mapping[str, Any], order: Optional[str],
-                   limit: Optional[int]) -> list[dict]:
-        rows, _ = self.rows()
-        return _filter_rows(rows, where, order, limit)
+def _from_sql(value: Any) -> Any:
+    """Inverse of :func:`_to_sql`."""
+    return int(value) if isinstance(value, bytes) else value
 
 
-class _SqliteBackend:
-    """WAL-mode sqlite database with transactional appends."""
+def _check_limit(limit: Optional[int]) -> None:
+    if limit is not None and limit < 0:
+        raise ConfigurationError(
+            f"ledger query limit must be >= 0, got {limit}")
 
-    name = "sqlite"
+
+def _order_field(order: str) -> tuple[str, bool]:
+    """Split ``"-wall_s"`` style order specs into (field, descending)."""
+    descending = order.startswith("-")
+    name = order[1:] if descending else order
+    if name not in _FIELDS:
+        raise ConfigurationError(
+            f"unknown ledger order field {name!r}; "
+            f"expected one of {_FIELDS}")
+    return name, descending
+
+
+class RunLedger:
+    """Appender/reader for one WAL-mode sqlite run-ledger database."""
 
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS task_runs (
@@ -169,10 +103,8 @@ class _SqliteBackend:
             ON task_runs (outcome);
     """
 
-    def __init__(self, path: pathlib.Path,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
-        self.path = path
-        self._sleep = sleep
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = pathlib.Path(path)
         self._connection: Optional[sqlite3.Connection] = None
 
     def _connect(self) -> sqlite3.Connection:
@@ -233,7 +165,9 @@ class _SqliteBackend:
                 pass
             self._connection = None
 
-    def append(self, entry: dict, torn: bool = False) -> None:
+    # -- writes -------------------------------------------------------------
+
+    def _append(self, entry: dict, torn: bool = False) -> None:
         """Insert one record transactionally, retrying contention.
 
         ``torn=True`` (chaos injection) fails the first try with a
@@ -241,14 +175,14 @@ class _SqliteBackend:
         record impossible, so contention is the fault class to prove
         out here.
         """
-        values = [entry.get(name) for name in _FIELDS]
+        values = [_to_sql(entry.get(name)) for name in _FIELDS]
         values[_FIELDS.index("params")] = (
             json.dumps(entry["params"]) if "params" in entry else None)
         placeholders = ", ".join("?" for _ in _FIELDS)
         statement = (f"INSERT INTO task_runs ({', '.join(_FIELDS)}) "
                      f"VALUES ({placeholders})")
         inject_failure = torn
-        for attempt, delay in enumerate(_SQLITE_RETRY_DELAYS + (None,)):
+        for delay in _RETRY_DELAYS + (None,):
             try:
                 if inject_failure:
                     inject_failure = False
@@ -262,116 +196,12 @@ class _SqliteBackend:
                 if delay is None:
                     raise OSError(
                         f"ledger append failed after "
-                        f"{len(_SQLITE_RETRY_DELAYS) + 1} tries: {exc}"
+                        f"{len(_RETRY_DELAYS) + 1} tries: {exc}"
                     ) from exc
                 obs.counter("runtime.ledger.write_retries").inc()
-                self._sleep(delay)
+                time.sleep(delay)
             except sqlite3.DatabaseError:
                 self._recover_damaged_db()
-
-    def rows(self) -> tuple[list[dict], int]:
-        try:
-            cursor = self._connect().execute(
-                f"SELECT {', '.join(_FIELDS)} FROM task_runs "
-                "ORDER BY id")
-            raw = cursor.fetchall()
-        except sqlite3.DatabaseError:
-            self._recover_damaged_db()
-            return [], 0
-        return [self._to_record(values) for values in raw], 0
-
-    @staticmethod
-    def _to_record(values: Sequence) -> dict:
-        record = {name: value
-                  for name, value in zip(_FIELDS, values)
-                  if value is not None}
-        if "params" in record:
-            record["params"] = json.loads(record["params"])
-        return record
-
-    def query_rows(self, where: Mapping[str, Any], order: Optional[str],
-                   limit: Optional[int]) -> list[dict]:
-        clauses, values = [], []
-        for name, value in where.items():
-            if name not in _FIELDS:
-                raise ConfigurationError(
-                    f"unknown ledger field {name!r}; "
-                    f"expected one of {_FIELDS}")
-            clauses.append(f"{name} = ?")
-            values.append(value)
-        statement = f"SELECT {', '.join(_FIELDS)} FROM task_runs"
-        if clauses:
-            statement += " WHERE " + " AND ".join(clauses)
-        if order is not None:
-            name, descending = _order_field(order)
-            statement += f" ORDER BY {name} {'DESC' if descending else 'ASC'}"
-        else:
-            statement += " ORDER BY id"
-        if limit is not None:
-            statement += " LIMIT ?"
-            values.append(int(limit))
-        try:
-            raw = self._connect().execute(statement, values).fetchall()
-        except sqlite3.DatabaseError:
-            self._recover_damaged_db()
-            return []
-        return [self._to_record(row) for row in raw]
-
-
-def _order_field(order: str) -> tuple[str, bool]:
-    """Split ``"-wall_s"`` style order specs into (field, descending)."""
-    descending = order.startswith("-")
-    name = order[1:] if descending else order
-    if name not in _FIELDS:
-        raise ConfigurationError(
-            f"unknown ledger order field {name!r}; "
-            f"expected one of {_FIELDS}")
-    return name, descending
-
-
-def _filter_rows(rows: Iterable[dict], where: Mapping[str, Any],
-                 order: Optional[str],
-                 limit: Optional[int]) -> list[dict]:
-    for name in where:
-        if name not in _FIELDS:
-            raise ConfigurationError(
-                f"unknown ledger field {name!r}; "
-                f"expected one of {_FIELDS}")
-    matched = [row for row in rows
-               if all(row.get(name) == value
-                      for name, value in where.items())]
-    if order is not None:
-        name, descending = _order_field(order)
-        # Missing fields sort as smallest, matching sqlite's NULL
-        # ordering, so both backends return identical sequences.
-        matched.sort(key=lambda row: (row.get(name) is not None,
-                                      row.get(name)),
-                     reverse=descending)
-    if limit is not None:
-        matched = matched[:int(limit)]
-    return matched
-
-
-class RunLedger:
-    """Backend-agnostic appender/reader for one run-ledger file."""
-
-    def __init__(self, path: str | os.PathLike, *,
-                 backend: Optional[str] = None) -> None:
-        self.path = pathlib.Path(path)
-        self.backend = infer_backend(path, backend)
-        self._backend = (_SqliteBackend(self.path)
-                         if self.backend == "sqlite"
-                         else _JsonlBackend(self.path))
-        #: Unparseable lines seen by the most recent read (jsonl only;
-        #: sqlite records are transactional and cannot tear).
-        self.corrupt_lines = 0
-
-    def close(self) -> None:
-        close = getattr(self._backend, "close", None)
-        if close is not None:
-            close()
-
-    # -- writes -------------------------------------------------------------
 
     def record(self, result: TaskResult, *, chaos=None) -> None:
         """Append one finish record (optionally under chaos injection)."""
@@ -395,11 +225,11 @@ class RunLedger:
                                                    result.attempts):
             torn = True
             obs.counter("runtime.chaos.torn_ledger_writes").inc()
-        self._backend.append(entry, torn=torn)
+        self._append(entry, torn=torn)
 
     def start(self, task: Task, key: str, worker: str = "") -> None:
         """Append a start event: ``task`` was dispatched under ``key``."""
-        self._backend.append({
+        self._append({
             "ts": time.time(), "event": "start",
             "target": task.target, "label": task.label, "key": key,
             "seed": task.seed, "worker": worker, "pid": os.getpid()})
@@ -408,15 +238,22 @@ class RunLedger:
         """Stamp in-flight ``keys`` as alive right now."""
         now = time.time()
         for key in keys:
-            self._backend.append({"ts": now, "event": "heartbeat",
-                                  "key": key})
+            self._append({"ts": now, "event": "heartbeat", "key": key})
 
     # -- reads --------------------------------------------------------------
 
+    @staticmethod
+    def _to_record(values: Sequence) -> dict:
+        record = {name: _from_sql(value)
+                  for name, value in zip(_FIELDS, values)
+                  if value is not None}
+        if "params" in record:
+            record["params"] = json.loads(record["params"])
+        return record
+
     def events(self) -> list[dict]:
         """Every record -- finishes, starts, heartbeats -- in order."""
-        records, self.corrupt_lines = self._backend.rows()
-        return records
+        return self.query()
 
     def entries(self) -> list[dict]:
         """Finish records only (the historical ledger view)."""
@@ -451,10 +288,37 @@ class RunLedger:
         """Filtered run history: equality ``where``, ``order``, ``limit``.
 
         ``order`` is a field name, ``-`` prefixed for descending
-        (``"-wall_s"`` = slowest first).  The sqlite backend runs real
-        SQL; jsonl filters in process -- results agree.
+        (``"-wall_s"`` = slowest first); records missing the field
+        sort as smallest.  ``limit`` must be non-negative.
         """
-        return self._backend.query_rows(dict(where or {}), order, limit)
+        _check_limit(limit)
+        clauses, values = [], []
+        for name, value in (where or {}).items():
+            if name not in _FIELDS:
+                raise ConfigurationError(
+                    f"unknown ledger field {name!r}; "
+                    f"expected one of {_FIELDS}")
+            clauses.append(f"{name} = ?")
+            values.append(_to_sql(value))
+        statement = f"SELECT {', '.join(_FIELDS)} FROM task_runs"
+        if clauses:
+            statement += " WHERE " + " AND ".join(clauses)
+        if order is not None:
+            name, descending = _order_field(order)
+            statement += f" ORDER BY {name} {'DESC' if descending else 'ASC'}"
+        else:
+            statement += " ORDER BY id"
+        if limit is not None:
+            statement += " LIMIT ?"
+            values.append(int(limit))
+        if self._connection is None and not self.path.exists():
+            return []  # reading must not create the database
+        try:
+            raw = self._connect().execute(statement, values).fetchall()
+        except sqlite3.DatabaseError:
+            self._recover_damaged_db()
+            return []
+        return [self._to_record(row) for row in raw]
 
 
 def _orphans_from(records: Iterable[dict], stale_s: Optional[float],
@@ -490,7 +354,7 @@ def parse_query(text: str) -> tuple[dict, Optional[str], Optional[int]]:
     """Parse a ``--ledger-query`` expression.
 
     Comma-separated ``field=value`` equality terms, plus the special
-    keys ``order=[-]field`` and ``limit=N``::
+    keys ``order=[-]field`` and ``limit=N`` (``N >= 0``)::
 
         outcome=failed,order=-wall_s,limit=5
 
@@ -517,6 +381,7 @@ def parse_query(text: str) -> tuple[dict, Optional[str], Optional[int]]:
                 raise ConfigurationError(
                     f"ledger query limit must be an integer, "
                     f"got {raw!r}") from None
+            _check_limit(limit)
         else:
             try:
                 where[name] = json.loads(raw)
@@ -535,8 +400,6 @@ class LedgerSummary:
     total_wall_s: float = 0.0
     slowest: list[tuple[str, float]] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
-    #: Lines the reader could not parse (torn writes, manual damage).
-    corrupt_lines: int = 0
     #: Finish records that needed more than one attempt.
     retried: int = 0
     #: Tasks started (per the ledger) but never finished.
@@ -547,14 +410,12 @@ class LedgerSummary:
 
 
 def summarize_ledger(path: str | os.PathLike, top: int = 10, *,
-                     backend: Optional[str] = None,
                      quarantine_dir: Optional[str | os.PathLike] = None
                      ) -> LedgerSummary:
     """Read ``path`` and aggregate outcomes, wall time, and failures."""
     summary = LedgerSummary()
-    ledger = RunLedger(path, backend=backend)
+    ledger = RunLedger(path)
     records = ledger.events()
-    summary.corrupt_lines = ledger.corrupt_lines
     summary.orphaned = len(_orphans_from(records, None, None))
     entries = [record for record in records
                if record.get("event") in (None, "finish")]
@@ -595,9 +456,6 @@ def format_ledger_summary(summary: LedgerSummary) -> str:
     if summary.orphaned:
         lines.append(f"warning: {summary.orphaned} orphaned task(s) "
                      "started but never finished (interrupted run?)")
-    if summary.corrupt_lines:
-        lines.append(f"warning: {summary.corrupt_lines} corrupt ledger "
-                     "line(s) skipped")
     if summary.slowest:
         lines.append("slowest tasks:")
         lines.extend(f"  {wall:8.2f}s  {label}"

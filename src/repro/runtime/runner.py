@@ -63,7 +63,6 @@ def run_experiments(ids: Sequence[str], *,
                     use_cache: bool = True,
                     cache_dir: str = DEFAULT_CACHE_DIR,
                     ledger_path: Optional[str] = None,
-                    ledger_backend: Optional[str] = None,
                     resume: bool = False,
                     timeout_s: Optional[float] = None,
                     retries: int = 1,
@@ -103,8 +102,7 @@ def run_experiments(ids: Sequence[str], *,
     :class:`~repro.obs.tracing.TraceWriter`) streams spans, serial mode
     only.
 
-    ``ledger_backend`` picks ``"jsonl"`` or ``"sqlite"`` explicitly
-    (default: inferred from the path suffix).  ``chaos`` threads a
+    ``chaos`` threads a
     :class:`~repro.runtime.chaos.ChaosPolicy` into the pool;
     ``retry_timeouts`` and ``jitter`` are forwarded to
     :func:`~repro.runtime.pool.run_tasks` unchanged.
@@ -112,8 +110,7 @@ def run_experiments(ids: Sequence[str], *,
     ids = dedupe_ids(ids)
     cache = ResultCache(cache_dir) if use_cache else None
     ledger = RunLedger(ledger_path if ledger_path is not None
-                       else pathlib.Path(cache_dir) / DEFAULT_LEDGER_NAME,
-                       backend=ledger_backend)
+                       else pathlib.Path(cache_dir) / DEFAULT_LEDGER_NAME)
     completed_keys = ledger.completed_keys() if resume else set()
     if resume:
         # Tasks a previous run started but never finished (crash,

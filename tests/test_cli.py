@@ -1,11 +1,13 @@
 """Command-line experiment runner."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.experiments import ALL_EXPERIMENTS
+from repro.runtime.ledger import RunLedger
 
 
 @pytest.fixture(autouse=True)
@@ -153,11 +155,9 @@ def test_ledger_summary_flag(capsys):
 
 def test_ledger_records_every_shard(tmp_path, capsys):
     assert main(["E9", "--cache-dir", str(tmp_path / "cache")]) == 0
-    ledger = tmp_path / "cache" / "ledger.jsonl"
-    records = [json.loads(line) for line in
-               ledger.read_text().splitlines()]
-    entries = [r for r in records if "event" not in r]
-    starts = [r for r in records if r.get("event") == "start"]
+    ledger = RunLedger(tmp_path / "cache" / "ledger.sqlite")
+    entries = ledger.entries()
+    starts = [r for r in ledger.events() if r.get("event") == "start"]
     assert len(entries) == 6
     assert len(starts) == 6  # one dispatch event per shard
     assert {e["outcome"] for e in entries} == {"ok"}
@@ -172,13 +172,14 @@ def test_resume_skips_completed_work(capsys):
     assert "cached" in capsys.readouterr().out
 
 
-def test_sqlite_ledger_backend(capsys):
-    assert main(["E9", "--ledger-backend", "sqlite"]) == 0
+def test_default_ledger_is_sqlite(capsys):
+    # The default ledger is the sqlite database in the cache directory.
+    assert main(["E9"]) == 0
     capsys.readouterr()
-    import pathlib
-    assert (pathlib.Path(".repro_cache") / "ledger.sqlite").exists()
-    assert not (pathlib.Path(".repro_cache") / "ledger.jsonl").exists()
-    assert main(["--ledger-summary", "--ledger-backend", "sqlite"]) == 0
+    cache_dir = pathlib.Path(".repro_cache")
+    assert (cache_dir / "ledger.sqlite").is_file()
+    assert not list(cache_dir.glob("*.jsonl"))
+    assert main(["--ledger-summary"]) == 0
     out = capsys.readouterr().out
     assert "ok=6" in out  # E9 shards into six tasks
 
@@ -197,6 +198,8 @@ def test_ledger_query_flag(capsys):
 def test_ledger_query_rejects_nonsense(capsys):
     assert main(["--ledger-query", "no-equals-sign"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["--ledger-query", "limit=-1"]) == 2
+    assert "limit must be >= 0" in capsys.readouterr().err
 
 
 def test_chaos_flag_produces_identical_tables(capsys):

@@ -4,6 +4,7 @@ import json
 
 from repro import obs
 from repro.runtime.cache import ResultCache
+from repro.runtime.ledger import RunLedger
 from repro.runtime.runner import run_experiments
 from repro.runtime.tasks import make_task
 
@@ -96,14 +97,13 @@ def test_cache_metrics_roundtrip_and_invalidate(tmp_path):
 
 
 def test_ledger_records_queue_time(tmp_path):
-    ledger_path = tmp_path / "ledger.jsonl"
+    ledger_path = tmp_path / "ledger.sqlite"
     run_experiments([EXPERIMENT], jobs=2, use_cache=False,
                     cache_dir=str(tmp_path / "h"),
                     ledger_path=str(ledger_path))
-    entries = [json.loads(line) for line in ledger_path.read_text().splitlines()]
-    task_entries = [e for e in entries if "queue_s" in e]
-    assert task_entries
-    assert all(e["queue_s"] >= 0 for e in task_entries)
+    entries = RunLedger(ledger_path).entries()
+    assert entries
+    assert all(e["queue_s"] >= 0 for e in entries)
 
 
 def test_trace_collects_spans_in_serial_mode(tmp_path):

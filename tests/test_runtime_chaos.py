@@ -109,7 +109,7 @@ def test_serial_chaos_within_budget_is_bitwise_identical(tmp_path):
     chaos = ChaosPolicy.at_intensity(1.0, seed=5, max_attempt=2)
     fake = FakeTime()
     cache = ResultCache(tmp_path / "cache")
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     out = run_tasks(tasks, jobs=1, retries=3, backoff_s=0.2, jitter=0.5,
                     retry_timeouts=True, chaos=chaos, cache=cache,
                     ledger=ledger, clock=fake.clock, sleep=fake.sleep)
@@ -123,7 +123,7 @@ def test_serial_chaos_within_budget_is_bitwise_identical(tmp_path):
 def test_fatal_chaos_fails_loudly_with_ledger_trail(tmp_path):
     tasks = probe_tasks(4)
     chaos = ChaosPolicy(seed=1, crash_rate=1.0, max_attempt=3)
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     fake = FakeTime()
     out = run_tasks(tasks, jobs=1, retries=1, chaos=chaos, ledger=ledger,
                     clock=fake.clock, sleep=fake.sleep)
@@ -195,17 +195,6 @@ def test_enospc_chaos_skips_cache_but_not_results(tmp_path):
     assert counters["runtime.chaos.enospc"] == 3
     assert counters["runtime.cache.write_errors"] == 3
     assert all(cache.get(task) is None for task in tasks)
-
-
-def test_torn_ledger_writes_recover_on_jsonl(tmp_path):
-    tasks = probe_tasks(3)
-    chaos = ChaosPolicy(seed=6, torn_ledger_rate=1.0)
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
-    out = run_tasks(tasks, jobs=1, chaos=chaos, ledger=ledger)
-    assert all(r.outcome == "ok" for r in out)
-    entries = ledger.entries()
-    assert len(entries) == 3  # every record survived its torn prefix
-    assert ledger.corrupt_lines == 3  # and every torn prefix is counted
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Run ledger: append, read back, summarize."""
 
-from repro import obs
 from repro.runtime.ledger import (
     RunLedger,
     format_ledger_summary,
@@ -17,7 +16,7 @@ def _result(target="E9", outcome="ok", wall_s=1.0, error=None, seed=None):
 
 
 def test_round_trip(tmp_path):
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     ledger.record(_result("E9", wall_s=0.5, seed=3))
     ledger.record(_result("E4", outcome="failed", error="RuntimeError: x"))
     entries = ledger.entries()
@@ -32,51 +31,11 @@ def test_round_trip(tmp_path):
 
 
 def test_missing_file_reads_empty(tmp_path):
-    assert RunLedger(tmp_path / "nope.jsonl").entries() == []
-
-
-def test_corrupt_lines_skipped(tmp_path):
-    path = tmp_path / "ledger.jsonl"
-    ledger = RunLedger(path)
-    ledger.record(_result("E9"))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("{torn line\n")
-    ledger.record(_result("E4"))
-    assert [e["target"] for e in ledger.entries()] == ["E9", "E4"]
-    assert ledger.corrupt_lines == 1
-
-
-def test_torn_final_line_does_not_fuse_with_next_record(tmp_path):
-    path = tmp_path / "ledger.jsonl"
-    ledger = RunLedger(path)
-    ledger.record(_result("E9"))
-    # A process killed mid-write leaves a partial line, no newline.
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"target": "E4", "outcome": "ok"')
-    ledger.record(_result("E2"))
-    # Exactly one record is lost -- the torn one -- and it is counted.
-    assert [e["target"] for e in ledger.entries()] == ["E9", "E2"]
-    assert ledger.corrupt_lines == 1
-
-
-def test_corrupt_lines_surface_in_summary_and_metrics(tmp_path):
-    path = tmp_path / "ledger.jsonl"
-    ledger = RunLedger(path)
-    ledger.record(_result("E9"))
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("oops\n{still not json\n")
-    with obs.use_registry(obs.MetricsRegistry()) as registry:
-        summary = summarize_ledger(path)
-    assert summary.total == 1
-    assert summary.corrupt_lines == 2
-    assert "warning: 2 corrupt ledger line(s) skipped" in \
-        format_ledger_summary(summary)
-    counters = registry.snapshot()["counters"]
-    assert counters["runtime.ledger.corrupt_lines"] == 2
+    assert RunLedger(tmp_path / "nope.sqlite").entries() == []
 
 
 def test_completed_keys_only_successes(tmp_path):
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     ledger.record(_result("E9", outcome="ok"))
     ledger.record(_result("E4", outcome="failed"))
     ledger.record(_result("E2", outcome="cached"))
@@ -85,7 +44,7 @@ def test_completed_keys_only_successes(tmp_path):
 
 
 def test_summary_counts_slowest_and_failures(tmp_path):
-    path = tmp_path / "ledger.jsonl"
+    path = tmp_path / "ledger.sqlite"
     ledger = RunLedger(path)
     for wall in (0.1, 3.0, 1.0):
         ledger.record(_result("E9", wall_s=wall))

@@ -1,9 +1,9 @@
-"""The sqlite-WAL ledger backend and backend parity with JSONL.
+"""The sqlite-WAL run ledger: records, queries, and hardening.
 
-Both backends sit behind the same :class:`RunLedger` facade and must
-agree record-for-record: same entries, same completed keys, same query
-results.  The sqlite-specific hardening -- contended-append retries and
-damaged-database quarantine -- is exercised directly.
+Entries, completed keys, and query results are checked against literal
+expectations; the hardening -- contended-append retries, damaged-database
+quarantine, and ints beyond sqlite's 64-bit range -- is exercised
+directly.
 """
 
 import sqlite3
@@ -13,12 +13,8 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.runtime.chaos import ChaosPolicy
-from repro.runtime.ledger import (
-    RunLedger,
-    infer_backend,
-    parse_query,
-    summarize_ledger,
-)
+from repro.runtime.ledger import RunLedger, parse_query, summarize_ledger
+from repro.runtime.pool import run_tasks
 from repro.runtime.tasks import TaskResult, make_task, task_key
 
 
@@ -37,37 +33,91 @@ def fill(ledger):
     ledger.record(result_for(3, attempts=2, wall_s=5.0))
 
 
-def test_infer_backend():
-    assert infer_backend("ledger.jsonl") == "jsonl"
-    assert infer_backend("anything.log") == "jsonl"
-    assert infer_backend("ledger.sqlite") == "sqlite"
-    assert infer_backend("ledger.sqlite3") == "sqlite"
-    assert infer_backend("runs.db") == "sqlite"
-    assert infer_backend("ledger.jsonl", backend="sqlite") == "sqlite"
-    with pytest.raises(ConfigurationError):
-        infer_backend("x", backend="postgres")
+def test_entries_keys_and_queries(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
+    fill(ledger)
+    keys = [task_key(result_for(x).task) for x in range(4)]
+
+    def summary(rows):
+        return [(row["key"], row["outcome"], row["attempts"],
+                 row["wall_s"], row.get("error")) for row in rows]
+
+    assert summary(ledger.entries()) == [
+        (keys[0], "ok", 1, 0.1, None),
+        (keys[1], "failed", 3, 2.0, "RuntimeError: kaboom"),
+        (keys[2], "cached", 1, 0.0, None),
+        (keys[3], "ok", 2, 5.0, None)]
+    first = ledger.entries()[0]
+    assert first["target"] == "repro.runtime.chaos:chaos_probe"
+    assert first["params"] == {"x": 0}
+    assert first["worker"] == "serial"
+    assert "event" not in first and "seed" not in first  # NULLs dropped
+    assert ledger.completed_keys() == {keys[0], keys[2], keys[3]}
+
+    def xs(query, order=None, limit=None):
+        return [keys.index(row["key"])
+                for row in ledger.query(query, order=order, limit=limit)]
+
+    assert xs({}) == [0, 1, 2, 3]
+    assert xs({}, "-wall_s", 2) == [3, 1]
+    assert xs({}, "attempts") == [0, 2, 3, 1]
+    # Records without an error sort as smallest, in insertion order.
+    assert xs({}, "-error", 3) == [1, 0, 2]
+    assert xs({}, "error") == [0, 2, 3, 1]
+    assert xs({}, limit=0) == []
+    assert xs({"outcome": "failed"}) == [1]
+    assert xs({"outcome": "ok"}, "-wall_s") == [3, 0]
+    assert xs({"attempts": 2}) == [3]
+    assert xs({"attempts": 2}, "-error", 3) == [3]
+    ledger.close()
 
 
-def test_backends_agree_on_entries_keys_and_queries(tmp_path):
-    jsonl = RunLedger(tmp_path / "ledger.jsonl")
-    sqlite_ledger = RunLedger(tmp_path / "ledger.sqlite")
-    fill(jsonl)
-    fill(sqlite_ledger)
+def test_seeds_beyond_64_bits_round_trip(tmp_path):
+    seeds = [2**63, 2**64 - 1, 2**63 - 1, 0, 7]
+    tasks = [make_task("tests.runtime_helpers:seed_echo", seed=seed)
+             for seed in seeds]
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
+    out = run_tasks(tasks, jobs=1, ledger=ledger)
+    assert [r.outcome for r in out] == ["ok"] * len(seeds)
+    assert [e["seed"] for e in ledger.entries()] == seeds
+    starts = [e for e in ledger.events() if e.get("event") == "start"]
+    assert [e["seed"] for e in starts] == seeds
+    assert [e["seed"] for e in ledger.query({"seed": 2**64 - 1})] == \
+        [2**64 - 1, 2**64 - 1]  # its start and its finish
+    ledger.close()
+    reopened = RunLedger(tmp_path / "ledger.sqlite")
+    assert [e["seed"] for e in reopened.entries()] == seeds
+    reopened.close()
 
-    def strip_ts(rows):
-        return [{k: v for k, v in row.items() if k != "ts"}
-                for row in rows]
 
-    assert strip_ts(jsonl.entries()) == strip_ts(sqlite_ledger.entries())
-    assert jsonl.completed_keys() == sqlite_ledger.completed_keys()
-    for query in ({"outcome": "failed"}, {"attempts": 2}, {}):
-        for order, limit in ((None, None), ("-wall_s", 2),
-                             ("attempts", None), ("-error", 3)):
-            left = jsonl.query(query, order=order, limit=limit)
-            right = sqlite_ledger.query(query, order=order, limit=limit)
-            assert strip_ts(left) == strip_ts(right), \
-                (query, order, limit)
-    sqlite_ledger.close()
+def test_reads_ledger_written_with_integer_seed_column(tmp_path):
+    # A ledger written before big seeds were supported: same schema,
+    # plain INTEGER seeds.  It must stay readable and appendable.
+    path = tmp_path / "ledger.sqlite"
+    connection = sqlite3.connect(path)
+    connection.executescript(RunLedger._SCHEMA)
+    with connection:
+        connection.execute(
+            "INSERT INTO task_runs (ts, target, key, seed, params, "
+            "outcome, attempts) VALUES (1.0, 'E9', 'k-old', 5, '{}', "
+            "'ok', 1)")
+    connection.close()
+    ledger = RunLedger(path)
+    ledger.record(TaskResult(
+        task=make_task("E9", seed=2**64 - 1), key="k-new", outcome="ok"))
+    assert [(e["key"], e["seed"]) for e in ledger.entries()] == [
+        ("k-old", 5), ("k-new", 2**64 - 1)]
+    assert ledger.completed_keys() == {"k-old", "k-new"}
+    ledger.close()
+
+
+def test_missing_database_reads_empty_without_creating_it(tmp_path):
+    path = tmp_path / "cache" / "ledger.sqlite"
+    ledger = RunLedger(path)
+    assert ledger.events() == []
+    assert ledger.query({"outcome": "ok"}) == []
+    assert not path.parent.exists()
+    assert summarize_ledger(path).total == 0
 
 
 def test_sqlite_persists_across_reopen(tmp_path):
@@ -114,9 +164,8 @@ def test_damaged_database_is_quarantined_not_fatal(tmp_path):
     assert count == 1
 
 
-@pytest.mark.parametrize("name", ["ledger.jsonl", "ledger.sqlite"])
-def test_orphans_and_heartbeats(tmp_path, name):
-    ledger = RunLedger(tmp_path / name)
+def test_orphans_and_heartbeats(tmp_path):
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     alive_task = make_task("repro.runtime.chaos:chaos_probe", {"x": 1})
     dead_task = make_task("repro.runtime.chaos:chaos_probe", {"x": 2})
     done_task = make_task("repro.runtime.chaos:chaos_probe", {"x": 3})
@@ -163,14 +212,18 @@ def test_parse_query():
         parse_query("just-a-word")
     with pytest.raises(ConfigurationError):
         parse_query("limit=soon")
+    with pytest.raises(ConfigurationError):
+        parse_query("limit=-1")
+    assert parse_query("limit=0") == ({}, None, 0)
 
 
 def test_query_rejects_unknown_fields(tmp_path):
-    for name in ("ledger.jsonl", "ledger.sqlite"):
-        ledger = RunLedger(tmp_path / name)
-        fill(ledger)
-        with pytest.raises(ConfigurationError):
-            ledger.query({"nonsense": 1})
-        with pytest.raises(ConfigurationError):
-            ledger.query({}, order="nonsense")
-        ledger.close()
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
+    fill(ledger)
+    with pytest.raises(ConfigurationError):
+        ledger.query({"nonsense": 1})
+    with pytest.raises(ConfigurationError):
+        ledger.query({}, order="nonsense")
+    with pytest.raises(ConfigurationError):
+        ledger.query({}, limit=-1)
+    ledger.close()

@@ -120,7 +120,7 @@ def test_uncacheable_values_still_succeed(tmp_path):
 
 
 def test_ledger_gets_one_entry_per_task(tmp_path):
-    ledger = RunLedger(tmp_path / "ledger.jsonl")
+    ledger = RunLedger(tmp_path / "ledger.sqlite")
     cache = ResultCache(tmp_path / "c", version="t", fingerprint="f")
     tasks = _add_tasks(3) + [make_task(BOOM)]
     run_tasks(tasks, jobs=1, cache=cache, ledger=ledger)
