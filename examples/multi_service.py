@@ -19,8 +19,8 @@ Run:  python examples/multi_service.py          (~1 minute)
 from repro.analysis.reporting import format_table
 from repro.core.besteffort import schedule_two_classes
 from repro.core.conflict import conflict_graph
+from repro.core.ilp import delay_constraints_for
 from repro.core.schedule import Schedule
-from repro.analysis.scenarios import delay_constraints_for
 from repro.mesh16.frame import default_frame_config
 from repro.mesh16.network import ControlPlane
 from repro.net.flows import Flow, FlowSet
@@ -68,7 +68,8 @@ def main() -> None:
     conflicts = conflict_graph(topology, hops=2, links=all_links)
     two = schedule_two_classes(
         conflicts, g_demands, be_demands, frame.data_slots,
-        delay_constraints=delay_constraints_for(voip, frame))
+        delay_constraints=delay_constraints_for(
+            voip, frame.frame_duration_s / frame.data_slots))
     print(f"guaranteed region: {two.guaranteed_region} slots; best effort "
           f"got {sum(two.best_effort_grants.values())} of "
           f"{sum(be_demands.values())} requested slots "

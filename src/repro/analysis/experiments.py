@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from repro.analysis.reporting import format_table
 from repro.analysis.scenarios import (
     admit_flows,
-    delay_constraints_for,
     make_voip_flows,
     run_dcf_scenario,
     run_tdma_scenario,
@@ -30,7 +29,11 @@ from repro.core.greedy import greedy_schedule
 from repro.core.guarantees import check_guarantees
 from repro.core.repair import RepairEngine
 from repro.faults import FaultInjector, FaultPlan
-from repro.core.ilp import DelayConstraint, SchedulingProblem
+from repro.core.ilp import (
+    DelayConstraint,
+    SchedulingProblem,
+    delay_constraints_for,
+)
 from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.ordering import schedule_from_order
 from repro.core.policy import SolverPolicy
@@ -92,6 +95,7 @@ def e01_min_slots(call_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
     violates (wraps column).
     """
     frame = frame or default_frame_config()
+    slot_s = frame.frame_duration_s / frame.data_slots
     topology = grid_topology(3, 3)
     solver = SolverEngine()  # one cached conflict index per link set
     result = ExperimentResult(
@@ -106,10 +110,10 @@ def e01_min_slots(call_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
                                      frame.data_slot_capacity_bits)
         conflicts = solver.conflict_index(topology, hops=2,
                                           links=demands.keys()).graph
-        lower = demand_lower_bound(conflicts, demands)
+        lower = demand_lower_bound(demands)
         search = minimum_slots(conflicts, demands, frame.data_slots,
                                delay_constraints=delay_constraints_for(
-                                   flows, frame),
+                                   flows, slot_s),
                                engine=solver)
         if search.feasible:
             ilp_schedule = search.schedule
@@ -511,6 +515,8 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
     import time as time_mod
 
     frame = default_frame_config()
+    slot_s = frame.frame_duration_s / frame.data_slots
+    binary_search = SolverPolicy(search="binary")
     result = ExperimentResult(
         "E10", "scheduler cost vs mesh size (gateway VoIP workload)",
         ["grid", "links_demanded", "ilp_vars", "ilp_seconds",
@@ -529,19 +535,19 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                         links=demands.keys()).graph
         problem = SchedulingProblem(
             conflicts, demands, frame.data_slots,
-            delay_constraints=delay_constraints_for(flows, frame),
+            delay_constraints=delay_constraints_for(flows, slot_s),
             minimize_max_delay=True)
         ilp = cold.solve(problem)
         order = ilp.order
         started = time_mod.perf_counter()
         schedule_from_order(conflicts, demands, frame.data_slots, order)
         bf_seconds = time_mod.perf_counter() - started
-        constraints = delay_constraints_for(flows, frame)
+        constraints = delay_constraints_for(flows, slot_s)
         linear = minimum_slots(conflicts, demands, frame.data_slots,
                                delay_constraints=constraints, engine=cold)
         binary = minimum_slots(conflicts, demands, frame.data_slots,
                                delay_constraints=constraints,
-                               search="binary", engine=cold)
+                               engine=cold, policy=binary_search)
         assert binary.slots == linear.slots  # both searches are exact
 
         warm = SolverEngine()
@@ -550,8 +556,8 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                     engine=warm)
         warm_binary = minimum_slots(conflicts, demands, frame.data_slots,
                                     delay_constraints=constraints,
-                                    search="binary", engine=warm,
-                                    warm_order=warm_linear.order)
+                                    engine=warm, warm_order=warm_linear.order,
+                                    policy=binary_search)
         warm_identical = (
             warm_linear.slots == linear.slots
             and warm_binary.slots == binary.slots
@@ -1467,7 +1473,7 @@ def _e21_instance(num_nodes: int, num_flows: int, seed: int,
         for link in flow.route:
             counts[link] = counts.get(link, 0) + 1
     index = engine.conflict_index(topology, hops=2, links=sorted(counts))
-    lower = demand_lower_bound(index.graph, counts)
+    lower = demand_lower_bound(counts)
 
     # Pass 2: size the frame from the clique bound, then set rates so
     # each flow needs exactly the one slot per frame pass 1 counted.
@@ -1527,7 +1533,8 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
         engine = SolverEngine()
         topology, flows, frame, index, demands, lower = _e21_instance(
             num_nodes, num_flows, seed, engine)
-        constraints = delay_constraints_for(flows, frame)
+        constraints = delay_constraints_for(
+            flows, frame.frame_duration_s / frame.data_slots)
 
         exact = None
         exact_status = "dnf-size"
@@ -1720,6 +1727,7 @@ def e23_interference_backends(
 
     topology = chain_topology(num_nodes, spacing=spacing_m)
     frame = default_frame_config()
+    slot_s = frame.frame_duration_s / frame.data_slots
     engine = SolverEngine()
     result = ExperimentResult(
         "E23", "interference backends: 2-hop protocol model vs SINR "
@@ -1742,13 +1750,11 @@ def e23_interference_backends(
                                            links=links).graph
         uncovered = uncovered_interference(topology, hops=2, truth=sinr)
         hidden = sinr.hidden_node_pairs(topology)
+        constraints = delay_constraints_for(flows, slot_s)
         proto = minimum_slots(proto_graph, demands, frame.data_slots,
-                              delay_constraints=delay_constraints_for(
-                                  flows, frame), engine=engine)
-        phys = minimum_slots(None, demands, frame.data_slots,
-                             delay_constraints=delay_constraints_for(
-                                 flows, frame), engine=engine,
-                             topology=topology, interference=sinr)
+                              delay_constraints=constraints, engine=engine)
+        phys = minimum_slots(sinr_graph, demands, frame.data_slots,
+                             delay_constraints=constraints, engine=engine)
         # S8 both ways: the protocol schedule audited against the SINR
         # truth (nonzero = the abstraction's blind spot, scheduled), and
         # the SINR schedule against its own graph (must be clean).

@@ -63,26 +63,6 @@ class ScenarioResult:
         return 1.0 - received / sent
 
 
-def delay_constraints_for(flows: FlowSet,
-                          frame_config: MeshFrameConfig) -> list:
-    """DelayConstraints for every guaranteed flow, budgets in data slots.
-
-    A budget of ``delay_budget_s`` translates to whole data slots of the
-    frame; the frame-slot unit is what the ILP reasons in.
-    """
-    from repro.core.ilp import DelayConstraint
-
-    slot_s = frame_config.frame_duration_s / frame_config.data_slots
-    constraints = []
-    for flow in flows.guaranteed():
-        budget = int(flow.delay_budget_s / slot_s)
-        if budget < 1:
-            raise ConfigurationError(
-                f"flow {flow.name}: budget below one slot")
-        constraints.append(DelayConstraint(flow.name, flow.route, budget))
-    return constraints
-
-
 def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
                        frame_config: MeshFrameConfig,
                        method: str = "ilp",
@@ -101,7 +81,7 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
     """
     from repro.core.engine import SolverEngine
     from repro.core.greedy import greedy_schedule
-    from repro.core.ilp import SchedulingProblem
+    from repro.core.ilp import SchedulingProblem, delay_constraints_for
     from repro.core.ordering import schedule_from_order
     from repro.core.tree_order import min_delay_tree_order
     from repro.net.routing import gateway_tree
@@ -124,7 +104,8 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
     if method != "ilp":
         raise ConfigurationError(f"unknown schedule method {method!r}")
 
-    constraints = (delay_constraints_for(flows, frame_config)
+    slot_s = frame_config.frame_duration_s / slots
+    constraints = (delay_constraints_for(flows, slot_s)
                    if enforce_delay else [])
     problem = SchedulingProblem(
         conflicts=conflicts, demands=demands, frame_slots=slots,
@@ -153,9 +134,10 @@ def admit_flows(topology: MeshTopology, flows: FlowSet,
     built per distinct link set rather than per candidate.
     """
     from repro.core.engine import SolverEngine
-    from repro.core.ilp import SchedulingProblem
+    from repro.core.ilp import SchedulingProblem, delay_constraints_for
 
     eng = engine if engine is not None else SolverEngine()
+    slot_s = frame_config.frame_duration_s / frame_config.data_slots
     admitted = FlowSet()
     schedule: Optional[Schedule] = None
     for flow in flows:
@@ -169,7 +151,7 @@ def admit_flows(topology: MeshTopology, flows: FlowSet,
         problem = SchedulingProblem(
             conflicts=conflicts, demands=demands,
             frame_slots=frame_config.data_slots,
-            delay_constraints=delay_constraints_for(candidate, frame_config))
+            delay_constraints=delay_constraints_for(candidate, slot_s))
         try:
             result = eng.solve(problem)
         except SolverError:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from repro.core.engine import SolverEngine
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.policy import SolverPolicy
 from repro.errors import ConfigurationError
@@ -285,10 +286,9 @@ class Scenario:
     @property
     def delay_constraints(self) -> list:
         """Per-guaranteed-flow delay budgets, in data slots."""
-        from repro.analysis.scenarios import delay_constraints_for
-
         self._require_routed("delay_constraints")
-        return delay_constraints_for(self.flows, self.frame)
+        return delay_constraints_for(
+            self.flows, self.frame.frame_duration_s / self.frame.data_slots)
 
     # -- internals ----------------------------------------------------------
 

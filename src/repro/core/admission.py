@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.conflict import conflict_graph
-from repro.core.ilp import DelayConstraint
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule
@@ -55,24 +55,21 @@ class AdmissionController:
     guaranteed_region_slots:
         Cap on the slots available to guaranteed traffic (the rest is
         reserved for best effort); default: the whole frame.
-    search:
-        Min-slot search mode, ``"binary"`` (the default) or ``"linear"``.
-        Binary is valid because feasibility is monotone in the region size
-        for a fixed frame, and it probes far fewer infeasible regions.
 
-    Each ILP probe runs under the deterministic node budget
+    Every decision runs a binary min-slot search capped at the guaranteed
+    region (:attr:`policy`).  Binary is valid because feasibility is
+    monotone in the region size for a fixed frame, and it probes far
+    fewer infeasible regions than the paper's linear search.  Each ILP
+    probe runs under the deterministic node budget
     :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`; a probe undecided within
     it counts as infeasible, so the call is rejected rather than wrongly
-    admitted.  A bad ``search`` value raises
-    :class:`~repro.errors.ConfigurationError` here, through
-    :class:`~repro.core.policy.SolverPolicy`'s checks.
+    admitted.
     """
 
     def __init__(self, topology: MeshTopology, frame_slots: int,
                  frame_duration_s: float, slot_capacity_bits: float,
                  conflict_hops: int = 2,
-                 guaranteed_region_slots: Optional[int] = None,
-                 search: str = "binary") -> None:
+                 guaranteed_region_slots: Optional[int] = None) -> None:
         if frame_duration_s <= 0 or slot_capacity_bits <= 0:
             raise ConfigurationError(
                 "frame duration and slot capacity must be positive")
@@ -86,8 +83,7 @@ class AdmissionController:
         if not 0 < self.region_cap <= frame_slots:
             raise ConfigurationError(
                 f"guaranteed region {self.region_cap} must be in 1..frame_slots")
-        SolverPolicy(search=search)  # raises on a bad knob
-        self.search = search
+        self.policy = SolverPolicy(search="binary", max_region=self.region_cap)
         self.conflicts = conflict_graph(topology, hops=conflict_hops)
         self.admitted = FlowSet()
         self.schedule: Optional[Schedule] = None
@@ -97,25 +93,14 @@ class AdmissionController:
     def slot_duration_s(self) -> float:
         return self.frame_duration_s / self.frame_slots
 
-    def _delay_constraints(self, flows: FlowSet) -> list[DelayConstraint]:
-        constraints = []
-        for flow in flows.guaranteed():
-            budget_slots = int(flow.delay_budget_s / self.slot_duration_s)
-            if budget_slots < 1:
-                raise ConfigurationError(
-                    f"flow {flow.name}: delay budget {flow.delay_budget_s}s "
-                    "is below one slot")
-            constraints.append(DelayConstraint(
-                name=flow.name, route=flow.route, budget_slots=budget_slots))
-        return constraints
-
     def _schedule_flows(self, flows: FlowSet) -> MinSlotResult:
         demands = flows.link_demands(self.frame_duration_s,
                                      self.slot_capacity_bits)
         return minimum_slots(
             self.conflicts, demands, self.frame_slots,
-            delay_constraints=self._delay_constraints(flows),
-            max_region=self.region_cap, search=self.search)
+            delay_constraints=delay_constraints_for(
+                flows, self.slot_duration_s),
+            policy=self.policy)
 
     def try_admit(self, flow: Flow) -> AdmissionDecision:
         """Attempt to admit ``flow``; commits state only on success."""

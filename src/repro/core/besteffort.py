@@ -133,17 +133,19 @@ def schedule_two_classes(conflicts: nx.Graph,
                          guaranteed_demands: Mapping[Link, int],
                          best_effort_demands: Mapping[Link, int],
                          frame_slots: int,
-                         delay_constraints: Sequence[DelayConstraint] = (),
-                         search: str = "linear") -> TwoClassSchedule:
+                         delay_constraints: Sequence[DelayConstraint] = ()
+                         ) -> TwoClassSchedule:
     """Size the guaranteed region, then fill the rest with best effort.
+
+    The region comes from the paper's linear min-slot search (the default
+    :class:`~repro.core.policy.SolverPolicy`).
 
     Raises :class:`~repro.errors.InfeasibleScheduleError` only if the
     *guaranteed* class cannot be scheduled; best effort is elastic and
     degrades to whatever fits (including nothing).
     """
     result = minimum_slots(conflicts, dict(guaranteed_demands), frame_slots,
-                           delay_constraints=delay_constraints,
-                           search=search)
+                           delay_constraints=delay_constraints)
     if not result.feasible:
         raise InfeasibleScheduleError(
             f"guaranteed class does not fit in {frame_slots} slots")

@@ -198,8 +198,7 @@ def conflict_degree(conflicts: nx.Graph) -> dict[Link, int]:
     return {link: conflicts.degree(link) for link in conflicts.nodes}
 
 
-def max_conflict_clique_demand(conflicts: nx.Graph,
-                               demands: dict[Link, int]) -> int:
+def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     """A lower bound on frame slots: the heaviest known clique of conflicts.
 
     Enumerating maximum-weight cliques is exponential; this uses the cliques

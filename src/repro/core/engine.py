@@ -392,8 +392,7 @@ class SolverEngine:
         The engine's default :class:`~repro.core.policy.SolverPolicy`
         (also accepts a mode string or ``None`` for the default
         ``"auto"`` policy).  Searches run through this engine without an
-        explicit ``policy=``/``solver=`` use it; per-call arguments still
-        win.
+        explicit ``policy=``/``solver=`` use it; a per-call policy wins.
     """
 
     def __init__(self, warm_start: bool = True, max_indexes: int = 32,
@@ -676,27 +675,6 @@ class SolverEngine:
 
     # -- warm-started minimum-slots search -----------------------------------
 
-    def minimum_slots(self, conflicts: nx.Graph, demands: Mapping[Link, int],
-                      frame_slots: int,
-                      delay_constraints: Sequence[DelayConstraint] = (),
-                      search: Optional[str] = None,
-                      max_region: Optional[int] = None,
-                      warm_order: Optional[TransmissionOrder] = None,
-                      policy: "SolverPolicy | str | None" = None):
-        """:func:`~repro.core.minslots.minimum_slots` through this engine.
-
-        With no ``policy=`` the engine's own :attr:`policy` governs the
-        solve; explicit ``search=``/``max_region=`` arguments override the
-        matching policy knobs either way.
-        """
-        from repro.core.minslots import minimum_slots
-
-        return minimum_slots(
-            conflicts, demands, frame_slots,
-            delay_constraints=delay_constraints, search=search,
-            max_region=max_region, engine=self, warm_order=warm_order,
-            policy=policy)
-
     def run_search(self, conflicts: nx.Graph, demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
@@ -720,7 +698,7 @@ class SolverEngine:
         """
         from repro.core.minslots import MinSlotResult, demand_lower_bound
 
-        lower = max(1, demand_lower_bound(conflicts, demands))
+        lower = max(1, demand_lower_bound(demands))
         probes: list[tuple[int, bool]] = []
         carried: Optional[TransmissionOrder] = (
             warm_order if self.warm_start else None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -68,6 +68,28 @@ class DelayConstraint:
         for (____, mid), (nxt, ____) in zip(self.route, self.route[1:]):
             if mid != nxt:
                 raise ConfigurationError(f"{self.name}: route not contiguous")
+
+
+def delay_constraints_for(flows: Iterable,
+                          slot_duration_s: float) -> list[DelayConstraint]:
+    """DelayConstraints for every flow with a delay budget, in whole slots.
+
+    ``slot_duration_s`` is the frame duration over its data slots -- the
+    slot unit the ILP reasons in.  Flows without a ``delay_budget_s``
+    (best effort) carry no constraint; a budget below one slot raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    constraints = []
+    for flow in flows:
+        if flow.delay_budget_s is None:
+            continue
+        budget = int(flow.delay_budget_s / slot_duration_s)
+        if budget < 1:
+            raise ConfigurationError(
+                f"flow {flow.name}: delay budget {flow.delay_budget_s}s "
+                "is below one slot")
+        constraints.append(DelayConstraint(flow.name, flow.route, budget))
+    return constraints
 
 
 @dataclass

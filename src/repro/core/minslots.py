@@ -10,8 +10,8 @@ first ``K`` slots of the frame.
 The paper performs a plain linear search upward from a lower bound.  With a
 *fixed* frame length the feasibility of the region-restricted problem is
 monotone in ``K`` (enlarging the region only relaxes bounds), so a binary
-search is also valid; it is provided as an extension (``search="binary"``)
-and ablated in experiment E10.
+search is also valid; it is provided as an extension
+(``SolverPolicy(search="binary")``) and ablated in experiment E10.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class MinSlotResult:
         return None if self.ilp is None else self.ilp.order
 
 
-def demand_lower_bound(conflicts: nx.Graph, demands: Mapping[Link, int]) -> int:
+def demand_lower_bound(demands: Mapping[Link, int]) -> int:
     """A cheap valid lower bound on the guaranteed region size.
 
     The max of (a) the largest single-link demand and (b) the heaviest
@@ -84,37 +84,25 @@ def demand_lower_bound(conflicts: nx.Graph, demands: Mapping[Link, int]) -> int:
     conflict).
     """
     largest = max((d for d in demands.values() if d > 0), default=0)
-    return max(largest, max_conflict_clique_demand(conflicts, demands))
+    return max(largest, max_conflict_clique_demand(demands))
 
 
-def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
+def minimum_slots(conflicts: nx.Graph, demands: Mapping[Link, int],
                   frame_slots: int,
                   delay_constraints: Sequence[DelayConstraint] = (),
-                  search: Optional[str] = None,
-                  max_region: Optional[int] = None,
                   engine: Optional["SolverEngine"] = None,
                   warm_order: Optional[TransmissionOrder] = None,
-                  policy: "SolverPolicy | str | None" = None,
-                  topology=None, hops: Optional[int] = None,
-                  interference=None) -> MinSlotResult:
+                  policy: "SolverPolicy | str | None" = None
+                  ) -> MinSlotResult:
     """Find the minimum guaranteed region ``K`` supporting the demands.
 
     Parameters
     ----------
     conflicts, demands, frame_slots, delay_constraints:
         As in :class:`~repro.core.ilp.SchedulingProblem`; ``frame_slots`` is
-        the *fixed* frame length (wrap cost).  ``conflicts`` may be
-        ``None`` when ``topology=`` is given -- the conflict graph over
-        the demanded links is then built through the engine's
-        interference seam (``hops=`` or ``interference=``, the same pair
-        :meth:`~repro.core.engine.SolverEngine.conflict_index` takes).
-    search:
-        ``"linear"`` (the paper's search, upward from the lower bound) or
-        ``"binary"`` (extension; exploits monotonicity in ``K``).
-        ``None`` (the default) defers to the policy's ``search`` knob,
-        which itself defaults to ``"linear"``.
-    max_region:
-        Largest region to consider (default: the whole frame).
+        the *fixed* frame length (wrap cost).  Build ``conflicts`` with
+        :meth:`~repro.core.engine.SolverEngine.conflict_index` (any
+        interference model) or :func:`~repro.core.conflict.conflict_graph`.
     engine:
         The :class:`~repro.core.engine.SolverEngine` running the probes
         (default: the stateless module-level engine).  Probe verdicts,
@@ -128,33 +116,20 @@ def minimum_slots(conflicts: Optional[nx.Graph], demands: Mapping[Link, int],
         engines.
     policy:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string)
-        governing *how* to solve: the exact probe search, the zoned
-        large-topology arm, the greedy arm, or ``"auto"``.  Default: the
-        engine's own policy (itself defaulting to ``"auto"``, which is
-        exact at paper scale).  The explicit ``search`` /
-        ``max_region`` arguments override the matching policy knobs.
+        governing *how* to solve: the arm (exact probe search, zoned,
+        greedy or ``"auto"``), the probe search (``"linear"``, the
+        paper's, or ``"binary"``), the region cap and the per-probe node
+        budget.  Default: the engine's own policy (itself defaulting to
+        ``"auto"`` with a linear search over the whole frame, which is
+        the paper's search at paper scale).
     """
     if engine is None:
         from repro.core.engine import default_engine
 
         engine = default_engine()
-    if conflicts is None:
-        if topology is None:
-            raise ConfigurationError(
-                "minimum_slots needs conflicts= (a prebuilt graph) or "
-                "topology= (to build one through the interference seam)")
-        conflicts = engine.conflict_index(
-            topology, hops=hops, interference=interference,
-            links=sorted(demands)).graph
-    elif topology is not None or hops is not None or interference is not None:
-        raise ConfigurationError(
-            "pass either a prebuilt conflicts= graph or the "
-            "topology=/hops=/interference= triple, not both")
     from repro.core.policy import SolverPolicy
 
-    base_policy = (engine.policy if policy is None
-                   else SolverPolicy.coerce(policy))
-    eff = base_policy.with_overrides(search, max_region)
+    eff = engine.policy if policy is None else SolverPolicy.coerce(policy)
     ceiling = frame_slots if eff.max_region is None else eff.max_region
     if ceiling > frame_slots:
         raise ConfigurationError("max_region cannot exceed frame_slots")

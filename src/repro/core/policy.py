@@ -1,13 +1,12 @@
 """The solver-policy seam: one object deciding *how* a schedule is solved.
 
-The minimum-slots search grew knobs one call site at a time -- ``search=``
-here, ``max_region=`` there, a probe budget on a third -- and
-the large-topology work (:mod:`repro.core.zones`) would have added three
-more.  :class:`SolverPolicy` replaces that drift with a first-class value:
-a frozen, validated description of the solving strategy that travels
-through :class:`~repro.api.Scenario` (``solver=``),
-:class:`~repro.core.engine.SolverEngine` (``policy=``) and
-:func:`~repro.core.minslots.minimum_slots` (``policy=``) unchanged.
+:class:`SolverPolicy` is the one place the minimum-slots search is
+configured: the solving arm, the probe search (linear or binary), the
+guaranteed-region cap and the per-probe node budget.  It is a frozen,
+validated value that travels through :class:`~repro.api.Scenario`
+(``solver=``), :class:`~repro.core.engine.SolverEngine` (``policy=``) and
+:func:`~repro.core.minslots.minimum_slots` (``policy=``) unchanged; no
+call site takes a search knob of its own.
 
 Four modes:
 
@@ -40,7 +39,7 @@ guarantee.  What they give up is minimality, bounded in practice by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
@@ -67,7 +66,6 @@ class SolverPolicy:
     search:
         Probe-search strategy of the exact arm (and of each zone's exact
         subsolve): ``"linear"`` (the paper's search) or ``"binary"``.
-        A per-call ``search=`` argument still wins where one is given.
     max_zone_links:
         Zone-size knob of the zoned arm: zones stop growing at this many
         demanded links.  Smaller zones solve faster and parallelize the
@@ -84,7 +82,7 @@ class SolverPolicy:
         zoned.
     max_region:
         Largest guaranteed region to consider (``None``: the whole
-        frame).  Subsumes the old per-call ``max_region=`` kwarg.
+        frame).
     node_limit_per_probe:
         Branch-and-cut node budget per ILP probe, a positive ``int`` --
         the only solver budget.  It is *deterministic*: the same probe
@@ -160,13 +158,3 @@ class SolverPolicy:
         if num_demanded_links <= self.auto_threshold:
             return "exact"
         return "zoned"
-
-    def with_overrides(self, search: Optional[str] = None,
-                       max_region: Optional[int] = None) -> "SolverPolicy":
-        """This policy with any explicitly-given per-call knobs applied."""
-        updates: dict = {}
-        if search is not None:
-            updates["search"] = search
-        if max_region is not None:
-            updates["max_region"] = max_region
-        return replace(self, **updates) if updates else self

@@ -32,13 +32,13 @@ flow-level consequences, which is exactly what experiment E17 tabulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from repro import obs
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
-from repro.core.ilp import DelayConstraint
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.schedule import Schedule
@@ -106,20 +106,18 @@ class RepairEngine:
         the protocol model -- e.g. an
         :class:`~repro.phy.models.SinrModel` so repairs schedule against
         physical-model interference (needs node positions).
-    search:
-        Passed to :func:`minimum_slots` for full re-solves.
     engine:
         The :class:`~repro.core.engine.SolverEngine` sharing conflict
         indexes and solved probes across this engine's repair passes
         (default: a private instance whose caches live exactly as long as
-        this repair engine).  Full re-solves are warm-started from the
-        pre-fault schedule's transmission order, so probes the old order
-        still certifies skip the ILP.
+        this repair engine).  Full re-solves run a binary min-slot search
+        under the rest of the engine's policy (mode, node budget), and are
+        warm-started from the pre-fault schedule's transmission order, so
+        probes the old order still certifies skip the ILP.
     """
 
     def __init__(self, topology: MeshTopology, frame_config: MeshFrameConfig,
                  gateway: int = 0, hops: Optional[int] = None,
-                 search: str = "binary",
                  engine: Optional[SolverEngine] = None,
                  shed_key=None,
                  dead_nodes: Iterable[int] = (),
@@ -144,7 +142,6 @@ class RepairEngine:
         self.hops = (self.interference.hops
                      if isinstance(self.interference, ProtocolModel)
                      else None)
-        self.search = search
         #: initial fault state: a mobility stream's world at t=0 rarely has
         #: every union-topology link up, so the engine can be born degraded
         #: and :meth:`install` then routes on the t=0 survivor rather than
@@ -192,10 +189,14 @@ class RepairEngine:
     def dead_edges(self) -> frozenset[tuple[int, int]]:
         return self._dead_edges
 
+    @property
+    def slot_duration_s(self) -> float:
+        return self.frame.frame_duration_s / self.frame.data_slots
+
     def budget_slots(self, flow: Flow) -> int:
         """A flow's delay budget in data slots (admission-controller rule)."""
-        slot_s = self.frame.frame_duration_s / self.frame.data_slots
-        return int(flow.delay_budget_s / slot_s)
+        (constraint,) = delay_constraints_for([flow], self.slot_duration_s)
+        return constraint.budget_slots
 
     # -- installation -------------------------------------------------------
 
@@ -411,18 +412,6 @@ class RepairEngine:
         return FlowSet(flows).link_demands(
             self.frame.frame_duration_s, self.frame.data_slot_capacity_bits)
 
-    def _delay_constraints(self, flows: list[Flow]) -> list[DelayConstraint]:
-        constraints = []
-        for flow in flows:
-            if flow.delay_budget_s is None:
-                continue
-            budget = self.budget_slots(flow)
-            if budget < 1:
-                raise ConfigurationError(
-                    f"flow {flow.name}: budget below one slot")
-            constraints.append(DelayConstraint(flow.name, flow.route, budget))
-        return constraints
-
     def _solve(self, flows: list[Flow],
                topology: Optional[MeshTopology] = None) -> MinSlotResult:
         topo = topology if topology is not None else self.alive
@@ -434,8 +423,10 @@ class RepairEngine:
                       if self.schedule is not None else None)
         return minimum_slots(
             conflicts, demands, self.frame.data_slots,
-            delay_constraints=self._delay_constraints(flows),
-            search=self.search, engine=self.engine, warm_order=warm_order)
+            delay_constraints=delay_constraints_for(
+                flows, self.slot_duration_s),
+            engine=self.engine, warm_order=warm_order,
+            policy=replace(self.engine.policy, search="binary"))
 
     def _spliced_order(self, flows: list[Flow],
                        demands: dict[Link, int]) -> TransmissionOrder:

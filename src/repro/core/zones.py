@@ -367,7 +367,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                else min(policy.max_region, frame_slots))
     base = _as_index(conflicts)
     graph = base.graph
-    lower = demand_lower_bound(graph, demands)
+    lower = demand_lower_bound(demands)
     obs.counter("core.zones.zoned_solves").inc()
     started = time.perf_counter()
     with obs.span("core.zones.solve", mode="zoned",
@@ -400,7 +400,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
             zone_demands = {link: demands[link] for link in zone}
             reserve = boundary_reservation(base, demands, zone)
             reserves.append(reserve)
-            zone_lower = demand_lower_bound(zone_index.graph, zone_demands)
+            zone_lower = demand_lower_bound(zone_demands)
             zone_ceiling = min(ceiling, max(zone_lower, ceiling - reserve))
             zone_delay = _zone_constraints(delay_constraints, members)
             warm_order, greedy_makespan = _zone_warm_start(
@@ -499,7 +499,7 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
                else min(policy.max_region, frame_slots))
     base = _as_index(conflicts)
     graph = base.graph
-    lower = demand_lower_bound(graph, demands)
+    lower = demand_lower_bound(demands)
     obs.counter("core.zones.greedy_solves").inc()
     started = time.perf_counter()
     best: Optional[tuple[int, str, TransmissionOrder, Schedule]] = None

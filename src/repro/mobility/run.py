@@ -117,7 +117,6 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
                  hops: Optional[int] = None,
                  engine: Optional[SolverEngine] = None,
                  packet_interval_s: float = 0.02,
-                 search: str = "binary",
                  interference=None) -> MobilityRunResult:
     """Carry ``flows`` across the moving mesh described by ``stream``.
 
@@ -149,7 +148,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     solver = engine if engine is not None else SolverEngine()
     repair = RepairEngine(world.topology, frame, gateway=gateway,
                           hops=hops, interference=interference,
-                          search=search, engine=solver,
+                          engine=solver,
                           dead_nodes=world.dead_nodes,
                           dead_edges=world.dead_edges)
     repair.install(flows)

@@ -55,13 +55,12 @@ class QosAdmissionController:
 
     def __init__(self, topology: MeshTopology, frame: MeshFrameConfig,
                  conflict_hops: int = 2,
-                 guaranteed_region_slots: Optional[int] = None,
-                 search: str = "binary") -> None:
+                 guaranteed_region_slots: Optional[int] = None) -> None:
         self.frame = frame
         self._core = AdmissionController(
             topology, frame.data_slots, frame.frame_duration_s,
             frame.data_slot_capacity_bits, conflict_hops=conflict_hops,
-            guaranteed_region_slots=guaranteed_region_slots, search=search)
+            guaranteed_region_slots=guaranteed_region_slots)
         #: every admitted service flow, insertion-ordered (incl. BE)
         self.service_flows = ServiceFlowSet()
         #: guaranteed flows rejected/released but kept for re-try

@@ -27,6 +27,7 @@ import networkx as nx
 
 from repro.core.besteffort import TwoClassSchedule, schedule_two_classes
 from repro.core.greedy import greedy_schedule
+from repro.core.ilp import delay_constraints_for
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.mesh16.frame import MeshFrameConfig
@@ -36,28 +37,25 @@ from repro.qos.model import ServiceFlowSet, route_service_flows
 
 def schedule_service_classes(conflicts: nx.Graph,
                              service_flows: ServiceFlowSet,
-                             frame: MeshFrameConfig,
-                             search: str = "linear") -> TwoClassSchedule:
+                             frame: MeshFrameConfig) -> TwoClassSchedule:
     """Two-region schedule from a class-aware flow set.
 
     Guaranteed-class reservations (with latency bounds where the class
-    defines them) size the guaranteed region via the min-slots search;
-    best-effort asks fill the leftover elastically.  Raises
+    defines them) size the guaranteed region via the paper's linear
+    min-slots search; best-effort asks fill the leftover elastically.  Raises
     :class:`~repro.errors.InfeasibleScheduleError` only when the
     guaranteed classes cannot be carried.
     """
-    from repro.analysis.scenarios import delay_constraints_for
-
     guaranteed = service_flows.guaranteed_flow_set()
     g_demands = guaranteed.link_demands(frame.frame_duration_s,
                                         frame.data_slot_capacity_bits)
     be_demands = service_flows.best_effort_flow_set().link_demands(
         frame.frame_duration_s, frame.data_slot_capacity_bits)
-    constraints = delay_constraints_for(guaranteed, frame)
+    constraints = delay_constraints_for(
+        guaranteed, frame.frame_duration_s / frame.data_slots)
     return schedule_two_classes(conflicts, g_demands, be_demands,
                                 frame.data_slots,
-                                delay_constraints=constraints,
-                                search=search)
+                                delay_constraints=constraints)
 
 
 def waterfill_grants(conflicts: nx.Graph,

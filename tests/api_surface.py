@@ -44,9 +44,9 @@ PUBLIC_CLASS_METHODS = {
     "repro.core.minslots.MinSlotResult": [],
     "repro.core.engine.SolverEngine": [
         "__init__", "conflict_index", "interference_index", "zone_index",
-        "solve", "certify_order", "minimum_slots"],
+        "solve", "certify_order"],
     "repro.core.policy.SolverPolicy": [
-        "__init__", "coerce", "resolve_mode", "with_overrides"],
+        "__init__", "coerce", "resolve_mode"],
 }
 
 

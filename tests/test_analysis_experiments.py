@@ -183,9 +183,9 @@ def test_e16_shape():
 def test_e16_matches_pre_qos_implementation():
     """The repro.qos migration must be a pure refactor: identical rows to
     the seed implementation that fed schedule_two_classes directly."""
-    from repro.analysis.scenarios import (delay_constraints_for,
-                                          make_voip_flows)
+    from repro.analysis.scenarios import make_voip_flows
     from repro.core.besteffort import schedule_two_classes
+    from repro.core.ilp import delay_constraints_for
     from repro.core.engine import SolverEngine
     from repro.mesh16.frame import default_frame_config
     from repro.net.flows import Flow, FlowSet
@@ -215,7 +215,8 @@ def test_e16_matches_pre_qos_implementation():
             links=set(g_demands) | set(be_demands)).graph
         two = schedule_two_classes(
             conflicts, g_demands, be_demands, frame.data_slots,
-            delay_constraints=delay_constraints_for(voip, frame))
+            delay_constraints=delay_constraints_for(
+                voip, frame.frame_duration_s / frame.data_slots))
         legacy_rows.append([
             count, two.guaranteed_region, two.best_effort_region,
             sum(two.best_effort_grants.values()),

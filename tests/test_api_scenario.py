@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Scenario
-from repro.analysis.scenarios import delay_constraints_for
 from repro.core.conflict import conflict_graph
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import minimum_slots
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import default_frame_config
@@ -66,7 +66,8 @@ def test_facade_matches_the_longhand_chain():
     conflicts = conflict_graph(topo, hops=2, links=demands.keys())
     longhand = minimum_slots(
         conflicts, demands, frame.data_slots,
-        delay_constraints=delay_constraints_for(flows, frame))
+        delay_constraints=delay_constraints_for(
+            flows, frame.frame_duration_s / frame.data_slots))
 
     # facade
     facade = Scenario(topo, _flows()).route().schedule()
@@ -375,6 +376,7 @@ class TestInterferenceSeam:
             scenario.conflicts
 
     def test_minimum_slots_builds_conflicts_through_the_seam(self):
+        from repro import SolverEngine
         from repro.phy.models import SinrModel
 
         topo = chain_topology(6, spacing=90.0)
@@ -382,26 +384,17 @@ class TestInterferenceSeam:
         flows = route_all(topo, FlowSet(_flows()))
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
-        via_topology = minimum_slots(None, demands, frame.data_slots,
-                                     topology=topo, hops=2)
+        engine = SolverEngine()
+        via_seam = minimum_slots(
+            engine.conflict_index(topo, hops=2, links=sorted(demands)).graph,
+            demands, frame.data_slots, engine=engine)
         prebuilt = minimum_slots(conflict_graph(topo, hops=2,
                                                 links=demands.keys()),
                                  demands, frame.data_slots)
-        assert via_topology.slots == prebuilt.slots
-        sinr = minimum_slots(None, demands, frame.data_slots,
-                             topology=topo, interference=SinrModel())
+        assert via_seam.slots == prebuilt.slots
+        sinr_graph = engine.conflict_index(
+            topo, interference=SinrModel(), links=sorted(demands)).graph
+        sinr = minimum_slots(sinr_graph, demands, frame.data_slots,
+                             engine=engine)
         assert sinr.slots is not None
-
-    def test_minimum_slots_rejects_mixed_spellings(self):
-        topo = chain_topology(4)
-        frame = default_frame_config()
-        flows = route_all(topo, FlowSet(
-            [Flow("f", src=0, dst=3, rate_bps=1000)]))
-        demands = flows.link_demands(frame.frame_duration_s,
-                                     frame.data_slot_capacity_bits)
-        with pytest.raises(ConfigurationError, match="needs conflicts"):
-            minimum_slots(None, demands, frame.data_slots)
-        conflicts = conflict_graph(topo, hops=2, links=demands.keys())
-        with pytest.raises(ConfigurationError, match="not both"):
-            minimum_slots(conflicts, demands, frame.data_slots,
-                          topology=topo)
+        assert sinr.schedule.violations(sinr_graph) == []

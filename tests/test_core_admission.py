@@ -143,10 +143,23 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             AdmissionController(chain_topology(3), 16, 0.0, 1000)
 
-    def test_invalid_search_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError, match="search"):
-            AdmissionController(chain_topology(3), 16, 0.016, 1000,
-                                search="bogus")
+    def test_search_is_binary_probing_the_region_cap_first(
+            self, monkeypatch):
+        import repro.core.admission as admission
+
+        searches = []
+        real_minimum_slots = admission.minimum_slots
+
+        def spy(*args, **kwargs):
+            searches.append(real_minimum_slots(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(admission, "minimum_slots", spy)
+        ctrl = controller(region=12)
+        assert ctrl.try_admit(voip_flow("a", 0, 4)).admitted
+        (search,) = searches
+        assert search.lower_bound < 12
+        assert search.probes[0] == (12, True)  # the ceiling, not the bound
 
     def test_every_probe_is_budgeted_by_nodes_not_the_clock(
             self, monkeypatch):

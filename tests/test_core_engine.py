@@ -14,6 +14,8 @@ from repro.core.engine import (
     topology_fingerprint,
 )
 from repro.core.ilp import DEFAULT_NODE_LIMIT, SchedulingProblem
+from repro.core.minslots import minimum_slots
+from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
 from repro.mesh16.distributed import DistributedScheduler
@@ -165,7 +167,7 @@ def test_certify_order_accepts_winning_order_and_rejects_tight_region():
     demands = {link: 1 for link in topo.links}
     conflicts = conflict_graph(topo, hops=2, links=demands.keys())
     engine = SolverEngine()
-    search = engine.minimum_slots(conflicts, demands, frame_slots=16)
+    search = minimum_slots(conflicts, demands, frame_slots=16, engine=engine)
     assert search.feasible
     certified = engine.certify_order(conflicts, demands, 16, search.slots,
                                      (), search.ilp.order)
@@ -180,9 +182,10 @@ def test_bf_certified_sentinel_never_escapes():
     demands = {link: 1 for link in topo.links}
     conflicts = conflict_graph(topo, hops=2, links=demands.keys())
     engine = SolverEngine()
-    seed = engine.minimum_slots(conflicts, demands, frame_slots=16)
-    warmed = engine.minimum_slots(conflicts, demands, frame_slots=16,
-                                  search="binary", warm_order=seed.order)
+    seed = minimum_slots(conflicts, demands, frame_slots=16, engine=engine)
+    warmed = minimum_slots(conflicts, demands, frame_slots=16, engine=engine,
+                           warm_order=seed.order,
+                           policy=SolverPolicy(search="binary"))
     assert engine.stats["bf_shortcuts"] > 0
     assert warmed.ilp.solver_status != BF_CERTIFIED
     assert warmed.slots == seed.slots

@@ -4,12 +4,13 @@ import networkx as nx
 import pytest
 
 from repro import obs
-from repro.analysis.scenarios import delay_constraints_for, make_voip_flows
+from repro.analysis.scenarios import make_voip_flows
 from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots, path_wraps
 from repro.core.ilp import (
     DelayConstraint,
     SchedulingProblem,
+    delay_constraints_for,
     solve_schedule_ilp,
 )
 from repro.errors import ConfigurationError
@@ -125,7 +126,8 @@ class TestCliqueRefutation:
         monkeypatch.setattr("repro.core.ilp.milp", _no_milp)
         result = solve_schedule_ilp(SchedulingProblem(
             conflicts, demands, frame.data_slots,
-            delay_constraints=delay_constraints_for(flows, frame)))
+            delay_constraints=delay_constraints_for(
+                flows, frame.frame_duration_s / frame.data_slots)))
         assert not result.feasible
         assert result.solver_status == (
             "conflict clique of 17 slots exceeds region 16")

@@ -5,8 +5,11 @@ import pytest
 from repro.core.conflict import conflict_graph
 from repro.core.ilp import DelayConstraint
 from repro.core.minslots import demand_lower_bound, minimum_slots
+from repro.core.policy import SolverPolicy
 from repro.errors import ConfigurationError
 from repro.net.topology import chain_topology, star_topology
+
+BINARY = SolverPolicy(search="binary")
 
 
 def chain_instance(hops=4):
@@ -18,19 +21,15 @@ def chain_instance(hops=4):
 
 
 class TestLowerBound:
-    def test_single_link(self, chain5):
-        conflicts = conflict_graph(chain5, hops=2)
-        assert demand_lower_bound(conflicts, {(0, 1): 3}) == 3
+    def test_single_link(self):
+        assert demand_lower_bound({(0, 1): 3}) == 3
 
     def test_node_clique(self):
-        topo = star_topology(3)
-        conflicts = conflict_graph(topo, hops=2)
         demands = {(0, 1): 1, (0, 2): 1, (0, 3): 1}
-        assert demand_lower_bound(conflicts, demands) == 3
+        assert demand_lower_bound(demands) == 3
 
-    def test_empty(self, chain5):
-        conflicts = conflict_graph(chain5, hops=2)
-        assert demand_lower_bound(conflicts, {}) == 0
+    def test_empty(self):
+        assert demand_lower_bound({}) == 0
 
 
 class TestLinearSearch:
@@ -78,7 +77,7 @@ class TestLinearSearch:
         result = minimum_slots(
             conflicts, demands, frame_slots=16,
             delay_constraints=[DelayConstraint("f", route, 16)],
-            max_region=4)
+            policy=SolverPolicy(max_region=4))
         assert not result.feasible
         assert result.probes  # it did try
 
@@ -104,7 +103,7 @@ class TestBinarySearch:
                                delay_constraints=constraints)
         binary = minimum_slots(conflicts, demands, 16,
                                delay_constraints=constraints,
-                               search="binary")
+                               policy=BINARY)
         assert binary.slots == linear.slots
 
     def test_binary_uses_fewer_probes_on_wide_ranges(self):
@@ -114,14 +113,14 @@ class TestBinarySearch:
         demands = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1,
                    (1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1}
         linear = minimum_slots(conflicts, demands, 64)
-        binary = minimum_slots(conflicts, demands, 64, search="binary")
+        binary = minimum_slots(conflicts, demands, 64, policy=BINARY)
         assert binary.slots == linear.slots
 
     def test_binary_infeasible(self):
         topo = star_topology(3)
         conflicts = conflict_graph(topo, hops=2)
         demands = {(0, 1): 4, (0, 2): 4, (0, 3): 4}
-        result = minimum_slots(conflicts, demands, 11, search="binary")
+        result = minimum_slots(conflicts, demands, 11, policy=BINARY)
         assert not result.feasible
 
 
@@ -129,9 +128,11 @@ class TestValidation:
     def test_unknown_search_mode(self, chain5):
         conflicts = conflict_graph(chain5, hops=2)
         with pytest.raises(ConfigurationError):
-            minimum_slots(conflicts, {(0, 1): 1}, 8, search="exponential")
+            minimum_slots(conflicts, {(0, 1): 1}, 8,
+                          policy=SolverPolicy(search="exponential"))
 
     def test_max_region_exceeding_frame(self, chain5):
         conflicts = conflict_graph(chain5, hops=2)
         with pytest.raises(ConfigurationError):
-            minimum_slots(conflicts, {(0, 1): 1}, 8, max_region=9)
+            minimum_slots(conflicts, {(0, 1): 1}, 8,
+                          policy=SolverPolicy(max_region=9))

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots
+from repro.core.engine import SolverEngine
+from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
@@ -34,6 +36,26 @@ def assert_valid(engine):
 
 
 class TestInstall:
+    def test_full_solve_is_binary_under_a_linear_engine_policy(
+            self, grid33, monkeypatch):
+        import repro.core.repair as repair
+
+        searches = []
+        real_minimum_slots = repair.minimum_slots
+
+        def spy(*args, **kwargs):
+            searches.append(real_minimum_slots(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(repair, "minimum_slots", spy)
+        engine = make_engine(grid33, engine=SolverEngine(
+            policy=SolverPolicy(mode="exact", search="linear")))
+        engine.install([gateway_flow("f1", 8), gateway_flow("f2", 5)])
+        (search,) = searches
+        frame_slots = engine.frame.data_slots
+        assert search.lower_bound < frame_slots
+        assert search.probes[0] == (frame_slots, True)  # ceiling first
+
     def test_initial_solve(self, grid33):
         engine = make_engine(grid33)
         outcome = engine.install([gateway_flow("f1", 8),

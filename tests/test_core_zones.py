@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.core.engine import SolverEngine
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.policy import DEFAULT_AUTO_THRESHOLD, SolverPolicy
 from repro.core.zones import (
@@ -32,8 +33,6 @@ FRAME = default_frame_config()
 
 def _instance(num_nodes=20, num_flows=6, seed=7):
     """A routed disk-mesh instance: (engine, index, demands, constraints)."""
-    from repro.analysis.scenarios import delay_constraints_for
-
     topology = random_disk_topology(num_nodes, radio_range=120.0,
                                    area=400.0, seed=seed)
     nodes = sorted(topology.nodes)
@@ -46,7 +45,8 @@ def _instance(num_nodes=20, num_flows=6, seed=7):
                                  FRAME.data_slot_capacity_bits)
     engine = SolverEngine()
     index = engine.conflict_index(topology, hops=2, links=sorted(demands))
-    return engine, index, demands, delay_constraints_for(flows, FRAME)
+    return engine, index, demands, delay_constraints_for(
+        flows, FRAME.frame_duration_s / FRAME.data_slots)
 
 
 # -- SolverPolicy ----------------------------------------------------------
@@ -90,15 +90,6 @@ def test_policy_auto_resolves_on_the_threshold():
     assert policy.resolve_mode(10) == "exact"
     assert policy.resolve_mode(11) == "zoned"
     assert SolverPolicy(mode="greedy").resolve_mode(10_000) == "greedy"
-
-
-def test_policy_with_overrides_folds_explicit_kwargs():
-    policy = SolverPolicy()
-    assert policy.with_overrides() is policy
-    tuned = policy.with_overrides(search="binary", max_region=8)
-    assert (tuned.search, tuned.max_region) == ("binary", 8)
-    with pytest.raises(ConfigurationError, match="search"):
-        policy.with_overrides(search="ternary")
 
 
 # -- partitioning ----------------------------------------------------------
@@ -289,7 +280,7 @@ def test_greedy_schedule_is_conflict_free_and_meets_demands():
 
 def test_heuristic_arms_record_the_measured_gap():
     engine, index, demands, ____ = _instance()
-    lower = demand_lower_bound(index.graph, demands)
+    lower = demand_lower_bound(demands)
     result = greedy_minimum_slots(index, demands, FRAME.data_slots, (),
                                   engine=engine)
     expected = (result.slots - lower) / lower
@@ -320,23 +311,24 @@ def test_policy_mode_string_dispatches_each_arm():
         assert result.meta["mode"] == expected
 
 
-def test_explicit_search_kwarg_still_overrides_the_policy():
+def test_call_policy_search_overrides_the_engine_policy():
     engine, index, demands, constraints = _instance()
     linear = minimum_slots(index.graph, demands, FRAME.data_slots,
-                           constraints, engine=SolverEngine(),
-                           policy="exact")
+                           constraints, engine=SolverEngine(policy="exact"))
     binary = minimum_slots(index.graph, demands, FRAME.data_slots,
-                           constraints, engine=SolverEngine(),
-                           search="binary", policy="exact")
+                           constraints, engine=SolverEngine(policy="exact"),
+                           policy=SolverPolicy(mode="exact", search="binary"))
     assert binary.slots == linear.slots
     assert binary.probes != linear.probes  # different search trajectory
+    assert linear.probes[0][0] == linear.lower_bound
+    assert binary.probes[0][0] == FRAME.data_slots  # ceiling first
 
 
 def test_engine_policy_governs_bare_engine_solves():
     engine = SolverEngine(policy="greedy")
     ____, index, demands, constraints = _instance()
-    result = engine.minimum_slots(index.graph, demands, FRAME.data_slots,
-                                  constraints)
+    result = minimum_slots(index.graph, demands, FRAME.data_slots,
+                           constraints, engine=engine)
     assert result.meta["mode"] == "greedy"
 
 
@@ -344,8 +336,8 @@ def test_max_region_ceiling_check_survives_the_redesign():
     engine, index, demands, ____ = _instance()
     with pytest.raises(ConfigurationError,
                        match="max_region cannot exceed frame_slots"):
-        minimum_slots(index.graph, demands, FRAME.data_slots,
-                      max_region=FRAME.data_slots + 1, engine=engine)
+        minimum_slots(index.graph, demands, FRAME.data_slots, engine=engine,
+                      policy=SolverPolicy(max_region=FRAME.data_slots + 1))
 
 
 def test_zoned_solves_a_multicomponent_mesh():

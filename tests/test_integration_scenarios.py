@@ -10,12 +10,12 @@ import pytest
 
 from repro.analysis.scenarios import (
     admit_flows,
-    delay_constraints_for,
     make_voip_flows,
     run_dcf_scenario,
     run_tdma_scenario,
     schedule_for_flows,
 )
+from repro.core.ilp import delay_constraints_for
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
@@ -158,7 +158,8 @@ class TestHelpers:
         frame = default_frame_config()
         flows = FlowSet([Flow("f", 0, 1, rate_bps=1000,
                               delay_budget_s=0.01).with_route([(0, 1)])])
-        constraints = delay_constraints_for(flows, frame)
+        constraints = delay_constraints_for(
+            flows, frame.frame_duration_s / frame.data_slots)
         assert constraints[0].budget_slots == 16  # 10 ms = one frame
 
     def test_admit_flows_prefix_property(self, rngs):

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SolverEngine
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import minimum_slots
+from repro.core.policy import SolverPolicy
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
@@ -39,17 +41,15 @@ def scheduling_instances(draw):
 
 
 def _solve(topology, flows, search, engine, warm_order=None):
-    from repro.analysis.scenarios import delay_constraints_for
-
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
     conflicts = engine.conflict_index(topology, hops=2,
                                       links=sorted(demands)).graph
     return minimum_slots(conflicts, demands, FRAME.data_slots,
                          delay_constraints=delay_constraints_for(
-                             flows, FRAME),
-                         search=search, engine=engine,
-                         warm_order=warm_order)
+                             flows, FRAME.frame_duration_s / FRAME.data_slots),
+                         engine=engine, warm_order=warm_order,
+                         policy=SolverPolicy(search=search))
 
 
 def _assert_identical(warm, cold):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
 from repro.core.guarantees import check_guarantees
+from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import minimum_slots
 from repro.core.policy import SolverPolicy
 from repro.core.zones import greedy_minimum_slots, zoned_minimum_slots
@@ -52,12 +53,11 @@ def scheduling_instances(draw):
 
 
 def _problem(topology, flows, engine):
-    from repro.analysis.scenarios import delay_constraints_for
-
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
     index = engine.conflict_index(topology, hops=2, links=sorted(demands))
-    return index, demands, delay_constraints_for(flows, FRAME)
+    return index, demands, delay_constraints_for(
+        flows, FRAME.frame_duration_s / FRAME.data_slots)
 
 
 def _assert_s8_and_s30(result, index, demands, constraints, flows):

@@ -12,6 +12,8 @@ from repro.qos import (
     ServiceFlowSet,
     TrafficContract,
     grant_schedule_for,
+    route_service_flows,
+    schedule_service_classes,
     simulate_service_flows,
 )
 
@@ -46,6 +48,25 @@ def run(discipline, num_frames=120, flows=None):
     schedule, routed = grant_schedule_for(chain_topology(3), flows, FRAME)
     return simulate_service_flows(routed, schedule, FRAME, discipline,
                                   num_frames=num_frames)
+
+
+class TestServiceClassPlanner:
+    def test_region_search_is_linear_from_the_lower_bound(self):
+        from repro.core.engine import SolverEngine
+
+        routed = route_service_flows(chain_topology(3), saturating_set())
+        links = set()
+        for flow in routed:
+            links.update(flow.route)
+        conflicts = SolverEngine().conflict_index(
+            chain_topology(3), hops=2, links=links).graph
+        two = schedule_service_classes(conflicts, routed, FRAME)
+        search = two.search
+        regions = [region for region, ____ in search.probes]
+        assert search.lower_bound < FRAME.data_slots
+        assert regions == list(range(search.lower_bound,
+                                     search.lower_bound + len(regions)))
+        assert regions[-1] == two.guaranteed_region
 
 
 class TestValidation:
