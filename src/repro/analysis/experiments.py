@@ -1001,7 +1001,7 @@ def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
             # (through the repair engine's own conflict-index cache)
             conflicts = engine.engine.conflict_index(
                 engine.alive, hops=engine.hops,
-                links=engine.schedule.links()).graph
+                links=engine.schedule.links())
             conflict_ok &= not engine.schedule.violations(conflicts)
             for flow in engine.carried_flows:
                 if flow.delay_budget_s is None:

@@ -283,8 +283,7 @@ class RepairEngine:
         flows = list(carried.values())
         demands = self._demands(flows)
         conflicts = self.engine.conflict_index(
-            alive, interference=self.interference,
-            links=sorted(demands)).graph
+            alive, interference=self.interference, links=sorted(demands))
 
         # 1. unchanged routes: the old schedule restricted to the demanded
         #    links may simply still be valid (down events only ever shrink
@@ -301,7 +300,7 @@ class RepairEngine:
                 return self._record(outcome)
 
         # 2. local repair: old ranks + spliced-in new links, one BF pass.
-        local = self._local_repair(flows, demands, conflicts)
+        local = self._local_repair(flows, demands, conflicts.graph)
         if local is not None:
             self._commit(carried, local, bump=True)
             outcome = RepairOutcome(

@@ -131,6 +131,11 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     ``hops=`` / ``interference=`` select the interference backend the
     repair engine schedules against (protocol hops or any
     :class:`~repro.phy.models.InterferenceModel`); at most one of them.
+
+    After every batch the live schedule is S8-checked on the conflict
+    index of its scheduled links -- the demand-link index the repair
+    just solved on, served from the engine cache -- and every carried
+    guaranteed flow against its slot budget.
     """
     if frame is None:
         frame = default_frame_config()
@@ -224,12 +229,15 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
             noop += 1
             frames = 0
         # S8 + guarantee validity of the live schedule, every batch.
-        # Validation deliberately asks for the *whole* alive link set: a
-        # schedule is only safe if no scheduled link conflicts with any
-        # link the mesh could activate, and the full-topology index is
-        # exactly the shape the engine's delta updates answer cheaply.
+        # Violations are pairs of *scheduled* links, and whether two
+        # links conflict does not depend on which other links are
+        # indexed, so an index over the scheduled links gives the
+        # whole-mesh answer.  After a commit those are the repair's
+        # demand links: this request hits the index it just solved on.
         conflicts = solver.conflict_index(
-            repair.alive, interference=repair.interference)
+            repair.alive, interference=repair.interference,
+            links=[link for link in repair.schedule.links()
+                   if repair.alive.has_link(link)])
         conflict_ok = not repair.schedule.violations(conflicts)
         guarantee_ok = True
         for flow in repair.carried_flows:

@@ -314,18 +314,57 @@ def surviving_topology(topology: MeshTopology,
     same edge.  Dead entries that do not exist in the base topology are
     ignored, so callers can pass accumulated fault state verbatim.
     """
+    base = topology.graph
     dead_node_set = frozenset(dead_nodes)
-    if anchor not in topology.graph or anchor in dead_node_set:
+    if anchor not in base or anchor in dead_node_set:
         raise ConfigurationError(
             f"anchor node {anchor} is dead or not in the topology")
-    graph = topology.graph.copy()
-    graph.remove_nodes_from(n for n in dead_node_set if n in graph)
-    for u, v in dead_edges:
-        if graph.has_edge(u, v):
-            graph.remove_edge(u, v)
-    component = nx.node_connected_component(graph, anchor)
-    unreachable = frozenset(topology.graph.nodes) - frozenset(component)
-    survivor = graph.subgraph(component).copy()
+    dead_edge_set = {e for u, v in dead_edges for e in ((u, v), (v, u))}
+    # One pass over the base graph, with no copies, that reproduces what
+    # copying it, deleting the dead and copying the anchor's component
+    # gives: same node order, adjacency order and data.
+    rank = {n: i for i, n in enumerate(base)}
+
+    def live_neighbours(u: int) -> list[int]:
+        # Graph.copy() order: neighbours earlier in node order first, in
+        # node order, then the rest in the base's adjacency order
+        live = [v for v in base.adj[u]
+                if v not in dead_node_set and (u, v) not in dead_edge_set]
+        return (sorted((v for v in live if rank[v] < rank[u]),
+                       key=rank.__getitem__)
+                + [v for v in live if rank[v] >= rank[u]])
+
+    # networkx's level-by-level component BFS, visiting in the same order,
+    # so the component set iterates exactly as its result would
+    neighbours: dict[int, list[int]] = {}
+    component, level = {anchor}, [anchor]
+    while level:
+        following = []
+        for u in level:
+            neighbours[u] = live_neighbours(u)
+            for v in neighbours[u]:
+                if v not in component:
+                    component.add(v)
+                    following.append(v)
+        level = following
+    # a subgraph view lists its node set (built node by node from the
+    # component) instead of the graph's node order when that set holds
+    # under half of the graph's nodes
+    alive = len(base) - sum(n in base for n in dead_node_set)
+    order = (list(set(n for n in component)) if 2 * len(component) < alive
+             else [n for n in base if n in component])
+    survivor = base.__class__()
+    survivor.graph.update(base.graph)
+    survivor.add_nodes_from((n, base.nodes[n]) for n in order)
+    # each edge once, from the endpoint listed first: re-adding it from
+    # the other end (as a copy does) moves nothing and changes no data
+    placed: set[int] = set()
+    for u in order:
+        atlas = base.adj[u]
+        survivor.add_edges_from((u, v, atlas[v]) for v in neighbours[u]
+                                if v not in placed)
+        placed.add(u)
+    unreachable = frozenset(base.nodes) - component
     positions = {n: topology.positions[n] for n in component
                  if n in topology.positions}
     return (MeshTopology(survivor, positions,

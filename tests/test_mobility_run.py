@@ -1,6 +1,7 @@
 """Unit tests for repro.mobility.run: the stream -> repair driver."""
 
 import math
+import sys
 
 import networkx as nx
 import pytest
@@ -8,7 +9,9 @@ import pytest
 import repro.core.conflict
 import repro.core.engine
 from repro import obs
-from repro.core.engine import SolverEngine
+from repro.core.engine import ConflictIndex, SolverEngine
+from repro.core.repair import RepairEngine
+from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import default_frame_config
 from repro.mobility.models import ConstantVelocityModel, RandomWaypointModel
@@ -124,33 +127,117 @@ def test_run_mobility_rejects_unreachable_endpoints_and_bad_cadence():
         run_mobility(stream, flows((1, 0)), packet_interval_s=0.0)
 
 
-def test_run_mobility_never_materialises_the_alive_set_graph(monkeypatch):
-    # the per-batch S8 check runs on the whole-mesh index's CSR rows;
-    # only the small demand-link indexes repair solves on become graphs
-    materialised, whole_mesh = [], []
+def reroute_stream():
+    """A flow 2 -> 0 whose relay (node 1) drives south out of range.
+
+    The route 2-1-0 breaks at t=8 and the flow reroutes over node 3,
+    so that batch runs a local repair on a changed route.
+    """
+    positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (160.0, 0.0),
+                 3: (80.0, 50.0)}
+    velocities = {n: (0.0, 0.0) for n in positions}
+    velocities[1] = (0.0, -10.0)
+    model = ConstantVelocityModel(positions, velocities, 10.0)
+    return TopologyStream(model, 100.0, dt=1.0)
+
+
+def test_run_mobility_s8_checks_hit_the_repair_index_without_graphs(
+        monkeypatch):
+    # the per-batch S8 check indexes only the scheduled links: after a
+    # commit those are the demand links the repair just solved on, so
+    # the request is a cache hit, and violations read its CSR rows
+    materialised, requested, checks = [], [], []
     for module in (repro.core.engine, repro.core.conflict):
         real = module._graph_from_edges
 
         def spy(link_list, edges, real=real):
-            link_list = tuple(link_list)
-            materialised.append(link_list)
+            materialised.append(tuple(link_list))
             return real(link_list, edges)
 
         monkeypatch.setattr(module, "_graph_from_edges", spy)
     real_index = SolverEngine.conflict_index
 
     def index_spy(self, topology, *args, **kwargs):
-        index = real_index(self, topology, *args, **kwargs)
-        if kwargs.get("links") is None and len(args) < 2:
-            whole_mesh.append(index.links)
-        return index
+        requested.append(kwargs.get("links"))
+        return real_index(self, topology, *args, **kwargs)
+
+    real_violations = Schedule.violations
+
+    def violations_spy(self, conflicts):
+        # run_mobility's S8 check and the repair's unchanged-routes check;
+        # solvers validate their own output on the graph they solved on
+        caller = sys._getframe(1).f_globals["__name__"]
+        before = len(materialised)
+        bad = real_violations(self, conflicts)
+        if caller in ("repro.mobility.run", "repro.core.repair"):
+            checks.append((caller, isinstance(conflicts, ConflictIndex),
+                           len(materialised) - before))
+        return bad
 
     monkeypatch.setattr(SolverEngine, "conflict_index", index_spy)
-    result = run_mobility(drive_by_stream(), flows((3, 0), (4, 0)))
-    assert result.conflict_ok and len(result.steps) > 0
-    assert len(whole_mesh) >= len(result.steps)
-    assert materialised, "repair still solves on demand-link graphs"
-    assert not set(materialised) & set(whole_mesh)
+    monkeypatch.setattr(Schedule, "violations", violations_spy)
+    for stream, specs in ((drive_by_stream, ((3, 0), (4, 0))),
+                          (reroute_stream, ((2, 0),))):
+        for spied in (materialised, requested, checks):
+            spied.clear()
+        result = run_mobility(stream(), flows(*specs))
+        assert result.conflict_ok and len(result.steps) > 0
+        assert requested and None not in requested
+        assert result.engine_stats["index_hits"] >= len(result.steps)
+        s8 = [check for check in checks
+              if check[0] == "repro.mobility.run"]
+        assert len(s8) == len(result.steps)
+        assert all(is_index and not built for _, is_index, built in checks)
+        assert materialised, "repair still solves on demand-link graphs"
+
+
+def test_run_mobility_reports_a_committed_s8_violation(monkeypatch):
+    real = RepairEngine._local_repair
+    broken = []
+
+    def overlapping(self, flows, demands, conflicts):
+        schedule = real(self, flows, demands, conflicts)
+        if schedule is None:
+            return None
+        a, b = next((a, b) for a, b in conflicts.edges
+                    if a in demands and b in demands)
+        blocks = dict(schedule.items())
+        blocks[b] = blocks[a]
+        broken.append(self.version + 1)
+        return Schedule(schedule.frame_slots, blocks)
+
+    monkeypatch.setattr(RepairEngine, "_local_repair", overlapping)
+    result = run_mobility(reroute_stream(), flows((2, 0)))
+    assert broken, "the reroute must run a local repair"
+    hit = [step for step in result.steps if step.version in broken]
+    assert hit and not any(step.conflict_ok for step in hit)
+    assert not result.conflict_ok
+
+
+def test_run_mobility_with_every_flow_parked_checks_an_empty_schedule(
+        monkeypatch):
+    requested = []
+    real_index = SolverEngine.conflict_index
+
+    def index_spy(self, topology, *args, **kwargs):
+        requested.append(kwargs.get("links"))
+        return real_index(self, topology, *args, **kwargs)
+
+    monkeypatch.setattr(SolverEngine, "conflict_index", index_spy)
+    result = run_mobility(leaf_loss_stream(), flows((2, 0)))
+    assert result.parked_final == ("f0",)
+    assert [] in requested
+    parked = [step for step in result.steps if step.parked]
+    assert parked and all(step.conflict_ok for step in result.steps)
+
+
+@pytest.mark.parametrize("hops", [3, 4])
+def test_run_mobility_keeps_the_degenerate_hops_guard(hops):
+    # every drive-by snapshot has diameter <= 2, so hops > 2 reaches the
+    # whole mesh from every demanded link: the repair's own index
+    # request rejects it before any scheduled-link check runs
+    with pytest.raises(ConfigurationError, match="reaches the whole"):
+        run_mobility(drive_by_stream(), flows((3, 0), (4, 0)), hops=hops)
 
 
 @pytest.mark.parametrize("speed", [0.0, 10.0, 30.0])
