@@ -18,6 +18,15 @@ MAC layers attach a :class:`ChannelClient` per node and get two callbacks:
 - ``on_medium_change()`` whenever the busy/idle state at the node may have
   changed (used by CSMA backoff logic, which polls :meth:`BroadcastChannel.
   medium_busy`).
+
+Each transmission costs the event kernel at most three events, however
+many nodes hear it: an *arrival-start* edge that notifies every receiver
+and coupled node that energy appeared, an *arrival-end* edge that
+delivers every reception and notifies the coupled nodes that it cleared,
+and the transmitter's own ``tx_end`` notification.  A transmission
+nobody hears schedules only the last.  :meth:`BroadcastChannel.transmit`
+explains why this batching fires the callbacks in exactly the order that
+one event per receiver would.
 """
 
 from __future__ import annotations
@@ -306,10 +315,17 @@ class BroadcastChannel:
     # -- carrier sense ------------------------------------------------------
 
     def transmitting(self, node: int) -> bool:
-        """True iff ``node`` is on air right now."""
-        now = self.sim.now
-        return any(start <= now < end
-                   for start, end in self._state(node).transmissions)
+        """True iff ``node`` is on air right now.
+
+        A node's transmissions are appended at the current time and never
+        overlap (:meth:`transmit` refuses to start one while another is on
+        air), so only the last one can still be on air.
+        """
+        transmissions = self._state(node).transmissions
+        if not transmissions:
+            return False
+        start, end = transmissions[-1]
+        return start <= self.sim.now < end
 
     def medium_busy(self, node: int) -> bool:
         """Carrier-sense result at ``node``: any energy on air it can hear.
@@ -336,9 +352,8 @@ class BroadcastChannel:
         now = self.sim.now
         latest = now
         state = self._state(node)
-        for start, end in state.transmissions:
-            if start <= now < end:
-                latest = max(latest, end)
+        if self.transmitting(node):
+            latest = state.transmissions[-1][1]
         for rec in state.receptions:
             if rec.start <= now < rec.end:
                 latest = max(latest, rec.end)
@@ -357,7 +372,24 @@ class BroadcastChannel:
         """Put ``frame`` on air from ``node``; returns the airtime used.
 
         The MAC is responsible for medium access rules; the channel only
-        enforces physics (no two simultaneous transmissions from one radio).
+        enforces physics (no two simultaneous transmissions from one radio,
+        and a positive airtime).
+
+        All receptions and coupled nodes of the transmission share two
+        kernel events, :meth:`_arrival_start` and :meth:`_arrival_end`,
+        instead of one notify and one deliver event per receiver.  The
+        callbacks still fire in the order per-receiver events would fire
+        them.  Those events were scheduled back to back in one call, so
+        they held consecutive sequence numbers: no other event sorts
+        between two of them at the same instant, and any event their
+        callbacks schedule sorts after all of them.  Per instant they
+        fired in scheduling order -- receivers in ``topology.neighbors``
+        order, then jam victims, then sense watchers -- which is the
+        order the batched edge walks.  Because the airtime is positive,
+        the start edges of one transmission all sort before its end
+        edges, so splitting them into two events loses no interleaving;
+        with zero propagation delay the end edge still sorts before the
+        ``tx_end`` notification, which is scheduled after it.
         """
         state = self._state(node)
         if frame.src != node:
@@ -368,6 +400,9 @@ class BroadcastChannel:
         if duration is None:
             duration = self.phy.airtime(
                 frame.size_bits, basic_rate=frame.kind.value != "data")
+        if not duration > 0.0:
+            raise SimulationError(
+                f"airtime must be positive, got {duration}")
         now = self.sim.now
         if node in self._down_nodes:
             # Crashed radio: the MAC's transmit attempt consumes its slot
@@ -390,12 +425,12 @@ class BroadcastChannel:
 
         self._notify(node)
         prop = self.phy.propagation_delay_s
+        arrival_start, arrival_end = tx_start + prop, tx_end + prop
+        receptions: list[Reception] = []
         for neighbor in self.topology.neighbors(node):
             if (neighbor in self._down_nodes
                     or frozenset((node, neighbor)) in self._down_links):
                 continue
-            arrival_start = tx_start + prop
-            arrival_end = tx_end + prop
             receiver_state = self._state(neighbor)
             self._prune(receiver_state, now)
             reception = Reception(frame, neighbor, arrival_start, arrival_end)
@@ -417,13 +452,12 @@ class BroadcastChannel:
                         self.trace.emit(now, "phy.jam", node=neighbor)
                         break
             receiver_state.receptions.append(reception)
-            self.sim.schedule_at(arrival_start, self._notify, neighbor)
-            self.sim.schedule_at(arrival_end, self._deliver, reception)
+            receptions.append(reception)
         # Physical couplings beyond the graph: jamming interferers corrupt
         # in-flight receptions at their victims; carrier-sense-range
         # watchers merely see a busy medium.  Both get notify edges so
         # CSMA backoff reacts to the energy appearing and clearing.
-        arrival_start, arrival_end = tx_start + prop, tx_end + prop
+        coupled: list[int] = []
         for victim in self._jam_extra.get(node, ()):
             if victim in self._down_nodes:
                 continue
@@ -440,8 +474,7 @@ class BroadcastChannel:
                     rec.corrupt_reason = "interference"
                     self.trace.emit(now, "phy.jam", node=victim,
                                     source=node)
-            self.sim.schedule_at(arrival_start, self._notify, victim)
-            self.sim.schedule_at(arrival_end, self._notify, victim)
+            coupled.append(victim)
         for watcher in self._sense_extra.get(node, ()):
             if watcher in self._down_nodes \
                     or watcher in self._jam_extra.get(node, ()):
@@ -449,13 +482,33 @@ class BroadcastChannel:
             watcher_state = self._state(watcher)
             self._prune(watcher_state, now)
             watcher_state.noise.append((arrival_start, arrival_end))
-            self.sim.schedule_at(arrival_start, self._notify, watcher)
-            self.sim.schedule_at(arrival_end, self._notify, watcher)
+            coupled.append(watcher)
+        if receptions or coupled:
+            self.sim.schedule_at(arrival_start, self._arrival_start,
+                                 receptions, coupled)
+            self.sim.schedule_at(arrival_end, self._arrival_end,
+                                 receptions, coupled)
         # Transmitter's own medium goes idle at tx_end.
         self.sim.schedule_at(tx_end, self._notify, node)
         return duration
 
     # -- internals ---------------------------------------------------------
+
+    def _arrival_start(self, receptions: list[Reception],
+                       coupled: list[int]) -> None:
+        """Energy of one transmission reaches its receivers and couplings."""
+        for reception in receptions:
+            self._notify(reception.receiver)
+        for node in coupled:
+            self._notify(node)
+
+    def _arrival_end(self, receptions: list[Reception],
+                     coupled: list[int]) -> None:
+        """One transmission's energy clears: deliver, then notify couplings."""
+        for reception in receptions:
+            self._deliver(reception)
+        for node in coupled:
+            self._notify(node)
 
     def _deliver(self, reception: Reception) -> None:
         state = self._state(reception.receiver)
@@ -472,9 +525,14 @@ class BroadcastChannel:
         # Half-duplex: if the receiver transmitted at any point during the
         # reception window, the frame is lost (the mark may have been set by
         # transmit(); re-check for transmissions that started mid-window).
+        # Own transmissions are in time order and disjoint, so walk back
+        # from the latest and stop at the first that ended before the
+        # reception began: every earlier one ended earlier still.
         if not reception.corrupted:
-            for start, end in state.transmissions:
-                if reception.overlaps(start, end):
+            for start, end in reversed(state.transmissions):
+                if end <= reception.start:
+                    break
+                if start < reception.end:
                     reception.corrupted = True
                     reception.corrupt_reason = "rx_during_tx"
                     break
@@ -516,8 +574,11 @@ class BroadcastChannel:
         A past transmission only matters while some reception window could
         still overlap it, and no frame stays on air longer than ~20 ms in
         any profile this library models; a 50 ms grace period is generous.
-        Keeping more than that makes carrier sense O(history) and grinds
-        saturated simulations to a halt.
+        Carrier sense reads only the latest own transmission; the grace
+        period bounds what is still scanned: the half-duplex walk in
+        :meth:`_deliver` and the noise and jam lists that
+        :meth:`medium_busy`, :meth:`busy_until` and :meth:`transmit` read
+        in full.
         """
         horizon = now - 0.05
         if state.transmissions and state.transmissions[0][1] < horizon:

@@ -10,7 +10,9 @@ Determinism
 Events with equal timestamps are executed in scheduling order (a
 monotonically increasing sequence number breaks ties), so a simulation with
 the same seed always produces the same trace.  This matters for the
-reproducibility claims in EXPERIMENTS.md.
+reproducibility claims in EXPERIMENTS.md.  The heap holds ``(time, seq,
+event)`` tuples: ``seq`` is unique, so ``heapq`` orders entries by
+comparing two floats and two ints in C and never reaches the event.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class Event:
             self._owner._note_cancelled()
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -74,7 +73,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -124,9 +123,10 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time {self._now}")
-        event = Event(time, self._seq, callback, args, owner=self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        event = Event(time, seq, callback, args, owner=self)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
@@ -151,13 +151,15 @@ class Simulator:
         # Per-event registry calls would dominate the dispatch loop, so the
         # run is accounted for once, after the loop, from local counters.
         started_at = self._now
+        queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         try:
             with obs.span("sim.engine.run"):
-                while self._queue:
-                    event = self._queue[0]
-                    if until is not None and event.time > until:
+                while queue:
+                    if queue[0][0] > horizon:
                         break
-                    heapq.heappop(self._queue)
+                    time, ____, event = heappop(queue)
                     event._popped = True
                     if event.cancelled:
                         continue
@@ -166,7 +168,7 @@ class Simulator:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "likely a runaway event loop")
-                    self._now = event.time
+                    self._now = time
                     event.callback(*event.args)
                     self._executed += 1
                     executed_this_run += 1
@@ -192,7 +194,7 @@ class Simulator:
         """
         obs.counter("sim.engine.steps").inc()
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event._popped = True
             if event.cancelled:
                 continue
@@ -206,6 +208,6 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)._popped = True
-        return self._queue[0].time if self._queue else None
+        while self._queue and self._queue[0][2].cancelled:
+            heapq.heappop(self._queue)[2]._popped = True
+        return self._queue[0][0] if self._queue else None

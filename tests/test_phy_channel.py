@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.net.topology import grid_topology
 from repro.phy.channel import BroadcastChannel, ChannelClient
 from repro.phy.frames import FrameKind, PhyFrame
 from repro.phy.radio import PhyParams
@@ -73,6 +74,12 @@ class TestDelivery:
         ____, channel, ____ = setup_channel(chain5)
         with pytest.raises(SimulationError):
             channel.transmit(0, frame_from(1))
+
+    def test_non_positive_airtime_rejected(self, chain5):
+        ____, channel, ____ = setup_channel(chain5)
+        for duration in (0.0, -1e-4, float("nan")):
+            with pytest.raises(SimulationError, match="positive"):
+                channel.transmit(0, frame_from(0), duration=duration)
 
     def test_double_transmit_rejected(self, chain5):
         ____, channel, ____ = setup_channel(chain5)
@@ -153,6 +160,66 @@ class TestCollisions:
         zero_to_one = [ok for f, ok in listeners[1].received if f.src == 0]
         assert zero_to_one == [False]
 
+    def test_half_duplex_check_looks_past_a_later_own_transmission(
+            self, chain5):
+        # 1 is on air when 0's frame starts arriving, then transmits
+        # again exactly as the reception ends (just before delivery):
+        # the later interval does not overlap, the earlier one does
+        sim, channel, listeners = setup_channel(chain5)
+        start, airtime = 0.5e-3, 1e-3
+        arrival_end = start + airtime + TEST_PHY.propagation_delay_s
+        sim.schedule_at(arrival_end, channel.transmit, 1,
+                        frame_from(1, bits=100))
+        channel.transmit(1, frame_from(1, bits=1000))  # [0, 1 ms)
+        sim.run(until=start)
+        channel.transmit(0, frame_from(0, bits=1000))
+        sim.run()
+        zero_to_one = [ok for f, ok in listeners[1].received if f.src == 0]
+        assert zero_to_one == [False]
+
+
+class TestEventBudget:
+    """A transmission costs the kernel three events however many hear it:
+    one arrival-start edge, one arrival-end edge and the transmitter's
+    ``tx_end`` notification."""
+
+    @pytest.mark.parametrize("rows, cols, node, heard_by",
+                             [(1, 5, 0, 1), (3, 3, 0, 2), (3, 3, 1, 3),
+                              (3, 3, 4, 4)])
+    def test_heard_transmission_leaves_three_events(self, rows, cols, node,
+                                                    heard_by):
+        topology = grid_topology(rows, cols)
+        sim, channel, listeners = setup_channel(topology)
+        assert len(topology.neighbors(node)) == heard_by
+        channel.transmit(node, frame_from(node))
+        assert sim.pending == 3
+        sim.run()
+        assert all(len(listeners[n].received) == 1
+                   for n in topology.neighbors(node))
+
+    def test_coupled_node_alone_leaves_three_events(self, chain5):
+        sim, channel, listeners = setup_channel(chain5)
+        channel.set_physical_couplings(sense_pairs={(0, 2)})
+        channel.set_node_down(1)
+        channel.transmit(0, frame_from(0))
+        assert sim.pending == 3
+        sim.run()
+        # watcher 2 sees the energy appear and clear; nobody receives
+        assert listeners[2].medium_changes == 2
+        assert all(not listener.received for listener in listeners.values())
+
+    def test_unheard_transmission_leaves_one_event(self, chain5):
+        sim, channel, ____ = setup_channel(chain5)
+        channel.set_link_down((0, 1))
+        channel.transmit(0, frame_from(0))
+        assert sim.pending == 1  # the transmitter's own tx_end
+
+    def test_suppressed_transmission_leaves_no_event(self, chain5):
+        sim, channel, ____ = setup_channel(chain5)
+        channel.set_node_down(0)
+        channel.transmit(0, frame_from(0))
+        assert sim.pending == 0
+
 
 class TestCarrierSense:
     def test_transmitter_senses_own_tx(self, chain5):
@@ -184,6 +251,19 @@ class TestCarrierSense:
         sim.run(until=2e-6)
         assert channel.busy_until(1) == pytest.approx(1e-3 + 1e-6)
         assert channel.busy_until(3) == pytest.approx(sim.now)
+
+    def test_only_the_latest_own_transmission_is_on_air(self, chain5):
+        sim, channel, ____ = setup_channel(chain5)
+        for start in (0.0, 2e-3, 4e-3):
+            sim.run(until=start)
+            channel.transmit(0, frame_from(0, bits=1000))  # 1 ms each
+            assert channel.transmitting(0)
+            assert channel.busy_until(0) == pytest.approx(start + 1e-3)
+        sim.run(until=4.5e-3)
+        assert channel.transmitting(0)
+        sim.run(until=5e-3)
+        assert not channel.transmitting(0)
+        assert channel.busy_until(0) == sim.now
 
     def test_medium_change_notifications(self, chain5):
         sim, channel, listeners = setup_channel(chain5)

@@ -1,6 +1,8 @@
 """Discrete-event kernel behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -268,3 +270,61 @@ def test_run_and_step_count_events_identically():
             obs.set_registry(previous)
 
     assert drive(stepwise=True) == drive(stepwise=False) == 5
+
+
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["schedule", "schedule_at", "run"]), _DELAYS),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.sampled_from(["step", "peek"]), st.none())),
+    max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS)
+def test_random_interleavings_match_a_sorted_list_oracle(ops):
+    """Callbacks fire in (time, seq) order under any mix of scheduling,
+    cancellation, stepping and bounded runs -- including cancelled events
+    sitting at the head of the heap -- and ``pending``/``peek_time``
+    agree with a sorted list of the live events."""
+    sim = Simulator()
+    fired, expected = [], []
+    handles = []
+    live = []  # (time, label); labels grow in scheduling order, like seq
+    now = 0.0
+    for op, arg in ops:
+        if op in ("schedule", "schedule_at"):
+            label = len(handles)
+            if op == "schedule":
+                handles.append(sim.schedule(arg, fired.append, label))
+            else:
+                handles.append(sim.schedule_at(now + arg, fired.append,
+                                               label))
+            live.append((now + arg, label))
+        elif op == "cancel":
+            if handles:
+                label = arg % len(handles)
+                handles[label].cancel()
+                live = [entry for entry in live if entry[1] != label]
+        elif op == "step":
+            assert sim.step() is bool(live)
+            if live:
+                head = min(live)
+                live.remove(head)
+                now = head[0]
+                expected.append(head[1])
+        elif op == "run":
+            until = now + arg
+            sim.run(until=until)
+            due = sorted(entry for entry in live if entry[0] <= until)
+            expected.extend(label for ____, label in due)
+            live = [entry for entry in live if entry[0] > until]
+            now = until
+        else:
+            assert sim.peek_time() == (min(live)[0] if live else None)
+        assert fired == expected
+        assert sim.now == now
+        assert sim.pending == len(live)
+    sim.run()
+    assert fired == expected + [label for ____, label in sorted(live)]
+    assert sim.pending == 0 and sim.peek_time() is None
