@@ -37,12 +37,12 @@ ADMISSION_GRID = grid_topology(2, 4)
 
 def test_bench_micro_conflict_graph(benchmark):
     graph = benchmark(conflict_graph, TOPOLOGY, 2)
-    assert graph.number_of_nodes() == TOPOLOGY.num_links()
+    assert graph.num_links == TOPOLOGY.num_links()
 
 
 def test_bench_micro_conflict_graph_churn_mesh(benchmark):
     graph = benchmark(conflict_graph, CHURN_MESH, 2)
-    assert graph.number_of_nodes() == CHURN_MESH.num_links()
+    assert graph.num_links == CHURN_MESH.num_links()
 
 
 def test_bench_micro_conflict_index_churn_mesh(benchmark):
@@ -55,14 +55,14 @@ def test_bench_micro_interference_graph(benchmark):
     # Incidence-map construction: work scales with actual interference
     # edges, not with all O(L^2) link pairs (see repro.core.conflict).
     graph = benchmark(interference_graph, TOPOLOGY)
-    assert graph.number_of_nodes() == TOPOLOGY.num_links()
-    assert graph.number_of_edges() > 0
+    assert graph.num_links == TOPOLOGY.num_links()
+    assert graph.num_conflicts > 0
 
 
 def test_bench_micro_interference_graph_churn_mesh(benchmark):
     graph = benchmark(interference_graph, CHURN_MESH)
-    assert graph.number_of_nodes() == CHURN_MESH.num_links()
-    assert graph.number_of_edges() > 0
+    assert graph.num_links == CHURN_MESH.num_links()
+    assert graph.num_conflicts > 0
 
 
 def test_bench_micro_clique_refutation_admission_grid(benchmark):

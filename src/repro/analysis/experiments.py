@@ -109,7 +109,7 @@ def e01_min_slots(call_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
         conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys()).graph
+                                          links=demands.keys())
         lower = demand_lower_bound(demands)
         search = minimum_slots(conflicts, demands, frame.data_slots,
                                delay_constraints=delay_constraints_for(
@@ -152,7 +152,7 @@ def e02_delay_vs_hops(hop_counts: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
         route = tuple((i, i + 1) for i in range(hops))
         demands = {link: 1 for link in route}
         conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys()).graph
+                                          links=demands.keys())
         slot_ms = frame_duration_s * 1000 / frame_slots
 
         ilp = solver.solve(SchedulingProblem(
@@ -195,7 +195,7 @@ def e03_delay_vs_frame(frame_durations_ms: Sequence[float] = (4, 8, 10, 16,
     route = tuple((i, i + 1) for i in range(hops))
     demands = {link: 1 for link in route}
     conflicts = SolverEngine().conflict_index(
-        topology, hops=2, links=demands.keys()).graph
+        topology, hops=2, links=demands.keys())
     tree = gateway_tree(topology, 0)
     good = schedule_from_order(conflicts, demands, frame_slots,
                                min_delay_tree_order(tree, 0))
@@ -380,7 +380,7 @@ def e07_ordering_compare(seed: int = 17) -> ExperimentResult:
             for link in route:
                 demands[link] = demands.get(link, 0) + 1
         conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys()).graph
+                                          links=demands.keys())
 
         def max_wraps(schedule) -> int:
             return max(path_wraps(schedule, route) for route in routes)
@@ -532,7 +532,7 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                      frame.data_slot_capacity_bits)
         cold = SolverEngine(warm_start=False, max_indexes=0, max_problems=0)
         conflicts = cold.conflict_index(topology, hops=2,
-                                        links=demands.keys()).graph
+                                        links=demands.keys())
         problem = SchedulingProblem(
             conflicts, demands, frame.data_slots,
             delay_constraints=delay_constraints_for(flows, slot_s),
@@ -599,7 +599,7 @@ def e11_spatial_reuse(chain_lengths: Sequence[int] = (4, 6, 8, 10, 12, 16),
         demands = {link: 1 for link in topology.links}
         slots = {}
         for hops in (1, 2):
-            conflicts = solver.conflict_index(topology, hops=hops).graph
+            conflicts = solver.conflict_index(topology, hops=hops)
             search = minimum_slots(conflicts, demands,
                                    frame_slots=len(demands),
                                    engine=solver)
@@ -735,7 +735,7 @@ def e14_distributed_vs_centralized() -> ExperimentResult:
          "served", "messages", "opportunities"])
     for name, topology, ____ in cases:
         demands = {link: 1 for link in topology.links}
-        conflicts = solver.conflict_index(topology, hops=2).graph
+        conflicts = solver.conflict_index(topology, hops=2)
         frame = 2 * len(demands)
         # binary search with a probe budget: all-links instances make the
         # infeasible probes near the optimum expensive, and a near-optimal
@@ -897,7 +897,7 @@ def e16_two_class(call_counts: Sequence[int] = (0, 1, 2, 3, 4, 5, 6),
             frame.frame_duration_s, frame.data_slot_capacity_bits)
         all_links = set(g_demands) | set(be_demands)
         conflicts = solver.conflict_index(topology, hops=2,
-                                          links=all_links).graph
+                                          links=all_links)
         try:
             two = schedule_service_classes(conflicts, service, frame)
         except InfeasibleScheduleError:
@@ -1100,7 +1100,7 @@ def e18_control_loss(loss_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
             block.length))
     all_links = set(dict(schedule_a.items())) | set(dict(schedule_b.items()))
     conflicts = SolverEngine().conflict_index(topology, hops=2,
-                                              links=all_links).graph
+                                              links=all_links)
 
     blackout_links = [tuple(sorted((victim, n)))
                       for n in topology.neighbors(victim)]
@@ -1542,7 +1542,7 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
         if len(demands) <= exact_link_cap:
             started = time_mod.perf_counter()
             exact = minimum_slots(
-                index.graph, demands, frame.data_slots, constraints,
+                index, demands, frame.data_slots, constraints,
                 engine=engine,
                 policy=SolverPolicy(mode="exact", search="binary"))
             exact_s = time_mod.perf_counter() - started
@@ -1582,7 +1582,7 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
 
         result.rows.append([
             num_nodes, num_flows, len(demands),
-            index.graph.number_of_edges(), lower,
+            index.num_conflicts, lower,
             exact.slots if exact is not None else None,
             zoned.slots, greedy.slots,
             (zoned.meta or {}).get("num_zones"),
@@ -1744,24 +1744,23 @@ def e23_interference_backends(
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
         links = sorted(demands)
-        proto_graph = engine.conflict_index(topology, hops=2,
-                                            links=links).graph
-        sinr_graph = engine.conflict_index(topology, interference=sinr,
-                                           links=links).graph
+        proto_index = engine.conflict_index(topology, hops=2, links=links)
+        sinr_index = engine.conflict_index(topology, interference=sinr,
+                                           links=links)
         uncovered = uncovered_interference(topology, hops=2, truth=sinr)
         hidden = sinr.hidden_node_pairs(topology)
         constraints = delay_constraints_for(flows, slot_s)
-        proto = minimum_slots(proto_graph, demands, frame.data_slots,
+        proto = minimum_slots(proto_index, demands, frame.data_slots,
                               delay_constraints=constraints, engine=engine)
-        phys = minimum_slots(sinr_graph, demands, frame.data_slots,
+        phys = minimum_slots(sinr_index, demands, frame.data_slots,
                              delay_constraints=constraints, engine=engine)
         # S8 both ways: the protocol schedule audited against the SINR
         # truth (nonzero = the abstraction's blind spot, scheduled), and
-        # the SINR schedule against its own graph (must be clean).
-        proto_viol = (len(proto.schedule.violations(sinr_graph))
+        # the SINR schedule against its own relation (must be clean).
+        proto_viol = (len(proto.schedule.violations(sinr_index))
                       if proto.schedule is not None else None)
         sinr_ok = (phys.schedule is not None
-                   and phys.schedule.violations(sinr_graph) == [])
+                   and phys.schedule.violations(sinr_index) == [])
         rates = sinr.link_rates(topology, links=links)
         mix: dict[str, int] = {}
         for entry in rates.values():
@@ -1775,7 +1774,7 @@ def e23_interference_backends(
                                     interference=sinr)
         result.rows.append([
             mult, round(sinr.carrier_sense_range_m(), 1),
-            proto_graph.number_of_edges(), sinr_graph.number_of_edges(),
+            proto_index.num_conflicts, sinr_index.num_conflicts,
             len(uncovered), len(hidden),
             proto.slots, phys.slots, proto_viol, sinr_ok, mcs_mix,
             dcf_plain.extras["collisions"], dcf_phys.extras["collisions"],

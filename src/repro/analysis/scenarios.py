@@ -92,7 +92,7 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
     conflicts = eng.conflict_index(topology,
                                    hops=None if interference else 2,
                                    interference=interference,
-                                   links=demands.keys()).graph
+                                   links=demands.keys())
     slots = frame_config.data_slots
 
     if method == "greedy":
@@ -147,7 +147,7 @@ def admit_flows(topology: MeshTopology, flows: FlowSet,
         conflicts = eng.conflict_index(topology,
                                        hops=None if interference else 2,
                                        interference=interference,
-                                       links=demands.keys()).graph
+                                       links=demands.keys())
         problem = SchedulingProblem(
             conflicts=conflicts, demands=demands,
             frame_slots=frame_config.data_slots,

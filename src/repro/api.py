@@ -278,10 +278,10 @@ class Scenario:
 
     @property
     def conflicts(self):
-        """Conflict graph over the demanded links (engine-cached)."""
+        """Conflict relation over the demanded links (engine-cached)."""
         return self.engine.conflict_index(
             self.topology, interference=self.interference,
-            links=sorted(self.demands)).graph
+            links=sorted(self.demands))
 
     @property
     def delay_constraints(self) -> list:

@@ -2,7 +2,8 @@
 
 This package implements the paper line's algorithmic contribution:
 
-- conflict graphs over directed links (:mod:`repro.core.conflict`);
+- the conflict relation over directed links, :class:`ConflictIndex`
+  (:mod:`repro.core.conflict`);
 - the schedule data model with conflict-freeness validation
   (:mod:`repro.core.schedule`);
 - a difference-constraint / Bellman-Ford solver used to recover concrete
@@ -32,9 +33,9 @@ from repro.core.besteffort import (
     pack_best_effort,
     schedule_two_classes,
 )
-from repro.core.conflict import conflict_graph, conflicting_pairs
+from repro.core.conflict import ConflictIndex, conflict_graph
 from repro.core.delay import path_delay_slots, path_wraps, worst_case_delay_slots
-from repro.core.engine import ConflictIndex, SolverEngine, default_engine
+from repro.core.engine import SolverEngine, default_engine
 from repro.core.greedy import greedy_schedule
 from repro.core.guarantees import GuaranteeReport, check_guarantees
 from repro.core.ilp import ILPResult, SchedulingProblem, solve_schedule_ilp
@@ -74,7 +75,6 @@ __all__ = [
     "pack_best_effort",
     "schedule_two_classes",
     "conflict_graph",
-    "conflicting_pairs",
     "default_engine",
     "greedy_minimum_slots",
     "greedy_schedule",

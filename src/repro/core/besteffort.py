@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-import networkx as nx
-
+from repro.core.conflict import ConflictIndex
 from repro.core.ilp import DelayConstraint
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.schedule import Schedule, SlotBlock
@@ -71,7 +70,7 @@ class TwoClassSchedule:
         return granted / asked
 
 
-def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
+def pack_best_effort(conflicts: ConflictIndex, demands: Mapping[Link, int],
                      region_start: int, frame_slots: int,
                      occupied: Optional[Schedule] = None) -> Schedule:
     """Elastically pack best-effort blocks into ``[region_start, frame)``.
@@ -87,9 +86,6 @@ def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
     assignments: dict[Link, SlotBlock] = {}
 
     def busy_intervals(link: Link) -> list[tuple[int, int]]:
-        if link not in conflicts:
-            raise ConfigurationError(
-                f"best-effort link {link} missing from conflict graph")
         intervals = []
         for other in conflicts.neighbors(link):
             if other in assignments:
@@ -129,7 +125,7 @@ def pack_best_effort(conflicts: nx.Graph, demands: Mapping[Link, int],
     return schedule
 
 
-def schedule_two_classes(conflicts: nx.Graph,
+def schedule_two_classes(conflicts: ConflictIndex,
                          guaranteed_demands: Mapping[Link, int],
                          best_effort_demands: Mapping[Link, int],
                          frame_slots: int,

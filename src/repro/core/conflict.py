@@ -1,7 +1,7 @@
-"""Conflict graph construction under the k-hop protocol interference model.
+"""The link conflict relation: one builder, one type (:class:`ConflictIndex`).
 
-The conflict graph has one vertex per *directed link* of the mesh; an edge
-between two links means they may not be active in the same TDMA slot.  Under
+The conflict relation has one vertex per *directed link* of the mesh; two
+links conflict when they may not be active in the same TDMA slot.  Under
 the k-hop protocol model, links ``(u, v)`` and ``(a, b)`` conflict iff the
 hop distance between their endpoint sets is at most ``k - 1``:
 
@@ -15,17 +15,23 @@ hop distance between their endpoint sets is at most ``k - 1``:
 Larger ``k`` models wider interference ranges (e.g. carrier sense ranges
 exceeding communication range).
 
-One builder serves the k-hop model, the channel's exact interference rule
-(:mod:`repro.phy.interference`) and the engine's delta updates: a relation
-is two node sets per link (:data:`_NearSets`), :func:`_conflict_rows` scans
-an incidence map for them, :func:`_graph_from_edges` materialises.
+Every relation -- k-hop, the channel's exact interference rule
+(:mod:`repro.phy.interference`), the SINR model, the engine's delta
+updates and zone subindexes -- is a :class:`ConflictIndex`: sorted link
+rows over the canonical link order.  Every solver layer reads it; its
+:attr:`~ConflictIndex.graph` is a one-way :mod:`networkx` export.  The
+row builder takes two node sets per link (:data:`_NearSets`) and scans an
+incidence map for them (:func:`_conflict_rows`).
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology
@@ -36,39 +42,173 @@ from repro.net.topology import Link, MeshTopology
 _NearSets = Callable[[Link], tuple[set[int], set[int]]]
 
 
+class ConflictIndex:
+    """An immutable, shareable conflict (or interference) relation.
+
+    ``links`` is the canonical (sorted) link order and ``rows[i]`` the
+    sorted positions of the links conflicting with ``links[i]``; the rows
+    are also kept as CSR arrays (:attr:`indptr`/:attr:`indices`).
+    ``hops`` is the protocol-model distance, or ``None`` for any other
+    relation.  Treat instances as frozen: they are shared across every
+    consumer of the owning engine.
+
+    :attr:`key` names the relation in the engine's caches: the engine's
+    cache key for indexes it built, else ``adhoc/<fingerprint>``, derived
+    from the content.  Protocol-model indexes built through
+    :meth:`~repro.core.engine.SolverEngine.conflict_index` additionally
+    carry a snapshot of the topology they were computed from
+    (:attr:`topo_nodes` / :attr:`topo_edges`, undirected sorted pairs),
+    which is what lets a later request be answered by a *delta update*
+    (:func:`~repro.core.engine.updated_conflict_edges`).
+    """
+
+    __slots__ = ("_key", "hops", "links", "indptr", "indices", "_rows",
+                 "_positions", "_fingerprint", "_graph",
+                 "topo_nodes", "topo_edges")
+
+    def __init__(self, links: Sequence[Link], rows: list[list[int]],
+                 hops: Optional[int] = None) -> None:
+        self._key: Optional[str] = None
+        self.hops = hops
+        self.topo_nodes: Optional[frozenset[int]] = None
+        self.topo_edges: Optional[frozenset[tuple[int, int]]] = None
+        self.links: tuple[Link, ...] = tuple(links)
+        self._positions = {link: i for i, link in enumerate(self.links)}
+        self._rows = rows
+        self._fingerprint: Optional[str] = None
+        self._graph: Optional[nx.Graph] = None
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        self.indptr[1:] = np.cumsum([len(row) for row in rows])
+        self.indices = np.array([j for row in rows for j in row], np.int64)
+
+    @classmethod
+    def from_graph(cls, graph: nx.Graph) -> "ConflictIndex":
+        """The relation of a hand-built :mod:`networkx` graph over links."""
+        links = sorted(graph.nodes)
+        positions = {link: i for i, link in enumerate(links)}
+        return cls(links, [sorted(positions[other]
+                                  for other in graph.neighbors(link))
+                           for link in links])
+
+    def _attach(self, key: str,
+                topo_nodes: Optional[frozenset[int]] = None,
+                topo_edges: Optional[frozenset[tuple[int, int]]] = None
+                ) -> "ConflictIndex":
+        """Name a freshly built index after its engine cache entry."""
+        self._key = key
+        self.topo_nodes, self.topo_edges = topo_nodes, topo_edges
+        return self
+
+    @property
+    def key(self) -> str:
+        if self._key is None:
+            return f"adhoc/{self.fingerprint}"
+        return self._key
+
+    @property
+    def fingerprint(self) -> str:
+        """Content hash: the sorted links, then :meth:`pairs` (memoised)."""
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            digest.update(repr(list(self.links)).encode())
+            digest.update(repr(self.pairs()).encode())
+            self._fingerprint = digest.hexdigest()[:16]
+        return self._fingerprint
+
+    @property
+    def graph(self) -> nx.Graph:
+        """A :mod:`networkx` export (sorted nodes, pairs in sorted order)."""
+        if self._graph is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self.links)
+            graph.add_edges_from(self.pairs())
+            self._graph = graph
+        return self._graph
+
+    @property
+    def num_links(self) -> int:
+        return len(self.links)
+
+    @property
+    def num_conflicts(self) -> int:
+        return int(self.indices.size // 2)
+
+    def position(self, link: Link) -> int:
+        """Stable index of ``link`` in the canonical :attr:`links` order."""
+        try:
+            return self._positions[link]
+        except KeyError:
+            raise ConfigurationError(
+                f"{link} is not a vertex of this conflict index (missing "
+                "from the relation)") from None
+
+    def neighbors(self, link: Link) -> tuple[Link, ...]:
+        """Links conflicting with ``link``, in canonical order."""
+        return tuple(map(self.links.__getitem__,
+                         self._rows[self.position(link)]))
+
+    def degree(self, link: Link) -> int:
+        return len(self._rows[self.position(link)])
+
+    def has_edge(self, a: Link, b: Link) -> bool:
+        """True iff links ``a`` and ``b`` conflict."""
+        row, j = self._rows[self.position(a)], self.position(b)
+        k = bisect.bisect_left(row, j)
+        return k < len(row) and row[k] == j
+
+    def pairs(self) -> list[tuple[Link, Link]]:
+        """Every conflict once, as ``(a, b)`` with ``a < b``, sorted."""
+        return _pairs_among(self, self.links)
+
+    def __contains__(self, link: object) -> bool:
+        return link in self._positions
+
+
+def _pairs_among(index: ConflictIndex,
+                 links: Iterable[Link]) -> list[tuple[Link, Link]]:
+    """The sorted ``(a, b)``, ``a < b`` conflicts with both ends in ``links``.
+
+    Every link resolves through :meth:`ConflictIndex.position`, so one
+    missing from the relation raises instead of passing as conflict-free.
+    """
+    members = sorted(map(index.position, links))
+    inside = set(members)
+    at, rows = index.links, index._rows
+    return [(at[i], at[j]) for i in members for j in rows[i]
+            if j > i and j in inside]
+
+
+def _check_hops(hops: object) -> None:
+    """The one ``hops`` check: the k-hop model needs an integer ``k >= 1``."""
+    if not isinstance(hops, int) or isinstance(hops, bool) or hops < 1:
+        raise ConfigurationError(
+            f"interference model needs integer hops >= 1, got {hops!r}")
+
+
 def conflict_graph(topology: MeshTopology, hops: int = 2,
-                   links: Iterable[Link] | None = None) -> nx.Graph:
-    """Build the conflict graph for (a subset of) the topology's links.
+                   links: Iterable[Link] | None = None) -> ConflictIndex:
+    """The k-hop conflict relation over (a subset of) the topology's links.
 
     Parameters
     ----------
     topology:
         The mesh connectivity graph.
     hops:
-        The ``k`` of the k-hop interference model (>= 1).  Two distinct
-        links conflict iff some endpoint of one is within ``k - 1`` hops of
-        some endpoint of the other.
+        The ``k`` of the k-hop interference model (an integer >= 1).  Two
+        distinct links conflict iff some endpoint of one is within
+        ``k - 1`` hops of some endpoint of the other.
     links:
-        Restrict the conflict graph to these directed links (default: all
+        Restrict the relation to these directed links (default: all
         links of the topology).  Scheduling only the links that carry
         demand keeps the ILP small.
 
     Returns
     -------
-    networkx.Graph
+    ConflictIndex
         Vertices are directed :data:`~repro.net.topology.Link` tuples.
     """
+    _check_hops(hops)
     link_list = _resolve_links(topology, links)
-    near = _checked_khop_near_sets(topology, hops, link_list)
-    return _graph_from_edges(
-        link_list, _row_edges(_conflict_rows(link_list, near)))
-
-
-def _checked_khop_near_sets(topology: MeshTopology, hops: int,
-                            link_list: Sequence[Link]) -> _NearSets:
-    """The k-hop near sets, after the one bad/degenerate ``hops`` guard."""
-    if hops < 1:
-        raise ConfigurationError(f"interference model needs hops >= 1, got {hops}")
     near = _khop_near_sets(topology, hops)
     # A widened model (hops > 2) whose reach spans the whole mesh from
     # every link is degenerate: all links pairwise conflict, the schedule
@@ -86,7 +226,16 @@ def _checked_khop_near_sets(topology: MeshTopology, hops: int,
                 "to one link per slot. Use a smaller hops value, or an "
                 "SinrModel if you need wider-than-communication "
                 "interference (see docs/interference.md)")
-    return near
+    return _index_from_rows(link_list, near, hops)
+
+
+def _index_from_rows(link_list: Sequence[Link], near: _NearSets,
+                     hops: Optional[int] = None) -> ConflictIndex:
+    """The :class:`ConflictIndex` of relation ``near`` over ``link_list``."""
+    position = {link: i for i, link in enumerate(link_list)}
+    return ConflictIndex(link_list, [
+        sorted(map(position.__getitem__, partners))
+        for _, partners in _conflict_rows(link_list, near)], hops)
 
 
 def _resolve_links(topology: MeshTopology,
@@ -164,40 +313,6 @@ def _conflict_rows(link_list: Sequence[Link], near: _NearSets,
         yield a, partners
 
 
-def _graph_from_edges(link_list: Iterable[Link],
-                      edges: Iterable[tuple[Link, Link]]) -> nx.Graph:
-    """Materialise a conflict graph in the canonical insertion order.
-
-    ``link_list`` must be sorted and ``edges`` sorted ``(a, b)`` pairs with
-    ``a < b``; every adjacency list then comes out sorted, whichever
-    builder produced the edges.
-    """
-    graph = nx.Graph()
-    graph.add_nodes_from(link_list)
-    graph.add_edges_from(edges)
-    return graph
-
-
-def _row_edges(rows: Iterable) -> Iterator[tuple[Link, Link]]:
-    """Sorted ``(a, b)``, ``a < b`` edges of sorted ``(a, partners)`` rows."""
-    return ((a, b) for a, partners in rows
-            for b in sorted(p for p in partners if p > a))
-
-
-def conflicting_pairs(conflicts: nx.Graph) -> Iterator[tuple[Link, Link]]:
-    """Iterate conflict-graph edges in a deterministic (sorted) order.
-
-    The ILP builder relies on this ordering to index its binary variables
-    consistently across runs.
-    """
-    return iter(sorted(tuple(sorted(edge)) for edge in conflicts.edges))
-
-
-def conflict_degree(conflicts: nx.Graph) -> dict[Link, int]:
-    """Number of conflicting neighbours per link (a scheduling-hardness proxy)."""
-    return {link: conflicts.degree(link) for link in conflicts.nodes}
-
-
 def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     """A lower bound on frame slots: the heaviest known clique of conflicts.
 
@@ -224,8 +339,8 @@ def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     return best
 
 
-def _greedy_clique_demand(conflicts: nx.Graph, demands: Mapping[Link, int],
-                          region: int) -> int:
+def _greedy_clique_demand(conflicts: ConflictIndex,
+                          demands: Mapping[Link, int], region: int) -> int:
     """Weight of a heavy clique of demanded links, stopping above ``region``.
 
     The heaviest single link is the first candidate.  Then the search
@@ -239,23 +354,25 @@ def _greedy_clique_demand(conflicts: nx.Graph, demands: Mapping[Link, int],
     ``region`` members, so after an O(conflict edges) set-up each start
     costs at most ``region + 1`` bitmask steps (the maximum-weight clique
     search of networkx recurses once per member and takes seconds on a
-    dense mesh).
+    dense mesh).  A demanded link missing from ``conflicts`` raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     demanded = {link: d for link, d in demands.items() if d > 0}
-    best = max(demanded.values(), default=0)
-    if best > region:
-        return best
     # Bit i stands for the i-th heaviest demanded link (ties: canonical
     # order), so the lowest set bit of a candidate mask is the next pick.
     heaviest = sorted(demanded, key=lambda link: (-demanded[link], link))
-    rank = {link: i for i, link in enumerate(heaviest)}
+    positions = [conflicts.position(link) for link in heaviest]
+    best = max(demanded.values(), default=0)
+    if best > region:
+        return best
+    rank = {p: i for i, p in enumerate(positions)}
     weights = [demanded[link] for link in heaviest]
-    near = [sum(1 << rank[other] for other in conflicts.adj[link]
-                if other in rank) if link in conflicts else 0
-            for link in heaviest]
+    rows = conflicts._rows
+    near = [sum(1 << rank[j] for j in rows[p] if j in rank)
+            for p in positions]
     for start in sorted(demanded):
         weight = demanded[start]
-        candidates = near[rank[start]]
+        candidates = near[rank[conflicts._positions[start]]]
         while candidates and weight <= region:
             pick = (candidates & -candidates).bit_length() - 1
             weight += weights[pick]

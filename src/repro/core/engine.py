@@ -7,12 +7,12 @@ from a fixed order with one Bellman-Ford pass over the conflict graph.  A
 :class:`SolverEngine` exploits that structure instead of treating every
 probe, repair and sweep point as a cold solve:
 
-1. **Cached conflict-graph layer.**  :meth:`SolverEngine.conflict_index`
-   returns an immutable :class:`ConflictIndex` -- CSR adjacency, with the
-   conflict graph materialised on demand -- keyed by a topology/links/hops
-   fingerprint and kept in a small LRU, so minslots, repair, distributed
-   validation and analysis share one build per scenario instead of each
-   calling :func:`~repro.core.conflict.conflict_graph` independently.
+1. **Cached conflict-relation layer.**  :meth:`SolverEngine.conflict_index`
+   returns the immutable :class:`~repro.core.conflict.ConflictIndex` that
+   :func:`~repro.core.conflict.conflict_graph` builds -- sorted link rows,
+   also as CSR -- keyed by a topology/links/hops fingerprint and kept in a
+   small LRU, so minslots, repair, distributed validation and analysis
+   share one build per scenario instead of each building it again.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Cache *misses* on
@@ -68,20 +68,14 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
-import networkx as nx
-import numpy as np
-
 from repro import obs
 from repro.core.conflict import (
+    ConflictIndex,
     _ball,
-    _checked_khop_near_sets,
     _conflict_rows,
-    _graph_from_edges,
     _khop_near_sets,
     _resolve_links,
-    _row_edges,
-    conflict_graph,  # noqa: F401 -- perfbench/tracer.py wraps it by this name
-    conflicting_pairs,
+    conflict_graph,
 )
 from repro.core.ilp import (
     DEFAULT_NODE_LIMIT,
@@ -146,14 +140,6 @@ def topology_fingerprint(topology: MeshTopology) -> str:
     return fingerprint
 
 
-def _edges_fingerprint(graph: nx.Graph) -> str:
-    """Content hash of a conflict graph (vertices + edges)."""
-    digest = hashlib.sha256()
-    digest.update(repr(sorted(graph.nodes)).encode())
-    digest.update(repr(list(conflicting_pairs(graph))).encode())
-    return digest.hexdigest()[:16]
-
-
 _SALT_CACHE: list[str] = []
 
 
@@ -193,7 +179,7 @@ def canonical_problem_key(problem: SchedulingProblem,
     """
     digest = hashlib.sha256()
     digest.update(_cache_salt().encode())
-    digest.update(_edges_fingerprint(problem.conflicts).encode())
+    digest.update(problem.conflicts.fingerprint.encode())
     digest.update(repr(sorted(problem.demands.items())).encode())
     digest.update(repr((problem.frame_slots, problem.effective_region,
                         problem.minimize_max_delay,
@@ -204,98 +190,7 @@ def canonical_problem_key(problem: SchedulingProblem,
     return digest.hexdigest()[:24]
 
 
-class ConflictIndex:
-    """An immutable, shareable view of one conflict (or interference) relation.
-
-    Built as CSR adjacency over the canonical link ordering
-    (:attr:`indptr`/:attr:`indices`, kept with its per-row lists); the
-    :mod:`networkx` :attr:`graph` is the constructor's, or, for row-built
-    (protocol and zone) indexes, materialised once on first access.
-
-    ``hops`` is the protocol-model distance, or ``None`` for the exact
-    interference relation.  Treat instances (and :attr:`graph`) as frozen:
-    they are shared across every consumer of the owning engine.
-
-    Protocol-model indexes built through :meth:`SolverEngine.conflict_index`
-    additionally carry a snapshot of the topology they were computed from
-    (:attr:`topo_nodes` / :attr:`topo_edges`, undirected sorted pairs).
-    The snapshot is what makes *delta updates* possible: a later request
-    for a slightly different topology/link set can be diffed against it
-    and answered by rescanning only the dirty links instead of rebuilding
-    the whole conflict relation (see :func:`updated_conflict_edges`).
-    """
-
-    __slots__ = ("key", "hops", "links", "indptr", "indices", "_rows",
-                 "_graph", "_positions", "topo_nodes", "topo_edges")
-
-    def __init__(self, key: str, hops: Optional[int],
-                 graph: nx.Graph,
-                 topo_nodes: Optional[frozenset[int]] = None,
-                 topo_edges: Optional[frozenset[tuple[int, int]]] = None
-                 ) -> None:
-        links = sorted(graph.nodes)
-        positions = {link: i for i, link in enumerate(links)}
-        self._fill(key, hops, links,
-                   [sorted(positions[other] for other in graph.neighbors(link))
-                    for link in links], topo_nodes, topo_edges)
-        self._graph = graph
-
-    @classmethod
-    def _from_rows(cls, key: str, hops: Optional[int],
-                   links: Sequence[Link], rows: list[list[int]],
-                   topo_nodes=None, topo_edges=None) -> "ConflictIndex":
-        """An index over sorted ``links`` from sorted position rows, no graph."""
-        index = cls.__new__(cls)
-        index._fill(key, hops, links, rows, topo_nodes, topo_edges)
-        return index
-
-    def _fill(self, key, hops, links, rows, topo_nodes, topo_edges) -> None:
-        self.key, self.hops = key, hops
-        self.topo_nodes, self.topo_edges = topo_nodes, topo_edges
-        self.links: tuple[Link, ...] = tuple(links)
-        self._positions = {link: i for i, link in enumerate(self.links)}
-        self._rows = rows
-        self._graph: Optional[nx.Graph] = None
-        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        self.indptr[1:] = np.cumsum([len(row) for row in rows])
-        self.indices = np.array([j for row in rows for j in row], np.int64)
-
-    @property
-    def graph(self) -> nx.Graph:
-        if self._graph is None:  # the conflict_graph() order, from the rows
-            self._graph = _graph_from_edges(self.links, _row_edges(
-                zip(self.links, map(self.neighbors, self.links))))
-        return self._graph
-
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
-    @property
-    def num_conflicts(self) -> int:
-        return int(self.indices.size // 2)
-
-    def position(self, link: Link) -> int:
-        """Stable index of ``link`` in the canonical :attr:`links` order."""
-        try:
-            return self._positions[link]
-        except KeyError:
-            raise ConfigurationError(
-                f"{link} is not a vertex of this conflict index") from None
-
-    def neighbors(self, link: Link) -> tuple[Link, ...]:
-        """Links conflicting with ``link``, in canonical order."""
-        return tuple(map(self.links.__getitem__,
-                         self._rows[self.position(link)]))
-
-    def degree(self, link: Link) -> int:
-        return len(self._rows[self.position(link)])
-
-    def __contains__(self, link: object) -> bool:
-        return link in self._positions
-
-
-def updated_conflict_edges(old: "ConflictIndex", topology: MeshTopology,
+def updated_conflict_edges(old: ConflictIndex, topology: MeshTopology,
                            hops: int, link_list: Sequence[Link],
                            snapshot: tuple[frozenset[int],
                                            frozenset[tuple[int, int]]]
@@ -435,7 +330,7 @@ class SolverEngine:
             "ilp_probes": 0, "bf_shortcuts": 0,
         }
 
-    # -- conflict-graph layer -------------------------------------------------
+    # -- conflict-relation layer ---------------------------------------------
 
     def conflict_index(self, topology: MeshTopology,
                        hops: Optional[int] = None,
@@ -468,10 +363,6 @@ class SolverEngine:
         if hops is not None and interference is not None:
             raise ConfigurationError(
                 "pass either hops= or interference=, not both")
-        if hops is not None and (not isinstance(hops, int)
-                                 or isinstance(hops, bool) or hops < 1):
-            raise ConfigurationError(
-                f"interference model needs hops >= 1, got {hops}")
         model = coerce_interference(interference,
                                     default_hops=2 if hops is None else hops)
         if not isinstance(model, ProtocolModel):
@@ -484,23 +375,22 @@ class SolverEngine:
             snapshot = (frozenset(topology.graph.nodes),
                         frozenset(tuple(sorted(e))
                                   for e in topology.graph.edges))
-            link_list = _resolve_links(topology, link_key)
             base = (self._delta_bases.get(lineage)
                     if self.delta_updates and self.max_indexes > 0 else None)
-            rows = (None if base is None else updated_conflict_edges(
-                base, topology, hops, link_list, snapshot))
-            stat = "delta_updates"
+            rows = None
+            if base is not None:
+                link_list = _resolve_links(topology, link_key)
+                rows = updated_conflict_edges(base, topology, hops,
+                                              link_list, snapshot)
             if rows is None:
                 stat = "index_builds"
-                near = _checked_khop_near_sets(topology, hops, link_list)
-                position = {link: i for i, link in enumerate(link_list)}
-                rows = [sorted(map(position.__getitem__, partners))
-                        for _, partners in _conflict_rows(link_list, near)]
-            index = ConflictIndex._from_rows(name, hops, link_list, rows,
-                                             *snapshot)
+                index = conflict_graph(topology, hops=hops, links=link_key)
+            else:
+                stat = "delta_updates"
+                index = ConflictIndex(link_list, rows, hops)
             obs.counter("core.interference.protocol_edges").inc(
                 index.num_conflicts)
-            return stat, index
+            return stat, index._attach(name, *snapshot)
 
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
         return self._index_for(key, build, lineage)
@@ -521,11 +411,11 @@ class SolverEngine:
                model.cache_token(topology), link_key)
 
         def build(name: str) -> tuple[str, ConflictIndex]:
-            graph = model.conflict_graph(
+            index = model.conflict_graph(
                 topology, links=None if link_key is None else list(link_key))
             obs.counter(f"core.interference.{model.kind}_edges").inc(
-                graph.number_of_edges())
-            return "index_builds", ConflictIndex(name, None, graph)
+                index.num_conflicts)
+            return "index_builds", index._attach(name)
 
         return self._index_for(key, build)
 
@@ -534,10 +424,10 @@ class SolverEngine:
         """The (cached) conflict subindex induced by a zone's links.
 
         ``base`` is the full-mesh index the zone was partitioned from;
-        the subindex wraps the conflict subgraph induced by ``links``
-        (canonical node and edge insertion order, so it is
-        indistinguishable from a direct build).  Zone requests are keyed
-        by ``(base.key, zone fingerprint)`` in a **dedicated LRU** --
+        the subindex holds the rows ``base`` induces on ``links``
+        (canonical link order, so it is indistinguishable from a direct
+        build).  Zone requests are keyed by ``(base.key, zone
+        fingerprint)`` in a **dedicated LRU** --
         zoned solves touch dozens of zones per search, and sharing the
         main index cache would evict the full-mesh entry every consumer
         relies on.  ``stats["zone_index_hits"]`` and the
@@ -555,10 +445,10 @@ class SolverEngine:
             return cached
         # base.neighbors() checks membership and keeps rows in link order
         members = {link: i for i, link in enumerate(zone)}
-        index = ConflictIndex._from_rows(
-            "/".join(map(repr, key)), base.hops, zone,
-            [[members[b] for b in base.neighbors(a) if b in members]
-             for a in zone])
+        index = ConflictIndex(
+            zone, [[members[b] for b in base.neighbors(a) if b in members]
+                   for a in zone], base.hops)
+        index._attach("/".join(map(repr, key)))
         self.stats["zone_index_builds"] += 1
         obs.counter("core.engine.zone_index_builds").inc()
         if self.max_indexes > 0:
@@ -581,8 +471,7 @@ class SolverEngine:
 
         key = ("interference", topology_fingerprint(topology))
         return self._index_for(key, lambda name: (
-            "index_builds",
-            ConflictIndex(name, None, interference_graph(topology))))
+            "index_builds", interference_graph(topology)._attach(name)))
 
     def _index_for(self, key: tuple, build,
                    lineage: Optional[tuple[int, bool]] = None
@@ -642,8 +531,9 @@ class SolverEngine:
 
     # -- warm-started order certification ------------------------------------
 
-    def certify_order(self, conflicts: nx.Graph, demands: Mapping[Link, int],
-                      frame_slots: int, region: int,
+    def certify_order(self, conflicts: ConflictIndex,
+                      demands: Mapping[Link, int], frame_slots: int,
+                      region: int,
                       delay_constraints: Sequence[DelayConstraint],
                       order: TransmissionOrder) -> Optional[Schedule]:
         """Certify region-``K`` feasibility from a carried order, or ``None``.
@@ -675,7 +565,7 @@ class SolverEngine:
 
     # -- warm-started minimum-slots search -----------------------------------
 
-    def run_search(self, conflicts: nx.Graph, demands: Mapping[Link, int],
+    def run_search(self, conflicts: ConflictIndex, demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
                    search: str, ceiling: int,

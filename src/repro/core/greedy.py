@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-import networkx as nx
 import numpy as np
 
+from repro.core.conflict import ConflictIndex
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
@@ -53,7 +53,7 @@ def _earliest_fit(busy: list[tuple[int, int]], length: int,
     return candidate
 
 
-def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
+def greedy_schedule(conflicts: ConflictIndex, demands: Mapping[Link, int],
                     frame_slots: Optional[int] = None,
                     strategy: str = "demand",
                     rng: Optional[np.random.Generator] = None) -> Schedule:
@@ -62,7 +62,9 @@ def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
     Parameters
     ----------
     conflicts:
-        Conflict graph over (at least) the demanded links.
+        Conflict relation over (at least) the demanded links; a demanded
+        link missing from it raises
+        :class:`~repro.errors.ConfigurationError`.
     demands:
         Slots per frame needed by each link; zero-demand links are skipped.
     frame_slots:
@@ -77,9 +79,6 @@ def greedy_schedule(conflicts: nx.Graph, demands: Mapping[Link, int],
     order = _link_processing_order(demands, strategy, rng)
     starts: dict[Link, SlotBlock] = {}
     for link in order:
-        if link not in conflicts:
-            raise ConfigurationError(
-                f"demanded link {link} missing from conflict graph")
         busy = [(starts[other].start, starts[other].end)
                 for other in conflicts.neighbors(link) if other in starts]
         start = _earliest_fit(busy, demands[link], frame_slots)

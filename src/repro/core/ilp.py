@@ -39,13 +39,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro import obs
-from repro.core.conflict import _greedy_clique_demand, conflicting_pairs
+from repro.core.conflict import (
+    ConflictIndex,
+    _greedy_clique_demand,
+    _pairs_among,
+)
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, SolverError
@@ -96,7 +99,7 @@ def delay_constraints_for(flows: Iterable,
 class SchedulingProblem:
     """Inputs to the delay-aware scheduling ILP."""
 
-    conflicts: nx.Graph
+    conflicts: ConflictIndex
     demands: Mapping[Link, int]
     frame_slots: int
     delay_constraints: Sequence[DelayConstraint] = field(default_factory=tuple)
@@ -205,9 +208,7 @@ def _solve(problem: SchedulingProblem,
 
     # -- variable layout ---------------------------------------------------
     s_index = {link: i for i, link in enumerate(links)}
-    demanded = set(links)
-    pairs = [pair for pair in conflicting_pairs(problem.conflicts)
-             if pair[0] in demanded and pair[1] in demanded]
+    pairs = _pairs_among(problem.conflicts, links)
     o_index = {pair: len(links) + j for j, pair in enumerate(pairs)}
     pair_set = set(pairs)
     num_vars = len(links) + len(pairs)

@@ -12,6 +12,11 @@ The paper performs a plain linear search upward from a lower bound.  With a
 monotone in ``K`` (enlarging the region only relaxes bounds), so a binary
 search is also valid; it is provided as an extension
 (``SolverPolicy(search="binary")``) and ablated in experiment E10.
+
+The search, like every solver layer, reads the conflict relation as a
+:class:`~repro.core.conflict.ConflictIndex`; a demanded link missing
+from it raises :class:`~repro.errors.ConfigurationError` rather than
+being scheduled as if it conflicted with nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-import networkx as nx
-
 from repro import obs
-from repro.core.conflict import max_conflict_clique_demand
+from repro.core.conflict import ConflictIndex, max_conflict_clique_demand
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
 from repro.core.schedule import Schedule
@@ -87,7 +90,7 @@ def demand_lower_bound(demands: Mapping[Link, int]) -> int:
     return max(largest, max_conflict_clique_demand(demands))
 
 
-def minimum_slots(conflicts: nx.Graph, demands: Mapping[Link, int],
+def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
                   frame_slots: int,
                   delay_constraints: Sequence[DelayConstraint] = (),
                   engine: Optional["SolverEngine"] = None,
@@ -100,9 +103,10 @@ def minimum_slots(conflicts: nx.Graph, demands: Mapping[Link, int],
     ----------
     conflicts, demands, frame_slots, delay_constraints:
         As in :class:`~repro.core.ilp.SchedulingProblem`; ``frame_slots`` is
-        the *fixed* frame length (wrap cost).  Build ``conflicts`` with
-        :meth:`~repro.core.engine.SolverEngine.conflict_index` (any
-        interference model) or :func:`~repro.core.conflict.conflict_graph`.
+        the *fixed* frame length (wrap cost).  Build the ``conflicts``
+        index with :meth:`~repro.core.engine.SolverEngine.conflict_index`
+        (any interference model) or
+        :func:`~repro.core.conflict.conflict_graph`.
     engine:
         The :class:`~repro.core.engine.SolverEngine` running the probes
         (default: the stateless module-level engine).  Probe verdicts,

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-import networkx as nx
-
 from repro.core.bellman_ford import DifferenceConstraints
-from repro.core.conflict import conflicting_pairs
+from repro.core.conflict import ConflictIndex, _pairs_among
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
@@ -109,7 +107,7 @@ class TransmissionOrder:
         return sorted(known)
 
 
-def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
+def order_constraints(conflicts: ConflictIndex, demands: Mapping[Link, int],
                       frame_slots: int, order: TransmissionOrder
                       ) -> DifferenceConstraints:
     """Difference-constraint system for start slots under a fixed order.
@@ -120,6 +118,9 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
     - ``0 <= s_l <= frame_slots - d_l`` (blocks fit in the frame);
     - for every conflict edge ``(a, b)`` with positive demands, the earlier
       link finishes before the later one starts.
+
+    A demanded link missing from ``conflicts`` raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     system = DifferenceConstraints()
     scheduled = [l for l in sorted(demands) if demands[l] > 0]
@@ -130,10 +131,7 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
                 f"link {link} demands {demand} slots > frame of {frame_slots}")
         system.add_lower(ORIGIN, link, 0)
         system.add_upper(ORIGIN, link, frame_slots - demand)
-    demanded = set(scheduled)
-    for a, b in conflicting_pairs(conflicts):
-        if a not in demanded or b not in demanded:
-            continue
+    for a, b in _pairs_among(conflicts, scheduled):
         if order.precedes(a, b):
             first, second = a, b
         else:
@@ -143,7 +141,7 @@ def order_constraints(conflicts: nx.Graph, demands: Mapping[Link, int],
     return system
 
 
-def schedule_from_order(conflicts: nx.Graph, demands: Mapping[Link, int],
+def schedule_from_order(conflicts: ConflictIndex, demands: Mapping[Link, int],
                         frame_slots: int, order: TransmissionOrder,
                         earliest: bool = True) -> Schedule:
     """Recover a concrete conflict-free schedule from a transmission order.

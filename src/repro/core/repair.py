@@ -300,7 +300,7 @@ class RepairEngine:
                 return self._record(outcome)
 
         # 2. local repair: old ranks + spliced-in new links, one BF pass.
-        local = self._local_repair(flows, demands, conflicts.graph)
+        local = self._local_repair(flows, demands, conflicts)
         if local is not None:
             self._commit(carried, local, bump=True)
             outcome = RepairOutcome(
@@ -417,7 +417,7 @@ class RepairEngine:
         demands = self._demands(flows)
         conflicts = self.engine.conflict_index(
             topo, interference=self.interference,
-            links=sorted(demands)).graph
+            links=sorted(demands))
         warm_order = (self._spliced_order(flows, demands)
                       if self.schedule is not None else None)
         return minimum_slots(

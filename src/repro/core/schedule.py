@@ -12,15 +12,13 @@ not wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.net.topology import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import ConflictIndex
+    from repro.core.conflict import ConflictIndex
 
 
 @dataclass(frozen=True, order=True)
@@ -134,20 +132,19 @@ class Schedule:
 
     # -- validation ----------------------------------------------------------
 
-    def violations(self, conflicts: Union[nx.Graph, "ConflictIndex"]
+    def violations(self, conflicts: "ConflictIndex"
                    ) -> list[tuple[Link, Link]]:
-        """All pairs of conflicting links with overlapping blocks."""
-        bad = []
-        pairs = (conflicts.edges if isinstance(conflicts, nx.Graph) else
-                 ((a, b) for a in self._blocks if a in conflicts
-                  for b in conflicts.neighbors(a) if a < b))
-        for link_a, link_b in pairs:
-            if link_a in self._blocks and link_b in self._blocks:
-                if self._blocks[link_a].overlaps(self._blocks[link_b]):
-                    bad.append(tuple(sorted((link_a, link_b))))
-        return sorted(bad)
+        """All pairs of conflicting links with overlapping blocks.
 
-    def validate(self, conflicts: Union[nx.Graph, "ConflictIndex"]) -> None:
+        Scheduled links outside ``conflicts`` have no known conflicts.
+        """
+        blocks = self._blocks
+        return sorted((a, b) for a in blocks if a in conflicts
+                      for b in conflicts.neighbors(a)
+                      if a < b and b in blocks
+                      and blocks[a].overlaps(blocks[b]))
+
+    def validate(self, conflicts: "ConflictIndex") -> None:
         """Raise :class:`SchedulingError` unless the schedule is conflict-free."""
         bad = self.violations(conflicts)
         if bad:

@@ -8,7 +8,7 @@ the :class:`~repro.core.policy.SolverPolicy` seam:
 
 **Zoned** (:func:`zoned_minimum_slots`).  Partition the demanded links
 into *interference zones* by deterministic seed-ordered BFS over the
-:class:`~repro.core.engine.ConflictIndex` CSR adjacency
+:class:`~repro.core.conflict.ConflictIndex` CSR adjacency
 (:func:`partition_zones`): links that conflict cluster together, links
 that never interact end up in different zones -- the route-interference
 structure of arXiv:1106.1590 decomposed explicitly.  Each zone is then
@@ -62,11 +62,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro import obs
+from repro.core.conflict import ConflictIndex
 from repro.core.delay import path_delay_slots
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import DelayConstraint, ILPResult
@@ -78,9 +77,7 @@ from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.net.topology import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.engine import ConflictIndex, SolverEngine
-
-ConflictsLike = Union[nx.Graph, "ConflictIndex"]
+    from repro.core.engine import SolverEngine
 
 #: Per-probe branch-and-cut node budget for zone sub-searches when the
 #: policy leaves ``node_limit_per_probe`` unset.  Probes undecided within
@@ -129,23 +126,7 @@ class ZonePartition:
         return tuple(len(zone) for zone in self.zones)
 
 
-def _as_index(conflicts: ConflictsLike) -> "ConflictIndex":
-    """Wrap a bare conflict graph in a (non-engine) ConflictIndex.
-
-    Callers holding an engine-built :class:`ConflictIndex` pass it
-    through untouched, keeping its cache lineage; a bare
-    :class:`networkx.Graph` gets an ad-hoc index keyed by its content
-    fingerprint so zone-subindex caching stays correct.
-    """
-    from repro.core.engine import ConflictIndex, _edges_fingerprint
-
-    if isinstance(conflicts, ConflictIndex):
-        return conflicts
-    return ConflictIndex(f"adhoc/{_edges_fingerprint(conflicts)}", None,
-                         conflicts)
-
-
-def partition_zones(index: "ConflictIndex",
+def partition_zones(index: ConflictIndex,
                     demands: Mapping[Link, int],
                     max_zone_links: int) -> ZonePartition:
     """Cluster the demanded links into zones by seed-ordered BFS growth.
@@ -193,7 +174,7 @@ def partition_zones(index: "ConflictIndex",
     return partition
 
 
-def boundary_reservation(index: "ConflictIndex",
+def boundary_reservation(index: ConflictIndex,
                          demands: Mapping[Link, int],
                          zone: Sequence[Link]) -> int:
     """Slots to reserve for a zone's conflicting out-of-zone neighbours.
@@ -217,7 +198,7 @@ def boundary_reservation(index: "ConflictIndex",
     return worst
 
 
-def _first_fit_starts(index: "ConflictIndex",
+def _first_fit_starts(index: ConflictIndex,
                       demands: Mapping[Link, int],
                       ranking: Sequence[Link]) -> dict[Link, int]:
     """Earliest-fit start slots over ``ranking`` (unbounded frame).
@@ -313,7 +294,7 @@ def _heuristic_result(status: str,
                          probes=[(slots, True)], meta=meta)
 
 
-def _zone_warm_start(zone_graph: nx.Graph,
+def _zone_warm_start(zone_index: ConflictIndex,
                      zone_demands: Mapping[Link, int],
                      ceiling: int, frame_slots: int,
                      zone_delay: Sequence[DelayConstraint]
@@ -324,11 +305,11 @@ def _zone_warm_start(zone_graph: nx.Graph,
     makespan (``None`` when the packing misses the ceiling or a zone
     delay budget) is a known-feasible upper bound for the zone region.
     """
-    raw = greedy_schedule(zone_graph, zone_demands, frame_slots=None,
+    raw = greedy_schedule(zone_index, zone_demands, frame_slots=None,
                           strategy="demand")
     order = TransmissionOrder.from_schedule(raw)
     try:
-        packed = schedule_from_order(zone_graph, zone_demands, ceiling,
+        packed = schedule_from_order(zone_index, zone_demands, ceiling,
                                      order)
     except InfeasibleScheduleError:
         return None, None
@@ -343,7 +324,7 @@ def _zone_warm_start(zone_graph: nx.Graph,
     return order, packed.makespan()
 
 
-def zoned_minimum_slots(conflicts: ConflictsLike,
+def zoned_minimum_slots(conflicts: ConflictIndex,
                         demands: Mapping[Link, int],
                         frame_slots: int,
                         delay_constraints: Sequence[DelayConstraint] = (),
@@ -365,14 +346,13 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
     policy = SolverPolicy.coerce(policy)
     ceiling = (frame_slots if policy.max_region is None
                else min(policy.max_region, frame_slots))
-    base = _as_index(conflicts)
-    graph = base.graph
     lower = demand_lower_bound(demands)
     obs.counter("core.zones.zoned_solves").inc()
     started = time.perf_counter()
     with obs.span("core.zones.solve", mode="zoned",
                   frame_slots=frame_slots):
-        partition = partition_zones(base, demands, policy.max_zone_links)
+        partition = partition_zones(conflicts, demands,
+                                    policy.max_zone_links)
         meta: dict = {"mode": "zoned", "num_zones": partition.num_zones,
                       "zone_sizes": partition.sizes()}
         if lower > ceiling:
@@ -382,7 +362,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
             # Nothing demanded: delegate the degenerate case to the
             # exact probe machinery for identical empty-result shape.
             outcome = engine.run_search(
-                graph, demands, frame_slots, tuple(delay_constraints),
+                conflicts, demands, frame_slots, tuple(delay_constraints),
                 policy.search, ceiling,
                 node_limit_per_probe=policy.node_limit_per_probe)
             outcome.meta = meta
@@ -396,15 +376,15 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                        else policy.node_limit_per_probe)
         for zone in partition.zones:
             members = set(zone)
-            zone_index = engine.zone_index(base, zone)
+            zone_index = engine.zone_index(conflicts, zone)
             zone_demands = {link: demands[link] for link in zone}
-            reserve = boundary_reservation(base, demands, zone)
+            reserve = boundary_reservation(conflicts, demands, zone)
             reserves.append(reserve)
             zone_lower = demand_lower_bound(zone_demands)
             zone_ceiling = min(ceiling, max(zone_lower, ceiling - reserve))
             zone_delay = _zone_constraints(delay_constraints, members)
             warm_order, greedy_makespan = _zone_warm_start(
-                zone_index.graph, zone_demands, ceiling, frame_slots,
+                zone_index, zone_demands, ceiling, frame_slots,
                 zone_delay)
             if greedy_makespan is not None:
                 # The greedy packing is a feasibility certificate at its
@@ -417,7 +397,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                     obs.counter("core.zones.reserve_relaxed").inc()
                 zone_ceiling = greedy_makespan
             outcome = engine.run_search(
-                zone_index.graph, zone_demands, frame_slots,
+                zone_index, zone_demands, frame_slots,
                 zone_delay, "binary", zone_ceiling, warm_order=warm_order,
                 node_limit_per_probe=probe_nodes)
             if not outcome.feasible and zone_ceiling < ceiling:
@@ -427,7 +407,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                 # rather than failing the whole mesh.
                 obs.counter("core.zones.reserve_relaxed").inc()
                 outcome = engine.run_search(
-                    zone_index.graph, zone_demands, frame_slots,
+                    zone_index, zone_demands, frame_slots,
                     zone_delay, "binary", ceiling, warm_order=warm_order,
                     node_limit_per_probe=probe_nodes)
             if outcome.ilp is not None:
@@ -453,12 +433,12 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
         # at a time, and it routinely overflows a frame that
         # max(zone makespans) fits easily.
         ranking = [entry[-1] for entry in sorted(ranked)]
-        starts = _first_fit_starts(base, demands, ranking)
+        starts = _first_fit_starts(conflicts, demands, ranking)
         order = TransmissionOrder(
             {link: float(start) for link, start in starts.items()})
         meta["boundary_reserve"] = max(reserves)
         try:
-            packed = schedule_from_order(graph, demands, ceiling, order)
+            packed = schedule_from_order(conflicts, demands, ceiling, order)
         except InfeasibleScheduleError:
             obs.counter("core.zones.stitch_failures").inc()
             meta["stitch_failed"] = True
@@ -466,7 +446,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
                                  probes=[], meta=meta)
         obs.counter("core.zones.stitches").inc()
         schedule = Schedule(frame_slots, dict(packed.items()))
-        schedule.validate(graph)
+        schedule.validate(conflicts)
     zone_seconds = max(zone_seconds, time.perf_counter() - started)
     return _heuristic_result(
         f"zoned({partition.num_zones} zones)", schedule, order,
@@ -477,7 +457,7 @@ def zoned_minimum_slots(conflicts: ConflictsLike,
 GREEDY_PORTFOLIO = ("demand", "index")
 
 
-def greedy_minimum_slots(conflicts: ConflictsLike,
+def greedy_minimum_slots(conflicts: ConflictIndex,
                          demands: Mapping[Link, int],
                          frame_slots: int,
                          delay_constraints: Sequence[DelayConstraint] = (),
@@ -497,8 +477,6 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
     policy = SolverPolicy.coerce(policy)
     ceiling = (frame_slots if policy.max_region is None
                else min(policy.max_region, frame_slots))
-    base = _as_index(conflicts)
-    graph = base.graph
     lower = demand_lower_bound(demands)
     obs.counter("core.zones.greedy_solves").inc()
     started = time.perf_counter()
@@ -507,11 +485,11 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
                   frame_slots=frame_slots):
         if lower <= ceiling:
             for strategy in GREEDY_PORTFOLIO:
-                raw = greedy_schedule(graph, demands, frame_slots=None,
+                raw = greedy_schedule(conflicts, demands, frame_slots=None,
                                       strategy=strategy)
                 order = TransmissionOrder.from_schedule(raw)
                 try:
-                    packed = schedule_from_order(graph, demands, ceiling,
+                    packed = schedule_from_order(conflicts, demands, ceiling,
                                                  order)
                 except InfeasibleScheduleError:
                     continue
@@ -525,7 +503,7 @@ def greedy_minimum_slots(conflicts: ConflictsLike,
     makespan, strategy, order, packed = best
     meta["strategy"] = strategy
     schedule = Schedule(frame_slots, dict(packed.items()))
-    schedule.validate(graph)
+    schedule.validate(conflicts)
     return _heuristic_result(
         f"greedy({strategy})", schedule, order,
         lower, delay_constraints, policy, meta,

@@ -55,8 +55,7 @@ from repro.mesh16.messages import ScheduleAnnouncement
 from repro.resilience.config import ResilienceConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
+    from repro.core.conflict import ConflictIndex
     from repro.overlay.emulation import TdmaOverlay
 
 #: minimum frames between consecutive activation boundaries in resilient
@@ -83,7 +82,8 @@ class ScheduleDistributor:
         coverage, epoch re-floods, commit gating, transition versions).
         ``None`` (the default) keeps the legacy fire-and-forget flood.
     conflicts:
-        Link conflict graph (:func:`repro.core.conflict.conflict_graph`),
+        Link conflict relation (a
+        :class:`~repro.core.conflict.ConflictIndex`),
         required for automatic transition versions.  Without it the
         resilient mode trusts the caller to only announce schedules whose
         union with the previous one is conflict-free.
@@ -92,7 +92,7 @@ class ScheduleDistributor:
     def __init__(self, overlay: "TdmaOverlay", gateway: int,
                  rebroadcasts: int = 2,
                  resilience: Optional[ResilienceConfig] = None,
-                 conflicts: Optional["nx.Graph"] = None) -> None:
+                 conflicts: Optional["ConflictIndex"] = None) -> None:
         if rebroadcasts < 1:
             raise ConfigurationError("need at least one rebroadcast")
         self.overlay = overlay

@@ -27,33 +27,28 @@ reception iff any of:
 
 This module only states that rule as per-link node sets
 (:func:`_channel_near_sets`); the relation itself comes from the same
-conflict-relation builder in :mod:`repro.core.conflict` that builds the
-k-hop protocol graphs.
+row builder in :mod:`repro.core.conflict` that builds the k-hop protocol
+relations, as a :class:`~repro.core.conflict.ConflictIndex`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-import networkx as nx
-
 from repro.core.conflict import (
-    _conflict_rows,
-    _graph_from_edges,
+    ConflictIndex,
+    _index_from_rows,
     _NearSets,
-    _row_edges,
     conflict_graph,
-    conflicting_pairs,
 )
 from repro.net.topology import Link, MeshTopology
 
 ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
 
 
-def interference_graph(topology: MeshTopology) -> nx.Graph:
+def interference_graph(topology: MeshTopology) -> ConflictIndex:
     """The exact link-interference relation implied by the channel model."""
-    return _graph_from_edges(topology.links, _row_edges(_conflict_rows(
-        topology.links, _channel_near_sets(topology))))
+    return _index_from_rows(topology.links, _channel_near_sets(topology))
 
 
 def _channel_near_sets(topology: MeshTopology) -> _NearSets:
@@ -72,7 +67,7 @@ def _channel_near_sets(topology: MeshTopology) -> _NearSets:
 
 
 def _model_graph(topology: MeshTopology, hops: int,
-                 model: ModelLike) -> nx.Graph:
+                 model: ModelLike) -> ConflictIndex:
     """The abstraction under test: k-hop by default, or any model."""
     if model is None:
         return conflict_graph(topology, hops=hops)
@@ -82,11 +77,11 @@ def _model_graph(topology: MeshTopology, hops: int,
 
 
 def _truth_graph(topology: MeshTopology,
-                 truth: Optional[object]) -> nx.Graph:
-    """The ground-truth relation: channel-exact, a model, or a graph."""
+                 truth: Optional[object]) -> ConflictIndex:
+    """The ground-truth relation: channel-exact, a model, or an index."""
     if truth is None:
         return interference_graph(topology)
-    if isinstance(truth, nx.Graph):
+    if isinstance(truth, ConflictIndex):
         return truth
     from repro.phy.models import coerce_interference
 
@@ -103,15 +98,16 @@ def uncovered_interference(topology: MeshTopology, hops: int = 2,
     abstraction (``hops``, or ``model=``) is collision-free under the
     ground truth (the channel rule, or ``truth=`` -- an
     :class:`~repro.phy.models.InterferenceModel`, a bare hops int, or a
-    prebuilt conflict graph).  The 1-hop model typically leaves pairs
-    uncovered (hidden-terminal style); the 2-hop model covers the
-    channel rule on every generator topology -- but *not* necessarily an
-    SINR ground truth, whose interference reaches past two hops: those
-    uncovered pairs are exactly what E23 measures.
+    prebuilt :class:`~repro.core.conflict.ConflictIndex`).  The 1-hop
+    model typically leaves pairs uncovered (hidden-terminal style); the
+    2-hop model covers the channel rule on every generator topology --
+    but *not* necessarily an SINR ground truth, whose interference
+    reaches past two hops: those uncovered pairs are exactly what E23
+    measures.
     """
     physical = _truth_graph(topology, truth)
     abstraction = _model_graph(topology, hops, model)
-    return [pair for pair in conflicting_pairs(physical)
+    return [pair for pair in physical.pairs()
             if not abstraction.has_edge(*pair)]
 
 
@@ -128,5 +124,5 @@ def overcautious_pairs(topology: MeshTopology, hops: int = 2,
     """
     physical = _truth_graph(topology, truth)
     abstraction = _model_graph(topology, hops, model)
-    return [pair for pair in conflicting_pairs(abstraction)
+    return [pair for pair in abstraction.pairs()
             if not physical.has_edge(*pair)]

@@ -2,8 +2,8 @@
 
 The scheduler's conflict abstraction used to be a bare ``hops`` integer
 threaded through every layer.  This module turns it into a *seam*: an
-:class:`InterferenceModel` produces the conflict graph the
-:class:`~repro.core.engine.ConflictIndex` wraps, and everything above the
+:class:`InterferenceModel` builds the conflict relation, a
+:class:`~repro.core.conflict.ConflictIndex`, and everything above the
 engine (``Scenario``, ``minimum_slots``, repair, mobility, the DCF
 baseline) accepts a model wherever it used to accept ``hops``.
 
@@ -38,11 +38,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from repro import obs
 from repro.core.conflict import (
-    _graph_from_edges,
+    ConflictIndex,
+    _check_hops,
     _resolve_links,
     conflict_graph,
 )
@@ -222,23 +221,23 @@ class McsTable:
 
 
 class InterferenceModel:
-    """The seam: anything that can produce a conflict graph for a mesh.
+    """The seam: anything that can build a conflict relation for a mesh.
 
-    Implementations provide :meth:`conflict_graph` (same vertex/edge
-    conventions as :func:`repro.core.conflict.conflict_graph`: vertices
-    are sorted directed links, edges inserted in sorted order) and
-    :meth:`cache_token`, the value the engine keys its
-    :class:`~repro.core.engine.ConflictIndex` LRU by.  Tokens must change
-    whenever the conflict graph could: for :class:`ProtocolModel` the
-    bare hops integer suffices (connectivity is already in the key); an
-    :class:`SinrModel` folds in its parameters, the node positions and
-    the current MCS assignment.
+    Implementations provide :meth:`conflict_graph` (a
+    :class:`~repro.core.conflict.ConflictIndex` over sorted directed
+    links, like :func:`repro.core.conflict.conflict_graph`'s) and
+    :meth:`cache_token`, the value the engine keys its index LRU by.
+    Tokens must change whenever the relation could: for
+    :class:`ProtocolModel` the bare hops integer suffices (connectivity
+    is already in the key); an :class:`SinrModel` folds in its
+    parameters, the node positions and the current MCS assignment.
     """
 
     kind: str = "abstract"
 
     def conflict_graph(self, topology: MeshTopology,
-                       links: Optional[Sequence[Link]] = None) -> nx.Graph:
+                       links: Optional[Sequence[Link]] = None
+                       ) -> ConflictIndex:
         raise NotImplementedError
 
     def cache_token(self, topology: MeshTopology) -> object:
@@ -261,13 +260,12 @@ class ProtocolModel(InterferenceModel):
     kind = "protocol"
 
     def __init__(self, hops: int = 2) -> None:
-        if not isinstance(hops, int) or isinstance(hops, bool) or hops < 1:
-            raise ConfigurationError(
-                f"interference model needs integer hops >= 1, got {hops!r}")
+        _check_hops(hops)
         self.hops = hops
 
     def conflict_graph(self, topology: MeshTopology,
-                       links: Optional[Sequence[Link]] = None) -> nx.Graph:
+                       links: Optional[Sequence[Link]] = None
+                       ) -> ConflictIndex:
         return conflict_graph(topology, hops=self.hops, links=links)
 
     def cache_token(self, topology: MeshTopology) -> object:
@@ -436,22 +434,26 @@ class SinrModel(InterferenceModel):
     # -- the conflict relation --------------------------------------------
 
     def conflict_graph(self, topology: MeshTopology,
-                       links: Optional[Sequence[Link]] = None) -> nx.Graph:
+                       links: Optional[Sequence[Link]] = None
+                       ) -> ConflictIndex:
         """Links that cannot share a slot under physical interference.
 
         Same conventions as :func:`repro.core.conflict.conflict_graph`:
-        sorted link vertices, edges inserted in sorted order, subset
-        links validated against the topology.
+        sorted links, sorted rows, subset links validated against the
+        topology.
         """
         self._require_positions(topology)
         link_list = _resolve_links(topology, links)
         rates = self.link_rates(topology, link_list)
-        graph = _graph_from_edges(
-            link_list, ((a, b) for i, a in enumerate(link_list)
-                        for b in link_list[i + 1:]
-                        if self._conflict(topology, a, b, rates)))
-        obs.counter("phy.sinr.conflict_edges").inc(graph.number_of_edges())
-        return graph
+        rows: list[list[int]] = [[] for _ in link_list]
+        for i, a in enumerate(link_list):
+            for j in range(i + 1, len(link_list)):
+                if self._conflict(topology, a, link_list[j], rates):
+                    rows[i].append(j)
+                    rows[j].append(i)
+        index = ConflictIndex(link_list, rows)
+        obs.counter("phy.sinr.conflict_edges").inc(index.num_conflicts)
+        return index
 
     def _conflict(self, topology: MeshTopology, a: Link, b: Link,
                   rates: dict[Link, McsEntry]) -> bool:
@@ -474,13 +476,11 @@ class SinrModel(InterferenceModel):
         self._require_positions(topology)
         cs_range = self.carrier_sense_range_m()
         pairs = []
-        conflicts = self.conflict_graph(topology, links)
-        for a, b in conflicts.edges:
+        for a, b in self.conflict_graph(topology, links).pairs():
             if set(a) & set(b):
                 continue
             if topology.distance(a[0], b[0]) > cs_range:
-                pairs.append(tuple(sorted((a, b))))
-        pairs.sort()
+                pairs.append((a, b))
         if pairs:
             obs.counter("phy.sinr.hidden_pairs").inc(len(pairs))
         return pairs

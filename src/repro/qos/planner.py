@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-import networkx as nx
-
 from repro.core.besteffort import TwoClassSchedule, schedule_two_classes
+from repro.core.conflict import ConflictIndex
 from repro.core.greedy import greedy_schedule
 from repro.core.ilp import delay_constraints_for
 from repro.core.schedule import Schedule
@@ -35,7 +34,7 @@ from repro.net.topology import Link, MeshTopology
 from repro.qos.model import ServiceFlowSet, route_service_flows
 
 
-def schedule_service_classes(conflicts: nx.Graph,
+def schedule_service_classes(conflicts: ConflictIndex,
                              service_flows: ServiceFlowSet,
                              frame: MeshFrameConfig) -> TwoClassSchedule:
     """Two-region schedule from a class-aware flow set.
@@ -58,7 +57,7 @@ def schedule_service_classes(conflicts: nx.Graph,
                                 delay_constraints=constraints)
 
 
-def waterfill_grants(conflicts: nx.Graph,
+def waterfill_grants(conflicts: ConflictIndex,
                      min_demands: Mapping[Link, int],
                      asks: Mapping[Link, int],
                      frame_slots: int) -> dict[Link, int]:
@@ -143,7 +142,7 @@ def grant_schedule_for(topology: MeshTopology,
         raise ConfigurationError("no routed service flows to schedule")
     conflicts = engine.conflict_index(topology, hops=conflict_hops,
                                       interference=interference,
-                                      links=all_links).graph
+                                      links=all_links)
     grants = waterfill_grants(conflicts, min_demands, asks,
                               frame.data_slots)
     schedule = greedy_schedule(conflicts, grants, frame.data_slots)

@@ -83,7 +83,7 @@ def test_intermediates_are_inspectable():
     scenario.route()
     demands = scenario.demands
     assert demands and all(isinstance(v, int) for v in demands.values())
-    assert set(scenario.conflicts.nodes) == set(demands)
+    assert set(scenario.conflicts.links) == set(demands)
     constraints = scenario.delay_constraints
     assert len(constraints) == 1 and constraints[0].name == "f"
 
@@ -355,8 +355,7 @@ class TestInterferenceSeam:
         sinr = Scenario(topo, flows, interference=SinrModel()).route()
         assert sinr.hops is None
         # physical interference hears further on this spaced chain
-        assert (sinr.conflicts.number_of_edges()
-                > proto.conflicts.number_of_edges())
+        assert sinr.conflicts.num_conflicts > proto.conflicts.num_conflicts
 
     def test_sinr_backend_schedules_end_to_end(self):
         from repro.phy.models import SinrModel
@@ -386,15 +385,15 @@ class TestInterferenceSeam:
                                      frame.data_slot_capacity_bits)
         engine = SolverEngine()
         via_seam = minimum_slots(
-            engine.conflict_index(topo, hops=2, links=sorted(demands)).graph,
+            engine.conflict_index(topo, hops=2, links=sorted(demands)),
             demands, frame.data_slots, engine=engine)
         prebuilt = minimum_slots(conflict_graph(topo, hops=2,
                                                 links=demands.keys()),
                                  demands, frame.data_slots)
         assert via_seam.slots == prebuilt.slots
-        sinr_graph = engine.conflict_index(
-            topo, interference=SinrModel(), links=sorted(demands)).graph
-        sinr = minimum_slots(sinr_graph, demands, frame.data_slots,
+        sinr_index = engine.conflict_index(
+            topo, interference=SinrModel(), links=sorted(demands))
+        sinr = minimum_slots(sinr_index, demands, frame.data_slots,
                              engine=engine)
         assert sinr.slots is not None
-        assert sinr.schedule.violations(sinr_graph) == []
+        assert sinr.schedule.violations(sinr_index) == []

@@ -1,15 +1,18 @@
-"""Conflict-graph construction."""
+"""Conflict-relation construction and the ConflictIndex type."""
 
+import networkx as nx
 import pytest
 
+from repro.core.admission import AdmissionController
 from repro.core.conflict import (
-    conflict_degree,
+    ConflictIndex,
     conflict_graph,
-    conflicting_pairs,
     max_conflict_clique_demand,
 )
 from repro.errors import ConfigurationError
-from repro.net.topology import chain_topology, star_topology
+from repro.mesh16.frame import default_frame_config
+from repro.net.topology import chain_topology, grid_topology, star_topology
+from repro.qos.admission import QosAdmissionController
 
 
 class TestOneHopModel:
@@ -42,19 +45,19 @@ class TestTwoHopModel:
     def test_star_is_a_clique(self):
         topo = star_topology(4)
         conflicts = conflict_graph(topo, hops=2)
-        n = conflicts.number_of_nodes()
-        assert conflicts.number_of_edges() == n * (n - 1) // 2
+        n = conflicts.num_links
+        assert conflicts.num_conflicts == n * (n - 1) // 2
 
 
 class TestGeneral:
     def test_default_covers_all_links(self, chain5):
         conflicts = conflict_graph(chain5)
-        assert set(conflicts.nodes) == set(chain5.links)
+        assert set(conflicts.links) == set(chain5.links)
 
     def test_restricted_link_set(self, chain5):
         links = [(0, 1), (1, 2)]
         conflicts = conflict_graph(chain5, hops=2, links=links)
-        assert sorted(conflicts.nodes) == links
+        assert list(conflicts.links) == links
 
     def test_unknown_restricted_link_rejected(self, chain5):
         with pytest.raises(ConfigurationError):
@@ -68,32 +71,86 @@ class TestGeneral:
         one = conflict_graph(grid33, hops=1)
         two = conflict_graph(grid33, hops=2)
         three = conflict_graph(grid33, hops=3)
-        assert set(one.edges) <= set(two.edges) <= set(three.edges)
+        assert set(one.pairs()) <= set(two.pairs()) <= set(three.pairs())
 
     def test_symmetric(self, grid33):
         conflicts = conflict_graph(grid33, hops=2)
-        for a, b in conflicts.edges:
-            assert conflicts.has_edge(b, a)
+        for a, b in conflicts.pairs():
+            assert conflicts.has_edge(a, b) and conflicts.has_edge(b, a)
 
     def test_no_self_conflicts(self, grid33):
         conflicts = conflict_graph(grid33, hops=2)
-        assert all(a != b for a, b in conflicts.edges)
+        assert all(a != b for a, b in conflicts.pairs())
+        assert not any(conflicts.has_edge(link, link)
+                       for link in conflicts.links)
 
 
 def test_conflicting_pairs_deterministic(chain5):
     conflicts = conflict_graph(chain5, hops=2)
-    pairs1 = list(conflicting_pairs(conflicts))
-    pairs2 = list(conflicting_pairs(conflicts))
+    pairs1 = conflicts.pairs()
+    pairs2 = conflict_graph(chain5, hops=2).pairs()
     assert pairs1 == pairs2
     assert pairs1 == sorted(pairs1)
     assert all(a < b for a, b in pairs1)
+    assert len(pairs1) == conflicts.num_conflicts
 
 
 def test_conflict_degree(chain5):
     conflicts = conflict_graph(chain5, hops=2)
-    degrees = conflict_degree(conflicts)
     # middle links conflict with more links than edge links
-    assert degrees[(2, 3)] >= degrees[(0, 1)]
+    assert conflicts.degree((2, 3)) >= conflicts.degree((0, 1))
+    assert conflicts.degree((2, 3)) == len(conflicts.neighbors((2, 3)))
+
+
+class TestConflictIndex:
+    def test_has_edge_matches_neighbors(self, grid33):
+        conflicts = conflict_graph(grid33, hops=2)
+        for a in conflicts.links:
+            near = set(conflicts.neighbors(a))
+            assert all(conflicts.has_edge(a, b) == (b in near)
+                       for b in conflicts.links)
+
+    def test_has_edge_rejects_a_missing_link(self, chain5):
+        conflicts = conflict_graph(chain5, hops=2, links=[(0, 1), (1, 2)])
+        with pytest.raises(ConfigurationError, match="not a vertex"):
+            conflicts.has_edge((0, 1), (2, 3))
+
+    def test_graph_export_round_trips(self, grid33):
+        conflicts = conflict_graph(grid33, hops=2)
+        graph = conflicts.graph
+        assert isinstance(graph, nx.Graph)
+        assert list(graph.nodes) == list(conflicts.links)
+        assert list(graph.edges) == conflicts.pairs()
+        again = ConflictIndex.from_graph(graph)
+        assert again.links == conflicts.links
+        assert again.pairs() == conflicts.pairs()
+        assert again.fingerprint == conflicts.fingerprint
+
+    def test_unkeyed_index_gets_a_content_key(self, chain5):
+        one = conflict_graph(chain5, hops=2)
+        two = ConflictIndex.from_graph(one.graph)
+        assert one.key == two.key == f"adhoc/{one.fingerprint}"
+        assert one.key != conflict_graph(chain5, hops=1).key
+
+
+@pytest.mark.parametrize("bad", [True, 0, 2.5, "2"])
+class TestHopsCheck:
+    """One strict ``hops`` check behind every entry point."""
+
+    def test_conflict_graph(self, bad):
+        with pytest.raises(ConfigurationError, match="integer hops"):
+            conflict_graph(grid_topology(3, 3), hops=bad)
+
+    def test_admission_controller(self, bad):
+        with pytest.raises(ConfigurationError, match="integer hops"):
+            AdmissionController(grid_topology(3, 3), 24, 0.01, 1000.0,
+                                conflict_hops=bad)
+
+    def test_qos_admission_controller(self, bad):
+        with pytest.raises(ConfigurationError, match="integer hops"):
+            QosAdmissionController(grid_topology(3, 3),
+                                   default_frame_config(),
+                                   conflict_hops=bad)
 
 
 class TestCliqueDemandBound:
@@ -133,10 +190,10 @@ class TestDegenerateHopsGuard:
     def test_two_hop_default_is_exempt_on_tiny_meshes(self):
         # on a 3-chain even hops=2 yields a complete conflict graph;
         # the 802.16-mandated default must never be rejected for it
-        graph = conflict_graph(chain_topology(3), hops=2)
-        assert graph.number_of_edges() > 0
+        conflicts = conflict_graph(chain_topology(3), hops=2)
+        assert conflicts.num_conflicts > 0
 
     def test_wide_hops_on_a_long_chain_is_fine(self):
         # hops=3 on a 10-chain does not reach the whole mesh: accepted
-        graph = conflict_graph(chain_topology(10), hops=3)
-        assert graph.number_of_edges() > 0
+        conflicts = conflict_graph(chain_topology(10), hops=3)
+        assert conflicts.num_conflicts > 0

@@ -84,7 +84,7 @@ def test_conflict_index_matches_conflict_graph():
     demands = _demands(topo, n=6)
     index = SolverEngine().conflict_index(topo, hops=2,
                                           links=demands.keys())
-    reference = conflict_graph(topo, hops=2, links=demands.keys())
+    reference = conflict_graph(topo, hops=2, links=demands.keys()).graph
     assert set(index.graph.nodes) == set(reference.nodes)
     assert ({tuple(sorted(e)) for e in index.graph.edges}
             == {tuple(sorted(e)) for e in reference.edges})
@@ -108,7 +108,7 @@ def test_interference_index_is_exact_relation():
     index = SolverEngine().interference_index(topo)
     reference = interference_graph(topo)
     assert ({tuple(sorted(e)) for e in index.graph.edges}
-            == {tuple(sorted(e)) for e in reference.edges})
+            == {tuple(sorted(e)) for e in reference.graph.edges})
 
 
 # -- cache behaviour -------------------------------------------------------
@@ -274,7 +274,7 @@ def test_engine_never_serves_a_stale_index_after_mutation(registry):
     assert fresh is not stale
     expected = conflict_graph(topology, hops=2)
     assert set(map(frozenset, fresh.graph.edges)) == \
-        set(map(frozenset, expected.edges))
+        set(map(frozenset, expected.graph.edges))
 
 
 def test_delta_update_matches_cold_rebuild_bitwise(registry):
@@ -350,12 +350,12 @@ def test_engine_raises_the_conflict_graph_degenerate_hops_error(
 
 
 def test_protocol_index_materialises_its_graph_once_on_demand(monkeypatch):
-    import repro.core.engine as engine_module
+    from repro.core.conflict import ConflictIndex
 
     calls = []
-    real = engine_module._graph_from_edges
-    monkeypatch.setattr(engine_module, "_graph_from_edges",
-                        lambda *args: calls.append(args) or real(*args))
+    real = ConflictIndex.pairs
+    monkeypatch.setattr(ConflictIndex, "pairs",
+                        lambda self: calls.append(self) or real(self))
     index = SolverEngine().conflict_index(grid_topology(3, 3), hops=2)
     index.neighbors(index.links[0])
     assert calls == []

@@ -117,7 +117,7 @@ class TestCliqueRefutation:
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
         conflicts = conflict_graph(topology, hops=2, links=demands.keys())
-        graph = conflicts.subgraph(demands).copy()
+        graph = conflicts.graph.subgraph(demands).copy()
         for link in graph:
             graph.nodes[link]["weight"] = demands[link]
         assert nx.max_weight_clique(graph, weight="weight")[1] == 18
@@ -278,3 +278,11 @@ class TestDelayConstraintValidation:
     def test_discontiguous_route_rejected(self):
         with pytest.raises(ConfigurationError):
             DelayConstraint("f", ((0, 1), (2, 3)), 10)
+
+
+def test_demanded_link_missing_from_the_relation_is_rejected():
+    conflicts = conflict_graph(chain_topology(4), links=[(0, 1), (1, 2)])
+    problem = SchedulingProblem(
+        conflicts, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, 10)
+    with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
+        solve_schedule_ilp(problem)

@@ -136,3 +136,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             minimum_slots(conflicts, {(0, 1): 1}, 8,
                           policy=SolverPolicy(max_region=9))
+
+    def test_demanded_link_missing_from_the_relation(self):
+        # (2, 3) is demanded but absent from the relation: treating it as
+        # conflict-free would share slot 0 with its neighbour (1, 2)
+        conflicts = conflict_graph(chain_topology(4),
+                                   links=[(0, 1), (1, 2)])
+        with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
+            minimum_slots(conflicts, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, 10)

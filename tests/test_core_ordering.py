@@ -6,6 +6,7 @@ from repro.core.conflict import conflict_graph
 from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError, InfeasibleScheduleError
+from repro.net.topology import chain_topology
 
 
 class TestTransmissionOrder:
@@ -131,3 +132,11 @@ class TestScheduleFromOrder:
         order = TransmissionOrder.from_pairs(pairs)
         schedule = schedule_from_order(conflicts, demands, 10, order)
         schedule.validate(conflicts)
+
+
+def test_demanded_link_missing_from_the_relation_is_rejected():
+    conflicts = conflict_graph(chain_topology(4), links=[(0, 1), (1, 2)])
+    route = [(0, 1), (1, 2), (2, 3)]
+    with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
+        schedule_from_order(conflicts, {link: 1 for link in route}, 10,
+                            TransmissionOrder.from_ranking(route))

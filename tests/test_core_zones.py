@@ -201,7 +201,7 @@ def test_zoned_schedule_is_conflict_free_and_meets_demands():
         index, demands, FRAME.data_slots, constraints, engine=engine,
         policy=SolverPolicy(mode="zoned", max_zone_links=6))
     assert result.feasible
-    assert result.schedule.violations(index.graph) == []
+    assert result.schedule.violations(index) == []
     assert result.schedule.demands_met(demands)
     assert result.slots <= FRAME.data_slots
     assert result.meta["num_zones"] >= 2
@@ -218,7 +218,7 @@ def test_zoned_stays_sound_under_a_starved_node_budget():
         policy=SolverPolicy(mode="zoned", max_zone_links=6,
                             node_limit_per_probe=1))
     assert result.feasible
-    assert result.schedule.violations(index.graph) == []
+    assert result.schedule.violations(index) == []
     assert result.schedule.demands_met(demands)
 
 
@@ -259,12 +259,17 @@ def test_zoned_reports_infeasible_when_demand_exceeds_frame():
 
 
 def test_zoned_accepts_a_bare_conflict_graph():
+    """A hand-built relation (no engine key) gets a content-derived key."""
+    from repro.core.conflict import ConflictIndex
+
     engine, index, demands, ____ = _instance()
+    bare = ConflictIndex.from_graph(index.graph)
+    assert bare.key == f"adhoc/{index.fingerprint}"
     result = zoned_minimum_slots(
-        index.graph, demands, FRAME.data_slots, (), engine=engine,
+        bare, demands, FRAME.data_slots, (), engine=engine,
         policy=SolverPolicy(mode="zoned", max_zone_links=6))
     assert result.feasible
-    assert result.schedule.violations(index.graph) == []
+    assert result.schedule.violations(index) == []
 
 
 def test_greedy_schedule_is_conflict_free_and_meets_demands():
@@ -272,7 +277,7 @@ def test_greedy_schedule_is_conflict_free_and_meets_demands():
     result = greedy_minimum_slots(index, demands, FRAME.data_slots,
                                   constraints, engine=engine)
     assert result.feasible
-    assert result.schedule.violations(index.graph) == []
+    assert result.schedule.violations(index) == []
     assert result.schedule.demands_met(demands)
     assert result.meta["strategy"] in ("demand", "index")
     assert result.ilp.solver_status.startswith("greedy(")
@@ -293,11 +298,11 @@ def test_heuristic_arms_record_the_measured_gap():
 def test_auto_dispatches_by_demanded_link_count():
     engine, index, demands, constraints = _instance()
     few = SolverPolicy(auto_threshold=10_000)
-    exact = minimum_slots(index.graph, demands, FRAME.data_slots,
+    exact = minimum_slots(index, demands, FRAME.data_slots,
                           constraints, engine=engine, policy=few)
     assert exact.meta is None  # the exact arm carries no heuristic meta
     many = SolverPolicy(auto_threshold=1, max_zone_links=6)
-    zoned = minimum_slots(index.graph, demands, FRAME.data_slots,
+    zoned = minimum_slots(index, demands, FRAME.data_slots,
                           constraints, engine=engine, policy=many)
     assert zoned.meta["mode"] == "zoned"
     assert zoned.slots >= exact.slots  # heuristic never beats optimal
@@ -306,16 +311,16 @@ def test_auto_dispatches_by_demanded_link_count():
 def test_policy_mode_string_dispatches_each_arm():
     engine, index, demands, constraints = _instance()
     for mode, expected in (("greedy", "greedy"), ("zoned", "zoned")):
-        result = minimum_slots(index.graph, demands, FRAME.data_slots,
+        result = minimum_slots(index, demands, FRAME.data_slots,
                                constraints, engine=engine, policy=mode)
         assert result.meta["mode"] == expected
 
 
 def test_call_policy_search_overrides_the_engine_policy():
     engine, index, demands, constraints = _instance()
-    linear = minimum_slots(index.graph, demands, FRAME.data_slots,
+    linear = minimum_slots(index, demands, FRAME.data_slots,
                            constraints, engine=SolverEngine(policy="exact"))
-    binary = minimum_slots(index.graph, demands, FRAME.data_slots,
+    binary = minimum_slots(index, demands, FRAME.data_slots,
                            constraints, engine=SolverEngine(policy="exact"),
                            policy=SolverPolicy(mode="exact", search="binary"))
     assert binary.slots == linear.slots
@@ -327,7 +332,7 @@ def test_call_policy_search_overrides_the_engine_policy():
 def test_engine_policy_governs_bare_engine_solves():
     engine = SolverEngine(policy="greedy")
     ____, index, demands, constraints = _instance()
-    result = minimum_slots(index.graph, demands, FRAME.data_slots,
+    result = minimum_slots(index, demands, FRAME.data_slots,
                            constraints, engine=engine)
     assert result.meta["mode"] == "greedy"
 
@@ -336,7 +341,7 @@ def test_max_region_ceiling_check_survives_the_redesign():
     engine, index, demands, ____ = _instance()
     with pytest.raises(ConfigurationError,
                        match="max_region cannot exceed frame_slots"):
-        minimum_slots(index.graph, demands, FRAME.data_slots, engine=engine,
+        minimum_slots(index, demands, FRAME.data_slots, engine=engine,
                       policy=SolverPolicy(max_region=FRAME.data_slots + 1))
 
 
@@ -353,10 +358,12 @@ def test_zoned_solves_a_multicomponent_mesh():
     conflicts = conflict_graph(grid, hops=2, links=sorted(demands))
     import networkx as nx
 
-    shifted = nx.relabel_nodes(conflicts,
+    from repro.core.conflict import ConflictIndex
+
+    shifted = nx.relabel_nodes(conflicts.graph,
                                {l: (l[0] + 100, l[1] + 100)
-                                for l in conflicts.nodes})
-    both = nx.union(conflicts, shifted)
+                                for l in conflicts.links})
+    both = ConflictIndex.from_graph(nx.union(conflicts.graph, shifted))
     both_demands = dict(demands)
     both_demands.update({(a + 100, b + 100): d
                          for (a, b), d in demands.items()})

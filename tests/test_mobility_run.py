@@ -6,8 +6,6 @@ import sys
 import networkx as nx
 import pytest
 
-import repro.core.conflict
-import repro.core.engine
 from repro import obs
 from repro.core.engine import ConflictIndex, SolverEngine
 from repro.core.repair import RepairEngine
@@ -147,14 +145,13 @@ def test_run_mobility_s8_checks_hit_the_repair_index_without_graphs(
     # commit those are the demand links the repair just solved on, so
     # the request is a cache hit, and violations read its CSR rows
     materialised, requested, checks = [], [], []
-    for module in (repro.core.engine, repro.core.conflict):
-        real = module._graph_from_edges
+    real_graph = ConflictIndex.graph
 
-        def spy(link_list, edges, real=real):
-            materialised.append(tuple(link_list))
-            return real(link_list, edges)
+    def graph_spy(self):
+        materialised.append(self.links)
+        return real_graph.fget(self)
 
-        monkeypatch.setattr(module, "_graph_from_edges", spy)
+    monkeypatch.setattr(ConflictIndex, "graph", property(graph_spy))
     real_index = SolverEngine.conflict_index
 
     def index_spy(self, topology, *args, **kwargs):
@@ -165,7 +162,7 @@ def test_run_mobility_s8_checks_hit_the_repair_index_without_graphs(
 
     def violations_spy(self, conflicts):
         # run_mobility's S8 check and the repair's unchanged-routes check;
-        # solvers validate their own output on the graph they solved on
+        # solvers validate their own output on the index they solved on
         caller = sys._getframe(1).f_globals["__name__"]
         before = len(materialised)
         bad = real_violations(self, conflicts)
@@ -188,7 +185,7 @@ def test_run_mobility_s8_checks_hit_the_repair_index_without_graphs(
               if check[0] == "repro.mobility.run"]
         assert len(s8) == len(result.steps)
         assert all(is_index and not built for _, is_index, built in checks)
-        assert materialised, "repair still solves on demand-link graphs"
+        assert not materialised, "no solver layer reads a networkx graph"
 
 
 def test_run_mobility_reports_a_committed_s8_violation(monkeypatch):
@@ -199,7 +196,7 @@ def test_run_mobility_reports_a_committed_s8_violation(monkeypatch):
         schedule = real(self, flows, demands, conflicts)
         if schedule is None:
             return None
-        a, b = next((a, b) for a, b in conflicts.edges
+        a, b = next((a, b) for a, b in conflicts.pairs()
                     if a in demands and b in demands)
         blocks = dict(schedule.items())
         blocks[b] = blocks[a]

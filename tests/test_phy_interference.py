@@ -186,6 +186,6 @@ class TestIncidenceRewrite:
                 if (set(a) & set(b) or tb in topology.graph[ra]
                         or ta in topology.graph[rb]):
                     naive.add_edge(a, b)
-        fast = interference_graph(topology)
+        fast = interference_graph(topology).graph
         assert list(fast.nodes) == list(naive.nodes)
         assert list(fast.edges) == list(naive.edges)

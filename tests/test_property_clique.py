@@ -52,7 +52,7 @@ def demanded_meshes(draw):
 
 def _oracle_clique_weight(conflicts, demands):
     demanded = [link for link, d in demands.items() if d > 0]
-    graph = conflicts.subgraph(demanded).copy()
+    graph = conflicts.graph.subgraph(demanded).copy()
     for link in demanded:
         graph.nodes[link]["weight"] = demands[link]
     return nx.max_weight_clique(graph, weight="weight")[1]
@@ -62,7 +62,7 @@ def _clique_weights(conflicts, demands):
     """Weights of every clique of demanded links (tiny instances only)."""
     demanded = [link for link, d in demands.items() if d > 0]
     return {sum(demands[link] for link in clique) for clique in
-            nx.enumerate_all_cliques(conflicts.subgraph(demanded))}
+            nx.enumerate_all_cliques(conflicts.graph.subgraph(demanded))}
 
 
 @settings(max_examples=80, deadline=None)

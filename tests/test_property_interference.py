@@ -27,9 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core.conflict import (
     _conflict_rows,
-    _graph_from_edges,
+    _index_from_rows,
     _khop_near_sets,
-    _row_edges,
     conflict_graph,
 )
 from repro.core.engine import SolverEngine, canonical_problem_key
@@ -60,16 +59,13 @@ def _assert_same_index(via_hops, via_model):
     assert via_hops.links == via_model.links
     assert np.array_equal(via_hops.indptr, via_model.indptr)
     assert np.array_equal(via_hops.indices, via_model.indices)
-    assert (sorted(map(sorted, via_hops.graph.edges))
-            == sorted(map(sorted, via_model.graph.edges)))
+    assert via_hops.pairs() == via_model.pairs()
 
 
 def _assert_same_problem_hash(via_hops, via_model):
     demands = {link: 1 for link in via_hops.links}
-    key_a = canonical_problem_key(
-        SchedulingProblem(via_hops.graph, demands, 16))
-    key_b = canonical_problem_key(
-        SchedulingProblem(via_model.graph, demands, 16))
+    key_a = canonical_problem_key(SchedulingProblem(via_hops, demands, 16))
+    key_b = canonical_problem_key(SchedulingProblem(via_model, demands, 16))
     assert key_a == key_b
 
 
@@ -190,8 +186,7 @@ def test_builder_matches_pairwise_reference(relation, topology, data):
         near = _channel_near_sets(topology)
         reference = _channel_reference(topology, link_list)
         built = (interference_graph(topology) if requested is None
-                 else _graph_from_edges(
-                     link_list, _row_edges(_conflict_rows(link_list, near))))
+                 else _index_from_rows(link_list, near))
     else:
         hops = int(relation.split("=")[1])
         near = _khop_near_sets(topology, hops)
@@ -206,14 +201,12 @@ def test_builder_matches_pairwise_reference(relation, topology, data):
             assert all(len(near(link)[0]) == num_nodes
                        for link in link_list)
             return
-    assert list(built.nodes) == list(reference.nodes)
-    assert list(built.edges) == list(reference.edges)
-    assert _adjacency(built) == _adjacency(reference)
+    _assert_same_graph_order(built.graph, reference)
 
     rows = (data.draw(st.sets(st.sampled_from(link_list)), label="rows")
             if link_list else set())
     assert (list(_conflict_rows(link_list, near, rows=rows))
-            == [(a, set(built.adj[a])) for a in link_list if a in rows])
+            == [(a, set(built.neighbors(a))) for a in link_list if a in rows])
 
 
 # -- engine CSR builds against the same references --------------------------
@@ -269,7 +262,7 @@ def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
     cold = SolverEngine(max_indexes=0).conflict_index(topology, hops=hops,
                                                       links=requested)
     _assert_csr_matches(cold, reference)
-    _assert_same_graph_order(cold.graph, expected)
+    _assert_same_graph_order(cold.graph, expected.graph)
 
     # delta: diff against an index of the mesh with one edge toggled
     bridges = set(nx.bridges(topology.graph))
@@ -291,7 +284,7 @@ def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
     updated = engine.conflict_index(topology, hops=hops, links=requested)
     assert engine.stats["delta_updates"] + engine.stats["index_builds"] == 2
     _assert_csr_matches(updated, reference)
-    _assert_same_graph_order(updated.graph, expected)
+    _assert_same_graph_order(updated.graph, expected.graph)
 
 
 @pytest.mark.parametrize("relation", ["hops=1", "hops=2", "exact"])
@@ -319,4 +312,7 @@ def test_violations_on_index_match_violations_on_graph(relation, topology,
         blocks[link] = SlotBlock(start, data.draw(
             st.integers(1, frame - start), label="length"))
     schedule = Schedule(frame, blocks)
-    assert schedule.violations(index) == schedule.violations(index.graph)
+    on_graph = sorted((a, b) for a, b in map(sorted, index.graph.edges)
+                      if a in blocks and b in blocks
+                      and blocks[a].overlaps(blocks[b]))
+    assert schedule.violations(index) == on_graph

@@ -112,6 +112,7 @@ def test_delay_wraps_identity(case):
 def test_grid_conflict_graphs_symmetric_and_loopless(rows, cols, seed):
     topology = grid_topology(rows, cols)
     conflicts = conflict_graph(topology, hops=2)
-    for a, b in conflicts.edges:
+    for a, b in conflicts.pairs():
         assert a != b
-    assert set(conflicts.nodes) == set(topology.links)
+        assert conflicts.has_edge(b, a)
+    assert set(conflicts.links) == set(topology.links)

@@ -63,7 +63,7 @@ def _problem(topology, flows, engine):
 def _assert_s8_and_s30(result, index, demands, constraints, flows):
     """The soundness gate every heuristic schedule must pass."""
     schedule = result.schedule
-    assert schedule.violations(index.graph) == []          # S8
+    assert schedule.violations(index) == []          # S8
     assert schedule.demands_met(demands)
     assert schedule.frame_slots == FRAME.data_slots
     for constraint in constraints:
@@ -81,7 +81,7 @@ def test_heuristic_arms_emit_only_valid_guaranteed_schedules(instance):
     topology, flows, max_zone_links = instance
     engine = SolverEngine()
     index, demands, constraints = _problem(topology, flows, engine)
-    exact = minimum_slots(index.graph, demands, FRAME.data_slots,
+    exact = minimum_slots(index, demands, FRAME.data_slots,
                           constraints, engine=engine, policy="exact")
     policy = SolverPolicy(mode="zoned", max_zone_links=max_zone_links)
     for result in (
@@ -108,11 +108,11 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
     reference_engine = SolverEngine(warm_start=False, max_indexes=0,
                                     max_problems=0)
     reference = reference_engine.run_search(
-        index.graph, demands, FRAME.data_slots, tuple(constraints),
+        index, demands, FRAME.data_slots, tuple(constraints),
         "linear", FRAME.data_slots)
 
     for policy in ("exact", None):  # explicit exact and default auto
-        result = minimum_slots(index.graph, demands, FRAME.data_slots,
+        result = minimum_slots(index, demands, FRAME.data_slots,
                                constraints, engine=SolverEngine(),
                                policy=policy)
         assert result.slots == reference.slots
