@@ -56,6 +56,7 @@ from repro.net.topology import (
 )
 from repro.overlay.guard import required_guard_s, slot_overhead_fraction
 from repro.overlay.sync import SyncConfig
+from repro.phy.models import ProtocolModel
 from repro.sim.random import RngRegistry
 from repro.traffic.voip import G711, G729, VoipCodec
 from repro.units import MS, US
@@ -108,8 +109,7 @@ def e01_min_slots(call_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
                                 gateway=0, delay_budget_s=0.1)
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
-        conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys())
+        conflicts = solver.conflict_index(topology, links=demands.keys())
         lower = demand_lower_bound(demands)
         search = minimum_slots(conflicts, demands, frame.data_slots,
                                delay_constraints=delay_constraints_for(
@@ -151,8 +151,7 @@ def e02_delay_vs_hops(hop_counts: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
         topology = chain_topology(hops + 1)
         route = tuple((i, i + 1) for i in range(hops))
         demands = {link: 1 for link in route}
-        conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys())
+        conflicts = solver.conflict_index(topology, links=demands.keys())
         slot_ms = frame_duration_s * 1000 / frame_slots
 
         ilp = solver.solve(SchedulingProblem(
@@ -194,8 +193,7 @@ def e03_delay_vs_frame(frame_durations_ms: Sequence[float] = (4, 8, 10, 16,
     topology = chain_topology(hops + 1)
     route = tuple((i, i + 1) for i in range(hops))
     demands = {link: 1 for link in route}
-    conflicts = SolverEngine().conflict_index(
-        topology, hops=2, links=demands.keys())
+    conflicts = SolverEngine().conflict_index(topology, links=demands.keys())
     tree = gateway_tree(topology, 0)
     good = schedule_from_order(conflicts, demands, frame_slots,
                                min_delay_tree_order(tree, 0))
@@ -379,8 +377,7 @@ def e07_ordering_compare(seed: int = 17) -> ExperimentResult:
         for route in routes:
             for link in route:
                 demands[link] = demands.get(link, 0) + 1
-        conflicts = solver.conflict_index(topology, hops=2,
-                                          links=demands.keys())
+        conflicts = solver.conflict_index(topology, links=demands.keys())
 
         def max_wraps(schedule) -> int:
             return max(path_wraps(schedule, route) for route in routes)
@@ -531,8 +528,7 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
         cold = SolverEngine(warm_start=False, max_indexes=0, max_problems=0)
-        conflicts = cold.conflict_index(topology, hops=2,
-                                        links=demands.keys())
+        conflicts = cold.conflict_index(topology, links=demands.keys())
         problem = SchedulingProblem(
             conflicts, demands, frame.data_slots,
             delay_constraints=delay_constraints_for(flows, slot_s),
@@ -599,7 +595,8 @@ def e11_spatial_reuse(chain_lengths: Sequence[int] = (4, 6, 8, 10, 12, 16),
         demands = {link: 1 for link in topology.links}
         slots = {}
         for hops in (1, 2):
-            conflicts = solver.conflict_index(topology, hops=hops)
+            conflicts = solver.conflict_index(
+                topology, interference=ProtocolModel(hops))
             search = minimum_slots(conflicts, demands,
                                    frame_slots=len(demands),
                                    engine=solver)
@@ -735,7 +732,7 @@ def e14_distributed_vs_centralized() -> ExperimentResult:
          "served", "messages", "opportunities"])
     for name, topology, ____ in cases:
         demands = {link: 1 for link in topology.links}
-        conflicts = solver.conflict_index(topology, hops=2)
+        conflicts = solver.conflict_index(topology)
         frame = 2 * len(demands)
         # binary search with a probe budget: all-links instances make the
         # infeasible probes near the optimum expensive, and a near-optimal
@@ -896,8 +893,7 @@ def e16_two_class(call_counts: Sequence[int] = (0, 1, 2, 3, 4, 5, 6),
         g_demands = service.guaranteed_flow_set().link_demands(
             frame.frame_duration_s, frame.data_slot_capacity_bits)
         all_links = set(g_demands) | set(be_demands)
-        conflicts = solver.conflict_index(topology, hops=2,
-                                          links=all_links)
+        conflicts = solver.conflict_index(topology, links=all_links)
         try:
             two = schedule_service_classes(conflicts, service, frame)
         except InfeasibleScheduleError:
@@ -1000,7 +996,7 @@ def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
             # every carried call keeps its guarantee after every event
             # (through the repair engine's own conflict-index cache)
             conflicts = engine.engine.conflict_index(
-                engine.alive, hops=engine.hops,
+                engine.alive, interference=engine.interference,
                 links=engine.schedule.links())
             conflict_ok &= not engine.schedule.violations(conflicts)
             for flow in engine.carried_flows:
@@ -1099,8 +1095,7 @@ def e18_control_loss(loss_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
             (block.start + shift) % (frame.data_slots - block.length + 1),
             block.length))
     all_links = set(dict(schedule_a.items())) | set(dict(schedule_b.items()))
-    conflicts = SolverEngine().conflict_index(topology, hops=2,
-                                              links=all_links)
+    conflicts = SolverEngine().conflict_index(topology, links=all_links)
 
     blackout_links = [tuple(sorted((victim, n)))
                       for n in topology.neighbors(victim)]
@@ -1472,7 +1467,7 @@ def _e21_instance(num_nodes: int, num_flows: int, seed: int,
     for flow in provisional:
         for link in flow.route:
             counts[link] = counts.get(link, 0) + 1
-    index = engine.conflict_index(topology, hops=2, links=sorted(counts))
+    index = engine.conflict_index(topology, links=sorted(counts))
     lower = demand_lower_bound(counts)
 
     # Pass 2: size the frame from the clique bound, then set rates so
@@ -1744,10 +1739,10 @@ def e23_interference_backends(
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
         links = sorted(demands)
-        proto_index = engine.conflict_index(topology, hops=2, links=links)
+        proto_index = engine.conflict_index(topology, links=links)
         sinr_index = engine.conflict_index(topology, interference=sinr,
                                            links=links)
-        uncovered = uncovered_interference(topology, hops=2, truth=sinr)
+        uncovered = uncovered_interference(topology, truth=sinr)
         hidden = sinr.hidden_node_pairs(topology)
         constraints = delay_constraints_for(flows, slot_s)
         proto = minimum_slots(proto_index, demands, frame.data_slots,

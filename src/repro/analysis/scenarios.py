@@ -89,9 +89,7 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
     eng = engine if engine is not None else SolverEngine()
     demands = flows.link_demands(frame_config.frame_duration_s,
                                  frame_config.data_slot_capacity_bits)
-    conflicts = eng.conflict_index(topology,
-                                   hops=None if interference else 2,
-                                   interference=interference,
+    conflicts = eng.conflict_index(topology, interference=interference,
                                    links=demands.keys())
     slots = frame_config.data_slots
 
@@ -145,7 +143,6 @@ def admit_flows(topology: MeshTopology, flows: FlowSet,
         demands = candidate.link_demands(frame_config.frame_duration_s,
                                          frame_config.data_slot_capacity_bits)
         conflicts = eng.conflict_index(topology,
-                                       hops=None if interference else 2,
                                        interference=interference,
                                        links=demands.keys())
         problem = SchedulingProblem(
@@ -320,15 +317,19 @@ def run_dcf_scenario(topology: MeshTopology, flows: FlowSet,
     channel is widened with that model's physical couplings
     (:meth:`~repro.phy.models.SinrModel.channel_couplings`): carrier
     sense reaches past radio neighbours and hidden-node transmitters
-    corrupt in-flight receptions (counted in the ``"jams"`` extra).
+    corrupt in-flight receptions (counted in the ``"jams"`` extra).  A
+    :class:`~repro.phy.models.ProtocolModel` (or ``None``) leaves the
+    channel's native collision rule alone.
     """
+    from repro.phy.models import SinrModel, coerce_interference
+
+    model = coerce_interference(interference)
     rngs = resolve_rngs(rngs, seed, what="run_dcf_scenario")
     sim = Simulator()
     trace = Trace(capacity=200_000)
     channel = BroadcastChannel(sim, topology, params.phy, trace)
-    if interference is not None:
-        channel.set_physical_couplings(
-            interference.channel_couplings(topology))
+    if isinstance(model, SinrModel):
+        channel.set_physical_couplings(model.channel_couplings(topology))
     if channel_error_rate > 0.0:
         channel.set_error_model(rngs.stream("channel_error"),
                                 channel_error_rate)

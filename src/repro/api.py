@@ -57,18 +57,13 @@ class Scenario:
         :func:`~repro.mesh16.frame.default_frame_config`.
     gateway:
         Anchor node for tree orderings and the emulation's timebase.
-    hops:
-        Conflict distance of the protocol interference model
-        (2 = the 802.16 mesh default).  Shorthand for
-        ``interference=ProtocolModel(hops=...)``; mutually exclusive
-        with ``interference=``.
     interference:
         The :class:`~repro.phy.models.InterferenceModel` backend the
-        conflict graph is built with -- a
-        :class:`~repro.phy.models.ProtocolModel` (the default, via
-        ``hops=``) or an :class:`~repro.phy.models.SinrModel` for
-        physical-model interference with adaptive MCS (needs node
-        positions).  See ``docs/interference.md``.
+        conflict graph is built with -- ``ProtocolModel(hops=k)``
+        (``None``: ``ProtocolModel(hops=2)``, the 802.16 mesh default)
+        or a :class:`~repro.phy.models.SinrModel` for physical-model
+        interference with adaptive MCS (needs node positions).  See
+        ``docs/interference.md``.
     engine:
         Optional shared :class:`~repro.core.engine.SolverEngine`.  Each
         scenario gets its own engine by default, so repeated
@@ -93,33 +88,18 @@ class Scenario:
     def __init__(self, topology: Optional[MeshTopology] = None,
                  flows: Optional[FlowsLike] = None,
                  frame: Optional[MeshFrameConfig] = None,
-                 gateway: int = 0, hops: Optional[int] = None,
+                 gateway: int = 0,
                  engine: Optional[SolverEngine] = None,
                  service_flows=None, mobility=None,
                  solver: Union[SolverPolicy, str, None] = None,
                  interference=None) -> None:
-        from repro.phy.models import ProtocolModel, coerce_interference
+        from repro.phy.models import coerce_interference
 
         if (flows is None) == (service_flows is None):
             raise ConfigurationError(
                 "pass exactly one of flows= or service_flows=")
-        if hops is not None and interference is not None:
-            raise ConfigurationError(
-                "pass either hops= or interference=, not both")
-        if isinstance(interference, int) and not isinstance(interference,
-                                                            bool):
-            raise ConfigurationError(
-                f"Scenario(interference={interference!r}) takes an "
-                f"InterferenceModel; pass hops={interference!r} or "
-                f"interference=ProtocolModel(hops={interference!r})")
         #: the interference-model backend conflict graphs come from
-        self.interference = coerce_interference(
-            interference, default_hops=2 if hops is None else hops)
-        #: protocol-model conflict distance (None under a non-protocol
-        #: backend such as SinrModel)
-        self.hops = (self.interference.hops
-                     if isinstance(self.interference, ProtocolModel)
-                     else None)
+        self.interference = coerce_interference(interference)
         if mobility is not None:
             if topology is not None:
                 raise ConfigurationError(

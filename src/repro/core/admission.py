@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.conflict import conflict_graph
 from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
-from repro.core.policy import SolverPolicy
+from repro.core.policy import SolverPolicy, require_int
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.net.flows import Flow, FlowSet
@@ -50,8 +49,10 @@ class AdmissionController:
         ``frame_duration_s / frame_slots``.
     slot_capacity_bits:
         Application bits moved one hop per slot.
-    conflict_hops:
-        Interference model parameter (802.16 mesh default: 2).
+    interference:
+        The :class:`~repro.phy.models.InterferenceModel` calls are
+        scheduled against (``None``: ``ProtocolModel(hops=2)``, the
+        802.16 mesh default).
     guaranteed_region_slots:
         Cap on the slots available to guaranteed traffic (the rest is
         reserved for best effort); default: the whole frame.
@@ -68,23 +69,28 @@ class AdmissionController:
 
     def __init__(self, topology: MeshTopology, frame_slots: int,
                  frame_duration_s: float, slot_capacity_bits: float,
-                 conflict_hops: int = 2,
+                 interference=None,
                  guaranteed_region_slots: Optional[int] = None) -> None:
+        from repro.phy.models import coerce_interference
+
         if frame_duration_s <= 0 or slot_capacity_bits <= 0:
             raise ConfigurationError(
                 "frame duration and slot capacity must be positive")
+        require_int("frame_slots", frame_slots, 1)
         self.topology = topology
         self.frame_slots = frame_slots
         self.frame_duration_s = frame_duration_s
         self.slot_capacity_bits = slot_capacity_bits
-        self.conflict_hops = conflict_hops
         self.region_cap = (frame_slots if guaranteed_region_slots is None
                            else guaranteed_region_slots)
-        if not 0 < self.region_cap <= frame_slots:
+        require_int("guaranteed_region_slots", self.region_cap, 1)
+        if self.region_cap > frame_slots:
             raise ConfigurationError(
                 f"guaranteed region {self.region_cap} must be in 1..frame_slots")
         self.policy = SolverPolicy(search="binary", max_region=self.region_cap)
-        self.conflicts = conflict_graph(topology, hops=conflict_hops)
+        #: the interference-model backend the conflict relation comes from
+        self.interference = coerce_interference(interference)
+        self.conflicts = self.interference.conflict_graph(topology)
         self.admitted = FlowSet()
         self.schedule: Optional[Schedule] = None
         self.slots_used = 0

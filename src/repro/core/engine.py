@@ -333,19 +333,17 @@ class SolverEngine:
     # -- conflict-relation layer ---------------------------------------------
 
     def conflict_index(self, topology: MeshTopology,
-                       hops: Optional[int] = None,
                        links: Optional[Sequence[Link]] = None,
                        interference=None) -> ConflictIndex:
         """The (cached) :class:`ConflictIndex` for a topology/links/model key.
 
-        The interference backend is either ``hops`` (the k-hop protocol
-        model; default 2, the pre-seam behaviour) or ``interference=`` --
-        an :class:`~repro.phy.models.InterferenceModel` or a bare hops
-        integer.  A :class:`~repro.phy.models.ProtocolModel` routes
-        through exactly the pre-seam path: same cache key (the bare hops
-        int), same delta lineage, same rows as
-        :func:`~repro.core.conflict.conflict_graph` -- bitwise
-        identical.  Other models (e.g.
+        ``interference=`` is the
+        :class:`~repro.phy.models.InterferenceModel` to build with
+        (``None``: ``ProtocolModel(hops=2)``).  A
+        :class:`~repro.phy.models.ProtocolModel` is keyed by its bare
+        hops int, joins the delta lineage of that hops value and builds
+        the rows of :func:`~repro.core.conflict.conflict_graph` --
+        bitwise identical.  Other models (e.g.
         :class:`~repro.phy.models.SinrModel`) are keyed by their
         :meth:`~repro.phy.models.InterferenceModel.cache_token` (which
         folds in positions and parameters -- the topology fingerprint
@@ -354,17 +352,13 @@ class SolverEngine:
 
         Protocol-path misses are answered by the cheapest correct path:
         an incremental delta update against the last index of the same
-        ``hops`` when the diff is small (see ``delta_updates``), a full
+        hops value when the diff is small (see ``delta_updates``), a full
         build otherwise.  Either way the result is identical and lands
         in the same LRU.
         """
         from repro.phy.models import ProtocolModel, coerce_interference
 
-        if hops is not None and interference is not None:
-            raise ConfigurationError(
-                "pass either hops= or interference=, not both")
-        model = coerce_interference(interference,
-                                    default_hops=2 if hops is None else hops)
+        model = coerce_interference(interference)
         if not isinstance(model, ProtocolModel):
             return self._model_index(model, topology, links)
         hops = model.hops

@@ -39,6 +39,8 @@ guarantee.  What they give up is minimality, bounded in practice by
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -52,6 +54,14 @@ SOLVER_MODES = ("exact", "zoned", "greedy", "auto")
 #: paper-scale workload (16-50 node meshes demand well under 100 links)
 #: and comfortably below where the monolithic ILP becomes intractable.
 DEFAULT_AUTO_THRESHOLD = 256
+
+
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Reject anything but an ``int >= minimum`` -- a bool included."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        raise ConfigurationError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,24 +119,15 @@ class SolverPolicy:
         if self.search not in ("linear", "binary"):
             raise ConfigurationError(
                 f"unknown search mode {self.search!r}")
-        if self.max_zone_links < 2:
+        require_int("max_zone_links", self.max_zone_links, 2)
+        gap = self.gap_tolerance
+        if not (isinstance(gap, numbers.Real) and 0 <= gap < math.inf):
             raise ConfigurationError(
-                f"max_zone_links must be >= 2, got {self.max_zone_links}")
-        if self.gap_tolerance < 0:
-            raise ConfigurationError(
-                f"gap_tolerance must be >= 0, got {self.gap_tolerance}")
-        if self.auto_threshold < 1:
-            raise ConfigurationError(
-                f"auto_threshold must be >= 1, got {self.auto_threshold}")
-        if self.max_region is not None and self.max_region < 1:
-            raise ConfigurationError(
-                f"max_region must be >= 1, got {self.max_region}")
-        nodes = self.node_limit_per_probe
-        if nodes is not None and (not isinstance(nodes, int)
-                                  or isinstance(nodes, bool) or nodes < 1):
-            raise ConfigurationError(
-                f"node_limit_per_probe must be an int >= 1 or None, "
-                f"got {nodes!r}")
+                f"gap_tolerance must be finite and >= 0, got {gap!r}")
+        require_int("auto_threshold", self.auto_threshold, 1)
+        for name in ("max_region", "node_limit_per_probe"):
+            if getattr(self, name) is not None:
+                require_int(name, getattr(self, name), 1)
 
     @classmethod
     def coerce(cls, value: Union["SolverPolicy", str, None]

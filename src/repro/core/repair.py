@@ -98,14 +98,12 @@ class RepairEngine:
         Anchor node: flows whose endpoint is partitioned from the gateway
         are parked.  The gateway itself must never be a crash victim
         (protect it in the fault plan).
-    hops:
-        Conflict distance of the protocol model (2 = 802.16 mesh default).
-        Mutually exclusive with ``interference=``.
     interference:
-        Optional :class:`~repro.phy.models.InterferenceModel` replacing
-        the protocol model -- e.g. an
-        :class:`~repro.phy.models.SinrModel` so repairs schedule against
-        physical-model interference (needs node positions).
+        The :class:`~repro.phy.models.InterferenceModel` every repair
+        schedules against: ``ProtocolModel(hops=k)`` (``None``:
+        ``ProtocolModel(hops=2)``, the 802.16 mesh default) or a
+        :class:`~repro.phy.models.SinrModel` for physical-model
+        interference (needs node positions).
     engine:
         The :class:`~repro.core.engine.SolverEngine` sharing conflict
         indexes and solved probes across this engine's repair passes
@@ -117,31 +115,23 @@ class RepairEngine:
     """
 
     def __init__(self, topology: MeshTopology, frame_config: MeshFrameConfig,
-                 gateway: int = 0, hops: Optional[int] = None,
+                 gateway: int = 0,
                  engine: Optional[SolverEngine] = None,
                  shed_key=None,
                  dead_nodes: Iterable[int] = (),
                  dead_edges: Iterable[tuple[int, int]] = (),
                  interference=None) -> None:
-        from repro.phy.models import ProtocolModel, coerce_interference
+        from repro.phy.models import coerce_interference
 
         if gateway not in topology.graph:
             raise ConfigurationError(f"gateway {gateway} not in topology")
-        if hops is not None and interference is not None:
-            raise ConfigurationError(
-                "pass either hops= or interference=, not both")
         self.engine = engine if engine is not None else SolverEngine()
         self.base_topology = topology
         self.frame = frame_config
         self.gateway = gateway
         #: interference-model backend for all conflict graphs this
         #: engine builds (repairs and full re-solves alike)
-        self.interference = coerce_interference(
-            interference, default_hops=2 if hops is None else hops)
-        #: protocol conflict distance (None under a non-protocol backend)
-        self.hops = (self.interference.hops
-                     if isinstance(self.interference, ProtocolModel)
-                     else None)
+        self.interference = coerce_interference(interference)
         #: initial fault state: a mobility stream's world at t=0 rarely has
         #: every union-topology link up, so the engine can be born degraded
         #: and :meth:`install` then routes on the t=0 survivor rather than

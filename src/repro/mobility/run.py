@@ -114,7 +114,6 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
                  frame: Optional[MeshFrameConfig] = None, *,
                  gateway: int = 0,
                  gateways: Optional[Sequence[int]] = None,
-                 hops: Optional[int] = None,
                  engine: Optional[SolverEngine] = None,
                  packet_interval_s: float = 0.02,
                  interference=None) -> MobilityRunResult:
@@ -128,9 +127,9 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     ``index_builds`` counters isolate the incremental-index effect.
     ``packet_interval_s`` converts convergence windows and parked time
     into lost packets (default 20 ms, the G.729 VoIP cadence).
-    ``hops=`` / ``interference=`` select the interference backend the
-    repair engine schedules against (protocol hops or any
-    :class:`~repro.phy.models.InterferenceModel`); at most one of them.
+    ``interference=`` is the
+    :class:`~repro.phy.models.InterferenceModel` the repair engine
+    schedules against (``None``: ``ProtocolModel(hops=2)``).
 
     After every batch the live schedule is S8-checked on the conflict
     index of its scheduled links -- the demand-link index the repair
@@ -152,7 +151,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
                 "the gateway's component")
     solver = engine if engine is not None else SolverEngine()
     repair = RepairEngine(world.topology, frame, gateway=gateway,
-                          hops=hops, interference=interference,
+                          interference=interference,
                           engine=solver,
                           dead_nodes=world.dead_nodes,
                           dead_edges=world.dead_edges)

@@ -46,12 +46,14 @@ class Flow:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ConfigurationError(f"flow {self.name}: src == dst == {self.src}")
-        if self.rate_bps <= 0:
-            raise ConfigurationError(
-                f"flow {self.name}: rate must be positive, got {self.rate_bps}")
-        if self.delay_budget_s is not None and self.delay_budget_s <= 0:
-            raise ConfigurationError(
-                f"flow {self.name}: delay budget must be positive")
+        # written so that NaN fails too: every comparison with it is False
+        rate, budget = self.rate_bps, self.delay_budget_s
+        if not 0 < rate < math.inf:
+            raise ConfigurationError(f"flow {self.name}: rate must be "
+                                     f"positive and finite, got {rate}")
+        if budget is not None and not 0 < budget < math.inf:
+            raise ConfigurationError(f"flow {self.name}: delay budget must "
+                                     f"be positive and finite, got {budget}")
         if self.route:
             self._validate_route()
 

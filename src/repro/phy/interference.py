@@ -33,17 +33,11 @@ relations, as a :class:`~repro.core.conflict.ConflictIndex`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.core.conflict import (
-    ConflictIndex,
-    _index_from_rows,
-    _NearSets,
-    conflict_graph,
-)
+from repro.core.conflict import ConflictIndex, _index_from_rows, _NearSets
 from repro.net.topology import Link, MeshTopology
-
-ModelLike = Union[int, "InterferenceModel", None]  # noqa: F821
+from repro.phy.models import InterferenceModel, coerce_interference
 
 
 def interference_graph(topology: MeshTopology) -> ConflictIndex:
@@ -66,16 +60,6 @@ def _channel_near_sets(topology: MeshTopology) -> _NearSets:
     return near
 
 
-def _model_graph(topology: MeshTopology, hops: int,
-                 model: ModelLike) -> ConflictIndex:
-    """The abstraction under test: k-hop by default, or any model."""
-    if model is None:
-        return conflict_graph(topology, hops=hops)
-    from repro.phy.models import coerce_interference
-
-    return coerce_interference(model).conflict_graph(topology)
-
-
 def _truth_graph(topology: MeshTopology,
                  truth: Optional[object]) -> ConflictIndex:
     """The ground-truth relation: channel-exact, a model, or an index."""
@@ -83,21 +67,19 @@ def _truth_graph(topology: MeshTopology,
         return interference_graph(topology)
     if isinstance(truth, ConflictIndex):
         return truth
-    from repro.phy.models import coerce_interference
-
     return coerce_interference(truth).conflict_graph(topology)
 
 
-def uncovered_interference(topology: MeshTopology, hops: int = 2,
-                           model: ModelLike = None,
+def uncovered_interference(topology: MeshTopology,
+                           model: Optional[InterferenceModel] = None,
                            truth: Optional[object] = None
                            ) -> list[tuple[Link, Link]]:
     """Interfering link pairs the abstraction fails to separate.
 
     An empty list certifies that every schedule conflict-free under the
-    abstraction (``hops``, or ``model=``) is collision-free under the
-    ground truth (the channel rule, or ``truth=`` -- an
-    :class:`~repro.phy.models.InterferenceModel`, a bare hops int, or a
+    abstraction (``model=``, default ``ProtocolModel(hops=2)``) is
+    collision-free under the ground truth (the channel rule, or
+    ``truth=`` -- an :class:`~repro.phy.models.InterferenceModel` or a
     prebuilt :class:`~repro.core.conflict.ConflictIndex`).  The 1-hop
     model typically leaves pairs uncovered (hidden-terminal style); the
     2-hop model covers the channel rule on every generator topology --
@@ -106,13 +88,13 @@ def uncovered_interference(topology: MeshTopology, hops: int = 2,
     measures.
     """
     physical = _truth_graph(topology, truth)
-    abstraction = _model_graph(topology, hops, model)
+    abstraction = coerce_interference(model).conflict_graph(topology)
     return [pair for pair in physical.pairs()
             if not abstraction.has_edge(*pair)]
 
 
-def overcautious_pairs(topology: MeshTopology, hops: int = 2,
-                       model: ModelLike = None,
+def overcautious_pairs(topology: MeshTopology,
+                       model: Optional[InterferenceModel] = None,
                        truth: Optional[object] = None
                        ) -> list[tuple[Link, Link]]:
     """Pairs the abstraction separates although the truth never corrupts.
@@ -123,6 +105,6 @@ def overcautious_pairs(topology: MeshTopology, hops: int = 2,
     than unsafe.
     """
     physical = _truth_graph(topology, truth)
-    abstraction = _model_graph(topology, hops, model)
+    abstraction = coerce_interference(model).conflict_graph(topology)
     return [pair for pair in abstraction.pairs()
             if not physical.has_edge(*pair)]

@@ -1,19 +1,21 @@
 """Pluggable interference models (S39): protocol vs SINR backends.
 
-The scheduler's conflict abstraction used to be a bare ``hops`` integer
-threaded through every layer.  This module turns it into a *seam*: an
-:class:`InterferenceModel` builds the conflict relation, a
-:class:`~repro.core.conflict.ConflictIndex`, and everything above the
-engine (``Scenario``, ``minimum_slots``, repair, mobility, the DCF
-baseline) accepts a model wherever it used to accept ``hops``.
+An :class:`InterferenceModel` builds the conflict relation the
+scheduler works on, a :class:`~repro.core.conflict.ConflictIndex`.  It is
+the one way to name that relation: every entry point above the row
+builder (``Scenario``, ``SolverEngine.conflict_index``, admission,
+repair, mobility, the QoS planner, the DCF baseline, the containment
+validator) takes ``interference=`` -- ``None`` for the 802.16 mesh
+default ``ProtocolModel(hops=2)``, or a model -- and
+:func:`coerce_interference` is the single boundary check.
 
 Two backends ship:
 
 - :class:`ProtocolModel` -- the k-hop protocol model of
-  :func:`repro.core.conflict.conflict_graph`, **bitwise-identical** to the
-  pre-seam path: its :meth:`~ProtocolModel.cache_token` is the bare hops
-  integer, so engine cache keys, delta-update lineages and canonical
-  problem hashes are unchanged (property-tested in
+  :func:`repro.core.conflict.conflict_graph`, **bitwise-identical** to
+  that row builder: its :meth:`~ProtocolModel.cache_token` is the bare
+  hops integer, so engine cache keys, delta-update lineages and canonical
+  problem hashes are those of a direct build (property-tested in
   ``tests/test_property_interference.py``).
 - :class:`SinrModel` -- physical-model interference from node positions:
   a log-distance :class:`PathLossModel` maps TX power to a pairwise RSS
@@ -26,7 +28,7 @@ Two backends ship:
   (:meth:`~SinrModel.channel_couplings`).
 
 :mod:`repro.phy.interference` is the containment validator between the
-backends: ``uncovered_interference(topology, hops=2, truth=sinr_model)``
+backends: ``uncovered_interference(topology, truth=sinr_model)``
 lists the physically interfering pairs the protocol model fails to
 separate.  See ``docs/interference.md`` for the full guide.
 """
@@ -248,13 +250,12 @@ class InterferenceModel:
 
 
 class ProtocolModel(InterferenceModel):
-    """The k-hop protocol model, bitwise-identical to the pre-seam path.
+    """The k-hop protocol model (802.16 mesh default: ``hops=2``).
 
-    ``ProtocolModel(hops=k)`` and a bare ``hops=k`` are interchangeable
-    everywhere: the engine routes both through the same cache key, delta
-    lineage and :func:`~repro.core.conflict.conflict_graph` build, so CSR
-    arrays, conflict edges and canonical problem hashes are identical to
-    the letter (the compatibility contract this refactor is pinned to).
+    The engine keys it by the bare hops integer and builds it with the
+    row builder :func:`~repro.core.conflict.conflict_graph`, so its CSR
+    arrays, conflict edges and canonical problem hashes are those of
+    ``conflict_graph(topology, hops=k)`` to the letter.
     """
 
     kind = "protocol"
@@ -568,18 +569,18 @@ class SinrModel(InterferenceModel):
         return f"SinrModel({self.describe()})"
 
 
-def coerce_interference(value, default_hops: int = 2) -> InterferenceModel:
-    """Map the public ``interference=`` argument onto a model.
+def coerce_interference(value) -> InterferenceModel:
+    """The boundary check for every public ``interference=`` argument.
 
-    ``None`` -> the default :class:`ProtocolModel`; a bare integer -> a
-    :class:`ProtocolModel` with that hops value; a model passes through.
+    ``None`` -> ``ProtocolModel(hops=2)``, the 802.16 mesh default; a
+    model passes through.  Anything else -- a bare hops integer, a bool,
+    a string -- raises :class:`~repro.errors.ConfigurationError`.
     """
     if value is None:
-        return ProtocolModel(default_hops)
+        return ProtocolModel(2)
     if isinstance(value, InterferenceModel):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ProtocolModel(value)
     raise ConfigurationError(
-        f"interference= expects an InterferenceModel or an integer hops "
-        f"value, got {value!r}")
+        f"interference= takes an InterferenceModel such as "
+        f"ProtocolModel(hops=k) or SinrModel(...), or None for "
+        f"ProtocolModel(hops=2); got {value!r}")

@@ -54,12 +54,12 @@ class QosAdmissionController:
     """Admit service flows according to their class contracts."""
 
     def __init__(self, topology: MeshTopology, frame: MeshFrameConfig,
-                 conflict_hops: int = 2,
+                 interference=None,
                  guaranteed_region_slots: Optional[int] = None) -> None:
         self.frame = frame
         self._core = AdmissionController(
             topology, frame.data_slots, frame.frame_duration_s,
-            frame.data_slot_capacity_bits, conflict_hops=conflict_hops,
+            frame.data_slot_capacity_bits, interference=interference,
             guaranteed_region_slots=guaranteed_region_slots)
         #: every admitted service flow, insertion-ordered (incl. BE)
         self.service_flows = ServiceFlowSet()

@@ -21,7 +21,7 @@ Two planners, for the two halves of the QoS story:
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.core.besteffort import TwoClassSchedule, schedule_two_classes
 from repro.core.conflict import ConflictIndex
@@ -107,7 +107,6 @@ def waterfill_grants(conflicts: ConflictIndex,
 def grant_schedule_for(topology: MeshTopology,
                        service_flows: ServiceFlowSet,
                        frame: MeshFrameConfig,
-                       conflict_hops: Optional[int] = None,
                        engine=None,
                        interference=None) -> tuple[Schedule, ServiceFlowSet]:
     """A saturating-load grant schedule for a service-class workload.
@@ -116,8 +115,8 @@ def grant_schedule_for(topology: MeshTopology,
     water-fills the leftover toward the *offered* rates (rtPS bursts and
     BE asks).  Returns the packed schedule and the routed flow set.
     The conflict graph comes from the engine's interference seam:
-    ``conflict_hops=`` selects a protocol model (default 2), or pass
-    ``interference=`` any :class:`~repro.phy.models.InterferenceModel`.
+    ``interference=`` is any :class:`~repro.phy.models.InterferenceModel`
+    (``None``: ``ProtocolModel(hops=2)``).
     """
     from repro.core.engine import SolverEngine
 
@@ -140,8 +139,7 @@ def grant_schedule_for(topology: MeshTopology,
     all_links = set(asks) | set(min_demands)
     if not all_links:
         raise ConfigurationError("no routed service flows to schedule")
-    conflicts = engine.conflict_index(topology, hops=conflict_hops,
-                                      interference=interference,
+    conflicts = engine.conflict_index(topology, interference=interference,
                                       links=all_links)
     grants = waterfill_grants(conflicts, min_demands, asks,
                               frame.data_slots)

@@ -260,8 +260,7 @@ def chaos_probe(x: int = 0, seed: int = 0) -> dict:
     links = sorted(topology.links)
     demands = {link: 1 + ((x + seed + rank) % 2)
                for rank, link in enumerate(links)}
-    conflicts = SolverEngine().conflict_index(
-        topology, hops=2, links=demands.keys())
+    conflicts = SolverEngine().conflict_index(topology, links=demands.keys())
     schedule = greedy_schedule(conflicts, demands)
     assignments = sorted(schedule.items())
     slots = max(block.start + block.length for _, block in assignments)

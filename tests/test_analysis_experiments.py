@@ -211,8 +211,7 @@ def test_e16_matches_pre_qos_implementation():
         g_demands = voip.link_demands(frame.frame_duration_s,
                                       frame.data_slot_capacity_bits)
         conflicts = solver.conflict_index(
-            topology, hops=2,
-            links=set(g_demands) | set(be_demands))
+            topology, links=set(g_demands) | set(be_demands))
         two = schedule_two_classes(
             conflicts, g_demands, be_demands, frame.data_slots,
             delay_constraints=delay_constraints_for(

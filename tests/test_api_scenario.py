@@ -319,12 +319,13 @@ class TestSolverPolicySeam:
 
 
 class TestInterferenceSeam:
-    """Scenario(interference=...) and its hops= interplay (ISSUE 10)."""
+    """Scenario(interference=...) is the one interference selector."""
 
     def test_hops_and_interference_are_mutually_exclusive(self):
+        # there is no second selector left to conflict with
         from repro.phy.models import ProtocolModel
 
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError, match="hops"):
             Scenario(chain_topology(6), _flows(), hops=2,
                      interference=ProtocolModel(2))
 
@@ -334,15 +335,21 @@ class TestInterferenceSeam:
         scenario = Scenario(chain_topology(6), _flows())
         assert isinstance(scenario.interference, ProtocolModel)
         assert scenario.interference.hops == 2
-        assert scenario.hops == 2
+        assert not hasattr(scenario, "hops")
 
     def test_hops_spelling_still_works(self):
-        scenario = Scenario(chain_topology(6), _flows(), hops=1)
+        # the one spelling of a hops value is ProtocolModel(hops=k)
+        from repro.phy.models import ProtocolModel
+
+        scenario = Scenario(chain_topology(6), _flows(),
+                            interference=ProtocolModel(hops=1))
         assert scenario.interference.hops == 1
-        assert scenario.hops == 1
+        with pytest.raises(TypeError, match="hops"):
+            Scenario(chain_topology(6), _flows(), hops=1)
 
     def test_bare_int_interference_raises_pointing_at_hops(self):
-        with pytest.raises(ConfigurationError, match="hops=1"):
+        with pytest.raises(ConfigurationError,
+                           match=r"ProtocolModel\(hops=k\)"):
             Scenario(chain_topology(6), _flows(), interference=1)
 
     def test_sinr_backend_flows_through_conflicts(self):
@@ -353,7 +360,7 @@ class TestInterferenceSeam:
                       delay_budget_s=0.2)]
         proto = Scenario(topo, flows).route()
         sinr = Scenario(topo, flows, interference=SinrModel()).route()
-        assert sinr.hops is None
+        assert isinstance(sinr.interference, SinrModel)
         # physical interference hears further on this spaced chain
         assert sinr.conflicts.num_conflicts > proto.conflicts.num_conflicts
 
@@ -367,9 +374,11 @@ class TestInterferenceSeam:
         assert result.schedule.violations(scenario.conflicts) == []
 
     def test_degenerate_hops_is_rejected_at_the_conflict_graph(self):
+        from repro.phy.models import ProtocolModel
+
         scenario = Scenario(chain_topology(4),
                             [Flow("f", src=0, dst=3, rate_bps=1000)],
-                            hops=3)
+                            interference=ProtocolModel(3))
         scenario.route()
         with pytest.raises(ConfigurationError, match="degenerates"):
             scenario.conflicts
@@ -385,7 +394,7 @@ class TestInterferenceSeam:
                                      frame.data_slot_capacity_bits)
         engine = SolverEngine()
         via_seam = minimum_slots(
-            engine.conflict_index(topo, hops=2, links=sorted(demands)),
+            engine.conflict_index(topo, links=sorted(demands)),
             demands, frame.data_slots, engine=engine)
         prebuilt = minimum_slots(conflict_graph(topo, hops=2,
                                                 links=demands.keys()),

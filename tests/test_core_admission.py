@@ -139,6 +139,21 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             controller(region=17)
 
+    @pytest.mark.parametrize("frame_slots, region", [
+        (2.5, None), (True, None), (0, None), ("16", None),
+        (16, True), (16, 2.5), (16, "8")])
+    def test_slot_counts_must_be_ints(self, frame_slots, region):
+        from repro.mesh16.frame import default_frame_config
+        from repro.qos.admission import QosAdmissionController
+
+        with pytest.raises(ConfigurationError, match="must be an int"):
+            controller(frame_slots=frame_slots, region=region)
+        if region is not None:
+            with pytest.raises(ConfigurationError, match="must be an int"):
+                QosAdmissionController(chain_topology(3),
+                                       default_frame_config(),
+                                       guaranteed_region_slots=region)
+
     def test_invalid_frame_params(self):
         with pytest.raises(ConfigurationError):
             AdmissionController(chain_topology(3), 16, 0.0, 1000)

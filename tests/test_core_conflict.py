@@ -142,15 +142,18 @@ class TestHopsCheck:
             conflict_graph(grid_topology(3, 3), hops=bad)
 
     def test_admission_controller(self, bad):
-        with pytest.raises(ConfigurationError, match="integer hops"):
+        # a bare hops value is not a model: rejected at the boundary
+        with pytest.raises(ConfigurationError,
+                           match=r"ProtocolModel\(hops=k\)"):
             AdmissionController(grid_topology(3, 3), 24, 0.01, 1000.0,
-                                conflict_hops=bad)
+                                interference=bad)
 
     def test_qos_admission_controller(self, bad):
-        with pytest.raises(ConfigurationError, match="integer hops"):
+        with pytest.raises(ConfigurationError,
+                           match=r"ProtocolModel\(hops=k\)"):
             QosAdmissionController(grid_topology(3, 3),
                                    default_frame_config(),
-                                   conflict_hops=bad)
+                                   interference=bad)
 
 
 class TestCliqueDemandBound:

@@ -24,6 +24,7 @@ from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
 from repro.net.topology import chain_topology, grid_topology
 from repro.phy.interference import interference_graph
+from repro.phy.models import ProtocolModel
 
 
 @pytest.fixture
@@ -82,8 +83,7 @@ def test_problem_key_sensitive_to_every_field():
 def test_conflict_index_matches_conflict_graph():
     topo = grid_topology(3, 3)
     demands = _demands(topo, n=6)
-    index = SolverEngine().conflict_index(topo, hops=2,
-                                          links=demands.keys())
+    index = SolverEngine().conflict_index(topo, links=demands.keys())
     reference = conflict_graph(topo, hops=2, links=demands.keys()).graph
     assert set(index.graph.nodes) == set(reference.nodes)
     assert ({tuple(sorted(e)) for e in index.graph.edges}
@@ -94,7 +94,8 @@ def test_conflict_index_matches_conflict_graph():
 
 def test_conflict_index_csr_adjacency():
     topo = chain_topology(5)
-    index = SolverEngine().conflict_index(topo, hops=1)
+    index = SolverEngine().conflict_index(
+        topo, interference=ProtocolModel(1))
     for link in index.links:
         assert index.links[index.position(link)] == link
         assert set(index.neighbors(link)) == set(index.graph.neighbors(link))
@@ -268,9 +269,9 @@ def test_fingerprint_survives_equal_count_edge_swap():
 def test_engine_never_serves_a_stale_index_after_mutation(registry):
     engine = SolverEngine()
     topology = grid_topology(3, 3)
-    stale = engine.conflict_index(topology, hops=2)
+    stale = engine.conflict_index(topology)
     topology.apply_edge_changes(remove=[(0, 1)])
-    fresh = engine.conflict_index(topology, hops=2)
+    fresh = engine.conflict_index(topology)
     assert fresh is not stale
     expected = conflict_graph(topology, hops=2)
     assert set(map(frozenset, fresh.graph.edges)) == \
@@ -282,12 +283,12 @@ def test_delta_update_matches_cold_rebuild_bitwise(registry):
 
     topology = grid_topology(4, 5)
     engine = SolverEngine()
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     topology.apply_edge_changes(remove=[(0, 1)])
-    delta_idx = engine.conflict_index(topology, hops=2)
+    delta_idx = engine.conflict_index(topology)
     assert engine.stats["delta_updates"] == 1
     assert engine.stats["index_builds"] == 1
-    cold = SolverEngine().conflict_index(topology, hops=2)
+    cold = SolverEngine().conflict_index(topology)
     assert list(delta_idx.graph.nodes) == list(cold.graph.nodes)
     assert list(delta_idx.graph.edges) == list(cold.graph.edges)
     assert np.array_equal(delta_idx.indptr, cold.indptr)
@@ -299,9 +300,9 @@ def test_delta_update_matches_cold_rebuild_bitwise(registry):
 def test_delta_updates_can_be_disabled():
     topology = grid_topology(4, 5)
     engine = SolverEngine(delta_updates=False)
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     topology.apply_edge_changes(remove=[(0, 1)])
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     assert engine.stats["delta_updates"] == 0
     assert engine.stats["index_builds"] == 2
 
@@ -312,12 +313,12 @@ def test_delta_bases_keep_subset_and_full_lineages_apart():
     # lineage's delta base
     topology = grid_topology(4, 5)
     engine = SolverEngine()
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     subset = sorted(tuple(sorted(l)) for l in topology.graph.edges)[:6]
-    engine.conflict_index(topology, hops=2, links=subset)
+    engine.conflict_index(topology, links=subset)
     topology.apply_edge_changes(remove=[(0, 1)])
     before = engine.stats["delta_updates"]
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     assert engine.stats["delta_updates"] == before + 1
 
 
@@ -326,9 +327,9 @@ def test_delta_rejected_when_most_links_are_dirty():
     # links; the engine must fall back to a full rebuild
     topology = chain_topology(5)
     engine = SolverEngine()
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     topology.apply_edge_changes(add=[(0, 2)])
-    engine.conflict_index(topology, hops=2)
+    engine.conflict_index(topology)
     assert engine.stats["delta_updates"] == 0
     assert engine.stats["index_builds"] == 2
 
@@ -343,8 +344,8 @@ def test_engine_raises_the_conflict_graph_degenerate_hops_error(
     with pytest.raises(ConfigurationError) as from_graph:
         conflict_graph(topology, hops=hops, links=links)
     with pytest.raises(ConfigurationError) as from_engine:
-        SolverEngine(max_indexes=0).conflict_index(topology, hops=hops,
-                                                   links=links)
+        SolverEngine(max_indexes=0).conflict_index(
+            topology, links=links, interference=ProtocolModel(hops))
     assert "degenerates" in str(from_graph.value)
     assert str(from_engine.value) == str(from_graph.value)
 
@@ -356,7 +357,7 @@ def test_protocol_index_materialises_its_graph_once_on_demand(monkeypatch):
     real = ConflictIndex.pairs
     monkeypatch.setattr(ConflictIndex, "pairs",
                         lambda self: calls.append(self) or real(self))
-    index = SolverEngine().conflict_index(grid_topology(3, 3), hops=2)
+    index = SolverEngine().conflict_index(grid_topology(3, 3))
     index.neighbors(index.links[0])
     assert calls == []
     graph = index.graph

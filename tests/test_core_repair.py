@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
 from repro.core.policy import SolverPolicy
@@ -25,8 +24,8 @@ def gateway_flow(name, src, rate_bps=64_000, budget_s=0.1):
 
 def assert_valid(engine):
     """Post-repair invariant: conflict-free and within every budget."""
-    conflicts = conflict_graph(engine.alive, hops=engine.hops,
-                               links=engine.schedule.links())
+    conflicts = engine.interference.conflict_graph(
+        engine.alive, links=engine.schedule.links())
     engine.schedule.validate(conflicts)  # raises on violation
     for flow in engine.carried_flows:
         assert all(engine.alive.has_link(l) for l in flow.route)

@@ -44,7 +44,7 @@ def _instance(num_nodes=20, num_flows=6, seed=7):
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
     engine = SolverEngine()
-    index = engine.conflict_index(topology, hops=2, links=sorted(demands))
+    index = engine.conflict_index(topology, links=sorted(demands))
     return engine, index, demands, delay_constraints_for(
         flows, FRAME.frame_duration_s / FRAME.data_slots)
 
@@ -73,6 +73,24 @@ def test_policy_defaults_are_auto_linear():
 ])
 def test_policy_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigurationError):
+        SolverPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_region": 2.5},
+    {"max_region": True},
+    {"max_zone_links": 2.5},
+    {"max_zone_links": True},
+    {"auto_threshold": 1.5},
+    {"auto_threshold": True},
+    {"gap_tolerance": float("nan")},
+    {"gap_tolerance": float("inf")},
+    {"gap_tolerance": "0.1"},
+], ids=repr)
+def test_policy_rejects_non_int_and_non_finite_knobs(kwargs):
+    # every int field follows node_limit_per_probe's rule: an int, not a
+    # bool; gap_tolerance must be a finite number
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
         SolverPolicy(**kwargs)
 
 
@@ -181,7 +199,7 @@ def test_zone_requests_do_not_evict_the_full_mesh_index():
     topology = random_disk_topology(20, radio_range=120.0, area=400.0,
                                    seed=7)
     # Same fingerprint, same links: must still be a cache hit.
-    again = engine.conflict_index(topology, hops=2, links=sorted(demands))
+    again = engine.conflict_index(topology, links=sorted(demands))
     assert engine.stats["index_hits"] == hits_before + 1
     assert again is index
 

@@ -100,6 +100,27 @@ class TestDcfScenario:
             assert qos.loss_fraction < 0.01
             assert qos.mean_delay_s < 0.05
 
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_protocol_model_leaves_the_channel_alone(self, small_scenario,
+                                                     hops):
+        # only an SINR model widens the channel; a protocol model must
+        # replay the native collision rule byte for byte
+        from repro.phy.models import ProtocolModel
+
+        topology, ____, flows, ____, ____ = small_scenario
+
+        def run(interference):
+            result = run_dcf_scenario(topology, flows, duration_s=1.0,
+                                      seed=5, codec=G729,
+                                      interference=interference)
+            # frame ids come from a process-wide counter: leave them out
+            return (repr(sorted(result.qos.items())), repr(result.extras),
+                    [(r.time, r.category,
+                      {k: v for k, v in r.fields.items() if k != "frame"})
+                     for r in result.trace.records()])
+
+        assert run(ProtocolModel(hops)) == run(None)
+
     def test_overload_degrades_dcf_but_not_tdma(self):
         topology = grid_topology(3, 3)
         frame = default_frame_config()

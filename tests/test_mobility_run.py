@@ -17,6 +17,7 @@ from repro.mobility.run import _flood_margin, run_mobility
 from repro.mobility.stream import RadioRangeModel, TopologyStream
 from repro.net.flows import Flow
 from repro.net.topology import MeshTopology
+from repro.phy.models import ProtocolModel
 
 
 @pytest.fixture
@@ -234,7 +235,8 @@ def test_run_mobility_keeps_the_degenerate_hops_guard(hops):
     # whole mesh from every demanded link: the repair's own index
     # request rejects it before any scheduled-link check runs
     with pytest.raises(ConfigurationError, match="reaches the whole"):
-        run_mobility(drive_by_stream(), flows((3, 0), (4, 0)), hops=hops)
+        run_mobility(drive_by_stream(), flows((3, 0), (4, 0)),
+                     interference=ProtocolModel(hops))
 
 
 @pytest.mark.parametrize("speed", [0.0, 10.0, 30.0])

@@ -1,5 +1,7 @@
 """Flow model and slot-demand arithmetic."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -31,6 +33,14 @@ class TestFlow:
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             make_flow(delay_budget_s=0.0)
+
+    @pytest.mark.parametrize("field", ["rate_bps", "delay_budget_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN slips through a bare "<= 0" check and used to surface deep
+        # in link_demands as a ValueError or OverflowError
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_flow(**{field: value})
 
     def test_best_effort_flow_has_no_budget(self):
         flow = make_flow(delay_budget_s=None)

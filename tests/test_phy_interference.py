@@ -15,6 +15,7 @@ from repro.net.topology import (
     random_disk_topology,
     star_topology,
 )
+from repro.phy.models import ProtocolModel
 
 TOPOLOGIES = [
     chain_topology(6),
@@ -53,12 +54,12 @@ class TestCoverage:
                              ids=[t.name for t in TOPOLOGIES])
     def test_two_hop_model_covers_all_interference(self, topology):
         """The safety theorem of the 2-hop model on this channel."""
-        assert uncovered_interference(topology, hops=2) == []
+        assert uncovered_interference(topology) == []
 
     def test_one_hop_model_misses_hidden_terminals(self, chain5):
         # (0,1) and (2,3) share no node, so the 1-hop model allows them
         # together -- but tx 2 is a neighbour of rx 1, so they interfere
-        missing = uncovered_interference(chain5, hops=1)
+        missing = uncovered_interference(chain5, model=ProtocolModel(1))
         assert ((0, 1), (2, 3)) in missing
 
     @pytest.mark.parametrize("topology", TOPOLOGIES,
@@ -66,7 +67,7 @@ class TestCoverage:
     def test_two_hop_model_is_strictly_conservative(self, topology):
         """The 2-hop model over-separates somewhere on any multihop mesh
         (the spatial-reuse price E11 measures), except degenerate stars."""
-        extra = overcautious_pairs(topology, hops=2)
+        extra = overcautious_pairs(topology)
         if topology.num_nodes() > 3 and topology.name != "star4":
             assert extra
 
@@ -130,8 +131,7 @@ class TestSinrTruth:
         from repro.phy.models import SinrModel
 
         topology = self._spaced_chain()
-        missing = uncovered_interference(topology, hops=2,
-                                         truth=SinrModel())
+        missing = uncovered_interference(topology, truth=SinrModel())
         assert missing
         for a, b in missing:
             assert not set(a) & set(b)  # only non-adjacent pairs escape
@@ -151,21 +151,22 @@ class TestSinrTruth:
         # over-covers it (and the chain is long enough not to trip the
         # degenerate-hops guard)
         topology = self._spaced_chain()
-        assert uncovered_interference(topology, hops=4,
+        assert uncovered_interference(topology, model=ProtocolModel(4),
                                       truth=SinrModel()) == []
 
     def test_truth_accepts_a_prebuilt_graph(self):
         topology = self._spaced_chain()
         prebuilt = interference_graph(topology)
-        assert (uncovered_interference(topology, hops=2, truth=prebuilt)
-                == uncovered_interference(topology, hops=2))
+        assert (uncovered_interference(topology, truth=prebuilt)
+                == uncovered_interference(topology))
 
     def test_overcautious_pairs_against_sinr(self):
         from repro.phy.models import SinrModel
 
         # the 4-hop model over-separates relative to the SINR truth
         topology = self._spaced_chain()
-        assert overcautious_pairs(topology, hops=4, truth=SinrModel())
+        assert overcautious_pairs(topology, model=ProtocolModel(4),
+                                  truth=SinrModel())
 
 
 class TestIncidenceRewrite:

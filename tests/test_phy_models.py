@@ -115,14 +115,16 @@ def test_protocol_model_validation():
 
 def test_coerce_interference():
     assert coerce_interference(None).hops == 2
-    assert coerce_interference(None, default_hops=3).hops == 3
-    assert coerce_interference(1).hops == 1
+    with pytest.raises(TypeError):
+        coerce_interference(None, default_hops=3)
+    protocol = ProtocolModel(1)
+    assert coerce_interference(protocol) is protocol
     model = SinrModel()
     assert coerce_interference(model) is model
-    with pytest.raises(ConfigurationError):
-        coerce_interference(True)
-    with pytest.raises(ConfigurationError):
-        coerce_interference("sinr")
+    for bad in (1, True, "sinr"):
+        with pytest.raises(ConfigurationError,
+                           match=r"ProtocolModel\(hops=k\)"):
+            coerce_interference(bad)
 
 
 # -- SinrModel geometry and conflicts ---------------------------------------

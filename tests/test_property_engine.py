@@ -43,8 +43,7 @@ def scheduling_instances(draw):
 def _solve(topology, flows, search, engine, warm_order=None):
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
-    conflicts = engine.conflict_index(topology, hops=2,
-                                      links=sorted(demands))
+    conflicts = engine.conflict_index(topology, links=sorted(demands))
     return minimum_slots(conflicts, demands, FRAME.data_slots,
                          delay_constraints=delay_constraints_for(
                              flows, FRAME.frame_duration_s / FRAME.data_slots),

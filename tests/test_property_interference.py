@@ -1,13 +1,13 @@
-"""Property-based tests: the interference seam is invisible (ISSUE 10).
+"""Property-based tests: the interference seam is invisible.
 
-The refactor's load-bearing contract: routing the default backend
-through the pluggable seam -- ``conflict_index(interference=
-ProtocolModel(hops))`` -- must be *bitwise-identical* to the
-pre-refactor ``conflict_index(hops=...)`` path.  Same link universe,
-same CSR adjacency arrays, same conflict edges, same canonical problem
-hash; on arbitrary random-disk meshes, through delta updates and
-mobility-style churn, and through the shared engine cache (both
-spellings must resolve to the *same* index object, or warm solver state
+The load-bearing contract: routing the default backend through the
+pluggable seam -- ``conflict_index(interference=ProtocolModel(hops))``
+-- must be *bitwise-identical* to the row builder
+``conflict_graph(topology, hops=...)``.  Same link universe, same CSR
+adjacency arrays, same conflict edges, same canonical problem hash; on
+arbitrary random-disk meshes, through delta updates and mobility-style
+churn, and through the shared engine cache (``None`` and equal protocol
+models must resolve to the *same* index object, or warm solver state
 would silently fork per spelling).
 
 Both relations -- k-hop and the channel's exact rule -- come from one
@@ -72,7 +72,7 @@ def _assert_same_problem_hash(via_hops, via_model):
 @settings(max_examples=40, deadline=None)
 @given(disk_meshes(), HOPS)
 def test_protocol_model_is_bitwise_identical(topology, hops):
-    via_hops = SolverEngine().conflict_index(topology, hops=hops)
+    via_hops = conflict_graph(topology, hops=hops)
     via_model = SolverEngine().conflict_index(
         topology, interference=ProtocolModel(hops=hops))
     _assert_same_index(via_hops, via_model)
@@ -83,17 +83,20 @@ def test_protocol_model_is_bitwise_identical(topology, hops):
 @given(disk_meshes(), HOPS)
 def test_both_spellings_share_one_cache_entry(topology, hops):
     engine = SolverEngine()
-    via_hops = engine.conflict_index(topology, hops=hops)
+    first = engine.conflict_index(topology,
+                                  interference=ProtocolModel(hops=hops))
     via_model = engine.conflict_index(
         topology, interference=ProtocolModel(hops=hops))
-    assert via_hops is via_model
+    assert first is via_model
+    if hops == 2:
+        assert engine.conflict_index(topology) is first
 
 
 @settings(max_examples=25, deadline=None)
 @given(disk_meshes(), HOPS, st.data())
 def test_identity_survives_delta_updates(topology, hops, data):
     """Churn the mesh in place; the delta-updated index built through
-    the seam must still match a cold build of the hops path."""
+    the seam must still match a cold build by the row builder."""
     engine_model = SolverEngine()
     engine_model.conflict_index(topology,
                                 interference=ProtocolModel(hops=hops))
@@ -120,7 +123,7 @@ def test_identity_survives_delta_updates(topology, hops, data):
 
     via_model = engine_model.conflict_index(
         topology, interference=ProtocolModel(hops=hops))
-    cold = SolverEngine().conflict_index(topology, hops=hops)
+    cold = conflict_graph(topology, hops=hops)
     _assert_same_index(cold, via_model)
     _assert_same_problem_hash(cold, via_model)
 
@@ -245,6 +248,7 @@ def _toggled(topology, edge):
 def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
                                                             data):
     links = topology.links
+    model = ProtocolModel(hops)
     requested = None
     if data.draw(st.booleans(), label="subset"):
         requested = data.draw(st.lists(st.sampled_from(links)),
@@ -255,12 +259,12 @@ def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
         expected = conflict_graph(topology, hops=hops, links=requested)
     except ConfigurationError as exc:
         with pytest.raises(ConfigurationError) as from_engine:
-            SolverEngine().conflict_index(topology, hops=hops,
+            SolverEngine().conflict_index(topology, interference=model,
                                           links=requested)
         assert str(from_engine.value) == str(exc)
         return
-    cold = SolverEngine(max_indexes=0).conflict_index(topology, hops=hops,
-                                                      links=requested)
+    cold = SolverEngine(max_indexes=0).conflict_index(
+        topology, interference=model, links=requested)
     _assert_csr_matches(cold, reference)
     _assert_same_graph_order(cold.graph, expected.graph)
 
@@ -276,12 +280,13 @@ def test_engine_csr_cold_and_delta_match_pairwise_reference(hops, topology,
                      data.draw(st.sampled_from(toggles), label="toggle"))
     engine = SolverEngine()
     try:
-        engine.conflict_index(other, hops=hops, links=None
+        engine.conflict_index(other, interference=model, links=None
                               if requested is None else
                               [l for l in link_list if other.has_link(l)])
     except ConfigurationError:
         return  # the toggled base is degenerate; no lineage to diff
-    updated = engine.conflict_index(topology, hops=hops, links=requested)
+    updated = engine.conflict_index(topology, interference=model,
+                                    links=requested)
     assert engine.stats["delta_updates"] + engine.stats["index_builds"] == 2
     _assert_csr_matches(updated, reference)
     _assert_same_graph_order(updated.graph, expected.graph)
@@ -300,9 +305,9 @@ def test_violations_on_index_match_violations_on_graph(relation, topology,
         requested = data.draw(st.one_of(st.none(),
                                         st.lists(st.sampled_from(links))),
                               label="links")
-        index = engine.conflict_index(topology,
-                                      hops=int(relation.split("=")[1]),
-                                      links=requested)
+        index = engine.conflict_index(
+            topology, interference=ProtocolModel(int(relation[-1])),
+            links=requested)
     frame = 6
     scheduled = data.draw(st.lists(st.sampled_from(links), unique=True),
                           label="scheduled")

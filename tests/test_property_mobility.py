@@ -36,7 +36,7 @@ from repro.net.topology import (
     random_disk_topology,
     surviving_topology,
 )
-from repro.phy.models import SinrModel
+from repro.phy.models import ProtocolModel, SinrModel
 
 
 def make_topology(kind, seed):
@@ -87,7 +87,7 @@ def test_delta_updated_index_equals_cold_rebuild(instance):
     topology = make_topology(kind, seed)
     engine = SolverEngine(delta_updates=True)
     try:
-        engine.conflict_index(topology, hops=hops)
+        engine.conflict_index(topology, interference=ProtocolModel(hops))
     except ConfigurationError:
         # hops=3 can reach the whole of a small disk mesh from every
         # link; the degenerate-hops guard rejects such a base by design
@@ -102,9 +102,10 @@ def test_delta_updated_index_equals_cold_rebuild(instance):
         # remove/re-add cycle may legitimately revisit an older state)
         before, fingerprint = fingerprint, topology_fingerprint(topology)
         assert fingerprint != before
-        delta_idx = engine.conflict_index(topology, hops=hops)
+        delta_idx = engine.conflict_index(
+            topology, interference=ProtocolModel(hops))
         cold = SolverEngine(delta_updates=False).conflict_index(
-            topology, hops=hops)
+            topology, interference=ProtocolModel(hops))
         assert delta_idx.links == cold.links
         assert list(delta_idx.graph.nodes) == list(cold.graph.nodes)
         assert list(delta_idx.graph.edges) == list(cold.graph.edges)
@@ -178,7 +179,8 @@ def test_scheduled_link_index_reports_the_whole_mesh_violations(instance):
     seed, num_nodes, backend, frame, picks, copies = instance
     topology = random_disk_topology(num_nodes, radio_range=160.0,
                                     area=320.0, seed=seed)
-    interference = SinrModel() if backend == "sinr" else backend
+    interference = (SinrModel() if backend == "sinr"
+                    else ProtocolModel(backend))
     blocks = {}
     for pick, start, length in picks:
         link = topology.links[pick % len(topology.links)]

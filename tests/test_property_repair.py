@@ -10,7 +10,6 @@ oracle reaches -- local repair may be faster, never wronger.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflict import conflict_graph
 from repro.core.delay import path_delay_slots
 from repro.core.repair import RepairEngine
 from repro.faults import FaultEvent
@@ -62,8 +61,8 @@ def test_repair_keeps_schedule_conflict_free_and_in_budget(instance):
     engine.install(flows)
     for event in events:
         engine.apply(event)
-        conflicts = conflict_graph(engine.alive, hops=engine.hops,
-                                   links=engine.schedule.links())
+        conflicts = engine.interference.conflict_graph(
+            engine.alive, links=engine.schedule.links())
         engine.schedule.validate(conflicts)  # S8: raises on any overlap
         for flow in engine.carried_flows:
             assert all(engine.alive.has_link(l) for l in flow.route)

@@ -55,7 +55,7 @@ def scheduling_instances(draw):
 def _problem(topology, flows, engine):
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
-    index = engine.conflict_index(topology, hops=2, links=sorted(demands))
+    index = engine.conflict_index(topology, links=sorted(demands))
     return index, demands, delay_constraints_for(
         flows, FRAME.frame_duration_s / FRAME.data_slots)
 

@@ -58,8 +58,8 @@ class TestServiceClassPlanner:
         links = set()
         for flow in routed:
             links.update(flow.route)
-        conflicts = SolverEngine().conflict_index(
-            chain_topology(3), hops=2, links=links)
+        conflicts = SolverEngine().conflict_index(chain_topology(3),
+                                                  links=links)
         two = schedule_service_classes(conflicts, routed, FRAME)
         search = two.search
         regions = [region for region, ____ in search.probes]
