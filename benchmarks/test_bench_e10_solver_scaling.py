@@ -19,8 +19,10 @@ def test_bench_e10_solver_scaling(benchmark):
         assert row[4] < 0.05, "BF recovery must stay ~instant"
         assert row[5] is not None, "all instances schedulable"
         # warm-vs-cold arm: the warm engine must reproduce the cold
-        # searches bitwise while paying strictly fewer ILP solves
-        cold_ilp, warm_ilp, shortcuts, identical = row[8:12]
+        # searches bitwise; every search here closes between the
+        # greedy-clique floor and the first-fit certificate, so neither
+        # arm pays an ILP probe (the BF-shortcut saving on a gap search
+        # is asserted by tests/test_core_engine.py)
+        ____, warm_ilp, ____, identical = row[8:12]
         assert identical, "warm results must be bitwise-identical to cold"
-        assert shortcuts > 0, "warm arm must certify probes via BF"
-        assert warm_ilp < cold_ilp, "warm arm must save ILP solves"
+        assert warm_ilp == 0, "every E10 search closes between the bounds"

@@ -9,6 +9,7 @@ a new call must never break an existing one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,14 +58,20 @@ class AdmissionController:
         Cap on the slots available to guaranteed traffic (the rest is
         reserved for best effort); default: the whole frame.
 
-    Every decision runs a binary min-slot search capped at the guaranteed
-    region (:attr:`policy`).  Binary is valid because feasibility is
-    monotone in the region size for a fixed frame, and it probes far
-    fewer infeasible regions than the paper's linear search.  Each ILP
-    probe runs under the deterministic node budget
+    Every decision runs a min-slot search capped at the guaranteed region
+    (:attr:`policy`), and most close between two bounds with no ILP: a
+    conflict clique heavier than the region rejects the call, and
+    a first-fit packing that fits the clique's weight and meets every
+    admitted call's delay budget admits it with that packing as the
+    schedule.  Only when first-fit misses a budget does the search probe
+    the ILP, binary over the gap above the clique: binary is valid
+    because feasibility is monotone in the region size for a fixed frame,
+    and it probes far fewer regions than the paper's linear search.  Each
+    ILP probe runs under the deterministic node budget
     :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`; a probe undecided within
     it counts as infeasible, so the call is rejected rather than wrongly
-    admitted.
+    admitted.  ``frame_duration_s`` and ``slot_capacity_bits`` must be
+    positive and finite, else :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, topology: MeshTopology, frame_slots: int,
@@ -73,9 +80,11 @@ class AdmissionController:
                  guaranteed_region_slots: Optional[int] = None) -> None:
         from repro.phy.models import coerce_interference
 
-        if frame_duration_s <= 0 or slot_capacity_bits <= 0:
-            raise ConfigurationError(
-                "frame duration and slot capacity must be positive")
+        for name, value in (("frame_duration_s", frame_duration_s),
+                            ("slot_capacity_bits", slot_capacity_bits)):
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}")
         require_int("frame_slots", frame_slots, 1)
         self.topology = topology
         self.frame_slots = frame_slots

@@ -321,11 +321,12 @@ def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     conflict under any k >= 1 model), which is cheap and usually tight on
     mesh topologies.
 
-    It stays the minimum-slot search's start bound even though
-    :func:`_greedy_clique_demand` often finds heavier cliques: a higher
-    start would drop probes from every probe log and change the published
-    ``lower_bound`` columns, while the probes below the greedy clique
-    already cost no solver time -- the ILP front end refutes them with it.
+    It stays the published ``lower_bound`` of a minimum-slot search, so
+    those columns do not depend on the search's machinery.  The search
+    itself starts from a tighter *floor*, the heavier of this bound and
+    :func:`_greedy_clique_demand` at the ceiling: it tries to close at the
+    floor with a first-fit certificate and probes the ILP only for the gap
+    above it (see :meth:`repro.core.engine.SolverEngine.run_search`).
     """
     best = 0
     per_node: dict[int, int] = {}

@@ -22,11 +22,14 @@ probe, repair and sweep point as a cold solve:
    (:func:`updated_conflict_edges`) -- ``core.engine.delta_updates`` vs
    ``core.engine.index_builds`` count the rebuilds avoided.
 
-2. **Warm-started probe search.**  Inside one
-   :func:`~repro.core.minslots.minimum_slots` search the engine carries the
-   last feasible probe's :class:`~repro.core.ordering.TransmissionOrder`
-   forward.  Before paying for the next ILP it runs a Bellman-Ford pass
-   over the carried order at the candidate region: if the recovered
+2. **Bounded, warm-started probe search.**  Each
+   :func:`~repro.core.minslots.minimum_slots` search first tries to close
+   between a greedy-clique floor and a first-fit certificate with no ILP
+   (:meth:`SolverEngine.run_search`).  Inside the gap that remains, the
+   engine carries the last feasible probe's
+   :class:`~repro.core.ordering.TransmissionOrder` forward.  Before
+   paying for the next ILP it runs a Bellman-Ford pass over the carried
+   order at the candidate region: if the recovered
    earliest schedule fits and meets every delay budget, the probe's verdict
    is certified *without the solver* (the monotone case).  ``scipy``'s
    ``milp`` cannot accept an incumbent, so the carried solution becomes a
@@ -73,10 +76,13 @@ from repro.core.conflict import (
     ConflictIndex,
     _ball,
     _conflict_rows,
+    _greedy_clique_demand,
     _khop_near_sets,
     _resolve_links,
     conflict_graph,
 )
+from repro.core.delay import path_delay_slots
+from repro.core.greedy import greedy_schedule
 from repro.core.ilp import (
     DEFAULT_NODE_LIMIT,
     DelayConstraint,
@@ -98,6 +104,11 @@ from repro.net.topology import Link, MeshTopology
 #: instead of an ILP solve.  Never escapes a search: the winning probe is
 #: always re-solved canonically before a result is returned.
 BF_CERTIFIED = "bf-certified"
+
+#: Solver status of a search decided with no ILP: the first-fit certificate
+#: met the greedy-clique floor.  Such a result is published as is
+#: (``num_variables == 0``); the certificate *is* the schedule.
+BOUNDS_CLOSED = "bounds-closed"
 
 
 def _fingerprint_token(topology: MeshTopology) -> tuple:
@@ -540,8 +551,6 @@ class SolverEngine:
         nothing: a different order may still fit, so the caller falls back
         to the solver.
         """
-        from repro.core.delay import path_delay_slots
-
         try:
             packed = schedule_from_order(conflicts, demands, region, order)
         except (InfeasibleScheduleError, ConfigurationError):
@@ -549,13 +558,7 @@ class SolverEngine:
             # the demanded links (e.g. a caller-supplied warm order from a
             # pre-fault schedule): no certificate.
             return None
-        schedule = Schedule(frame_slots,
-                            dict(packed.items()))
-        for constraint in delay_constraints:
-            if (path_delay_slots(schedule, constraint.route)
-                    > constraint.budget_slots):
-                return None
-        return schedule
+        return _within_budgets(packed, frame_slots, delay_constraints)
 
     # -- warm-started minimum-slots search -----------------------------------
 
@@ -565,13 +568,27 @@ class SolverEngine:
                    search: str, ceiling: int,
                    warm_order: Optional[TransmissionOrder] = None,
                    node_limit_per_probe: Optional[int] = None):
-        """The probe loop behind :func:`~repro.core.minslots.minimum_slots`.
+        """The min-slot search behind :func:`~repro.core.minslots.minimum_slots`.
 
-        Identical search structure and probe log as the pre-engine code;
-        the only additions are the warm-start shortcut inside ``probe``
-        and the canonical re-solve of a BF-certified winner.  Callers go
-        through :func:`repro.core.minslots.minimum_slots`, which owns the
-        argument validation and search-level telemetry.
+        Two bounds come first.  The *floor* is the heavier of
+        :func:`~repro.core.minslots.demand_lower_bound` and the greedy
+        conflict clique at the ceiling; a floor above the ceiling refutes
+        the search (probe log ``[(ceiling, False)]``).  The *certificate*
+        is first-fit-decreasing :func:`~repro.core.greedy.greedy_schedule`
+        inside the floor, kept only if every delay budget holds at the full
+        frame length.  When it holds, ``K`` is the floor and the
+        certificate is the published schedule: no ILP runs, the probe log
+        is ``[(K, True)]`` and the result's status is
+        :data:`BOUNDS_CLOSED`.  Neither bound reads warm state, so warm and
+        cold engines close the same searches identically.
+
+        Otherwise the probe loop searches the gap ``[floor, ceiling]``:
+        each probe is an ILP, or a Bellman-Ford shortcut over the carried
+        order on a warm engine, and a BF-certified winner is re-solved
+        through the canonical ILP so warm and cold results stay bitwise
+        identical.  Callers go through
+        :func:`repro.core.minslots.minimum_slots`, which owns the argument
+        validation and search-level telemetry.
 
         ``node_limit_per_probe`` bounds each ILP probe's branch-and-cut
         tree (``None``: :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`); a
@@ -587,9 +604,14 @@ class SolverEngine:
         carried: Optional[TransmissionOrder] = (
             warm_order if self.warm_start else None)
 
+        def log(region: int, feasible: bool) -> None:
+            obs.counter("core.minslots.probes").inc()
+            if not feasible:
+                obs.counter("core.minslots.probes_infeasible").inc()
+            probes.append((region, feasible))
+
         def probe(region: int) -> ILPResult:
             nonlocal carried
-            obs.counter("core.minslots.probes").inc()
             problem = SchedulingProblem(
                 conflicts=conflicts, demands=dict(demands),
                 frame_slots=frame_slots,
@@ -602,7 +624,7 @@ class SolverEngine:
                 if certified is not None:
                     self.stats["bf_shortcuts"] += 1
                     obs.counter("core.engine.bf_shortcuts").inc()
-                    probes.append((region, True))
+                    log(region, True)
                     return ILPResult(True, certified, carried, None, 0.0,
                                      BF_CERTIFIED, 0, 0)
             self.stats["ilp_probes"] += 1
@@ -617,11 +639,10 @@ class SolverEngine:
                 obs.counter("core.minslots.probe_timeouts").inc()
                 result = ILPResult(False, None, None, None, 0.0,
                                    "probe budget exhausted", 0, 0)
-            if not result.feasible:
-                obs.counter("core.minslots.probes_infeasible").inc()
-            elif self.warm_start and result.order is not None:
+            if (result.feasible and self.warm_start
+                    and result.order is not None):
                 carried = result.order
-            probes.append((region, result.feasible))
+            log(region, result.feasible)
             return result
 
         def finish(slots: Optional[int],
@@ -660,8 +681,21 @@ class SolverEngine:
             return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
                                  probes=probes)
 
+        floor = max(lower, _greedy_clique_demand(conflicts, demands, ceiling))
+        if floor > ceiling:
+            log(ceiling, False)
+            return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
+                                 probes=probes)
+        certificate = _first_fit_certificate(
+            conflicts, demands, frame_slots, floor, delay_constraints)
+        if certificate is not None:
+            obs.counter("core.minslots.bounds_closed").inc()
+            log(floor, True)
+            return MinSlotResult(slots=floor, ilp=certificate,
+                                 lower_bound=lower, probes=probes)
+
         if search == "linear":
-            for region in range(lower, ceiling + 1):
+            for region in range(floor, ceiling + 1):
                 result = probe(region)
                 if result.feasible:
                     return finish(region, result, lower)
@@ -672,7 +706,7 @@ class SolverEngine:
         # fixed frame length.  Establish feasibility at the ceiling first.
         best: Optional[ILPResult] = None
         best_region: Optional[int] = None
-        low, high = lower, ceiling
+        low, high = floor, ceiling
         top = probe(high)
         if not top.feasible:
             return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
@@ -688,6 +722,47 @@ class SolverEngine:
             else:
                 low = mid + 1
         return finish(best_region, best, lower)
+
+
+def _within_budgets(packed: Schedule, frame_slots: int,
+                    delay_constraints: Sequence[DelayConstraint]
+                    ) -> Optional[Schedule]:
+    """``packed`` in a ``frame_slots`` frame if it meets every budget.
+
+    The copy makes a wrap cost the full frame, not the packed region.
+    """
+    schedule = Schedule(frame_slots, dict(packed.items()))
+    for constraint in delay_constraints:
+        if (path_delay_slots(schedule, constraint.route)
+                > constraint.budget_slots):
+            return None
+    return schedule
+
+
+def _first_fit_certificate(conflicts: ConflictIndex,
+                           demands: Mapping[Link, int], frame_slots: int,
+                           region: int,
+                           delay_constraints: Sequence[DelayConstraint]
+                           ) -> Optional[ILPResult]:
+    """First-fit-decreasing proof that ``region`` slots suffice, or ``None``.
+
+    :func:`~repro.core.greedy.greedy_schedule` packs conflict-free by
+    construction (it validates S8 itself); the packing certifies the
+    region only if every delay budget also holds.  The result carries the
+    schedule, the order its start slots induce and :data:`BOUNDS_CLOSED`.
+    """
+    try:
+        packed = greedy_schedule(conflicts, demands, frame_slots=region)
+    except InfeasibleScheduleError:
+        return None
+    schedule = _within_budgets(packed, frame_slots, delay_constraints)
+    if schedule is None:
+        return None
+    max_delay = max((path_delay_slots(schedule, c.route)
+                     for c in delay_constraints), default=None)
+    order = TransmissionOrder.from_schedule(schedule)
+    return ILPResult(True, schedule, order, max_delay, 0.0, BOUNDS_CLOSED,
+                     0, 0)
 
 
 def _copy_result(result: ILPResult) -> ILPResult:

@@ -1,11 +1,20 @@
-"""Linear search for the minimum number of guaranteed-traffic slots.
+"""Search for the minimum number of guaranteed-traffic slots.
 
 The NET-COOP optimization: find the smallest number ``K`` of TDMA slots that
 can carry all guaranteed-QoS flows with their bandwidth and delay
 requirements, so that the remaining ``frame_slots - K`` slots are free for
-best-effort traffic.  Each candidate ``K`` is checked by solving the
-delay-aware feasibility ILP with the guaranteed region restricted to the
-first ``K`` slots of the frame.
+best-effort traffic.
+
+Each search first closes in from two bounds.  The *floor* is the heavier
+of :func:`demand_lower_bound` and a greedy conflict clique: pairwise
+conflicting links need disjoint blocks, so no region below it fits, and a
+floor above the ceiling refutes the search outright.  The *certificate* is
+a first-fit-decreasing packing inside the floor that meets every delay
+budget; when it exists, ``K`` is the floor and the packing is the
+published schedule, with no ILP.  Only the gap between the two is
+searched: each candidate ``K`` is checked by solving the delay-aware
+feasibility ILP with the guaranteed region restricted to the first ``K``
+slots of the frame.
 
 The paper performs a plain linear search upward from a lower bound.  With a
 *fixed* frame length the feasibility of the region-restricted problem is
@@ -28,6 +37,7 @@ from repro import obs
 from repro.core.conflict import ConflictIndex, max_conflict_clique_demand
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
+from repro.core.policy import SolverPolicy, require_int
 from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.net.topology import Link
@@ -51,7 +61,9 @@ class MinSlotResult:
     slots: Optional[int]
     #: The ILP result at the returned region (schedule, order, delays).
     ilp: Optional[ILPResult]
-    #: Lower bound the search started from.
+    #: The node-clique lower bound (:func:`demand_lower_bound`); the
+    #: search itself starts from the greedy-clique floor, which may be
+    #: higher.
     lower_bound: int
     #: (candidate K, feasible?) pairs in the order they were probed.
     probes: list[tuple[int, bool]] = field(default_factory=list)
@@ -127,12 +139,11 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
         ``"auto"`` with a linear search over the whole frame, which is
         the paper's search at paper scale).
     """
+    require_int("frame_slots", frame_slots, 1)
     if engine is None:
         from repro.core.engine import default_engine
 
         engine = default_engine()
-    from repro.core.policy import SolverPolicy
-
     eff = engine.policy if policy is None else SolverPolicy.coerce(policy)
     ceiling = frame_slots if eff.max_region is None else eff.max_region
     if ceiling > frame_slots:

@@ -19,7 +19,10 @@ demand any of its links faces, so the zone solution leaves room for its
 neighbours.  Zone sub-searches always probe by bisection and are
 **warm-started from a greedy packing** of the zone: the engine's
 Bellman-Ford certificate decides the top probe for free, and the known
-greedy makespan keeps the zone ceiling feasible.  Each ILP probe runs
+greedy makespan keeps the zone ceiling feasible.  Most zone searches
+close between the engine's greedy-clique floor and first-fit
+certificate without probing; such a zone is solved once at its region
+so the stitch ranks it by an ILP solution.  Each ILP probe runs
 under a bounded *deterministic* branch-and-cut node budget
 (:data:`DEFAULT_ZONE_PROBE_NODE_LIMIT` unless the policy sets
 ``node_limit_per_probe``) with undecided probes treated as infeasible
@@ -68,12 +71,17 @@ from repro import obs
 from repro.core.conflict import ConflictIndex
 from repro.core.delay import path_delay_slots
 from repro.core.greedy import greedy_schedule
-from repro.core.ilp import DelayConstraint, ILPResult
+from repro.core.engine import BOUNDS_CLOSED
+from repro.core.ilp import DelayConstraint, ILPResult, SchedulingProblem
 from repro.core.minslots import MinSlotResult, demand_lower_bound
 from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError, InfeasibleScheduleError
+from repro.errors import (
+    ConfigurationError,
+    InfeasibleScheduleError,
+    SolverError,
+)
 from repro.net.topology import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -324,6 +332,33 @@ def _zone_warm_start(zone_index: ConflictIndex,
     return order, packed.makespan()
 
 
+def _zone_layers(engine: "SolverEngine", zone_index: ConflictIndex,
+                 zone_demands: Mapping[Link, int], frame_slots: int,
+                 zone_delay: Sequence[DelayConstraint],
+                 outcome: MinSlotResult, node_limit: int) -> Schedule:
+    """The zone schedule whose start slots rank the stitch.
+
+    A zone search closed by its bounds publishes a first-fit packing; the
+    stitch's time layers were tuned on ILP zone solutions, and ranking by
+    first-fit starts moves the zoned region by a slot either way from
+    instance to instance (E21's 80-node mesh goes past the 10% gap).  So
+    a closed zone is solved once at its ``K`` -- one ILP instead of a
+    probe search -- and keeps its certificate only if that solve is
+    undecided within ``node_limit``.  The solve is feasible: the
+    certificate is a solution at ``K``.
+    """
+    if outcome.ilp.solver_status != BOUNDS_CLOSED:
+        return outcome.schedule
+    problem = SchedulingProblem(
+        conflicts=zone_index, demands=dict(zone_demands),
+        frame_slots=frame_slots, delay_constraints=tuple(zone_delay),
+        region_slots=outcome.slots)
+    try:
+        return engine.solve(problem, node_limit=node_limit).schedule
+    except SolverError:
+        return outcome.schedule
+
+
 def zoned_minimum_slots(conflicts: ConflictIndex,
                         demands: Mapping[Link, int],
                         frame_slots: int,
@@ -419,10 +454,12 @@ def zoned_minimum_slots(conflicts: ConflictIndex,
                                      lower_bound=lower,
                                      probes=list(outcome.probes),
                                      meta=meta)
+            layers = _zone_layers(engine, zone_index, zone_demands,
+                                  frame_slots, zone_delay, outcome,
+                                  probe_nodes)
             zone_number = len(reserves) - 1
             for link in zone:
-                ranked.append((-demands[link],
-                               outcome.schedule.block(link).start,
+                ranked.append((-demands[link], layers.block(link).start,
                                zone_number, link))
 
         # Demand-major interleaving, zone-internal start as tie-break:

@@ -164,4 +164,5 @@ def test_zone_subproblem_content_is_pinned(pinned_salt, monkeypatch):
         relation, demands, frame.data_slots,
         policy=SolverPolicy(mode="zoned", max_zone_links=6))
     assert result.feasible
-    assert (len(keys), _digest(keys), result.slots) == (7, "8da6f1de2b09c402", 11)
+    # every zone closes between its bounds and is solved once at its K
+    assert (len(keys), _digest(keys), result.slots) == (3, "2772d72c9e962ec6", 11)

@@ -1,5 +1,7 @@
 """Admission controller."""
 
+import math
+
 import pytest
 
 from repro import obs
@@ -158,9 +160,29 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             AdmissionController(chain_topology(3), 16, 0.0, 1000)
 
+    @pytest.mark.parametrize("frame_duration_s, slot_capacity_bits", [
+        (math.nan, 1000), (math.inf, 1000), (-0.01, 1000),
+        (0.01, math.nan), (0.01, math.inf), (0.01, -math.inf)])
+    def test_frame_params_must_be_finite_and_positive(
+            self, frame_duration_s, slot_capacity_bits):
+        from types import SimpleNamespace
+
+        from repro.qos.admission import QosAdmissionController
+
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            AdmissionController(chain_topology(3), 16, frame_duration_s,
+                                slot_capacity_bits)
+        # the QoS controller passes its frame's values straight through
+        frame = SimpleNamespace(data_slots=16,
+                                frame_duration_s=frame_duration_s,
+                                data_slot_capacity_bits=slot_capacity_bits)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            QosAdmissionController(chain_topology(3), frame)
+
     def test_search_is_binary_probing_the_region_cap_first(
             self, monkeypatch):
         import repro.core.admission as admission
+        from repro.core.engine import BOUNDS_CLOSED
 
         searches = []
         real_minimum_slots = admission.minimum_slots
@@ -171,15 +193,23 @@ class TestConfiguration:
 
         monkeypatch.setattr(admission, "minimum_slots", spy)
         ctrl = controller(region=12)
+        # a loose budget: first-fit meets it, so the bounds close
         assert ctrl.try_admit(voip_flow("a", 0, 4)).admitted
-        (search,) = searches
-        assert search.lower_bound < 12
-        assert search.probes[0] == (12, True)  # the ceiling, not the bound
+        # a one-frame budget against the link order: first-fit wraps
+        # every hop, so the probe loop searches the gap
+        assert ctrl.try_admit(voip_flow("b", 4, 0, budget=0.01)).admitted
+        closed, gap = searches
+        assert closed.probes == [(closed.slots, True)]
+        assert closed.ilp.solver_status == BOUNDS_CLOSED
+        assert gap.ilp.solver_status != BOUNDS_CLOSED
+        assert gap.lower_bound < 12
+        assert gap.probes[0] == (12, True)  # the ceiling, not the bound
 
     def test_every_probe_is_budgeted_by_nodes_not_the_clock(
             self, monkeypatch):
         import repro.core.ilp as ilp
         from repro.core.conflict import conflict_graph
+        from repro.core.ilp import DelayConstraint
         from repro.core.minslots import minimum_slots
 
         options_seen = []
@@ -191,12 +221,16 @@ class TestConfiguration:
 
         monkeypatch.setattr(ilp, "milp", spy)
         ctrl = controller()
-        for index, (src, dst) in enumerate([(0, 4), (4, 0), (1, 3)]):
-            ctrl.try_admit(voip_flow(f"f{index}", src, dst))
+        # one-frame budgets first-fit misses: gap searches, so ILP probes
+        for index, (src, dst) in enumerate([(4, 0), (3, 1), (0, 4)]):
+            ctrl.try_admit(voip_flow(f"f{index}", src, dst, budget=0.01))
         solves_by_admission = len(options_seen)
         topology = chain_topology(5)
+        upstream = DelayConstraint(
+            "up", ((4, 3), (3, 2), (2, 1), (1, 0)), 16)
         minimum_slots(conflict_graph(topology, hops=2),
-                      {link: 1 for link in topology.links}, 16)
+                      {link: 1 for link in topology.links}, 16,
+                      delay_constraints=[upstream])
         assert 0 < solves_by_admission < len(options_seen)
         for options in options_seen:
             assert "time_limit" not in options

@@ -7,13 +7,18 @@ from repro import obs
 from repro.core.conflict import conflict_graph
 from repro.core.engine import (
     BF_CERTIFIED,
+    BOUNDS_CLOSED,
     ConflictIndex,
     SolverEngine,
     canonical_problem_key,
     default_engine,
     topology_fingerprint,
 )
-from repro.core.ilp import DEFAULT_NODE_LIMIT, SchedulingProblem
+from repro.core.ilp import (
+    DEFAULT_NODE_LIMIT,
+    DelayConstraint,
+    SchedulingProblem,
+)
 from repro.core.minslots import minimum_slots
 from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
@@ -178,19 +183,77 @@ def test_certify_order_accepts_winning_order_and_rejects_tight_region():
                                 (), search.ilp.order) is None
 
 
-def test_bf_certified_sentinel_never_escapes():
+def _upstream_gap_instance():
+    """Chain-6 all-links demand plus a one-frame budget on the 5 -> 0 path.
+
+    First-fit-decreasing packs links in canonical order, so the upstream
+    route runs backwards through the frame -- one wrap per hop -- and the
+    certificate misses the budget: the search has a gap, and the probe
+    loop runs.
+    """
     topo = chain_topology(6)
     demands = {link: 1 for link in topo.links}
     conflicts = conflict_graph(topo, hops=2, links=demands.keys())
+    upstream = DelayConstraint(
+        "up", tuple((node, node - 1) for node in range(5, 0, -1)), 16)
+    return conflicts, demands, [upstream]
+
+
+def test_bf_certified_sentinel_never_escapes():
+    conflicts, demands, constraints = _upstream_gap_instance()
     engine = SolverEngine()
-    seed = minimum_slots(conflicts, demands, frame_slots=16, engine=engine)
-    warmed = minimum_slots(conflicts, demands, frame_slots=16, engine=engine,
-                           warm_order=seed.order,
+    seed = minimum_slots(conflicts, demands, 16, constraints, engine=engine)
+    assert seed.ilp.solver_status != BOUNDS_CLOSED
+    warmed = minimum_slots(conflicts, demands, 16, constraints,
+                           engine=engine, warm_order=seed.order,
                            policy=SolverPolicy(search="binary"))
     assert engine.stats["bf_shortcuts"] > 0
     assert warmed.ilp.solver_status != BF_CERTIFIED
     assert warmed.slots == seed.slots
     assert warmed.schedule.to_dict() == seed.schedule.to_dict()
+
+
+def test_warm_arm_shortcuts_the_probes_of_a_gap_search():
+    """E10's warm/cold arms on a search the bounds leave open.
+
+    Every E10 search closes between the bounds, so its warm arm solves no
+    ILP and certifies nothing; the shortcut is exercised here instead.
+    """
+    conflicts, demands, constraints = _upstream_gap_instance()
+    binary = SolverPolicy(search="binary")
+    cold = SolverEngine(warm_start=False, max_indexes=0, max_problems=0)
+    linear = minimum_slots(conflicts, demands, 16, constraints, engine=cold)
+    bisected = minimum_slots(conflicts, demands, 16, constraints,
+                             engine=cold, policy=binary)
+    warm = SolverEngine()
+    warm_linear = minimum_slots(conflicts, demands, 16, constraints,
+                                engine=warm)
+    warm_bisected = minimum_slots(conflicts, demands, 16, constraints,
+                                  engine=warm, warm_order=warm_linear.order,
+                                  policy=binary)
+    assert warm.stats["bf_shortcuts"] > 0
+    assert warm.stats["ilp_solves"] < cold.stats["ilp_solves"]
+    for cold_result, warm_result in ((linear, warm_linear),
+                                     (bisected, warm_bisected)):
+        assert warm_result.slots == cold_result.slots
+        assert warm_result.probes == cold_result.probes
+        assert (warm_result.schedule.to_dict()
+                == cold_result.schedule.to_dict())
+
+
+def test_closed_search_publishes_the_first_fit_certificate(registry):
+    topo = chain_topology(6)
+    demands = {link: 1 for link in topo.links}
+    conflicts = conflict_graph(topo, hops=2, links=demands.keys())
+    search = minimum_slots(conflicts, demands, 16, engine=SolverEngine())
+    assert search.probes == [(search.slots, True)]
+    assert search.ilp.solver_status == BOUNDS_CLOSED
+    assert search.ilp.num_variables == 0
+    assert search.schedule.frame_slots == 16
+    assert search.schedule.violations(conflicts) == []
+    counters = registry.snapshot()["counters"]
+    assert counters["core.minslots.bounds_closed"] == 1
+    assert "core.ilp.solves" not in counters
 
 
 # -- cross-layer consumers -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Minimum-slots linear search."""
+"""Minimum-slots search: bounds, linear and binary probing, validation."""
 
 import pytest
 
@@ -136,6 +136,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             minimum_slots(conflicts, {(0, 1): 1}, 8,
                           policy=SolverPolicy(max_region=9))
+
+    @pytest.mark.parametrize("frame_slots", [0, -3, 2.5, True, "16"])
+    def test_frame_slots_must_be_a_positive_int(self, chain5, frame_slots):
+        # each once read as "infeasible": slots=None, an empty probe log
+        conflicts = conflict_graph(chain5, hops=2)
+        with pytest.raises(ConfigurationError,
+                           match="frame_slots must be an int"):
+            minimum_slots(conflicts, {(0, 1): 1}, frame_slots)
 
     def test_demanded_link_missing_from_the_relation(self):
         # (2, 3) is demanded but absent from the relation: treating it as

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.delay import path_delay_slots
-from repro.core.engine import SolverEngine
+from repro.core.engine import BOUNDS_CLOSED, SolverEngine
 from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
@@ -49,9 +49,14 @@ class TestInstall:
         monkeypatch.setattr(repair, "minimum_slots", spy)
         engine = make_engine(grid33, engine=SolverEngine(
             policy=SolverPolicy(mode="exact", search="linear")))
-        engine.install([gateway_flow("f1", 8), gateway_flow("f2", 5)])
+        # two-frame budgets: first-fit packs the links nearest the
+        # gateway first, so upstream routes wrap every hop and miss
+        # them -- the bounds leave a gap and the probe loop runs
+        engine.install([gateway_flow("f1", 8, budget_s=0.02),
+                        gateway_flow("f2", 5, budget_s=0.02)])
         (search,) = searches
         frame_slots = engine.frame.data_slots
+        assert search.ilp.solver_status != BOUNDS_CLOSED
         assert search.lower_bound < frame_slots
         assert search.probes[0] == (frame_slots, True)  # ceiling first
 

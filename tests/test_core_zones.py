@@ -11,6 +11,7 @@ bitwise identity -- are property-tested in ``test_property_zones.py``.
 import pytest
 
 from repro import obs
+from repro.core.conflict import _greedy_clique_demand
 from repro.core.engine import SolverEngine
 from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import demand_lower_bound, minimum_slots
@@ -31,7 +32,7 @@ from repro.net.topology import grid_topology, random_disk_topology
 FRAME = default_frame_config()
 
 
-def _instance(num_nodes=20, num_flows=6, seed=7):
+def _instance(num_nodes=20, num_flows=6, seed=7, budget_s=0.1):
     """A routed disk-mesh instance: (engine, index, demands, constraints)."""
     topology = random_disk_topology(num_nodes, radio_range=120.0,
                                    area=400.0, seed=seed)
@@ -39,7 +40,7 @@ def _instance(num_nodes=20, num_flows=6, seed=7):
     flows = route_all(topology, FlowSet([
         Flow(f"f{i}", src=nodes[i % len(nodes)],
              dst=nodes[(i + 9) % len(nodes)], rate_bps=60_000,
-             delay_budget_s=0.1)
+             delay_budget_s=budget_s)
         for i in range(num_flows)]))
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
@@ -335,7 +336,8 @@ def test_policy_mode_string_dispatches_each_arm():
 
 
 def test_call_policy_search_overrides_the_engine_policy():
-    engine, index, demands, constraints = _instance()
+    # 30 ms budgets that first-fit misses: the probe loop searches the gap
+    engine, index, demands, constraints = _instance(budget_s=0.03)
     linear = minimum_slots(index, demands, FRAME.data_slots,
                            constraints, engine=SolverEngine(policy="exact"))
     binary = minimum_slots(index, demands, FRAME.data_slots,
@@ -343,7 +345,10 @@ def test_call_policy_search_overrides_the_engine_policy():
                            policy=SolverPolicy(mode="exact", search="binary"))
     assert binary.slots == linear.slots
     assert binary.probes != linear.probes  # different search trajectory
-    assert linear.probes[0][0] == linear.lower_bound
+    floor = max(linear.lower_bound,
+                _greedy_clique_demand(index, demands, FRAME.data_slots))
+    assert linear.lower_bound < floor
+    assert linear.probes[0][0] == floor  # the floor, not the bound
     assert binary.probes[0][0] == FRAME.data_slots  # ceiling first
 
 

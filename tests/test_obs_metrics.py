@@ -140,15 +140,27 @@ def test_metrics_snapshots_are_byte_identical():
 def test_instrumented_counters_cover_the_solver_stack():
     from repro.api import Scenario
 
-    with obs.use_registry(obs.MetricsRegistry()) as reg:
-        Scenario(topology=chain_topology(5),
-                 flows=[Flow("f", src=0, dst=4,
-                             rate_bps=64_000)]).route().schedule()
-    counters = reg.snapshot()["counters"]
+    def schedule(flow):
+        with obs.use_registry(obs.MetricsRegistry()) as reg:
+            Scenario(topology=chain_topology(5),
+                     flows=[flow]).route().schedule()
+        return (reg.snapshot()["counters"],
+                reg.snapshot(timings=True)["timings"])
+
+    # no delay budget: first-fit certifies the floor and no ILP runs
+    counters, timings = schedule(Flow("f", src=0, dst=4, rate_bps=64_000))
     assert counters["core.minslots.searches"] == 1
+    assert counters["core.minslots.bounds_closed"] == 1
+    assert counters["core.minslots.probes"] == 1
+    assert "core.ilp.solves" not in counters
+    assert "core.minslots.search" in timings
+    # a one-frame budget first-fit misses: the gap search probes the ILP
+    counters, timings = schedule(Flow("up", src=4, dst=0, rate_bps=64_000,
+                                      delay_budget_s=0.01))
+    assert counters["core.minslots.searches"] == 1
+    assert "core.minslots.bounds_closed" not in counters
     assert counters["core.minslots.probes"] >= 1
     assert counters["core.ilp.solves"] >= 1
-    timings = reg.snapshot(timings=True)["timings"]
     assert "core.minslots.search" in timings
     assert "core.ilp.solve" in timings
 

@@ -1,0 +1,153 @@
+"""Property-based tests: min-slot searches closed between two bounds.
+
+A search first tries to close at the *floor* (the heavier of the
+node-clique bound and a greedy conflict clique) with a first-fit
+*certificate* that meets every delay budget; only the gap between them is
+probed with the ILP.  On random small chains, binary trees and disk
+meshes (at most 8 demanded links, frames of at most 16 slots) this checks:
+
+1. the search's ``K`` is the ILP's verdict: feasible at ``K`` and
+   infeasible at ``K - 1`` whenever ``K - 1`` reaches the node-clique
+   bound.  The oracle ILP runs with its clique pre-check switched off, so
+   HiGHS decides every verdict, not the clique code the floor uses;
+2. the published schedule is conflict-free, lies inside the first ``K``
+   slots of a full-length frame and meets every delay budget, with the
+   cyclic delay recomputed here rather than by ``core.delay``;
+3. a cold engine and a warm engine seeded with an arbitrary order return
+   the same ``K``, probe log and schedule.
+"""
+
+from unittest import mock
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.conflict import conflict_graph
+from repro.core.engine import BOUNDS_CLOSED, SolverEngine
+from repro.core.ilp import DelayConstraint, SchedulingProblem
+from repro.core.ilp import solve_schedule_ilp
+from repro.core.minslots import minimum_slots
+from repro.core.ordering import TransmissionOrder
+from repro.core.policy import SolverPolicy
+from repro.net.routing import shortest_path_route
+from repro.net.topology import (
+    binary_tree_topology,
+    chain_topology,
+    random_disk_topology,
+)
+
+MAX_LINKS = 8
+
+
+@st.composite
+def instances(draw):
+    """(conflicts, demands, frame, constraints, search, warm order)."""
+    kind = draw(st.sampled_from(["chain", "tree", "disk"]))
+    if kind == "chain":
+        topology = chain_topology(draw(st.integers(2, 6)))
+    elif kind == "tree":
+        topology = binary_tree_topology(draw(st.integers(1, 2)))
+    else:
+        topology = random_disk_topology(
+            draw(st.integers(3, 7)), radio_range=45.0, area=80.0,
+            seed=draw(st.integers(0, 10_000)))
+    nodes = sorted(topology.nodes)
+    frame = draw(st.integers(4, 16))
+    demands: dict = {}
+    constraints = []
+    for index in range(draw(st.integers(1, 3))):
+        src, dst = draw(st.lists(st.sampled_from(nodes), min_size=2,
+                                 max_size=2, unique=True))
+        route = tuple(shortest_path_route(topology, src, dst))
+        if len(set(demands) | set(route)) > MAX_LINKS:
+            continue
+        per_hop = draw(st.integers(1, 3))
+        for link in route:
+            demands[link] = demands.get(link, 0) + per_hop
+        if draw(st.booleans()):
+            budget = draw(st.integers(1, 2 * frame))
+            constraints.append(DelayConstraint(f"f{index}", route, budget))
+    assume(demands)
+    hops = draw(st.sampled_from([1, 2]))
+    conflicts = conflict_graph(topology, hops=hops, links=sorted(demands))
+    search = draw(st.sampled_from(["linear", "binary"]))
+    warm_order = TransmissionOrder.from_ranking(
+        draw(st.permutations(sorted(demands))))
+    return conflicts, demands, frame, constraints, search, warm_order
+
+
+def _ilp_feasible(conflicts, demands, frame, constraints, region):
+    """HiGHS's verdict at ``region``, with the clique pre-check disabled."""
+    problem = SchedulingProblem(conflicts=conflicts, demands=demands,
+                                frame_slots=frame,
+                                delay_constraints=tuple(constraints),
+                                region_slots=region)
+    with mock.patch("repro.core.ilp._greedy_clique_demand",
+                    lambda *args: 0):
+        return solve_schedule_ilp(problem).feasible
+
+
+def _cyclic_delay(schedule, route):
+    """First block's start to last block's end, one frame per wrap.
+
+    Consecutive hops share a node, so their blocks are disjoint; a hop
+    whose block starts before the previous hop's block ends waits for the
+    next frame.
+    """
+    blocks = [schedule.block(link) for link in route]
+    wraps = sum(1 for prev, nxt in zip(blocks, blocks[1:])
+                if nxt.start < prev.start + prev.length)
+    last = blocks[-1]
+    return (last.start + last.length - blocks[0].start
+            + wraps * schedule.frame_slots)
+
+
+@given(instances())
+@settings(max_examples=60, deadline=None)
+def test_bounded_search_matches_the_ilp_and_warm_equals_cold(instance):
+    conflicts, demands, frame, constraints, search, warm_order = instance
+    policy = SolverPolicy(mode="exact", search=search)
+    cold = minimum_slots(conflicts, demands, frame, constraints,
+                         engine=SolverEngine(warm_start=False),
+                         policy=policy)
+    warm = minimum_slots(conflicts, demands, frame, constraints,
+                         engine=SolverEngine(), warm_order=warm_order,
+                         policy=policy)
+
+    # (3) warm == cold
+    assert warm.slots == cold.slots
+    assert warm.probes == cold.probes
+    if cold.schedule is None:
+        assert warm.schedule is None
+    else:
+        assert warm.schedule.to_dict() == cold.schedule.to_dict()
+
+    if not cold.feasible:
+        assert cold.lower_bound > frame or not _ilp_feasible(
+            conflicts, demands, frame, constraints, frame)
+        return
+
+    # (1) K is the ILP's verdict
+    k = cold.slots
+    if cold.ilp.solver_status == BOUNDS_CLOSED:
+        assert cold.probes == [(k, True)]
+        assert cold.ilp.num_variables == 0
+    assert _ilp_feasible(conflicts, demands, frame, constraints, k)
+    if k - 1 >= max(1, cold.lower_bound):
+        assert not _ilp_feasible(conflicts, demands, frame, constraints,
+                                 k - 1)
+
+    # (2) the published schedule: S8, inside the region, S30 budgets
+    schedule = cold.schedule
+    assert schedule.frame_slots == frame
+    placed = {link: schedule.block(link) for link in demands}
+    for link, block in placed.items():
+        assert block.length == demands[link]
+        assert 0 <= block.start and block.start + block.length <= k
+    for a, b in conflicts.pairs():
+        first, second = placed[a], placed[b]
+        assert (first.start + first.length <= second.start
+                or second.start + second.length <= first.start)
+    for constraint in constraints:
+        assert (_cyclic_delay(schedule, constraint.route)
+                <= constraint.budget_slots)
