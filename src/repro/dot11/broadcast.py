@@ -10,14 +10,14 @@ and collide, which is precisely the failure mode guard times must absorb
 (experiments E4/E8).
 
 :class:`RawBroadcastMac` therefore transmits at the requested instant and
-lets the channel decide what collides.
+lets the channel decide what collides.  It does not carrier-sense, so it
+leaves :meth:`~repro.phy.channel.ChannelClient.on_medium_change` alone.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import SimulationError
 from repro.phy.channel import BroadcastChannel, ChannelClient
 from repro.phy.frames import FrameKind, PhyFrame
 from repro.sim.engine import Simulator
@@ -53,17 +53,14 @@ class RawBroadcastMac(ChannelClient):
         A False return means the caller's slot timing made two of this
         node's own transmissions overlap (a scheduling bug or an extreme
         sync error); the frame is dropped, as real hardware would refuse it.
+        Any other channel error (say, a non-positive airtime) propagates.
         """
-        frame = PhyFrame(kind, self.node, None, size_bits, payload)
-        try:
-            self.channel.transmit(self.node, frame, duration)
-        except SimulationError:
+        if self.channel.transmitting(self.node):
             self.trace.emit(self.sim.now, "raw.tx_overrun", node=self.node)
             return False
+        frame = PhyFrame(kind, self.node, None, size_bits, payload)
+        self.channel.transmit(self.node, frame, duration)
         return True
 
     def on_receive(self, frame: PhyFrame, success: bool) -> None:
         self.deliver(self.node, frame, success)
-
-    def on_medium_change(self) -> None:
-        """The overlay is schedule-driven; it ignores carrier sense."""

@@ -51,7 +51,6 @@ from repro.dot11.params import (
     RTS_BITS,
     Dot11Params,
 )
-from repro.errors import SimulationError
 from repro.phy.channel import BroadcastChannel, ChannelClient
 from repro.phy.frames import FrameKind, PhyFrame
 from repro.sim.engine import Event, Simulator
@@ -274,11 +273,11 @@ class DcfMac(ChannelClient):
                   - phy.propagation_delay_s)
         cts = PhyFrame(FrameKind.CTS, self.node, rts.src, CTS_BITS,
                        payload=(data_frame_id, nav))
-        try:
-            self.channel.transmit(self.node, cts, cts_air)
-        except SimulationError:
+        if self.channel.transmitting(self.node):
             self.trace.emit(self.sim.now, "mac.cts_suppressed",
                             node=self.node)
+            return
+        self.channel.transmit(self.node, cts, cts_air)
 
     def _cts_received(self) -> None:
         """Our CTS arrived: ship the pending data frame after SIFS."""
@@ -329,14 +328,14 @@ class DcfMac(ChannelClient):
     def _send_ack(self, data_frame: PhyFrame) -> None:
         ack = PhyFrame(FrameKind.ACK, self.node, data_frame.src, ACK_BITS,
                        payload=data_frame.frame_id)
-        try:
-            self.channel.transmit(
-                self.node, ack,
-                self.params.phy.airtime(ACK_BITS, basic_rate=True))
-        except SimulationError:
+        if self.channel.transmitting(self.node):
             # Half-duplex clash with our own pending transmission; the data
             # sender will time out and retry.
             self.trace.emit(self.sim.now, "mac.ack_suppressed", node=self.node)
+            return
+        self.channel.transmit(
+            self.node, ack,
+            self.params.phy.airtime(ACK_BITS, basic_rate=True))
 
     # -- ChannelClient --------------------------------------------------------
 
@@ -382,9 +381,10 @@ class DcfMac(ChannelClient):
             self.deliver(self.node, frame.payload)
 
     def on_medium_change(self) -> None:
-        if self._medium_busy():
-            self._freeze_countdown()
-        elif (self._current is not None and self._access_event is None
-              and self._awaiting_ack_for is None
-              and self._awaiting_cts_for is None):
+        # Sense only when the answer can matter: an armed countdown may
+        # have to freeze; an unarmed one may arm (_reschedule_countdown
+        # senses only when a frame waits and no ACK/CTS is awaited).
+        if self._access_event is None:
             self._reschedule_countdown()
+        elif self._medium_busy():
+            self._freeze_countdown()

@@ -12,27 +12,31 @@ SINR-derived sense and jamming pairs so the DCF baseline exhibits real
 hidden-node collisions (see :mod:`repro.phy.models` and
 docs/interference.md).
 
-MAC layers attach a :class:`ChannelClient` per node and get two callbacks:
+MAC layers attach a :class:`ChannelClient` per node and get up to two
+callbacks:
 
 - ``on_receive(frame, success)`` when a reception finishes;
 - ``on_medium_change()`` whenever the busy/idle state at the node may have
   changed (used by CSMA backoff logic, which polls :meth:`BroadcastChannel.
-  medium_busy`).
+  medium_busy`).  Optional: a client that does not override it is never
+  notified.
 
 Each transmission costs the event kernel at most three events, however
-many nodes hear it: an *arrival-start* edge that notifies every receiver
-and coupled node that energy appeared, an *arrival-end* edge that
-delivers every reception and notifies the coupled nodes that it cleared,
-and the transmitter's own ``tx_end`` notification.  A transmission
-nobody hears schedules only the last.  :meth:`BroadcastChannel.transmit`
+many nodes hear it: an *arrival-start* edge that notifies every sensing
+receiver and coupled node that energy appeared, an *arrival-end* edge
+that delivers every reception and notifies the sensing coupled nodes that
+it cleared, and the transmitter's own ``tx_end`` notification.  An edge
+with nothing to do is not scheduled, so a heard TDMA-overlay transmission
+(no client senses) costs one event.  :meth:`BroadcastChannel.transmit`
 explains why this batching fires the callbacks in exactly the order that
 one event per receiver would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.topology import MeshTopology
@@ -50,8 +54,13 @@ class ChannelClient:
         raise NotImplementedError
 
     def on_medium_change(self) -> None:
-        """The busy/idle state at this node may have changed."""
-        # Optional for MACs that do not carrier-sense (TDMA overlay).
+        """The busy/idle state at this node may have changed.
+
+        Optional: only clients whose class overrides this method are
+        notified (:meth:`BroadcastChannel.attach` checks once).  A
+        schedule-driven MAC such as the TDMA overlay leaves it alone, and
+        the channel spends no kernel events on its medium edges.
+        """
 
 
 @dataclass
@@ -73,6 +82,9 @@ class Reception:
 @dataclass
 class _NodeState:
     client: Optional[ChannelClient] = None
+    #: the client's bound ``on_medium_change`` if it carrier-senses, else
+    #: None
+    sense: Optional[Callable[[], None]] = None
     #: active/pending receptions at this node
     receptions: list[Reception] = field(default_factory=list)
     #: (start, end) transmission intervals, pruned lazily
@@ -110,6 +122,12 @@ class BroadcastChannel:
         self.trace = trace if trace is not None else Trace(enabled=False)
         self._nodes: dict[int, _NodeState] = {
             node: _NodeState() for node in topology.nodes}
+        #: per node, ``(neighbour, state)`` in ``topology.neighbors``
+        #: order; the topology is read once, here
+        self._neighbors: dict[int, tuple[tuple[int, _NodeState], ...]] = {
+            node: tuple((neighbor, self._nodes[neighbor])
+                        for neighbor in topology.neighbors(node))
+            for node in topology.nodes}
         #: optional random-loss model; see :meth:`set_error_model`
         self._error_rng = None
         self._error_rates: dict[tuple[int, int], float] = {}
@@ -305,6 +323,9 @@ class BroadcastChannel:
         if state.client is not None:
             raise ConfigurationError(f"node {node} already has a MAC attached")
         state.client = client
+        if type(client).on_medium_change is not \
+                ChannelClient.on_medium_change:
+            state.sense = client.on_medium_change
 
     def _state(self, node: int) -> _NodeState:
         try:
@@ -334,15 +355,23 @@ class BroadcastChannel:
         from carrier-sense-range transmitters and jamming interferers --
         not just decodable receptions.
         """
-        now = self.sim.now
-        if self.transmitting(node):
-            return True
         state = self._state(node)
-        if any(rec.start <= now < rec.end for rec in state.receptions):
-            return True
-        return any(start <= now < end
-                   for start, end in state.noise) \
-            or any(start <= now < end for start, end in state.jam)
+        now = self.sim.now
+        transmissions = state.transmissions
+        if transmissions:
+            start, end = transmissions[-1]
+            if start <= now < end:
+                return True
+        for rec in state.receptions:
+            if rec.start <= now < rec.end:
+                return True
+        for start, end in state.noise:
+            if start <= now < end:
+                return True
+        for start, end in state.jam:
+            if start <= now < end:
+                return True
+        return False
 
     def busy_until(self, node: int) -> float:
         """Latest end time of anything currently on air at ``node``.
@@ -373,7 +402,8 @@ class BroadcastChannel:
 
         The MAC is responsible for medium access rules; the channel only
         enforces physics (no two simultaneous transmissions from one radio,
-        and a positive airtime).
+        and a positive, finite airtime).  A rejected transmission raises
+        :class:`SimulationError` before any channel state changes.
 
         All receptions and coupled nodes of the transmission share two
         kernel events, :meth:`_arrival_start` and :meth:`_arrival_end`,
@@ -390,6 +420,13 @@ class BroadcastChannel:
         edges, so splitting them into two events loses no interleaving;
         with zero propagation delay the end edge still sorts before the
         ``tx_end`` notification, which is scheduled after it.
+
+        Only sensing clients are notified, so an edge is scheduled only
+        when it has work: the start edge when some receiver or coupled
+        node senses, the end edge when there is a reception to deliver or
+        a sensing coupled node, ``tx_end`` when the transmitter senses.
+        Dropping an event that would call nothing cannot reorder the
+        rest: sequence numbers stay monotonic.
         """
         state = self._state(node)
         if frame.src != node:
@@ -400,9 +437,9 @@ class BroadcastChannel:
         if duration is None:
             duration = self.phy.airtime(
                 frame.size_bits, basic_rate=frame.kind.value != "data")
-        if not duration > 0.0:
+        if not 0.0 < duration < math.inf:
             raise SimulationError(
-                f"airtime must be positive, got {duration}")
+                f"airtime must be positive and finite, got {duration}")
         now = self.sim.now
         if node in self._down_nodes:
             # Crashed radio: the MAC's transmit attempt consumes its slot
@@ -423,15 +460,19 @@ class BroadcastChannel:
                 rec.corrupted = True
                 rec.corrupt_reason = "rx_during_tx"
 
-        self._notify(node)
+        sense = state.sense
+        if sense is not None:
+            sense()
         prop = self.phy.propagation_delay_s
         arrival_start, arrival_end = tx_start + prop, tx_end + prop
+        down_nodes, down_links = self._down_nodes, self._down_links
         receptions: list[Reception] = []
-        for neighbor in self.topology.neighbors(node):
-            if (neighbor in self._down_nodes
-                    or frozenset((node, neighbor)) in self._down_links):
+        # sensing receivers, then (below) sensing coupled nodes
+        start_notify: list[Callable[[], None]] = []
+        for neighbor, receiver_state in self._neighbors[node]:
+            if neighbor in down_nodes or (
+                    down_links and frozenset((node, neighbor)) in down_links):
                 continue
-            receiver_state = self._state(neighbor)
             self._prune(receiver_state, now)
             reception = Reception(frame, neighbor, arrival_start, arrival_end)
             # Pairwise collision with any overlapping reception at this
@@ -453,15 +494,17 @@ class BroadcastChannel:
                         break
             receiver_state.receptions.append(reception)
             receptions.append(reception)
+            if receiver_state.sense is not None:
+                start_notify.append(receiver_state.sense)
         # Physical couplings beyond the graph: jamming interferers corrupt
         # in-flight receptions at their victims; carrier-sense-range
         # watchers merely see a busy medium.  Both get notify edges so
         # CSMA backoff reacts to the energy appearing and clearing.
-        coupled: list[int] = []
+        coupled: list[Callable[[], None]] = []
         for victim in self._jam_extra.get(node, ()):
-            if victim in self._down_nodes:
+            if victim in down_nodes:
                 continue
-            victim_state = self._state(victim)
+            victim_state = self._nodes[victim]
             self._prune(victim_state, now)
             victim_state.jam.append((arrival_start, arrival_end))
             # phy.jam traces actual damage (a reception corrupted by
@@ -474,46 +517,54 @@ class BroadcastChannel:
                     rec.corrupt_reason = "interference"
                     self.trace.emit(now, "phy.jam", node=victim,
                                     source=node)
-            coupled.append(victim)
+            if victim_state.sense is not None:
+                coupled.append(victim_state.sense)
         for watcher in self._sense_extra.get(node, ()):
-            if watcher in self._down_nodes \
+            if watcher in down_nodes \
                     or watcher in self._jam_extra.get(node, ()):
                 continue  # jam energy already busies the victim's medium
-            watcher_state = self._state(watcher)
+            watcher_state = self._nodes[watcher]
             self._prune(watcher_state, now)
             watcher_state.noise.append((arrival_start, arrival_end))
-            coupled.append(watcher)
-        if receptions or coupled:
+            if watcher_state.sense is not None:
+                coupled.append(watcher_state.sense)
+        start_notify += coupled
+        if start_notify:
             self.sim.schedule_at(arrival_start, self._arrival_start,
-                                 receptions, coupled)
+                                 start_notify)
+        if receptions or coupled:
             self.sim.schedule_at(arrival_end, self._arrival_end,
                                  receptions, coupled)
         # Transmitter's own medium goes idle at tx_end.
-        self.sim.schedule_at(tx_end, self._notify, node)
+        if sense is not None:
+            self.sim.schedule_at(tx_end, sense)
         return duration
 
     # -- internals ---------------------------------------------------------
 
-    def _arrival_start(self, receptions: list[Reception],
-                       coupled: list[int]) -> None:
-        """Energy of one transmission reaches its receivers and couplings."""
-        for reception in receptions:
-            self._notify(reception.receiver)
-        for node in coupled:
-            self._notify(node)
+    @staticmethod
+    def _arrival_start(notify: list[Callable[[], None]]) -> None:
+        """Energy of one transmission reaches its sensing receivers and
+        couplings."""
+        for on_medium_change in notify:
+            on_medium_change()
 
     def _arrival_end(self, receptions: list[Reception],
-                     coupled: list[int]) -> None:
-        """One transmission's energy clears: deliver, then notify couplings."""
+                     coupled: list[Callable[[], None]]) -> None:
+        """One transmission's energy clears: deliver, then notify the
+        sensing couplings."""
         for reception in receptions:
             self._deliver(reception)
-        for node in coupled:
-            self._notify(node)
+        for on_medium_change in coupled:
+            on_medium_change()
 
     def _deliver(self, reception: Reception) -> None:
-        state = self._state(reception.receiver)
-        if reception in state.receptions:
-            state.receptions.remove(reception)
+        state = self._nodes[reception.receiver]
+        receptions = state.receptions
+        for index, pending in enumerate(receptions):
+            if pending is reception:
+                del receptions[index]
+                break
         if reception.receiver in self._down_nodes:
             # The receiver crashed while the frame was in flight: drop it
             # without a MAC callback, as set_node_down() promises.
@@ -558,14 +609,10 @@ class BroadcastChannel:
                         frame=reception.frame.frame_id,
                         kind=reception.frame.kind.value)
         client = state.client
-        self._notify(reception.receiver)
+        if state.sense is not None:
+            state.sense()
         if client is not None:
             client.on_receive(reception.frame, success)
-
-    def _notify(self, node: int) -> None:
-        client = self._state(node).client
-        if client is not None:
-            client.on_medium_change()
 
     @staticmethod
     def _prune(state: _NodeState, now: float) -> None:

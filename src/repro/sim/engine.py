@@ -139,13 +139,16 @@ class Simulator:
         until:
             If given, stop once the next event would fire strictly after
             ``until`` and advance the clock to ``until``.  Events scheduled
-            exactly at ``until`` are executed.
+            exactly at ``until`` are executed.  Must be finite, like any
+            event time; omit it to run until the queue drains.
         max_events:
             Safety valve against runaway event loops; raises
             :class:`SimulationError` when exceeded.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"event time must be finite, got {until}")
         self._running = True
         executed_this_run = 0
         # Per-event registry calls would dominate the dispatch loop, so the

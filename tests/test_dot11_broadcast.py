@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dot11.broadcast import RawBroadcastMac
+from repro.errors import SimulationError
 from repro.phy.channel import BroadcastChannel
 from repro.phy.frames import FrameKind
 from repro.phy.radio import PhyParams
@@ -67,6 +68,28 @@ def test_tx_overrun_returns_false():
     assert macs[0].broadcast("a", 5000)
     assert not macs[0].broadcast("b", 5000)  # still on air
     assert trace.count("raw.tx_overrun") == 1
+
+
+@pytest.mark.parametrize("duration", [0.0, -1e-4, float("nan"),
+                                      float("inf")])
+def test_bad_airtime_is_an_error_not_an_overrun(duration):
+    topo = chain_topology(2)
+    sim, macs, ____, trace = build(topo)
+    with pytest.raises(SimulationError, match="airtime"):
+        macs[0].broadcast("a", 1000, duration=duration)
+    assert trace.count("raw.tx_overrun") == 0
+    assert trace.count("phy.tx") == 0
+    assert macs[0].broadcast("b", 1000)  # the radio is still usable
+
+
+def test_raw_mac_does_not_sense():
+    # no on_medium_change override: its medium edges are never scheduled
+    topo = chain_topology(3)
+    sim, macs, received, ____ = build(topo)
+    macs[1].broadcast("hello", 1000)
+    assert sim.pending == 1  # the arrival-end edge that delivers
+    sim.run()
+    assert sorted(n for n, ____, ____ in received) == [0, 2]
 
 
 def test_explicit_duration_and_kind():

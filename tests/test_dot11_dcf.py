@@ -3,8 +3,10 @@
 import pytest
 
 from repro.dot11.dcf import DcfMac
-from repro.dot11.params import DOT11B_PARAMS
+from repro.dot11.params import DOT11B_PARAMS, RTS_BITS
+from repro.errors import SimulationError
 from repro.phy.channel import BroadcastChannel
+from repro.phy.frames import FrameKind, PhyFrame
 from repro.sim.engine import Simulator
 from repro.sim.random import RngRegistry
 from repro.sim.trace import Trace
@@ -75,6 +77,39 @@ class TestUnicast:
         sim.run(until=5.0)
         deliveries = [p for ____, ____, p in delivered]
         assert deliveries.count("x") == 1
+
+
+class TestResponseFrames:
+    """An ACK or CTS is suppressed only when the responder's own radio is
+    on air; any other channel error propagates."""
+
+    @staticmethod
+    def _respond(mac, kind):
+        if kind == "ack":
+            mac._send_ack(PhyFrame(FrameKind.DATA, 0, 1, 800))
+        else:
+            rts = PhyFrame(FrameKind.RTS, 0, 1, RTS_BITS, payload=(7, 1e-3))
+            mac._send_cts(rts)
+
+    @pytest.mark.parametrize("kind", ["ack", "cts"])
+    def test_clash_with_own_transmission_is_suppressed(self, kind):
+        sim, macs, ____, trace = build_dcf(chain_topology(2))
+        macs[1].channel.transmit(1, PhyFrame(FrameKind.DATA, 1, None, 800))
+        self._respond(macs[1], kind)
+        assert trace.count(f"mac.{kind}_suppressed") == 1
+        assert trace.count("phy.tx") == 1
+
+    @pytest.mark.parametrize("kind", ["ack", "cts"])
+    def test_other_channel_errors_propagate(self, kind, monkeypatch):
+        sim, macs, ____, trace = build_dcf(chain_topology(2))
+
+        def broken(node, frame, duration=None):
+            raise SimulationError("broken radio")
+
+        monkeypatch.setattr(macs[1].channel, "transmit", broken)
+        with pytest.raises(SimulationError, match="broken radio"):
+            self._respond(macs[1], kind)
+        assert trace.count(f"mac.{kind}_suppressed") == 0
 
 
 class TestBroadcast:

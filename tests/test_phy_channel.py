@@ -28,12 +28,25 @@ class Listener(ChannelClient):
         self.medium_changes += 1
 
 
-def setup_channel(topology, trace=None):
+class Deaf(ChannelClient):
+    """A client that does not carrier-sense (like the TDMA overlay)."""
+
+    def __init__(self):
+        self.received: list[tuple[PhyFrame, bool]] = []
+
+    def on_receive(self, frame, success):
+        self.received.append((frame, success))
+
+
+def setup_channel(topology, trace=None, sensing=None):
+    """Attach a :class:`Listener` to every node in ``sensing`` (default:
+    all) and a :class:`Deaf` client to the rest."""
     sim = Simulator()
     channel = BroadcastChannel(sim, topology, TEST_PHY, trace)
     listeners = {}
     for node in topology.nodes:
-        listeners[node] = Listener()
+        senses = sensing is None or node in sensing
+        listeners[node] = Listener() if senses else Deaf()
         channel.attach(node, listeners[node])
     return sim, channel, listeners
 
@@ -80,6 +93,22 @@ class TestDelivery:
         for duration in (0.0, -1e-4, float("nan")):
             with pytest.raises(SimulationError, match="positive"):
                 channel.transmit(0, frame_from(0), duration=duration)
+
+    @pytest.mark.parametrize("duration", [float("inf"), 0.0, float("nan")])
+    def test_rejected_airtime_leaves_the_channel_untouched(self, chain5,
+                                                            duration):
+        sim, channel, listeners = setup_channel(chain5)
+        with pytest.raises(SimulationError, match="positive and finite"):
+            channel.transmit(0, frame_from(0), duration=duration)
+        assert sim.pending == 0
+        assert not channel.transmitting(0)
+        assert not channel.medium_busy(0) and not channel.medium_busy(1)
+        assert listeners[0].medium_changes == 0
+        # the radio is still usable
+        channel.transmit(0, frame_from(0))
+        sim.run()
+        assert len(listeners[1].received) == 1
+        assert not channel.medium_busy(1)
 
     def test_double_transmit_rejected(self, chain5):
         ____, channel, ____ = setup_channel(chain5)
@@ -181,7 +210,7 @@ class TestCollisions:
 class TestEventBudget:
     """A transmission costs the kernel three events however many hear it:
     one arrival-start edge, one arrival-end edge and the transmitter's
-    ``tx_end`` notification."""
+    ``tx_end`` notification -- fewer when the clients do not sense."""
 
     @pytest.mark.parametrize("rows, cols, node, heard_by",
                              [(1, 5, 0, 1), (3, 3, 0, 2), (3, 3, 1, 3),
@@ -207,6 +236,39 @@ class TestEventBudget:
         # watcher 2 sees the energy appear and clear; nobody receives
         assert listeners[2].medium_changes == 2
         assert all(not listener.received for listener in listeners.values())
+
+    @pytest.mark.parametrize("tx_senses, rx_senses, events",
+                             [(False, False, 1), (False, True, 2),
+                              (True, False, 2), (True, True, 3)])
+    def test_only_sensing_clients_cost_edges(self, tx_senses, rx_senses,
+                                             events):
+        # node 4 is the centre of the grid: four receivers
+        topology = grid_topology(3, 3)
+        sensing = ({4} if tx_senses else set()) | (
+            set(topology.neighbors(4)) if rx_senses else set())
+        sim, channel, listeners = setup_channel(topology, sensing=sensing)
+        channel.transmit(4, frame_from(4))
+        assert sim.pending == events
+        sim.run()
+        assert sim.events_executed == events
+        for node in topology.neighbors(4):
+            assert len(listeners[node].received) == 1
+            if rx_senses:  # energy appears, reception delivered
+                assert listeners[node].medium_changes == 2
+        if tx_senses:  # own transmission starts and ends
+            assert listeners[4].medium_changes == 2
+
+    def test_non_sensing_coupled_node_costs_no_event(self, chain5):
+        sim, channel, ____ = setup_channel(chain5, sensing=set())
+        channel.set_physical_couplings(sense_pairs={(0, 2)})
+        channel.set_node_down(1)
+        channel.transmit(0, frame_from(0, bits=1000))
+        assert sim.pending == 0
+        # the watcher's medium still reads busy while the energy is on air
+        sim.run(until=0.5e-3)
+        assert channel.medium_busy(2)
+        sim.run(until=2e-3)
+        assert not channel.medium_busy(2)
 
     def test_unheard_transmission_leaves_one_event(self, chain5):
         sim, channel, ____ = setup_channel(chain5)

@@ -15,6 +15,13 @@ times and nodes), on:
 - DCF on a spaced chain with SINR sense and jam couplings;
 - radios crashing mid-flight and links going down;
 - zero and non-zero propagation delay.
+
+The oracle notifies every attached client, as the channel did before it
+learned which clients carrier-sense.  Two further cases make the
+sensing-only edges visible to it: the TDMA overlay behind a recorder
+that forwards only ``on_receive`` (so no client senses and the channel
+drops the medium edges the oracle still runs), and DCF whose oracle arm
+keeps the MAC's former always-sense ``on_medium_change``.
 """
 
 import dataclasses
@@ -49,6 +56,11 @@ PROPAGATION = st.sampled_from([0.0, 1e-6, 4e-6])
 
 class PerReceiverChannel(BroadcastChannel):
     """The channel with one kernel event per receiver edge (the oracle)."""
+
+    def _notify(self, node):
+        client = self._state(node).client
+        if client is not None:
+            client.on_medium_change()
 
     def transmitting(self, node):
         now = self.sim.now
@@ -146,8 +158,8 @@ class PerReceiverChannel(BroadcastChannel):
         super()._deliver(reception)
 
 
-class _Recorder(ChannelClient):
-    """Forwards channel callbacks to a MAC and logs each one."""
+class _ReceiveRecorder(ChannelClient):
+    """Forwards ``on_receive`` to a MAC and logs it; does not sense."""
 
     def __init__(self, sim, node, client, calls):
         self.sim, self.node, self.client, self.calls = sim, node, client, calls
@@ -157,15 +169,31 @@ class _Recorder(ChannelClient):
                            success))
         self.client.on_receive(frame, success)
 
+
+class _Recorder(_ReceiveRecorder):
+    """Forwards both channel callbacks to a MAC and logs each one."""
+
     def on_medium_change(self):
         self.calls.append((self.sim.now, self.node, "medium"))
         self.client.on_medium_change()
 
 
-def _recording(channel_cls, calls):
+class _AlwaysSenseDcf(DcfMac):
+    """DCF that samples the medium on every notify, as it once did."""
+
+    def on_medium_change(self):
+        if self._medium_busy():
+            self._freeze_countdown()
+        elif (self._current is not None and self._access_event is None
+              and self._awaiting_ack_for is None
+              and self._awaiting_cts_for is None):
+            self._reschedule_countdown()
+
+
+def _recording(channel_cls, calls, recorder=_Recorder):
     class Recording(channel_cls):
         def attach(self, node, client):
-            super().attach(node, _Recorder(self.sim, node, client, calls))
+            super().attach(node, recorder(self.sim, node, client, calls))
     return Recording
 
 
@@ -192,7 +220,7 @@ def _observed(calls, trace):
 
 
 def _dcf_run(channel_cls, seed, *, topology, prop, rts=False,
-             couplings=None, faults=()):
+             couplings=None, faults=(), mac_cls=DcfMac):
     """Saturated DCF: every node keeps unicasts and broadcasts queued."""
     params = dataclasses.replace(
         DOT11B_PARAMS,
@@ -206,8 +234,9 @@ def _dcf_run(channel_cls, seed, *, topology, prop, rts=False,
     if couplings is not None:
         channel.set_physical_couplings(couplings)
     rngs = RngRegistry(seed=seed)
-    macs = {node: DcfMac(sim, channel, node, params,
-                         rngs.stream(f"dcf/{node}"), lambda n, p: None, trace)
+    macs = {node: mac_cls(sim, channel, node, params,
+                          rngs.stream(f"dcf/{node}"), lambda n, p: None,
+                          trace)
             for node in topology.nodes}
     pick = rngs.stream("destinations")
 
@@ -228,8 +257,9 @@ def _dcf_run(channel_cls, seed, *, topology, prop, rts=False,
     return _observed(calls, trace)
 
 
-def _assert_equivalent(run, **kwargs):
-    oracle = run(PerReceiverChannel, **kwargs)
+def _assert_equivalent(run, oracle_kwargs=(), **kwargs):
+    """``oracle_kwargs`` apply to the oracle run only."""
+    oracle = run(PerReceiverChannel, **kwargs, **dict(oracle_kwargs))
     batched = run(BroadcastChannel, **kwargs)
     assert batched[0] == oracle[0], "trace records diverge"
     assert batched[1] == oracle[1], "MAC callbacks diverge"
@@ -253,6 +283,26 @@ def test_dcf_with_sinr_sense_and_jam_couplings(seed, prop, cs_multiplier):
     assert couplings.sense_pairs and couplings.jam_pairs
     _assert_equivalent(_dcf_run, seed=seed, topology=topology, prop=prop,
                        couplings=couplings)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), rts=st.booleans(), prop=PROPAGATION)
+def test_dcf_senses_only_when_its_countdown_can_move_on_a_grid(seed, rts,
+                                                                prop):
+    _assert_equivalent(_dcf_run, {"mac_cls": _AlwaysSenseDcf}, seed=seed,
+                       topology=grid_topology(3, 3), prop=prop, rts=rts)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), prop=PROPAGATION,
+       cs_multiplier=st.sampled_from([1.5, 2.5]))
+def test_dcf_senses_only_when_its_countdown_can_move_with_couplings(
+        seed, prop, cs_multiplier):
+    topology = chain_topology(8, spacing=90.0)
+    couplings = SinrModel(cs_multiplier=cs_multiplier).channel_couplings(
+        topology)
+    _assert_equivalent(_dcf_run, {"mac_cls": _AlwaysSenseDcf}, seed=seed,
+                       topology=topology, prop=prop, couplings=couplings)
 
 
 _FAULT = st.tuples(
@@ -284,13 +334,14 @@ def tdma_setup():
     return topology, frame, flows, schedule
 
 
-def _tdma_run(channel_cls, seed, *, setup, prop, drift_ppm):
+def _tdma_run(channel_cls, seed, *, setup, prop, drift_ppm,
+              recorder=_Recorder):
     topology, frame, flows, schedule = setup
     frame = dataclasses.replace(
         frame, phy=dataclasses.replace(frame.phy, propagation_delay_s=prop))
     calls = []
     with mock.patch.object(scenarios, "BroadcastChannel",
-                           _recording(channel_cls, calls)):
+                           _recording(channel_cls, calls, recorder)):
         result = run_tdma_scenario(topology, flows, frame, schedule, TDMA_S,
                                    seed=seed, codec=G729,
                                    drift_ppm=drift_ppm, warmup_s=0.0)
@@ -303,3 +354,14 @@ def _tdma_run(channel_cls, seed, *, setup, prop, drift_ppm):
 def test_tdma_overlay_with_drift(tdma_setup, seed, prop, drift_ppm):
     _assert_equivalent(_tdma_run, seed=seed, setup=tdma_setup, prop=prop,
                        drift_ppm=drift_ppm)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), prop=PROPAGATION,
+       drift_ppm=st.sampled_from([10.0, 50.0]))
+def test_tdma_overlay_without_carrier_sense(tdma_setup, seed, prop,
+                                            drift_ppm):
+    # No client senses: the channel schedules no medium edges, while the
+    # oracle still runs them (each calls the base class's no-op).
+    _assert_equivalent(_tdma_run, seed=seed, setup=tdma_setup, prop=prop,
+                       drift_ppm=drift_ppm, recorder=_ReceiveRecorder)

@@ -70,6 +70,22 @@ def test_non_finite_time_rejected(sim):
         sim.schedule_at(float("nan"), lambda: None)
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_horizon_rejected(sim, until):
+    fired = []
+    sim.schedule(1.0, fired.append, "a")
+    with pytest.raises(SimulationError, match="event time must be finite"):
+        sim.run(until=until)
+    # nothing ran, the clock did not move and the kernel is still usable
+    assert fired == [] and sim.now == 0.0 and sim.pending == 1
+    sim.run(until=2.0)
+    assert fired == ["a"] and sim.now == 2.0
+    sim.schedule(1.0, fired.append, "b")
+    sim.run()
+    assert fired == ["a", "b"]
+
+
 def test_cancelled_event_does_not_fire(sim):
     fired = []
     event = sim.schedule(1.0, fired.append, "x")
