@@ -325,7 +325,7 @@ def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     those columns do not depend on the search's machinery.  The search
     itself starts from a tighter *floor*, the heavier of this bound and
     :func:`_greedy_clique_demand` at the ceiling: it tries to close at the
-    floor with a first-fit certificate and probes the ILP only for the gap
+    floor with a packing certificate and probes the ILP only for the gap
     above it (see :meth:`repro.core.engine.SolverEngine.run_search`).
     """
     best = 0

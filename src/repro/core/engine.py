@@ -24,7 +24,7 @@ probe, repair and sweep point as a cold solve:
 
 2. **Bounded, warm-started probe search.**  Each
    :func:`~repro.core.minslots.minimum_slots` search first tries to close
-   between a greedy-clique floor and a first-fit certificate with no ILP
+   between a greedy-clique floor and a packing certificate with no ILP
    (:meth:`SolverEngine.run_search`).  Inside the gap that remains, the
    engine carries the last feasible probe's
    :class:`~repro.core.ordering.TransmissionOrder` forward.  Before
@@ -92,7 +92,7 @@ from repro.core.ilp import (
 )
 from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.policy import SolverPolicy
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import (
     ConfigurationError,
     InfeasibleScheduleError,
@@ -105,10 +105,15 @@ from repro.net.topology import Link, MeshTopology
 #: always re-solved canonically before a result is returned.
 BF_CERTIFIED = "bf-certified"
 
-#: Solver status of a search decided with no ILP: the first-fit certificate
+#: Solver status of a search decided with no ILP: a packing certificate
 #: met the greedy-clique floor.  Such a result is published as is
 #: (``num_variables == 0``); the certificate *is* the schedule.
 BOUNDS_CLOSED = "bounds-closed"
+
+#: Nodes (block placements) the exact packing descent behind a
+#: bounds-closed certificate may visit before it gives up and leaves the
+#: search to the ILP probes.
+PACKING_NODE_LIMIT = 512
 
 
 def _fingerprint_token(topology: MeshTopology) -> tuple:
@@ -574,9 +579,10 @@ class SolverEngine:
         :func:`~repro.core.minslots.demand_lower_bound` and the greedy
         conflict clique at the ceiling; a floor above the ceiling refutes
         the search (probe log ``[(ceiling, False)]``).  The *certificate*
-        is first-fit-decreasing :func:`~repro.core.greedy.greedy_schedule`
-        inside the floor, kept only if every delay budget holds at the full
-        frame length.  When it holds, ``K`` is the floor and the
+        is a packing inside the floor that meets every delay budget at the
+        full frame length: first-fit-decreasing
+        :func:`~repro.core.greedy.greedy_schedule`, else the node-capped
+        :func:`_packing_descent`.  When it holds, ``K`` is the floor and the
         certificate is the published schedule: no ILP runs, the probe log
         is ``[(K, True)]`` and the result's status is
         :data:`BOUNDS_CLOSED`.  Neither bound reads warm state, so warm and
@@ -686,7 +692,7 @@ class SolverEngine:
             log(ceiling, False)
             return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
                                  probes=probes)
-        certificate = _first_fit_certificate(
+        certificate = _packing_certificate(
             conflicts, demands, frame_slots, floor, delay_constraints)
         if certificate is not None:
             obs.counter("core.minslots.bounds_closed").inc()
@@ -739,23 +745,30 @@ def _within_budgets(packed: Schedule, frame_slots: int,
     return schedule
 
 
-def _first_fit_certificate(conflicts: ConflictIndex,
-                           demands: Mapping[Link, int], frame_slots: int,
-                           region: int,
-                           delay_constraints: Sequence[DelayConstraint]
-                           ) -> Optional[ILPResult]:
-    """First-fit-decreasing proof that ``region`` slots suffice, or ``None``.
+def _packing_certificate(conflicts: ConflictIndex,
+                         demands: Mapping[Link, int], frame_slots: int,
+                         region: int,
+                         delay_constraints: Sequence[DelayConstraint]
+                         ) -> Optional[ILPResult]:
+    """A packing that proves ``region`` slots suffice, or ``None``.
 
-    :func:`~repro.core.greedy.greedy_schedule` packs conflict-free by
-    construction (it validates S8 itself); the packing certifies the
-    region only if every delay budget also holds.  The result carries the
-    schedule, the order its start slots induce and :data:`BOUNDS_CLOSED`.
+    First-fit-decreasing :func:`~repro.core.greedy.greedy_schedule` comes
+    first (it packs conflict-free by construction and validates S8
+    itself); its packing certifies the region if every delay budget also
+    holds.  When it cannot pack the region, or its packing misses a
+    budget, :func:`_packing_descent` searches for one exactly, within
+    :data:`PACKING_NODE_LIMIT` nodes.  The result carries the schedule,
+    the order its start slots induce and :data:`BOUNDS_CLOSED`.
     """
     try:
         packed = greedy_schedule(conflicts, demands, frame_slots=region)
     except InfeasibleScheduleError:
-        return None
-    schedule = _within_budgets(packed, frame_slots, delay_constraints)
+        schedule = None
+    else:
+        schedule = _within_budgets(packed, frame_slots, delay_constraints)
+    if schedule is None:
+        schedule = _packing_descent(conflicts, demands, frame_slots, region,
+                                    delay_constraints)
     if schedule is None:
         return None
     max_delay = max((path_delay_slots(schedule, c.route)
@@ -763,6 +776,112 @@ def _first_fit_certificate(conflicts: ConflictIndex,
     order = TransmissionOrder.from_schedule(schedule)
     return ILPResult(True, schedule, order, max_delay, 0.0, BOUNDS_CLOSED,
                      0, 0)
+
+
+def _packing_descent(conflicts: ConflictIndex,
+                     demands: Mapping[Link, int], frame_slots: int,
+                     region: int,
+                     delay_constraints: Sequence[DelayConstraint]
+                     ) -> Optional[Schedule]:
+    """Depth-first search for a packing inside ``region`` meeting every budget.
+
+    Each demanded link gets a contiguous, non-wrapping block inside
+    ``[0, region)`` that overlaps no conflicting link's block.  The
+    descent branches on the most constrained unplaced link (fewest
+    conflict-free starts, then heaviest demand, then canonical order) and
+    tries its starts in increasing order; a delay constraint is checked
+    with :func:`~repro.core.delay.path_delay_slots` arithmetic at the
+    full frame length as soon as every link on its route is placed.  The
+    first complete packing is returned as a ``frame_slots``-long
+    :class:`Schedule`.  ``None`` -- no packing exists, or the descent
+    visited :data:`PACKING_NODE_LIMIT` nodes first -- proves nothing.
+    A route through an undemanded link is never checked here, so such a
+    search gets no packing either.
+    """
+    links = sorted(link for link, d in demands.items() if d > 0)
+    index = {link: i for i, link in enumerate(links)}
+    routes = [[index.get(link) for link in c.route]
+              for c in delay_constraints]
+    if any(None in route for route in routes):
+        return None
+    demand = [demands[link] for link in links]
+    neighbours = [[index[other] for other in conflicts.neighbors(link)
+                   if other in index] for link in links]
+    # Bit s of fits[i] is set when link i's block may start at slot s.
+    fits = [(1 << max(0, region - d + 1)) - 1 for d in demand]
+    # checks[i]: the constraints on link i; waiting[c]: their unplaced links
+    checks: list[list[int]] = [[] for _ in links]
+    waiting = []
+    for c, route in enumerate(routes):
+        for i in set(route):
+            checks[i].append(c)
+        waiting.append(len(set(route)))
+    budgets = [c.budget_slots for c in delay_constraints]
+    busy = [0] * len(links)  # slots taken by placed conflicting links
+    start = [0] * len(links)
+    unplaced = set(range(len(links)))
+    nodes = 0
+
+    def starts_of(i: int) -> int:
+        free = ~busy[i]
+        mask = fits[i]
+        for offset in range(demand[i]):
+            mask &= free >> offset
+        return mask
+
+    def meets_budget(c: int) -> bool:
+        route = routes[c]
+        first = start[route[0]]
+        finish = first + demand[route[0]]
+        for i in route[1:]:
+            finish += (start[i] - finish) % frame_slots + demand[i]
+        return finish - first <= budgets[c]
+
+    def descend() -> Optional[bool]:
+        """True: packed; False: no packing below; None: node cap hit."""
+        nonlocal nodes
+        if not unplaced:
+            return True
+        pick = min(unplaced, key=lambda i: (
+            starts_of(i).bit_count(), -demand[i], i))
+        candidates = starts_of(pick)
+        unplaced.discard(pick)
+        saved = [busy[j] for j in neighbours[pick]]
+        while candidates:
+            if nodes == PACKING_NODE_LIMIT:
+                return None
+            nodes += 1
+            low = candidates & -candidates
+            candidates ^= low
+            slot = low.bit_length() - 1
+            start[pick] = slot
+            block = ((1 << demand[pick]) - 1) << slot
+            for j in neighbours[pick]:
+                busy[j] |= block
+            ok = True
+            for c in checks[pick]:
+                waiting[c] -= 1
+                if waiting[c] == 0 and not meets_budget(c):
+                    ok = False
+            if ok:
+                found = descend()
+                if found is not False:
+                    return found
+            for c in checks[pick]:
+                waiting[c] += 1
+            for j, mask in zip(neighbours[pick], saved):
+                busy[j] = mask
+        unplaced.add(pick)
+        return False
+
+    found = descend()
+    obs.counter("core.minslots.packing_nodes").inc(nodes)
+    if found is None:
+        obs.counter("core.minslots.packing_capped").inc()
+    if not found:
+        return None
+    return Schedule(frame_slots, {
+        link: SlotBlock(start[i], demand[i]) for i, link in enumerate(links)})
 
 
 def _copy_result(result: ILPResult) -> ILPResult:

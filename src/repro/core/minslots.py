@@ -9,12 +9,12 @@ Each search first closes in from two bounds.  The *floor* is the heavier
 of :func:`demand_lower_bound` and a greedy conflict clique: pairwise
 conflicting links need disjoint blocks, so no region below it fits, and a
 floor above the ceiling refutes the search outright.  The *certificate* is
-a first-fit-decreasing packing inside the floor that meets every delay
-budget; when it exists, ``K`` is the floor and the packing is the
-published schedule, with no ILP.  Only the gap between the two is
-searched: each candidate ``K`` is checked by solving the delay-aware
-feasibility ILP with the guaranteed region restricted to the first ``K``
-slots of the frame.
+a packing inside the floor that meets every delay budget -- first-fit
+decreasing, else a depth-first descent with a node cap; when it exists,
+``K`` is the floor and the packing is the published schedule, with no
+ILP.  Only the gap between the two is searched: each candidate ``K`` is
+checked by solving the delay-aware feasibility ILP with the guaranteed
+region restricted to the first ``K`` slots of the frame.
 
 The paper performs a plain linear search upward from a lower bound.  With a
 *fixed* frame length the feasibility of the region-restricted problem is

@@ -105,8 +105,13 @@ class RandomWaypointModel(_SegmentModel):
 
         if num_nodes < 1:
             raise ConfigurationError("need at least one node")
-        if area <= 0:
-            raise ConfigurationError("area must be positive")
+        # written so that NaN fails too: every comparison with it is False
+        if not 0 < area < math.inf:
+            raise ConfigurationError(
+                f"area must be positive and finite, got {area!r}")
+        if not 0 < horizon_s < math.inf:
+            raise ConfigurationError(
+                f"horizon_s must be positive and finite, got {horizon_s!r}")
         if pause_s < 0:
             raise ConfigurationError("pause_s must be non-negative")
         low, high = _speed_range(speed_mps)

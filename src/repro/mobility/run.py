@@ -138,8 +138,10 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     """
     if frame is None:
         frame = default_frame_config()
-    if packet_interval_s <= 0:
-        raise ConfigurationError("packet_interval_s must be positive")
+    if not 0 < packet_interval_s < math.inf:
+        raise ConfigurationError(
+            "packet_interval_s must be positive and finite, got "
+            f"{packet_interval_s!r}")
     world = stream.fault_plan(gateway)
     flows = list(flows)
     union_nodes = set(world.topology.graph.nodes)
@@ -167,11 +169,11 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
 
     selection_gateways = tuple(gateways) if gateways else (gateway,)
 
+    union_edges = {tuple(sorted(e)) for e in world.topology.graph.edges}
+
     def present() -> tuple[set[int], set[tuple[int, int]]]:
-        dead_n, dead_e = injector.dead_nodes, injector.dead_edges
-        nodes = union_nodes - dead_n
-        edges = {tuple(sorted(e)) for e in world.topology.graph.edges}
-        edges = {e for e in edges - dead_e
+        nodes = union_nodes - injector.dead_nodes
+        edges = {e for e in union_edges - injector.dead_edges
                  if e[0] in nodes and e[1] in nodes}
         return nodes, edges
 

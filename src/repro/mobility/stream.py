@@ -55,8 +55,10 @@ class RadioRangeModel:
     """
 
     def __init__(self, range_m: float, hysteresis: float = 0.1) -> None:
-        if range_m <= 0:
-            raise ConfigurationError("range_m must be positive")
+        # written so that NaN fails too: every comparison with it is False
+        if not 0 < range_m < math.inf:
+            raise ConfigurationError(
+                f"range_m must be positive and finite, got {range_m!r}")
         if not 0.0 <= hysteresis < 1.0:
             raise ConfigurationError(
                 f"hysteresis must be in [0, 1), got {hysteresis}")
@@ -174,8 +176,9 @@ class TopologyStream:
     def __init__(self, motion, radio: Union[RadioRangeModel, float],
                  dt: float = 1.0,
                  horizon_s: Optional[float] = None) -> None:
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ConfigurationError(
+                f"dt must be positive and finite, got {dt!r}")
         if not isinstance(radio, RadioRangeModel):
             if hasattr(radio, "radio_range_model"):
                 radio = radio.radio_range_model()
@@ -186,8 +189,10 @@ class TopologyStream:
         self.dt = float(dt)
         self.horizon_s = float(motion.horizon_s if horizon_s is None
                                else horizon_s)
-        if self.horizon_s < 0:
-            raise ConfigurationError("horizon_s must be non-negative")
+        if not 0 <= self.horizon_s < math.inf:
+            raise ConfigurationError(
+                "horizon_s must be non-negative and finite, got "
+                f"{self.horizon_s!r}")
         self._snapshots: Optional[list[tuple[float, frozenset[int],
                                     frozenset[tuple[int, int]]]]] = None
         self._first_seen: dict[int, tuple[float, float]] = {}

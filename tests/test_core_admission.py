@@ -195,9 +195,10 @@ class TestConfiguration:
         ctrl = controller(region=12)
         # a loose budget: first-fit meets it, so the bounds close
         assert ctrl.try_admit(voip_flow("a", 0, 4)).admitted
-        # a one-frame budget against the link order: first-fit wraps
-        # every hop, so the probe loop searches the gap
-        assert ctrl.try_admit(voip_flow("b", 4, 0, budget=0.01)).admitted
+        # three slots a hop under a one-frame budget: no packing inside
+        # the floor meets it, so the probe loop searches the gap
+        assert ctrl.try_admit(voip_flow("b", 4, 0, rate=240_000,
+                                        budget=0.01)).admitted
         closed, gap = searches
         assert closed.probes == [(closed.slots, True)]
         assert closed.ilp.solver_status == BOUNDS_CLOSED
@@ -226,11 +227,15 @@ class TestConfiguration:
             ctrl.try_admit(voip_flow(f"f{index}", src, dst, budget=0.01))
         solves_by_admission = len(options_seen)
         topology = chain_topology(5)
+        # both directions pipelined hop by hop: no packing inside the
+        # floor meets the two budgets, so the bare search probes too
         upstream = DelayConstraint(
-            "up", ((4, 3), (3, 2), (2, 1), (1, 0)), 16)
+            "up", ((4, 3), (3, 2), (2, 1), (1, 0)), 4)
+        downstream = DelayConstraint(
+            "down", ((0, 1), (1, 2), (2, 3), (3, 4)), 4)
         minimum_slots(conflict_graph(topology, hops=2),
                       {link: 1 for link in topology.links}, 16,
-                      delay_constraints=[upstream])
+                      delay_constraints=[upstream, downstream])
         assert 0 < solves_by_admission < len(options_seen)
         for options in options_seen:
             assert "time_limit" not in options

@@ -241,6 +241,69 @@ def test_warm_arm_shortcuts_the_probes_of_a_gap_search():
                 == cold_result.schedule.to_dict())
 
 
+def test_descent_closes_a_churn_install_first_fit_misses(registry,
+                                                        monkeypatch):
+    """A mesh-churn install: first-fit misses the budgets at floor = K = 12.
+
+    36 nodes on random waypoints over a 900 m field, 220 m range, four
+    gateway-bound 80 kb/s flows with 300 ms budgets from the farthest
+    union nodes (the farthest is a second gateway).  The packing descent
+    finds a packing inside the floor, so the search closes there with
+    no ILP.
+    """
+    import repro.core.repair as repair
+    from repro.core.engine import _within_budgets
+    from repro.core.greedy import greedy_schedule
+    from repro.errors import InfeasibleScheduleError
+    from repro.mobility.models import RandomWaypointModel
+    from repro.mobility.stream import RadioRangeModel, TopologyStream
+
+    motion = RandomWaypointModel(36, 900.0, 10.0, 10.0, seed=15)
+    stream = TopologyStream(motion, RadioRangeModel(220.0, hysteresis=0.15),
+                            dt=0.25)
+    world = stream.fault_plan(0)
+    topology = world.topology
+    far = sorted((n for n in topology.nodes if n != 0),
+                 key=lambda n: (topology.hop_distance(0, n), n))
+    sources = [n for n in far if n != far[-1]][-4:]
+    flows = [Flow(f"mob{i}", src, 0, rate_bps=80_000, delay_budget_s=0.3)
+             for i, src in enumerate(sources)]
+    calls = []
+    real_minimum_slots = repair.minimum_slots
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs, real_minimum_slots(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(repair, "minimum_slots", spy)
+    engine = RepairEngine(topology, default_frame_config(), gateway=0,
+                          engine=SolverEngine(),
+                          dead_nodes=world.dead_nodes,
+                          dead_edges=world.dead_edges)
+    outcome = engine.install(flows)
+
+    ((conflicts, demands, frame_slots), kwargs, search), = calls
+    constraints = kwargs["delay_constraints"]
+    try:
+        first_fit = _within_budgets(
+            greedy_schedule(conflicts, demands, frame_slots=12),
+            frame_slots, constraints)
+    except InfeasibleScheduleError:
+        first_fit = None
+    assert first_fit is None
+    assert search.slots == 12 and search.probes == [(12, True)]
+    assert search.ilp.solver_status == BOUNDS_CLOSED
+    assert outcome.feasible and outcome.ilp_probes == 1
+    counters = registry.snapshot()["counters"]
+    assert counters["core.minslots.bounds_closed"] == 1
+    assert counters["core.minslots.packing_nodes"] > 0
+    assert "core.minslots.packing_capped" not in counters
+    assert "core.ilp.solves" not in counters
+    schedule = engine.schedule
+    assert schedule.violations(conflicts) == []
+    assert max(block.end for _, block in schedule.items()) == 12
+
+
 def test_closed_search_publishes_the_first_fit_certificate(registry):
     topo = chain_topology(6)
     demands = {link: 1 for link in topo.links}

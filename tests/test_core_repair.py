@@ -49,11 +49,10 @@ class TestInstall:
         monkeypatch.setattr(repair, "minimum_slots", spy)
         engine = make_engine(grid33, engine=SolverEngine(
             policy=SolverPolicy(mode="exact", search="linear")))
-        # two-frame budgets: first-fit packs the links nearest the
-        # gateway first, so upstream routes wrap every hop and miss
-        # them -- the bounds leave a gap and the probe loop runs
-        engine.install([gateway_flow("f1", 8, budget_s=0.02),
-                        gateway_flow("f2", 5, budget_s=0.02)])
+        # one-frame budgets: no packing inside the floor meets both
+        # upstream routes -- the bounds leave a gap and the probe loop runs
+        engine.install([gateway_flow("f1", 8, budget_s=0.01),
+                        gateway_flow("f2", 5, budget_s=0.01)])
         (search,) = searches
         frame_slots = engine.frame.data_slots
         assert search.ilp.solver_status != BOUNDS_CLOSED

@@ -88,6 +88,16 @@ def test_rwp_rejects_bad_parameters():
         RandomWaypointModel(3, 100.0, 5.0, 10.0, pause_s=-1.0, seed=0)
 
 
+@pytest.mark.parametrize("area, horizon_s", [
+    (math.nan, 10.0), (math.inf, 10.0), (100.0, math.nan),
+    (100.0, math.inf),
+], ids=["area-nan", "area-inf", "horizon-nan", "horizon-inf"])
+def test_rwp_rejects_non_finite_field_and_horizon(area, horizon_s):
+    """An infinite horizon would draw legs forever; NaN was accepted."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        RandomWaypointModel(3, area, 5.0, horizon_s, seed=0)
+
+
 def test_rwp_from_topology_seeds_from_real_layout():
     topology = random_disk_topology(8, radio_range=180.0, area=400.0,
                                     seed=21)

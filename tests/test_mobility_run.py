@@ -126,6 +126,17 @@ def test_run_mobility_rejects_unreachable_endpoints_and_bad_cadence():
         run_mobility(stream, flows((1, 0)), packet_interval_s=0.0)
 
 
+@pytest.mark.parametrize("interval", [math.nan, math.inf])
+def test_run_mobility_rejects_a_non_finite_packet_interval(interval):
+    """``inf`` used to report zero offered packets; ``nan`` crashed late."""
+    positions = {0: (0.0, 0.0), 1: (80.0, 0.0)}
+    model = ConstantVelocityModel(positions,
+                                  {n: (0.0, 0.0) for n in positions}, 5.0)
+    stream = TopologyStream(model, 100.0, dt=1.0)
+    with pytest.raises(ConfigurationError, match="packet_interval_s"):
+        run_mobility(stream, flows((1, 0)), packet_interval_s=interval)
+
+
 def reroute_stream():
     """A flow 2 -> 0 whose relay (node 1) drives south out of range.
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.mobility.stream: geometry -> topology deltas."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -39,6 +41,12 @@ def test_radio_rejects_bad_parameters():
         RadioRangeModel(100.0, hysteresis=1.0)
     with pytest.raises(ConfigurationError):
         RadioRangeModel(100.0, hysteresis=-0.1)
+
+
+@pytest.mark.parametrize("range_m", [math.nan, math.inf])
+def test_radio_rejects_a_non_finite_range(range_m):
+    with pytest.raises(ConfigurationError, match="range_m"):
+        RadioRangeModel(range_m)
 
 
 # -- deltas ----------------------------------------------------------------
@@ -116,6 +124,17 @@ def test_sample_times_and_validation():
         TopologyStream(model, 100.0, dt=0.0)
     with pytest.raises(ConfigurationError):
         TopologyStream(model, 100.0, dt=1.0, horizon_s=-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": math.nan}, {"dt": math.inf},
+    {"horizon_s": math.nan}, {"horizon_s": math.inf},
+], ids=["dt-nan", "dt-inf", "horizon-nan", "horizon-inf"])
+def test_stream_rejects_non_finite_sampling(kwargs):
+    """Rejected at construction, before any sample grid is built."""
+    model = static_model({0: (0.0, 0.0), 1: (50.0, 0.0)}, horizon_s=5.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        TopologyStream(model, 100.0, **{"dt": 1.0, **kwargs})
 
 
 def test_union_topology_drops_nodes_outside_gateway_component():
