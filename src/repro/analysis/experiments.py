@@ -45,6 +45,7 @@ from repro.core.tree_order import (
 )
 from repro.errors import InfeasibleScheduleError
 from repro.mesh16.frame import MeshFrameConfig, default_frame_config
+from repro.mobility.run import _flood_margin
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import gateway_tree, route_all
 from repro.net.topology import (
@@ -52,6 +53,7 @@ from repro.net.topology import (
     binary_tree_topology,
     chain_topology,
     grid_topology,
+    hop_depths,
     random_disk_topology,
 )
 from repro.overlay.guard import required_guard_s, slot_overhead_fraction
@@ -944,12 +946,6 @@ def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
          "resolve_frames", "lost_repair", "lost_resolve", "parked",
          "conflict_ok", "guarantee_ok"])
 
-    def flood_margin(alive: MeshTopology) -> int:
-        depth = max((alive.hop_distance(gateway, n) for n in alive.nodes
-                     if n != gateway), default=1)
-        return depth * math.ceil(alive.num_nodes()
-                                 / frame.control_slots) + 1
-
     for rate in churn_rates:
         rngs = RngRegistry(seed=seed)
         topology = grid_topology(3, 3)
@@ -977,7 +973,7 @@ def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
                 continue
             events += 1
             parked += len(outcome.parked)
-            margin = flood_margin(engine.alive)
+            margin = _flood_margin(engine.alive, gateway, frame)
             baseline_probes = max(1, engine.peek_resolve().iterations)
             frames_resolve = 1 + baseline_probes + margin
             if outcome.strategy == "local":
@@ -1435,14 +1431,11 @@ def _e21_instance(num_nodes: int, num_flows: int, seed: int,
     to exactly one slot per frame per link, with a lax
     ``(route + 3) x frame`` delay budget.
     """
-    import networkx as nx
-
     radio_range = 100.0
     area = radio_range * math.sqrt(num_nodes * math.pi / 7.0)
     topology = random_disk_topology(num_nodes, radio_range=radio_range,
                                     area=area, seed=seed + num_nodes)
-    graph = topology.graph
-    nodes = sorted(topology.nodes)
+    nodes = topology.nodes
     rng = RngRegistry(seed=seed).stream(f"e21/pairs/{num_nodes}")
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -1450,8 +1443,8 @@ def _e21_instance(num_nodes: int, num_flows: int, seed: int,
     while len(pairs) < num_flows and tries < num_flows * 50:
         tries += 1
         src = nodes[int(rng.integers(len(nodes)))]
-        near = sorted(v for v, hops in nx.single_source_shortest_path_length(
-            graph, src, cutoff=3).items() if hops > 0)
+        near = sorted(v for v, hops in hop_depths(
+            topology.rows, [src], cutoff=3).items() if hops > 0)
         if not near:
             continue
         dst = near[int(rng.integers(len(near)))]

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (AbstractSet, Callable, Iterable, Iterator, Mapping,
+                    Optional, Sequence)
 
 import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net.topology import Link, MeshTopology
+from repro.net.topology import Link, MeshTopology, hop_depths
 
 #: Row link ``a`` -> (nodes whose outgoing links conflict with ``a``, nodes
 #: whose incoming links do): ``(tb, rb)`` conflicts with ``a`` iff ``tb`` is
@@ -217,7 +218,7 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     # 802.16-mandated default legitimately yields a complete conflict
     # graph.
     if hops > 2 and link_list:
-        num_nodes = topology.graph.number_of_nodes()
+        num_nodes = topology.num_nodes()
         if all(len(near(link)[0]) == num_nodes for link in link_list):
             raise ConfigurationError(
                 f"hops={hops} reaches the whole {num_nodes}-node mesh "
@@ -250,37 +251,19 @@ def _resolve_links(topology: MeshTopology,
     return link_list
 
 
-def _ball(neighbors: Callable[[int], Iterable[int]], seeds: Iterable[int],
-          cutoff: int) -> set[int]:
-    """Multi-source BFS ball: every node within ``cutoff`` hops of a seed."""
-    seen = set(seeds)
-    frontier = list(seen)
-    for _ in range(cutoff):
-        if not frontier:
-            break
-        nxt = []
-        for node in frontier:
-            for other in neighbors(node):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return seen
-
-
 def _khop_near_sets(topology: MeshTopology, hops: int) -> _NearSets:
     """The k-hop model's near sets: both are ``reach(tx) | reach(rx)``.
 
     Reach is every node within ``hops - 1``, computed only for endpoints
     of the rows asked for.
     """
-    adjacency = topology.graph.adj
-    reach: dict[int, set[int]] = {}
+    rows = topology.rows
+    reach: dict[int, AbstractSet[int]] = {}
 
     def near(link: Link) -> tuple[set[int], set[int]]:
         for node in link:
             if node not in reach:
-                reach[node] = _ball(adjacency.__getitem__, (node,), hops - 1)
+                reach[node] = hop_depths(rows, (node,), hops - 1).keys()
         both = reach[link[0]] | reach[link[1]]
         return both, both
 

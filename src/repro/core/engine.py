@@ -74,7 +74,6 @@ from typing import Mapping, Optional, Sequence
 from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
-    _ball,
     _conflict_rows,
     _greedy_clique_demand,
     _khop_near_sets,
@@ -98,7 +97,7 @@ from repro.errors import (
     InfeasibleScheduleError,
     SolverError,
 )
-from repro.net.topology import Link, MeshTopology
+from repro.net.topology import Link, MeshTopology, hop_depths
 
 #: Sentinel solver status marking a probe verdict certified by Bellman-Ford
 #: instead of an ILP solve.  Never escapes a search: the winning probe is
@@ -121,14 +120,12 @@ def _fingerprint_token(topology: MeshTopology) -> tuple:
 
     Combines the topology's monotone mutation counter
     (:meth:`~repro.net.topology.MeshTopology.apply_edge_changes` bumps it)
-    with the node and edge counts, so both sanctioned in-place mutation
-    and direct ``topology.graph`` edits that change either count
-    invalidate the cache instead of silently serving a stale fingerprint
-    -- and, through it, a stale cached :class:`ConflictIndex`.
+    with the row and edge counts, so an in-place mutation invalidates the
+    cache instead of silently serving a stale fingerprint -- and, through
+    it, a stale cached :class:`ConflictIndex`.
     """
-    return (getattr(topology, "mutations", 0),
-            topology.graph.number_of_nodes(),
-            topology.graph.number_of_edges())
+    return (getattr(topology, "mutations", 0), len(topology.rows),
+            len(topology.edges))
 
 
 def topology_fingerprint(topology: MeshTopology) -> str:
@@ -145,9 +142,8 @@ def topology_fingerprint(topology: MeshTopology) -> str:
     if isinstance(cached, tuple) and cached[0] == token:
         return cached[1]
     digest = hashlib.sha256()
-    digest.update(repr(sorted(topology.graph.nodes)).encode())
-    digest.update(repr(sorted(tuple(sorted(e))
-                              for e in topology.graph.edges)).encode())
+    digest.update(repr(topology.nodes).encode())
+    digest.update(repr(topology.edges).encode())
     fingerprint = digest.hexdigest()[:16]
     try:
         topology._repro_fingerprint = (token, fingerprint)
@@ -245,11 +241,8 @@ def updated_conflict_edges(old: ConflictIndex, topology: MeshTopology,
         for u, v in old.topo_edges:
             old_adj.setdefault(u, []).append(v)
             old_adj.setdefault(v, []).append(u)
-        graph = topology.graph
-        dirty_nodes = (_ball(lambda n: old_adj.get(n, ()), seeds, hops - 1)
-                       | _ball(lambda n: (graph.neighbors(n)
-                                          if n in graph else ()),
-                               seeds, hops - 1))
+        dirty_nodes = (hop_depths(old_adj, seeds, hops - 1).keys()
+                       | hop_depths(topology.rows, seeds, hops - 1).keys())
     else:
         dirty_nodes = set()
     dirty = {link for link in new_set
@@ -382,9 +375,8 @@ class SolverEngine:
         lineage = (hops, link_key is None)
 
         def build(name: str) -> tuple[str, ConflictIndex]:
-            snapshot = (frozenset(topology.graph.nodes),
-                        frozenset(tuple(sorted(e))
-                                  for e in topology.graph.edges))
+            snapshot = (frozenset(topology.rows),
+                        frozenset(topology.edges))
             base = (self._delta_bases.get(lineage)
                     if self.delta_updates and self.max_indexes > 0 else None)
             rows = None

@@ -123,7 +123,7 @@ class RepairEngine:
                  interference=None) -> None:
         from repro.phy.models import coerce_interference
 
-        if gateway not in topology.graph:
+        if not topology.has_node(gateway):
             raise ConfigurationError(f"gateway {gateway} not in topology")
         self.engine = engine if engine is not None else SolverEngine()
         self.base_topology = topology

@@ -57,7 +57,7 @@ class FaultInjector:
                  clocks: Optional[Mapping[int, DriftingClock]] = None,
                  listeners: Iterable[object] = ()) -> None:
         for event in plan:
-            if event.node is not None and event.node not in topology.graph:
+            if event.node is not None and not topology.has_node(event.node):
                 raise ConfigurationError(
                     f"fault victim node {event.node} is not in {topology.name}")
             if event.link is not None and not topology.has_link(event.link):

@@ -66,7 +66,7 @@ class FaultPlan:
         """
         if topology is not None:
             for event in events:
-                if event.node is not None and event.node not in topology.graph:
+                if event.node is not None and not topology.has_node(event.node):
                     raise ConfigurationError(
                         f"fault victim node {event.node} is not in "
                         f"{topology.name}")
@@ -122,7 +122,7 @@ class FaultPlan:
             raise ConfigurationError("mean downtime must be positive")
         protected = frozenset(protect_nodes)
         crashable = [n for n in topology.nodes if n not in protected]
-        edges = sorted(tuple(sorted(e)) for e in topology.graph.edges)
+        edges = topology.edges
         events: list[FaultEvent] = []
 
         def arrivals(rate: float) -> list[float]:

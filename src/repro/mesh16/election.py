@@ -28,12 +28,10 @@ opportunity reshuffling -- is preserved.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.mesh16.network import ControlPlane
-from repro.net.topology import MeshTopology
+from repro.net.topology import MeshTopology, hop_depths
 
 
 def election_hash(node: int, opportunity: int) -> int:
@@ -77,8 +75,7 @@ class ElectionControlPlane(ControlPlane):
         #: nodes within two hops (the competition neighbourhood), per node
         self._neighborhood: dict[int, frozenset[int]] = {}
         for node in topology.nodes:
-            reach = nx.single_source_shortest_path_length(
-                topology.graph, node, cutoff=2)
+            reach = hop_depths(topology.rows, [node], cutoff=2)
             self._neighborhood[node] = frozenset(reach) - {node}
         self._winners: list[frozenset[int]] = []
         self._next_eligible: dict[int, int] = {n: 0 for n in topology.nodes}

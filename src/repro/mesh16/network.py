@@ -23,7 +23,7 @@ import networkx as nx
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.net.routing import gateway_tree
-from repro.net.topology import MeshTopology
+from repro.net.topology import MeshTopology, hop_depths
 
 
 class ControlPlane:
@@ -39,8 +39,7 @@ class ControlPlane:
         self.frame_config = frame_config
         self.tree: nx.DiGraph = gateway_tree(topology, gateway)
         # Depth-ordered node list: gateway, then tier 1, tier 2, ...
-        depths = nx.single_source_shortest_path_length(
-            topology.graph, gateway)
+        depths = hop_depths(topology.rows, [gateway])
         self.roster: list[int] = sorted(
             topology.nodes, key=lambda n: (depths[n], n))
         self._position = {node: i for i, node in enumerate(self.roster)}

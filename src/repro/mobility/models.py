@@ -19,6 +19,7 @@ shard mobility experiments (E20) like any other sweep.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Mapping, Optional, Sequence, Union
 
@@ -37,9 +38,9 @@ def _speed_range(speed_mps: SpeedLike) -> tuple[float, float]:
         lo, hi = float(speed_mps[0]), float(speed_mps[1])
     else:
         lo = hi = float(speed_mps)
-    if lo < 0 or hi < lo:
+    if not 0 <= lo <= hi < math.inf:  # NaN fails every comparison
         raise ConfigurationError(
-            f"speed range must satisfy 0 <= low <= high, got {speed_mps}")
+            f"speed range must be finite, 0 <= low <= high, got {speed_mps}")
     return lo, hi
 
 
@@ -112,8 +113,9 @@ class RandomWaypointModel(_SegmentModel):
         if not 0 < horizon_s < math.inf:
             raise ConfigurationError(
                 f"horizon_s must be positive and finite, got {horizon_s!r}")
-        if pause_s < 0:
-            raise ConfigurationError("pause_s must be non-negative")
+        if not 0 <= pause_s < math.inf:
+            raise ConfigurationError(
+                f"pause_s must be non-negative and finite, got {pause_s!r}")
         low, high = _speed_range(speed_mps)
         moving = high > 0
         rng = (resolve_rng(rng, seed, what="RandomWaypointModel")
@@ -208,16 +210,21 @@ class ConstantVelocityModel:
                  velocities: Mapping[int, tuple[float, float]],
                  horizon_s: float,
                  area: Optional[float] = None) -> None:
-        if horizon_s <= 0:
-            raise ConfigurationError("horizon_s must be positive")
+        if not 0 < horizon_s < math.inf:
+            raise ConfigurationError(
+                f"horizon_s must be positive and finite, got {horizon_s!r}")
         if not positions:
             raise ConfigurationError("need at least one node")
         missing = sorted(set(positions) - set(velocities))
         if missing:
             raise ConfigurationError(
                 f"velocities missing for nodes {missing}")
-        if area is not None and area <= 0:
-            raise ConfigurationError("area must be positive")
+        if area is not None and not 0 < area < math.inf:
+            raise ConfigurationError(
+                f"area must be positive and finite, got {area!r}")
+        if not all(map(math.isfinite, itertools.chain.from_iterable(
+                (*positions.values(), *velocities.values())))):
+            raise ConfigurationError("positions and velocities must be finite")
         self.horizon_s = float(horizon_s)
         self.area = area
         self._positions = {n: (float(x), float(y))

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from repro import obs
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
@@ -41,6 +39,7 @@ from repro.faults.injector import FaultInjector
 from repro.mesh16.frame import MeshFrameConfig, default_frame_config
 from repro.mobility.stream import TopologyStream, gateway_selection
 from repro.net.flows import Flow
+from repro.net.topology import MeshTopology
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,14 @@ class MobilityStepOutcome:
     rerouted: int
     parked: int
     readmitted: int
+
+
+def _flood_margin(alive: MeshTopology, gateway: int,
+                  frame: MeshFrameConfig) -> int:
+    # E17's and E20's dissemination model: depth flood rounds (1 for a
+    # lone gateway), each ceil(nodes / control_slots) frames, + activation
+    depth = alive.eccentricity(gateway) or 1
+    return depth * math.ceil(alive.num_nodes() / frame.control_slots) + 1
 
 
 @dataclass(frozen=True)
@@ -102,14 +109,6 @@ class MobilityRunResult:
         return max(0.0, 1.0 - self.lost_packets / self.offered_packets)
 
 
-def _flood_margin(alive, gateway: int, frame: MeshFrameConfig) -> int:
-    # same dissemination model as E17: depth flood rounds, each moving
-    # ceil(nodes / control_slots) hops of announcements, plus activation
-    depth = max(nx.single_source_shortest_path_length(
-        alive.graph, gateway).values()) or 1
-    return depth * math.ceil(alive.num_nodes() / frame.control_slots) + 1
-
-
 def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
                  frame: Optional[MeshFrameConfig] = None, *,
                  gateway: int = 0,
@@ -144,7 +143,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
             f"{packet_interval_s!r}")
     world = stream.fault_plan(gateway)
     flows = list(flows)
-    union_nodes = set(world.topology.graph.nodes)
+    union_nodes = set(world.topology.rows)
     for flow in flows:
         bad = {flow.src, flow.dst} - union_nodes
         if bad:
@@ -169,7 +168,7 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
 
     selection_gateways = tuple(gateways) if gateways else (gateway,)
 
-    union_edges = {tuple(sorted(e)) for e in world.topology.graph.edges}
+    union_edges = set(world.topology.edges)
 
     def present() -> tuple[set[int], set[tuple[int, int]]]:
         nodes = union_nodes - injector.dead_nodes

@@ -25,14 +25,13 @@ link only once the pair is *well* inside range and breaks it only once
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.faults.events import FaultEvent
 from repro.faults.plan import FaultPlan
-from repro.net.topology import MeshTopology, from_edges
+from repro.net.topology import MeshTopology, from_edges, hop_depths
 
 #: Delta kinds a stream can emit.
 DELTA_KINDS = frozenset({"link_up", "link_down", "node_join", "node_leave"})
@@ -281,18 +280,7 @@ class TopologyStream:
         if gateway not in nodes:
             raise ConfigurationError(
                 f"gateway {gateway} never appears in the stream")
-        adjacency: dict[int, list[int]] = {n: [] for n in nodes}
-        for u, v in edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        component = {gateway}
-        queue = deque([gateway])
-        while queue:
-            node = queue.popleft()
-            for peer in adjacency[node]:
-                if peer not in component:
-                    component.add(peer)
-                    queue.append(peer)
+        component = hop_depths(_adjacency(nodes, edges), [gateway])
         kept_edges = sorted(e for e in edges if e[0] in component)
         if not kept_edges and len(component) > 1:  # pragma: no cover
             raise ConfigurationError("union component has no edges")
@@ -303,7 +291,7 @@ class TopologyStream:
         positions = {n: self._first_seen[n] for n in sorted(component)}
         topology = from_edges(kept_edges, name="mobility-union",
                               positions=positions)
-        return topology, frozenset(nodes - component)
+        return topology, frozenset(nodes.difference(component))
 
     def fault_plan(self, gateway: int = 0) -> StreamWorld:
         """Lower the stream onto the fault machinery (see module docs).
@@ -318,9 +306,8 @@ class TopologyStream:
                     f"gateway {gateway} is absent from the stream at "
                     f"t={t}; the repair anchor must always be present")
         topology, dropped = self.union_topology(gateway)
-        kept_nodes = frozenset(topology.graph.nodes)
-        kept_edges = frozenset(tuple(sorted(e))
-                               for e in topology.graph.edges)
+        kept_nodes = frozenset(topology.rows)
+        kept_edges = frozenset(topology.edges)
         t0, nodes0, edges0 = self.snapshots()[0]
         dead_nodes = kept_nodes - nodes0
         dead_edges = kept_edges - edges0
@@ -345,6 +332,17 @@ class TopologyStream:
                            dropped_nodes=dropped)
 
 
+def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+               ) -> dict[int, list[int]]:
+    """Neighbour lists of ``nodes`` over the ``edges`` between them."""
+    adjacency: dict[int, list[int]] = {n: [] for n in nodes}
+    for u, v in edges:
+        if u in adjacency and v in adjacency:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    return adjacency
+
+
 def gateway_selection(nodes: Iterable[int],
                       edges: Iterable[tuple[int, int]],
                       gateways: Iterable[int]) -> dict[int, Optional[int]]:
@@ -357,22 +355,10 @@ def gateway_selection(nodes: Iterable[int],
     route-stability cost of mobility.
     """
     node_set = set(nodes)
-    adjacency: dict[int, list[int]] = {n: [] for n in node_set}
-    for u, v in edges:
-        if u in node_set and v in node_set:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+    adjacency = _adjacency(node_set, edges)
     best: dict[int, tuple[int, int]] = {}
     for gateway in sorted(set(gateways) & node_set):
-        dist = {gateway: 0}
-        queue = deque([gateway])
-        while queue:
-            node = queue.popleft()
-            for peer in adjacency[node]:
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    queue.append(peer)
-        for node, hops in dist.items():
+        for node, hops in hop_depths(adjacency, [gateway]).items():
             candidate = (hops, gateway)
             if node not in best or candidate < best[node]:
                 best[node] = candidate

@@ -29,7 +29,7 @@ def shortest_path_route(topology: MeshTopology, src: int, dst: int) -> list[Link
     """
     if src == dst:
         raise RoutingError(f"src == dst == {src}")
-    if src not in topology.graph or dst not in topology.graph:
+    if not (topology.has_node(src) and topology.has_node(dst)):
         raise RoutingError(f"unknown endpoint in ({src}, {dst})")
     # BFS with sorted neighbours; parent pointers give the lexicographically
     # smallest shortest path.
@@ -74,8 +74,7 @@ def choose_gateway(topology: MeshTopology) -> int:
     scheduling tree, which bounds both sync-beacon relay error and
     worst-case route length.  Ties break to the smallest node id.
     """
-    eccentricities = nx.eccentricity(topology.graph)
-    return min(sorted(eccentricities), key=lambda n: eccentricities[n])
+    return min(topology.nodes, key=topology.eccentricity)
 
 
 def gateway_tree(topology: MeshTopology, gateway: int) -> nx.DiGraph:
@@ -86,7 +85,7 @@ def gateway_tree(topology: MeshTopology, gateway: int) -> nx.DiGraph:
     node's parent is its min-hop neighbour with the smallest id, so the tree
     is deterministic.
     """
-    if gateway not in topology.graph:
+    if not topology.has_node(gateway):
         raise RoutingError(f"gateway {gateway} is not in the topology")
     tree = nx.DiGraph()
     tree.add_node(gateway)

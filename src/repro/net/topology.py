@@ -12,9 +12,8 @@ indices are stable across scheduler implementations.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 import networkx as nx
 import numpy as np
@@ -26,13 +25,18 @@ Link = tuple[int, int]
 
 
 class MeshTopology:
-    """Connectivity graph with positions and canonical directed links.
+    """Connectivity with positions and canonical directed links.
+
+    :attr:`rows` (node -> sorted neighbour tuple, nodes sorted) is the
+    topology; :attr:`edges`, :attr:`links` and every query read it.
+    :attr:`graph` is a one-way :mod:`networkx` export: editing it changes
+    nothing (use :meth:`apply_edge_changes`).
 
     Parameters
     ----------
     graph:
         Undirected :class:`networkx.Graph` of radio connectivity.  Node ids
-        must be integers.
+        must be integers.  It becomes the topology's :attr:`graph`.
     positions:
         Optional mapping node id -> (x, y) metres, used by distance-based
         propagation models and plotting.
@@ -47,9 +51,12 @@ class MeshTopology:
             raise ConfigurationError("topology must have at least one node")
         if not all(isinstance(n, int) for n in graph.nodes):
             raise ConfigurationError("topology node ids must be integers")
-        if not nx.is_connected(graph):
+        rows = _rows_of(graph)
+        if not _is_connected(rows):
             raise ConfigurationError("topology must be connected")
-        self.graph = graph
+        self._graph: Optional[nx.Graph] = graph
+        #: graph whose node, edge and graph data a lazy export copies
+        self._source: Optional[nx.Graph] = None
         self.positions = positions or {}
         self.name = name
         #: Monotone mutation counter: bumped by every in-place structural
@@ -57,25 +64,63 @@ class MeshTopology:
         #: (e.g. the engine's memoized topology fingerprint) can detect that
         #: this object is no longer the graph they were computed from.
         self.mutations = 0
-        self._rebuild_links()
+        self._set_rows(rows)
 
-    def _rebuild_links(self) -> None:
+    @classmethod
+    def _from_rows(cls, rows: dict[int, tuple[int, ...]],
+                   positions: dict[int, tuple[float, float]], name: str,
+                   source: nx.Graph) -> "MeshTopology":
+        """A topology on rows the caller built sorted and connected."""
+        topology = cls.__new__(cls)
+        topology._graph = None
+        topology._source = source
+        topology.positions = positions
+        topology.name = name
+        topology.mutations = 0
+        topology._set_rows(rows)
+        return topology
+
+    def _set_rows(self, rows: dict[int, tuple[int, ...]]) -> None:
+        #: node -> sorted neighbour tuple, in sorted node order
+        self.rows = rows
+        #: undirected edges ``(u, v)``, ``u <= v``, sorted
+        self.edges: list[tuple[int, int]] = [
+            (u, v) for u, row in rows.items() for v in row if u <= v]
         #: Canonical ordering of directed links: sorted (u, v) pairs, both
         #: directions of every undirected edge.
-        self.links: list[Link] = sorted(
-            itertools.chain.from_iterable(
-                ((u, v), (v, u)) for u, v in self.graph.edges))
+        self.links: list[Link] = [
+            (u, v) for u, row in rows.items() for v in row]
         self._link_index = {link: i for i, link in enumerate(self.links)}
+
+    @property
+    def graph(self) -> nx.Graph:
+        """One-way :mod:`networkx` export of the connectivity.
+
+        The caller's graph; a survivor builds one on first access, with
+        sorted nodes and edges and data copied from its base's graph.
+        """
+        if self._graph is None:
+            source = self._source
+            graph = source.__class__()
+            graph.graph.update(source.graph)
+            graph.add_nodes_from((n, source.nodes[n]) for n in self.rows)
+            graph.add_edges_from((u, v, source.adj[u][v])
+                                 for u, v in self.edges)
+            self._graph = graph
+        return self._graph
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def nodes(self) -> list[int]:
         """Node ids in sorted order."""
-        return sorted(self.graph.nodes)
+        return list(self.rows)
 
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.rows)
+
+    def has_node(self, node: int) -> bool:
+        return node in self.rows
 
     def num_links(self) -> int:
         """Number of *directed* links."""
@@ -93,11 +138,15 @@ class MeshTopology:
 
     def neighbors(self, node: int) -> list[int]:
         """Radio neighbours of ``node``, sorted."""
-        return sorted(self.graph.neighbors(node))
+        return list(self.rows[node])
 
     def hop_distance(self, a: int, b: int) -> int:
         """Hop distance between two nodes."""
-        return nx.shortest_path_length(self.graph, a, b)
+        return hop_depths(self.rows, [a])[b]
+
+    def eccentricity(self, node: int) -> int:
+        """Hop distance from ``node`` to the farthest node."""
+        return max(hop_depths(self.rows, [node]).values())
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance in metres (requires positions)."""
@@ -109,7 +158,7 @@ class MeshTopology:
     @property
     def has_positions(self) -> bool:
         """True iff every node has a layout position."""
-        return all(n in self.positions for n in self.graph.nodes)
+        return all(n in self.positions for n in self.rows)
 
     def position(self, node: int) -> tuple[float, float]:
         """Layout position of ``node`` in metres.
@@ -135,8 +184,8 @@ class MeshTopology:
         failure), rebuilds the canonical link ordering, and bumps
         :attr:`mutations` so memoized derived state -- most importantly the
         engine's cached topology fingerprint -- is invalidated instead of
-        silently served stale.  Mutating :attr:`graph` directly leaves
-        :attr:`links` and cached fingerprints stale; don't.
+        silently served stale.  The edit is made on a copy of
+        :attr:`graph`, so node and edge data carry over to the new export.
         """
         candidate = self.graph.copy()
         for u, v in remove:
@@ -149,16 +198,44 @@ class MeshTopology:
             if u == v:
                 raise ConfigurationError(f"degenerate edge ({u}, {v})")
             candidate.add_edge(u, v)
-        if not nx.is_connected(candidate):
+        rows = _rows_of(candidate)
+        if not _is_connected(rows):
             raise ConfigurationError(
                 "edge changes would disconnect the topology")
-        self.graph = candidate
+        self._graph = candidate
         self.mutations += 1
-        self._rebuild_links()
+        self._set_rows(rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MeshTopology({self.name!r}, nodes={self.num_nodes()}, "
                 f"links={self.num_links()})")
+
+
+def _rows_of(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
+    return {n: tuple(sorted(graph.adj[n])) for n in sorted(graph.nodes)}
+
+
+def hop_depths(adjacency: Mapping[int, Iterable[int]],
+               sources: Iterable[int],
+               cutoff: Optional[int] = None) -> dict[int, int]:
+    """Multi-source BFS over ``adjacency`` (e.g. :attr:`MeshTopology.rows`):
+    hops from the nearest source to each node within ``cutoff``."""
+    depths = dict.fromkeys(sources, 0)
+    frontier, depth = list(depths), 0
+    while frontier and depth != cutoff:
+        depth += 1
+        following = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v not in depths:
+                    depths[v] = depth
+                    following.append(v)
+        frontier = following
+    return depths
+
+
+def _is_connected(rows: dict[int, tuple[int, ...]]) -> bool:
+    return len(hop_depths(rows, [next(iter(rows))])) == len(rows)
 
 
 # -- generators -----------------------------------------------------------
@@ -314,59 +391,26 @@ def surviving_topology(topology: MeshTopology,
     same edge.  Dead entries that do not exist in the base topology are
     ignored, so callers can pass accumulated fault state verbatim.
     """
-    base = topology.graph
+    rows = topology.rows
     dead_node_set = frozenset(dead_nodes)
-    if anchor not in base or anchor in dead_node_set:
+    if anchor not in rows or anchor in dead_node_set:
         raise ConfigurationError(
             f"anchor node {anchor} is dead or not in the topology")
     dead_edge_set = {e for u, v in dead_edges for e in ((u, v), (v, u))}
-    # One pass over the base graph, with no copies, that reproduces what
-    # copying it, deleting the dead and copying the anchor's component
-    # gives: same node order, adjacency order and data.
-    rank = {n: i for i, n in enumerate(base)}
-
-    def live_neighbours(u: int) -> list[int]:
-        # Graph.copy() order: neighbours earlier in node order first, in
-        # node order, then the rest in the base's adjacency order
-        live = [v for v in base.adj[u]
-                if v not in dead_node_set and (u, v) not in dead_edge_set]
-        return (sorted((v for v in live if rank[v] < rank[u]),
-                       key=rank.__getitem__)
-                + [v for v in live if rank[v] >= rank[u]])
-
-    # networkx's level-by-level component BFS, visiting in the same order,
-    # so the component set iterates exactly as its result would
-    neighbours: dict[int, list[int]] = {}
-    component, level = {anchor}, [anchor]
-    while level:
-        following = []
-        for u in level:
-            neighbours[u] = live_neighbours(u)
-            for v in neighbours[u]:
-                if v not in component:
-                    component.add(v)
-                    following.append(v)
-        level = following
-    # a subgraph view lists its node set (built node by node from the
-    # component) instead of the graph's node order when that set holds
-    # under half of the graph's nodes
-    alive = len(base) - sum(n in base for n in dead_node_set)
-    order = (list(set(n for n in component)) if 2 * len(component) < alive
-             else [n for n in base if n in component])
-    survivor = base.__class__()
-    survivor.graph.update(base.graph)
-    survivor.add_nodes_from((n, base.nodes[n]) for n in order)
-    # each edge once, from the endpoint listed first: re-adding it from
-    # the other end (as a copy does) moves nothing and changes no data
-    placed: set[int] = set()
-    for u in order:
-        atlas = base.adj[u]
-        survivor.add_edges_from((u, v, atlas[v]) for v in neighbours[u]
-                                if v not in placed)
-        placed.add(u)
-    unreachable = frozenset(base.nodes) - component
-    positions = {n: topology.positions[n] for n in component
+    # the anchor's component, each node's row filtered as it is reached
+    live: dict[int, tuple[int, ...]] = {}
+    stack = [anchor]
+    while stack:
+        u = stack.pop()
+        if u not in live:
+            live[u] = tuple(v for v in rows[u] if v not in dead_node_set
+                            and (u, v) not in dead_edge_set)
+            stack.extend(live[u])
+    survivor_rows = {n: live[n] for n in sorted(live)}
+    positions = {n: topology.positions[n] for n in survivor_rows
                  if n in topology.positions}
-    return (MeshTopology(survivor, positions,
-                         name=f"{topology.name}-survivor"),
-            unreachable)
+    source = (topology._graph if topology._graph is not None
+              else topology._source)
+    return (MeshTopology._from_rows(survivor_rows, positions,
+                                    f"{topology.name}-survivor", source),
+            frozenset(rows).difference(survivor_rows))

@@ -171,7 +171,7 @@ class BroadcastChannel:
         jam: dict[int, set[int]] = {}
         for u, v in (sense_pairs or ()):
             self._state(u), self._state(v)  # validate node ids
-            if v in self.topology.graph[u]:
+            if v in self.topology.rows[u]:
                 raise ConfigurationError(
                     f"sense pair ({u}, {v}) are radio neighbours; the "
                     "graph already delivers between them")
@@ -179,7 +179,7 @@ class BroadcastChannel:
             sense.setdefault(v, set()).add(u)
         for tx, victim in (jam_pairs or ()):
             self._state(tx), self._state(victim)
-            if victim in self.topology.graph[tx] or tx == victim:
+            if victim in self.topology.rows[tx] or tx == victim:
                 raise ConfigurationError(
                     f"jam pair ({tx}, {victim}) are radio neighbours; "
                     "the graph already collides between them")

@@ -51,11 +51,11 @@ def _channel_near_sets(topology: MeshTopology) -> _NearSets:
     Outgoing links from ``{ta, ra} | N(ra)`` and incoming links into
     ``{ta, ra} | N(ta)`` interfere with it.
     """
-    adjacency = topology.graph.adj
+    rows = topology.rows
 
     def near(link: Link) -> tuple[set[int], set[int]]:
         ta, ra = link
-        return ({ta, ra, *adjacency[ra]}, {ta, ra, *adjacency[ta]})
+        return ({ta, ra, *rows[ra]}, {ta, ra, *rows[ta]})
 
     return near
 

@@ -503,7 +503,7 @@ class SinrModel(InterferenceModel):
         sense: set[tuple[int, int]] = set()
         for i, u in enumerate(nodes):
             for v in nodes[i + 1:]:
-                if v in topology.graph[u]:
+                if v in topology.rows[u]:
                     continue
                 if topology.distance(u, v) <= cs_range:
                     sense.add((u, v))
@@ -512,7 +512,7 @@ class SinrModel(InterferenceModel):
         for link in topology.links:
             threshold = rates[link].sinr_min_db
             receiver = link[1]
-            neighbours = set(topology.graph[receiver]) | {receiver}
+            neighbours = {*topology.rows[receiver], receiver}
             for interferer in nodes:
                 if interferer in neighbours:
                     continue

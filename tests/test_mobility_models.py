@@ -98,6 +98,19 @@ def test_rwp_rejects_non_finite_field_and_horizon(area, horizon_s):
         RandomWaypointModel(3, area, 5.0, horizon_s, seed=0)
 
 
+@pytest.mark.parametrize("speed_mps, pause_s", [
+    (math.nan, 0.0), ((math.nan, 5.0), 0.0), ((1.0, math.nan), 0.0),
+    ((1.0, math.inf), 0.0), (math.inf, 0.0), (5.0, math.nan),
+    (5.0, math.inf),
+], ids=["speed-nan", "low-nan", "high-nan", "high-inf", "speed-inf",
+        "pause-nan", "pause-inf"])
+def test_rwp_rejects_non_finite_speed_and_pause(speed_mps, pause_s):
+    """NaN built a static layout; infinity overflowed or never finished."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        RandomWaypointModel(3, 100.0, speed_mps, 10.0, pause_s=pause_s,
+                            seed=0)
+
+
 def test_rwp_from_topology_seeds_from_real_layout():
     topology = random_disk_topology(8, radio_range=180.0, area=400.0,
                                     seed=21)
@@ -151,3 +164,19 @@ def test_constant_velocity_rejects_missing_velocity():
     with pytest.raises(ConfigurationError):
         ConstantVelocityModel({0: (0.0, 0.0)}, {0: (1.0, 0.0)}, 10.0,
                               area=0.0)
+
+
+@pytest.mark.parametrize("change", [
+    {"horizon_s": math.nan}, {"horizon_s": math.inf}, {"area": math.nan},
+    {"area": math.inf}, {"positions": {0: (math.nan, 0.0)}},
+    {"positions": {0: (0.0, math.inf)}},
+    {"velocities": {0: (1.0, math.nan)}},
+    {"velocities": {0: (math.inf, 0.0)}},
+], ids=["horizon-nan", "horizon-inf", "area-nan", "area-inf",
+        "position-nan", "position-inf", "velocity-nan", "velocity-inf"])
+def test_constant_velocity_rejects_non_finite_inputs(change):
+    """Each of these used to be accepted and played back NaN positions."""
+    kwargs = {"positions": {0: (0.0, 0.0)}, "velocities": {0: (1.0, 0.0)},
+              "horizon_s": 10.0, **change}
+    with pytest.raises(ConfigurationError, match="finite"):
+        ConstantVelocityModel(**kwargs)
