@@ -14,6 +14,7 @@ trace, so experiments diff exactly one variable (the MAC).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -61,6 +62,23 @@ class ScenarioResult:
         if sent == 0:
             return 0.0
         return 1.0 - received / sent
+
+
+def _check_run_args(duration_s: float, warmup_s: float,
+                    channel_error_rate: float) -> None:
+    """Reject the arguments both runners share before anything is built.
+
+    Written as positive range tests so that NaN fails every one of them.
+    """
+    if not 0.0 < duration_s < math.inf:
+        raise ConfigurationError(
+            f"duration_s must be positive and finite, got {duration_s}")
+    if not 0.0 <= warmup_s < math.inf:
+        raise ConfigurationError(
+            f"warmup_s must be >= 0 and finite, got {warmup_s}")
+    if not 0.0 <= channel_error_rate < 1.0:
+        raise ConfigurationError(
+            f"channel_error_rate must be in [0, 1), got {channel_error_rate}")
 
 
 def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
@@ -235,6 +253,14 @@ def run_tdma_scenario(topology: MeshTopology, flows: FlowSet,
         otherwise offsets start uniform in +-``initial_offset_bound_s`` and
         the sync protocol must acquire lock first.
     """
+    _check_run_args(duration_s, warmup_s, channel_error_rate)
+    if not 0.0 <= drift_ppm < math.inf:
+        raise ConfigurationError(
+            f"drift_ppm must be >= 0 and finite, got {drift_ppm}")
+    if not 0.0 <= initial_offset_bound_s < math.inf:
+        raise ConfigurationError(
+            f"initial_offset_bound_s must be >= 0 and finite, "
+            f"got {initial_offset_bound_s}")
     rngs = resolve_rngs(rngs, seed, what="run_tdma_scenario")
     sim = Simulator()
     trace = Trace(capacity=200_000)
@@ -323,6 +349,7 @@ def run_dcf_scenario(topology: MeshTopology, flows: FlowSet,
     """
     from repro.phy.models import SinrModel, coerce_interference
 
+    _check_run_args(duration_s, warmup_s, channel_error_rate)
     model = coerce_interference(interference)
     rngs = resolve_rngs(rngs, seed, what="run_dcf_scenario")
     sim = Simulator()

@@ -56,6 +56,11 @@ from repro.phy.frames import FrameKind, PhyFrame
 from repro.sim.engine import Event, Simulator
 from repro.sim.trace import Trace
 
+# Reading a member off the enum class costs ~0.2 us per access, and
+# on_receive compares every reception's kind against up to four of them.
+_ACK, _RTS, _CTS, _DATA = (FrameKind.ACK, FrameKind.RTS, FrameKind.CTS,
+                           FrameKind.DATA)
+
 
 class DcfMac(ChannelClient):
     """One node's DCF MAC entity.
@@ -124,7 +129,7 @@ class DcfMac(ChannelClient):
         if len(self._queue) >= self.params.queue_capacity:
             self.trace.emit(self.sim.now, "mac.queue_drop", node=self.node)
             return False
-        frame = PhyFrame(FrameKind.DATA, self.node, dst,
+        frame = PhyFrame(_DATA, self.node, dst,
                          payload_bits + DATA_HEADER_BITS, payload)
         self._queue.append(frame)
         self._maybe_begin_access()
@@ -245,7 +250,7 @@ class DcfMac(ChannelClient):
         # NAV advertised in the RTS: from RTS end to ACK end
         nav = (self.params.sifs_s + cts_air + phy.propagation_delay_s
                + self._exchange_tail_s(data_frame))
-        rts = PhyFrame(FrameKind.RTS, self.node, data_frame.dst, RTS_BITS,
+        rts = PhyFrame(_RTS, self.node, data_frame.dst, RTS_BITS,
                        payload=(data_frame.frame_id, nav))
         duration = phy.airtime(RTS_BITS, basic_rate=True)
         self.channel.transmit(self.node, rts, duration)
@@ -271,7 +276,7 @@ class DcfMac(ChannelClient):
         # CTS NAV: what remains of the exchange after this CTS ends
         nav = max(0.0, rts_nav - self.params.sifs_s - cts_air
                   - phy.propagation_delay_s)
-        cts = PhyFrame(FrameKind.CTS, self.node, rts.src, CTS_BITS,
+        cts = PhyFrame(_CTS, self.node, rts.src, CTS_BITS,
                        payload=(data_frame_id, nav))
         if self.channel.transmitting(self.node):
             self.trace.emit(self.sim.now, "mac.cts_suppressed",
@@ -326,7 +331,7 @@ class DcfMac(ChannelClient):
         self._reschedule_countdown()
 
     def _send_ack(self, data_frame: PhyFrame) -> None:
-        ack = PhyFrame(FrameKind.ACK, self.node, data_frame.src, ACK_BITS,
+        ack = PhyFrame(_ACK, self.node, data_frame.src, ACK_BITS,
                        payload=data_frame.frame_id)
         if self.channel.transmitting(self.node):
             # Half-duplex clash with our own pending transmission; the data
@@ -342,7 +347,8 @@ class DcfMac(ChannelClient):
     def on_receive(self, frame: PhyFrame, success: bool) -> None:
         if not success:
             return
-        if frame.kind is FrameKind.ACK:
+        kind = frame.kind
+        if kind is _ACK:
             if (frame.dst == self.node
                     and frame.payload == self._awaiting_ack_for):
                 if self._ack_timeout_event is not None:
@@ -350,14 +356,14 @@ class DcfMac(ChannelClient):
                     self._ack_timeout_event = None
                 self._finish_current(succeeded=True)
             return
-        if frame.kind is FrameKind.RTS:
+        if kind is _RTS:
             if frame.dst == self.node:
                 self.sim.schedule(self.params.sifs_s, self._send_cts, frame)
             else:
                 ____, nav = frame.payload
                 self._set_nav(self.sim.now + nav)
             return
-        if frame.kind is FrameKind.CTS:
+        if kind is _CTS:
             if (frame.dst == self.node
                     and frame.payload[0] == self._awaiting_cts_for):
                 self._cts_received()
@@ -365,7 +371,7 @@ class DcfMac(ChannelClient):
                 ____, nav = frame.payload
                 self._set_nav(self.sim.now + nav)
             return
-        if frame.kind is not FrameKind.DATA:
+        if kind is not _DATA:
             return
         if frame.dst == self.node:
             self.sim.schedule(self.params.sifs_s, self._send_ack, frame)
@@ -382,9 +388,12 @@ class DcfMac(ChannelClient):
 
     def on_medium_change(self) -> None:
         # Sense only when the answer can matter: an armed countdown may
-        # have to freeze; an unarmed one may arm (_reschedule_countdown
-        # senses only when a frame waits and no ACK/CTS is awaited).
-        if self._access_event is None:
+        # have to freeze; an unarmed one may arm, but only while a frame
+        # waits and no ACK/CTS is awaited -- most calls reach an idle or
+        # waiting station and return here.
+        if self._access_event is not None:
+            if self._medium_busy():
+                self._freeze_countdown()
+        elif self._current is not None and self._awaiting_ack_for is None \
+                and self._awaiting_cts_for is None:
             self._reschedule_countdown()
-        elif self._medium_busy():
-            self._freeze_countdown()

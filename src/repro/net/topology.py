@@ -51,6 +51,10 @@ class MeshTopology:
             raise ConfigurationError("topology must have at least one node")
         if not all(isinstance(n, int) for n in graph.nodes):
             raise ConfigurationError("topology node ids must be integers")
+        loop = next(nx.nodes_with_selfloops(graph), None)
+        if loop is not None:
+            # a self-loop would make a node its own radio neighbour
+            raise ConfigurationError(f"degenerate edge ({loop}, {loop})")
         rows = _rows_of(graph)
         if not _is_connected(rows):
             raise ConfigurationError("topology must be connected")

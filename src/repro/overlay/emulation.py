@@ -45,6 +45,11 @@ from repro.units import US
 #: receiver turnaround before a slot-level ARQ micro-ACK
 ARQ_SIFS_S = 10 * US
 
+# Reading a member off the enum class costs ~0.2 us per access; every
+# reception is matched against up to four of them.
+_ACK, _BEACON, _CONTROL, _DATA = (FrameKind.ACK, FrameKind.BEACON,
+                                  FrameKind.CONTROL, FrameKind.DATA)
+
 
 class TdmaNode:
     """One node's TDMA MAC state (queues, clock, timers)."""
@@ -64,6 +69,10 @@ class TdmaNode:
         self._pending: list[Event] = []
         #: (data slot index, link) pairs this node transmits in
         self.tx_slots: list[tuple[int, Link]] = []
+        #: ``tx_slots`` as planned, and its ``(slot offset, slot, link)``
+        #: rows; rebuilt by :meth:`_plan_frame` when ``tx_slots`` changes
+        self._planned_slots: tuple = ()
+        self._slot_plan: list[tuple[float, int, Link]] = []
         #: slot-level ARQ state: per link, [fragment, tx attempts so far]
         self._inflight: dict[Link, list] = {}
         #: recently delivered fragment keys, for retransmission dedup
@@ -171,11 +180,25 @@ class TdmaNode:
             at_local = frame_local + config.control_slot_offset(slot) + guard
             if at_local >= now_local:
                 self._schedule_local(at_local, self._control_slot, slot)
-        # Data slots of owned links.
-        for slot, link in self.tx_slots:
-            at_local = frame_local + config.data_slot_offset(slot) + guard
+        # Data slots of owned links, scheduled as _schedule_local would.
+        tx_slots = tuple(self.tx_slots)
+        if tx_slots != self._planned_slots:
+            self._slot_plan = [(config.data_slot_offset(slot), slot, link)
+                               for slot, link in tx_slots]
+            self._planned_slots = tx_slots
+        clock = self.clock
+        sim = self.overlay.sim
+        now = sim.now
+        pending = self._pending
+        data_slot = self._data_slot
+        for offset, slot, link in self._slot_plan:
+            at_local = frame_local + offset + guard
             if at_local >= now_local:
-                self._schedule_local(at_local, self._data_slot, slot, link)
+                at_true = clock.true_time(at_local)
+                if at_true < now:
+                    at_true = now
+                pending.append(sim.schedule_at(at_true, data_slot, slot,
+                                               link))
 
     def _schedule_local(self, at_local: float, callback, *args) -> None:
         at_true = self.clock.true_time(at_local)
@@ -212,7 +235,7 @@ class TdmaNode:
                 # robust) keep the basic rate and fit.
                 duration = self.overlay.frame_config.phy.airtime(bits)
                 self.mac.broadcast(announcement, bits,
-                                   kind=FrameKind.CONTROL,
+                                   kind=_CONTROL,
                                    duration=duration)
                 return
         beacon = self.daemon.make_beacon(self.overlay.sim.now)
@@ -221,7 +244,7 @@ class TdmaNode:
         duration = self.overlay.frame_config.phy.airtime(
             SyncBeacon.SIZE_BITS, basic_rate=True)
         self.mac.broadcast(beacon, SyncBeacon.SIZE_BITS,
-                           kind=FrameKind.BEACON, duration=duration)
+                           kind=_BEACON, duration=duration)
 
     def _data_slot(self, slot: int, link: Link) -> None:
         overlay = self.overlay
@@ -293,7 +316,7 @@ class TdmaNode:
             registry.counter("overlay.tx_fragments").inc()
             if self._violates_guard(slot, duration):
                 registry.counter("overlay.guard_violations").inc()
-        self.mac.broadcast(fragment, size_bits, kind=FrameKind.DATA,
+        self.mac.broadcast(fragment, size_bits, kind=_DATA,
                            duration=duration)
 
     def _violates_guard(self, slot: int, duration_s: float) -> bool:
@@ -323,8 +346,8 @@ class TdmaNode:
                                node=self.node, kind=frame.kind.value)
             obs.counter("overlay.rx_corrupt").inc()
             return
-        if frame.kind is FrameKind.BEACON and isinstance(frame.payload,
-                                                         SyncBeacon):
+        kind = frame.kind
+        if kind is _BEACON and isinstance(frame.payload, SyncBeacon):
             airtime = overlay.frame_config.phy.airtime(
                 frame.size_bits, basic_rate=True)
             stepped = self.daemon.on_beacon(
@@ -335,13 +358,13 @@ class TdmaNode:
                     overlay.health.note_adoption(self.node, overlay.sim.now)
                 self.plan_from_now()
             return
-        if frame.kind is FrameKind.CONTROL:
+        if kind is _CONTROL:
             distributor = overlay.distributor
             if distributor is not None and isinstance(
                     frame.payload, ScheduleAnnouncement):
                 distributor.on_announcement(self.node, frame.payload)
             return
-        if frame.kind is FrameKind.ACK and overlay.arq:
+        if kind is _ACK and overlay.arq:
             payload = frame.payload
             if isinstance(payload, tuple) and len(payload) == 3:
                 link, packet_id, index = payload
@@ -353,8 +376,7 @@ class TdmaNode:
                         and inflight[0].index == index):
                     del self._inflight[link]
             return
-        if frame.kind is FrameKind.DATA and isinstance(frame.payload,
-                                                       ShimFragment):
+        if kind is _DATA and isinstance(frame.payload, ShimFragment):
             fragment = frame.payload
             if fragment.link[1] != self.node:
                 return  # overheard a neighbour's slot; not for us
@@ -390,7 +412,7 @@ class TdmaNode:
         overlay.trace.emit(overlay.sim.now, "tdma.arq_ack", node=self.node,
                            link=fragment.link)
         overlay.sim.schedule(ARQ_SIFS_S, self.mac.broadcast, ack_payload,
-                             ACK_BITS, FrameKind.ACK, duration)
+                             ACK_BITS, _ACK, duration)
 
 
 class TdmaOverlay:

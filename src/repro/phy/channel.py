@@ -35,6 +35,7 @@ one event per receiver would.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,7 +64,7 @@ class ChannelClient:
         """
 
 
-@dataclass
+@dataclass(slots=True)
 class Reception:
     """An in-flight reception at one receiver."""
 
@@ -79,7 +80,7 @@ class Reception:
         return self.start < end and start < self.end
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeState:
     client: Optional[ChannelClient] = None
     #: the client's bound ``on_medium_change`` if it carrier-senses, else
@@ -87,8 +88,9 @@ class _NodeState:
     sense: Optional[Callable[[], None]] = None
     #: active/pending receptions at this node
     receptions: list[Reception] = field(default_factory=list)
-    #: (start, end) transmission intervals, pruned lazily
-    transmissions: list[tuple[float, float]] = field(default_factory=list)
+    #: (start, end) transmission intervals in time order, pruned lazily
+    #: from the left
+    transmissions: deque[tuple[float, float]] = field(default_factory=deque)
     #: (start, end) sensed-but-undecodable energy from carrier-sense-range
     #: transmitters (physical couplings); busies the medium, harms nothing
     noise: list[tuple[float, float]] = field(default_factory=list)
@@ -432,31 +434,38 @@ class BroadcastChannel:
         if frame.src != node:
             raise SimulationError(
                 f"frame src {frame.src} transmitted by node {node}")
-        if self.transmitting(node):
+        now = self.sim.now
+        transmissions = state.transmissions
+        if transmissions and \
+                transmissions[-1][0] <= now < transmissions[-1][1]:
             raise SimulationError(f"node {node} is already transmitting")
+        # ``_value_`` is the member's plain value attribute; ``.value`` is
+        # an enum descriptor costing ten times as much per frame
+        kind = frame.kind._value_
         if duration is None:
             duration = self.phy.airtime(
-                frame.size_bits, basic_rate=frame.kind.value != "data")
+                frame.size_bits, basic_rate=kind != "data")
         if not 0.0 < duration < math.inf:
             raise SimulationError(
                 f"airtime must be positive and finite, got {duration}")
-        now = self.sim.now
         if node in self._down_nodes:
             # Crashed radio: the MAC's transmit attempt consumes its slot
             # time but nothing reaches the air.
             self.trace.emit(now, "phy.tx_suppressed", node=node,
-                            frame=frame.frame_id, kind=frame.kind.value)
+                            frame=frame.frame_id, kind=kind)
             return duration
         tx_start, tx_end = now, now + duration
-        self._prune(state, now)
-        state.transmissions.append((tx_start, tx_end))
+        prune = self._prune
+        prune(state, now)
+        transmissions.append((tx_start, tx_end))
         self.trace.emit(now, "phy.tx", node=node, frame=frame.frame_id,
-                        kind=frame.kind.value, duration=duration)
+                        kind=kind, duration=duration)
 
         # A transmission corrupts any reception in progress at the
         # transmitter (half-duplex): mark them now.
         for rec in state.receptions:
-            if rec.overlaps(tx_start, tx_end) and not rec.corrupted:
+            if rec.start < tx_end and tx_start < rec.end \
+                    and not rec.corrupted:
                 rec.corrupted = True
                 rec.corrupt_reason = "rx_during_tx"
 
@@ -473,12 +482,12 @@ class BroadcastChannel:
             if neighbor in down_nodes or (
                     down_links and frozenset((node, neighbor)) in down_links):
                 continue
-            self._prune(receiver_state, now)
+            prune(receiver_state, now)
             reception = Reception(frame, neighbor, arrival_start, arrival_end)
             # Pairwise collision with any overlapping reception at this
             # receiver: both frames are lost.
             for other in receiver_state.receptions:
-                if other.overlaps(arrival_start, arrival_end):
+                if other.start < arrival_end and arrival_start < other.end:
                     other.corrupted = True
                     other.corrupt_reason = other.corrupt_reason or "collision"
                     reception.corrupted = True
@@ -487,7 +496,7 @@ class BroadcastChannel:
             # out-of-decode-range interferer) corrupts the new reception.
             if not reception.corrupted:
                 for start, end in receiver_state.jam:
-                    if reception.overlaps(start, end):
+                    if arrival_start < end and start < arrival_end:
                         reception.corrupted = True
                         reception.corrupt_reason = "interference"
                         self.trace.emit(now, "phy.jam", node=neighbor)
@@ -505,7 +514,7 @@ class BroadcastChannel:
             if victim in down_nodes:
                 continue
             victim_state = self._nodes[victim]
-            self._prune(victim_state, now)
+            prune(victim_state, now)
             victim_state.jam.append((arrival_start, arrival_end))
             # phy.jam traces actual damage (a reception corrupted by
             # out-of-decode-range energy), not every jam interval -- the
@@ -524,7 +533,7 @@ class BroadcastChannel:
                     or watcher in self._jam_extra.get(node, ()):
                 continue  # jam energy already busies the victim's medium
             watcher_state = self._nodes[watcher]
-            self._prune(watcher_state, now)
+            prune(watcher_state, now)
             watcher_state.noise.append((arrival_start, arrival_end))
             if watcher_state.sense is not None:
                 coupled.append(watcher_state.sense)
@@ -595,7 +604,7 @@ class BroadcastChannel:
                 reception.corrupt_reason = "channel_error"
         if (not reception.corrupted
                 and self._control_error_rng is not None
-                and reception.frame.kind.value in self.CONTROL_KINDS):
+                and reception.frame.kind._value_ in self.CONTROL_KINDS):
             pair = (reception.frame.src, reception.receiver)
             rate = self._control_error_rates.get(
                 pair, self._default_control_error_rate)
@@ -607,7 +616,7 @@ class BroadcastChannel:
                     else f"phy.rx_{reception.corrupt_reason}")
         self.trace.emit(self.sim.now, category, node=reception.receiver,
                         frame=reception.frame.frame_id,
-                        kind=reception.frame.kind.value)
+                        kind=reception.frame.kind._value_)
         client = state.client
         if state.sense is not None:
             state.sense()
@@ -626,11 +635,20 @@ class BroadcastChannel:
         :meth:`_deliver` and the noise and jam lists that
         :meth:`medium_busy`, :meth:`busy_until` and :meth:`transmit` read
         in full.
+
+        A node's own transmissions are appended in time order and never
+        overlap, so their end times are sorted too: the expired ones are a
+        prefix of the deque, popped from the left until the head is live.
+        That keeps exactly the intervals a filter would.  Noise and jam
+        intervals come from different transmitters, each starting when
+        its own frame does, so their end times are not sorted and an
+        expired one can sit behind a live one: those lists are filtered
+        whole.
         """
         horizon = now - 0.05
-        if state.transmissions and state.transmissions[0][1] < horizon:
-            state.transmissions = [
-                (s, e) for s, e in state.transmissions if e >= horizon]
+        transmissions = state.transmissions
+        while transmissions and transmissions[0][1] < horizon:
+            transmissions.popleft()
         if state.noise and state.noise[0][1] < horizon:
             state.noise = [(s, e) for s, e in state.noise if e >= horizon]
         if state.jam and state.jam[0][1] < horizon:

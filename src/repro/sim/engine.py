@@ -111,20 +111,30 @@ class Simulator:
         ``delay`` must be non-negative and finite; a zero delay runs the
         callback after all events already scheduled for the current instant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        time = self._now + delay
+        if not (delay >= 0.0 and time < math.inf):
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={delay})")
+            return self.schedule_at(time, callback, *args)
+        seq = self._seq
+        event = Event(time, seq, callback, args, self)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
+        self._live += 1
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> Event:
         """Schedule *callback(*args)* at absolute simulated ``time``."""
-        if not math.isfinite(time):
-            raise SimulationError(f"event time must be finite, got {time}")
-        if time < self._now:
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                raise SimulationError(
+                    f"event time must be finite, got {time}")
             raise SimulationError(
                 f"cannot schedule at t={time} before current time {self._now}")
         seq = self._seq
-        event = Event(time, seq, callback, args, owner=self)
+        event = Event(time, seq, callback, args, self)
         self._seq = seq + 1
         heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
@@ -157,6 +167,7 @@ class Simulator:
         queue = self._queue
         heappop = heapq.heappop
         horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         try:
             with obs.span("sim.engine.run"):
                 while queue:
@@ -167,7 +178,7 @@ class Simulator:
                     if event.cancelled:
                         continue
                     self._live -= 1
-                    if max_events is not None and executed_this_run >= max_events:
+                    if executed_this_run >= budget:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "likely a runaway event loop")

@@ -141,6 +141,49 @@ class TestDcfScenario:
         assert worst_tdma <= 0.05 + frame.frame_duration_s
 
 
+class TestRunnerArguments:
+    """Both runners reject bad arguments at the entry point."""
+
+    NAN, INF = float("nan"), float("inf")
+    SHARED = [("duration_s", -1.0), ("duration_s", 0.0),
+              ("duration_s", NAN), ("duration_s", INF),
+              ("warmup_s", NAN), ("warmup_s", INF), ("warmup_s", -0.5),
+              ("channel_error_rate", NAN), ("channel_error_rate", -0.1),
+              ("channel_error_rate", 1.0)]
+
+    @staticmethod
+    def _tdma(scenario, **overrides):
+        topology, frame, flows, schedule, ____ = scenario
+        kwargs = {"duration_s": 0.2, "seed": 1, "codec": G729, **overrides}
+        return run_tdma_scenario(topology, flows, frame, schedule, **kwargs)
+
+    @staticmethod
+    def _dcf(scenario, **overrides):
+        topology, ____, flows, ____, ____ = scenario
+        kwargs = {"duration_s": 0.2, "seed": 1, "codec": G729, **overrides}
+        return run_dcf_scenario(topology, flows, **kwargs)
+
+    @pytest.mark.parametrize("name,value", SHARED + [
+        ("drift_ppm", NAN), ("drift_ppm", INF), ("drift_ppm", -5.0),
+        ("initial_offset_bound_s", NAN), ("initial_offset_bound_s", -1e-3)])
+    def test_tdma_rejects(self, small_scenario, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            self._tdma(small_scenario, start_synced=False, **{name: value})
+
+    @pytest.mark.parametrize("name,value", SHARED)
+    def test_dcf_rejects(self, small_scenario, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            self._dcf(small_scenario, **{name: value})
+
+    def test_edges_of_the_ranges_run(self, small_scenario):
+        tdma = self._tdma(small_scenario, warmup_s=0.0, drift_ppm=0.0,
+                          channel_error_rate=0.0)
+        dcf = self._dcf(small_scenario, warmup_s=0.0,
+                        channel_error_rate=0.0)
+        for result in (tdma, dcf):
+            assert all(q.has_samples for q in result.qos.values())
+
+
 class TestHelpers:
     def test_make_voip_flows_respects_gateway(self, rngs):
         topology = grid_topology(3, 3)

@@ -70,6 +70,13 @@ class TestMeshTopology:
         with pytest.raises(ConfigurationError, match="integer"):
             MeshTopology(graph)
 
+    def test_self_loop_rejected(self):
+        # a loop would list node 1 among its own links and neighbours, so
+        # the channel would deliver its frames to itself
+        with pytest.raises(ConfigurationError,
+                           match=r"degenerate edge \(1, 1\)"):
+            MeshTopology(nx.Graph([(0, 1), (1, 1)]))
+
 
 class TestChain:
     def test_structure(self):

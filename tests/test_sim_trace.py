@@ -1,6 +1,9 @@
 """Trace recording."""
 
-from repro.sim.trace import Trace
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.sim.trace import Trace, TraceRecord
 
 
 def test_emit_and_count():
@@ -77,3 +80,30 @@ def test_extend_counts():
     trace.extend_counts([("a", 5), ("b", 2)])
     assert trace.count("a") == 6
     assert trace.count("b") == 2
+
+
+def test_reads_build_equal_fresh_records():
+    trace = Trace()
+    trace.emit(1.0, "a", value=1)
+    trace.emit(2.0, "b")
+    expected = [TraceRecord(1.0, "a", {"value": 1}), TraceRecord(2.0, "b")]
+    first = list(trace.records())
+    assert first == expected == list(trace.records())
+    assert first[0] is not next(trace.records())
+    assert trace.last() == expected[-1]
+    assert trace.last("a") == expected[0]
+
+
+@pytest.mark.parametrize("capacity", [None, 0, 1, 5])
+def test_capacity_accepts_none_or_a_non_negative_int(capacity):
+    trace = Trace(capacity=capacity)
+    for i in range(3):
+        trace.emit(float(i), "e")
+    assert len(trace) == (3 if capacity is None else min(capacity, 3))
+    assert trace.count("e") == 3
+
+
+@pytest.mark.parametrize("capacity", [-1, 1.5, True, False, "3", 2.0])
+def test_capacity_rejects_anything_else(capacity):
+    with pytest.raises(ConfigurationError, match="capacity"):
+        Trace(capacity=capacity)
