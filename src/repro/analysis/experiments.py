@@ -504,14 +504,9 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
     recovery from a fixed order stays in the millisecond range -- the
     reason the paper advocates order-then-recover over re-solving.
 
-    The warm arm reruns both searches through one fresh
-    :class:`~repro.core.engine.SolverEngine`, seeding the binary search
-    with the linear winner's order.  ``warm_identical`` asserts the
-    engine contract -- identical slots, probe log and schedule table.
     On this workload every search closes between the greedy-clique floor
-    and the first-fit certificate, so neither arm pays an ILP probe and
-    the warm arm has nothing to shortcut; the ILP columns count the
-    probes that did reach the solver.
+    and the first-fit certificate, so neither search pays an ILP probe;
+    ``cold_ilp_solves`` counts the probes that did reach the solver.
     """
     import time as time_mod
 
@@ -522,8 +517,7 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
         "E10", "scheduler cost vs mesh size (gateway VoIP workload)",
         ["grid", "links_demanded", "ilp_vars", "ilp_seconds",
          "bf_seconds", "min_slots", "linear_probes", "binary_probes",
-         "cold_ilp_solves", "warm_ilp_solves", "bf_shortcuts",
-         "warm_identical"])
+         "cold_ilp_solves"])
     for rows_, cols in grid_sizes:
         topology = grid_topology(rows_, cols)
         rngs = RngRegistry(seed=seed)
@@ -531,7 +525,7 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                 codec=G729, gateway=0, delay_budget_s=0.1)
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
-        cold = SolverEngine(warm_start=False, max_indexes=0, max_problems=0)
+        cold = SolverEngine(max_indexes=0, max_problems=0)
         conflicts = cold.conflict_index(topology, links=demands.keys())
         problem = SchedulingProblem(
             conflicts, demands, frame.data_slots,
@@ -549,30 +543,11 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                delay_constraints=constraints,
                                engine=cold, policy=binary_search)
         assert binary.slots == linear.slots  # both searches are exact
-
-        warm = SolverEngine()
-        warm_linear = minimum_slots(conflicts, demands, frame.data_slots,
-                                    delay_constraints=constraints,
-                                    engine=warm)
-        warm_binary = minimum_slots(conflicts, demands, frame.data_slots,
-                                    delay_constraints=constraints,
-                                    engine=warm, warm_order=warm_linear.order,
-                                    policy=binary_search)
-        warm_identical = (
-            warm_linear.slots == linear.slots
-            and warm_binary.slots == binary.slots
-            and warm_linear.probes == linear.probes
-            and warm_binary.probes == binary.probes
-            and warm_linear.schedule.to_dict() == linear.schedule.to_dict()
-            and warm_binary.schedule.to_dict()
-            == binary.schedule.to_dict())
         result.rows.append([
             f"{rows_}x{cols}", len(demands), ilp.num_variables,
             ilp.solve_seconds, bf_seconds, linear.slots,
             linear.iterations, binary.iterations,
-            cold.stats["ilp_probes"],
-            warm.stats["ilp_solves"], warm.stats["bf_shortcuts"],
-            warm_identical])
+            cold.stats["ilp_probes"]])
     return result
 
 

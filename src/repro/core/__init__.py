@@ -19,7 +19,7 @@ This package implements the paper line's algorithmic contribution:
 - incremental admission control (:mod:`repro.core.admission`);
 - online schedule repair under fault churn (:mod:`repro.core.repair`);
 - the incremental solver engine front end -- shared conflict indexes,
-  warm-started probe searches, problem caching
+  bounds-first probe searches, problem caching
   (:mod:`repro.core.engine`);
 - the solver-policy seam selecting between the exact search and the
   large-topology arms (:mod:`repro.core.policy`), and the zoned /

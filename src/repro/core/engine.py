@@ -1,11 +1,10 @@
-"""The incremental solver engine: shared conflict indexes, warm-started
+"""The incremental solver engine: shared conflict indexes, bounds-first
 probe searches, and cross-layer problem caching.
 
 The paper line's minimum-slots search (NET-COOP) probes a sequence of
-nearly-identical feasibility ILPs, and the ToN companion recovers schedules
-from a fixed order with one Bellman-Ford pass over the conflict graph.  A
-:class:`SolverEngine` exploits that structure instead of treating every
-probe, repair and sweep point as a cold solve:
+nearly-identical feasibility ILPs.  A :class:`SolverEngine` exploits that
+structure instead of treating every probe, repair and sweep point as a
+cold solve:
 
 1. **Cached conflict-relation layer.**  :meth:`SolverEngine.conflict_index`
    returns the immutable :class:`~repro.core.conflict.ConflictIndex` that
@@ -22,24 +21,12 @@ probe, repair and sweep point as a cold solve:
    (:func:`updated_conflict_edges`) -- ``core.engine.delta_updates`` vs
    ``core.engine.index_builds`` count the rebuilds avoided.
 
-2. **Bounded, warm-started probe search.**  Each
+2. **Bounds-first probe search.**  Each
    :func:`~repro.core.minslots.minimum_slots` search first tries to close
    between a greedy-clique floor and a packing certificate with no ILP
-   (:meth:`SolverEngine.run_search`).  Inside the gap that remains, the
-   engine carries the last feasible probe's
-   :class:`~repro.core.ordering.TransmissionOrder` forward.  Before
-   paying for the next ILP it runs a Bellman-Ford pass over the carried
-   order at the candidate region: if the recovered
-   earliest schedule fits and meets every delay budget, the probe's verdict
-   is certified *without the solver* (the monotone case).  ``scipy``'s
-   ``milp`` cannot accept an incumbent, so the carried solution becomes a
-   shortcut rather than a solver hint -- the counters
-   ``core.engine.ilp_probes`` vs ``core.engine.bf_shortcuts`` prove how
-   often the expensive solver is skipped.  When the *winning* probe was
-   BF-certified, the engine re-solves that one region through the canonical
-   ILP so the returned result is bitwise-identical to a cold search
-   (schedule table, order, probe log; only wall-clock ``solve_seconds``
-   differ, as they always do).
+   (:meth:`SolverEngine.run_search`).  Only the gap that remains is
+   probed, and every gap probe is one ILP under the policy's
+   deterministic node budget -- ``core.engine.ilp_probes`` counts them.
 
 3. **Canonical problem hashing.**  :meth:`SolverEngine.solve` keys solved
    ``(problem, K)`` pairs in an in-process LRU under
@@ -58,9 +45,9 @@ scoped to an **owning object**: :class:`~repro.api.Scenario`,
 :class:`~repro.core.repair.RepairEngine` and each experiment construct a
 fresh ``SolverEngine()`` whose caches live and die with them, while the
 module-level :func:`default_engine` -- which backs the bare public
-functions -- is *stateless* (warm-start only, no cross-call caches).
-Warm-start shortcuts are a pure function of one search's inputs, so they
-are deterministic everywhere.
+functions -- is *stateless* (no cross-call caches).  A search's result
+never depends on cache state: a cached engine and a stateless one return
+the same ``K``, probe log and schedule.
 """
 
 from __future__ import annotations
@@ -89,7 +76,9 @@ from repro.core.ilp import (
     SchedulingProblem,
     solve_schedule_ilp,
 )
-from repro.core.ordering import TransmissionOrder, schedule_from_order
+from repro.core.ordering import TransmissionOrder
+# Bound here only for perfbench/tracer.py, which wraps this name.
+from repro.core.ordering import schedule_from_order  # noqa: F401
 from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import (
@@ -98,11 +87,6 @@ from repro.errors import (
     SolverError,
 )
 from repro.net.topology import Link, MeshTopology, hop_depths
-
-#: Sentinel solver status marking a probe verdict certified by Bellman-Ford
-#: instead of an ILP solve.  Never escapes a search: the winning probe is
-#: always re-solved canonically before a result is returned.
-BF_CERTIFIED = "bf-certified"
 
 #: Solver status of a search decided with no ILP: a packing certificate
 #: met the greedy-clique floor.  Such a result is published as is
@@ -270,11 +254,6 @@ class SolverEngine:
 
     Parameters
     ----------
-    warm_start:
-        Carry each feasible probe's transmission order into later probes
-        and certify their verdicts with a Bellman-Ford pass where possible
-        (see the module docstring).  ``False`` gives the cold reference
-        behaviour; results are bitwise-identical either way.
     max_indexes, max_problems:
         LRU capacities of the conflict-index and solved-problem caches.
         ``0`` disables a cache entirely -- the configuration of the
@@ -299,13 +278,11 @@ class SolverEngine:
         explicit ``policy=``/``solver=`` use it; a per-call policy wins.
     """
 
-    def __init__(self, warm_start: bool = True, max_indexes: int = 32,
-                 max_problems: int = 128,
+    def __init__(self, max_indexes: int = 32, max_problems: int = 128,
                  delta_updates: bool = True,
                  policy: "SolverPolicy | str | None" = None) -> None:
         if max_indexes < 0 or max_problems < 0:
             raise ConfigurationError("cache sizes must be non-negative")
-        self.warm_start = warm_start
         self.max_indexes = max_indexes
         self.max_problems = max_problems
         self.delta_updates = delta_updates
@@ -336,7 +313,7 @@ class SolverEngine:
             "delta_updates": 0,
             "zone_index_builds": 0, "zone_index_hits": 0,
             "ilp_solves": 0, "problem_hits": 0,
-            "ilp_probes": 0, "bf_shortcuts": 0,
+            "ilp_probes": 0,
         }
 
     # -- conflict-relation layer ---------------------------------------------
@@ -531,39 +508,12 @@ class SolverEngine:
                 self._problems.popitem(last=False)
         return result
 
-    # -- warm-started order certification ------------------------------------
-
-    def certify_order(self, conflicts: ConflictIndex,
-                      demands: Mapping[Link, int], frame_slots: int,
-                      region: int,
-                      delay_constraints: Sequence[DelayConstraint],
-                      order: TransmissionOrder) -> Optional[Schedule]:
-        """Certify region-``K`` feasibility from a carried order, or ``None``.
-
-        One Bellman-Ford pass recovers the componentwise-earliest schedule
-        consistent with ``order`` inside the first ``region`` slots; if it
-        exists and every delay budget holds *at the full frame length*
-        (wrap cost stays ``frame_slots``), the problem is feasible at this
-        region -- the ILP would only rediscover that.  Failure certifies
-        nothing: a different order may still fit, so the caller falls back
-        to the solver.
-        """
-        try:
-            packed = schedule_from_order(conflicts, demands, region, order)
-        except (InfeasibleScheduleError, ConfigurationError):
-            # Infeasible under *this* order, or the order does not cover
-            # the demanded links (e.g. a caller-supplied warm order from a
-            # pre-fault schedule): no certificate.
-            return None
-        return _within_budgets(packed, frame_slots, delay_constraints)
-
-    # -- warm-started minimum-slots search -----------------------------------
+    # -- bounds-first minimum-slots search ------------------------------------
 
     def run_search(self, conflicts: ConflictIndex, demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
                    search: str, ceiling: int,
-                   warm_order: Optional[TransmissionOrder] = None,
                    node_limit_per_probe: Optional[int] = None):
         """The min-slot search behind :func:`~repro.core.minslots.minimum_slots`.
 
@@ -577,14 +527,10 @@ class SolverEngine:
         :func:`_packing_descent`.  When it holds, ``K`` is the floor and the
         certificate is the published schedule: no ILP runs, the probe log
         is ``[(K, True)]`` and the result's status is
-        :data:`BOUNDS_CLOSED`.  Neither bound reads warm state, so warm and
-        cold engines close the same searches identically.
+        :data:`BOUNDS_CLOSED`.
 
-        Otherwise the probe loop searches the gap ``[floor, ceiling]``:
-        each probe is an ILP, or a Bellman-Ford shortcut over the carried
-        order on a warm engine, and a BF-certified winner is re-solved
-        through the canonical ILP so warm and cold results stay bitwise
-        identical.  Callers go through
+        Otherwise the probe loop searches the gap ``[floor, ceiling]``,
+        one ILP per probe.  Callers go through
         :func:`repro.core.minslots.minimum_slots`, which owns the argument
         validation and search-level telemetry.
 
@@ -599,8 +545,6 @@ class SolverEngine:
 
         lower = max(1, demand_lower_bound(demands))
         probes: list[tuple[int, bool]] = []
-        carried: Optional[TransmissionOrder] = (
-            warm_order if self.warm_start else None)
 
         def log(region: int, feasible: bool) -> None:
             obs.counter("core.minslots.probes").inc()
@@ -609,22 +553,11 @@ class SolverEngine:
             probes.append((region, feasible))
 
         def probe(region: int) -> ILPResult:
-            nonlocal carried
             problem = SchedulingProblem(
                 conflicts=conflicts, demands=dict(demands),
                 frame_slots=frame_slots,
                 delay_constraints=tuple(delay_constraints),
                 region_slots=region)
-            if carried is not None:
-                certified = self.certify_order(
-                    conflicts, demands, frame_slots, region,
-                    delay_constraints, carried)
-                if certified is not None:
-                    self.stats["bf_shortcuts"] += 1
-                    obs.counter("core.engine.bf_shortcuts").inc()
-                    log(region, True)
-                    return ILPResult(True, certified, carried, None, 0.0,
-                                     BF_CERTIFIED, 0, 0)
             self.stats["ilp_probes"] += 1
             obs.counter("core.engine.ilp_probes").inc()
             try:
@@ -637,79 +570,46 @@ class SolverEngine:
                 obs.counter("core.minslots.probe_timeouts").inc()
                 result = ILPResult(False, None, None, None, 0.0,
                                    "probe budget exhausted", 0, 0)
-            if (result.feasible and self.warm_start
-                    and result.order is not None):
-                carried = result.order
             log(region, result.feasible)
             return result
 
-        def finish(slots: Optional[int],
-                   ilp: Optional[ILPResult],
-                   bound: int,
-                   region: Optional[int] = None) -> "MinSlotResult":
-            """Resolve a BF-certified winner through the canonical ILP.
-
-            The shortcut decides probe *verdicts*; the returned schedule
-            and order must be the cold path's, so the winning region is
-            solved once for real.  Every earlier certified probe stays a
-            saved solve -- this trade keeps results bitwise-identical
-            while still doing strictly less ILP work whenever more than
-            one probe was certified.
-            """
-            if ilp is not None and ilp.solver_status == BF_CERTIFIED:
-                problem = SchedulingProblem(
-                    conflicts=conflicts, demands=dict(demands),
-                    frame_slots=frame_slots,
-                    delay_constraints=tuple(delay_constraints),
-                    region_slots=slots if region is None else region)
-                try:
-                    ilp = self.solve(problem, node_limit=node_limit_per_probe)
-                except SolverError:
-                    # The certificate *is* a valid feasible solution; keep
-                    # it rather than fail the search on an exhausted budget.
-                    pass
+        def finish(slots: Optional[int], ilp: Optional[ILPResult],
+                   bound: int = lower) -> "MinSlotResult":
             return MinSlotResult(slots=slots, ilp=ilp, lower_bound=bound,
                                  probes=probes)
 
         if not any(d > 0 for d in demands.values()):
             empty = probe(1)
-            return finish(0 if empty.feasible else None, empty, 0, region=1)
+            return finish(0 if empty.feasible else None, empty, 0)
 
         if lower > ceiling:
-            return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
-                                 probes=probes)
+            return finish(None, None)
 
         floor = max(lower, _greedy_clique_demand(conflicts, demands, ceiling))
         if floor > ceiling:
             log(ceiling, False)
-            return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
-                                 probes=probes)
+            return finish(None, None)
         certificate = _packing_certificate(
             conflicts, demands, frame_slots, floor, delay_constraints)
         if certificate is not None:
             obs.counter("core.minslots.bounds_closed").inc()
             log(floor, True)
-            return MinSlotResult(slots=floor, ilp=certificate,
-                                 lower_bound=lower, probes=probes)
+            return finish(floor, certificate)
 
         if search == "linear":
             for region in range(floor, ceiling + 1):
                 result = probe(region)
                 if result.feasible:
-                    return finish(region, result, lower)
-            return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
-                                 probes=probes)
+                    return finish(region, result)
+            return finish(None, None)
 
         # Binary search: feasibility is monotone in the region size for a
         # fixed frame length.  Establish feasibility at the ceiling first.
-        best: Optional[ILPResult] = None
-        best_region: Optional[int] = None
         low, high = floor, ceiling
-        top = probe(high)
-        if not top.feasible:
-            return MinSlotResult(slots=None, ilp=None, lower_bound=lower,
-                                 probes=probes)
-        best, best_region = top, high
+        best = probe(high)
+        if not best.feasible:
+            return finish(None, None)
+        best_region = high
         high -= 1
         while low <= high:
             mid = (low + high) // 2
@@ -719,7 +619,7 @@ class SolverEngine:
                 high = mid - 1
             else:
                 low = mid + 1
-        return finish(best_region, best, lower)
+        return finish(best_region, best)
 
 
 def _within_budgets(packed: Schedule, frame_slots: int,
@@ -890,8 +790,7 @@ def _copy_result(result: ILPResult) -> ILPResult:
 #: Module-level default engine backing the bare public functions
 #: (:func:`~repro.core.minslots.minimum_slots` with no ``engine=``).
 #: Deliberately stateless (cache sizes 0): cross-call caches here would
-#: make the deterministic obs counters depend on process history.  The
-#: warm-start shortcut needs no cross-call state, so it stays on.
+#: make the deterministic obs counters depend on process history.
 _DEFAULT_ENGINE = SolverEngine(max_indexes=0, max_problems=0)
 
 

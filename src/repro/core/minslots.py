@@ -106,7 +106,6 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
                   frame_slots: int,
                   delay_constraints: Sequence[DelayConstraint] = (),
                   engine: Optional["SolverEngine"] = None,
-                  warm_order: Optional[TransmissionOrder] = None,
                   policy: "SolverPolicy | str | None" = None
                   ) -> MinSlotResult:
     """Find the minimum guaranteed region ``K`` supporting the demands.
@@ -123,13 +122,8 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
         The :class:`~repro.core.engine.SolverEngine` running the probes
         (default: the stateless module-level engine).  Probe verdicts,
         the probe log and the returned schedule are identical for any
-        engine configuration; a warm engine merely skips ILP solves whose
-        verdict a Bellman-Ford pass over the carried order already
-        certifies.
-    warm_order:
-        Optional transmission order to seed the warm start with (e.g. a
-        pre-fault schedule's order during repair); ignored by cold
-        engines.
+        engine configuration; a caching engine merely answers repeated
+        probes from its problem cache.
     policy:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string)
         governing *how* to solve: the arm (exact probe search, zoned,
@@ -156,7 +150,7 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
             obs.counter("core.minslots.searches").inc()
             outcome = engine.run_search(
                 conflicts, demands, frame_slots, delay_constraints,
-                eff.search, ceiling, warm_order=warm_order,
+                eff.search, ceiling,
                 node_limit_per_probe=eff.node_limit_per_probe)
     else:
         from repro.core.zones import (

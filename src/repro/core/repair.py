@@ -109,9 +109,7 @@ class RepairEngine:
         indexes and solved probes across this engine's repair passes
         (default: a private instance whose caches live exactly as long as
         this repair engine).  Full re-solves run a binary min-slot search
-        under the rest of the engine's policy (mode, node budget), and are
-        warm-started from the pre-fault schedule's transmission order, so
-        probes the old order still certifies skip the ILP.
+        under the rest of the engine's policy (mode, node budget).
     """
 
     def __init__(self, topology: MeshTopology, frame_config: MeshFrameConfig,
@@ -408,13 +406,11 @@ class RepairEngine:
         conflicts = self.engine.conflict_index(
             topo, interference=self.interference,
             links=sorted(demands))
-        warm_order = (self._spliced_order(flows, demands)
-                      if self.schedule is not None else None)
         return minimum_slots(
             conflicts, demands, self.frame.data_slots,
             delay_constraints=delay_constraints_for(
                 flows, self.slot_duration_s),
-            engine=self.engine, warm_order=warm_order,
+            engine=self.engine,
             policy=replace(self.engine.policy, search="binary"))
 
     def _spliced_order(self, flows: list[Flow],

@@ -16,10 +16,9 @@ solved *exactly* (the same delay-aware ILP search, over the zone's
 induced conflict subgraph) under a **boundary-slot reservation**: the
 zone's region ceiling is shrunk by the worst conflicting out-of-zone
 demand any of its links faces, so the zone solution leaves room for its
-neighbours.  Zone sub-searches always probe by bisection and are
-**warm-started from a greedy packing** of the zone: the engine's
-Bellman-Ford certificate decides the top probe for free, and the known
-greedy makespan keeps the zone ceiling feasible.  Most zone searches
+neighbours.  Zone sub-searches always probe by bisection, and the
+makespan of a **greedy packing** of the zone caps the zone ceiling, so
+the top probe is feasible and the probe range small.  Most zone searches
 close between the engine's greedy-clique floor and first-fit
 certificate without probing; such a zone is solved once at its region
 so the stitch ranks it by an ILP solution.  Each ILP probe runs
@@ -58,7 +57,7 @@ asymptotic speedup.
 Both arms run through the owning :class:`~repro.core.engine.SolverEngine`
 -- zone subproblems hit the engine's problem cache and the dedicated
 zone-index LRU (:meth:`~repro.core.engine.SolverEngine.zone_index`), so
-warm starts, delta updates and problem hashing keep working unchanged.
+delta updates and problem hashing keep working unchanged.
 """
 
 from __future__ import annotations
@@ -302,34 +301,32 @@ def _heuristic_result(status: str,
                          probes=[(slots, True)], meta=meta)
 
 
-def _zone_warm_start(zone_index: ConflictIndex,
-                     zone_demands: Mapping[Link, int],
-                     ceiling: int, frame_slots: int,
-                     zone_delay: Sequence[DelayConstraint]
-                     ) -> tuple[Optional[TransmissionOrder], Optional[int]]:
-    """A greedy warm order for one zone and its compacted makespan.
+def _zone_greedy_makespan(zone_index: ConflictIndex,
+                          zone_demands: Mapping[Link, int],
+                          ceiling: int, frame_slots: int,
+                          zone_delay: Sequence[DelayConstraint]
+                          ) -> Optional[int]:
+    """The compacted makespan of a greedy packing of one zone, or ``None``.
 
-    The order seeds the zone search's Bellman-Ford certificates; the
-    makespan (``None`` when the packing misses the ceiling or a zone
-    delay budget) is a known-feasible upper bound for the zone region.
+    A known-feasible upper bound for the zone region; ``None`` when the
+    packing misses the ceiling or a zone delay budget.
     """
     raw = greedy_schedule(zone_index, zone_demands, frame_slots=None,
                           strategy="demand")
-    order = TransmissionOrder.from_schedule(raw)
     try:
         packed = schedule_from_order(zone_index, zone_demands, ceiling,
-                                     order)
+                                     TransmissionOrder.from_schedule(raw))
     except InfeasibleScheduleError:
-        return None, None
+        return None
     if zone_delay:
         # Budgets must hold at the *full* frame wrap cost, exactly as
-        # the engine's certify_order judges them during the search.
+        # the engine's packing certificate judges them.
         at_frame = Schedule(frame_slots, dict(packed.items()))
         for constraint in zone_delay:
             if (path_delay_slots(at_frame, constraint.route)
                     > constraint.budget_slots):
-                return None, None
-    return order, packed.makespan()
+                return None
+    return packed.makespan()
 
 
 def _zone_layers(engine: "SolverEngine", zone_index: ConflictIndex,
@@ -418,22 +415,23 @@ def zoned_minimum_slots(conflicts: ConflictIndex,
             zone_lower = demand_lower_bound(zone_demands)
             zone_ceiling = min(ceiling, max(zone_lower, ceiling - reserve))
             zone_delay = _zone_constraints(delay_constraints, members)
-            warm_order, greedy_makespan = _zone_warm_start(
+            greedy_makespan = _zone_greedy_makespan(
                 zone_index, zone_demands, ceiling, frame_slots,
                 zone_delay)
             if greedy_makespan is not None:
                 # The greedy packing is a feasibility certificate at its
-                # makespan: capping the bisection there keeps the top
-                # probe certified (never a timeout) and the probe range
-                # small.  When the certificate needs more room than the
-                # reservation left, the certificate wins -- the reserve
-                # is headroom, the makespan is evidence.
+                # makespan: capping the bisection there keeps the probe
+                # range small and the top probe feasible, though its ILP
+                # may still exhaust the node budget undecided.  When the
+                # certificate needs more room than the reservation left,
+                # the certificate wins -- the reserve is headroom, the
+                # makespan is evidence.
                 if greedy_makespan > zone_ceiling:
                     obs.counter("core.zones.reserve_relaxed").inc()
                 zone_ceiling = greedy_makespan
             outcome = engine.run_search(
                 zone_index, zone_demands, frame_slots,
-                zone_delay, "binary", zone_ceiling, warm_order=warm_order,
+                zone_delay, "binary", zone_ceiling,
                 node_limit_per_probe=probe_nodes)
             if not outcome.feasible and zone_ceiling < ceiling:
                 # The reservation is headroom, not a certificate -- the
@@ -443,7 +441,7 @@ def zoned_minimum_slots(conflicts: ConflictIndex,
                 obs.counter("core.zones.reserve_relaxed").inc()
                 outcome = engine.run_search(
                     zone_index, zone_demands, frame_slots,
-                    zone_delay, "binary", ceiling, warm_order=warm_order,
+                    zone_delay, "binary", ceiling,
                     node_limit_per_probe=probe_nodes)
             if outcome.ilp is not None:
                 zone_seconds += outcome.ilp.solve_seconds

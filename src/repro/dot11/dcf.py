@@ -309,6 +309,8 @@ class DcfMac(ChannelClient):
         self._current = None
         self._awaiting_ack_for = None
         self._awaiting_cts_for = None
+        # a broadcast's own tx-end edge may have re-armed the countdown
+        self._cancel_countdown()
         if self._cts_timeout_event is not None:
             self._cts_timeout_event.cancel()
             self._cts_timeout_event = None

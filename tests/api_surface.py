@@ -44,7 +44,7 @@ PUBLIC_CLASS_METHODS = {
     "repro.core.minslots.MinSlotResult": [],
     "repro.core.engine.SolverEngine": [
         "__init__", "conflict_index", "interference_index", "zone_index",
-        "solve", "certify_order"],
+        "solve"],
     "repro.core.policy.SolverPolicy": [
         "__init__", "coerce", "resolve_mode"],
 }

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro import obs
 from repro.analysis import experiments as ex
 
 
@@ -129,10 +130,17 @@ def test_e08_shape():
 
 @pytest.mark.slow
 def test_e10_shape():
-    result = ex.e10_solver_scaling(grid_sizes=((2, 2), (3, 3)))
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
+        result = ex.e10_solver_scaling(grid_sizes=((2, 2), (3, 3)))
     assert_well_formed(result)
     small, large = result.rows
     assert large[2] >= small[2]  # variables grow with the mesh
+    # every search closes between the greedy-clique floor and a packing
+    # certificate, so no search pays an ILP probe
+    counters = registry.snapshot()["counters"]
+    assert counters.get("core.minslots.bounds_closed", 0) > 0
+    assert counters.get("core.engine.ilp_probes", 0) == 0
+    assert [row[8] for row in result.rows] == [0, 0]
 
 
 @pytest.mark.slow

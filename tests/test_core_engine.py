@@ -6,7 +6,6 @@ import pytest
 from repro import obs
 from repro.core.conflict import conflict_graph
 from repro.core.engine import (
-    BF_CERTIFIED,
     BOUNDS_CLOSED,
     ConflictIndex,
     SolverEngine,
@@ -165,22 +164,7 @@ def test_default_engine_is_stateless():
     assert engine.stats["problem_hits"] == 0  # nothing retained
 
 
-# -- warm-start certification ----------------------------------------------
-
-
-def test_certify_order_accepts_winning_order_and_rejects_tight_region():
-    topo = chain_topology(6)
-    demands = {link: 1 for link in topo.links}
-    conflicts = conflict_graph(topo, hops=2, links=demands.keys())
-    engine = SolverEngine()
-    search = minimum_slots(conflicts, demands, frame_slots=16, engine=engine)
-    assert search.feasible
-    certified = engine.certify_order(conflicts, demands, 16, search.slots,
-                                     (), search.ilp.order)
-    assert certified is not None
-    assert not certified.violations(conflicts)
-    assert engine.certify_order(conflicts, demands, 16, search.slots - 1,
-                                (), search.ilp.order) is None
+# -- gap searches --------------------------------------------------------
 
 
 def _upstream_gap_instance():
@@ -199,46 +183,28 @@ def _upstream_gap_instance():
     return conflicts, demands, [upstream]
 
 
-def test_bf_certified_sentinel_never_escapes():
-    conflicts, demands, constraints = _upstream_gap_instance()
-    engine = SolverEngine()
-    seed = minimum_slots(conflicts, demands, 16, constraints, engine=engine)
-    assert seed.ilp.solver_status != BOUNDS_CLOSED
-    warmed = minimum_slots(conflicts, demands, 16, constraints,
-                           engine=engine, warm_order=seed.order,
-                           policy=SolverPolicy(search="binary"))
-    assert engine.stats["bf_shortcuts"] > 0
-    assert warmed.ilp.solver_status != BF_CERTIFIED
-    assert warmed.slots == seed.slots
-    assert warmed.schedule.to_dict() == seed.schedule.to_dict()
-
-
-def test_warm_arm_shortcuts_the_probes_of_a_gap_search():
-    """E10's warm/cold arms on a search the bounds leave open.
-
-    Every E10 search closes between the bounds, so its warm arm solves no
-    ILP and certifies nothing; the shortcut is exercised here instead.
-    """
+def test_every_gap_probe_is_an_ilp_and_caching_changes_no_answer():
     conflicts, demands, constraints = _upstream_gap_instance()
     binary = SolverPolicy(search="binary")
-    cold = SolverEngine(warm_start=False, max_indexes=0, max_problems=0)
-    linear = minimum_slots(conflicts, demands, 16, constraints, engine=cold)
+    stateless = SolverEngine(max_indexes=0, max_problems=0)
+    linear = minimum_slots(conflicts, demands, 16, constraints,
+                           engine=stateless)
     bisected = minimum_slots(conflicts, demands, 16, constraints,
-                             engine=cold, policy=binary)
-    warm = SolverEngine()
-    warm_linear = minimum_slots(conflicts, demands, 16, constraints,
-                                engine=warm)
-    warm_bisected = minimum_slots(conflicts, demands, 16, constraints,
-                                  engine=warm, warm_order=warm_linear.order,
-                                  policy=binary)
-    assert warm.stats["bf_shortcuts"] > 0
-    assert warm.stats["ilp_solves"] < cold.stats["ilp_solves"]
-    for cold_result, warm_result in ((linear, warm_linear),
-                                     (bisected, warm_bisected)):
-        assert warm_result.slots == cold_result.slots
-        assert warm_result.probes == cold_result.probes
-        assert (warm_result.schedule.to_dict()
-                == cold_result.schedule.to_dict())
+                             engine=stateless, policy=binary)
+    assert linear.ilp.solver_status != BOUNDS_CLOSED
+    assert bisected.slots == linear.slots
+    assert stateless.stats["ilp_probes"] == (len(linear.probes)
+                                             + len(bisected.probes))
+    cached = SolverEngine()
+    for policy, reference in ((None, linear), (binary, bisected)):
+        for ____ in range(2):  # the second search reads the problem cache
+            result = minimum_slots(conflicts, demands, 16, constraints,
+                                   engine=cached, policy=policy)
+            assert result.slots == reference.slots
+            assert result.probes == reference.probes
+            assert (result.schedule.to_dict()
+                    == reference.schedule.to_dict())
+    assert cached.stats["problem_hits"] > 0
 
 
 def test_descent_closes_a_churn_install_first_fit_misses(registry,

@@ -131,6 +131,26 @@ class TestBroadcast:
         assert trace.count("mac.tx_data") == 1
         assert trace.count("mac.retry") == 0
 
+    def test_finished_broadcast_leaves_no_countdown_armed(self,
+                                                         monkeypatch):
+        # The sender's own tx-end edge reaches it before _broadcast_done
+        # and re-arms the countdown; finishing the frame must cancel it,
+        # so the countdown fires once, for the frame it launches.
+        topo = chain_topology(2)
+        sim, macs, ____, ____ = build_dcf(topo)
+        fired = []
+        countdown_fired = DcfMac._countdown_fired
+
+        def spy(mac):
+            fired.append(mac._current)
+            countdown_fired(mac)
+
+        monkeypatch.setattr(DcfMac, "_countdown_fired", spy)
+        macs[0].send(None, "b", 800)
+        sim.run(until=0.1)
+        assert len(fired) == 1 and fired[0] is not None
+        assert macs[0]._access_event is None
+
 
 class TestRetries:
     def test_unreachable_destination_dropped_after_retry_limit(self):

@@ -1,11 +1,11 @@
-"""Property-based tests: warm-started SolverEngine equivalence.
+"""Property-based tests: cached SolverEngine equivalence.
 
-The engine's load-bearing contract (ISSUE 5): a warm engine -- carried
-orders, Bellman-Ford probe certification, problem caching -- must return
-*bitwise-identical* results to a cold one.  Same minimum slots, same
-probe log (regions and verdicts in order), same schedule table, on
-arbitrary small meshes; and repeated searches through one engine must
-not contaminate each other.
+The engine's load-bearing contract: an engine with warm caches --
+conflict indexes and solved problems -- must return *bitwise-identical*
+results to a cold, stateless one (``max_indexes=0, max_problems=0``).
+Same minimum slots, same probe log (regions and verdicts in order), same
+schedule table, on arbitrary small meshes; and repeated searches through
+one engine must not contaminate each other.
 """
 
 from hypothesis import given, settings
@@ -40,59 +40,41 @@ def scheduling_instances(draw):
     return topology, flows, search
 
 
-def _solve(topology, flows, search, engine, warm_order=None):
+def _solve(topology, flows, search, engine):
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
     conflicts = engine.conflict_index(topology, links=sorted(demands))
     return minimum_slots(conflicts, demands, FRAME.data_slots,
                          delay_constraints=delay_constraints_for(
                              flows, FRAME.frame_duration_s / FRAME.data_slots),
-                         engine=engine, warm_order=warm_order,
+                         engine=engine,
                          policy=SolverPolicy(search=search))
 
 
-def _assert_identical(warm, cold):
-    assert warm.slots == cold.slots
-    assert warm.probes == cold.probes
-    assert warm.lower_bound == cold.lower_bound
-    if cold.schedule is None:
-        assert warm.schedule is None
+def _assert_identical(result, reference):
+    assert result.slots == reference.slots
+    assert result.probes == reference.probes
+    assert result.lower_bound == reference.lower_bound
+    if reference.schedule is None:
+        assert result.schedule is None
     else:
-        assert warm.schedule.to_dict() == cold.schedule.to_dict()
+        assert result.schedule.to_dict() == reference.schedule.to_dict()
 
 
 @given(scheduling_instances())
 @settings(max_examples=15, deadline=None)
 def test_warm_engine_is_bitwise_identical_to_cold(instance):
-    topology, flows, search = instance
-    cold = _solve(topology, flows, search,
-                  SolverEngine(warm_start=False, max_indexes=0,
-                               max_problems=0))
-    warm = _solve(topology, flows, search, SolverEngine())
-    _assert_identical(warm, cold)
+    """A cache-warm engine answers like a stateless one.
 
-
-@given(scheduling_instances())
-@settings(max_examples=15, deadline=None)
-def test_warm_order_seeding_preserves_results(instance):
-    """A caller-supplied warm order changes work done, never answers.
-
-    Seeds the search with the linear winner's order (the repair / E10
-    reuse pattern): every certified probe must report the verdict the
-    cold ILP would have, and the final result must match exactly.
+    The cached engine searches twice, so its second search reads the
+    conflict-index and problem caches the first one filled.
     """
     topology, flows, search = instance
-    cold_engine = SolverEngine(warm_start=False, max_indexes=0,
-                               max_problems=0)
-    cold = _solve(topology, flows, search, cold_engine)
-    seed_search = _solve(topology, flows, "linear", SolverEngine())
-    warm_engine = SolverEngine()
-    warm = _solve(topology, flows, search, warm_engine,
-                  warm_order=seed_search.order)
-    _assert_identical(warm, cold)
-    if seed_search.order is not None and search == "binary":
-        # the seeded search never pays more ILP solves than the cold one
-        assert warm_engine.stats["ilp_probes"] <= len(cold.probes)
+    cold = _solve(topology, flows, search,
+                  SolverEngine(max_indexes=0, max_problems=0))
+    cached = SolverEngine()
+    for ____ in range(2):
+        _assert_identical(_solve(topology, flows, search, cached), cold)
 
 
 @given(scheduling_instances())

@@ -13,8 +13,9 @@ meshes (at most 8 demanded links, frames of at most 16 slots) this checks:
 2. the published schedule is conflict-free, lies inside the first ``K``
    slots of a full-length frame and meets every delay budget, with the
    cyclic delay recomputed here rather than by ``core.delay``;
-3. a cold engine and a warm engine seeded with an arbitrary order return
-   the same ``K``, probe log and schedule.
+3. a stateless engine and a cache-warm one (its second search reads the
+   problem cache the first filled) return the same ``K``, probe log and
+   schedule.
 
 A second section checks the packing certificate against a brute-force
 oracle on instances of at most 6 demanded links in frames of at most 8
@@ -42,7 +43,6 @@ from repro.core.engine import BOUNDS_CLOSED, SolverEngine
 from repro.core.ilp import DelayConstraint, SchedulingProblem
 from repro.core.ilp import solve_schedule_ilp
 from repro.core.minslots import demand_lower_bound, minimum_slots
-from repro.core.ordering import TransmissionOrder
 from repro.core.policy import SolverPolicy
 from repro.net.routing import shortest_path_route
 from repro.net.topology import (
@@ -58,7 +58,7 @@ ORACLE_SLOTS = 8
 
 @st.composite
 def instances(draw):
-    """(conflicts, demands, frame, constraints, search, warm order)."""
+    """(conflicts, demands, frame, constraints, search)."""
     kind = draw(st.sampled_from(["chain", "tree", "disk"]))
     if kind == "chain":
         topology = chain_topology(draw(st.integers(2, 6)))
@@ -88,9 +88,7 @@ def instances(draw):
     hops = draw(st.sampled_from([1, 2]))
     conflicts = conflict_graph(topology, hops=hops, links=sorted(demands))
     search = draw(st.sampled_from(["linear", "binary"]))
-    warm_order = TransmissionOrder.from_ranking(
-        draw(st.permutations(sorted(demands))))
-    return conflicts, demands, frame, constraints, search, warm_order
+    return conflicts, demands, frame, constraints, search
 
 
 def _ilp_feasible(conflicts, demands, frame, constraints, region):
@@ -122,22 +120,23 @@ def _cyclic_delay(schedule, route):
 @given(instances())
 @settings(max_examples=60, deadline=None)
 def test_bounded_search_matches_the_ilp_and_warm_equals_cold(instance):
-    conflicts, demands, frame, constraints, search, warm_order = instance
+    conflicts, demands, frame, constraints, search = instance
     policy = SolverPolicy(mode="exact", search=search)
     cold = minimum_slots(conflicts, demands, frame, constraints,
-                         engine=SolverEngine(warm_start=False),
-                         policy=policy)
-    warm = minimum_slots(conflicts, demands, frame, constraints,
-                         engine=SolverEngine(), warm_order=warm_order,
+                         engine=SolverEngine(max_indexes=0, max_problems=0),
                          policy=policy)
 
-    # (3) warm == cold
-    assert warm.slots == cold.slots
-    assert warm.probes == cold.probes
-    if cold.schedule is None:
-        assert warm.schedule is None
-    else:
-        assert warm.schedule.to_dict() == cold.schedule.to_dict()
+    # (3) cache-warm == stateless
+    engine = SolverEngine()
+    for ____ in range(2):
+        warm = minimum_slots(conflicts, demands, frame, constraints,
+                             engine=engine, policy=policy)
+        assert warm.slots == cold.slots
+        assert warm.probes == cold.probes
+        if cold.schedule is None:
+            assert warm.schedule is None
+        else:
+            assert warm.schedule.to_dict() == cold.schedule.to_dict()
 
     if not cold.feasible:
         assert cold.lower_bound > frame or not _ilp_feasible(
@@ -271,7 +270,7 @@ def test_packing_certificate_agrees_with_a_brute_force_oracle(instance):
     floor = max(demand_lower_bound(demands),
                 _greedy_clique_demand(conflicts, demands, frame))
     registry = obs.MetricsRegistry()
-    engine = SolverEngine(warm_start=False)
+    engine = SolverEngine()
     with obs.use_registry(registry):
         result = minimum_slots(conflicts, demands, frame, constraints,
                                engine=engine,

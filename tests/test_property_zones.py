@@ -105,8 +105,7 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
     index, demands, constraints = _problem(topology, flows, engine)
 
     # The pre-policy path, verbatim: run_search on a fresh cold engine.
-    reference_engine = SolverEngine(warm_start=False, max_indexes=0,
-                                    max_problems=0)
+    reference_engine = SolverEngine(max_indexes=0, max_problems=0)
     reference = reference_engine.run_search(
         index, demands, FRAME.data_slots, tuple(constraints),
         "linear", FRAME.data_slots)
