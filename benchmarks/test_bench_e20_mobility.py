@@ -3,10 +3,7 @@
 Expected shape: at every swept node speed the live schedule stays
 S8-conflict-free and every carried flow inside its delay budget -- the
 paper's guarantee claim extended to time-varying topologies.  Gateway
-re-selection climbs steeply with speed.  The incremental-index arm
-(``SolverEngine(delta_updates=True)``) must agree with the
-rebuild-always arm step for step while performing strictly fewer full
-conflict-index builds whenever the mesh actually churns.
+re-selection climbs steeply with speed.
 """
 
 from conftest import run_experiment
@@ -19,12 +16,9 @@ def test_bench_e20_mobility(benchmark):
     assert any(row[0] >= 10.0 for row in result.rows), \
         "the sweep reaches vehicular speeds"
     for (speed, batches, events, local, resolve, ____, reselect,
-         goodput, conflict_ok, guarantee_ok, builds_delta, delta_updates,
-         builds_rebuild, arms_identical) in result.rows:
+         goodput, conflict_ok, guarantee_ok, index_builds) in result.rows:
         assert conflict_ok and guarantee_ok, \
             f"schedule validity must survive mobility at {speed} m/s"
-        assert arms_identical, \
-            "delta-updated and rebuilt indexes must drive identical runs"
         assert 0.0 <= goodput <= 1.0
         if speed == 0.0:
             assert batches == 0 and reselect == 0, \
@@ -34,11 +28,6 @@ def test_bench_e20_mobility(benchmark):
             f"motion at {speed} m/s must churn the topology"
         assert local + resolve == batches, \
             "every churn batch is answered by a repair strategy"
-        if speed >= 10.0:
-            assert delta_updates > 0, \
-                f"delta updates must fire under churn at {speed} m/s"
-            assert builds_delta < builds_rebuild, \
-                "the delta arm must avoid rebuilds the baseline pays for"
     speeds = [row[0] for row in result.rows]
     resel = {row[0]: row[6] for row in result.rows}
     assert resel[max(speeds)] > resel[min(speeds)], \

@@ -1312,23 +1312,16 @@ def e20_mobility(speeds: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0),
     :class:`~repro.core.repair.RepairEngine` retarget per ``dt_s``
     sample batch.  Two gateway-bound flows ride the mesh from the
     farthest union nodes -- deliberately the flakiest vantage points.
-
-    Every speed runs **two arms** over identical streams: the *delta*
-    arm answers conflict-index misses incrementally
-    (``SolverEngine(delta_updates=True)``,
-    :func:`~repro.core.engine.updated_conflict_edges`) and the *rebuild*
-    arm always rebuilds.  The arms must agree step-for-step
-    (``arms_identical``) while the delta arm performs strictly fewer
-    full index builds -- the equivalence-plus-savings claim, asserted
-    per-row by the benchmark.
+    Every speed runs on a fresh :class:`SolverEngine`; ``index_builds``
+    counts the conflict indexes it built (every cache miss is one build).
 
     Expected shape: schedules stay S8-conflict-free and inside delay
     budgets at *every* speed (``conflict_ok``/``guarantee_ok``); the
     gateway re-selection rate climbs steeply with speed; goodput is
     ragged rather than monotone because it is dominated by how long the
-    far flows' endpoints stay attached, not by repair latency; and the
-    delta arm's build savings shrink as speed grows (faster motion
-    dirties a larger fraction of the mesh per tick).
+    far flows' endpoints stay attached, not by repair latency; and
+    ``index_builds`` grows with speed (faster motion changes the mesh
+    on more ticks).
     """
     from repro.mobility import (
         RadioRangeModel,
@@ -1345,8 +1338,7 @@ def e20_mobility(speeds: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0),
         "waypoint)",
         ["speed_mps", "batches", "events", "local", "resolve",
          "repair_frames", "reselect", "goodput", "conflict_ok",
-         "guarantee_ok", "builds_delta", "delta_updates",
-         "builds_rebuild", "arms_identical"])
+         "guarantee_ok", "index_builds"])
     for speed in speeds:
         motion = RandomWaypointModel(num_nodes, area_m, speed, horizon_s,
                                      seed=seed)
@@ -1364,28 +1356,19 @@ def e20_mobility(speeds: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0),
         flows = [Flow(f"mob{i}", src, gateway, rate_bps=80_000,
                       delay_budget_s=0.3)
                  for i, src in enumerate(sources)]
-        runs = {}
-        for delta_arm in (True, False):
-            engine = SolverEngine(delta_updates=delta_arm)
-            runs[delta_arm] = run_mobility(
-                stream, flows, frame, gateway=gateway,
-                gateways=(gateway, second_gateway), engine=engine)
-        delta_run, rebuild_run = runs[True], runs[False]
+        run = run_mobility(stream, flows, frame, gateway=gateway,
+                           gateways=(gateway, second_gateway),
+                           engine=SolverEngine())
         result.rows.append([
-            speed, len(delta_run.steps),
-            sum(s.events for s in delta_run.steps),
-            delta_run.local, delta_run.resolve,
-            delta_run.mean_repair_frames, delta_run.reselections,
-            round(delta_run.goodput_fraction, 4),
-            delta_run.conflict_ok, delta_run.guarantee_ok,
-            delta_run.engine_stats["index_builds"],
-            delta_run.engine_stats["delta_updates"],
-            rebuild_run.engine_stats["index_builds"],
-            delta_run.steps == rebuild_run.steps])
-    result.notes = ("both arms replay identical streams; goodput charges "
-                    "parked time and convergence windows against a 20 ms "
-                    "packet cadence, so it tracks endpoint attachment of "
-                    "the far flows rather than repair latency")
+            speed, len(run.steps), sum(s.events for s in run.steps),
+            run.local, run.resolve, run.mean_repair_frames,
+            run.reselections, round(run.goodput_fraction, 4),
+            run.conflict_ok, run.guarantee_ok,
+            run.engine_stats["index_builds"]])
+    result.notes = ("goodput charges parked time and convergence windows "
+                    "against a 20 ms packet cadence, so it tracks endpoint "
+                    "attachment of the far flows rather than repair "
+                    "latency")
     return result
 
 

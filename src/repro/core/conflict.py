@@ -16,9 +16,9 @@ Larger ``k`` models wider interference ranges (e.g. carrier sense ranges
 exceeding communication range).
 
 Every relation -- k-hop, the channel's exact interference rule
-(:mod:`repro.phy.interference`), the SINR model, the engine's delta
-updates and zone subindexes -- is a :class:`ConflictIndex`: sorted link
-rows over the canonical link order.  Every solver layer reads it; its
+(:mod:`repro.phy.interference`), the SINR model and the engine's zone
+subindexes -- is a :class:`ConflictIndex`: sorted link rows over the
+canonical link order.  Every solver layer reads it; its
 :attr:`~ConflictIndex.graph` is a one-way :mod:`networkx` export.  The
 row builder takes two node sets per link (:data:`_NearSets`) and scans an
 incidence map for them (:func:`_conflict_rows`).
@@ -55,24 +55,16 @@ class ConflictIndex:
 
     :attr:`key` names the relation in the engine's caches: the engine's
     cache key for indexes it built, else ``adhoc/<fingerprint>``, derived
-    from the content.  Protocol-model indexes built through
-    :meth:`~repro.core.engine.SolverEngine.conflict_index` additionally
-    carry a snapshot of the topology they were computed from
-    (:attr:`topo_nodes` / :attr:`topo_edges`, undirected sorted pairs),
-    which is what lets a later request be answered by a *delta update*
-    (:func:`~repro.core.engine.updated_conflict_edges`).
+    from the content.
     """
 
     __slots__ = ("_key", "hops", "links", "indptr", "indices", "_rows",
-                 "_positions", "_fingerprint", "_graph",
-                 "topo_nodes", "topo_edges")
+                 "_positions", "_fingerprint", "_graph")
 
     def __init__(self, links: Sequence[Link], rows: list[list[int]],
                  hops: Optional[int] = None) -> None:
         self._key: Optional[str] = None
         self.hops = hops
-        self.topo_nodes: Optional[frozenset[int]] = None
-        self.topo_edges: Optional[frozenset[tuple[int, int]]] = None
         self.links: tuple[Link, ...] = tuple(links)
         self._positions = {link: i for i, link in enumerate(self.links)}
         self._rows = rows
@@ -91,13 +83,9 @@ class ConflictIndex:
                                   for other in graph.neighbors(link))
                            for link in links])
 
-    def _attach(self, key: str,
-                topo_nodes: Optional[frozenset[int]] = None,
-                topo_edges: Optional[frozenset[tuple[int, int]]] = None
-                ) -> "ConflictIndex":
+    def _attach(self, key: str) -> "ConflictIndex":
         """Name a freshly built index after its engine cache entry."""
         self._key = key
-        self.topo_nodes, self.topo_edges = topo_nodes, topo_edges
         return self
 
     @property
@@ -270,22 +258,21 @@ def _khop_near_sets(topology: MeshTopology, hops: int) -> _NearSets:
     return near
 
 
-def _conflict_rows(link_list: Sequence[Link], near: _NearSets,
-                   rows: Optional[Iterable[Link]] = None
+def _conflict_rows(link_list: Sequence[Link], near: _NearSets
                    ) -> Iterator[tuple[Link, set[Link]]]:
     """The relation over ``link_list``, one ``(a, partners)`` row at a time.
 
-    Rows come for every link of ``link_list`` (or of ``rows``, a subset)
-    in sorted order; ``partners`` is the set of links conflicting with
-    ``a``.  Candidates come from a node -> links incidence map, so the
-    work is proportional to the output.
+    Rows come for every link of ``link_list``, in its order; ``partners``
+    is the set of links conflicting with ``a``.  Candidates come from a
+    node -> links incidence map, so the work is proportional to the
+    output.
     """
     out_links: dict[int, list[Link]] = {}
     in_links: dict[int, list[Link]] = {}
     for link in link_list:
         out_links.setdefault(link[0], []).append(link)
         in_links.setdefault(link[1], []).append(link)
-    for a in link_list if rows is None else sorted(rows):
+    for a in link_list:
         out_near, in_near = near(a)
         partners: set[Link] = set()
         for node in out_near:

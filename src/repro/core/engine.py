@@ -14,12 +14,8 @@ cold solve:
    share one build per scenario instead of each building it again.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
-   that the distributed DSCH handshake packs against.  Cache *misses* on
-   a churning topology are answered incrementally where possible: the
-   request is diffed against the last index of the same hops value and
-   only the dirty rows go back through the conflict-relation builder
-   (:func:`updated_conflict_edges`) -- ``core.engine.delta_updates`` vs
-   ``core.engine.index_builds`` count the rebuilds avoided.
+   that the distributed DSCH handshake packs against.  Every cache miss
+   is one build -- ``core.engine.index_builds`` counts them.
 
 2. **Bounds-first probe search.**  Each
    :func:`~repro.core.minslots.minimum_slots` search first tries to close
@@ -52,7 +48,6 @@ the same ``K``, probe log and schedule.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
@@ -61,10 +56,7 @@ from typing import Mapping, Optional, Sequence
 from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
-    _conflict_rows,
     _greedy_clique_demand,
-    _khop_near_sets,
-    _resolve_links,
     conflict_graph,
 )
 from repro.core.delay import path_delay_slots
@@ -86,7 +78,7 @@ from repro.errors import (
     InfeasibleScheduleError,
     SolverError,
 )
-from repro.net.topology import Link, MeshTopology, hop_depths
+from repro.net.topology import Link, MeshTopology
 
 #: Solver status of a search decided with no ILP: a packing certificate
 #: met the greedy-clique floor.  Such a result is published as is
@@ -186,67 +178,8 @@ def canonical_problem_key(problem: SchedulingProblem,
     return digest.hexdigest()[:24]
 
 
-def updated_conflict_edges(old: ConflictIndex, topology: MeshTopology,
-                           hops: int, link_list: Sequence[Link],
-                           snapshot: tuple[frozenset[int],
-                                           frozenset[tuple[int, int]]]
-                           ) -> Optional[list[list[int]]]:
-    """Conflict rows for ``(topology, link_list)``, delta-updated.
-
-    Diffs the request against the ``old`` index's stored topology
-    snapshot and link set, identifies the *dirty* links -- added links
-    plus links whose endpoints' ``hops - 1`` reach sets may have changed
-    -- and rebuilds only those rows, through the same conflict-relation
-    builder as a cold build (:mod:`repro.core.conflict`).  Conflict
-    rows between clean links are provably unchanged: under the protocol
-    model, ``conflict(a, b)`` depends only on ``a``'s endpoint reach
-    sets and ``b``'s endpoint identities, so an untouched reach set
-    means an untouched row, up to the dirty partners that the (symmetric)
-    rebuilt rows name.  ``snapshot`` is ``topology``'s nodes and
-    undirected sorted edges, the form :attr:`ConflictIndex.topo_edges` has.
-
-    Returns one sorted position list per link of ``link_list`` -- a cold
-    build's rows, property-tested in ``tests/test_property_mobility.py``
-    -- or ``None`` when the delta cannot be applied (the old index has no
-    snapshot, or its hops differ) or would not pay (more than half the
-    links are dirty -- a rebuild is no slower then).
-    """
-    if old.topo_edges is None or old.topo_nodes is None or old.hops != hops:
-        return None
-    new_nodes, new_edges = snapshot
-    seeds: set[int] = set(old.topo_nodes ^ new_nodes)
-    for u, v in old.topo_edges ^ new_edges:
-        seeds.add(u)
-        seeds.add(v)
-    old_set = set(old.links)
-    new_set = set(link_list)
-    if seeds:
-        old_adj: dict[int, list[int]] = {}
-        for u, v in old.topo_edges:
-            old_adj.setdefault(u, []).append(v)
-            old_adj.setdefault(v, []).append(u)
-        dirty_nodes = (hop_depths(old_adj, seeds, hops - 1).keys()
-                       | hop_depths(topology.rows, seeds, hops - 1).keys())
-    else:
-        dirty_nodes = set()
-    dirty = {link for link in new_set
-             if link not in old_set
-             or link[0] in dirty_nodes or link[1] in dirty_nodes}
-    if 2 * len(dirty) > len(new_set):
-        return None
-    clean = new_set - dirty
-    position = {link: i for i, link in enumerate(link_list)}
-    # old and new positions both follow link order: clean rows stay sorted
-    rows = [[] if link in dirty else
-            [position[b] for b in old.neighbors(link) if b in clean]
-            for link in link_list]
-    for a, partners in _conflict_rows(link_list,
-                                      _khop_near_sets(topology, hops),
-                                      rows=dirty):
-        rows[position[a]] = sorted(position[b] for b in partners)
-        for b in partners & clean:
-            bisect.insort(rows[position[b]], position[a])
-    return rows
+# Nothing calls this: perfbench/tracer.py still wraps the name.
+updated_conflict_edges = None
 
 
 class SolverEngine:
@@ -259,18 +192,7 @@ class SolverEngine:
         ``0`` disables a cache entirely -- the configuration of the
         module-level :func:`default_engine`, which must stay stateless so
         the deterministic-observability contract holds for the bare public
-        functions.
-    delta_updates:
-        When a :meth:`conflict_index` request misses the cache but a
-        previously-built index for the same ``hops`` exists, diff the two
-        and rebuild only the dirty rows instead of the whole conflict
-        relation (:func:`updated_conflict_edges`).  The
-        resulting index is semantically identical to a rebuild;
-        ``stats["delta_updates"]`` / the ``core.engine.delta_updates``
-        counter record the rebuilds avoided.  Requires ``max_indexes > 0``
-        (the stateless default engine never delta-updates).  ``False``
-        gives the rebuild-always reference behaviour -- the baseline arm
-        of experiment E20.
+        functions.  Each must be a non-bool ``int`` ``>= 0``.
     policy:
         The engine's default :class:`~repro.core.policy.SolverPolicy`
         (also accepts a mode string or ``None`` for the default
@@ -279,38 +201,30 @@ class SolverEngine:
     """
 
     def __init__(self, max_indexes: int = 32, max_problems: int = 128,
-                 delta_updates: bool = True,
                  policy: "SolverPolicy | str | None" = None) -> None:
-        if max_indexes < 0 or max_problems < 0:
-            raise ConfigurationError("cache sizes must be non-negative")
+        for name, size in (("max_indexes", max_indexes),
+                           ("max_problems", max_problems)):
+            if (not isinstance(size, int) or isinstance(size, bool)
+                    or size < 0):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 0, got {size!r}")
         self.max_indexes = max_indexes
         self.max_problems = max_problems
-        self.delta_updates = delta_updates
         self.policy = SolverPolicy.coerce(policy)
         self._indexes: OrderedDict[tuple, ConflictIndex] = OrderedDict()
         #: Zone-subproblem indexes live in their own LRU: a city-scale
         #: zoned solve requests dozens of small subindexes per search, and
         #: routing them through ``_indexes`` would evict the full-mesh
-        #: index that repair and validation share (and poison the
-        #: ``_delta_bases`` lineage).  Keyed by (base fingerprint, zone
-        #: fingerprint) so identical zones of identical meshes hit.
+        #: index that repair and validation share.  Keyed by (base
+        #: fingerprint, zone fingerprint) so identical zones of identical
+        #: meshes hit.
         self._zone_indexes: OrderedDict[tuple, ConflictIndex] = OrderedDict()
         self._problems: OrderedDict[str, ILPResult] = OrderedDict()
-        #: most recently used protocol-model index per (hops, full-links?)
-        #: lineage: the base the next cache miss is diffed against.  Churny
-        #: workloads mutate one topology a little at a time, so the last
-        #: index is almost always the cheapest base -- but whole-topology
-        #: requests and explicit-subset requests (e.g. a repair engine's
-        #: demand links) interleave, and diffing one against the other
-        #: marks every link dirty.  Keeping one lineage per kind keeps
-        #: both diffs small.
-        self._delta_bases: dict[tuple[int, bool], ConflictIndex] = {}
         #: actual-work accounting (plain ints, independent of :mod:`repro.obs`):
         #: cache effectiveness is a property of this engine's lifetime, not
         #: of the workload, so it lives here rather than in the registry.
         self.stats = {
             "index_builds": 0, "index_hits": 0,
-            "delta_updates": 0,
             "zone_index_builds": 0, "zone_index_hits": 0,
             "ilp_solves": 0, "problem_hits": 0,
             "ilp_probes": 0,
@@ -327,20 +241,12 @@ class SolverEngine:
         :class:`~repro.phy.models.InterferenceModel` to build with
         (``None``: ``ProtocolModel(hops=2)``).  A
         :class:`~repro.phy.models.ProtocolModel` is keyed by its bare
-        hops int, joins the delta lineage of that hops value and builds
-        the rows of :func:`~repro.core.conflict.conflict_graph` --
-        bitwise identical.  Other models (e.g.
-        :class:`~repro.phy.models.SinrModel`) are keyed by their
-        :meth:`~repro.phy.models.InterferenceModel.cache_token` (which
-        folds in positions and parameters -- the topology fingerprint
-        covers connectivity only) and always build through the model;
-        they never join the protocol delta lineage.
-
-        Protocol-path misses are answered by the cheapest correct path:
-        an incremental delta update against the last index of the same
-        hops value when the diff is small (see ``delta_updates``), a full
-        build otherwise.  Either way the result is identical and lands
-        in the same LRU.
+        hops int and a miss builds
+        :func:`~repro.core.conflict.conflict_graph` -- bitwise identical.
+        Other models (e.g. :class:`~repro.phy.models.SinrModel`) are keyed
+        by their :meth:`~repro.phy.models.InterferenceModel.cache_token`
+        (which folds in positions and parameters -- the topology
+        fingerprint covers connectivity only) and build through the model.
         """
         from repro.phy.models import ProtocolModel, coerce_interference
 
@@ -349,30 +255,15 @@ class SolverEngine:
             return self._model_index(model, topology, links)
         hops = model.hops
         link_key = None if links is None else tuple(sorted(set(links)))
-        lineage = (hops, link_key is None)
 
-        def build(name: str) -> tuple[str, ConflictIndex]:
-            snapshot = (frozenset(topology.rows),
-                        frozenset(topology.edges))
-            base = (self._delta_bases.get(lineage)
-                    if self.delta_updates and self.max_indexes > 0 else None)
-            rows = None
-            if base is not None:
-                link_list = _resolve_links(topology, link_key)
-                rows = updated_conflict_edges(base, topology, hops,
-                                              link_list, snapshot)
-            if rows is None:
-                stat = "index_builds"
-                index = conflict_graph(topology, hops=hops, links=link_key)
-            else:
-                stat = "delta_updates"
-                index = ConflictIndex(link_list, rows, hops)
+        def build(name: str) -> ConflictIndex:
+            index = conflict_graph(topology, hops=hops, links=link_key)
             obs.counter("core.interference.protocol_edges").inc(
                 index.num_conflicts)
-            return stat, index._attach(name, *snapshot)
+            return index._attach(name)
 
         key = ("conflict", topology_fingerprint(topology), hops, link_key)
-        return self._index_for(key, build, lineage)
+        return self._index_for(key, build)
 
     def _model_index(self, model, topology: MeshTopology,
                      links: Optional[Sequence[Link]]) -> ConflictIndex:
@@ -380,21 +271,19 @@ class SolverEngine:
 
         Keyed by the model's content token next to the connectivity
         fingerprint; built through the model, cached in the same LRU as
-        protocol indexes but kept out of the delta lineage (there is no
-        delta rule for SINR conflicts -- a position change can touch any
-        pair).  ``index.hops`` is ``None``, like the exact interference
-        relation's.
+        protocol indexes.  ``index.hops`` is ``None``, like the exact
+        interference relation's.
         """
         link_key = None if links is None else tuple(sorted(set(links)))
         key = ("conflict", topology_fingerprint(topology),
                model.cache_token(topology), link_key)
 
-        def build(name: str) -> tuple[str, ConflictIndex]:
+        def build(name: str) -> ConflictIndex:
             index = model.conflict_graph(
                 topology, links=None if link_key is None else list(link_key))
             obs.counter(f"core.interference.{model.kind}_edges").inc(
                 index.num_conflicts)
-            return "index_builds", index._attach(name)
+            return index._attach(name)
 
         return self._index_for(key, build)
 
@@ -449,34 +338,28 @@ class SolverEngine:
         from repro.phy.interference import interference_graph
 
         key = ("interference", topology_fingerprint(topology))
-        return self._index_for(key, lambda name: (
-            "index_builds", interference_graph(topology)._attach(name)))
+        return self._index_for(
+            key, lambda name: interference_graph(topology)._attach(name))
 
-    def _index_for(self, key: tuple, build,
-                   lineage: Optional[tuple[int, bool]] = None
-                   ) -> ConflictIndex:
+    def _index_for(self, key: tuple, build) -> ConflictIndex:
         """The one LRU path of the main index cache.
 
         Returns the cached index for ``key``, or caches ``build(name)``'s
-        index -- ``build`` returns ``(stats entry to count, index)`` and
-        names the index after ``key``.  A ``lineage`` index becomes the
-        base of that protocol delta lineage.
+        index -- ``build`` names the index after ``key``.
         """
         index = self._indexes.get(key)
         if index is not None:
             self._indexes.move_to_end(key)
             self.stats["index_hits"] += 1
             obs.counter("core.engine.index_hits").inc()
-        else:
-            stat, index = build("/".join(map(repr, key)))
-            self.stats[stat] += 1
-            obs.counter(f"core.engine.{stat}").inc()
-            if self.max_indexes > 0:
-                self._indexes[key] = index
-                while len(self._indexes) > self.max_indexes:
-                    self._indexes.popitem(last=False)
-        if lineage is not None and self.max_indexes > 0:
-            self._delta_bases[lineage] = index
+            return index
+        index = build("/".join(map(repr, key)))
+        self.stats["index_builds"] += 1
+        obs.counter("core.engine.index_builds").inc()
+        if self.max_indexes > 0:
+            self._indexes[key] = index
+            while len(self._indexes) > self.max_indexes:
+                self._indexes.popitem(last=False)
         return index
 
     # -- cached ILP layer -----------------------------------------------------

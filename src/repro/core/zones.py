@@ -57,7 +57,7 @@ asymptotic speedup.
 Both arms run through the owning :class:`~repro.core.engine.SolverEngine`
 -- zone subproblems hit the engine's problem cache and the dedicated
 zone-index LRU (:meth:`~repro.core.engine.SolverEngine.zone_index`), so
-delta updates and problem hashing keep working unchanged.
+index caching and problem hashing keep working unchanged.
 """
 
 from __future__ import annotations

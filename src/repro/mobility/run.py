@@ -122,8 +122,8 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     ``gateways`` is the candidate set for nearest-gateway selection
     (default: just the anchor, under which re-selection is trivially 0).
     ``engine`` shares a :class:`SolverEngine` across runs -- E20 passes
-    one per arm so the ``core.engine.delta_updates`` /
-    ``index_builds`` counters isolate the incremental-index effect.
+    a fresh one per speed, so its ``index_builds`` count covers that
+    run alone.
     ``packet_interval_s`` converts convergence windows and parked time
     into lost packets (default 20 ms, the G.729 VoIP cadence).
     ``interference=`` is the

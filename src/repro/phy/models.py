@@ -14,8 +14,8 @@ Two backends ship:
 - :class:`ProtocolModel` -- the k-hop protocol model of
   :func:`repro.core.conflict.conflict_graph`, **bitwise-identical** to
   that row builder: its :meth:`~ProtocolModel.cache_token` is the bare
-  hops integer, so engine cache keys, delta-update lineages and canonical
-  problem hashes are those of a direct build (property-tested in
+  hops integer, so engine cache keys and canonical problem hashes are
+  those of a direct build (property-tested in
   ``tests/test_property_interference.py``).
 - :class:`SinrModel` -- physical-model interference from node positions:
   a log-distance :class:`PathLossModel` maps TX power to a pairwise RSS

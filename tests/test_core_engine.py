@@ -134,6 +134,13 @@ def test_index_cache_hits_and_lru_eviction(registry):
     assert snap["counters"]["core.engine.index_hits"] == 1
 
 
+@pytest.mark.parametrize("field", ["max_indexes", "max_problems"])
+@pytest.mark.parametrize("size", [-1, float("nan"), 2.5, True, "3", None])
+def test_cache_sizes_must_be_non_bool_non_negative_ints(field, size):
+    with pytest.raises(ConfigurationError, match=field):
+        SolverEngine(**{field: size})
+
+
 def test_problem_cache_returns_equal_but_independent_results(registry):
     topo = chain_topology(5)
     demands = _demands(topo)
@@ -336,7 +343,7 @@ def test_scenario_shares_engine_across_properties():
     assert scenario.engine.stats["index_hits"] >= 2
 
 
-# -- delta updates and in-place mutation ------------------------------------
+# -- in-place mutation -----------------------------------------------------
 
 
 def test_fingerprint_invalidated_by_in_place_mutation():
@@ -368,62 +375,6 @@ def test_engine_never_serves_a_stale_index_after_mutation(registry):
     expected = conflict_graph(topology, hops=2)
     assert set(map(frozenset, fresh.graph.edges)) == \
         set(map(frozenset, expected.graph.edges))
-
-
-def test_delta_update_matches_cold_rebuild_bitwise(registry):
-    import numpy as np
-
-    topology = grid_topology(4, 5)
-    engine = SolverEngine()
-    engine.conflict_index(topology)
-    topology.apply_edge_changes(remove=[(0, 1)])
-    delta_idx = engine.conflict_index(topology)
-    assert engine.stats["delta_updates"] == 1
-    assert engine.stats["index_builds"] == 1
-    cold = SolverEngine().conflict_index(topology)
-    assert list(delta_idx.graph.nodes) == list(cold.graph.nodes)
-    assert list(delta_idx.graph.edges) == list(cold.graph.edges)
-    assert np.array_equal(delta_idx.indptr, cold.indptr)
-    assert np.array_equal(delta_idx.indices, cold.indices)
-    snap = registry.snapshot()
-    assert snap["counters"]["core.engine.delta_updates"] == 1
-
-
-def test_delta_updates_can_be_disabled():
-    topology = grid_topology(4, 5)
-    engine = SolverEngine(delta_updates=False)
-    engine.conflict_index(topology)
-    topology.apply_edge_changes(remove=[(0, 1)])
-    engine.conflict_index(topology)
-    assert engine.stats["delta_updates"] == 0
-    assert engine.stats["index_builds"] == 2
-
-
-def test_delta_bases_keep_subset_and_full_lineages_apart():
-    # repair asks for demand-link subsets while validation asks for the
-    # whole topology; interleaving the two must not poison either
-    # lineage's delta base
-    topology = grid_topology(4, 5)
-    engine = SolverEngine()
-    engine.conflict_index(topology)
-    subset = sorted(tuple(sorted(l)) for l in topology.graph.edges)[:6]
-    engine.conflict_index(topology, links=subset)
-    topology.apply_edge_changes(remove=[(0, 1)])
-    before = engine.stats["delta_updates"]
-    engine.conflict_index(topology)
-    assert engine.stats["delta_updates"] == before + 1
-
-
-def test_delta_rejected_when_most_links_are_dirty():
-    # a chain is so small that any edge change dirties over half the
-    # links; the engine must fall back to a full rebuild
-    topology = chain_topology(5)
-    engine = SolverEngine()
-    engine.conflict_index(topology)
-    topology.apply_edge_changes(add=[(0, 2)])
-    engine.conflict_index(topology)
-    assert engine.stats["delta_updates"] == 0
-    assert engine.stats["index_builds"] == 2
 
 
 @pytest.mark.parametrize("topology, hops, links", [

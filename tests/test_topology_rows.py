@@ -155,7 +155,6 @@ def test_mesh_churn_replay_builds_no_survivor_export():
         result = run_mobility(stream, flows, gateways=(0, second_gateway))
     # the replay repaired on survivors and indexed them
     assert result.local + result.resolve > 0
-    assert (result.engine_stats["index_builds"]
-            + result.engine_stats["delta_updates"]) > 1
+    assert result.engine_stats["index_builds"] > 1
     assert result.conflict_ok and result.guarantee_ok
     assert built == []
