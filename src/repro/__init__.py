@@ -57,18 +57,15 @@ from repro.core import (
     SolverEngine,
     SolverPolicy,
     TransmissionOrder,
-    ZonePartition,
     conflict_graph,
     greedy_minimum_slots,
     greedy_schedule,
     min_delay_tree_order,
     minimum_slots,
-    partition_zones,
     path_delay_slots,
     path_wraps,
     schedule_from_order,
     solve_schedule_ilp,
-    zoned_minimum_slots,
 )
 from repro.core.ilp import DelayConstraint
 from repro.errors import (
@@ -179,7 +176,6 @@ __all__ = [
     "TrafficContract",
     "TransmissionOrder",
     "VoipCodec",
-    "ZonePartition",
     "chain_topology",
     "conflict_graph",
     "default_frame_config",
@@ -190,7 +186,6 @@ __all__ = [
     "make_scheduler",
     "min_delay_tree_order",
     "minimum_slots",
-    "partition_zones",
     "path_delay_slots",
     "path_wraps",
     "random_disk_topology",

@@ -23,9 +23,10 @@ from repro.analysis.scenarios import (
     run_tdma_scenario,
     schedule_for_flows,
 )
+from repro.core.conflict import _greedy_clique_demand
 from repro.core.delay import path_delay_slots, path_wraps
-from repro.core.engine import SolverEngine
-from repro.core.greedy import greedy_schedule
+from repro.core.engine import BOUNDS_CLOSED, SolverEngine
+from repro.core.greedy import greedy_minimum_slots, greedy_schedule
 from repro.core.guarantees import check_guarantees
 from repro.core.repair import RepairEngine
 from repro.faults import FaultInjector, FaultPlan
@@ -37,7 +38,6 @@ from repro.core.ilp import (
 from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.ordering import schedule_from_order
 from repro.core.policy import SolverPolicy
-from repro.core.zones import greedy_minimum_slots, zoned_minimum_slots
 from repro.core.tree_order import (
     adversarial_tree_order,
     min_delay_tree_order,
@@ -1373,7 +1373,7 @@ def e20_mobility(speeds: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0),
 
 
 # ---------------------------------------------------------------------------
-# E21: city-scale zoned scheduling
+# E21: city-scale minimum-slot search
 # ---------------------------------------------------------------------------
 
 def _e21_instance(num_nodes: int, num_flows: int, seed: int,
@@ -1450,68 +1450,59 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
                                                           (240, 180),
                                                           (480, 400),
                                                           (1000, 1500)),
-                      seed: int = 29,
-                      exact_link_cap: int = 120,
-                      max_zone_links: int = 32) -> ExperimentResult:
-    """Zoned/greedy solver arms vs the exact ILP on city-scale meshes.
+                      seed: int = 29) -> ExperimentResult:
+    """Minimum-slot searches on city-scale meshes, against the raw greedy arm.
 
-    Expected shape: the exact ILP stops being runnable past a few
-    hundred demanded links (``dnf-size`` beyond ``exact_link_cap``,
-    chosen so the tractable rows stay minutes, not hours); the zoned
-    and greedy arms keep solving through the largest mesh in seconds to
-    a few minutes, with optimality gap <= 10% against the exact optimum
-    where one exists and a bounded factor over the clique lower bound
-    everywhere.  Every emitted schedule is validated conflict-free
-    against the full conflict graph (S8) and every flow's deterministic
-    delay bound is checked against its budget (S30).
+    Each mesh is solved by :func:`~repro.core.minslots.minimum_slots`
+    under the default ``"auto"`` policy.  Expected shape: every row is
+    ``bounds-closed`` -- a packing certificate meets the greedy-clique
+    ``floor``, so ``slots`` is the proven optimum with no ILP -- up to
+    thousands of demanded links.  The raw
+    :func:`~repro.core.greedy.greedy_minimum_slots` arm (no bounds) is
+    measured against that optimum.  Every emitted schedule is validated
+    conflict-free against the full conflict graph (S8) and every flow's
+    deterministic delay bound is checked against its budget (S30).
 
-    The three wall-clock columns come last so the deterministic prefix
-    of each row is directly comparable between serial and sharded runs
-    (the E21 CI smoke diffs exactly that prefix).
+    The two wall-clock columns come last so the deterministic prefix of
+    each row is directly comparable between serial and sharded runs (the
+    E21 CI smoke diffs exactly that prefix).
     """
     import time as time_mod
 
     result = ExperimentResult(
-        "E21", "city-scale zoned scheduling (random disk, local flows)",
-        ["nodes", "flows", "links", "conflicts", "lower",
-         "exact_slots", "zoned_slots", "greedy_slots", "zones",
-         "zoned_gap_pct", "greedy_gap_pct", "s8_ok", "s30_ok",
-         "exact_status", "exact_s", "zoned_s", "greedy_s"])
+        "E21", "city-scale minimum-slot search (random disk, local flows)",
+        ["nodes", "flows", "links", "conflicts", "lower", "floor",
+         "slots", "status", "greedy_slots", "greedy_gap_pct", "s8_ok",
+         "s30_ok", "solve_s", "greedy_s"])
     for num_nodes, num_flows in sizes:
         engine = SolverEngine()
         topology, flows, frame, index, demands, lower = _e21_instance(
             num_nodes, num_flows, seed, engine)
         constraints = delay_constraints_for(
             flows, frame.frame_duration_s / frame.data_slots)
-
-        exact = None
-        exact_status = "dnf-size"
-        exact_s = 0.0
-        if len(demands) <= exact_link_cap:
-            started = time_mod.perf_counter()
-            exact = minimum_slots(
-                index, demands, frame.data_slots, constraints,
-                engine=engine,
-                policy=SolverPolicy(mode="exact", search="binary"))
-            exact_s = time_mod.perf_counter() - started
-            exact_status = "ok" if exact.slots is not None else "dnf"
+        floor = max(demand_lower_bound(demands),
+                    _greedy_clique_demand(index, demands, frame.data_slots))
 
         started = time_mod.perf_counter()
-        zoned = zoned_minimum_slots(
-            index, demands, frame.data_slots, constraints, engine=engine,
-            policy=SolverPolicy(mode="zoned",
-                                max_zone_links=max_zone_links))
-        zoned_s = time_mod.perf_counter() - started
+        outcome = minimum_slots(index, demands, frame.data_slots,
+                                constraints, engine=engine)
+        solve_s = time_mod.perf_counter() - started
+        if not outcome.feasible:
+            status = "infeasible"
+        elif outcome.ilp.solver_status == BOUNDS_CLOSED:
+            status = BOUNDS_CLOSED
+        else:
+            status = "gap"
         started = time_mod.perf_counter()
         greedy = greedy_minimum_slots(index, demands, frame.data_slots,
                                       constraints, engine=engine)
         greedy_s = time_mod.perf_counter() - started
 
-        # S8 + S30 on every schedule an arm actually emitted.
+        # S8 + S30 on every schedule either search emitted.
         s8_ok = True
         s30_ok = True
-        for arm in (exact, zoned, greedy):
-            if arm is None or arm.schedule is None:
+        for arm in (outcome, greedy):
+            if arm.schedule is None:
                 continue
             s8_ok &= arm.schedule.violations(index) == []
             for flow in flows:
@@ -1520,25 +1511,17 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
                 s30_ok &= report.stable
                 s30_ok &= report.meets_budget(flow.delay_budget_s)
 
-        baseline = (exact.slots if exact is not None
-                    and exact.slots is not None else lower)
-
-        def gap_pct(arm) -> Optional[float]:
-            if arm.slots is None or baseline <= 0:
-                return None
-            return round(100.0 * (arm.slots - baseline) / baseline, 1)
-
+        greedy_gap = None
+        if greedy.slots is not None and outcome.slots:
+            greedy_gap = round(
+                100.0 * (greedy.slots - outcome.slots) / outcome.slots, 1)
         result.rows.append([
-            num_nodes, num_flows, len(demands),
-            index.num_conflicts, lower,
-            exact.slots if exact is not None else None,
-            zoned.slots, greedy.slots,
-            (zoned.meta or {}).get("num_zones"),
-            gap_pct(zoned), gap_pct(greedy), s8_ok, s30_ok,
-            exact_status, round(exact_s, 3), round(zoned_s, 3),
-            round(greedy_s, 3)])
-    result.notes = ("gap columns compare against the exact optimum where "
-                    "one was computed, the clique lower bound otherwise; "
+            num_nodes, num_flows, len(demands), index.num_conflicts, lower,
+            floor, outcome.slots, status, greedy.slots, greedy_gap, s8_ok,
+            s30_ok, round(solve_s, 3), round(greedy_s, 3)])
+    result.notes = ("slots is the default-policy search's K (bounds-closed: "
+                    "proven optimal at the greedy-clique floor); "
+                    "greedy_gap_pct compares the raw greedy arm with it; "
                     "wall-clock columns are last so serial and sharded "
                     "tables agree on everything before them")
     return result

@@ -72,10 +72,12 @@ class Scenario:
         pass one explicitly to share caches across scenarios.
     solver:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string:
-        ``"exact"``, ``"zoned"``, ``"greedy"``, ``"auto"``) governing
-        how :meth:`schedule` solves.  Defaults to the engine's policy
-        when ``engine=`` is given, else to the ``"auto"`` policy --
-        exact at paper scale, zoned above the link threshold.
+        ``"exact"``, ``"greedy"``, ``"auto"``) governing how
+        :meth:`schedule` searches a gap its bounds leave open (a search
+        the bounds close returns the proven optimum in every mode).
+        Defaults to the engine's policy when ``engine=`` is given, else
+        to the ``"auto"`` policy -- the exact arm at paper scale, the
+        greedy arm above the link threshold.
     mobility:
         Optional :class:`~repro.mobility.stream.TopologyStream`
         describing a *moving* mesh.  Mutually exclusive with
@@ -157,7 +159,7 @@ class Scenario:
     def schedule(self, enforce_delay: bool = True) -> MinSlotResult:
         """Run the minimum-slot search for the routed flows.
 
-        *How* to solve -- exact, zoned, greedy or auto, plus the probe
+        *How* to solve -- exact, greedy or auto, plus the probe
         search, region and node-budget knobs -- is the scenario's
         ``solver=`` policy.
 

@@ -14,16 +14,15 @@ This package implements the paper line's algorithmic contribution:
   (:mod:`repro.core.minslots`);
 - the polynomial min-delay ordering on scheduling trees
   (:mod:`repro.core.tree_order`);
-- greedy baselines (:mod:`repro.core.greedy`);
+- greedy baselines and the greedy solver arm (:mod:`repro.core.greedy`);
 - end-to-end delay analysis (:mod:`repro.core.delay`);
 - incremental admission control (:mod:`repro.core.admission`);
 - online schedule repair under fault churn (:mod:`repro.core.repair`);
 - the incremental solver engine front end -- shared conflict indexes,
   bounds-first probe searches, problem caching
   (:mod:`repro.core.engine`);
-- the solver-policy seam selecting between the exact search and the
-  large-topology arms (:mod:`repro.core.policy`), and the zoned /
-  greedy arms themselves (:mod:`repro.core.zones`).
+- the solver-policy seam choosing the arm that searches a gap the
+  bounds leave open, exact or greedy (:mod:`repro.core.policy`).
 """
 
 from repro.core.admission import AdmissionController, AdmissionDecision
@@ -36,7 +35,7 @@ from repro.core.besteffort import (
 from repro.core.conflict import ConflictIndex, conflict_graph
 from repro.core.delay import path_delay_slots, path_wraps, worst_case_delay_slots
 from repro.core.engine import SolverEngine, default_engine
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import greedy_minimum_slots, greedy_schedule
 from repro.core.guarantees import GuaranteeReport, check_guarantees
 from repro.core.ilp import ILPResult, SchedulingProblem, solve_schedule_ilp
 from repro.core.minslots import MinSlotResult, minimum_slots
@@ -45,12 +44,6 @@ from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine, RepairOutcome
 from repro.core.schedule import Schedule, SlotBlock
 from repro.core.tree_order import min_delay_tree_order
-from repro.core.zones import (
-    ZonePartition,
-    greedy_minimum_slots,
-    partition_zones,
-    zoned_minimum_slots,
-)
 
 __all__ = [
     "AdmissionController",
@@ -68,7 +61,6 @@ __all__ = [
     "SolverEngine",
     "SolverPolicy",
     "TransmissionOrder",
-    "ZonePartition",
     "GuaranteeReport",
     "TwoClassSchedule",
     "check_guarantees",
@@ -80,11 +72,9 @@ __all__ = [
     "greedy_schedule",
     "min_delay_tree_order",
     "minimum_slots",
-    "partition_zones",
     "path_delay_slots",
     "path_wraps",
     "schedule_from_order",
     "solve_schedule_ilp",
     "worst_case_delay_slots",
-    "zoned_minimum_slots",
 ]

@@ -16,12 +16,12 @@ Larger ``k`` models wider interference ranges (e.g. carrier sense ranges
 exceeding communication range).
 
 Every relation -- k-hop, the channel's exact interference rule
-(:mod:`repro.phy.interference`), the SINR model and the engine's zone
-subindexes -- is a :class:`ConflictIndex`: sorted link rows over the
-canonical link order.  Every solver layer reads it; its
-:attr:`~ConflictIndex.graph` is a one-way :mod:`networkx` export.  The
-row builder takes two node sets per link (:data:`_NearSets`) and scans an
-incidence map for them (:func:`_conflict_rows`).
+(:mod:`repro.phy.interference`) and the SINR model -- is a
+:class:`ConflictIndex`: sorted link rows over the canonical link order.
+Every solver layer reads it; its :attr:`~ConflictIndex.graph` is a
+one-way :mod:`networkx` export.  The row builder takes two node sets per
+link (:data:`_NearSets`) and scans an incidence map for them
+(:func:`_conflict_rows`).
 """
 
 from __future__ import annotations

@@ -17,12 +17,14 @@ cold solve:
    that the distributed DSCH handshake packs against.  Every cache miss
    is one build -- ``core.engine.index_builds`` counts them.
 
-2. **Bounds-first probe search.**  Each
-   :func:`~repro.core.minslots.minimum_slots` search first tries to close
-   between a greedy-clique floor and a packing certificate with no ILP
-   (:meth:`SolverEngine.run_search`).  Only the gap that remains is
-   probed, and every gap probe is one ILP under the policy's
-   deterministic node budget -- ``core.engine.ilp_probes`` counts them.
+2. **Bounds-first search.**  Each
+   :func:`~repro.core.minslots.minimum_slots` search, in every solver
+   mode, first tries to close between a greedy-clique floor and a
+   packing certificate with no ILP (:meth:`SolverEngine.run_search`).
+   Only the gap that remains reaches a solver arm: the exact arm probes
+   it, one ILP per probe under the policy's deterministic node budget
+   (``core.engine.ilp_probes`` counts them), and the greedy arm packs it
+   once.
 
 3. **Canonical problem hashing.**  :meth:`SolverEngine.solve` keys solved
    ``(problem, K)`` pairs in an in-process LRU under
@@ -60,7 +62,11 @@ from repro.core.conflict import (
     conflict_graph,
 )
 from repro.core.delay import path_delay_slots
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import (
+    greedy_minimum_slots,
+    greedy_packings,
+    greedy_schedule,
+)
 from repro.core.ilp import (
     DEFAULT_NODE_LIMIT,
     DelayConstraint,
@@ -212,20 +218,12 @@ class SolverEngine:
         self.max_problems = max_problems
         self.policy = SolverPolicy.coerce(policy)
         self._indexes: OrderedDict[tuple, ConflictIndex] = OrderedDict()
-        #: Zone-subproblem indexes live in their own LRU: a city-scale
-        #: zoned solve requests dozens of small subindexes per search, and
-        #: routing them through ``_indexes`` would evict the full-mesh
-        #: index that repair and validation share.  Keyed by (base
-        #: fingerprint, zone fingerprint) so identical zones of identical
-        #: meshes hit.
-        self._zone_indexes: OrderedDict[tuple, ConflictIndex] = OrderedDict()
         self._problems: OrderedDict[str, ILPResult] = OrderedDict()
         #: actual-work accounting (plain ints, independent of :mod:`repro.obs`):
         #: cache effectiveness is a property of this engine's lifetime, not
         #: of the workload, so it lives here rather than in the registry.
         self.stats = {
             "index_builds": 0, "index_hits": 0,
-            "zone_index_builds": 0, "zone_index_hits": 0,
             "ilp_solves": 0, "problem_hits": 0,
             "ilp_probes": 0,
         }
@@ -286,46 +284,6 @@ class SolverEngine:
             return index._attach(name)
 
         return self._index_for(key, build)
-
-    def zone_index(self, base: ConflictIndex,
-                   links: Sequence[Link]) -> ConflictIndex:
-        """The (cached) conflict subindex induced by a zone's links.
-
-        ``base`` is the full-mesh index the zone was partitioned from;
-        the subindex holds the rows ``base`` induces on ``links``
-        (canonical link order, so it is indistinguishable from a direct
-        build).  Zone requests are keyed by ``(base.key, zone
-        fingerprint)`` in a **dedicated LRU** --
-        zoned solves touch dozens of zones per search, and sharing the
-        main index cache would evict the full-mesh entry every consumer
-        relies on.  ``stats["zone_index_hits"]`` and the
-        ``core.engine.zone_index_hits`` counter record the re-partitions
-        answered from cache.
-        """
-        zone = tuple(sorted(set(links)))
-        digest = hashlib.sha256(repr(zone).encode()).hexdigest()[:16]
-        key = ("zone", base.key, digest)
-        cached = self._zone_indexes.get(key)
-        if cached is not None:
-            self._zone_indexes.move_to_end(key)
-            self.stats["zone_index_hits"] += 1
-            obs.counter("core.engine.zone_index_hits").inc()
-            return cached
-        # base.neighbors() checks membership and keeps rows in link order
-        members = {link: i for i, link in enumerate(zone)}
-        index = ConflictIndex(
-            zone, [[members[b] for b in base.neighbors(a) if b in members]
-                   for a in zone], base.hops)
-        index._attach("/".join(map(repr, key)))
-        self.stats["zone_index_builds"] += 1
-        obs.counter("core.engine.zone_index_builds").inc()
-        if self.max_indexes > 0:
-            self._zone_indexes[key] = index
-            # Zones are small and numerous; give them headroom without
-            # letting a 5000-link sweep hold every subindex forever.
-            while len(self._zone_indexes) > 4 * self.max_indexes:
-                self._zone_indexes.popitem(last=False)
-        return index
 
     def interference_index(self, topology: MeshTopology) -> ConflictIndex:
         """The (cached) index of the exact interference relation.
@@ -397,25 +355,28 @@ class SolverEngine:
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
                    search: str, ceiling: int,
-                   node_limit_per_probe: Optional[int] = None):
+                   node_limit_per_probe: Optional[int] = None,
+                   gap_arm: str = "exact"):
         """The min-slot search behind :func:`~repro.core.minslots.minimum_slots`.
 
-        Two bounds come first.  The *floor* is the heavier of
-        :func:`~repro.core.minslots.demand_lower_bound` and the greedy
-        conflict clique at the ceiling; a floor above the ceiling refutes
-        the search (probe log ``[(ceiling, False)]``).  The *certificate*
-        is a packing inside the floor that meets every delay budget at the
-        full frame length: first-fit-decreasing
-        :func:`~repro.core.greedy.greedy_schedule`, else the node-capped
-        :func:`_packing_descent`.  When it holds, ``K`` is the floor and the
-        certificate is the published schedule: no ILP runs, the probe log
-        is ``[(K, True)]`` and the result's status is
-        :data:`BOUNDS_CLOSED`.
+        Two bounds come first, whatever the arm.  The *floor* is the
+        heavier of :func:`~repro.core.minslots.demand_lower_bound` and the
+        greedy conflict clique at the ceiling; a floor above the ceiling
+        refutes the search (probe log ``[(ceiling, False)]``).  The
+        *certificate* is a packing inside the floor that meets every delay
+        budget at the full frame length, from the ladder of
+        :func:`_packing_certificate`.  When it holds, ``K`` is the floor
+        and the certificate is the published schedule: no ILP runs, the
+        probe log is ``[(K, True)]`` and the result's status is
+        :data:`BOUNDS_CLOSED`.  A search with nothing demanded is decided
+        here too, by one ILP probe at region 1.
 
-        Otherwise the probe loop searches the gap ``[floor, ceiling]``,
-        one ILP per probe.  Callers go through
+        Only the gap ``[floor, ceiling]`` reaches ``gap_arm``.
+        ``"exact"`` probes it, one ILP per probe; ``"greedy"`` hands it
+        to :func:`~repro.core.greedy.greedy_minimum_slots` with the
+        region capped at ``ceiling``.  Callers go through
         :func:`repro.core.minslots.minimum_slots`, which owns the argument
-        validation and search-level telemetry.
+        validation, the arm choice and search-level telemetry.
 
         ``node_limit_per_probe`` bounds each ILP probe's branch-and-cut
         tree (``None``: :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`); a
@@ -479,6 +440,11 @@ class SolverEngine:
             log(floor, True)
             return finish(floor, certificate)
 
+        if gap_arm == "greedy":
+            return greedy_minimum_slots(
+                conflicts, demands, frame_slots, delay_constraints,
+                engine=self, policy=SolverPolicy(max_region=ceiling))
+
         if search == "linear":
             for region in range(floor, ceiling + 1):
                 result = probe(region)
@@ -527,13 +493,20 @@ def _packing_certificate(conflicts: ConflictIndex,
                          ) -> Optional[ILPResult]:
     """A packing that proves ``region`` slots suffice, or ``None``.
 
-    First-fit-decreasing :func:`~repro.core.greedy.greedy_schedule` comes
-    first (it packs conflict-free by construction and validates S8
-    itself); its packing certifies the region if every delay budget also
-    holds.  When it cannot pack the region, or its packing misses a
-    budget, :func:`_packing_descent` searches for one exactly, within
-    :data:`PACKING_NODE_LIMIT` nodes.  The result carries the schedule,
-    the order its start slots induce and :data:`BOUNDS_CLOSED`.
+    A ladder of three rungs, each tried only when the one before it finds
+    no packing that meets every delay budget:
+
+    1. first-fit-decreasing :func:`~repro.core.greedy.greedy_schedule`
+       (it packs conflict-free by construction and validates S8 itself);
+    2. :func:`_packing_descent`, an exact search within
+       :data:`PACKING_NODE_LIMIT` nodes;
+    3. the greedy arm's portfolio compacted into the region by
+       Bellman-Ford (:func:`~repro.core.greedy.greedy_packings`), which
+       packs meshes too big for the descent's node cap
+       (``core.minslots.greedy_rung_closed`` counts its certificates).
+
+    The result carries the schedule, the order its start slots induce and
+    :data:`BOUNDS_CLOSED`.
     """
     try:
         packed = greedy_schedule(conflicts, demands, frame_slots=region)
@@ -544,6 +517,12 @@ def _packing_certificate(conflicts: ConflictIndex,
     if schedule is None:
         schedule = _packing_descent(conflicts, demands, frame_slots, region,
                                     delay_constraints)
+    if schedule is None:
+        for ____, ____, packed in greedy_packings(conflicts, demands, region):
+            schedule = _within_budgets(packed, frame_slots, delay_constraints)
+            if schedule is not None:
+                obs.counter("core.minslots.greedy_rung_closed").inc()
+                break
     if schedule is None:
         return None
     max_delay = max((path_delay_slots(schedule, c.route)

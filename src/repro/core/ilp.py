@@ -168,8 +168,8 @@ def solve_schedule_ilp(problem: SchedulingProblem,
 
     The node budget is *deterministic*: the same problem under the same
     budget reaches the same verdict on any machine at any load, which is
-    what keeps budgeted verdicts (admission decisions, zone
-    sub-searches) bitwise-reproducible.
+    what keeps budgeted verdicts (admission decisions, gap probes)
+    bitwise-reproducible.
     """
     obs.counter("core.ilp.solves").inc()
     with obs.span("core.ilp.solve", frame_slots=problem.frame_slots):

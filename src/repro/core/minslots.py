@@ -5,16 +5,18 @@ can carry all guaranteed-QoS flows with their bandwidth and delay
 requirements, so that the remaining ``frame_slots - K`` slots are free for
 best-effort traffic.
 
-Each search first closes in from two bounds.  The *floor* is the heavier
-of :func:`demand_lower_bound` and a greedy conflict clique: pairwise
-conflicting links need disjoint blocks, so no region below it fits, and a
-floor above the ceiling refutes the search outright.  The *certificate* is
-a packing inside the floor that meets every delay budget -- first-fit
-decreasing, else a depth-first descent with a node cap; when it exists,
-``K`` is the floor and the packing is the published schedule, with no
-ILP.  Only the gap between the two is searched: each candidate ``K`` is
-checked by solving the delay-aware feasibility ILP with the guaranteed
-region restricted to the first ``K`` slots of the frame.
+Each search, whatever the solver mode, first closes in from two bounds.
+The *floor* is the heavier of :func:`demand_lower_bound` and a greedy
+conflict clique: pairwise conflicting links need disjoint blocks, so no
+region below it fits, and a floor above the ceiling refutes the search
+outright.  The *certificate* is a packing inside the floor that meets
+every delay budget -- first-fit decreasing, else a depth-first descent
+with a node cap, else the greedy portfolio compacted by Bellman-Ford;
+when it exists, ``K`` is the floor and the packing is the published
+schedule, with no ILP.  Only the gap between the two reaches a solver
+arm.  The exact arm checks each candidate ``K`` by solving the
+delay-aware feasibility ILP with the guaranteed region restricted to the
+first ``K`` slots of the frame.
 
 The paper performs a plain linear search upward from a lower bound.  With a
 *fixed* frame length the feasibility of the region-restricted problem is
@@ -67,9 +69,9 @@ class MinSlotResult:
     lower_bound: int
     #: (candidate K, feasible?) pairs in the order they were probed.
     probes: list[tuple[int, bool]] = field(default_factory=list)
-    #: Solver-arm diagnostics (zone count/sizes, measured optimality gap,
-    #: greedy strategy, ...).  ``None`` on the exact arm, whose result is
-    #: fully described by the fields above.
+    #: Greedy-arm diagnostics (strategy, measured gap against the
+    #: node-clique bound, ...).  ``None`` when the bounds or the exact
+    #: arm decided the search: the fields above describe it fully.
     meta: Optional[dict] = None
 
     @property
@@ -126,12 +128,13 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
         probes from its problem cache.
     policy:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string)
-        governing *how* to solve: the arm (exact probe search, zoned,
-        greedy or ``"auto"``), the probe search (``"linear"``, the
-        paper's, or ``"binary"``), the region cap and the per-probe node
-        budget.  Default: the engine's own policy (itself defaulting to
-        ``"auto"`` with a linear search over the whole frame, which is
-        the paper's search at paper scale).
+        governing *how* to solve a search the bounds leave open: the gap
+        arm (exact probe search, greedy or ``"auto"``), the probe search
+        (``"linear"``, the paper's, or ``"binary"``), the region cap and
+        the per-probe node budget.  Default: the engine's own policy
+        (itself defaulting to ``"auto"`` with a linear search over the
+        whole frame, which is the paper's search at paper scale).  A
+        search the bounds decide returns the same result in every mode.
     """
     require_int("frame_slots", frame_slots, 1)
     if engine is None:
@@ -143,26 +146,14 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
     if ceiling > frame_slots:
         raise ConfigurationError("max_region cannot exceed frame_slots")
     demanded = sum(1 for d in demands.values() if d > 0)
-    mode = eff.resolve_mode(demanded)
-    if mode == "exact":
-        with obs.span("core.minslots.search", search=eff.search,
-                      frame_slots=frame_slots):
-            obs.counter("core.minslots.searches").inc()
-            outcome = engine.run_search(
-                conflicts, demands, frame_slots, delay_constraints,
-                eff.search, ceiling,
-                node_limit_per_probe=eff.node_limit_per_probe)
-    else:
-        from repro.core.zones import (
-            greedy_minimum_slots,
-            zoned_minimum_slots,
-        )
-
-        arm = zoned_minimum_slots if mode == "zoned" else greedy_minimum_slots
+    with obs.span("core.minslots.search", search=eff.search,
+                  frame_slots=frame_slots):
         obs.counter("core.minslots.searches").inc()
-        outcome = arm(conflicts, demands, frame_slots,
-                      delay_constraints=delay_constraints, engine=engine,
-                      policy=eff)
+        outcome = engine.run_search(
+            conflicts, demands, frame_slots, delay_constraints,
+            eff.search, ceiling,
+            node_limit_per_probe=eff.node_limit_per_probe,
+            gap_arm=eff.resolve_mode(demanded))
     obs.histogram("core.minslots.probes_per_search").observe(
         outcome.iterations)
     if not outcome.feasible:

@@ -1,58 +1,51 @@
 """The solver-policy seam: one object deciding *how* a schedule is solved.
 
 :class:`SolverPolicy` is the one place the minimum-slots search is
-configured: the solving arm, the probe search (linear or binary), the
+configured: the gap arm, the probe search (linear or binary), the
 guaranteed-region cap and the per-probe node budget.  It is a frozen,
 validated value that travels through :class:`~repro.api.Scenario`
 (``solver=``), :class:`~repro.core.engine.SolverEngine` (``policy=``) and
 :func:`~repro.core.minslots.minimum_slots` (``policy=``) unchanged; no
 call site takes a search knob of its own.
 
-Four modes:
+Every mode runs the same bounds first: the greedy-clique floor and the
+certificate ladder of :meth:`~repro.core.engine.SolverEngine.run_search`.
+When they close, every mode returns the proven ``K = floor``.  The mode
+only picks the arm that searches the gap they leave open:
 
 ``"exact"``
     The paper's path: the delay-aware feasibility ILP probed by the
     minimum-slots search.  Bitwise-identical to the pre-policy solver at
-    any engine configuration -- this is the reference arm every other
-    mode's optimality gap is measured against.
-``"zoned"``
-    The large-topology path (:func:`repro.core.zones.zoned_minimum_slots`):
-    partition the conflict graph into interference zones of at most
-    ``max_zone_links`` links, solve each zone exactly with boundary-slot
-    reservation, stitch via one Bellman-Ford recovery pass.
+    any engine configuration.
 ``"greedy"``
-    The cheapest arm (:func:`repro.core.zones.greedy_minimum_slots`):
-    a deterministic first-fit portfolio compacted by Bellman-Ford.  No
-    ILP at all; solve time is near-linear in conflicts.
+    :func:`repro.core.greedy.greedy_minimum_slots`: a deterministic
+    first-fit portfolio compacted by Bellman-Ford.  No ILP at all; solve
+    time is near-linear in conflicts.  Sound, never complete: every
+    schedule it emits is conflict-free (S8) and meets every delay budget
+    it was given, but its region may exceed the optimum.
 ``"auto"``
-    Pick per instance: ``"exact"`` up to ``auto_threshold`` demanded
-    links, ``"zoned"`` above it.  The default everywhere, so small
-    meshes keep the paper's exact solver and city-scale meshes stop
-    hitting the ILP wall without the caller doing anything.
-
-The heuristic arms are *sound, never complete*: every schedule they emit
-is conflict-free (S8) and meets every delay budget they were given --
-when they cannot, they report infeasibility rather than degrade a
-guarantee.  What they give up is minimality, bounded in practice by
-``gap_tolerance`` and measured against the exact arm in experiment E21.
+    Pick the gap arm per instance: ``"exact"`` up to ``auto_threshold``
+    demanded links, ``"greedy"`` above it.  The default everywhere, so
+    small meshes keep the paper's exact solver and city-scale meshes
+    never hit the ILP wall.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 
 #: The accepted ``mode`` spellings, in documentation order.
-SOLVER_MODES = ("exact", "zoned", "greedy", "auto")
+SOLVER_MODES = ("exact", "greedy", "auto")
 
-#: Demanded-link count above which ``"auto"`` switches from the exact ILP
-#: to the zoned solver.  At the default the switch sits far beyond every
-#: paper-scale workload (16-50 node meshes demand well under 100 links)
-#: and comfortably below where the monolithic ILP becomes intractable.
+#: Demanded-link count above which ``"auto"`` searches the gap with the
+#: greedy arm instead of the exact ILP.  At the default the switch sits far
+#: beyond every paper-scale workload (16-50 node meshes demand well under
+#: 100 links) and comfortably below where the monolithic ILP becomes
+#: intractable.
 DEFAULT_AUTO_THRESHOLD = 256
 
 
@@ -71,25 +64,14 @@ class SolverPolicy:
     Parameters
     ----------
     mode:
-        ``"exact"``, ``"zoned"``, ``"greedy"`` or ``"auto"`` (see the
-        module docstring).
+        ``"exact"``, ``"greedy"`` or ``"auto"`` (see the module
+        docstring).
     search:
-        Probe-search strategy of the exact arm (and of each zone's exact
-        subsolve): ``"linear"`` (the paper's search) or ``"binary"``.
-    max_zone_links:
-        Zone-size knob of the zoned arm: zones stop growing at this many
-        demanded links.  Smaller zones solve faster and parallelize the
-        conflict structure harder; larger zones close more of the
-        optimality gap.
-    gap_tolerance:
-        Advertised relative optimality-gap budget of the heuristic arms
-        (0.10 = ten percent more slots than optimal).  Heuristic results
-        whose gap against the clique lower bound exceeds it increment
-        ``core.zones.gap_exceeded`` -- observable, never fatal, and
-        asserted against the *measured* gap in experiment E21.
+        Probe-search strategy of the exact arm: ``"linear"`` (the
+        paper's search) or ``"binary"``.
     auto_threshold:
-        Demanded-link count at which ``"auto"`` switches from exact to
-        zoned.
+        Demanded-link count above which ``"auto"`` searches the gap with
+        the greedy arm instead of the exact one.
     max_region:
         Largest guaranteed region to consider (``None``: the whole
         frame).
@@ -98,15 +80,14 @@ class SolverPolicy:
         the only solver budget.  It is *deterministic*: the same probe
         reaches the same verdict on any machine at any load.  A probe
         left undecided within it counts as infeasible.  ``None`` means
-        :data:`repro.core.ilp.DEFAULT_NODE_LIMIT` for the exact arm and
-        :data:`repro.core.zones.DEFAULT_ZONE_PROBE_NODE_LIMIT` for zone
-        sub-searches.
+        :data:`repro.core.ilp.DEFAULT_NODE_LIMIT`.
+
+    An unknown knob raises :class:`~repro.errors.ConfigurationError`
+    like a bad value does.
     """
 
     mode: str = "auto"
     search: str = "linear"
-    max_zone_links: int = 64
-    gap_tolerance: float = 0.10
     auto_threshold: int = DEFAULT_AUTO_THRESHOLD
     max_region: Optional[int] = None
     node_limit_per_probe: Optional[int] = None
@@ -119,11 +100,6 @@ class SolverPolicy:
         if self.search not in ("linear", "binary"):
             raise ConfigurationError(
                 f"unknown search mode {self.search!r}")
-        require_int("max_zone_links", self.max_zone_links, 2)
-        gap = self.gap_tolerance
-        if not (isinstance(gap, numbers.Real) and 0 <= gap < math.inf):
-            raise ConfigurationError(
-                f"gap_tolerance must be finite and >= 0, got {gap!r}")
         require_int("auto_threshold", self.auto_threshold, 1)
         for name in ("max_region", "node_limit_per_probe"):
             if getattr(self, name) is not None:
@@ -151,11 +127,29 @@ class SolverPolicy:
         """The concrete arm for an instance of this size.
 
         ``"auto"`` resolves to ``"exact"`` at or below
-        :attr:`auto_threshold` demanded links and ``"zoned"`` above it;
+        :attr:`auto_threshold` demanded links and ``"greedy"`` above it;
         explicit modes resolve to themselves.
         """
         if self.mode != "auto":
             return self.mode
         if num_demanded_links <= self.auto_threshold:
             return "exact"
-        return "zoned"
+        return "greedy"
+
+
+def _reject_unknown_knobs(init):
+    """The dataclass ``__init__``, raising ``ConfigurationError`` on bad
+    arguments (an unknown knob, or one given twice) instead of
+    ``TypeError``; ``functools.wraps`` keeps its signature."""
+
+    @functools.wraps(init)
+    def checked(self, *args, **kwargs):
+        try:
+            init(self, *args, **kwargs)
+        except TypeError as exc:
+            raise ConfigurationError(f"SolverPolicy: {exc}") from None
+
+    return checked
+
+
+SolverPolicy.__init__ = _reject_unknown_knobs(SolverPolicy.__init__)

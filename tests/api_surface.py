@@ -43,7 +43,7 @@ PUBLIC_CLASS_METHODS = {
                            "simulate_qos", "simulate_mobility"],
     "repro.core.minslots.MinSlotResult": [],
     "repro.core.engine.SolverEngine": [
-        "__init__", "conflict_index", "interference_index", "zone_index",
+        "__init__", "conflict_index", "interference_index",
         "solve"],
     "repro.core.policy.SolverPolicy": [
         "__init__", "coerce", "resolve_mode"],

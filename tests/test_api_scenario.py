@@ -252,8 +252,19 @@ class TestSolverPolicySeam:
                            rate_bps=60_000, delay_budget_s=0.1)
                       for i in range(4)]
 
+    def _gap_disk(self):
+        """30 ms budgets the bounds cannot certify: the arm runs."""
+        from repro.net.topology import random_disk_topology
+
+        topo = random_disk_topology(20, radio_range=120.0, area=400.0,
+                                    seed=7)
+        nodes = sorted(topo.nodes)
+        return topo, [Flow(f"f{i}", src=nodes[i], dst=nodes[i + 9],
+                           rate_bps=60_000, delay_budget_s=0.03)
+                      for i in range(6)]
+
     def test_solver_accepts_policy_mode_string(self):
-        topo, flows = self._disk()
+        topo, flows = self._gap_disk()
         scenario = Scenario(topo, flows, solver="greedy")
         result = scenario.route().schedule()
         assert result.meta["mode"] == "greedy"
@@ -261,12 +272,17 @@ class TestSolverPolicySeam:
 
     def test_solver_accepts_full_policy(self):
         from repro import SolverPolicy
+        from repro.core.engine import BOUNDS_CLOSED
 
         topo, flows = self._disk()
-        policy = SolverPolicy(mode="zoned", max_zone_links=6)
+        policy = SolverPolicy(mode="greedy", search="binary",
+                              max_region=12)
         scenario = Scenario(topo, flows, solver=policy)
         result = scenario.route().schedule()
-        assert result.meta["mode"] == "zoned"
+        assert scenario.solver is policy
+        # the bounds close first, so every mode publishes the optimum
+        assert result.ilp.solver_status == BOUNDS_CLOSED
+        assert result.meta is None
         assert result.schedule.violations(scenario.conflicts) == []
 
     def test_default_solver_is_auto_and_exact_at_paper_scale(self):
@@ -282,7 +298,7 @@ class TestSolverPolicySeam:
     def test_shared_engine_policy_flows_into_the_scenario(self):
         from repro import SolverEngine
 
-        topo, flows = self._disk()
+        topo, flows = self._gap_disk()
         engine = SolverEngine(policy="greedy")
         scenario = Scenario(topo, flows, engine=engine)
         assert scenario.solver is engine.policy
@@ -291,7 +307,7 @@ class TestSolverPolicySeam:
     def test_explicit_solver_wins_over_the_engine_policy(self):
         from repro import SolverEngine
 
-        topo, flows = self._disk()
+        topo, flows = self._gap_disk()
         engine = SolverEngine(policy="greedy")
         scenario = Scenario(topo, flows, engine=engine, solver="exact")
         assert scenario.route().schedule().meta is None

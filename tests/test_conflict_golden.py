@@ -9,9 +9,8 @@ commits:
 - the canonical key with the salt held fixed -- a hash over the relation
   fingerprint (sorted links, then sorted conflict pairs), the demands and
   the frame geometry -- for each builder: the k-hop protocol model (1 and
-  2 hops, grid and chain), the channel's exact interference relation,
-  an :class:`~repro.phy.models.SinrModel` on a seeded disk mesh, and the
-  zone subproblems of one zoned solve;
+  2 hops, grid and chain), the channel's exact interference relation and
+  an :class:`~repro.phy.models.SinrModel` on a seeded disk mesh;
 - the ILP's order-variable pairs, decoded from the constraint matrix
   handed to the MILP solver, in variable order.
 
@@ -27,11 +26,6 @@ import repro.core.engine as engine_module
 import repro.core.ilp as ilp_module
 from repro.core.conflict import conflict_graph
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
-from repro.core.policy import SolverPolicy
-from repro.core.zones import zoned_minimum_slots
-from repro.mesh16.frame import default_frame_config
-from repro.net.flows import Flow, FlowSet
-from repro.net.routing import route_all
 from repro.net.topology import (
     chain_topology,
     grid_topology,
@@ -137,32 +131,3 @@ def test_relation_content_is_pinned(name, pinned_salt, monkeypatch):
     pairs = _ilp_pairs(problem, monkeypatch)
     assert (engine_module.canonical_problem_key(problem), len(pairs),
             _digest(pairs)) == (key, num_pairs, pair_digest)
-
-
-def test_zone_subproblem_content_is_pinned(pinned_salt, monkeypatch):
-    """Every zone subproblem a zoned solve hashes, in solve order."""
-    keys = []
-    real_key = engine_module.canonical_problem_key
-
-    def recording_key(problem, node_limit=None):
-        keys.append(real_key(problem, node_limit))
-        return keys[-1]
-
-    monkeypatch.setattr(engine_module, "canonical_problem_key", recording_key)
-    frame = default_frame_config()
-    topology = random_disk_topology(20, radio_range=120.0, area=400.0,
-                                    seed=7)
-    nodes = sorted(topology.nodes)
-    flows = route_all(topology, FlowSet([
-        Flow(f"f{i}", src=nodes[i], dst=nodes[(i + 9) % len(nodes)],
-             rate_bps=60_000)
-        for i in range(6)]))
-    demands = flows.link_demands(frame.frame_duration_s,
-                                 frame.data_slot_capacity_bits)
-    relation = conflict_graph(topology, hops=2, links=sorted(demands))
-    result = zoned_minimum_slots(
-        relation, demands, frame.data_slots,
-        policy=SolverPolicy(mode="zoned", max_zone_links=6))
-    assert result.feasible
-    # every zone closes between its bounds and is solved once at its K
-    assert (len(keys), _digest(keys), result.slots) == (3, "2772d72c9e962ec6", 11)

@@ -1,15 +1,28 @@
-"""Minimum-slots search: bounds, linear and binary probing, validation."""
+"""Minimum-slots search: bounds, linear and binary probing, validation,
+the solver-policy seam (validation, coercion, gap-arm dispatch) and the
+greedy arm."""
 
 import pytest
 
-from repro.core.conflict import conflict_graph
-from repro.core.ilp import DelayConstraint
+from repro import obs
+from repro.core.conflict import _greedy_clique_demand, conflict_graph
+from repro.core.engine import BOUNDS_CLOSED, SolverEngine
+from repro.core.greedy import greedy_minimum_slots
+from repro.core.ilp import DelayConstraint, delay_constraints_for
 from repro.core.minslots import demand_lower_bound, minimum_slots
-from repro.core.policy import SolverPolicy
+from repro.core.policy import DEFAULT_AUTO_THRESHOLD, SolverPolicy
 from repro.errors import ConfigurationError
-from repro.net.topology import chain_topology, star_topology
+from repro.mesh16.frame import default_frame_config
+from repro.net.flows import Flow, FlowSet
+from repro.net.routing import route_all
+from repro.net.topology import (
+    chain_topology,
+    random_disk_topology,
+    star_topology,
+)
 
 BINARY = SolverPolicy(search="binary")
+FRAME = default_frame_config()
 
 
 def chain_instance(hops=4):
@@ -152,3 +165,232 @@ class TestValidation:
                                    links=[(0, 1), (1, 2)])
         with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
             minimum_slots(conflicts, {(0, 1): 1, (1, 2): 1, (2, 3): 1}, 10)
+
+
+def _instance(num_nodes=20, num_flows=6, seed=7, budget_s=0.1):
+    """A routed disk-mesh instance: (engine, index, demands, constraints).
+
+    At the default 100 ms budgets the bounds close the search; at 30 ms
+    they leave a gap, which the policy's gap arm searches.
+    """
+    topology = random_disk_topology(num_nodes, radio_range=120.0,
+                                   area=400.0, seed=seed)
+    nodes = sorted(topology.nodes)
+    flows = route_all(topology, FlowSet([
+        Flow(f"f{i}", src=nodes[i % len(nodes)],
+             dst=nodes[(i + 9) % len(nodes)], rate_bps=60_000,
+             delay_budget_s=budget_s)
+        for i in range(num_flows)]))
+    demands = flows.link_demands(FRAME.frame_duration_s,
+                                 FRAME.data_slot_capacity_bits)
+    engine = SolverEngine()
+    index = engine.conflict_index(topology, links=sorted(demands))
+    return engine, index, demands, delay_constraints_for(
+        flows, FRAME.frame_duration_s / FRAME.data_slots)
+
+
+# -- SolverPolicy ----------------------------------------------------------
+
+
+def test_policy_defaults_are_auto_linear():
+    policy = SolverPolicy()
+    assert policy.mode == "auto"
+    assert policy.search == "linear"
+    assert policy.auto_threshold == DEFAULT_AUTO_THRESHOLD
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "simulated-annealing"},
+    {"search": "ternary"},
+    {"auto_threshold": 0},
+    {"max_region": 0},
+    {"node_limit_per_probe": 0},
+    {"node_limit_per_probe": 2.5},
+    {"node_limit_per_probe": True},
+    {"node_limit_per_probe": "3"},
+])
+def test_policy_rejects_bad_knobs(kwargs):
+    with pytest.raises(ConfigurationError):
+        SolverPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_region": 2.5},
+    {"max_region": True},
+    {"auto_threshold": 1.5},
+    {"auto_threshold": True},
+], ids=repr)
+def test_policy_rejects_non_int_knobs(kwargs):
+    # every int field follows node_limit_per_probe's rule: an int, not a
+    # bool
+    with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+        SolverPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "zoned"},
+    {"max_zone_links": 6},
+    {"max_zone_links": 1},
+    {"max_zone_links": 2.5},
+    {"max_zone_links": True},
+    {"gap_tolerance": 0.1},
+    {"gap_tolerance": -0.1},
+    {"gap_tolerance": float("nan")},
+    {"gap_tolerance": float("inf")},
+    {"gap_tolerance": "0.1"},
+], ids=repr)
+def test_policy_rejects_the_removed_zoned_knobs(kwargs):
+    # the zoned arm's mode and knobs are gone: every value, once valid or
+    # not, is refused by name
+    (knob, _), = kwargs.items()
+    with pytest.raises(ConfigurationError,
+                       match="zoned" if knob == "mode" else knob):
+        SolverPolicy(**kwargs)
+
+
+def test_policy_coerce_accepts_none_string_and_policy():
+    assert SolverPolicy.coerce(None) == SolverPolicy()
+    assert SolverPolicy.coerce("greedy").mode == "greedy"
+    policy = SolverPolicy(mode="greedy", search="binary")
+    assert SolverPolicy.coerce(policy) is policy
+    with pytest.raises(ConfigurationError, match="SolverPolicy"):
+        SolverPolicy.coerce(42)
+    with pytest.raises(ConfigurationError, match="zoned"):
+        SolverPolicy.coerce("zoned")
+
+
+def test_policy_auto_resolves_on_the_threshold():
+    policy = SolverPolicy(auto_threshold=10)
+    assert policy.resolve_mode(10) == "exact"
+    assert policy.resolve_mode(11) == "greedy"
+    assert SolverPolicy(mode="greedy").resolve_mode(10_000) == "greedy"
+    assert SolverPolicy(mode="exact").resolve_mode(10_000) == "exact"
+
+
+# -- minimum_slots: bounds before dispatch ---------------------------------
+
+
+def _same_result(result, reference):
+    assert result.slots == reference.slots
+    assert result.probes == reference.probes
+    assert result.lower_bound == reference.lower_bound
+    assert result.meta is None
+    assert result.schedule.to_dict() == reference.schedule.to_dict()
+
+
+def test_bounds_closed_search_is_the_same_in_every_mode():
+    engine, index, demands, constraints = _instance()
+    exact = minimum_slots(index, demands, FRAME.data_slots, constraints,
+                          engine=engine, policy="exact")
+    assert exact.ilp.solver_status == BOUNDS_CLOSED
+    for policy in ("greedy", "auto", SolverPolicy(auto_threshold=1)):
+        _same_result(minimum_slots(index, demands, FRAME.data_slots,
+                                   constraints, engine=engine,
+                                   policy=policy), exact)
+
+
+def test_empty_demand_is_decided_the_same_in_every_mode():
+    ____, index, demands, ____ = _instance()
+    nothing = {link: 0 for link in demands}
+    results = [minimum_slots(index, nothing, FRAME.data_slots,
+                             policy=mode)
+               for mode in ("exact", "greedy", "auto")]
+    for result in results:
+        assert (result.slots, result.probes, result.meta) == (
+            0, [(1, True)], None)
+        assert result.schedule.to_dict() == results[0].schedule.to_dict()
+
+
+def test_auto_dispatches_by_demanded_link_count():
+    # 30 ms budgets: the bounds leave a gap for the arm to search
+    engine, index, demands, constraints = _instance(budget_s=0.03)
+    few = SolverPolicy(auto_threshold=10_000)
+    exact = minimum_slots(index, demands, FRAME.data_slots,
+                          constraints, engine=engine, policy=few)
+    assert exact.meta is None  # the exact arm carries no heuristic meta
+    assert exact.ilp.solver_status != BOUNDS_CLOSED
+    many = SolverPolicy(auto_threshold=1)
+    greedy = minimum_slots(index, demands, FRAME.data_slots,
+                           constraints, engine=engine, policy=many)
+    assert greedy.meta["mode"] == "greedy"
+    # sound, not complete: never below the optimum, infeasible allowed
+    assert greedy.slots is None or greedy.slots >= exact.slots
+
+
+def test_policy_mode_string_dispatches_each_arm():
+    engine, index, demands, constraints = _instance(budget_s=0.03)
+    for mode in ("greedy", "auto", "exact"):
+        result = minimum_slots(index, demands, FRAME.data_slots,
+                               constraints, engine=engine, policy=mode)
+        if mode == "greedy":
+            assert result.meta["mode"] == "greedy"
+        else:
+            assert result.meta is None
+
+
+def test_call_policy_search_overrides_the_engine_policy():
+    # 30 ms budgets that first-fit misses: the probe loop searches the gap
+    engine, index, demands, constraints = _instance(budget_s=0.03)
+    linear = minimum_slots(index, demands, FRAME.data_slots,
+                           constraints, engine=SolverEngine(policy="exact"))
+    binary = minimum_slots(index, demands, FRAME.data_slots,
+                           constraints, engine=SolverEngine(policy="exact"),
+                           policy=SolverPolicy(mode="exact", search="binary"))
+    assert binary.slots == linear.slots
+    assert binary.probes != linear.probes  # different search trajectory
+    floor = max(linear.lower_bound,
+                _greedy_clique_demand(index, demands, FRAME.data_slots))
+    assert linear.lower_bound < floor
+    assert linear.probes[0][0] == floor  # the floor, not the bound
+    assert binary.probes[0][0] == FRAME.data_slots  # ceiling first
+
+
+def test_engine_policy_governs_bare_engine_solves():
+    engine = SolverEngine(policy="greedy")
+    ____, index, demands, constraints = _instance(budget_s=0.03)
+    result = minimum_slots(index, demands, FRAME.data_slots,
+                           constraints, engine=engine)
+    assert result.meta["mode"] == "greedy"
+
+
+def test_max_region_ceiling_check_survives_the_redesign():
+    engine, index, demands, ____ = _instance()
+    with pytest.raises(ConfigurationError,
+                       match="max_region cannot exceed frame_slots"):
+        minimum_slots(index, demands, FRAME.data_slots, engine=engine,
+                      policy=SolverPolicy(max_region=FRAME.data_slots + 1))
+
+
+# -- the greedy arm --------------------------------------------------------
+
+
+def test_greedy_schedule_is_conflict_free_and_meets_demands():
+    engine, index, demands, constraints = _instance()
+    result = greedy_minimum_slots(index, demands, FRAME.data_slots,
+                                  constraints, engine=engine)
+    assert result.feasible
+    assert result.schedule.violations(index) == []
+    assert result.schedule.demands_met(demands)
+    assert result.meta["strategy"] in ("demand", "index")
+    assert result.ilp.solver_status.startswith("greedy(")
+
+
+def test_greedy_arm_records_the_measured_gap():
+    engine, index, demands, ____ = _instance()
+    lower = demand_lower_bound(demands)
+    result = greedy_minimum_slots(index, demands, FRAME.data_slots, (),
+                                  engine=engine)
+    expected = (result.slots - lower) / lower
+    assert result.meta["gap_vs_lower_bound"] == pytest.approx(expected)
+
+
+def test_greedy_arm_rejects_a_missed_budget_instead_of_degrading_it():
+    engine, index, demands, constraints = _instance(budget_s=0.03)
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        result = greedy_minimum_slots(index, demands, FRAME.data_slots,
+                                      constraints, engine=engine)
+    assert not result.feasible and result.schedule is None
+    assert result.meta["delay_violations"]
+    assert [feasible for ____, feasible in result.probes] == [False]
+    assert registry.counter("core.zones.delay_rejects").value == 1

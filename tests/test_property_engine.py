@@ -6,12 +6,31 @@ results to a cold, stateless one (``max_indexes=0, max_problems=0``).
 Same minimum slots, same probe log (regions and verdicts in order), same
 schedule table, on arbitrary small meshes; and repeated searches through
 one engine must not contaminate each other.
+
+The solver-policy contracts are checked on slightly larger meshes:
+
+- ``policy="exact"`` (and the default ``"auto"`` policy at paper scale)
+  stays **bitwise-identical** to the pre-policy solver output: same
+  slots, same probe log, same schedule table;
+- the greedy arm is *sound, never complete*: when it returns a schedule
+  that schedule is **S8-conflict-free** against the full conflict graph
+  and meets the **S30 guarantees** (throughput stability and the
+  deterministic delay bound within every flow's budget), and its region
+  is never smaller than the exact optimum;
+- ``greedy`` and ``auto`` searches are deterministic: equal inputs on
+  fresh engines give equal results, which E21's serial-vs-sharded
+  identity rests on.
 """
+
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
+from repro.core.greedy import greedy_minimum_slots
+from repro.core.guarantees import check_guarantees
 from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import minimum_slots
 from repro.core.policy import SolverPolicy
@@ -90,3 +109,115 @@ def test_engine_reuse_across_searches_is_isolated(instance):
         # cache hits hand out independent copies, never aliases
         assert second.schedule is not first.schedule
         assert second.ilp.order is not first.ilp.order
+
+
+# -- the solver-policy contracts -------------------------------------------
+
+PACKET_BITS = 800
+
+
+@st.composite
+def policy_instances(draw):
+    """A small random-disk mesh plus 1-4 routed flows with lax budgets."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    num_nodes = draw(st.integers(min_value=4, max_value=9))
+    topology = random_disk_topology(num_nodes, radio_range=45.0,
+                                   area=80.0, seed=seed)
+    nodes = sorted(topology.nodes)
+    others = [n for n in nodes if n != nodes[0]]
+    srcs = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4,
+                         unique=True))
+    flows = route_all(topology, FlowSet([
+        Flow(f"f{i}", src=s, dst=nodes[0], rate_bps=64_000,
+             delay_budget_s=0.2)
+        for i, s in enumerate(srcs)]))
+    return topology, flows
+
+
+def _problem(topology, flows, engine):
+    demands = flows.link_demands(FRAME.frame_duration_s,
+                                 FRAME.data_slot_capacity_bits)
+    index = engine.conflict_index(topology, links=sorted(demands))
+    return index, demands, delay_constraints_for(
+        flows, FRAME.frame_duration_s / FRAME.data_slots)
+
+
+def _assert_s8_and_s30(result, index, demands, constraints, flows):
+    """The soundness gate every greedy schedule must pass."""
+    schedule = result.schedule
+    assert schedule.violations(index) == []          # S8
+    assert schedule.demands_met(demands)
+    assert schedule.frame_slots == FRAME.data_slots
+    for constraint in constraints:
+        assert (path_delay_slots(schedule, constraint.route)
+                <= constraint.budget_slots)
+    for flow in flows:                                     # S30
+        report = check_guarantees(schedule, flow, FRAME, PACKET_BITS)
+        assert report.stable
+        assert report.meets_budget(flow.delay_budget_s)
+
+
+@given(policy_instances())
+@settings(max_examples=12, deadline=None)
+def test_greedy_arm_emits_only_valid_guaranteed_schedules(instance):
+    topology, flows = instance
+    engine = SolverEngine()
+    index, demands, constraints = _problem(topology, flows, engine)
+    exact = minimum_slots(index, demands, FRAME.data_slots,
+                          constraints, engine=engine, policy="exact")
+    for result in (
+            greedy_minimum_slots(index, demands, FRAME.data_slots,
+                                 constraints, engine=engine),
+            minimum_slots(index, demands, FRAME.data_slots, constraints,
+                          engine=engine, policy="greedy")):
+        if not result.feasible:
+            continue  # sound, not complete: silence is allowed, lies are not
+        _assert_s8_and_s30(result, index, demands, constraints, flows)
+        if exact.feasible:
+            assert result.slots >= exact.slots  # never beats the optimum
+
+
+@given(policy_instances())
+@settings(max_examples=12, deadline=None)
+def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
+        instance):
+    topology, flows = instance
+    engine = SolverEngine()
+    index, demands, constraints = _problem(topology, flows, engine)
+
+    # The pre-policy path, verbatim: run_search on a fresh cold engine.
+    reference_engine = SolverEngine(max_indexes=0, max_problems=0)
+    reference = reference_engine.run_search(
+        index, demands, FRAME.data_slots, tuple(constraints),
+        "linear", FRAME.data_slots)
+
+    for policy in ("exact", None):  # explicit exact and default auto
+        result = minimum_slots(index, demands, FRAME.data_slots,
+                               constraints, engine=SolverEngine(),
+                               policy=policy)
+        _assert_identical(result, reference)
+        assert result.meta is None
+
+
+@given(policy_instances())
+@settings(max_examples=8, deadline=None)
+def test_greedy_and_auto_solves_are_deterministic(instance):
+    """Equal inputs produce equal greedy-arm and greedy-mode results --
+    the property the E21 serial-vs-parallel identity check rests on."""
+    topology, flows = instance
+    for solve in (greedy_minimum_slots,
+                  partial(minimum_slots, policy="greedy"),
+                  partial(minimum_slots,
+                          policy=SolverPolicy(auto_threshold=1))):
+        outcomes = []
+        for ____ in range(2):
+            engine = SolverEngine()
+            index, demands, constraints = _problem(topology, flows, engine)
+            outcomes.append(solve(index, demands, FRAME.data_slots,
+                                  constraints, engine=engine))
+        first, second = outcomes
+        assert first.slots == second.slots
+        assert first.probes == second.probes
+        assert first.meta == second.meta
+        if first.schedule is not None:
+            assert first.schedule.to_dict() == second.schedule.to_dict()

@@ -30,20 +30,45 @@ pairwise overlap arithmetic (no ``core.delay``, no
    not hit its node cap, the search closes there with no ILP probe;
 6. ``K`` is the oracle's minimum: it packs at ``K`` and not at ``K - 1``,
    and an infeasible search has no packing in the whole frame.
+
+A third section checks every rung of the certificate ladder (first-fit
+decreasing, the packing descent, the greedy portfolio) against the same
+oracle, each with the rungs before it switched off, and the greedy arm:
+
+7. whichever rung closes a search, ``K`` is the oracle's minimum and the
+   schedule is conflict-free inside ``[0, K)`` within every budget;
+8. when the bounds close, ``exact``, ``greedy`` and ``auto`` return the
+   same ``K``, probe log and schedule;
+9. :func:`~repro.core.greedy.greedy_minimum_slots` (and a ``greedy``
+   gap search) returns a valid schedule at ``K`` >= the oracle's minimum,
+   or reports infeasible.
+
+One last test forces the greedy rung on a mesh too big for the descent:
+first-fit decreasing and the capped descent both miss, and the greedy
+portfolio packs the floor.
 """
 
+from contextlib import ExitStack
 from unittest import mock
 
+import networkx as nx
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.conflict import _greedy_clique_demand, conflict_graph
+from repro.core.conflict import (
+    ConflictIndex,
+    _greedy_clique_demand,
+    conflict_graph,
+)
 from repro.core.engine import BOUNDS_CLOSED, SolverEngine
+from repro.core.greedy import greedy_minimum_slots, greedy_schedule
 from repro.core.ilp import DelayConstraint, SchedulingProblem
 from repro.core.ilp import solve_schedule_ilp
 from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.policy import SolverPolicy
+from repro.errors import InfeasibleScheduleError
 from repro.net.routing import shortest_path_route
 from repro.net.topology import (
     binary_tree_topology,
@@ -263,6 +288,26 @@ def _oracle_packing(conflicts, demands, frame, constraints, region):
     return place(0)
 
 
+def _assert_oracle_valid(result, conflicts, demands, frame, constraints):
+    """The published schedule, checked with the oracle's own arithmetic:
+    every block inside ``[0, K)``, no conflicting overlap, every budget
+    met at the full frame length."""
+    k = result.slots
+    schedule = result.schedule
+    assert schedule.frame_slots == frame
+    starts = {}
+    for link, d in demands.items():
+        block = schedule.block(link)
+        assert block.length == d
+        assert 0 <= block.start and block.start + d <= k
+        starts[link] = block.start
+    for a, b in conflicts.pairs():
+        assert not _overlap(starts[a], demands[a], starts[b], demands[b])
+    for constraint in constraints:
+        assert (_oracle_delay(starts, demands, constraint.route, frame)
+                <= constraint.budget_slots)
+
+
 @given(packing_instances())
 @settings(max_examples=120, deadline=None)
 def test_packing_certificate_agrees_with_a_brute_force_oracle(instance):
@@ -286,20 +331,8 @@ def test_packing_certificate_agrees_with_a_brute_force_oracle(instance):
               and result.ilp.solver_status == BOUNDS_CLOSED)
     # (4) a closed search publishes a valid packing at a packable K
     if closed:
-        k = result.slots
-        assert packs(k)
-        schedule = result.schedule
-        starts = {}
-        for link, d in demands.items():
-            block = schedule.block(link)
-            assert block.length == d
-            assert 0 <= block.start and block.start + d <= k
-            starts[link] = block.start
-        for a, b in conflicts.pairs():
-            assert not _overlap(starts[a], demands[a], starts[b], demands[b])
-        for constraint in constraints:
-            assert (_oracle_delay(starts, demands, constraint.route, frame)
-                    <= constraint.budget_slots)
+        assert packs(result.slots)
+        _assert_oracle_valid(result, conflicts, demands, frame, constraints)
     # (5) a packing at the floor closes the search unless the cap fired
     if (floor <= frame and packs(floor)
             and "core.minslots.packing_capped" not in counters):
@@ -314,3 +347,102 @@ def test_packing_certificate_agrees_with_a_brute_force_oracle(instance):
         assert result.slots == 1 or not packs(result.slots - 1)
     else:
         assert not packs(frame)
+
+
+# -- every rung of the ladder, and the greedy arm --------------------------
+
+#: The ladder's rungs; a rung is tested with every rung before it off.
+RUNGS = ("ffd", "descent", "greedy")
+
+
+def _rungs_from(rung):
+    """Patches switching off the rungs before ``rung``."""
+    patches = []
+    if rung != "ffd":
+        patches.append(mock.patch(
+            "repro.core.engine.greedy_schedule",
+            side_effect=InfeasibleScheduleError("rung off")))
+    if rung == "greedy":
+        patches.append(mock.patch("repro.core.engine.PACKING_NODE_LIMIT", 0))
+    return patches
+
+
+def _oracle_minimum(conflicts, demands, frame, constraints):
+    """The smallest region the oracle packs, or None within the frame."""
+    return next((region for region in range(1, frame + 1)
+                 if _oracle_packing(conflicts, demands, frame, constraints,
+                                    region) is not None), None)
+
+
+@given(packing_instances(), st.sampled_from(RUNGS))
+@settings(max_examples=90, deadline=None)
+def test_every_rung_and_the_greedy_arm_agree_with_the_oracle(instance, rung):
+    conflicts, demands, frame, constraints, search = instance
+    minimum = _oracle_minimum(conflicts, demands, frame, constraints)
+    registry = obs.MetricsRegistry()
+    with ExitStack() as stack:
+        for patch in _rungs_from(rung):
+            stack.enter_context(patch)
+        stack.enter_context(obs.use_registry(registry))
+        results = {
+            mode: minimum_slots(conflicts, demands, frame, constraints,
+                                engine=SolverEngine(),
+                                policy=SolverPolicy(mode=mode,
+                                                    search=search))
+            for mode in ("exact", "greedy", "auto")}
+        raw_greedy = greedy_minimum_slots(conflicts, demands, frame,
+                                          constraints)
+    counters = registry.snapshot()["counters"]
+    exact = results["exact"]
+    # the exact search reaches the oracle's minimum, whatever decides it
+    assert exact.slots == minimum
+    closed = (exact.ilp is not None
+              and exact.ilp.solver_status == BOUNDS_CLOSED)
+    if closed:
+        # (7) the rung that closed publishes a valid optimum
+        _assert_oracle_valid(exact, conflicts, demands, frame, constraints)
+        if rung == "greedy":
+            assert counters["core.minslots.greedy_rung_closed"] == 3
+        # (8) the bounds decide before any arm: every mode agrees
+        for mode in ("greedy", "auto"):
+            other = results[mode]
+            assert (other.slots, other.probes, other.meta) == (
+                exact.slots, exact.probes, None)
+            assert other.schedule.to_dict() == exact.schedule.to_dict()
+    else:
+        assert "core.minslots.greedy_rung_closed" not in counters
+    # (9) the greedy arm: never below the optimum, valid when it answers
+    for greedy in (raw_greedy, results["greedy"]):
+        if greedy.feasible:
+            assert minimum is not None and greedy.slots >= minimum
+            _assert_oracle_valid(greedy, conflicts, demands, frame,
+                                 constraints)
+
+
+def test_greedy_rung_closes_what_ffd_and_the_capped_descent_miss():
+    """130 disjoint copies of the conflict path a - d - b - c, weighing
+    2, 2, 1, 2 slots: the floor is 4 (a + d).  First-fit decreasing places
+    a, c, then d, and b fits nowhere below 5; the descent stops at its
+    node cap before it places 520 links; canonical order (the portfolio's
+    ``index`` strategy) packs a, b at 0, c at 1 and d at 2, inside 4."""
+    graph = nx.Graph()
+    demands = {}
+    for copy in range(130):
+        a, b, c, d = [(8 * copy + 2 * i, 8 * copy + 2 * i + 1)
+                      for i in range(4)]
+        graph.add_edges_from([(a, d), (d, b), (b, c)])
+        demands.update({a: 2, b: 1, c: 2, d: 2})
+    conflicts = ConflictIndex.from_graph(graph)
+    with pytest.raises(InfeasibleScheduleError):
+        greedy_schedule(conflicts, demands, frame_slots=4)
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        result = minimum_slots(conflicts, demands, 8, policy="exact")
+    counters = registry.snapshot()["counters"]
+    assert counters["core.minslots.packing_capped"] == 1
+    assert counters["core.minslots.greedy_rung_closed"] == 1
+    assert "core.ilp.solves" not in counters
+    assert (result.slots, result.probes) == (4, [(4, True)])
+    assert result.ilp.solver_status == BOUNDS_CLOSED
+    assert result.schedule.violations(conflicts) == []
+    assert all(result.schedule.block(link).end <= 4 for link in demands)
