@@ -5,19 +5,32 @@ pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph and
 conflict-index construction, Bellman-Ford schedule recovery, greedy
 packing, feasibility ILPs, the ILP front end's conflict-clique
-refutation and the delay computation.
+refutation, the delay computation, the S8 check and the packing
+certificate that closes an admission decision.
 """
 
-from repro.core.conflict import _greedy_clique_demand, conflict_graph
+from repro.core.conflict import (
+    _Demanded,
+    _greedy_clique_demand,
+    conflict_graph,
+)
 from repro.core.delay import path_delay_slots
-from repro.core.engine import SolverEngine
+from repro.core.engine import BOUNDS_CLOSED, SolverEngine, _packing_certificate
 from repro.core.greedy import greedy_schedule
-from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
+from repro.core.ilp import (
+    SchedulingProblem,
+    delay_constraints_for,
+    solve_schedule_ilp,
+)
+from repro.core.minslots import demand_lower_bound
 from repro.core.ordering import schedule_from_order
 from repro.core.tree_order import min_delay_tree_order
-from repro.net.routing import gateway_tree
+from repro.mesh16.frame import default_frame_config
+from repro.net.flows import Flow, FlowSet
+from repro.net.routing import gateway_tree, route_all
 from repro.net.topology import grid_topology, random_disk_topology
 from repro.phy.interference import interference_graph
+from repro.traffic.voip import G729
 
 TOPOLOGY = grid_topology(4, 4)
 DEMANDS = {link: 1 for link in TOPOLOGY.links}
@@ -110,3 +123,37 @@ def test_bench_micro_path_delay(benchmark):
 def test_bench_micro_tree_order(benchmark):
     order = benchmark(min_delay_tree_order, TREE, 0)
     assert len(order.links()) == 2 * TREE.number_of_edges()
+
+
+def test_bench_micro_packing_certificate_admission_grid(benchmark):
+    # Six G.729 gateway calls with 50 ms budgets, as voip-admission
+    # offers them: first fit closes the search at the greedy-clique floor.
+    frame = default_frame_config()
+    flows = route_all(ADMISSION_GRID, FlowSet(
+        Flow(f"call{i}", src, dst, rate_bps=G729.wire_rate_bps,
+             delay_budget_s=0.05)
+        for i, (src, dst) in enumerate(
+            [(1, 0), (0, 2), (3, 0), (0, 5), (6, 0), (0, 7)])))
+    demands = flows.link_demands(frame.frame_duration_s,
+                                 frame.data_slot_capacity_bits)
+    constraints = delay_constraints_for(
+        flows, frame.frame_duration_s / frame.data_slots)
+    conflicts = conflict_graph(ADMISSION_GRID, hops=2)
+    view = _Demanded(conflicts, demands)
+    floor = max(demand_lower_bound(demands),
+                _greedy_clique_demand(conflicts, demands, frame.data_slots))
+    result = benchmark(_packing_certificate, conflicts, demands, view,
+                       frame.data_slots, floor, constraints)
+    assert result.solver_status == BOUNDS_CLOSED
+    assert result.schedule.violations(conflicts) == []
+    assert result.schedule.makespan() <= floor
+    assert result.max_delay_slots <= min(c.budget_slots
+                                         for c in constraints)
+
+
+def test_bench_micro_violations_churn_mesh(benchmark):
+    # The S8 check of a first-fit packing of every churn-mesh link.
+    conflicts = conflict_graph(CHURN_MESH, hops=2)
+    schedule = greedy_schedule(conflicts,
+                               {link: 1 for link in CHURN_MESH.links})
+    assert benchmark(schedule.violations, conflicts) == []

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.ilp import delay_constraints_for
+from repro.core.ilp import DelayConstraint, delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
 from repro.core.policy import SolverPolicy, require_int
 from repro.core.schedule import Schedule
@@ -22,6 +22,11 @@ from repro.net.flows import Flow, FlowSet
 from repro.net.routing import shortest_path_route
 from repro.net.topology import MeshTopology
 from repro.obs.metrics import counter as obs_counter
+
+
+#: An admitted flow, its slots per frame on each route link and its
+#: delay constraint (``None``: best effort).
+_FlowTerms = tuple[Flow, int, Optional[DelayConstraint]]
 
 
 @dataclass
@@ -101,6 +106,7 @@ class AdmissionController:
         self.interference = coerce_interference(interference)
         self.conflicts = self.interference.conflict_graph(topology)
         self.admitted = FlowSet()
+        self._flow_terms: dict[str, _FlowTerms] = {}
         self.schedule: Optional[Schedule] = None
         self.slots_used = 0
 
@@ -108,14 +114,38 @@ class AdmissionController:
     def slot_duration_s(self) -> float:
         return self.frame_duration_s / self.frame_slots
 
-    def _schedule_flows(self, flows: FlowSet) -> MinSlotResult:
-        demands = flows.link_demands(self.frame_duration_s,
-                                     self.slot_capacity_bits)
-        return minimum_slots(
-            self.conflicts, demands, self.frame_slots,
-            delay_constraints=delay_constraints_for(
-                flows, self.slot_duration_s),
-            policy=self.policy)
+    def _terms(self, flow: Flow) -> _FlowTerms:
+        """``flow``'s per-link slots and delay constraint.
+
+        Derived when a flow is offered and kept while it stays admitted.
+        """
+        cached = self._flow_terms.get(flow.name)
+        if cached is not None and cached[0] is flow:
+            return cached
+        constraints = delay_constraints_for((flow,), self.slot_duration_s)
+        return (flow,
+                flow.slots_per_frame(self.frame_duration_s,
+                                     self.slot_capacity_bits),
+                constraints[0] if constraints else None)
+
+    def _schedule_flows(self, flows: FlowSet
+                        ) -> tuple[MinSlotResult, dict[str, _FlowTerms]]:
+        """The min-slot search over ``flows``, and each flow's terms.
+
+        The demands add up in flow order, then route order, as
+        :meth:`~repro.net.flows.FlowSet.link_demands` does.
+        """
+        terms = {flow.name: self._terms(flow) for flow in flows}
+        demands: dict = {}
+        for flow, per_link, ____ in terms.values():
+            for link in flow.route:
+                demands[link] = demands.get(link, 0) + per_link
+        constraints = [constraint for ____, ____, constraint
+                       in terms.values() if constraint is not None]
+        result = minimum_slots(self.conflicts, demands, self.frame_slots,
+                               delay_constraints=constraints,
+                               policy=self.policy)
+        return result, terms
 
     def try_admit(self, flow: Flow) -> AdmissionDecision:
         """Attempt to admit ``flow``; commits state only on success."""
@@ -126,7 +156,7 @@ class AdmissionController:
                 shortest_path_route(self.topology, flow.src, flow.dst))
 
         candidate = FlowSet(list(self.admitted) + [flow])
-        result = self._schedule_flows(candidate)
+        result, terms = self._schedule_flows(candidate)
         if not result.feasible:
             return AdmissionDecision(
                 admitted=False, flow=flow,
@@ -135,6 +165,7 @@ class AdmissionController:
                 slots_used=self.slots_used, schedule=self.schedule)
 
         self.admitted = candidate
+        self._flow_terms = terms
         self.schedule = result.schedule
         self.slots_used = result.slots
         return AdmissionDecision(
@@ -155,10 +186,11 @@ class AdmissionController:
                 f"cannot release {name!r}: no such admitted flow")
         self.admitted.remove(name)
         if len(self.admitted) == 0:
+            self._flow_terms = {}
             self.schedule = None
             self.slots_used = 0
             return
-        result = self._schedule_flows(self.admitted)
+        result, self._flow_terms = self._schedule_flows(self.admitted)
         if not result.feasible:  # pragma: no cover - removing cannot hurt
             raise ConfigurationError(
                 "internal error: schedule infeasible after release")

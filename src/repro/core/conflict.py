@@ -310,6 +310,32 @@ def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     return best
 
 
+class _Demanded:
+    """The demanded links of one search, mapped onto a conflict index once.
+
+    Local index ``i`` is the ``i``-th link with positive demand in sorted
+    (canonical) order: :attr:`links` names it, :attr:`demand` holds its
+    slots and :attr:`near` its conflicting demanded links as local
+    indices, in the index's row order.  Every kernel of a search (the
+    greedy clique, first fit, the packing descent, the S8 and budget
+    checks) reads these lists instead of resolving links again.  A
+    demanded link missing from ``conflicts`` raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+
+    __slots__ = ("links", "demand", "local", "near")
+
+    def __init__(self, conflicts: ConflictIndex,
+                 demands: Mapping[Link, int]) -> None:
+        self.links = sorted(link for link, d in demands.items() if d > 0)
+        self.demand = [demands[link] for link in self.links]
+        self.local = {link: i for i, link in enumerate(self.links)}
+        positions = list(map(conflicts.position, self.links))
+        at = {p: i for i, p in enumerate(positions)}
+        rows = conflicts._rows
+        self.near = [[at[q] for q in rows[p] if q in at] for p in positions]
+
+
 def _greedy_clique_demand(conflicts: ConflictIndex,
                           demands: Mapping[Link, int], region: int) -> int:
     """Weight of a heavy clique of demanded links, stopping above ``region``.
@@ -328,22 +354,27 @@ def _greedy_clique_demand(conflicts: ConflictIndex,
     dense mesh).  A demanded link missing from ``conflicts`` raises
     :class:`~repro.errors.ConfigurationError`.
     """
-    demanded = {link: d for link, d in demands.items() if d > 0}
-    # Bit i stands for the i-th heaviest demanded link (ties: canonical
-    # order), so the lowest set bit of a candidate mask is the next pick.
-    heaviest = sorted(demanded, key=lambda link: (-demanded[link], link))
-    positions = [conflicts.position(link) for link in heaviest]
-    best = max(demanded.values(), default=0)
+    return _clique_weight(_Demanded(conflicts, demands), region)
+
+
+def _clique_weight(view: _Demanded, region: int) -> int:
+    """:func:`_greedy_clique_demand` over a search's demanded links."""
+    demand = view.demand
+    best = max(demand, default=0)
     if best > region:
         return best
-    rank = {p: i for i, p in enumerate(positions)}
-    weights = [demanded[link] for link in heaviest]
-    rows = conflicts._rows
-    near = [sum(1 << rank[j] for j in rows[p] if j in rank)
-            for p in positions]
-    for start in sorted(demanded):
-        weight = demanded[start]
-        candidates = near[rank[conflicts._positions[start]]]
+    # Bit r stands for the r-th heaviest demanded link (ties: canonical
+    # order), so the lowest set bit of a candidate mask is the next pick.
+    heaviest = sorted(range(len(demand)), key=lambda i: (-demand[i], i))
+    rank = [0] * len(demand)
+    bit = [0] * len(demand)
+    for r, i in enumerate(heaviest):
+        rank[i] = r
+        bit[i] = 1 << r
+    weights = [demand[i] for i in heaviest]
+    near = [sum(map(bit.__getitem__, view.near[i])) for i in heaviest]
+    for i, weight in enumerate(demand):
+        candidates = near[rank[i]]
         while candidates and weight <= region:
             pick = (candidates & -candidates).bit_length() - 1
             weight += weights[pick]

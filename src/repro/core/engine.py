@@ -58,14 +58,15 @@ from typing import Mapping, Optional, Sequence
 from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
-    _greedy_clique_demand,
+    _clique_weight,
+    _Demanded,
     conflict_graph,
 )
-from repro.core.delay import path_delay_slots
 from repro.core.greedy import (
+    _first_fit,
+    _processing_order,
     greedy_minimum_slots,
     greedy_packings,
-    greedy_schedule,
 )
 from repro.core.ilp import (
     DEFAULT_NODE_LIMIT,
@@ -78,10 +79,11 @@ from repro.core.ordering import TransmissionOrder
 # Bound here only for perfbench/tracer.py, which wraps this name.
 from repro.core.ordering import schedule_from_order  # noqa: F401
 from repro.core.policy import SolverPolicy
-from repro.core.schedule import Schedule, SlotBlock
+from repro.core.schedule import Schedule, SlotBlock, _overlapping_pairs
 from repro.errors import (
     ConfigurationError,
     InfeasibleScheduleError,
+    SchedulingError,
     SolverError,
 )
 from repro.net.topology import Link, MeshTopology
@@ -429,12 +431,13 @@ class SolverEngine:
         if lower > ceiling:
             return finish(None, None)
 
-        floor = max(lower, _greedy_clique_demand(conflicts, demands, ceiling))
+        view = _Demanded(conflicts, demands)
+        floor = max(lower, _clique_weight(view, ceiling))
         if floor > ceiling:
             log(ceiling, False)
             return finish(None, None)
         certificate = _packing_certificate(
-            conflicts, demands, frame_slots, floor, delay_constraints)
+            conflicts, demands, view, frame_slots, floor, delay_constraints)
         if certificate is not None:
             obs.counter("core.minslots.bounds_closed").inc()
             log(floor, True)
@@ -471,33 +474,79 @@ class SolverEngine:
         return finish(best_region, best)
 
 
-def _within_budgets(packed: Schedule, frame_slots: int,
-                    delay_constraints: Sequence[DelayConstraint]
-                    ) -> Optional[Schedule]:
-    """``packed`` in a ``frame_slots`` frame if it meets every budget.
+def _route_delay(route: Sequence[int], start: Sequence[int],
+                 demand: Sequence[int], frame_slots: int) -> int:
+    """:func:`~repro.core.delay.path_delay_slots` of a route of local
+    indices: first block's start to last block's end, with the cyclic
+    wait before each later hop."""
+    first = start[route[0]]
+    finish = first + demand[route[0]]
+    for i in route[1:]:
+        finish += (start[i] - finish) % frame_slots + demand[i]
+    return finish - first
 
-    The copy makes a wrap cost the full frame, not the packed region.
+
+class _Budgets:
+    """A search's delay constraints over its demanded links' local indices.
+
+    ``routes[c]`` is constraint ``c``'s route as local indices, or
+    ``None`` when it crosses an undemanded link (``missing[c]``, the
+    first such link on the route).
     """
-    schedule = Schedule(frame_slots, dict(packed.items()))
-    for constraint in delay_constraints:
-        if (path_delay_slots(schedule, constraint.route)
-                > constraint.budget_slots):
-            return None
-    return schedule
+
+    __slots__ = ("routes", "missing", "budgets")
+
+    def __init__(self, view: _Demanded,
+                 delay_constraints: Sequence[DelayConstraint]) -> None:
+        local = view.local
+        self.routes: list[Optional[list[int]]] = []
+        self.missing: list[Optional[Link]] = []
+        for constraint in delay_constraints:
+            route = [local.get(link) for link in constraint.route]
+            lost = None
+            if None in route:
+                lost = constraint.route[route.index(None)]
+                route = None
+            self.routes.append(route)
+            self.missing.append(lost)
+        self.budgets = [c.budget_slots for c in delay_constraints]
+
+    def delays(self, start: Sequence[int], demand: Sequence[int],
+               frame_slots: int) -> Optional[list[int]]:
+        """Every route's delay when all meet their budgets, else ``None``.
+
+        Checked in constraint order at the full frame length; reaching a
+        route through an undemanded link raises
+        :class:`~repro.errors.SchedulingError`, as
+        :func:`~repro.core.delay.path_delay_slots` does on a schedule
+        without that link.
+        """
+        delays = []
+        for route, lost, budget in zip(self.routes, self.missing,
+                                       self.budgets):
+            if route is None:
+                raise SchedulingError(f"link {lost} has no slot assignment")
+            delay = _route_delay(route, start, demand, frame_slots)
+            if delay > budget:
+                return None
+            delays.append(delay)
+        return delays
 
 
 def _packing_certificate(conflicts: ConflictIndex,
-                         demands: Mapping[Link, int], frame_slots: int,
-                         region: int,
+                         demands: Mapping[Link, int], view: _Demanded,
+                         frame_slots: int, region: int,
                          delay_constraints: Sequence[DelayConstraint]
                          ) -> Optional[ILPResult]:
     """A packing that proves ``region`` slots suffice, or ``None``.
 
-    A ladder of three rungs, each tried only when the one before it finds
+    ``view`` is the search's :class:`~repro.core.conflict._Demanded`
+    mapping of ``demands``; every rung works on its local indices.  A
+    ladder of three rungs, each tried only when the one before it finds
     no packing that meets every delay budget:
 
-    1. first-fit-decreasing :func:`~repro.core.greedy.greedy_schedule`
-       (it packs conflict-free by construction and validates S8 itself);
+    1. first-fit decreasing (:func:`~repro.core.greedy._first_fit`, the
+       kernel of :func:`~repro.core.greedy.greedy_schedule`);
     2. :func:`_packing_descent`, an exact search within
        :data:`PACKING_NODE_LIMIT` nodes;
     3. the greedy arm's portfolio compacted into the region by
@@ -505,38 +554,50 @@ def _packing_certificate(conflicts: ConflictIndex,
        packs meshes too big for the descent's node cap
        (``core.minslots.greedy_rung_closed`` counts its certificates).
 
-    The result carries the schedule, the order its start slots induce and
-    :data:`BOUNDS_CLOSED`.
+    Budgets are checked on start slots at the full frame length, so a
+    wrap costs the frame, not the packed region.  The packing that
+    passes is checked conflict-free (S8) and published as the result's
+    schedule, with the order its start slots induce, the largest route
+    delay and :data:`BOUNDS_CLOSED`.
     """
+    demand = view.demand
+    budgets = _Budgets(view, delay_constraints)
     try:
-        packed = greedy_schedule(conflicts, demands, frame_slots=region)
+        start = _first_fit(view, _processing_order(demand, "demand", None),
+                           region, "demand")
     except InfeasibleScheduleError:
-        schedule = None
+        delays = None
     else:
-        schedule = _within_budgets(packed, frame_slots, delay_constraints)
-    if schedule is None:
-        schedule = _packing_descent(conflicts, demands, frame_slots, region,
-                                    delay_constraints)
-    if schedule is None:
+        delays = budgets.delays(start, demand, frame_slots)
+    if delays is None:
+        start = _packing_descent(view, budgets, frame_slots, region)
+        if start is not None:
+            delays = budgets.delays(start, demand, frame_slots)
+    if delays is None:
         for ____, ____, packed in greedy_packings(conflicts, demands, region):
-            schedule = _within_budgets(packed, frame_slots, delay_constraints)
-            if schedule is not None:
+            start = [packed.block(link).start for link in view.links]
+            delays = budgets.delays(start, demand, frame_slots)
+            if delays is not None:
                 obs.counter("core.minslots.greedy_rung_closed").inc()
                 break
-    if schedule is None:
+    if delays is None:
         return None
-    max_delay = max((path_delay_slots(schedule, c.route)
-                     for c in delay_constraints), default=None)
-    order = TransmissionOrder.from_schedule(schedule)
-    return ILPResult(True, schedule, order, max_delay, 0.0, BOUNDS_CLOSED,
-                     0, 0)
+    spans = {i: (start[i], start[i] + d) for i, d in enumerate(demand)}
+    clashes = _overlapping_pairs(view.near, spans)
+    if clashes:  # pragma: no cover - every rung packs conflict-free
+        raise SchedulingError(
+            f"packing has {len(clashes)} conflicting overlaps")
+    links = view.links
+    schedule = Schedule(frame_slots, {
+        link: SlotBlock(start[i], demand[i]) for i, link in enumerate(links)})
+    order = TransmissionOrder(
+        {link: float(start[i]) for i, link in enumerate(links)})
+    return ILPResult(True, schedule, order, max(delays, default=None), 0.0,
+                     BOUNDS_CLOSED, 0, 0)
 
 
-def _packing_descent(conflicts: ConflictIndex,
-                     demands: Mapping[Link, int], frame_slots: int,
-                     region: int,
-                     delay_constraints: Sequence[DelayConstraint]
-                     ) -> Optional[Schedule]:
+def _packing_descent(view: _Demanded, budgets: _Budgets, frame_slots: int,
+                     region: int) -> Optional[list[int]]:
     """Depth-first search for a packing inside ``region`` meeting every budget.
 
     Each demanded link gets a contiguous, non-wrapping block inside
@@ -544,36 +605,37 @@ def _packing_descent(conflicts: ConflictIndex,
     descent branches on the most constrained unplaced link (fewest
     conflict-free starts, then heaviest demand, then canonical order) and
     tries its starts in increasing order; a delay constraint is checked
-    with :func:`~repro.core.delay.path_delay_slots` arithmetic at the
-    full frame length as soon as every link on its route is placed.  The
-    first complete packing is returned as a ``frame_slots``-long
-    :class:`Schedule`.  ``None`` -- no packing exists, or the descent
-    visited :data:`PACKING_NODE_LIMIT` nodes first -- proves nothing.
-    A route through an undemanded link is never checked here, so such a
-    search gets no packing either.
+    with :func:`_route_delay` at the full frame length as soon as every
+    link on its route is placed.  The first complete packing is returned
+    as every demanded link's start slot.  ``None`` -- no packing exists,
+    or the descent visited :data:`PACKING_NODE_LIMIT` nodes first --
+    proves nothing.  A packing places one link per node, so with more
+    demanded links than the cap the descent is skipped at once (counted
+    as capped, with no nodes).  A route through an undemanded link is
+    never checked here, so such a search gets no packing either.
     """
-    links = sorted(link for link, d in demands.items() if d > 0)
-    index = {link: i for i, link in enumerate(links)}
-    routes = [[index.get(link) for link in c.route]
-              for c in delay_constraints]
-    if any(None in route for route in routes):
+    routes = budgets.routes
+    if None in routes:
         return None
-    demand = [demands[link] for link in links]
-    neighbours = [[index[other] for other in conflicts.neighbors(link)
-                   if other in index] for link in links]
+    demand, neighbours = view.demand, view.near
+    count = len(demand)
+    if count > PACKING_NODE_LIMIT:
+        obs.counter("core.minslots.packing_nodes").inc(0)
+        obs.counter("core.minslots.packing_capped").inc()
+        return None
     # Bit s of fits[i] is set when link i's block may start at slot s.
     fits = [(1 << max(0, region - d + 1)) - 1 for d in demand]
     # checks[i]: the constraints on link i; waiting[c]: their unplaced links
-    checks: list[list[int]] = [[] for _ in links]
+    checks: list[list[int]] = [[] for _ in demand]
     waiting = []
     for c, route in enumerate(routes):
         for i in set(route):
             checks[i].append(c)
         waiting.append(len(set(route)))
-    budgets = [c.budget_slots for c in delay_constraints]
-    busy = [0] * len(links)  # slots taken by placed conflicting links
-    start = [0] * len(links)
-    unplaced = set(range(len(links)))
+    limits = budgets.budgets
+    busy = [0] * count  # slots taken by placed conflicting links
+    start = [0] * count
+    unplaced = set(range(count))
     nodes = 0
 
     def starts_of(i: int) -> int:
@@ -582,14 +644,6 @@ def _packing_descent(conflicts: ConflictIndex,
         for offset in range(demand[i]):
             mask &= free >> offset
         return mask
-
-    def meets_budget(c: int) -> bool:
-        route = routes[c]
-        first = start[route[0]]
-        finish = first + demand[route[0]]
-        for i in route[1:]:
-            finish += (start[i] - finish) % frame_slots + demand[i]
-        return finish - first <= budgets[c]
 
     def descend() -> Optional[bool]:
         """True: packed; False: no packing below; None: node cap hit."""
@@ -615,7 +669,9 @@ def _packing_descent(conflicts: ConflictIndex,
             ok = True
             for c in checks[pick]:
                 waiting[c] -= 1
-                if waiting[c] == 0 and not meets_budget(c):
+                if (waiting[c] == 0
+                        and _route_delay(routes[c], start, demand,
+                                         frame_slots) > limits[c]):
                     ok = False
             if ok:
                 found = descend()
@@ -632,10 +688,7 @@ def _packing_descent(conflicts: ConflictIndex,
     obs.counter("core.minslots.packing_nodes").inc(nodes)
     if found is None:
         obs.counter("core.minslots.packing_capped").inc()
-    if not found:
-        return None
-    return Schedule(frame_slots, {
-        link: SlotBlock(start[i], demand[i]) for i, link in enumerate(links)})
+    return start if found else None
 
 
 def _copy_result(result: ILPResult) -> ILPResult:

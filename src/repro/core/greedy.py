@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.conflict import ConflictIndex
+from repro.core.conflict import ConflictIndex, _Demanded
 from repro.core.delay import path_delay_slots
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.minslots import MinSlotResult, demand_lower_bound
@@ -44,38 +44,51 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 GREEDY_PORTFOLIO = ("demand", "index")
 
 
-def _link_processing_order(demands: Mapping[Link, int], strategy: str,
-                           rng: Optional[np.random.Generator]) -> list[Link]:
-    links = [l for l in sorted(demands) if demands[l] > 0]
+def _processing_order(demand: Sequence[int], strategy: str,
+                      rng: Optional[np.random.Generator]) -> list[int]:
+    """The order a strategy places a search's demanded links in.
+
+    Local indices of a :class:`~repro.core.conflict._Demanded` view,
+    whose canonical order is the ``"index"`` strategy's.
+    """
     if strategy == "index":
-        return links
+        return list(range(len(demand)))
     if strategy == "demand":
         # Heaviest demand first (classic first-fit-decreasing), canonical
         # tie-break for determinism.
-        return sorted(links, key=lambda l: (-demands[l], l))
+        return sorted(range(len(demand)), key=lambda i: (-demand[i], i))
     if strategy == "random":
         if rng is None:
             raise ConfigurationError("strategy='random' requires an rng")
-        permutation = rng.permutation(len(links))
-        return [links[i] for i in permutation]
+        return [int(i) for i in rng.permutation(len(demand))]
     raise ConfigurationError(f"unknown greedy strategy {strategy!r}")
 
 
-def _earliest_fit(busy: list[tuple[int, int]], length: int,
-                  limit: Optional[int]) -> Optional[int]:
-    """Earliest start of a ``length``-slot block avoiding ``busy`` intervals.
+def _first_fit(view: _Demanded, order: Sequence[int],
+               limit: Optional[int], strategy: str) -> list[int]:
+    """Start slot of every demanded link, placed first-fit in ``order``.
 
-    ``busy`` is a list of (start, end) half-open intervals.  Returns None if
-    no start fits below ``limit`` (when given).
+    Each link takes the earliest start whose block overlaps no placed
+    conflicting link's block; with ``limit`` given, a block that cannot
+    end by it raises :class:`~repro.errors.InfeasibleScheduleError`.
     """
-    candidate = 0
-    for start, end in sorted(busy):
-        if candidate + length <= start:
-            break
-        candidate = max(candidate, end)
-    if limit is not None and candidate + length > limit:
-        return None
-    return candidate
+    demand, near = view.demand, view.near
+    start = [-1] * len(demand)
+    for i in order:
+        length = demand[i]
+        candidate = 0
+        for begin, end in sorted([(start[j], start[j] + demand[j])
+                                  for j in near[i] if start[j] >= 0]):
+            if candidate + length <= begin:
+                break
+            if end > candidate:
+                candidate = end
+        if limit is not None and candidate + length > limit:
+            raise InfeasibleScheduleError(
+                f"greedy({strategy}) could not fit link {view.links[i]} "
+                f"({length} slots) within {limit} slots")
+        start[i] = candidate
+    return start
 
 
 def greedy_schedule(conflicts: ConflictIndex, demands: Mapping[Link, int],
@@ -101,22 +114,14 @@ def greedy_schedule(conflicts: ConflictIndex, demands: Mapping[Link, int],
         ``"demand"`` (first-fit decreasing), ``"index"`` (canonical link
         order) or ``"random"`` (a shuffled order drawn from ``rng``).
     """
-    order = _link_processing_order(demands, strategy, rng)
-    starts: dict[Link, SlotBlock] = {}
-    for link in order:
-        busy = [(starts[other].start, starts[other].end)
-                for other in conflicts.neighbors(link) if other in starts]
-        start = _earliest_fit(busy, demands[link], frame_slots)
-        if start is None:
-            raise InfeasibleScheduleError(
-                f"greedy({strategy}) could not fit link {link} "
-                f"({demands[link]} slots) within {frame_slots} slots")
-        starts[link] = SlotBlock(start, demands[link])
-
-    span = max((block.end for block in starts.values()), default=1)
+    view = _Demanded(conflicts, demands)
+    order = _processing_order(view.demand, strategy, rng)
+    start = _first_fit(view, order, frame_slots, strategy)
+    demand = view.demand
+    span = max((start[i] + demand[i] for i in order), default=1)
     schedule = Schedule(frame_slots if frame_slots is not None else span)
-    for link, block in starts.items():
-        schedule.assign(link, block)
+    for i in order:
+        schedule.assign(view.links[i], SlotBlock(start[i], demand[i]))
     schedule.validate(conflicts)
     return schedule
 

@@ -48,6 +48,27 @@ class SlotBlock:
         return self.start < other.end and other.start < self.end
 
 
+def _overlapping_pairs(rows: list[list[int]],
+                       spans: Mapping[int, tuple[int, int]]
+                       ) -> list[tuple[int, int]]:
+    """Every ``(p, q)``, ``p < q``, with ``q`` in ``rows[p]`` whose
+    ``(start, end)`` spans in ``spans`` share a slot.
+
+    The S8 kernel: ``rows`` are conflict rows by position (a
+    :class:`~repro.core.conflict.ConflictIndex`'s, or a search's rows
+    among its demanded links) and ``spans`` the placed keys.
+    """
+    pairs = []
+    for p, (start, end) in spans.items():
+        for q in rows[p]:
+            if q > p:
+                other = spans.get(q)
+                if (other is not None and start < other[1]
+                        and other[0] < end):
+                    pairs.append((p, q))
+    return pairs
+
+
 class Schedule:
     """A conflict-checked TDMA slot assignment.
 
@@ -138,11 +159,18 @@ class Schedule:
 
         Scheduled links outside ``conflicts`` have no known conflicts.
         """
-        blocks = self._blocks
-        return sorted((a, b) for a in blocks if a in conflicts
-                      for b in conflicts.neighbors(a)
-                      if a < b and b in blocks
-                      and blocks[a].overlaps(blocks[b]))
+        position = conflicts._positions
+        spans = {}
+        for link, block in self._blocks.items():
+            p = position.get(link)
+            if p is not None:
+                spans[p] = (block.start, block.start + block.length)
+        at = conflicts.links
+        pairs = []
+        for p, q in _overlapping_pairs(conflicts._rows, spans):
+            a, b = at[p], at[q]
+            pairs.append((a, b) if a < b else (b, a))
+        return sorted(pairs)
 
     def validate(self, conflicts: "ConflictIndex") -> None:
         """Raise :class:`SchedulingError` unless the schedule is conflict-free."""

@@ -225,8 +225,9 @@ def test_descent_closes_a_churn_install_first_fit_misses(registry,
     no ILP.
     """
     import repro.core.repair as repair
-    from repro.core.engine import _within_budgets
+    from repro.core.delay import path_delay_slots
     from repro.core.greedy import greedy_schedule
+    from repro.core.schedule import Schedule
     from repro.errors import InfeasibleScheduleError
     from repro.mobility.models import RandomWaypointModel
     from repro.mobility.stream import RadioRangeModel, TopologyStream
@@ -258,12 +259,16 @@ def test_descent_closes_a_churn_install_first_fit_misses(registry,
     ((conflicts, demands, frame_slots), kwargs, search), = calls
     constraints = kwargs["delay_constraints"]
     try:
-        first_fit = _within_budgets(
-            greedy_schedule(conflicts, demands, frame_slots=12),
-            frame_slots, constraints)
+        packed = greedy_schedule(conflicts, demands, frame_slots=12)
     except InfeasibleScheduleError:
-        first_fit = None
-    assert first_fit is None
+        first_fit_fits = False
+    else:
+        # budgets at the full frame length, where a wrap costs the frame
+        first_fit = Schedule(frame_slots, dict(packed.items()))
+        first_fit_fits = all(
+            path_delay_slots(first_fit, c.route) <= c.budget_slots
+            for c in constraints)
+    assert not first_fit_fits
     assert search.slots == 12 and search.probes == [(12, True)]
     assert search.ilp.solver_status == BOUNDS_CLOSED
     assert outcome.feasible and outcome.ilp_probes == 1

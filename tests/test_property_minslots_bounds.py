@@ -360,7 +360,7 @@ def _rungs_from(rung):
     patches = []
     if rung != "ffd":
         patches.append(mock.patch(
-            "repro.core.engine.greedy_schedule",
+            "repro.core.engine._first_fit",
             side_effect=InfeasibleScheduleError("rung off")))
     if rung == "greedy":
         patches.append(mock.patch("repro.core.engine.PACKING_NODE_LIMIT", 0))
