@@ -8,19 +8,8 @@ Run reconstructed experiments by id and print their tables:
 
 Results are cached under ``.repro_cache/`` keyed by (experiment shard,
 package version, source fingerprint), so an unchanged tree re-prints in
-seconds; ``--no-cache`` forces recomputation.  Every task execution is
-appended to the run ledger, a sqlite-WAL database at
-``.repro_cache/ledger.sqlite``; ``--ledger-summary`` prints where the
-time went and ``--ledger-query 'outcome=failed,order=-wall_s,limit=5'``
-filters the raw history as JSON lines.  A suite interrupted mid-run
-resumes from the cache automatically; ``--resume`` additionally skips work the ledger records
-as already completed and reports orphaned tasks an earlier run never
-finished.
-
-``--chaos LEVEL`` runs the suite under seeded runtime fault injection
-(worker crashes, transient errors, torn cache/ledger writes) as a
-self-test of the execution machinery: results must come out identical
-to a clean run, because injection stays within the retry budget.
+seconds; ``--no-cache`` forces recomputation.  A suite interrupted
+mid-run resumes from the cache: finished shards are not recomputed.
 
 Benchmarks (``pytest benchmarks/ --benchmark-only``) run the same code
 under timing and shape assertions; this entry point is for interactive
@@ -37,19 +26,14 @@ import sys
 import tempfile
 
 from repro.analysis.experiments import ALL_EXPERIMENTS
-from repro.runtime.cache import DEFAULT_CACHE_DIR
-from repro.runtime.ledger import (
-    DEFAULT_LEDGER_NAME,
-    RunLedger,
-    format_ledger_summary,
-    parse_query,
-    summarize_ledger,
-)
+from repro.errors import ConfigurationError
+from repro.runtime.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runtime.runner import (
     ExperimentOutcome,
     dedupe_ids,
     run_experiments,
 )
+from repro.runtime.tasks import shard_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,37 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "cache key")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
-                        help="cache/ledger directory (default %(default)s)")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip work the run ledger records as already "
-                             "completed (cached tables still print)")
-    parser.add_argument("--ledger-summary", action="store_true",
-                        help="print outcome counts, retries, orphans, "
-                             "quarantined cache entries, and slowest "
-                             "tasks from the run ledger, then exit")
-    parser.add_argument("--ledger-query", metavar="EXPR",
-                        help="print matching ledger records as JSON "
-                             "lines, then exit; EXPR is comma-separated "
-                             "field=value terms plus order=[-]field and "
-                             "limit=N, e.g. "
-                             "'outcome=failed,order=-wall_s,limit=5'")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-task wall-clock limit in seconds "
-                             "(enforced with --jobs > 1)")
-    parser.add_argument("--retry-timeouts", action="store_true",
-                        help="spend retry budget on timed-out tasks too "
-                             "(default: a timeout is presumed systematic "
-                             "and fails immediately)")
-    parser.add_argument("--chaos", type=float, default=None,
-                        metavar="LEVEL",
-                        help="inject runtime faults at intensity 0..1 "
-                             "(worker crashes, transient errors, torn "
-                             "cache/ledger writes); injection stays "
-                             "within the retry budget, so results must "
-                             "be identical to a clean run")
-    parser.add_argument("--chaos-seed", type=int, default=0, metavar="N",
-                        help="seed for the --chaos injection schedule "
-                             "(default %(default)s)")
+                        help="result cache directory (default %(default)s)")
     parser.add_argument("--metrics", metavar="PATH",
                         help="collect metrics while running and write the "
                              "deterministic snapshot (JSON) to PATH")
@@ -159,14 +113,10 @@ def _write_report(path: str, requested: list[str],
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    ledger_path = pathlib.Path(args.cache_dir) / DEFAULT_LEDGER_NAME
 
     if args.list:
         cache = None
         if not args.no_cache:
-            from repro.runtime.cache import ResultCache
-            from repro.runtime.tasks import shard_experiment
-
             cache = ResultCache(args.cache_dir)
         for key in sorted(ALL_EXPERIMENTS,
                           key=lambda k: int(k[1:])):
@@ -180,29 +130,6 @@ def main(argv: list[str] | None = None) -> int:
                           else "uncached")
                 status = f"[{status:<8}] "
             print(f"{key:>4}  {status}{doc[0] if doc else ''}")
-        return 0
-
-    if args.ledger_summary:
-        print(format_ledger_summary(summarize_ledger(
-            ledger_path,
-            quarantine_dir=pathlib.Path(args.cache_dir) / "quarantine")))
-        return 0
-
-    if args.ledger_query:
-        from repro.errors import ConfigurationError
-
-        try:
-            where, order, limit = parse_query(args.ledger_query)
-            ledger = RunLedger(ledger_path)
-            try:
-                rows = ledger.query(where, order=order, limit=limit)
-            finally:
-                ledger.close()
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
         return 0
 
     params = {}
@@ -242,6 +169,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: unknown experiment(s) {', '.join(unknown)}; "
               "try --list", file=sys.stderr)
         return 2
+    try:
+        # Expanding the shards checks every --param against each
+        # experiment's signature and sweep axis before anything runs.
+        for key in requested:
+            shard_experiment(key, params)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     outcomes: dict[int, ExperimentOutcome] = {}
     next_to_print = 0
@@ -251,8 +186,6 @@ def main(argv: list[str] | None = None) -> int:
             print(outcome.result.table())
             print(f"({outcome.wall_s:.1f}s"
                   f"{', cached' if outcome.cached else ''})\n")
-        elif outcome.outcome == "skipped":
-            print(f"[{outcome.experiment}] skipped: {outcome.error}\n")
         else:
             print(f"[{outcome.experiment}] FAILED: {outcome.error}\n",
                   file=sys.stderr)
@@ -272,23 +205,6 @@ def main(argv: list[str] | None = None) -> int:
               "share the trace file)", file=sys.stderr)
         return 2
 
-    chaos = None
-    if args.chaos is not None:
-        from repro.errors import ConfigurationError
-        from repro.runtime.chaos import ChaosPolicy
-
-        # Hangs need a per-task timeout to cut them short in parallel
-        # mode; without one they only make sense serially (where the
-        # runtime models them as instant timeouts).
-        include_hangs = jobs == 1 or args.timeout is not None
-        try:
-            chaos = ChaosPolicy.at_intensity(
-                args.chaos, seed=args.chaos_seed, max_attempt=1,
-                include_hangs=include_hangs,
-                hang_s=(3.0 * args.timeout if args.timeout else 30.0))
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     registry = None
     if args.metrics or args.trace or args.profile:
         from repro import obs
@@ -302,13 +218,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         run_experiments(requested, jobs=jobs, use_cache=not args.no_cache,
-                        cache_dir=args.cache_dir,
-                        ledger_path=str(ledger_path),
-                        resume=args.resume, params=params or None,
-                        timeout_s=args.timeout,
-                        retry_timeouts=args.retry_timeouts or
-                        chaos is not None,
-                        chaos=chaos,
+                        cache_dir=args.cache_dir, params=params or None,
                         on_experiment=on_experiment,
                         metrics=registry, trace=trace)
     finally:

@@ -1527,93 +1527,6 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
     return result
 
 
-def e22_chaos_sweep(intensities: Sequence[float] = (0.0, 0.3, 0.6, 1.0),
-                    seed: int = 11,
-                    num_tasks: int = 10,
-                    retries: int = 3) -> ExperimentResult:
-    """Robustness contract of the execution runtime under fault injection.
-
-    For each chaos intensity, a fixed batch of scheduling probe tasks
-    (:func:`repro.runtime.chaos.chaos_probe`) runs through
-    :func:`repro.runtime.pool.run_tasks` while a seeded
-    :class:`~repro.runtime.chaos.ChaosPolicy` injects worker crashes,
-    hangs, transient failures, torn cache writes, a simulated full
-    disk, and torn ledger appends.  The policy stops injecting after
-    attempt 2 and ``retries`` exceeds that, so the contract under test
-    is: *every* row, at *every* intensity, must be bitwise identical to
-    the chaos-free baseline (``identical``), with the damage visible
-    only in the fault counters and the quarantine directory -- never in
-    the results.
-
-    Each intensity runs once against a fresh result cache and sqlite
-    run ledger, so torn ledger appends exercise the ledger's bounded
-    contention retry; ``quarantined`` counts the cache entries the warm
-    read-back set aside.
-
-    Chaos decisions are content-keyed (pure functions of seed, task
-    key, and attempt), so this table is reproducible at any ``--jobs``
-    value; the CI smoke step diffs serial vs ``--jobs 2`` output of
-    exactly this experiment.
-    """
-    import pathlib
-    import shutil
-    import tempfile
-
-    from repro import obs as obs_mod
-    from repro.runtime.cache import ResultCache
-    from repro.runtime.chaos import ChaosPolicy
-    from repro.runtime.ledger import DEFAULT_LEDGER_NAME, RunLedger
-    from repro.runtime.pool import run_tasks
-    from repro.runtime.tasks import make_task
-
-    tasks = [make_task("repro.runtime.chaos:chaos_probe",
-                       {"x": x, "seed": seed}) for x in range(num_tasks)]
-    baseline = run_tasks(tasks, jobs=1)
-    baseline_values = [r.value for r in baseline]
-
-    result = ExperimentResult(
-        "E22", "runtime chaos sweep (fault injection vs result fidelity)",
-        ["intensity", "tasks", "crashes", "hangs", "transients",
-         "torn_cache", "torn_ledger", "enospc", "retried", "quarantined",
-         "identical"])
-    for level in intensities:
-        chaos = ChaosPolicy.at_intensity(level, seed=seed, max_attempt=2)
-        root = pathlib.Path(tempfile.mkdtemp(prefix="repro-e22-"))
-        try:
-            cache = ResultCache(root / "cache")
-            ledger = RunLedger(root / DEFAULT_LEDGER_NAME)
-            with obs_mod.use_registry(obs_mod.MetricsRegistry()) as registry:
-                out = run_tasks(tasks, jobs=1, retries=retries,
-                                backoff_s=0.01, jitter=0.5,
-                                retry_timeouts=True, chaos=chaos,
-                                cache=cache, ledger=ledger,
-                                clock=lambda: 0.0, sleep=lambda _s: None)
-                # Warm read-back: torn entries quarantine here.
-                for task in tasks:
-                    cache.get(task)
-            ledger.close()
-            counters = registry.snapshot().get("counters", {})
-            result.rows.append([
-                level, num_tasks,
-                counters.get("runtime.chaos.crashes", 0),
-                counters.get("runtime.chaos.hangs", 0),
-                counters.get("runtime.chaos.transients", 0),
-                counters.get("runtime.chaos.torn_cache_writes", 0),
-                counters.get("runtime.chaos.torn_ledger_writes", 0),
-                counters.get("runtime.chaos.enospc", 0),
-                sum(1 for r in out if r.attempts > 1),
-                sum(1 for d in cache.quarantine_dir.glob("*")
-                    if d.is_file()),
-                [r.value for r in out] == baseline_values])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    result.notes = ("chaos stops injecting after attempt 2 and the retry "
-                    "budget exceeds that, so 'identical' must hold at "
-                    "every intensity; 'quarantined' counts the torn "
-                    "cache entries set aside on the warm read-back")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # E23: interference backends -- protocol model vs SINR ground truth
 # ---------------------------------------------------------------------------
@@ -1743,6 +1656,5 @@ ALL_EXPERIMENTS = {
     "E19": e19_scheduler_bakeoff,
     "E20": e20_mobility,
     "E21": e21_zoned_scaling,
-    "E22": e22_chaos_sweep,
     "E23": e23_interference_backends,
 }

@@ -50,11 +50,13 @@ the same ``K``, probe log and schedule.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
+import repro
 from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
@@ -86,6 +88,7 @@ from repro.errors import (
     SchedulingError,
     SolverError,
 )
+from repro.fingerprint import source_fingerprint
 from repro.net.topology import Link, MeshTopology
 
 #: Solver status of a search decided with no ILP: a packing certificate
@@ -136,26 +139,10 @@ def topology_fingerprint(topology: MeshTopology) -> str:
     return fingerprint
 
 
-_SALT_CACHE: list[str] = []
-
-
+@functools.lru_cache(maxsize=None)
 def _cache_salt() -> str:
-    """Version + source fingerprint, matching the runtime content-hash keys.
-
-    Imported lazily: :mod:`repro.runtime` sits above :mod:`repro.core` in
-    the layer diagram, so the dependency must not exist at import time.
-    """
-    if not _SALT_CACHE:
-        import repro
-
-        try:
-            from repro.runtime.tasks import source_fingerprint
-
-            salt = f"{repro.__version__}:{source_fingerprint()}"
-        except ImportError:  # pragma: no cover - trimmed installs
-            salt = repro.__version__
-        _SALT_CACHE.append(salt)
-    return _SALT_CACHE[0]
+    """Version + source fingerprint, matching the runtime content-hash keys."""
+    return f"{repro.__version__}:{source_fingerprint()}"
 
 
 def canonical_problem_key(problem: SchedulingProblem,

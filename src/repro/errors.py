@@ -47,29 +47,5 @@ class RoutingError(ReproError):
     """No route exists between the requested endpoints."""
 
 
-class TaskError(ReproError):
-    """A task dispatched through the execution runtime failed."""
-
-
-class TransientTaskError(TaskError):
-    """A task failure expected to go away on retry.
-
-    Raise this (or a subclass) from task code to mark a failure --
-    a solver hiccup, a busy resource, an injected chaos fault -- as
-    worth the pool's retry budget.  Exceptions of *unknown* provenance
-    are also treated as transient (the pre-existing retry behavior);
-    only :class:`PermanentTaskError` and configuration errors skip the
-    retry loop.
-    """
-
-
-class PermanentTaskError(TaskError):
-    """A task failure retrying cannot fix (bad input, missing target).
-
-    The pool fails such tasks immediately instead of burning retry
-    budget on an outcome that cannot change.
-    """
-
-
 class AdmissionError(SchedulingError):
     """A flow could not be admitted under the configured QoS constraints."""

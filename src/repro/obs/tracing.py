@@ -9,8 +9,8 @@ closes while the sink is attached appends one JSON line
 where ``t_s`` is the span's *start*, in seconds since the writer was opened
 (monotonic -- :func:`time.perf_counter` -- so spans order correctly even
 across wall-clock adjustments).  The format is line-delimited and
-append-only for the same reasons as the run ledger: tolerant of crashes and
-trivially greppable / loadable with one ``json.loads`` per line.
+append-only: tolerant of crashes and trivially greppable / loadable with
+one ``json.loads`` per line.
 
 This module is stdlib-only, like everything in ``repro.obs``.
 """

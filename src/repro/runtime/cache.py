@@ -14,25 +14,13 @@ mappings/sequences of numbers pass through untouched.  Anything else is
 rejected at :meth:`ResultCache.put` time with :class:`ValueError` -- the
 pool then simply skips caching that task.
 
-Writes are atomic (write-temp-then-rename), but a cache directory can
-still accumulate damaged files -- a crashed interpreter mid-``os.replace``
-on some filesystems, a truncated copy, manual edits.  A file that exists
-but does not parse (or lacks the expected payload shape) is *quarantined*
-on read: moved aside into ``<root>/quarantine/`` and counted on the
-``runtime.cache.quarantined`` metric, and the lookup reports a plain
-miss so the pool transparently recomputes and rewrites the entry.
-
-The cache is safe under **concurrent writers**: every store takes a
-per-key lockfile (``O_CREAT | O_EXCL``) before the temp-write/rename
-pair, so two sweeps racing over one cache directory serialize per
-entry.  Because keys are content hashes, both racers would write the
-same bytes -- a writer that cannot get the lock within
-``lock_timeout_s`` therefore *skips* the store (counted on
-``runtime.cache.lock_contended``) instead of blocking the sweep.  A
-lockfile left behind by a dead process (stale mtime, or a recorded pid
-that no longer exists) is broken and stolen
-(``runtime.cache.stale_locks_broken``), so one crashed writer can
-never wedge every future run.
+Writes are atomic (write-temp-then-rename), so a reader never sees half
+an entry.  A file that is there but does not parse, lacks the expected
+payload shape, or was written by another package version or source
+tree reads as a plain miss: the pool recomputes the task and the fresh
+write overwrites the entry.  Because keys are content hashes, two runs
+racing over one cache directory write identical bytes, and whichever
+rename lands last leaves a complete entry.
 """
 
 from __future__ import annotations
@@ -41,121 +29,17 @@ import json
 import os
 import pathlib
 import tempfile
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro import obs
-from repro.runtime.tasks import Task, source_fingerprint, task_key
+import repro
+from repro.fingerprint import source_fingerprint
+from repro.runtime.tasks import Task, task_key
 
 _EXPERIMENT_TAG = "experiment_result"
 
 #: Default cache directory, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Subdirectory (under the cache root) damaged entries are moved into.
-QUARANTINE_DIR_NAME = "quarantine"
-
-#: Seconds a writer waits for a contended per-key lock before skipping.
-DEFAULT_LOCK_TIMEOUT_S = 5.0
-
-#: Age past which a lockfile is presumed orphaned by a dead writer.
-DEFAULT_STALE_LOCK_S = 60.0
-
-
-class FileLock:
-    """A per-key advisory lockfile (``O_CREAT | O_EXCL``).
-
-    The lockfile records the owner's pid.  Acquisition polls until the
-    exclusive create succeeds or ``timeout_s`` passes; a lock whose
-    owner is provably dead (pid gone) or whose file is older than
-    ``stale_s`` is broken and retaken, so a SIGKILLed writer cannot
-    permanently wedge the key.  Use as a context manager; ``acquired``
-    reports whether the lock was actually taken (callers that lose the
-    race may legitimately proceed without it).
-    """
-
-    def __init__(self, path: str | os.PathLike, *,
-                 timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
-                 stale_s: float = DEFAULT_STALE_LOCK_S,
-                 poll_s: float = 0.05,
-                 sleep: Callable[[float], None] = time.sleep,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.path = pathlib.Path(path)
-        self.timeout_s = timeout_s
-        self.stale_s = stale_s
-        self.poll_s = poll_s
-        self._sleep = sleep
-        self._clock = clock
-        self.acquired = False
-
-    def _try_acquire(self) -> bool:
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False  # unwritable directory: behave as contended
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return True
-
-    def _holder_dead(self) -> bool:
-        """Whether the current lockfile belongs to a dead/stale writer."""
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
-            return False  # vanished: next acquire attempt will settle it
-        if age > self.stale_s:
-            return True
-        try:
-            pid = int(self.path.read_text(encoding="utf-8").strip())
-        except (OSError, ValueError):
-            return False  # mid-write by the owner; not provably dead
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except OSError:
-            return False
-        return False
-
-    def _break_stale(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            return
-        obs.counter("runtime.cache.stale_locks_broken").inc()
-
-    def acquire(self) -> bool:
-        deadline = self._clock() + self.timeout_s
-        while True:
-            if self._try_acquire():
-                self.acquired = True
-                return True
-            if self._holder_dead():
-                self._break_stale()
-                continue
-            if self._clock() >= deadline:
-                obs.counter("runtime.cache.lock_contended").inc()
-                return False
-            self._sleep(self.poll_s)
-
-    def release(self) -> None:
-        if not self.acquired:
-            return
-        self.acquired = False
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "FileLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
 
 
 def encode_value(value: Any) -> Any:
@@ -203,19 +87,12 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike = DEFAULT_CACHE_DIR, *,
                  version: Optional[str] = None,
-                 fingerprint: Optional[str] = None,
-                 lock_timeout_s: float = DEFAULT_LOCK_TIMEOUT_S,
-                 stale_lock_s: float = DEFAULT_STALE_LOCK_S) -> None:
-        import repro
-
+                 fingerprint: Optional[str] = None) -> None:
         self.root = pathlib.Path(root)
         self.results_dir = self.root / "results"
-        self.quarantine_dir = self.root / QUARANTINE_DIR_NAME
         self.version = version if version is not None else repro.__version__
         self.fingerprint = (fingerprint if fingerprint is not None
                             else source_fingerprint())
-        self.lock_timeout_s = lock_timeout_s
-        self.stale_lock_s = stale_lock_s
 
     def key_for(self, task: Task) -> str:
         return task_key(task, version=self.version,
@@ -224,82 +101,54 @@ class ResultCache:
     def _path(self, key: str) -> pathlib.Path:
         return self.results_dir / f"{key}.json"
 
-    def path_for(self, key: str) -> pathlib.Path:
-        """On-disk location of ``key``'s result entry (may not exist)."""
-        return self._path(key)
+    def _metrics_path(self, key: str) -> pathlib.Path:
+        return self.results_dir / f"{key}.metrics.json"
 
-    def _lock(self, key: str) -> FileLock:
-        return FileLock(self.results_dir / f"{key}.lock",
-                        timeout_s=self.lock_timeout_s,
-                        stale_s=self.stale_lock_s)
-
-    def _quarantine(self, path: pathlib.Path) -> Optional[pathlib.Path]:
-        """Move a damaged cache file into the quarantine directory.
-
-        The original name is kept (suffixed ``.N`` on collision) so the
-        damaged bytes stay inspectable.  Returns the destination, or
-        ``None`` when the file vanished or could not be moved.
-        """
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        destination = self.quarantine_dir / path.name
-        counter = 0
-        while destination.exists():
-            counter += 1
-            destination = self.quarantine_dir / f"{path.name}.{counter}"
+    @staticmethod
+    def _read(path: pathlib.Path) -> Any:
+        """Parsed JSON at ``path``; ``None`` if missing or damaged."""
         try:
-            os.replace(path, destination)
-        except OSError:
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError):
             return None
-        obs.counter("runtime.cache.quarantined").inc()
-        return destination
 
     def get(self, task: Task) -> Optional[CachedEntry]:
         """Return the cached entry for ``task``, or ``None`` on a miss.
 
-        A file that exists but is damaged -- unparseable JSON, or JSON
-        without the expected payload shape -- is quarantined and reported
-        as a miss, so the caller recomputes and overwrites it.
+        A damaged entry (unparseable, or JSON without the expected
+        payload shape) and a foreign one (another version or source
+        fingerprint) both read as a miss, so the caller recomputes and
+        overwrites it.
         """
-        path = self._path(self.key_for(task))
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)
+        payload = self._read(self._path(self.key_for(task)))
+        if not isinstance(payload, dict) or "value" not in payload:
             return None
         # Defense in depth: the key already encodes version+fingerprint,
         # but a hand-copied file must not smuggle stale results in.
-        if not isinstance(payload, dict) or "value" not in payload:
-            self._quarantine(path)
-            return None
         if payload.get("version") != self.version or \
                 payload.get("fingerprint") != self.fingerprint:
             return None
-        return CachedEntry(value=decode_value(payload["value"]),
-                           wall_s=float(payload.get("wall_s", 0.0)))
+        try:
+            return CachedEntry(value=decode_value(payload["value"]),
+                               wall_s=float(payload.get("wall_s", 0.0)))
+        except (KeyError, TypeError, ValueError):
+            return None  # a table entry missing fields, or a bad wall_s
 
     def put(self, task: Task, value: Any, wall_s: float = 0.0) -> str:
-        """Store ``value``; returns the key.
+        """Store ``value`` (write-temp-then-atomic-rename); returns the key.
 
-        Lock-guarded write-temp-then-atomic-rename.  A writer that
-        cannot take the per-key lock in time skips the store: the
-        holder is writing the identical (content-addressed) bytes, so
-        skipping is always safe and never blocks the sweep.
+        Raises :class:`ValueError` when ``value`` has no JSON form.
         """
         key = self.key_for(task)
         payload = {"task": task.spec(), "version": self.version,
                    "fingerprint": self.fingerprint, "wall_s": wall_s,
                    "value": encode_value(value)}
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock(key) as lock:
-            if not lock.acquired:
-                return key
-            self._write_atomic(self._path(key), json.dumps(payload))
+        self._write_atomic(self._path(key), json.dumps(payload))
         return key
 
     def _write_atomic(self, destination: pathlib.Path, text: str) -> None:
+        self.results_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=self.results_dir,
                                         suffix=".tmp")
         try:
@@ -315,9 +164,6 @@ class ResultCache:
 
     # -- metrics sidecars ---------------------------------------------------
 
-    def _metrics_path(self, key: str) -> pathlib.Path:
-        return self.results_dir / f"{key}.metrics.json"
-
     def put_metrics(self, task: Task, snapshot: dict) -> str:
         """Store a task's metrics snapshot next to its result.
 
@@ -327,57 +173,13 @@ class ResultCache:
         """
         key = self.key_for(task)
         deterministic = {k: v for k, v in snapshot.items() if k != "timings"}
-        self.results_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock(f"{key}.metrics") as lock:
-            if not lock.acquired:
-                return key
-            self._write_atomic(self._metrics_path(key),
-                               json.dumps(deterministic, sort_keys=True,
-                                          separators=(",", ":")))
+        self._write_atomic(self._metrics_path(key),
+                           json.dumps(deterministic, sort_keys=True,
+                                      separators=(",", ":")))
         return key
 
     def get_metrics(self, task: Task) -> Optional[dict]:
-        """The metrics sidecar stored for ``task``, or ``None``.
-
-        A damaged sidecar is quarantined like a damaged result file.
-        """
-        path = self._metrics_path(self.key_for(task))
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
-        except OSError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)
-            return None
-
-    def invalidate(self, task: Task) -> bool:
-        """Drop one task's entry (and sidecar); returns whether one existed."""
-        key = self.key_for(task)
-        try:
-            os.unlink(self._metrics_path(key))
-        except OSError:
-            pass
-        try:
-            os.unlink(self._path(key))
-            return True
-        except OSError:
-            return False
-
-    def clear(self) -> int:
-        """Drop every cached result; returns how many were removed."""
-        removed = 0
-        if self.results_dir.is_dir():
-            for path in self.results_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.results_dir.is_dir():
-            return 0
-        return sum(1 for p in self.results_dir.glob("*.json")
-                   if not p.name.endswith(".metrics.json"))
+        """The metrics sidecar stored for ``task``; ``None`` if missing
+        or damaged."""
+        snapshot = self._read(self._metrics_path(self.key_for(task)))
+        return snapshot if isinstance(snapshot, dict) else None

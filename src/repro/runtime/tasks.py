@@ -5,12 +5,12 @@ A :class:`Task` names one unit of work -- an experiment from
 callable, or any importable function -- together with its keyword
 parameters and (optionally) a root seed.  Tasks are *values*: two tasks
 built from the same target/params/seed compare equal and hash to the
-same stable content key, which is what the result cache and the run
-ledger are keyed by.
+same stable content key, which is what the result cache is keyed by.
 
 The content key also folds in the package version and a fingerprint of
 the ``repro`` source tree, so editing any module invalidates cached
-results computed with the old code (see :func:`source_fingerprint`).
+results computed with the old code (see
+:func:`repro.fingerprint.source_fingerprint`).
 
 Experiments with an embarrassingly parallel sweep axis (e.g. E1's
 ``call_counts``) can be *sharded* into one task per axis value with
@@ -22,17 +22,17 @@ a monolithic run (each loop iteration builds its own
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib
 import inspect
 import json
-import pathlib
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
+import repro
 from repro.errors import ConfigurationError
+from repro.fingerprint import source_fingerprint
 
 TargetLike = Union[str, Callable]
 
@@ -59,7 +59,6 @@ SHARD_AXES: dict[str, str] = {
     "E19": "disciplines",
     "E20": "speeds",
     "E21": "sizes",
-    "E22": "intensities",
     "E23": "cs_multipliers",
 }
 
@@ -82,24 +81,6 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonify(v) for v in value)
     return repr(value)
-
-
-@functools.lru_cache(maxsize=None)
-def source_fingerprint() -> str:
-    """Digest of every ``.py`` file in the installed ``repro`` package.
-
-    Any source edit changes the fingerprint, which changes every task
-    key, which makes the on-disk cache miss -- stale results can never
-    be served after the code that produced them changed.
-    """
-    import repro
-
-    root = pathlib.Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -129,7 +110,7 @@ class Task:
         return "".join(parts)
 
     def spec(self) -> dict:
-        """JSON-compatible description (used by the ledger)."""
+        """JSON-compatible description (stored in each cache entry)."""
         return {"target": self.target,
                 "params": _jsonify(dict(self.params)),
                 "seed": self.seed}
@@ -168,8 +149,6 @@ def make_task(target: TargetLike,
 def task_key(task: Task, *, version: Optional[str] = None,
              fingerprint: Optional[str] = None) -> str:
     """Stable 16-hex-digit content hash of ``(task, code state)``."""
-    import repro
-
     payload = {
         "target": task.target,
         "params": _jsonify(dict(task.params)),
@@ -218,37 +197,16 @@ def run_task(task: Task) -> Any:
     return fn(RngRegistry(seed=task.seed), **task.kwargs)
 
 
-def classify_error(exc: BaseException) -> str:
-    """``"permanent"`` or ``"transient"`` for retry purposes.
-
-    Only failures that retrying provably cannot fix are permanent:
-    :class:`~repro.errors.PermanentTaskError` and configuration errors
-    (bad target, bad parameters).  Everything else -- including
-    exceptions the runtime has never heard of -- stays transient,
-    preserving the original retry-everything behavior for task code
-    that predates the taxonomy.
-    """
-    from repro.errors import PermanentTaskError
-
-    if isinstance(exc, (PermanentTaskError, ConfigurationError)):
-        return "permanent"
-    return "transient"
-
-
 @dataclass
 class TaskResult:
     """Outcome of one task execution (or cache lookup)."""
 
     task: Task
     key: str
-    outcome: str  # "ok" | "cached" | "failed" | "timeout" | "skipped"
+    outcome: str  # "ok" | "cached" | "failed"
     value: Any = None
     error: Optional[str] = None
     wall_s: float = 0.0
-    attempts: int = 1
-    worker: str = ""
-    #: seconds between first submission and execution start (0 for cache hits)
-    queue_s: float = 0.0
     #: deterministic metrics snapshot collected while the task ran (None
     #: when metrics collection was off for the run)
     metrics: Optional[dict] = None
@@ -262,29 +220,26 @@ class TaskResult:
 # Experiment sharding
 # ---------------------------------------------------------------------------
 
-def shard_axis_values(experiment_id: str,
-                      params: Optional[Mapping[str, Any]] = None
-                      ) -> Optional[tuple[str, tuple]]:
-    """The shardable axis of an experiment and its effective values."""
-    axis = SHARD_AXES.get(experiment_id.upper())
-    if axis is None:
-        return None
-    if params and axis in params:
-        values = tuple(params[axis])
-    else:
-        from repro.analysis.experiments import ALL_EXPERIMENTS
-
-        fn = ALL_EXPERIMENTS.get(experiment_id.upper())
-        if fn is None:
-            return None
-        try:
-            parameter = inspect.signature(fn).parameters[axis]
-        except (KeyError, TypeError, ValueError):
-            # Replaced/wrapped experiment without the sweep axis in its
-            # signature: fall back to running it unsharded.
-            return None
-        values = tuple(parameter.default)
-    return axis, values
+def _check_params(experiment_id: str, fn: Callable,
+                  params: Mapping[str, Any]) -> None:
+    """Reject a key ``fn`` does not take, or a sweep axis that is no list."""
+    try:
+        accepted = inspect.signature(fn).parameters
+    except (TypeError, ValueError):
+        return
+    if not any(p.kind is inspect.Parameter.VAR_KEYWORD
+               for p in accepted.values()):
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ConfigurationError(
+                f"{experiment_id} takes no parameter "
+                f"{', '.join(map(repr, unknown))}; it takes "
+                f"{', '.join(accepted)}")
+    axis = SHARD_AXES.get(experiment_id)
+    if axis in params and not isinstance(params[axis], (list, tuple)):
+        raise ConfigurationError(
+            f"{experiment_id} parameter {axis!r} is its sweep axis and "
+            f"needs a list of values, got {params[axis]!r}")
 
 
 def shard_experiment(experiment_id: str,
@@ -295,15 +250,34 @@ def shard_experiment(experiment_id: str,
     Shard tasks carry ``{axis: (value,)}`` so every shard is itself a
     valid experiment invocation; cache entries are therefore per shard,
     and a re-run after a partial failure only recomputes missing points.
+
+    ``params`` are checked against the experiment's signature first: an
+    unknown key, or a sweep-axis value that is not a list, raises
+    :class:`~repro.errors.ConfigurationError` before anything runs.
     """
+    from repro.analysis.experiments import ALL_EXPERIMENTS
+
     experiment_id = experiment_id.upper()
-    axis_values = shard_axis_values(experiment_id, params)
-    if axis_values is None:
+    params = dict(params or {})
+    fn = ALL_EXPERIMENTS.get(experiment_id)
+    if fn is None:
         return [make_task(experiment_id, params)]
-    axis, values = axis_values
+    _check_params(experiment_id, fn, params)
+    axis = SHARD_AXES.get(experiment_id)
+    if axis is None:
+        return [make_task(experiment_id, params)]
+    if axis in params:
+        values = tuple(params[axis])
+    else:
+        try:
+            values = tuple(inspect.signature(fn).parameters[axis].default)
+        except (KeyError, TypeError, ValueError):
+            # Replaced experiment without the sweep axis in its
+            # signature: run it unsharded.
+            return [make_task(experiment_id, params)]
     if len(values) <= 1:
         return [make_task(experiment_id, params)]
-    base = {k: v for k, v in (params or {}).items() if k != axis}
+    base = {k: v for k, v in params.items() if k != axis}
     return [make_task(experiment_id, {**base, axis: (value,)})
             for value in values]
 

@@ -21,6 +21,7 @@ def sleep_for(seconds: float) -> str:
     time.sleep(seconds)
     return f"slept {seconds}"
 
+
 def metrics_scenario(rngs) -> dict[str, float]:
     """A replicate()-style scenario: metrics derived from the seed."""
     draw = float(rngs.stream("x").random())
@@ -37,6 +38,11 @@ def boom() -> None:
 
 def boom_scenario(rngs) -> dict[str, float]:
     raise RuntimeError("kaboom")
+
+
+def die() -> None:
+    """Kill the worker process outright, as a hard crash would."""
+    os._exit(3)
 
 
 def flaky(sentinel_dir: str, fail_times: int = 2) -> str:
@@ -61,15 +67,8 @@ def unpicklable_value() -> object:
     return lambda: None
 
 
-def permanent_boom() -> None:
-    """Fails with an error the pool must never spend retries on."""
-    from repro.errors import PermanentTaskError
-
-    raise PermanentTaskError("input can never work")
-
-
-def cache_writer_sweep(cache_dir: str, num_tasks: int, seed: int) -> int:
-    """Run a probe sweep against a (possibly shared) cache directory.
+def cache_writer_sweep(cache_dir: str, num_tasks: int) -> int:
+    """Run an ``add`` sweep against a (possibly shared) cache directory.
 
     Used by the concurrent-writer race test: two processes call this
     simultaneously with the *same* arguments, so both compute the same
@@ -80,7 +79,7 @@ def cache_writer_sweep(cache_dir: str, num_tasks: int, seed: int) -> int:
     from repro.runtime.pool import run_tasks
     from repro.runtime.tasks import make_task
 
-    tasks = [make_task("repro.runtime.chaos:chaos_probe",
-                       {"x": x, "seed": seed}) for x in range(num_tasks)]
+    tasks = [make_task("tests.runtime_helpers:add", {"a": i, "b": i})
+             for i in range(num_tasks)]
     results = run_tasks(tasks, jobs=1, cache=ResultCache(cache_dir))
     return sum(1 for r in results if r.ok)

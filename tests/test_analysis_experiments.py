@@ -242,4 +242,6 @@ def test_e17_shape():
 
 
 def test_registry_lists_all():
-    assert set(ex.ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 24)}
+    # E22 (the runtime chaos sweep) is retired; its id is not reused.
+    assert set(ex.ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 24)
+                                       if i != 22}

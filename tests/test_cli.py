@@ -1,13 +1,11 @@
 """Command-line experiment runner."""
 
-import json
 import pathlib
 
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.experiments import ALL_EXPERIMENTS
-from repro.runtime.ledger import RunLedger
 
 
 @pytest.fixture(autouse=True)
@@ -144,73 +142,16 @@ def test_failing_experiment_exits_nonzero_with_summary(
     assert "FAILED" in text
 
 
-def test_ledger_summary_flag(capsys):
-    assert main(["E9"]) == 0
-    capsys.readouterr()
-    assert main(["--ledger-summary"]) == 0
-    out = capsys.readouterr().out
-    assert "tasks:" in out
-    assert "slowest" in out
+def test_param_unknown_key_rejected(capsys):
+    assert main(["E9", "--param", "bogus=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E9 takes no parameter 'bogus'")
+    assert len(err.splitlines()) == 1
+    assert not list(pathlib.Path(".repro_cache").glob("results/*"))
 
 
-def test_ledger_records_every_shard(tmp_path, capsys):
-    assert main(["E9", "--cache-dir", str(tmp_path / "cache")]) == 0
-    ledger = RunLedger(tmp_path / "cache" / "ledger.sqlite")
-    entries = ledger.entries()
-    starts = [r for r in ledger.events() if r.get("event") == "start"]
-    assert len(entries) == 6
-    assert len(starts) == 6  # one dispatch event per shard
-    assert {e["outcome"] for e in entries} == {"ok"}
-    assert all(e["target"] == "E9" and e["wall_s"] >= 0 for e in entries)
-
-
-def test_resume_skips_completed_work(capsys):
-    assert main(["E9"]) == 0
-    capsys.readouterr()
-    # Cache intact: --resume serves the cached table like a normal run.
-    assert main(["E9", "--resume"]) == 0
-    assert "cached" in capsys.readouterr().out
-
-
-def test_default_ledger_is_sqlite(capsys):
-    # The default ledger is the sqlite database in the cache directory.
-    assert main(["E9"]) == 0
-    capsys.readouterr()
-    cache_dir = pathlib.Path(".repro_cache")
-    assert (cache_dir / "ledger.sqlite").is_file()
-    assert not list(cache_dir.glob("*.jsonl"))
-    assert main(["--ledger-summary"]) == 0
-    out = capsys.readouterr().out
-    assert "ok=6" in out  # E9 shards into six tasks
-
-
-def test_ledger_query_flag(capsys):
-    assert main(["E9"]) == 0
-    capsys.readouterr()
-    assert main(["--ledger-query", "outcome=ok,limit=1"]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["outcome"] == "ok"
-    assert record["target"] == "E9"
-
-
-def test_ledger_query_rejects_nonsense(capsys):
-    assert main(["--ledger-query", "no-equals-sign"]) == 2
-    assert "error" in capsys.readouterr().err
-    assert main(["--ledger-query", "limit=-1"]) == 2
-    assert "limit must be >= 0" in capsys.readouterr().err
-
-
-def test_chaos_flag_produces_identical_tables(capsys):
-    assert main(["E9", "--no-cache"]) == 0
-    clean = capsys.readouterr().out
-    assert main(["E9", "--no-cache", "--chaos", "0.8",
-                 "--chaos-seed", "3"]) == 0
-    chaotic = capsys.readouterr().out
-    assert clean == chaotic
-
-
-def test_chaos_rejects_bad_intensity(capsys):
-    assert main(["E9", "--chaos", "1.5"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_param_non_list_sweep_axis_rejected(capsys):
+    assert main(["E21", "--param", "sizes=5"]) == 2
+    err = capsys.readouterr().err
+    assert "'sizes' is its sweep axis and needs a list" in err
+    assert len(err.splitlines()) == 1
