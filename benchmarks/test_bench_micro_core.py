@@ -5,9 +5,14 @@ pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph and
 conflict-index construction, Bellman-Ford schedule recovery, greedy
 packing, feasibility ILPs, the ILP front end's conflict-clique
-refutation, the delay computation, the S8 check and the packing
-certificate that closes an admission decision.
+refutation, the delay computation, the S8 check, the packing
+certificate that closes an admission decision and the mesh rebuild of
+one mobility repair tick.
 """
+
+import itertools
+
+import networkx as nx
 
 from repro.core.conflict import (
     _Demanded,
@@ -26,9 +31,16 @@ from repro.core.minslots import demand_lower_bound
 from repro.core.ordering import schedule_from_order
 from repro.core.tree_order import min_delay_tree_order
 from repro.mesh16.frame import default_frame_config
+from repro.mobility import RadioRangeModel, RandomWaypointModel, TopologyStream
 from repro.net.flows import Flow, FlowSet
-from repro.net.routing import gateway_tree, route_all
-from repro.net.topology import grid_topology, random_disk_topology
+from repro.net.routing import gateway_tree, route_all, shortest_path_route
+from repro.net.topology import (
+    _exclusions,
+    _nearest_sources,
+    grid_topology,
+    random_disk_topology,
+    surviving_topology,
+)
 from repro.phy.interference import interference_graph
 from repro.traffic.voip import G729
 
@@ -157,3 +169,47 @@ def test_bench_micro_violations_churn_mesh(benchmark):
     schedule = greedy_schedule(conflicts,
                                {link: 1 for link in CHURN_MESH.links})
     assert benchmark(schedule.violations, conflicts) == []
+
+
+def test_bench_micro_mobility_tick(benchmark):
+    # One repair tick's mesh work on a mesh-churn world (motion seed 5)
+    # at t=0: the anchor's surviving component, every node's nearest of
+    # two gateways over the live union mesh, and the cold conflict index
+    # of four routed gateway flows.
+    motion = RandomWaypointModel(36, 900.0, 10.0, 10.0, seed=5)
+    stream = TopologyStream(motion, RadioRangeModel(220.0, hysteresis=0.15),
+                            dt=0.25)
+    world = stream.fault_plan(0)
+    union, dead_nodes, dead_edges = (world.topology, world.dead_nodes,
+                                     world.dead_edges)
+    gateways = (0, 35)
+    sources = (7, 12, 21, 30)
+
+    def tick():
+        survivor, _ = surviving_topology(union, dead_nodes, dead_edges, 0)
+        nearest, _ = _nearest_sources(union.rows, gateways, dead_nodes,
+                                      _exclusions(dead_nodes, dead_edges))
+        links = sorted({link for src in sources
+                        for link in shortest_path_route(survivor, src, 0)})
+        index = SolverEngine(max_indexes=0).conflict_index(survivor,
+                                                           links=links)
+        return survivor, nearest, index
+
+    survivor, nearest, index = benchmark(tick)
+    live = nx.Graph(union.graph)
+    live.remove_edges_from(dead_edges)
+    live.remove_nodes_from(dead_nodes)
+    component = live.subgraph(nx.node_connected_component(live, 0))
+    assert survivor.rows == {n: tuple(sorted(component.adj[n]))
+                             for n in sorted(component)}
+    hops = {g: nx.single_source_shortest_path_length(live, g)
+            for g in gateways if g in live}
+    assert nearest == {
+        n: min((hops[g][n], g) for g in hops if n in hops[g])[1]
+        for n in live if any(n in reach for reach in hops.values())}
+    # the 2-hop protocol model: links conflict iff some endpoints are
+    # at most one hop apart
+    distance = dict(nx.all_pairs_shortest_path_length(component, cutoff=1))
+    assert index.pairs() == [
+        (a, b) for a, b in itertools.combinations(index.links, 2)
+        if any(y in distance[x] for x in a for y in b)]

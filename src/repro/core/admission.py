@@ -20,7 +20,7 @@ from repro.core.schedule import Schedule
 from repro.errors import ConfigurationError
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import shortest_path_route
-from repro.net.topology import MeshTopology
+from repro.net.topology import Link, MeshTopology
 from repro.obs.metrics import counter as obs_counter
 
 
@@ -107,6 +107,13 @@ class AdmissionController:
         self.conflicts = self.interference.conflict_graph(topology)
         self.admitted = FlowSet()
         self._flow_terms: dict[str, _FlowTerms] = {}
+        #: (src, dst) -> route, and name -> (offered flow, its routed
+        #: copy) for calls offered and not admitted; both are valid for
+        #: the topology's :attr:`~MeshTopology.mutations` count they
+        #: were routed at
+        self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
+        self._routed: dict[str, tuple[Flow, Flow]] = {}
+        self._routed_at = topology.mutations
         self.schedule: Optional[Schedule] = None
         self.slots_used = 0
 
@@ -127,6 +134,28 @@ class AdmissionController:
                 flow.slots_per_frame(self.frame_duration_s,
                                      self.slot_capacity_bits),
                 constraints[0] if constraints else None)
+
+    def _routed_copy(self, flow: Flow) -> Flow:
+        """``flow`` on its shortest path, routed once per endpoint pair.
+
+        An unchanged topology keeps its routes, so a call offered again
+        as the same object gets the same routed copy back.
+        """
+        if self._routed_at != self.topology.mutations:
+            self._routes.clear()
+            self._routed.clear()
+            self._routed_at = self.topology.mutations
+        cached = self._routed.get(flow.name)
+        if cached is not None and cached[0] is flow:
+            return cached[1]
+        key = (flow.src, flow.dst)
+        route = self._routes.get(key)
+        if route is None:
+            route = tuple(shortest_path_route(self.topology, *key))
+            self._routes[key] = route
+        routed = flow.with_route(route)
+        self._routed[flow.name] = (flow, routed)
+        return routed
 
     def _schedule_flows(self, flows: FlowSet
                         ) -> tuple[MinSlotResult, dict[str, _FlowTerms]]:
@@ -152,8 +181,7 @@ class AdmissionController:
         if flow.name in self.admitted:
             raise ConfigurationError(f"flow {flow.name!r} already admitted")
         if not flow.is_routed:
-            flow = flow.with_route(
-                shortest_path_route(self.topology, flow.src, flow.dst))
+            flow = self._routed_copy(flow)
 
         candidate = FlowSet(list(self.admitted) + [flow])
         result, terms = self._schedule_flows(candidate)
@@ -165,6 +193,7 @@ class AdmissionController:
                 slots_used=self.slots_used, schedule=self.schedule)
 
         self.admitted = candidate
+        self._routed.pop(flow.name, None)
         self._flow_terms = terms
         self.schedule = result.schedule
         self.slots_used = result.slots

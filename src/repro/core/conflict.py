@@ -48,7 +48,8 @@ class ConflictIndex:
 
     ``links`` is the canonical (sorted) link order and ``rows[i]`` the
     sorted positions of the links conflicting with ``links[i]``; the rows
-    are also kept as CSR arrays (:attr:`indptr`/:attr:`indices`).
+    are also readable as CSR arrays (:attr:`indptr`/:attr:`indices`),
+    built on first access.
     ``hops`` is the protocol-model distance, or ``None`` for any other
     relation.  Treat instances as frozen: they are shared across every
     consumer of the owning engine.
@@ -58,7 +59,7 @@ class ConflictIndex:
     from the content.
     """
 
-    __slots__ = ("_key", "hops", "links", "indptr", "indices", "_rows",
+    __slots__ = ("_key", "hops", "links", "_csr", "_rows",
                  "_positions", "_fingerprint", "_graph")
 
     def __init__(self, links: Sequence[Link], rows: list[list[int]],
@@ -70,9 +71,7 @@ class ConflictIndex:
         self._rows = rows
         self._fingerprint: Optional[str] = None
         self._graph: Optional[nx.Graph] = None
-        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        self.indptr[1:] = np.cumsum([len(row) for row in rows])
-        self.indices = np.array([j for row in rows for j in row], np.int64)
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "ConflictIndex":
@@ -114,13 +113,32 @@ class ConflictIndex:
             self._graph = graph
         return self._graph
 
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._csr is None:
+            rows = self._rows
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            indptr[1:] = np.cumsum([len(row) for row in rows])
+            self._csr = (indptr,
+                         np.array([j for row in rows for j in row], np.int64))
+        return self._csr
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row offsets of :attr:`indices` (int64, built on first read)."""
+        return self._arrays()[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The rows concatenated, as CSR column indices (int64)."""
+        return self._arrays()[1]
+
     @property
     def num_links(self) -> int:
         return len(self.links)
 
     @property
     def num_conflicts(self) -> int:
-        return int(self.indices.size // 2)
+        return sum(map(len, self._rows)) // 2
 
     def position(self, link: Link) -> int:
         """Stable index of ``link`` in the canonical :attr:`links` order."""
@@ -246,6 +264,14 @@ def _khop_near_sets(topology: MeshTopology, hops: int) -> _NearSets:
     of the rows asked for.
     """
     rows = topology.rows
+    if hops == 2:
+        # reach is the closed neighbourhood, and the endpoints of a link
+        # are each other's neighbours
+        def adjacent(link: Link) -> tuple[set[int], set[int]]:
+            both = {*rows[link[0]], *rows[link[1]]}
+            return both, both
+
+        return adjacent
     reach: dict[int, AbstractSet[int]] = {}
 
     def near(link: Link) -> tuple[set[int], set[int]]:
@@ -272,13 +298,14 @@ def _conflict_rows(link_list: Sequence[Link], near: _NearSets
     for link in link_list:
         out_links.setdefault(link[0], []).append(link)
         in_links.setdefault(link[1], []).append(link)
+    out_nodes, in_nodes = out_links.keys(), in_links.keys()
     for a in link_list:
         out_near, in_near = near(a)
         partners: set[Link] = set()
-        for node in out_near:
-            partners.update(out_links.get(node, ()))
-        for node in in_near:
-            partners.update(in_links.get(node, ()))
+        for node in out_nodes & out_near:
+            partners.update(out_links[node])
+        for node in in_nodes & in_near:
+            partners.update(in_links[node])
         partners.discard(a)
         yield a, partners
 

@@ -9,9 +9,10 @@ cold solve:
 1. **Cached conflict-relation layer.**  :meth:`SolverEngine.conflict_index`
    returns the immutable :class:`~repro.core.conflict.ConflictIndex` that
    :func:`~repro.core.conflict.conflict_graph` builds -- sorted link rows,
-   also as CSR -- keyed by a topology/links/hops fingerprint and kept in a
-   small LRU, so minslots, repair, distributed validation and analysis
-   share one build per scenario instead of each building it again.
+   also as CSR on first access -- keyed by a topology/links/hops
+   fingerprint and kept in a small LRU, so minslots, repair, distributed
+   validation and analysis share one build per scenario instead of each
+   building it again.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Every cache miss

@@ -37,9 +37,9 @@ from repro.errors import ConfigurationError
 from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector
 from repro.mesh16.frame import MeshFrameConfig, default_frame_config
-from repro.mobility.stream import TopologyStream, gateway_selection
+from repro.mobility.stream import TopologyStream
 from repro.net.flows import Flow
-from repro.net.topology import MeshTopology
+from repro.net.topology import MeshTopology, _exclusions, _nearest_sources
 
 
 @dataclass(frozen=True)
@@ -167,16 +167,15 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
         injector.apply(FaultEvent(0.0, "link_down", link=link))
 
     selection_gateways = tuple(gateways) if gateways else (gateway,)
+    union_rows = world.topology.rows
 
-    union_edges = set(world.topology.edges)
+    def nearest_gateways() -> dict[int, int]:
+        # gateway_selection over the live mesh, unreached nodes left out
+        dead = injector.dead_nodes
+        return _nearest_sources(union_rows, selection_gateways, dead,
+                                _exclusions(dead, injector.dead_edges))[0]
 
-    def present() -> tuple[set[int], set[tuple[int, int]]]:
-        nodes = union_nodes - injector.dead_nodes
-        edges = {e for e in union_edges - injector.dead_edges
-                 if e[0] in nodes and e[1] in nodes}
-        return nodes, edges
-
-    selection = gateway_selection(*present(), selection_gateways)
+    selection = nearest_gateways()
 
     # group the plan into per-timestamp batches: one repair per sample tick
     batches: list[tuple[float, list[FaultEvent]]] = []
@@ -247,10 +246,9 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
             guarantee_ok &= delay <= repair.budget_slots(flow)
         conflict_ok_all &= conflict_ok
         guarantee_ok_all &= guarantee_ok
-        new_selection = gateway_selection(*present(), selection_gateways)
+        new_selection = nearest_gateways()
         changed = sum(1 for n, g in new_selection.items()
-                      if g is not None and selection.get(n) is not None
-                      and selection[n] != g)
+                      if selection.get(n, g) != g)
         reselections += changed
         obs.counter("mobility.reselections").inc(changed)
         selection = new_selection

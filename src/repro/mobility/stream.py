@@ -31,7 +31,12 @@ from typing import Iterable, Optional, Union
 from repro.errors import ConfigurationError
 from repro.faults.events import FaultEvent
 from repro.faults.plan import FaultPlan
-from repro.net.topology import MeshTopology, from_edges, hop_depths
+from repro.net.topology import (
+    MeshTopology,
+    _nearest_sources,
+    from_edges,
+    hop_depths,
+)
 
 #: Delta kinds a stream can emit.
 DELTA_KINDS = frozenset({"link_up", "link_down", "node_join", "node_leave"})
@@ -355,11 +360,6 @@ def gateway_selection(nodes: Iterable[int],
     route-stability cost of mobility.
     """
     node_set = set(nodes)
-    adjacency = _adjacency(node_set, edges)
-    best: dict[int, tuple[int, int]] = {}
-    for gateway in sorted(set(gateways) & node_set):
-        for node, hops in hop_depths(adjacency, [gateway]).items():
-            candidate = (hops, gateway)
-            if node not in best or candidate < best[node]:
-                best[node] = candidate
-    return {n: best[n][1] if n in best else None for n in sorted(node_set)}
+    nearest, _ = _nearest_sources(_adjacency(node_set, edges), gateways,
+                                  frozenset(), {})
+    return {n: nearest.get(n) for n in sorted(node_set)}

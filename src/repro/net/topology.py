@@ -13,7 +13,9 @@ indices are stable across scheduler implementations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional
+from collections import defaultdict
+from itertools import filterfalse
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 import networkx as nx
 import numpy as np
@@ -90,11 +92,19 @@ class MeshTopology:
         #: undirected edges ``(u, v)``, ``u <= v``, sorted
         self.edges: list[tuple[int, int]] = [
             (u, v) for u, row in rows.items() for v in row if u <= v]
-        #: Canonical ordering of directed links: sorted (u, v) pairs, both
-        #: directions of every undirected edge.
-        self.links: list[Link] = [
-            (u, v) for u, row in rows.items() for v in row]
-        self._link_index = {link: i for i, link in enumerate(self.links)}
+        # derived from the rows on first read
+        self._links: Optional[list[Link]] = None
+        self._link_index: Optional[dict[Link, int]] = None
+        self._eccentricities: dict[int, int] = {}
+
+    @property
+    def links(self) -> list[Link]:
+        """Canonical ordering of directed links: sorted (u, v) pairs, both
+        directions of every undirected edge (built on first read)."""
+        if self._links is None:
+            self._links = [(u, v) for u, row in self.rows.items()
+                           for v in row]
+        return self._links
 
     @property
     def graph(self) -> nx.Graph:
@@ -132,13 +142,15 @@ class MeshTopology:
 
     def link_index(self, link: Link) -> int:
         """Stable index of a directed link in :attr:`links`."""
+        if self._link_index is None:
+            self._link_index = {link: i for i, link in enumerate(self.links)}
         try:
             return self._link_index[link]
         except KeyError:
             raise ConfigurationError(f"{link} is not a link of {self.name}") from None
 
     def has_link(self, link: Link) -> bool:
-        return link in self._link_index
+        return link[1] in self.rows.get(link[0], ())
 
     def neighbors(self, node: int) -> list[int]:
         """Radio neighbours of ``node``, sorted."""
@@ -149,8 +161,12 @@ class MeshTopology:
         return hop_depths(self.rows, [a])[b]
 
     def eccentricity(self, node: int) -> int:
-        """Hop distance from ``node`` to the farthest node."""
-        return max(hop_depths(self.rows, [node]).values())
+        """Hop distance from ``node`` to the farthest node (memoised)."""
+        depth = self._eccentricities.get(node)
+        if depth is None:
+            depth = max(hop_depths(self.rows, [node]).values())
+            self._eccentricities[node] = depth
+        return depth
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance in metres (requires positions)."""
@@ -348,10 +364,12 @@ def random_disk_topology(num_nodes: int, radio_range: float,
             0.0, area, size=(num_nodes, 2))
         graph = nx.Graph()
         graph.add_nodes_from(range(num_nodes))
-        for i in range(num_nodes):
-            for j in range(i + 1, num_nodes):
-                if np.hypot(*(coords[i] - coords[j])) <= radio_range:
-                    graph.add_edge(i, j)
+        # every pair i < j in row-major order, so edges go in as a
+        # pairwise loop would add them
+        i, j = np.triu_indices(num_nodes, k=1)
+        close = np.hypot(coords[i, 0] - coords[j, 0],
+                         coords[i, 1] - coords[j, 1]) <= radio_range
+        graph.add_edges_from(zip(i[close].tolist(), j[close].tolist()))
         if num_nodes == 1 or nx.is_connected(graph):
             positions = {i: (float(coords[i][0]), float(coords[i][1]))
                          for i in range(num_nodes)}
@@ -400,21 +418,73 @@ def surviving_topology(topology: MeshTopology,
     if anchor not in rows or anchor in dead_node_set:
         raise ConfigurationError(
             f"anchor node {anchor} is dead or not in the topology")
-    dead_edge_set = {e for u, v in dead_edges for e in ((u, v), (v, u))}
-    # the anchor's component, each node's row filtered as it is reached
-    live: dict[int, tuple[int, ...]] = {}
-    stack = [anchor]
-    while stack:
-        u = stack.pop()
-        if u not in live:
-            live[u] = tuple(v for v in rows[u] if v not in dead_node_set
-                            and (u, v) not in dead_edge_set)
-            stack.extend(live[u])
-    survivor_rows = {n: live[n] for n in sorted(live)}
+    excluded = _exclusions(dead_node_set, dead_edges)
+    component, depth = _nearest_sources(rows, (anchor,), dead_node_set,
+                                        excluded)
+    survivor_rows = {}
+    for n in sorted(component):
+        # a row with no dead neighbour is shared, not copied
+        row, dead = rows[n], excluded.get(n, dead_node_set)
+        survivor_rows[n] = (row if dead.isdisjoint(row)
+                            else tuple(filterfalse(dead.__contains__, row)))
     positions = {n: topology.positions[n] for n in survivor_rows
                  if n in topology.positions}
     source = (topology._graph if topology._graph is not None
               else topology._source)
-    return (MeshTopology._from_rows(survivor_rows, positions,
-                                    f"{topology.name}-survivor", source),
-            frozenset(rows).difference(survivor_rows))
+    survivor = MeshTopology._from_rows(survivor_rows, positions,
+                                       f"{topology.name}-survivor", source)
+    survivor._eccentricities[anchor] = depth
+    return survivor, frozenset(rows).difference(survivor_rows)
+
+
+def _nearest_sources(rows: Mapping[int, Iterable[int]],
+                     sources: Iterable[int], dead_nodes: AbstractSet[int],
+                     excluded: Mapping[int, AbstractSet[int]]
+                     ) -> tuple[dict[int, int], int]:
+    """Nearest source by hops for every node the live sources reach.
+
+    One level-synchronous multi-source BFS over ``rows`` (e.g.
+    :attr:`MeshTopology.rows`) that never steps onto ``dead_nodes`` nor
+    from a node ``u`` onto ``excluded[u]`` (:func:`_exclusions`: its dead
+    nodes and dead-edge partners).  Ties go to the smallest source id:
+    the sources start the queue in sorted order and every node inherits
+    its discoverer's source, so each level stays sorted by source and a
+    node is first reached from the smallest of its nearest sources.
+    Dead sources and sources outside ``rows`` reach nothing; unreached
+    nodes are absent.  Also returns the depth of the last level (0 when
+    the sources reach nothing else).
+    """
+    nearest: dict[int, int] = {}
+    for source in sorted(set(sources)):
+        if source in rows and source not in dead_nodes:
+            nearest[source] = source
+    frontier, depth = list(nearest), 0
+    while True:
+        following = []
+        for u in frontier:
+            source = nearest[u]
+            dead = excluded.get(u, dead_nodes)
+            for v in rows[u]:
+                if v not in nearest and v not in dead:
+                    nearest[v] = source
+                    following.append(v)
+        if not following:
+            return nearest, depth
+        frontier = following
+        depth += 1
+
+
+def _exclusions(dead_nodes: frozenset[int],
+                dead_edges: Iterable[tuple[int, int]]
+                ) -> Mapping[int, AbstractSet[int]]:
+    """Node -> the neighbours it cannot reach: ``dead_nodes`` plus its
+    ``dead_edges`` partners (either orientation), for every node that
+    has a dead edge; every other node excludes just ``dead_nodes``."""
+    excluded: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in dead_edges:
+        excluded[u].add(v)
+        excluded[v].add(u)
+    if dead_nodes:
+        for partners in excluded.values():
+            partners |= dead_nodes
+    return excluded
