@@ -17,12 +17,12 @@ from typing import Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.scenarios import (
-    admit_flows,
     make_voip_flows,
     run_dcf_scenario,
     run_tdma_scenario,
     schedule_for_flows,
 )
+from repro.core.admission import AdmissionController
 from repro.core.conflict import _greedy_clique_demand
 from repro.core.delay import path_delay_slots, path_wraps
 from repro.core.engine import BOUNDS_CLOSED, SolverEngine
@@ -38,12 +38,13 @@ from repro.core.ilp import (
 from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.ordering import schedule_from_order
 from repro.core.policy import SolverPolicy
+from repro.core.schedule import Schedule
 from repro.core.tree_order import (
     adversarial_tree_order,
     min_delay_tree_order,
     naive_tree_order,
 )
-from repro.errors import InfeasibleScheduleError
+from repro.errors import ConfigurationError, InfeasibleScheduleError
 from repro.mesh16.frame import MeshFrameConfig, default_frame_config
 from repro.mobility.run import _flood_margin
 from repro.net.flows import Flow, FlowSet
@@ -260,6 +261,24 @@ def e04_overhead(drift_ppms: Sequence[float] = (5, 10, 20, 50),
 # E5: VoIP capacity -- TDMA emulation vs DCF
 # ---------------------------------------------------------------------------
 
+def _admit_in_order(topology: MeshTopology, flows: FlowSet,
+                    frame: MeshFrameConfig) -> tuple[FlowSet, Schedule]:
+    """The calls one admission controller admits, and their schedule.
+
+    ``flows`` are offered in order to a controller over the whole frame;
+    with none admitted there is no schedule to run, so it raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    controller = AdmissionController(topology, frame.data_slots,
+                                     frame.frame_duration_s,
+                                     frame.data_slot_capacity_bits)
+    for flow in flows:
+        controller.try_admit(flow)
+    if controller.schedule is None:
+        raise ConfigurationError("no flow could be admitted at all")
+    return controller.admitted, controller.schedule
+
+
 def e05_voip_capacity(call_counts: Sequence[int] = (2, 4, 6, 8, 10),
                       duration_s: float = 2.0, seed: int = 11,
                       codec: VoipCodec = G729,
@@ -285,7 +304,7 @@ def e05_voip_capacity(call_counts: Sequence[int] = (2, 4, 6, 8, 10),
         rngs = RngRegistry(seed=seed)
         flows = make_voip_flows(topology, count, rngs, codec=codec,
                                 gateway=0, delay_budget_s=delay_target_s)
-        admitted, schedule = admit_flows(topology, flows, frame)
+        admitted, schedule = _admit_in_order(topology, flows, frame)
         tdma = run_tdma_scenario(topology, admitted, frame, schedule,
                                  duration_s, rngs.spawn("tdma"),
                                  codec=codec)
@@ -608,7 +627,7 @@ def e12_voip_mos(call_counts: Sequence[int] = (4, 8), duration_s: float = 2.0,
         rngs = RngRegistry(seed=seed)
         flows = make_voip_flows(topology, count, rngs, codec=codec,
                                 gateway=0, delay_budget_s=0.1)
-        admitted, schedule = admit_flows(topology, flows, frame)
+        admitted, schedule = _admit_in_order(topology, flows, frame)
         tdma = run_tdma_scenario(topology, admitted, frame, schedule,
                                  duration_s, rngs.spawn("tdma"), codec=codec)
         dcf = run_dcf_scenario(topology, flows, duration_s,
@@ -1029,7 +1048,7 @@ def e18_control_loss(loss_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
     retries grow with loss but the outcome stays conflict-free and
     fully served.
     """
-    from repro.core.schedule import Schedule, SlotBlock
+    from repro.core.schedule import SlotBlock
     from repro.faults.events import FaultEvent
     from repro.mesh16.distributed import DistributedScheduler
     from repro.mesh16.network import ControlPlane

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.core.schedule import Schedule
 from repro.dot11.dcf import DcfMac
 from repro.dot11.params import DOT11B_PARAMS, Dot11Params
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.mesh16.network import ControlPlane
 from repro.net.flows import Flow, FlowSet
@@ -133,50 +133,6 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
             f"no feasible schedule for {len(flows)} flows in {slots} slots "
             f"({result.solver_status})")
     return result.schedule
-
-
-def admit_flows(topology: MeshTopology, flows: FlowSet,
-                frame_config: MeshFrameConfig,
-                engine=None,
-                interference=None) -> tuple[FlowSet, Schedule]:
-    """Greedy admission: keep each flow only if the set stays schedulable.
-
-    This is how the emulated mesh handles offered load beyond capacity:
-    excess calls are *rejected* so admitted calls keep their guarantees --
-    the behavioural contrast with DCF, which degrades everyone.  Returns
-    the admitted subset and its schedule.  One shared
-    :class:`~repro.core.engine.SolverEngine` (``engine``, or a private
-    one per call) serves every candidate check, so the conflict index is
-    built per distinct link set rather than per candidate.
-    """
-    from repro.core.engine import SolverEngine
-    from repro.core.ilp import SchedulingProblem, delay_constraints_for
-
-    eng = engine if engine is not None else SolverEngine()
-    slot_s = frame_config.frame_duration_s / frame_config.data_slots
-    admitted = FlowSet()
-    schedule: Optional[Schedule] = None
-    for flow in flows:
-        candidate = FlowSet(list(admitted) + [flow])
-        demands = candidate.link_demands(frame_config.frame_duration_s,
-                                         frame_config.data_slot_capacity_bits)
-        conflicts = eng.conflict_index(topology,
-                                       interference=interference,
-                                       links=demands.keys())
-        problem = SchedulingProblem(
-            conflicts=conflicts, demands=demands,
-            frame_slots=frame_config.data_slots,
-            delay_constraints=delay_constraints_for(candidate, slot_s))
-        try:
-            result = eng.solve(problem)
-        except SolverError:
-            continue  # undecided within the node budget: reject the call
-        if result.feasible:
-            admitted = candidate
-            schedule = result.schedule
-    if schedule is None:
-        raise ConfigurationError("no flow could be admitted at all")
-    return admitted, schedule
 
 
 def make_voip_flows(topology: MeshTopology, num_calls: int,

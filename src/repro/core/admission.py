@@ -206,8 +206,8 @@ class AdmissionController:
 
         Releasing a name that was never admitted is a caller bug:
         it raises :class:`~repro.errors.ConfigurationError` and bumps the
-        ``core.admission.release_unknown`` counter so fleets running with
-        error recovery still see the miscount in their metrics.
+        ``core.admission.release_unknown`` counter, so a caller that
+        catches the error still leaves the miscount in its metrics.
         """
         if name not in self.admitted:
             obs_counter("core.admission.release_unknown").inc()

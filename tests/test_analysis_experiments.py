@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.analysis import experiments as ex
+from repro.errors import ConfigurationError
 
 
 def assert_well_formed(result):
@@ -99,16 +100,35 @@ def test_e11_shape():
     assert result.rows[-1][4] > 1.0
 
 
+def assert_admitted_by_controller(registry, offered: int) -> None:
+    """Every offered call was decided by one min-slot search, no ILP ran,
+    and no probe ran out of its node budget, so each rejection is a
+    proof."""
+    counters = registry.snapshot()["counters"]
+    assert counters.get("core.ilp.solves", 0) == 0
+    assert counters.get("core.minslots.searches") == offered
+    assert "core.minslots.probe_timeouts" not in counters
+
+
 @pytest.mark.slow
 def test_e05_shape():
-    result = ex.e05_voip_capacity(call_counts=(2, 8), duration_s=1.0)
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
+        result = ex.e05_voip_capacity(call_counts=(2, 8), duration_s=1.0)
     assert_well_formed(result)
+    assert_admitted_by_controller(registry, offered=2 + 8)
     light, heavy = result.rows
     # at light load both stacks carry everything
     assert light[2] == light[0]
     # at heavy load TDMA's admitted calls all meet QoS; DCF's mostly fail
     assert heavy[2] == heavy[1]
     assert heavy[3] < heavy[0]
+
+
+def test_e05_rejects_a_load_with_no_admitted_call():
+    # a one-slot budget no multi-hop call can meet leaves nothing to run
+    with pytest.raises(ConfigurationError, match="no flow could be admitted"):
+        ex.e05_voip_capacity(call_counts=(1,), duration_s=0.2,
+                             delay_target_s=0.001)
 
 
 @pytest.mark.slow
@@ -145,8 +165,10 @@ def test_e10_shape():
 
 @pytest.mark.slow
 def test_e12_shape():
-    result = ex.e12_voip_mos(call_counts=(8,), duration_s=1.0)
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
+        result = ex.e12_voip_mos(call_counts=(8,), duration_s=1.0)
     assert_well_formed(result)
+    assert_admitted_by_controller(registry, offered=8)
     row = result.rows[0]
     assert row[2] > row[3]  # TDMA worst MOS beats DCF worst MOS past knee
 

@@ -9,13 +9,19 @@ import math
 import pytest
 
 from repro.analysis.scenarios import (
-    admit_flows,
     make_voip_flows,
     run_dcf_scenario,
     run_tdma_scenario,
     schedule_for_flows,
 )
-from repro.core.ilp import delay_constraints_for
+from repro.core.admission import AdmissionController
+from repro.core.conflict import conflict_graph
+from repro.core.delay import path_delay_slots
+from repro.core.ilp import (
+    SchedulingProblem,
+    delay_constraints_for,
+    solve_schedule_ilp,
+)
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
@@ -127,7 +133,12 @@ class TestDcfScenario:
         rngs = RngRegistry(seed=42)
         flows = make_voip_flows(topology, 10, rngs, codec=G729, gateway=0,
                                 delay_budget_s=0.05)
-        admitted, schedule = admit_flows(topology, flows, frame)
+        controller = AdmissionController(topology, frame.data_slots,
+                                         frame.frame_duration_s,
+                                         frame.data_slot_capacity_bits)
+        for flow in flows:
+            controller.try_admit(flow)
+        admitted, schedule = controller.admitted, controller.schedule
         assert 0 < len(admitted) < 10
 
         tdma = run_tdma_scenario(topology, admitted, frame, schedule,
@@ -203,7 +214,6 @@ class TestHelpers:
         flows = route_all(topology, FlowSet([
             Flow("f", 4, 0, rate_bps=G729.wire_rate_bps,
                  delay_budget_s=0.1)]))
-        from repro.core.conflict import conflict_graph
         conflicts = conflict_graph(topology, hops=2)
         for method in ("ilp", "greedy", "tree"):
             schedule = schedule_for_flows(topology, flows, frame,
@@ -226,14 +236,53 @@ class TestHelpers:
             flows, frame.frame_duration_s / frame.data_slots)
         assert constraints[0].budget_slots == 16  # 10 ms = one frame
 
-    def test_admit_flows_prefix_property(self, rngs):
-        # every admitted set must itself be schedulable and non-empty
+    #: (seed, offered calls, delay budget): E5's five loads, E12's two
+    #: and the overload test's sequence above
+    ADMISSION_SEQUENCES = ([(11, n, 0.05) for n in (2, 4, 6, 8, 10)]
+                           + [(29, n, 0.1) for n in (4, 8)]
+                           + [(42, 10, 0.05)])
+
+    @staticmethod
+    def _reference_admitted(topology, flows, frame, conflicts) -> list[str]:
+        """Keep each call iff one exact ILP over the whole frame schedules
+        it beside the calls kept so far.  An undecided solve raises."""
+        slot_s = frame.frame_duration_s / frame.data_slots
+        admitted = FlowSet()
+        for flow in flows:
+            candidate = FlowSet(list(admitted) + [flow])
+            problem = SchedulingProblem(
+                conflicts=conflicts,
+                demands=candidate.link_demands(
+                    frame.frame_duration_s, frame.data_slot_capacity_bits),
+                frame_slots=frame.data_slots,
+                delay_constraints=delay_constraints_for(candidate, slot_s))
+            if solve_schedule_ilp(problem).feasible:
+                admitted = candidate
+        return admitted.names()
+
+    def test_admission_matches_exact_ilp_reference(self):
         topology = grid_topology(3, 3)
         frame = default_frame_config()
-        flows = make_voip_flows(topology, 8, rngs, codec=G729, gateway=0,
-                                delay_budget_s=0.05)
-        admitted, schedule = admit_flows(topology, flows, frame)
-        assert len(admitted) >= 1
-        assert schedule is not None
-        from repro.core.conflict import conflict_graph
-        schedule.validate(conflict_graph(topology, hops=2))
+        conflicts = conflict_graph(topology, hops=2)
+        slot_s = frame.frame_duration_s / frame.data_slots
+        for seed, offered, budget_s in self.ADMISSION_SEQUENCES:
+            flows = make_voip_flows(topology, offered, RngRegistry(seed=seed),
+                                    codec=G729, gateway=0,
+                                    delay_budget_s=budget_s)
+            controller = AdmissionController(topology, frame.data_slots,
+                                             frame.frame_duration_s,
+                                             frame.data_slot_capacity_bits)
+            for flow in flows:
+                decision = controller.try_admit(flow)
+                if not decision.admitted:
+                    continue
+                decision.schedule.validate(conflicts)
+                for constraint in delay_constraints_for(controller.admitted,
+                                                        slot_s):
+                    assert (path_delay_slots(decision.schedule,
+                                             constraint.route)
+                            <= constraint.budget_slots), (seed, offered,
+                                                          constraint)
+            reference = self._reference_admitted(topology, flows, frame,
+                                                 conflicts)
+            assert controller.admitted.names() == reference, (seed, offered)
