@@ -13,11 +13,15 @@ from repro.analysis.experiments import e10_solver_scaling
 def test_bench_e10_solver_scaling(benchmark):
     result = run_experiment(benchmark, e10_solver_scaling,
                             grid_sizes=((2, 2), (2, 3), (3, 3), (3, 4)))
-    variables = [row[2] for row in result.rows]
+    column = {name: index for index, name in enumerate(result.headers)}
+    variables = [row[column["ilp_vars"]] for row in result.rows]
     assert variables == sorted(variables)
     for row in result.rows:
-        assert row[4] < 0.05, "BF recovery must stay ~instant"
-        assert row[5] is not None, "all instances schedulable"
+        assert row[column["bf_seconds"]] < 0.05, \
+            "BF recovery must stay ~instant"
+        assert row[column["min_slots"]] is not None, \
+            "all instances schedulable"
         # every search here closes between the greedy-clique floor and
         # the first-fit certificate, so no search pays an ILP probe
-        assert row[8] == 0, "every E10 search closes between the bounds"
+        assert row[column["cold_ilp_solves"]] == 0, \
+            "every E10 search closes between the bounds"

@@ -65,18 +65,18 @@ class AdmissionController:
 
     Every decision runs a min-slot search capped at the guaranteed region
     (:attr:`policy`), and most close between two bounds with no ILP: a
-    conflict clique heavier than the region rejects the call, and
-    a first-fit packing that fits the clique's weight and meets every
+    conflict clique heavier than the region rejects the call, and a
+    packing certificate (first-fit, else the packing descent or the
+    greedy portfolio) that fits the clique's weight and meets every
     admitted call's delay budget admits it with that packing as the
-    schedule.  Only when first-fit misses a budget does the search probe
-    the ILP, binary over the gap above the clique: binary is valid
-    because feasibility is monotone in the region size for a fixed frame,
-    and it probes far fewer regions than the paper's linear search.  Each
-    ILP probe runs under the deterministic node budget
-    :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`; a probe undecided within
-    it counts as infeasible, so the call is rejected rather than wrongly
-    admitted.  ``frame_duration_s`` and ``slot_capacity_bits`` must be
-    positive and finite, else :class:`~repro.errors.ConfigurationError`.
+    schedule.  Only when no certificate meets every budget does the
+    search probe the ILP, upward from the clique's weight like the
+    paper's linear search.  Each ILP probe runs under the deterministic
+    node budget :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`; a probe
+    undecided within it counts as infeasible, so a call is rejected
+    rather than wrongly admitted.  ``frame_duration_s`` and
+    ``slot_capacity_bits`` must be positive and finite, else
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, topology: MeshTopology, frame_slots: int,
@@ -101,7 +101,7 @@ class AdmissionController:
         if self.region_cap > frame_slots:
             raise ConfigurationError(
                 f"guaranteed region {self.region_cap} must be in 1..frame_slots")
-        self.policy = SolverPolicy(search="binary", max_region=self.region_cap)
+        self.policy = SolverPolicy(max_region=self.region_cap)
         #: the interference-model backend the conflict relation comes from
         self.interference = coerce_interference(interference)
         self.conflicts = self.interference.conflict_graph(topology)

@@ -344,7 +344,7 @@ class SolverEngine:
     def run_search(self, conflicts: ConflictIndex, demands: Mapping[Link, int],
                    frame_slots: int,
                    delay_constraints: Sequence[DelayConstraint],
-                   search: str, ceiling: int,
+                   ceiling: int,
                    node_limit_per_probe: Optional[int] = None,
                    gap_arm: str = "exact"):
         """The min-slot search behind :func:`~repro.core.minslots.minimum_slots`.
@@ -362,9 +362,12 @@ class SolverEngine:
         here too, by one ILP probe at region 1.
 
         Only the gap ``[floor, ceiling]`` reaches ``gap_arm``.
-        ``"exact"`` probes it, one ILP per probe; ``"greedy"`` hands it
-        to :func:`~repro.core.greedy.greedy_minimum_slots` with the
-        region capped at ``ceiling``.  Callers go through
+        ``"exact"`` probes it upward from the floor, one ILP per region,
+        and returns the first feasible region -- the paper's linear
+        search; a gap that ends infeasible pays one probe per region.
+        ``"greedy"`` hands it to
+        :func:`~repro.core.greedy.greedy_minimum_slots` with the region
+        capped at ``ceiling``.  Callers go through
         :func:`repro.core.minslots.minimum_slots`, which owns the argument
         validation, the arm choice and search-level telemetry.
 
@@ -436,30 +439,11 @@ class SolverEngine:
                 conflicts, demands, frame_slots, delay_constraints,
                 engine=self, policy=SolverPolicy(max_region=ceiling))
 
-        if search == "linear":
-            for region in range(floor, ceiling + 1):
-                result = probe(region)
-                if result.feasible:
-                    return finish(region, result)
-            return finish(None, None)
-
-        # Binary search: feasibility is monotone in the region size for a
-        # fixed frame length.  Establish feasibility at the ceiling first.
-        low, high = floor, ceiling
-        best = probe(high)
-        if not best.feasible:
-            return finish(None, None)
-        best_region = high
-        high -= 1
-        while low <= high:
-            mid = (low + high) // 2
-            result = probe(mid)
+        for region in range(floor, ceiling + 1):
+            result = probe(region)
             if result.feasible:
-                best, best_region = result, mid
-                high = mid - 1
-            else:
-                low = mid + 1
-        return finish(best_region, best)
+                return finish(region, result)
+        return finish(None, None)
 
 
 def _route_delay(route: Sequence[int], start: Sequence[int],

@@ -11,8 +11,8 @@ into a region with one Bellman-Ford pass per strategy
 (:func:`~repro.core.ordering.schedule_from_order`).  It is the third
 rung of the engine's certificate ladder and the core of the greedy arm,
 :func:`greedy_minimum_slots`, which searches a gap the bounds leave open
-in ``"greedy"`` mode, and in ``"auto"`` mode above the policy's
-``auto_threshold`` (S37 in DESIGN.md).  The arm
+in ``"greedy"`` mode, and in ``"auto"`` mode above
+:data:`~repro.core.policy.AUTO_THRESHOLD` (S37 in DESIGN.md).  The arm
 is *sound, never complete*: every schedule it emits is validated
 conflict-free (S8) and checked against every delay budget it was given,
 and when a budget fails it reports infeasibility instead of degrading a
@@ -224,7 +224,7 @@ def greedy_minimum_slots(conflicts: ConflictIndex,
     obs.counter("core.zones.greedy_solves").inc()
     started = time.perf_counter()
     best: Optional[tuple[int, str, TransmissionOrder, Schedule]] = None
-    with obs.span("core.zones.solve", mode="greedy",
+    with obs.span("core.greedy.solve", mode="greedy",
                   frame_slots=frame_slots):
         if lower <= ceiling:
             for strategy, order, packed in greedy_packings(

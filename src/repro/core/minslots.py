@@ -14,15 +14,10 @@ every delay budget -- first-fit decreasing, else a depth-first descent
 with a node cap, else the greedy portfolio compacted by Bellman-Ford;
 when it exists, ``K`` is the floor and the packing is the published
 schedule, with no ILP.  Only the gap between the two reaches a solver
-arm.  The exact arm checks each candidate ``K`` by solving the
-delay-aware feasibility ILP with the guaranteed region restricted to the
-first ``K`` slots of the frame.
-
-The paper performs a plain linear search upward from a lower bound.  With a
-*fixed* frame length the feasibility of the region-restricted problem is
-monotone in ``K`` (enlarging the region only relaxes bounds), so a binary
-search is also valid; it is provided as an extension
-(``SolverPolicy(search="binary")``) and ablated in experiment E10.
+arm.  The exact arm is the paper's plain linear search: it probes ``K``
+upward from the floor, solving the delay-aware feasibility ILP with the
+guaranteed region restricted to the first ``K`` slots of the frame, and
+stops at the first feasible region.
 
 The search, like every solver layer, reads the conflict relation as a
 :class:`~repro.core.conflict.ConflictIndex`; a demanded link missing
@@ -129,11 +124,10 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
     policy:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string)
         governing *how* to solve a search the bounds leave open: the gap
-        arm (exact probe search, greedy or ``"auto"``), the probe search
-        (``"linear"``, the paper's, or ``"binary"``), the region cap and
-        the per-probe node budget.  Default: the engine's own policy
-        (itself defaulting to ``"auto"`` with a linear search over the
-        whole frame, which is the paper's search at paper scale).  A
+        arm (exact linear probe search, greedy or ``"auto"``), the region
+        cap and the per-probe node budget.  Default: the engine's own
+        policy (itself defaulting to ``"auto"`` over the whole frame,
+        which is the paper's search at paper scale).  A
         search the bounds decide returns the same result in every mode.
     """
     require_int("frame_slots", frame_slots, 1)
@@ -146,12 +140,10 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
     if ceiling > frame_slots:
         raise ConfigurationError("max_region cannot exceed frame_slots")
     demanded = sum(1 for d in demands.values() if d > 0)
-    with obs.span("core.minslots.search", search=eff.search,
-                  frame_slots=frame_slots):
+    with obs.span("core.minslots.search", frame_slots=frame_slots):
         obs.counter("core.minslots.searches").inc()
         outcome = engine.run_search(
-            conflicts, demands, frame_slots, delay_constraints,
-            eff.search, ceiling,
+            conflicts, demands, frame_slots, delay_constraints, ceiling,
             node_limit_per_probe=eff.node_limit_per_probe,
             gap_arm=eff.resolve_mode(demanded))
     obs.histogram("core.minslots.probes_per_search").observe(

@@ -1,10 +1,10 @@
 """The solver-policy seam: one object deciding *how* a schedule is solved.
 
 :class:`SolverPolicy` is the one place the minimum-slots search is
-configured: the gap arm, the probe search (linear or binary), the
-guaranteed-region cap and the per-probe node budget.  It is a frozen,
-validated value that travels through :class:`~repro.api.Scenario`
-(``solver=``), :class:`~repro.core.engine.SolverEngine` (``policy=``) and
+configured: the gap arm, the guaranteed-region cap and the per-probe
+node budget.  It is a frozen, validated value that travels through
+:class:`~repro.api.Scenario` (``solver=``),
+:class:`~repro.core.engine.SolverEngine` (``policy=``) and
 :func:`~repro.core.minslots.minimum_slots` (``policy=``) unchanged; no
 call site takes a search knob of its own.
 
@@ -24,7 +24,7 @@ only picks the arm that searches the gap they leave open:
     schedule it emits is conflict-free (S8) and meets every delay budget
     it was given, but its region may exceed the optimum.
 ``"auto"``
-    Pick the gap arm per instance: ``"exact"`` up to ``auto_threshold``
+    Pick the gap arm per instance: ``"exact"`` up to :data:`AUTO_THRESHOLD`
     demanded links, ``"greedy"`` above it.  The default everywhere, so
     small meshes keep the paper's exact solver and city-scale meshes
     never hit the ILP wall.
@@ -42,11 +42,10 @@ from repro.errors import ConfigurationError
 SOLVER_MODES = ("exact", "greedy", "auto")
 
 #: Demanded-link count above which ``"auto"`` searches the gap with the
-#: greedy arm instead of the exact ILP.  At the default the switch sits far
-#: beyond every paper-scale workload (16-50 node meshes demand well under
-#: 100 links) and comfortably below where the monolithic ILP becomes
-#: intractable.
-DEFAULT_AUTO_THRESHOLD = 256
+#: greedy arm instead of the exact ILP.  The switch sits far beyond every
+#: paper-scale workload (16-50 node meshes demand well under 100 links)
+#: and comfortably below where the monolithic ILP becomes intractable.
+AUTO_THRESHOLD = 256
 
 
 def require_int(name: str, value: object, minimum: int) -> None:
@@ -66,12 +65,6 @@ class SolverPolicy:
     mode:
         ``"exact"``, ``"greedy"`` or ``"auto"`` (see the module
         docstring).
-    search:
-        Probe-search strategy of the exact arm: ``"linear"`` (the
-        paper's search) or ``"binary"``.
-    auto_threshold:
-        Demanded-link count above which ``"auto"`` searches the gap with
-        the greedy arm instead of the exact one.
     max_region:
         Largest guaranteed region to consider (``None``: the whole
         frame).
@@ -87,8 +80,6 @@ class SolverPolicy:
     """
 
     mode: str = "auto"
-    search: str = "linear"
-    auto_threshold: int = DEFAULT_AUTO_THRESHOLD
     max_region: Optional[int] = None
     node_limit_per_probe: Optional[int] = None
 
@@ -97,10 +88,6 @@ class SolverPolicy:
             raise ConfigurationError(
                 f"unknown solver mode {self.mode!r}; "
                 f"expected one of {SOLVER_MODES}")
-        if self.search not in ("linear", "binary"):
-            raise ConfigurationError(
-                f"unknown search mode {self.search!r}")
-        require_int("auto_threshold", self.auto_threshold, 1)
         for name in ("max_region", "node_limit_per_probe"):
             if getattr(self, name) is not None:
                 require_int(name, getattr(self, name), 1)
@@ -127,12 +114,12 @@ class SolverPolicy:
         """The concrete arm for an instance of this size.
 
         ``"auto"`` resolves to ``"exact"`` at or below
-        :attr:`auto_threshold` demanded links and ``"greedy"`` above it;
+        :data:`AUTO_THRESHOLD` demanded links and ``"greedy"`` above it;
         explicit modes resolve to themselves.
         """
         if self.mode != "auto":
             return self.mode
-        if num_demanded_links <= self.auto_threshold:
+        if num_demanded_links <= AUTO_THRESHOLD:
             return "exact"
         return "greedy"
 

@@ -32,7 +32,7 @@ flow-level consequences, which is exactly what experiment E17 tabulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro import obs
@@ -108,8 +108,8 @@ class RepairEngine:
         The :class:`~repro.core.engine.SolverEngine` sharing conflict
         indexes and solved probes across this engine's repair passes
         (default: a private instance whose caches live exactly as long as
-        this repair engine).  Full re-solves run a binary min-slot search
-        under the rest of the engine's policy (mode, node budget).
+        this repair engine).  Full re-solves run the min-slot search
+        under the engine's policy.
     """
 
     def __init__(self, topology: MeshTopology, frame_config: MeshFrameConfig,
@@ -410,8 +410,7 @@ class RepairEngine:
             conflicts, demands, self.frame.data_slots,
             delay_constraints=delay_constraints_for(
                 flows, self.slot_duration_s),
-            engine=self.engine,
-            policy=replace(self.engine.policy, search="binary"))
+            engine=self.engine)
 
     def _spliced_order(self, flows: list[Flow],
                        demands: dict[Link, int]) -> TransmissionOrder:

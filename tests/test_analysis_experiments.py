@@ -153,14 +153,19 @@ def test_e10_shape():
     with obs.use_registry(obs.MetricsRegistry()) as registry:
         result = ex.e10_solver_scaling(grid_sizes=((2, 2), (3, 3)))
     assert_well_formed(result)
+    column = {name: index for index, name in enumerate(result.headers)}
+    # the two measured timings come last, after every deterministic column
+    assert result.headers[-2:] == ["ilp_seconds", "bf_seconds"]
     small, large = result.rows
-    assert large[2] >= small[2]  # variables grow with the mesh
+    ilp_vars = column["ilp_vars"]
+    assert large[ilp_vars] >= small[ilp_vars]  # variables grow with the mesh
     # every search closes between the greedy-clique floor and a packing
     # certificate, so no search pays an ILP probe
     counters = registry.snapshot()["counters"]
     assert counters.get("core.minslots.bounds_closed", 0) > 0
     assert counters.get("core.engine.ilp_probes", 0) == 0
-    assert [row[8] for row in result.rows] == [0, 0]
+    assert [row[column["probes"]] for row in result.rows] == [1, 1]
+    assert [row[column["cold_ilp_solves"]] for row in result.rows] == [0, 0]
 
 
 @pytest.mark.slow

@@ -275,8 +275,8 @@ class TestSolverPolicySeam:
         from repro.core.engine import BOUNDS_CLOSED
 
         topo, flows = self._disk()
-        policy = SolverPolicy(mode="greedy", search="binary",
-                              max_region=12)
+        policy = SolverPolicy(mode="greedy", max_region=12,
+                              node_limit_per_probe=100)
         scenario = Scenario(topo, flows, solver=policy)
         result = scenario.route().schedule()
         assert scenario.solver is policy
@@ -311,15 +311,6 @@ class TestSolverPolicySeam:
         engine = SolverEngine(policy="greedy")
         scenario = Scenario(topo, flows, engine=engine, solver="exact")
         assert scenario.route().schedule().meta is None
-
-    def test_binary_search_policy_finds_the_same_slots(self):
-        from repro import SolverPolicy
-
-        topo, flows = self._disk()
-        plain = Scenario(topo, list(flows)).route().schedule()
-        binary = Scenario(topo, list(flows),
-                          solver=SolverPolicy(search="binary"))
-        assert binary.route().schedule().slots == plain.slots
 
     def test_max_region_policy_caps_the_search(self):
         from repro import SolverPolicy

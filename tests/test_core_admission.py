@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.core.admission import AdmissionController
+from repro.core.policy import SolverPolicy
 from repro.errors import ConfigurationError
 from repro.net.flows import Flow
 from repro.net.topology import chain_topology, star_topology
@@ -179,32 +180,40 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError, match="positive and finite"):
             QosAdmissionController(chain_topology(3), frame)
 
-    def test_search_is_binary_probing_the_region_cap_first(
+    def test_search_is_linear_from_the_floor_under_the_cap(
             self, monkeypatch):
         import repro.core.admission as admission
+        from repro.core.conflict import _greedy_clique_demand
         from repro.core.engine import BOUNDS_CLOSED
 
         searches = []
         real_minimum_slots = admission.minimum_slots
 
-        def spy(*args, **kwargs):
-            searches.append(real_minimum_slots(*args, **kwargs))
-            return searches[-1]
+        def spy(conflicts, demands, *args, **kwargs):
+            result = real_minimum_slots(conflicts, demands, *args, **kwargs)
+            searches.append((conflicts, demands, result))
+            return result
 
         monkeypatch.setattr(admission, "minimum_slots", spy)
         ctrl = controller(region=12)
+        assert ctrl.policy == SolverPolicy(max_region=12)
         # a loose budget: first-fit meets it, so the bounds close
         assert ctrl.try_admit(voip_flow("a", 0, 4)).admitted
         # three slots a hop under a one-frame budget: no packing inside
         # the floor meets it, so the probe loop searches the gap
         assert ctrl.try_admit(voip_flow("b", 4, 0, rate=240_000,
                                         budget=0.01)).admitted
-        closed, gap = searches
+        (____, ____, closed), (conflicts, demands, gap) = searches
         assert closed.probes == [(closed.slots, True)]
         assert closed.ilp.solver_status == BOUNDS_CLOSED
         assert gap.ilp.solver_status != BOUNDS_CLOSED
-        assert gap.lower_bound < 12
-        assert gap.probes[0] == (12, True)  # the ceiling, not the bound
+        floor = max(gap.lower_bound,
+                    _greedy_clique_demand(conflicts, demands, 12))
+        assert gap.lower_bound < floor < gap.slots <= 12
+        # upward from the floor, not the bound or the cap: only the last
+        # region probed is feasible
+        assert gap.probes == [(region, region == gap.slots)
+                              for region in range(floor, gap.slots + 1)]
 
     def test_every_probe_is_budgeted_by_nodes_not_the_clock(
             self, monkeypatch):

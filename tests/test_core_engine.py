@@ -19,7 +19,6 @@ from repro.core.ilp import (
     SchedulingProblem,
 )
 from repro.core.minslots import minimum_slots
-from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
 from repro.mesh16.distributed import DistributedScheduler
@@ -192,25 +191,18 @@ def _upstream_gap_instance():
 
 def test_every_gap_probe_is_an_ilp_and_caching_changes_no_answer():
     conflicts, demands, constraints = _upstream_gap_instance()
-    binary = SolverPolicy(search="binary")
     stateless = SolverEngine(max_indexes=0, max_problems=0)
-    linear = minimum_slots(conflicts, demands, 16, constraints,
-                           engine=stateless)
-    bisected = minimum_slots(conflicts, demands, 16, constraints,
-                             engine=stateless, policy=binary)
-    assert linear.ilp.solver_status != BOUNDS_CLOSED
-    assert bisected.slots == linear.slots
-    assert stateless.stats["ilp_probes"] == (len(linear.probes)
-                                             + len(bisected.probes))
+    reference = minimum_slots(conflicts, demands, 16, constraints,
+                              engine=stateless)
+    assert reference.ilp.solver_status != BOUNDS_CLOSED
+    assert stateless.stats["ilp_probes"] == len(reference.probes)
     cached = SolverEngine()
-    for policy, reference in ((None, linear), (binary, bisected)):
-        for ____ in range(2):  # the second search reads the problem cache
-            result = minimum_slots(conflicts, demands, 16, constraints,
-                                   engine=cached, policy=policy)
-            assert result.slots == reference.slots
-            assert result.probes == reference.probes
-            assert (result.schedule.to_dict()
-                    == reference.schedule.to_dict())
+    for ____ in range(2):  # the second search reads the problem cache
+        result = minimum_slots(conflicts, demands, 16, constraints,
+                               engine=cached)
+        assert result.slots == reference.slots
+        assert result.probes == reference.probes
+        assert result.schedule.to_dict() == reference.schedule.to_dict()
     assert cached.stats["problem_hits"] > 0
 
 

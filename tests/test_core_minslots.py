@@ -1,17 +1,20 @@
-"""Minimum-slots search: bounds, linear and binary probing, validation,
+"""Minimum-slots search: bounds, the linear probe loop, validation,
 the solver-policy seam (validation, coercion, gap-arm dispatch) and the
 greedy arm."""
+
+from unittest import mock
 
 import pytest
 
 from repro import obs
+from repro.core import policy as policy_module
 from repro.core.conflict import _greedy_clique_demand, conflict_graph
 from repro.core.engine import BOUNDS_CLOSED, SolverEngine
 from repro.core.greedy import greedy_minimum_slots
 from repro.core.ilp import DelayConstraint, delay_constraints_for
 from repro.core.minslots import demand_lower_bound, minimum_slots
-from repro.core.policy import DEFAULT_AUTO_THRESHOLD, SolverPolicy
-from repro.errors import ConfigurationError
+from repro.core.policy import AUTO_THRESHOLD, SolverPolicy
+from repro.errors import ConfigurationError, SolverError
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
@@ -21,7 +24,6 @@ from repro.net.topology import (
     star_topology,
 )
 
-BINARY = SolverPolicy(search="binary")
 FRAME = default_frame_config()
 
 
@@ -108,42 +110,7 @@ class TestLinearSearch:
         assert result.slots == 0
 
 
-class TestBinarySearch:
-    def test_matches_linear(self):
-        conflicts, demands, route = chain_instance(5)
-        constraints = [DelayConstraint("f", route, 16)]
-        linear = minimum_slots(conflicts, demands, 16,
-                               delay_constraints=constraints)
-        binary = minimum_slots(conflicts, demands, 16,
-                               delay_constraints=constraints,
-                               policy=BINARY)
-        assert binary.slots == linear.slots
-
-    def test_binary_uses_fewer_probes_on_wide_ranges(self):
-        topo = star_topology(4)
-        conflicts = conflict_graph(topo, hops=2)
-        # make the lower bound loose by mixing demands
-        demands = {(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1,
-                   (1, 0): 1, (2, 0): 1, (3, 0): 1, (4, 0): 1}
-        linear = minimum_slots(conflicts, demands, 64)
-        binary = minimum_slots(conflicts, demands, 64, policy=BINARY)
-        assert binary.slots == linear.slots
-
-    def test_binary_infeasible(self):
-        topo = star_topology(3)
-        conflicts = conflict_graph(topo, hops=2)
-        demands = {(0, 1): 4, (0, 2): 4, (0, 3): 4}
-        result = minimum_slots(conflicts, demands, 11, policy=BINARY)
-        assert not result.feasible
-
-
 class TestValidation:
-    def test_unknown_search_mode(self, chain5):
-        conflicts = conflict_graph(chain5, hops=2)
-        with pytest.raises(ConfigurationError):
-            minimum_slots(conflicts, {(0, 1): 1}, 8,
-                          policy=SolverPolicy(search="exponential"))
-
     def test_max_region_exceeding_frame(self, chain5):
         conflicts = conflict_graph(chain5, hops=2)
         with pytest.raises(ConfigurationError):
@@ -193,16 +160,19 @@ def _instance(num_nodes=20, num_flows=6, seed=7, budget_s=0.1):
 
 
 def test_policy_defaults_are_auto_linear():
+    # the exact arm has one probe loop, the paper's linear search, so the
+    # policy holds no search setting
     policy = SolverPolicy()
-    assert policy.mode == "auto"
-    assert policy.search == "linear"
-    assert policy.auto_threshold == DEFAULT_AUTO_THRESHOLD
+    assert (policy.mode, policy.max_region,
+            policy.node_limit_per_probe) == ("auto", None, None)
+    assert list(SolverPolicy.__dataclass_fields__) == [
+        "mode", "max_region", "node_limit_per_probe"]
 
 
 @pytest.mark.parametrize("kwargs", [
     {"mode": "simulated-annealing"},
-    {"search": "ternary"},
-    {"auto_threshold": 0},
+    {"mode": "binary"},
+    {"max_region": -3},
     {"max_region": 0},
     {"node_limit_per_probe": 0},
     {"node_limit_per_probe": 2.5},
@@ -217,8 +187,6 @@ def test_policy_rejects_bad_knobs(kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"max_region": 2.5},
     {"max_region": True},
-    {"auto_threshold": 1.5},
-    {"auto_threshold": True},
 ], ids=repr)
 def test_policy_rejects_non_int_knobs(kwargs):
     # every int field follows node_limit_per_probe's rule: an int, not a
@@ -248,10 +216,26 @@ def test_policy_rejects_the_removed_zoned_knobs(kwargs):
         SolverPolicy(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"search": "linear"},
+    {"search": "binary"},
+    {"search": "ternary"},
+    {"auto_threshold": 10},
+    {"auto_threshold": 1.5},
+    {"auto_threshold": True},
+], ids=repr)
+def test_policy_rejects_the_removed_search_settings(kwargs):
+    # one probe loop and a module-level threshold: the probe-search and
+    # threshold settings are gone, and every value is refused by name
+    (knob, _), = kwargs.items()
+    with pytest.raises(ConfigurationError, match=knob):
+        SolverPolicy(**kwargs)
+
+
 def test_policy_coerce_accepts_none_string_and_policy():
     assert SolverPolicy.coerce(None) == SolverPolicy()
     assert SolverPolicy.coerce("greedy").mode == "greedy"
-    policy = SolverPolicy(mode="greedy", search="binary")
+    policy = SolverPolicy(mode="greedy", max_region=8)
     assert SolverPolicy.coerce(policy) is policy
     with pytest.raises(ConfigurationError, match="SolverPolicy"):
         SolverPolicy.coerce(42)
@@ -260,9 +244,9 @@ def test_policy_coerce_accepts_none_string_and_policy():
 
 
 def test_policy_auto_resolves_on_the_threshold():
-    policy = SolverPolicy(auto_threshold=10)
-    assert policy.resolve_mode(10) == "exact"
-    assert policy.resolve_mode(11) == "greedy"
+    policy = SolverPolicy()
+    assert policy.resolve_mode(AUTO_THRESHOLD) == "exact"
+    assert policy.resolve_mode(AUTO_THRESHOLD + 1) == "greedy"
     assert SolverPolicy(mode="greedy").resolve_mode(10_000) == "greedy"
     assert SolverPolicy(mode="exact").resolve_mode(10_000) == "exact"
 
@@ -283,10 +267,14 @@ def test_bounds_closed_search_is_the_same_in_every_mode():
     exact = minimum_slots(index, demands, FRAME.data_slots, constraints,
                           engine=engine, policy="exact")
     assert exact.ilp.solver_status == BOUNDS_CLOSED
-    for policy in ("greedy", "auto", SolverPolicy(auto_threshold=1)):
+    for policy in ("greedy", "auto"):
         _same_result(minimum_slots(index, demands, FRAME.data_slots,
                                    constraints, engine=engine,
                                    policy=policy), exact)
+    with mock.patch.object(policy_module, "AUTO_THRESHOLD", 1):
+        _same_result(minimum_slots(index, demands, FRAME.data_slots,
+                                   constraints, engine=engine,
+                                   policy="auto"), exact)
 
 
 def test_empty_demand_is_decided_the_same_in_every_mode():
@@ -304,14 +292,14 @@ def test_empty_demand_is_decided_the_same_in_every_mode():
 def test_auto_dispatches_by_demanded_link_count():
     # 30 ms budgets: the bounds leave a gap for the arm to search
     engine, index, demands, constraints = _instance(budget_s=0.03)
-    few = SolverPolicy(auto_threshold=10_000)
+    assert len(demands) <= AUTO_THRESHOLD
     exact = minimum_slots(index, demands, FRAME.data_slots,
-                          constraints, engine=engine, policy=few)
+                          constraints, engine=engine, policy="auto")
     assert exact.meta is None  # the exact arm carries no heuristic meta
     assert exact.ilp.solver_status != BOUNDS_CLOSED
-    many = SolverPolicy(auto_threshold=1)
-    greedy = minimum_slots(index, demands, FRAME.data_slots,
-                           constraints, engine=engine, policy=many)
+    with mock.patch.object(policy_module, "AUTO_THRESHOLD", 1):
+        greedy = minimum_slots(index, demands, FRAME.data_slots,
+                               constraints, engine=engine, policy="auto")
     assert greedy.meta["mode"] == "greedy"
     # sound, not complete: never below the optimum, infeasible allowed
     assert greedy.slots is None or greedy.slots >= exact.slots
@@ -328,21 +316,50 @@ def test_policy_mode_string_dispatches_each_arm():
             assert result.meta is None
 
 
+def _floor(index, demands):
+    return max(demand_lower_bound(demands),
+               _greedy_clique_demand(index, demands, FRAME.data_slots))
+
+
 def test_call_policy_search_overrides_the_engine_policy():
     # 30 ms budgets that first-fit misses: the probe loop searches the gap
-    engine, index, demands, constraints = _instance(budget_s=0.03)
-    linear = minimum_slots(index, demands, FRAME.data_slots,
-                           constraints, engine=SolverEngine(policy="exact"))
-    binary = minimum_slots(index, demands, FRAME.data_slots,
-                           constraints, engine=SolverEngine(policy="exact"),
-                           policy=SolverPolicy(mode="exact", search="binary"))
-    assert binary.slots == linear.slots
-    assert binary.probes != linear.probes  # different search trajectory
-    floor = max(linear.lower_bound,
-                _greedy_clique_demand(index, demands, FRAME.data_slots))
-    assert linear.lower_bound < floor
-    assert linear.probes[0][0] == floor  # the floor, not the bound
-    assert binary.probes[0][0] == FRAME.data_slots  # ceiling first
+    ____, index, demands, constraints = _instance(budget_s=0.03)
+    result = minimum_slots(index, demands, FRAME.data_slots, constraints,
+                           engine=SolverEngine(policy="greedy"),
+                           policy="exact")
+    assert result.meta is None  # the call's exact arm, not the engine's
+    floor = _floor(index, demands)
+    assert result.lower_bound < floor
+    # linear from the floor, not the bound: consecutive regions, and
+    # only the last one feasible
+    assert result.probes == [(region, region == result.slots)
+                             for region in range(floor, result.slots + 1)]
+    assert result.ilp.solver_status != BOUNDS_CLOSED
+
+
+def test_an_undecided_probe_counts_as_infeasible_and_the_search_goes_on(
+        monkeypatch):
+    # the floor's probe exhausts its node budget: it is logged as a miss
+    # and the loop moves on to the next region
+    ____, index, demands, constraints = _instance(budget_s=0.03)
+    engine = SolverEngine(policy="exact")
+    floor = _floor(index, demands)
+    real_solve = engine.solve
+
+    def solve(problem, **kwargs):
+        if problem.region_slots == floor:
+            raise SolverError("node budget exhausted")
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(engine, "solve", solve)
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        result = minimum_slots(index, demands, FRAME.data_slots,
+                               constraints, engine=engine)
+    assert result.probes == [(floor, False), (floor + 1, True)]
+    assert registry.counter("core.minslots.probe_timeouts").value == 1
+    assert result.slots == floor + 1
+    assert result.schedule.violations(index) == []
 
 
 def test_engine_policy_governs_bare_engine_solves():

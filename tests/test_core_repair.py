@@ -4,9 +4,8 @@ import pytest
 
 from repro.core.delay import path_delay_slots
 from repro.core.engine import BOUNDS_CLOSED, SolverEngine
-from repro.core.policy import SolverPolicy
 from repro.core.repair import RepairEngine
-from repro.errors import ConfigurationError
+from repro.errors import AdmissionError, ConfigurationError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow
@@ -35,29 +34,43 @@ def assert_valid(engine):
 
 
 class TestInstall:
-    def test_full_solve_is_binary_under_a_linear_engine_policy(
+    def test_full_solve_runs_the_engine_policy_linear_from_the_floor(
             self, grid33, monkeypatch):
         import repro.core.repair as repair
+        from repro.core.conflict import _greedy_clique_demand
 
         searches = []
         real_minimum_slots = repair.minimum_slots
 
-        def spy(*args, **kwargs):
-            searches.append(real_minimum_slots(*args, **kwargs))
-            return searches[-1]
+        def spy(conflicts, demands, frame_slots, **kwargs):
+            result = real_minimum_slots(conflicts, demands, frame_slots,
+                                        **kwargs)
+            searches.append((conflicts, demands, frame_slots, result))
+            return result
 
         monkeypatch.setattr(repair, "minimum_slots", spy)
-        engine = make_engine(grid33, engine=SolverEngine(
-            policy=SolverPolicy(mode="exact", search="linear")))
         # one-frame budgets: no packing inside the floor meets both
         # upstream routes -- the bounds leave a gap and the probe loop runs
-        engine.install([gateway_flow("f1", 8, budget_s=0.01),
-                        gateway_flow("f2", 5, budget_s=0.01)])
-        (search,) = searches
-        frame_slots = engine.frame.data_slots
+        flows = [gateway_flow("f1", 8, budget_s=0.01),
+                 gateway_flow("f2", 5, budget_s=0.01)]
+        make_engine(grid33, engine=SolverEngine(policy="exact")).install(
+            flows)
+        (conflicts, demands, frame_slots, search), = searches
         assert search.ilp.solver_status != BOUNDS_CLOSED
-        assert search.lower_bound < frame_slots
-        assert search.probes[0] == (frame_slots, True)  # ceiling first
+        floor = max(search.lower_bound,
+                    _greedy_clique_demand(conflicts, demands, frame_slots))
+        assert search.lower_bound < floor
+        assert search.probes == [(region, region == search.slots)
+                                 for region in range(floor,
+                                                     search.slots + 1)]
+        # the engine's mode governs the re-solve too: its greedy arm
+        # misses a budget and the install is refused, never degraded
+        searches.clear()
+        with pytest.raises(AdmissionError, match="infeasible"):
+            make_engine(grid33, engine=SolverEngine(
+                policy="greedy")).install(flows)
+        (____, ____, ____, greedy), = searches
+        assert greedy.meta["mode"] == "greedy"
 
     def test_initial_solve(self, grid33):
         engine = make_engine(grid33)

@@ -118,13 +118,12 @@ class TestVsCentralized:
                           max_cycles=32)
             assert outcome.fully_served
             conflicts = conflict_graph(topology, hops=2)
-            # binary search with a tight probe budget: all-links instances
-            # have a heavy branch-and-bound tail near the optimum, and
-            # this test only needs sanity bounds, not the exact minimum
+            # a tight probe budget: all-links instances have a heavy
+            # branch-and-bound tail near the optimum, and this test only
+            # needs sanity bounds, not the exact minimum
             central = minimum_slots(
                 conflicts, demands, frame,
-                policy=SolverPolicy(search="binary",
-                                    node_limit_per_probe=100))
+                policy=SolverPolicy(node_limit_per_probe=100))
             assert central.feasible
             # the distributed protocol works against exact interference
             # (less conservative than the 2-hop model), so its makespan can

@@ -23,17 +23,18 @@ The solver-policy contracts are checked on slightly larger meshes:
 """
 
 from functools import partial
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import policy as policy_module
 from repro.core.delay import path_delay_slots
 from repro.core.engine import SolverEngine
 from repro.core.greedy import greedy_minimum_slots
 from repro.core.guarantees import check_guarantees
 from repro.core.ilp import delay_constraints_for
 from repro.core.minslots import minimum_slots
-from repro.core.policy import SolverPolicy
 from repro.mesh16.frame import default_frame_config
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
@@ -55,19 +56,17 @@ def scheduling_instances(draw):
     flows = route_all(topology, FlowSet([
         Flow(f"f{i}", src=s, dst=0, rate_bps=64_000, delay_budget_s=0.2)
         for i, s in enumerate(srcs)]))
-    search = draw(st.sampled_from(["linear", "binary"]))
-    return topology, flows, search
+    return topology, flows
 
 
-def _solve(topology, flows, search, engine):
+def _solve(topology, flows, engine):
     demands = flows.link_demands(FRAME.frame_duration_s,
                                  FRAME.data_slot_capacity_bits)
     conflicts = engine.conflict_index(topology, links=sorted(demands))
     return minimum_slots(conflicts, demands, FRAME.data_slots,
                          delay_constraints=delay_constraints_for(
                              flows, FRAME.frame_duration_s / FRAME.data_slots),
-                         engine=engine,
-                         policy=SolverPolicy(search=search))
+                         engine=engine)
 
 
 def _assert_identical(result, reference):
@@ -88,22 +87,22 @@ def test_warm_engine_is_bitwise_identical_to_cold(instance):
     The cached engine searches twice, so its second search reads the
     conflict-index and problem caches the first one filled.
     """
-    topology, flows, search = instance
-    cold = _solve(topology, flows, search,
+    topology, flows = instance
+    cold = _solve(topology, flows,
                   SolverEngine(max_indexes=0, max_problems=0))
     cached = SolverEngine()
     for ____ in range(2):
-        _assert_identical(_solve(topology, flows, search, cached), cold)
+        _assert_identical(_solve(topology, flows, cached), cold)
 
 
 @given(scheduling_instances())
 @settings(max_examples=10, deadline=None)
 def test_engine_reuse_across_searches_is_isolated(instance):
     """Back-to-back searches through one engine stay bitwise-correct."""
-    topology, flows, search = instance
+    topology, flows = instance
     shared = SolverEngine()
-    first = _solve(topology, flows, search, shared)
-    second = _solve(topology, flows, search, shared)
+    first = _solve(topology, flows, shared)
+    second = _solve(topology, flows, shared)
     _assert_identical(second, first)
     if first.schedule is not None:
         # cache hits hand out independent copies, never aliases
@@ -189,7 +188,7 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
     reference_engine = SolverEngine(max_indexes=0, max_problems=0)
     reference = reference_engine.run_search(
         index, demands, FRAME.data_slots, tuple(constraints),
-        "linear", FRAME.data_slots)
+        FRAME.data_slots)
 
     for policy in ("exact", None):  # explicit exact and default auto
         result = minimum_slots(index, demands, FRAME.data_slots,
@@ -197,6 +196,13 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
                                policy=policy)
         _assert_identical(result, reference)
         assert result.meta is None
+
+
+def _auto_above_the_threshold(*args, **kwargs):
+    """An ``"auto"`` search with the threshold below every instance here,
+    so it resolves to the greedy arm."""
+    with mock.patch.object(policy_module, "AUTO_THRESHOLD", 1):
+        return minimum_slots(*args, policy="auto", **kwargs)
 
 
 @given(policy_instances())
@@ -207,8 +213,7 @@ def test_greedy_and_auto_solves_are_deterministic(instance):
     topology, flows = instance
     for solve in (greedy_minimum_slots,
                   partial(minimum_slots, policy="greedy"),
-                  partial(minimum_slots,
-                          policy=SolverPolicy(auto_threshold=1))):
+                  _auto_above_the_threshold):
         outcomes = []
         for ____ in range(2):
             engine = SolverEngine()

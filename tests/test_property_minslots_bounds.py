@@ -67,7 +67,6 @@ from repro.core.greedy import greedy_minimum_slots, greedy_schedule
 from repro.core.ilp import DelayConstraint, SchedulingProblem
 from repro.core.ilp import solve_schedule_ilp
 from repro.core.minslots import demand_lower_bound, minimum_slots
-from repro.core.policy import SolverPolicy
 from repro.errors import InfeasibleScheduleError
 from repro.net.routing import shortest_path_route
 from repro.net.topology import (
@@ -83,7 +82,7 @@ ORACLE_SLOTS = 8
 
 @st.composite
 def instances(draw):
-    """(conflicts, demands, frame, constraints, search)."""
+    """(conflicts, demands, frame, constraints)."""
     kind = draw(st.sampled_from(["chain", "tree", "disk"]))
     if kind == "chain":
         topology = chain_topology(draw(st.integers(2, 6)))
@@ -112,8 +111,7 @@ def instances(draw):
     assume(demands)
     hops = draw(st.sampled_from([1, 2]))
     conflicts = conflict_graph(topology, hops=hops, links=sorted(demands))
-    search = draw(st.sampled_from(["linear", "binary"]))
-    return conflicts, demands, frame, constraints, search
+    return conflicts, demands, frame, constraints
 
 
 def _ilp_feasible(conflicts, demands, frame, constraints, region):
@@ -145,17 +143,16 @@ def _cyclic_delay(schedule, route):
 @given(instances())
 @settings(max_examples=60, deadline=None)
 def test_bounded_search_matches_the_ilp_and_warm_equals_cold(instance):
-    conflicts, demands, frame, constraints, search = instance
-    policy = SolverPolicy(mode="exact", search=search)
+    conflicts, demands, frame, constraints = instance
     cold = minimum_slots(conflicts, demands, frame, constraints,
                          engine=SolverEngine(max_indexes=0, max_problems=0),
-                         policy=policy)
+                         policy="exact")
 
     # (3) cache-warm == stateless
     engine = SolverEngine()
     for ____ in range(2):
         warm = minimum_slots(conflicts, demands, frame, constraints,
-                             engine=engine, policy=policy)
+                             engine=engine, policy="exact")
         assert warm.slots == cold.slots
         assert warm.probes == cold.probes
         if cold.schedule is None:
@@ -199,7 +196,7 @@ def test_bounded_search_matches_the_ilp_and_warm_equals_cold(instance):
 
 @st.composite
 def packing_instances(draw):
-    """(conflicts, demands, frame, constraints, search) for the oracle.
+    """(conflicts, demands, frame, constraints) for the oracle.
 
     Two to four flows on meshes big enough to demand several links; a
     budget lies within one frame of its route's own airtime, so a
@@ -234,8 +231,7 @@ def packing_instances(draw):
     assume(demands)
     hops = draw(st.sampled_from([1, 2]))
     conflicts = conflict_graph(topology, hops=hops, links=sorted(demands))
-    search = draw(st.sampled_from(["linear", "binary"]))
-    return conflicts, demands, frame, constraints, search
+    return conflicts, demands, frame, constraints
 
 
 def _oracle_delay(starts, demands, route, frame):
@@ -311,16 +307,14 @@ def _assert_oracle_valid(result, conflicts, demands, frame, constraints):
 @given(packing_instances())
 @settings(max_examples=120, deadline=None)
 def test_packing_certificate_agrees_with_a_brute_force_oracle(instance):
-    conflicts, demands, frame, constraints, search = instance
+    conflicts, demands, frame, constraints = instance
     floor = max(demand_lower_bound(demands),
                 _greedy_clique_demand(conflicts, demands, frame))
     registry = obs.MetricsRegistry()
     engine = SolverEngine()
     with obs.use_registry(registry):
         result = minimum_slots(conflicts, demands, frame, constraints,
-                               engine=engine,
-                               policy=SolverPolicy(mode="exact",
-                                                   search=search))
+                               engine=engine, policy="exact")
     counters = registry.snapshot()["counters"]
 
     def packs(region):
@@ -377,7 +371,7 @@ def _oracle_minimum(conflicts, demands, frame, constraints):
 @given(packing_instances(), st.sampled_from(RUNGS))
 @settings(max_examples=90, deadline=None)
 def test_every_rung_and_the_greedy_arm_agree_with_the_oracle(instance, rung):
-    conflicts, demands, frame, constraints, search = instance
+    conflicts, demands, frame, constraints = instance
     minimum = _oracle_minimum(conflicts, demands, frame, constraints)
     registry = obs.MetricsRegistry()
     with ExitStack() as stack:
@@ -386,9 +380,7 @@ def test_every_rung_and_the_greedy_arm_agree_with_the_oracle(instance, rung):
         stack.enter_context(obs.use_registry(registry))
         results = {
             mode: minimum_slots(conflicts, demands, frame, constraints,
-                                engine=SolverEngine(),
-                                policy=SolverPolicy(mode=mode,
-                                                    search=search))
+                                engine=SolverEngine(), policy=mode)
             for mode in ("exact", "greedy", "auto")}
         raw_greedy = greedy_minimum_slots(conflicts, demands, frame,
                                           constraints)
