@@ -7,7 +7,10 @@ and the rows must hash to the pinned SHA-256, so a change that moves a
 table shows up here even when it moves serial and sharded alike.
 
 E5 and E12 run at two offered loads each, one below and one past
-the 7-call admission limit.  The last two columns of E10
+the 7-call admission limit.  E17 runs five calls at two churn rates,
+the faster of which parks flows and falls back to full re-solves, so
+the repair engine's local, resolve and ``peek_resolve`` paths all
+feed the pinned table.  The last two columns of E10
 (``ilp_seconds``, ``bf_seconds``) and of E21 (``solve_s``,
 ``greedy_s``) are wall-clock timings: they are excluded from the
 comparison and from the digest.
@@ -39,6 +42,8 @@ CASES = {
         "0c5c3aa00f3e384dfcd6a78c6186baa83f8a155c6aa26b9342b4b3943b50f43d"),
     "E14": ({}, 0,
         "2f81333e7d662c4d8a2a10f7ba745ed73332f60b7d14741a3e76000c71a982d6"),
+    "E17": ({"churn_rates": [4.0, 16.0], "num_calls": 5}, 0,
+        "c7250d6bcf7eed7af19e0597515b17adc47b079034dfbc1804bc3d924d1ee8b2"),
     "E18": ({}, 0,
         "f46a1f1c574add4a8c3b1d890b34401579ee78f90aa485d87f238e244dd9303b"),
     "E19": ({}, 0,
@@ -87,6 +92,12 @@ def _check_rows(experiment: str, headers, rows) -> None:
         # every admitted call meets its delay and loss targets
         for row in rows:
             assert row[column["tdma_ok"]] == row[column["tdma_admitted"]], row
+    if experiment == "E17":
+        # the live schedule stays S8-clean and every carried call meets
+        # its guarantee after every fault event
+        for row in rows:
+            assert row[column["conflict_ok"]] is True, row
+            assert row[column["guarantee_ok"]] is True, row
     if experiment == "E21":
         # every emitted schedule is S8 conflict-free and meets S30
         for row in rows:
