@@ -6,8 +6,8 @@ primitives a deployment would re-run online: conflict-graph and
 conflict-index construction, Bellman-Ford schedule recovery, greedy
 packing, feasibility ILPs, the ILP front end's conflict-clique
 refutation, the delay computation, the S8 check, the packing
-certificate that closes an admission decision and the mesh rebuild of
-one mobility repair tick.
+certificate that closes an admission decision, and the mesh work of
+one mobility repair tick, cold and on a warm repair engine.
 """
 
 import itertools
@@ -29,17 +29,18 @@ from repro.core.ilp import (
 )
 from repro.core.minslots import demand_lower_bound
 from repro.core.ordering import schedule_from_order
+from repro.core.repair import RepairEngine
 from repro.core.tree_order import min_delay_tree_order
 from repro.mesh16.frame import default_frame_config
 from repro.mobility import RadioRangeModel, RandomWaypointModel, TopologyStream
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import gateway_tree, route_all, shortest_path_route
 from repro.net.topology import (
-    _exclusions,
     _nearest_sources,
+    _survivor_of,
+    _update_live_rows,
     grid_topology,
     random_disk_topology,
-    surviving_topology,
 )
 from repro.phy.interference import interference_graph
 from repro.traffic.voip import G729
@@ -171,31 +172,18 @@ def test_bench_micro_violations_churn_mesh(benchmark):
     assert benchmark(schedule.violations, conflicts) == []
 
 
-def test_bench_micro_mobility_tick(benchmark):
-    # One repair tick's mesh work on a mesh-churn world (motion seed 5)
-    # at t=0: the anchor's surviving component, every node's nearest of
-    # two gateways over the live union mesh, and the cold conflict index
-    # of four routed gateway flows.
+def _churn_world():
+    # a mesh-churn world (motion seed 5): union base and t=0 fault state
     motion = RandomWaypointModel(36, 900.0, 10.0, 10.0, seed=5)
     stream = TopologyStream(motion, RadioRangeModel(220.0, hysteresis=0.15),
                             dt=0.25)
-    world = stream.fault_plan(0)
-    union, dead_nodes, dead_edges = (world.topology, world.dead_nodes,
-                                     world.dead_edges)
-    gateways = (0, 35)
-    sources = (7, 12, 21, 30)
+    return stream.fault_plan(0)
 
-    def tick():
-        survivor, _ = surviving_topology(union, dead_nodes, dead_edges, 0)
-        nearest, _ = _nearest_sources(union.rows, gateways, dead_nodes,
-                                      _exclusions(dead_nodes, dead_edges))
-        links = sorted({link for src in sources
-                        for link in shortest_path_route(survivor, src, 0)})
-        index = SolverEngine(max_indexes=0).conflict_index(survivor,
-                                                           links=links)
-        return survivor, nearest, index
 
-    survivor, nearest, index = benchmark(tick)
+def _check_tick(union, dead_nodes, dead_edges, gateways, survivor, nearest,
+                index):
+    # networkx oracles for one tick: the anchor's component, every node's
+    # nearest gateway over the live union mesh, and the 2-hop relation
     live = nx.Graph(union.graph)
     live.remove_edges_from(dead_edges)
     live.remove_nodes_from(dead_nodes)
@@ -213,3 +201,74 @@ def test_bench_micro_mobility_tick(benchmark):
     assert index.pairs() == [
         (a, b) for a, b in itertools.combinations(index.links, 2)
         if any(y in distance[x] for x in a for y in b)]
+
+
+def test_bench_micro_mobility_tick(benchmark):
+    # One cold repair tick's mesh work on a mesh-churn world at t=0: the
+    # live rows, the anchor's surviving component, every node's nearest
+    # of two gateways over the live rows, and the cold conflict index of
+    # four routed gateway flows.
+    world = _churn_world()
+    union, dead_nodes, dead_edges = (world.topology, world.dead_nodes,
+                                     world.dead_edges)
+    gateways = (0, 35)
+    sources = (7, 12, 21, 30)
+
+    def tick():
+        live = _update_live_rows({}, union.rows, union.rows, dead_nodes,
+                                 dead_edges)
+        survivor, _ = _survivor_of(union, live, 0)
+        nearest, _ = _nearest_sources(live, gateways)
+        links = sorted({link for src in sources
+                        for link in shortest_path_route(survivor, src, 0)})
+        index = SolverEngine(max_indexes=0).conflict_index(survivor,
+                                                           links=links)
+        return survivor, nearest, index
+
+    survivor, nearest, index = benchmark(tick)
+    _check_tick(union, dead_nodes, dead_edges, gateways, survivor, nearest,
+                index)
+
+
+def test_bench_micro_mobility_warm_tick(benchmark):
+    # One batch (the plan's first sample tick) applied to a warm repair
+    # engine carrying four gateway flows from the t=0 world: the
+    # incremental live rows and survivor, the repair and its conflict
+    # index, and the nearest of two gateways over the new live rows.
+    world = _churn_world()
+    union = world.topology
+    gateways = (0, 35)
+    flows = [Flow(f"mob{i}", src, 0, rate_bps=80_000, delay_budget_s=0.3)
+             for i, src in enumerate((7, 12, 21, 30))]
+    first = next(iter(world.plan)).at_s
+    dead_nodes, dead_edges = set(world.dead_nodes), set(world.dead_edges)
+    for event in world.plan:
+        if event.at_s != first:
+            break
+        if event.node is not None:
+            (dead_nodes.add if event.kind == "node_down"
+             else dead_nodes.discard)(event.node)
+        else:
+            (dead_edges.add if event.kind == "link_down"
+             else dead_edges.discard)(event.link)
+    dead_nodes, dead_edges = frozenset(dead_nodes), frozenset(dead_edges)
+
+    def warm():
+        repair = RepairEngine(union, default_frame_config(),
+                              dead_nodes=world.dead_nodes,
+                              dead_edges=world.dead_edges)
+        repair.install(flows)
+        return (repair,), {}
+
+    def tick(repair):
+        repair.retarget(dead_nodes, dead_edges)
+        nearest, _ = _nearest_sources(repair.live_rows, gateways)
+        return repair, nearest
+
+    repair, nearest = benchmark.pedantic(tick, setup=warm, rounds=20)
+    assert repair.history[-1].changed
+    index = repair.engine.conflict_index(repair.alive,
+                                         links=repair.schedule.links())
+    assert repair.schedule.violations(index) == []
+    _check_tick(union, dead_nodes, dead_edges, gateways, repair.alive,
+                nearest, index)

@@ -55,8 +55,8 @@ class ConflictIndex:
     consumer of the owning engine.
 
     :attr:`key` names the relation in the engine's caches: the engine's
-    cache key for indexes it built, else ``adhoc/<fingerprint>``, derived
-    from the content.
+    cache key for indexes it built (made on first read), else
+    ``adhoc/<fingerprint>``, derived from the content.
     """
 
     __slots__ = ("_key", "hops", "links", "_csr", "_rows",
@@ -64,7 +64,7 @@ class ConflictIndex:
 
     def __init__(self, links: Sequence[Link], rows: list[list[int]],
                  hops: Optional[int] = None) -> None:
-        self._key: Optional[str] = None
+        self._key: "Optional[str | Callable[[], str]]" = None
         self.hops = hops
         self.links: tuple[Link, ...] = tuple(links)
         self._positions = {link: i for i, link in enumerate(self.links)}
@@ -82,16 +82,20 @@ class ConflictIndex:
                                   for other in graph.neighbors(link))
                            for link in links])
 
-    def _attach(self, key: str) -> "ConflictIndex":
-        """Name a freshly built index after its engine cache entry."""
-        self._key = key
+    def _attach(self, name: Callable[[], str]) -> "ConflictIndex":
+        """Name a freshly built index after its engine cache entry;
+        ``name()`` makes the string on the first read of :attr:`key`."""
+        self._key = name
         return self
 
     @property
     def key(self) -> str:
-        if self._key is None:
+        key = self._key
+        if key is None:
             return f"adhoc/{self.fingerprint}"
-        return self._key
+        if not isinstance(key, str):
+            key = self._key = key()
+        return key
 
     @property
     def fingerprint(self) -> str:

@@ -9,10 +9,10 @@ cold solve:
 1. **Cached conflict-relation layer.**  :meth:`SolverEngine.conflict_index`
    returns the immutable :class:`~repro.core.conflict.ConflictIndex` that
    :func:`~repro.core.conflict.conflict_graph` builds -- sorted link rows,
-   also as CSR on first access -- keyed by a topology/links/hops
-   fingerprint and kept in a small LRU, so minslots, repair, distributed
-   validation and analysis share one build per scenario instead of each
-   building it again.
+   also as CSR on first access -- keyed by the topology's rows, the
+   links and the hops and kept in a small LRU, so minslots, repair,
+   distributed validation and analysis share one build per scenario
+   instead of each building it again.
    :meth:`SolverEngine.interference_index` does the same for the *exact*
    interference relation (:func:`repro.phy.interference.interference_graph`)
    that the distributed DSCH handshake packs against.  Every cache miss
@@ -90,7 +90,7 @@ from repro.errors import (
     SolverError,
 )
 from repro.fingerprint import source_fingerprint
-from repro.net.topology import Link, MeshTopology
+from repro.net.topology import Link, MeshTopology, _edges_of
 
 #: Solver status of a search decided with no ILP: a packing certificate
 #: met the greedy-clique floor.  Such a result is published as is
@@ -129,15 +129,21 @@ def topology_fingerprint(topology: MeshTopology) -> str:
     cached = getattr(topology, "_repro_fingerprint", None)
     if isinstance(cached, tuple) and cached[0] == token:
         return cached[1]
-    digest = hashlib.sha256()
-    digest.update(repr(topology.nodes).encode())
-    digest.update(repr(topology.edges).encode())
-    fingerprint = digest.hexdigest()[:16]
+    fingerprint = _rows_fingerprint(topology.rows.items())
     try:
         topology._repro_fingerprint = (token, fingerprint)
     except AttributeError:  # pragma: no cover - exotic topology subclass
         pass
     return fingerprint
+
+
+def _rows_fingerprint(rows) -> str:
+    """:func:`topology_fingerprint` of a collection of sorted ``(node,
+    row)`` pairs (e.g. ``MeshTopology.rows.items()``)."""
+    digest = hashlib.sha256()
+    digest.update(repr([node for node, _ in rows]).encode())
+    digest.update(repr(_edges_of(rows)).encode())
+    return digest.hexdigest()[:16]
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,6 +241,13 @@ class SolverEngine:
         by their :meth:`~repro.phy.models.InterferenceModel.cache_token`
         (which folds in positions and parameters -- the topology
         fingerprint covers connectivity only) and build through the model.
+
+        A protocol-model index is keyed by the topology's row content,
+        ``tuple(topology.rows.items())``: two topologies with equal rows
+        share it, and :meth:`MeshTopology.apply_edge_changes` replaces
+        rows rather than editing them, so a mutated topology never reads
+        its old index.  Its :attr:`ConflictIndex.key` string (with the
+        :func:`topology_fingerprint`) is built on first read.
         """
         from repro.phy.models import ProtocolModel, coerce_interference
 
@@ -244,14 +257,17 @@ class SolverEngine:
         hops = model.hops
         link_key = None if links is None else tuple(sorted(set(links)))
 
-        def build(name: str) -> ConflictIndex:
+        def build() -> ConflictIndex:
             index = conflict_graph(topology, hops=hops, links=link_key)
             obs.counter("core.interference.protocol_edges").inc(
                 index.num_conflicts)
-            return index._attach(name)
+            return index
 
-        key = ("conflict", topology_fingerprint(topology), hops, link_key)
-        return self._index_for(key, build)
+        rows = tuple(topology.rows.items())
+        return self._index_for(
+            ("conflict", rows, hops, link_key), build,
+            lambda: "/".join(map(repr, ("conflict", _rows_fingerprint(rows),
+                                        hops, link_key))))
 
     def _model_index(self, model, topology: MeshTopology,
                      links: Optional[Sequence[Link]]) -> ConflictIndex:
@@ -266,12 +282,12 @@ class SolverEngine:
         key = ("conflict", topology_fingerprint(topology),
                model.cache_token(topology), link_key)
 
-        def build(name: str) -> ConflictIndex:
+        def build() -> ConflictIndex:
             index = model.conflict_graph(
                 topology, links=None if link_key is None else list(link_key))
             obs.counter(f"core.interference.{model.kind}_edges").inc(
                 index.num_conflicts)
-            return index._attach(name)
+            return index
 
         return self._index_for(key, build)
 
@@ -286,14 +302,14 @@ class SolverEngine:
         from repro.phy.interference import interference_graph
 
         key = ("interference", topology_fingerprint(topology))
-        return self._index_for(
-            key, lambda name: interference_graph(topology)._attach(name))
+        return self._index_for(key, lambda: interference_graph(topology))
 
-    def _index_for(self, key: tuple, build) -> ConflictIndex:
+    def _index_for(self, key: tuple, build, name=None) -> ConflictIndex:
         """The one LRU path of the main index cache.
 
-        Returns the cached index for ``key``, or caches ``build(name)``'s
-        index -- ``build`` names the index after ``key``.
+        Returns the cached index for ``key``, or caches ``build()``'s
+        index, whose :attr:`ConflictIndex.key` is ``name()`` (called on
+        first read; default: ``key`` joined by ``/``).
         """
         index = self._indexes.get(key)
         if index is not None:
@@ -301,7 +317,8 @@ class SolverEngine:
             self.stats["index_hits"] += 1
             obs.counter("core.engine.index_hits").inc()
             return index
-        index = build("/".join(map(repr, key)))
+        index = build()._attach(
+            name or (lambda: "/".join(map(repr, key))))
         self.stats["index_builds"] += 1
         obs.counter("core.engine.index_builds").inc()
         if self.max_indexes > 0:

@@ -11,7 +11,9 @@ the order that made the old schedule good -- so the engine:
 
 1. recomputes the surviving topology anchored at the gateway
    (:func:`repro.net.topology.surviving_topology`), parking flows whose
-   endpoint was partitioned away;
+   endpoint was partitioned away -- incrementally: the engine carries the
+   live rows from pass to pass and rewrites only those of nodes whose
+   liveness or edges changed;
 2. rehomes affected flows with :func:`repro.net.routing.shortest_path_route`
    on the survivor;
 3. keeps every surviving link's rank from the old schedule, splices new
@@ -50,7 +52,12 @@ from repro.errors import (
 from repro.mesh16.frame import MeshFrameConfig
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import shortest_path_route
-from repro.net.topology import Link, MeshTopology, surviving_topology
+from repro.net.topology import (
+    Link,
+    MeshTopology,
+    _survivor_of,
+    _update_live_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -137,9 +144,17 @@ class RepairEngine:
         self._dead_nodes: frozenset[int] = frozenset(dead_nodes)
         self._dead_edges: frozenset[tuple[int, int]] = frozenset(
             (min(u, v), max(u, v)) for u, v in dead_edges)
+        #: base rows :attr:`live_rows` was derived from
+        self._live_base = topology.rows
+        #: the current fault state's live rows: every live node -> its
+        #: base row minus dead nodes and edges (read-only); :attr:`alive`
+        #: is the gateway's component of them
+        self.live_rows = _update_live_rows(
+            {}, topology.rows, topology.rows, self._dead_nodes,
+            self._dead_edges)
         if self._dead_nodes or self._dead_edges:
-            self.alive, self.unreachable = surviving_topology(
-                topology, self._dead_nodes, self._dead_edges, anchor=gateway)
+            self.alive, self.unreachable = _survivor_of(
+                topology, self.live_rows, gateway)
         else:
             self.alive = topology
             self.unreachable = frozenset()
@@ -258,12 +273,13 @@ class RepairEngine:
 
     def _retarget(self, dead_nodes: frozenset[int],
                   dead_edges: frozenset[tuple[int, int]]) -> RepairOutcome:
-        alive, unreachable = surviving_topology(
-            self.base_topology, dead_nodes, dead_edges, anchor=self.gateway)
+        live, alive, unreachable = self._survive(dead_nodes, dead_edges)
         carried, rerouted, parked, readmitted = self._partition(
             alive, unreachable)
         self._dead_nodes = dead_nodes
         self._dead_edges = dead_edges
+        self.live_rows = live
+        self._live_base = self.base_topology.rows
         self.alive = alive
         self.unreachable = unreachable
 
@@ -280,8 +296,10 @@ class RepairEngine:
             kept = self.schedule.restrict(set(demands))
             if (set(kept.links()) == set(demands)
                     and not kept.violations(conflicts)):
+                # kept holds the old blocks of the links it keeps, so it
+                # differs from the schedule iff it dropped a link
                 self._commit(carried, kept,
-                             bump=kept.to_dict() != self.schedule.to_dict())
+                             bump=len(kept) != len(self.schedule))
                 outcome = RepairOutcome(
                     feasible=True, strategy="local", schedule=self.schedule,
                     version=self.version)
@@ -343,8 +361,7 @@ class RepairEngine:
             dead_nodes = self._dead_nodes
         if dead_edges is None:
             dead_edges = self._dead_edges
-        alive, unreachable = surviving_topology(
-            self.base_topology, dead_nodes, dead_edges, anchor=self.gateway)
+        _, alive, unreachable = self._survive(dead_nodes, dead_edges)
         carried, _, _, _ = self._partition(alive, unreachable)
         return self._solve(list(carried.values()), topology=alive)
 
@@ -354,6 +371,35 @@ class RepairEngine:
         outcome = RepairOutcome(feasible=True, strategy="noop",
                                 schedule=self.schedule, version=self.version)
         return self._record(outcome)
+
+    def _survive(self, dead_nodes: frozenset[int],
+                 dead_edges: frozenset[tuple[int, int]]
+                 ) -> tuple[dict[int, tuple[int, ...]], MeshTopology,
+                            frozenset[int]]:
+        """Live rows, surviving topology and unreachable nodes of a fault
+        state, without mutating the engine.
+
+        Equal to :func:`~repro.net.topology.surviving_topology` on the
+        base.  Only the rows that can differ from :attr:`live_rows` are
+        rewritten: those of nodes that died or recovered, of their base
+        neighbours, and of the endpoints of edges that died or recovered.
+        """
+        rows = self.base_topology.rows
+        if rows is self._live_base:
+            changed = dead_nodes ^ self._dead_nodes
+            touched = set(changed)
+            for node in changed:
+                touched.update(rows.get(node, ()))
+            for edge in dead_edges ^ self._dead_edges:
+                touched.update(edge)
+            live = dict(self.live_rows)
+        else:
+            # the base was mutated in place: rebuild every row
+            touched, live = rows, {}
+        live = _update_live_rows(live, rows, touched, dead_nodes, dead_edges)
+        alive, unreachable = _survivor_of(self.base_topology, live,
+                                          self.gateway)
+        return live, alive, unreachable
 
     def _record(self, outcome: RepairOutcome) -> RepairOutcome:
         obs.counter(f"core.repair.{outcome.strategy}").inc()

@@ -39,7 +39,7 @@ from repro.faults.injector import FaultInjector
 from repro.mesh16.frame import MeshFrameConfig, default_frame_config
 from repro.mobility.stream import TopologyStream
 from repro.net.flows import Flow
-from repro.net.topology import MeshTopology, _exclusions, _nearest_sources
+from repro.net.topology import MeshTopology, _nearest_sources
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,11 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
         injector.apply(FaultEvent(0.0, "link_down", link=link))
 
     selection_gateways = tuple(gateways) if gateways else (gateway,)
-    union_rows = world.topology.rows
 
     def nearest_gateways() -> dict[int, int]:
-        # gateway_selection over the live mesh, unreached nodes left out
-        dead = injector.dead_nodes
-        return _nearest_sources(union_rows, selection_gateways, dead,
-                                _exclusions(dead, injector.dead_edges))[0]
+        # gateway_selection over the live mesh, unreached nodes left out:
+        # the repair engine's live rows follow the injector's dead sets
+        return _nearest_sources(repair.live_rows, selection_gateways)[0]
 
     selection = nearest_gateways()
 

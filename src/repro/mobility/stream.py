@@ -360,6 +360,5 @@ def gateway_selection(nodes: Iterable[int],
     route-stability cost of mobility.
     """
     node_set = set(nodes)
-    nearest, _ = _nearest_sources(_adjacency(node_set, edges), gateways,
-                                  frozenset(), {})
+    nearest, _ = _nearest_sources(_adjacency(node_set, edges), gateways)
     return {n: nearest.get(n) for n in sorted(node_set)}

@@ -13,8 +13,6 @@ indices are stable across scheduler implementations.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from itertools import filterfalse
 from typing import AbstractSet, Iterable, Mapping, Optional
 
 import networkx as nx
@@ -89,13 +87,19 @@ class MeshTopology:
     def _set_rows(self, rows: dict[int, tuple[int, ...]]) -> None:
         #: node -> sorted neighbour tuple, in sorted node order
         self.rows = rows
-        #: undirected edges ``(u, v)``, ``u <= v``, sorted
-        self.edges: list[tuple[int, int]] = [
-            (u, v) for u, row in rows.items() for v in row if u <= v]
         # derived from the rows on first read
+        self._edges: Optional[list[tuple[int, int]]] = None
         self._links: Optional[list[Link]] = None
         self._link_index: Optional[dict[Link, int]] = None
         self._eccentricities: dict[int, int] = {}
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Undirected edges ``(u, v)``, ``u < v``, sorted (built on first
+        read)."""
+        if self._edges is None:
+            self._edges = _edges_of(self.rows.items())
+        return self._edges
 
     @property
     def links(self) -> list[Link]:
@@ -233,6 +237,13 @@ class MeshTopology:
 
 def _rows_of(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
     return {n: tuple(sorted(graph.adj[n])) for n in sorted(graph.nodes)}
+
+
+def _edges_of(rows: Iterable[tuple[int, tuple[int, ...]]]
+              ) -> list[tuple[int, int]]:
+    """The undirected edges ``(u, v)``, ``u < v``, of sorted ``(node,
+    row)`` pairs (e.g. ``MeshTopology.rows.items()``), in sorted order."""
+    return [(u, v) for u, row in rows for v in row if u < v]
 
 
 def hop_depths(adjacency: Mapping[int, Iterable[int]],
@@ -412,21 +423,54 @@ def surviving_topology(topology: MeshTopology,
     ``dead_edges`` pairs are undirected; ``(u, v)`` and ``(v, u)`` are the
     same edge.  Dead entries that do not exist in the base topology are
     ignored, so callers can pass accumulated fault state verbatim.
+
+    This is the cold path of the repair engine's tick: it builds every
+    live row (:func:`_update_live_rows`) and runs the same anchor BFS
+    (:func:`_survivor_of`).
     """
-    rows = topology.rows
-    dead_node_set = frozenset(dead_nodes)
-    if anchor not in rows or anchor in dead_node_set:
+    live = _update_live_rows({}, topology.rows, topology.rows,
+                             frozenset(dead_nodes), frozenset(dead_edges))
+    return _survivor_of(topology, live, anchor)
+
+
+def _update_live_rows(live: dict[int, tuple[int, ...]],
+                      rows: Mapping[int, tuple[int, ...]],
+                      nodes: Iterable[int], dead_nodes: AbstractSet[int],
+                      dead_edges: AbstractSet[tuple[int, int]]
+                      ) -> dict[int, tuple[int, ...]]:
+    """Refresh the live rows of ``nodes`` in ``live`` for a fault state.
+
+    ``live`` maps every live node to its base row in ``rows`` minus dead
+    nodes and dead edges (either orientation); a node's entry is
+    rewritten from its base row, or dropped when it is dead or not in
+    ``rows``.  The live rows of a fault state are
+    ``_update_live_rows({}, rows, rows, ...)``; a state that differs from
+    ``live``'s in a few nodes and edges needs only the rows of the
+    changed nodes, their base neighbours and the changed edges'
+    endpoints.  Returns ``live``.
+    """
+    for node in nodes:
+        row = rows.get(node)
+        if row is None or node in dead_nodes:
+            live.pop(node, None)
+        else:
+            live[node] = tuple(v for v in row if v not in dead_nodes
+                               and (node, v) not in dead_edges
+                               and (v, node) not in dead_edges)
+    return live
+
+
+def _survivor_of(topology: MeshTopology,
+                 live: Mapping[int, tuple[int, ...]], anchor: int
+                 ) -> tuple[MeshTopology, frozenset[int]]:
+    """The anchor's component over ``topology``'s live rows
+    (:func:`_update_live_rows`) and the base nodes outside it (see
+    :func:`surviving_topology`)."""
+    if anchor not in live:
         raise ConfigurationError(
             f"anchor node {anchor} is dead or not in the topology")
-    excluded = _exclusions(dead_node_set, dead_edges)
-    component, depth = _nearest_sources(rows, (anchor,), dead_node_set,
-                                        excluded)
-    survivor_rows = {}
-    for n in sorted(component):
-        # a row with no dead neighbour is shared, not copied
-        row, dead = rows[n], excluded.get(n, dead_node_set)
-        survivor_rows[n] = (row if dead.isdisjoint(row)
-                            else tuple(filterfalse(dead.__contains__, row)))
+    component, depth = _nearest_sources(live, (anchor,))
+    survivor_rows = {n: live[n] for n in sorted(component)}
     positions = {n: topology.positions[n] for n in survivor_rows
                  if n in topology.positions}
     source = (topology._graph if topology._graph is not None
@@ -434,57 +478,34 @@ def surviving_topology(topology: MeshTopology,
     survivor = MeshTopology._from_rows(survivor_rows, positions,
                                        f"{topology.name}-survivor", source)
     survivor._eccentricities[anchor] = depth
-    return survivor, frozenset(rows).difference(survivor_rows)
+    return survivor, frozenset(topology.rows).difference(survivor_rows)
 
 
 def _nearest_sources(rows: Mapping[int, Iterable[int]],
-                     sources: Iterable[int], dead_nodes: AbstractSet[int],
-                     excluded: Mapping[int, AbstractSet[int]]
-                     ) -> tuple[dict[int, int], int]:
-    """Nearest source by hops for every node the live sources reach.
+                     sources: Iterable[int]) -> tuple[dict[int, int], int]:
+    """Nearest source by hops for every node the sources reach.
 
-    One level-synchronous multi-source BFS over ``rows`` (e.g.
-    :attr:`MeshTopology.rows`) that never steps onto ``dead_nodes`` nor
-    from a node ``u`` onto ``excluded[u]`` (:func:`_exclusions`: its dead
-    nodes and dead-edge partners).  Ties go to the smallest source id:
-    the sources start the queue in sorted order and every node inherits
-    its discoverer's source, so each level stays sorted by source and a
-    node is first reached from the smallest of its nearest sources.
-    Dead sources and sources outside ``rows`` reach nothing; unreached
-    nodes are absent.  Also returns the depth of the last level (0 when
-    the sources reach nothing else).
+    One level-synchronous multi-source BFS over ``rows`` (e.g. live rows,
+    :func:`_update_live_rows`, whose keys are the live nodes).  Ties go
+    to the smallest source id: the sources start the queue in sorted
+    order and every node inherits its discoverer's source, so each level
+    stays sorted by source and a node is first reached from the smallest
+    of its nearest sources.  Sources outside ``rows`` reach nothing;
+    unreached nodes are absent.  Also returns the depth of the last level
+    (0 when the sources reach nothing else).
     """
-    nearest: dict[int, int] = {}
-    for source in sorted(set(sources)):
-        if source in rows and source not in dead_nodes:
-            nearest[source] = source
+    nearest = {source: source for source in sorted(set(sources))
+               if source in rows}
     frontier, depth = list(nearest), 0
     while True:
         following = []
         for u in frontier:
             source = nearest[u]
-            dead = excluded.get(u, dead_nodes)
             for v in rows[u]:
-                if v not in nearest and v not in dead:
+                if v not in nearest:
                     nearest[v] = source
                     following.append(v)
         if not following:
             return nearest, depth
         frontier = following
         depth += 1
-
-
-def _exclusions(dead_nodes: frozenset[int],
-                dead_edges: Iterable[tuple[int, int]]
-                ) -> Mapping[int, AbstractSet[int]]:
-    """Node -> the neighbours it cannot reach: ``dead_nodes`` plus its
-    ``dead_edges`` partners (either orientation), for every node that
-    has a dead edge; every other node excludes just ``dead_nodes``."""
-    excluded: defaultdict[int, set[int]] = defaultdict(set)
-    for u, v in dead_edges:
-        excluded[u].add(v)
-        excluded[v].add(u)
-    if dead_nodes:
-        for partners in excluded.values():
-            partners |= dead_nodes
-    return excluded

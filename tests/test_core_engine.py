@@ -133,6 +133,42 @@ def test_index_cache_hits_and_lru_eviction(registry):
     assert snap["counters"]["core.engine.index_hits"] == 1
 
 
+def test_topologies_with_equal_rows_share_one_protocol_index(registry):
+    # the protocol index is keyed by row content, not by object
+    engine = SolverEngine()
+    one, two = grid_topology(3, 3), grid_topology(3, 3)
+    assert one is not two and one.rows == two.rows
+    first = engine.conflict_index(one, links=[(0, 1), (4, 5)])
+    assert engine.conflict_index(two, links=[(4, 5), (0, 1)]) is first
+    assert engine.stats["index_builds"] == 1
+    assert engine.stats["index_hits"] == 1
+    snap = registry.snapshot()
+    assert snap["counters"]["core.engine.index_builds"] == 1
+    assert snap["counters"]["core.engine.index_hits"] == 1
+
+
+@pytest.mark.parametrize("hops, links", [
+    (2, None), (1, None), (2, [(4, 5), (0, 1), (0, 1)])])
+def test_engine_index_key_names_the_topology_fingerprint(hops, links):
+    topology = grid_topology(3, 3)
+    index = SolverEngine().conflict_index(
+        topology, links=links, interference=ProtocolModel(hops))
+    link_key = None if links is None else tuple(sorted(set(links)))
+    assert index.key == "/".join(map(repr, (
+        "conflict", topology_fingerprint(topology), hops, link_key)))
+    # the name is made once, on first read
+    assert index.key is index.key
+
+
+def test_engine_index_key_outlives_a_mutation_of_its_topology():
+    topology = grid_topology(3, 3)
+    name = "/".join(map(repr, (
+        "conflict", topology_fingerprint(topology), 2, None)))
+    index = SolverEngine().conflict_index(topology)
+    topology.apply_edge_changes(remove=[(0, 1)])
+    assert index.key == name
+
+
 @pytest.mark.parametrize("field", ["max_indexes", "max_problems"])
 @pytest.mark.parametrize("size", [-1, float("nan"), 2.5, True, "3", None])
 def test_cache_sizes_must_be_non_bool_non_negative_ints(field, size):
@@ -372,6 +408,15 @@ def test_engine_never_serves_a_stale_index_after_mutation(registry):
     expected = conflict_graph(topology, hops=2)
     assert set(map(frozenset, fresh.graph.edges)) == \
         set(map(frozenset, expected.graph.edges))
+
+
+def test_lazy_edges_are_rebuilt_after_edge_changes():
+    topology = grid_topology(2, 2)
+    assert topology._edges is None  # nothing read yet
+    assert topology.edges == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    topology.apply_edge_changes(add=[(3, 0)], remove=[(1, 0)])
+    assert topology._edges is None
+    assert topology.edges == [(0, 2), (0, 3), (1, 3), (2, 3)]
 
 
 @pytest.mark.parametrize("topology, hops, links", [

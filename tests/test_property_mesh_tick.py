@@ -1,16 +1,21 @@
 """Property-based differential tests of the per-tick mesh kernels.
 
-Every repair tick of :func:`~repro.mobility.run.run_mobility` builds the
-surviving mesh, re-selects each node's nearest gateway and builds a
-conflict index.  Each kernel is checked here against an independent
-reference on random graphs with random dead nodes and edges:
+Every repair tick of :func:`~repro.mobility.run.run_mobility` updates
+the live rows, builds the surviving mesh, re-selects each node's nearest
+gateway and builds a conflict index.  Each kernel is checked here
+against an independent reference on random graphs with random dead
+nodes and edges:
 
-- nearest-gateway selection (run's kernel and the public
-  :func:`~repro.mobility.stream.gateway_selection`) against a copy of the
-  set-difference, adjacency and per-gateway BFS construction it
-  replaced, with dead gateways, ties and unreachable nodes;
+- nearest-gateway selection over the live rows (run's kernel and the
+  public :func:`~repro.mobility.stream.gateway_selection`) against a
+  copy of the set-difference, adjacency and per-gateway BFS construction
+  it replaced, with dead gateways, ties and unreachable nodes;
 - :func:`~repro.net.topology.surviving_topology` against the anchor's
   ``networkx`` component, eccentricity included;
+- the repair engine's incremental live rows and survivor, after every
+  step of a random walk of dead sets, against a cold
+  :func:`~repro.net.topology.surviving_topology`, and its gateway
+  selection against a copy of the union-rows kernel it replaced;
 - the lazily built ``links``, ``link_index`` and ``has_link`` of a
   topology before and after :meth:`~MeshTopology.apply_edge_changes`;
 - the CSR arrays and ``num_conflicts`` of a
@@ -28,12 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.conflict import conflict_graph
+from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
+from repro.mesh16.frame import default_frame_config
 from repro.mobility.stream import gateway_selection
 from repro.net.topology import (
     MeshTopology,
-    _exclusions,
     _nearest_sources,
+    _update_live_rows,
     from_edges,
     hop_depths,
     surviving_topology,
@@ -82,6 +89,12 @@ def _reference_selection(nodes, edges, gateways
     return {n: best[n][1] if n in best else None for n in sorted(node_set)}
 
 
+def _live_rows(topology, dead_nodes, dead_edges):
+    """Cold live rows: every live node's base row minus the dead."""
+    return _update_live_rows({}, topology.rows, topology.rows,
+                             dead_nodes, dead_edges)
+
+
 def _present(topology, dead_nodes, dead_edges):
     """Live nodes and edges by set difference, as the driver built them."""
     nodes = set(topology.rows) - dead_nodes
@@ -96,13 +109,12 @@ def test_nearest_gateway_kernel_matches_per_gateway_bfs(world):
     topology, dead_nodes, dead_edges, gateways = world
     reference = _reference_selection(
         *_present(topology, dead_nodes, dead_edges), gateways)
-    nearest, _ = _nearest_sources(topology.rows, gateways, dead_nodes,
-                                  _exclusions(dead_nodes, dead_edges))
+    live = _live_rows(topology, dead_nodes, dead_edges)
+    nearest, _ = _nearest_sources(live, gateways)
     assert nearest == {n: g for n, g in reference.items() if g is not None}
     # dead edges given in either orientation are the same edges
     flipped = frozenset((v, u) for u, v in dead_edges)
-    assert _nearest_sources(topology.rows, gateways, dead_nodes,
-                            _exclusions(dead_nodes, flipped))[0] == nearest
+    assert _live_rows(topology, dead_nodes, flipped) == live
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +131,7 @@ def test_gateway_selection_matches_per_gateway_bfs(world):
 def test_selection_ties_go_to_the_smallest_gateway():
     # 2 is two hops from both gateways; 1 and 3 are one hop from one each
     rows = {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2, 4), 4: (3,)}
-    nearest, depth = _nearest_sources(rows, [4, 0], frozenset(), {})
+    nearest, depth = _nearest_sources(rows, [4, 0])
     assert nearest == {0: 0, 4: 4, 1: 0, 3: 4, 2: 0}
     assert depth == 2
 
@@ -153,6 +165,110 @@ def test_survivor_matches_networkx_component(world, data):
     for node in survivor.nodes:
         assert survivor.eccentricity(node) == nx.eccentricity(component,
                                                               node)
+
+
+def _union_rows_selection(rows, sources, dead_nodes, dead_edges):
+    """The selection kernel the live-rows walk replaced: a multi-source
+    BFS over the union rows that skips dead nodes and, from each node,
+    its dead-edge partners (either orientation)."""
+    excluded: dict[int, set[int]] = {}
+    for u, v in dead_edges:
+        excluded.setdefault(u, set(dead_nodes)).add(v)
+        excluded.setdefault(v, set(dead_nodes)).add(u)
+    nearest = {s: s for s in sorted(set(sources))
+               if s in rows and s not in dead_nodes}
+    frontier = list(nearest)
+    while frontier:
+        following = []
+        for u in frontier:
+            dead = excluded.get(u, dead_nodes)
+            for v in rows[u]:
+                if v not in nearest and v not in dead:
+                    nearest[v] = nearest[u]
+                    following.append(v)
+        frontier = following
+    return nearest
+
+
+@st.composite
+def fault_walks(draw, max_nodes: int = 10, max_steps: int = 12):
+    """A base mesh, a live gateway, an initial fault state and a walk of
+    fault states: node down/up, a node and its neighbours down/up, dead
+    edges in either orientation (also absent from the base), and cuts
+    that partition the mesh and rejoin it one step later."""
+    topology, dead_nodes, dead_edges, gateways = draw(
+        dead_worlds(max_nodes=max_nodes))
+    nodes = topology.nodes
+    gateway = draw(st.sampled_from(nodes), label="gateway")
+    dead_nodes = set(dead_nodes) - {gateway}
+    dead_edges = set(dead_edges)
+    initial = (frozenset(dead_nodes), frozenset(dead_edges))
+    pairs = list(itertools.combinations(nodes, 2))
+    states = []
+    rejoin: set[tuple[int, int]] = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=max_steps))):
+        if rejoin:
+            dead_edges -= rejoin
+            rejoin = set()
+        else:
+            kind = draw(st.sampled_from(["node", "hood", "edge", "cut"]))
+            if kind == "node":
+                dead_nodes ^= {draw(st.sampled_from(nodes))} - {gateway}
+            elif kind == "hood":
+                node = draw(st.sampled_from(nodes))
+                hood = ({node, *topology.rows[node]}) - {gateway}
+                if draw(st.booleans(), label="down"):
+                    dead_nodes |= hood
+                else:
+                    dead_nodes -= hood
+            elif kind == "edge":
+                dead_edges ^= {draw(st.sampled_from(pairs))}
+            else:
+                side = set(draw(st.lists(st.sampled_from(nodes),
+                                         min_size=1)))
+                rejoin = {e for e in topology.edges
+                          if (e[0] in side) != (e[1] in side)} - dead_edges
+                dead_edges |= rejoin
+        flip = draw(st.booleans(), label="flip")
+        given = frozenset((v, u) if flip else (u, v) for u, v in dead_edges)
+        states.append((frozenset(dead_nodes), given))
+    return topology, gateway, gateways, initial, states
+
+
+@settings(max_examples=150, deadline=None)
+@given(fault_walks())
+def test_incremental_survivor_matches_cold_survivor(walk):
+    topology, gateway, gateways, (dead_nodes, dead_edges), states = walk
+    engine = RepairEngine(topology, default_frame_config(), gateway=gateway,
+                          dead_nodes=dead_nodes, dead_edges=dead_edges)
+    engine.install([])
+    for dead_nodes, dead_edges in [(dead_nodes, dead_edges), *states]:
+        engine.retarget(dead_nodes, dead_edges)
+        survivor, unreachable = surviving_topology(
+            topology, dead_nodes, dead_edges, anchor=gateway)
+        assert engine.live_rows == _live_rows(topology, dead_nodes,
+                                              dead_edges)
+        assert engine.alive.rows == survivor.rows
+        assert engine.unreachable == unreachable
+        assert (engine.alive.eccentricity(gateway)
+                == survivor.eccentricity(gateway))
+        assert (_nearest_sources(engine.live_rows, gateways)[0]
+                == _union_rows_selection(topology.rows, gateways,
+                                         dead_nodes, dead_edges))
+
+
+def test_incremental_survivor_follows_a_mutated_base():
+    # a base edited in place is re-read in full on the next pass
+    topology = from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+    engine = RepairEngine(topology, default_frame_config(),
+                          dead_edges=[(0, 1)])
+    engine.install([])
+    topology.apply_edge_changes(add=[(0, 2)], remove=[(2, 3)])
+    engine.retarget(frozenset({3}), frozenset({(0, 1)}))
+    survivor, unreachable = surviving_topology(topology, {3}, {(0, 1)})
+    assert engine.live_rows == {0: (2,), 1: (2,), 2: (0, 1)}
+    assert engine.alive.rows == survivor.rows
+    assert engine.unreachable == unreachable == {3}
 
 
 def _expected_links(graph: nx.Graph) -> list[tuple[int, int]]:
