@@ -44,6 +44,7 @@ from repro.net.topology import (
 )
 from repro.phy.interference import interference_graph
 from repro.traffic.voip import G729
+from tests.stream_oracle import assert_same_snapshots
 
 TOPOLOGY = grid_topology(4, 4)
 DEMANDS = {link: 1 for link in TOPOLOGY.links}
@@ -170,6 +171,22 @@ def test_bench_micro_violations_churn_mesh(benchmark):
     schedule = greedy_schedule(conflicts,
                                {link: 1 for link in CHURN_MESH.links})
     assert benchmark(schedule.violations, conflicts) == []
+
+
+def test_bench_micro_stream_snapshots(benchmark):
+    # A fresh mesh-churn stream's connectivity snapshots: 36 nodes over
+    # 10 s at 0.25 s ticks (41 samples), the cost every new stream pays
+    # once, on its first fault_plan.
+    motion = RandomWaypointModel(36, 900.0, 10.0, 10.0, seed=5)
+    radio = RadioRangeModel(220.0, hysteresis=0.15)
+
+    def fresh():
+        stream = TopologyStream(motion, radio, dt=0.25)
+        stream.snapshots()
+        return stream
+
+    stream = benchmark(fresh)
+    assert_same_snapshots(stream)
 
 
 def _churn_world():
