@@ -92,6 +92,10 @@ class MeshTopology:
         self._links: Optional[list[Link]] = None
         self._link_index: Optional[dict[Link, int]] = None
         self._eccentricities: dict[int, int] = {}
+        # the last hop_distance source and its BFS depths: one entry, so
+        # a loop over targets from one source runs one BFS
+        self._hop_source: Optional[int] = None
+        self._hop_depths: dict[int, int] = {}
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -161,8 +165,11 @@ class MeshTopology:
         return list(self.rows[node])
 
     def hop_distance(self, a: int, b: int) -> int:
-        """Hop distance between two nodes."""
-        return hop_depths(self.rows, [a])[b]
+        """Hop distance between two nodes (memoises the last source)."""
+        if a != self._hop_source:
+            self._hop_depths = hop_depths(self.rows, [a])
+            self._hop_source = a
+        return self._hop_depths[b]
 
     def eccentricity(self, node: int) -> int:
         """Hop distance from ``node`` to the farthest node (memoised)."""

@@ -1,5 +1,7 @@
 """Topology model and generators."""
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.net.topology import (
     chain_topology,
     from_edges,
     grid_topology,
+    hop_depths,
     random_disk_topology,
     star_topology,
     surviving_topology,
@@ -44,6 +47,33 @@ class TestMeshTopology:
     def test_hop_distance(self, grid33):
         assert grid33.hop_distance(0, 8) == 4
         assert grid33.hop_distance(0, 0) == 0
+
+    def test_hop_distance_memo_follows_edge_changes(self):
+        grid = grid_topology(3, 3)
+        assert grid.hop_distance(0, 2) == 2
+        grid.apply_edge_changes(remove=[(0, 1)], add=[(0, 8)])
+        assert grid.hop_distance(0, 2) == 3
+        assert grid.hop_distance(0, 8) == 1
+        assert grid.eccentricity(0) == 3
+
+    def test_hop_distance_with_alternating_sources_matches_bfs(self):
+        topology = random_disk_topology(25, radio_range=220.0, area=700.0,
+                                        seed=3)
+        depths = {n: hop_depths(topology.rows, [n]) for n in topology.nodes}
+        for a, b in itertools.product(topology.nodes, repeat=2):
+            assert topology.hop_distance(a, b) == depths[a][b]
+            assert topology.hop_distance(b, a) == depths[b][a]
+
+    def test_hop_distance_leaves_eccentricities_alone(self, grid33):
+        survivor, _ = surviving_topology(grid33, dead_nodes=[8], anchor=0)
+        anchor_entry = dict(survivor._eccentricities)
+        assert anchor_entry == {0: 3}
+        assert [survivor.hop_distance(n, 0) for n in survivor.nodes] == \
+            [0, 1, 2, 1, 2, 3, 2, 3]
+        assert survivor._eccentricities == anchor_entry
+        assert survivor.eccentricity(0) == 3
+        assert survivor.eccentricity(4) == 2
+        assert grid33.eccentricity(0) == 4
 
     def test_distance_requires_positions(self):
         topo = from_edges([(0, 1)])
