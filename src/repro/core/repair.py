@@ -264,7 +264,15 @@ class RepairEngine:
 
     def retarget(self, dead_nodes: frozenset[int],
                  dead_edges: frozenset[tuple[int, int]]) -> RepairOutcome:
-        """Drive the carried set and schedule to a new fault state."""
+        """Drive the carried set and schedule to a new fault state.
+
+        Dead edges compare as undirected pairs: ``(v, u)`` names the same
+        edge as ``(u, v)``, as at construction.
+        """
+        # stored pairs are sorted, so only newly dead ones can be reversed
+        if any(u > v for u, v in dead_edges - self._dead_edges):
+            dead_edges = frozenset((min(u, v), max(u, v))
+                                   for u, v in dead_edges)
         if (dead_nodes == self._dead_nodes
                 and dead_edges == self._dead_edges):
             return self._noop()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.delay import path_delay_slots
 from repro.core.engine import BOUNDS_CLOSED, SolverEngine
 from repro.core.repair import RepairEngine
@@ -125,6 +126,30 @@ class TestLinkDown:
         assert second.strategy == "noop"
         assert engine.version == version
         assert second.schedule.to_dict() == first.schedule.to_dict()
+
+    def test_retarget_to_a_reversed_dead_edge_is_a_noop(self, grid33):
+        # (1, 0) names the edge the engine stores as (0, 1)
+        engine = make_engine(grid33, dead_edges=[(1, 0)])
+        engine.install([gateway_flow("f1", 8)])
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            outcome = engine.retarget(frozenset(), frozenset({(1, 0)}))
+        assert outcome.strategy == "noop"
+        assert engine.dead_edges == frozenset({(0, 1)})
+        assert engine.version == 1
+        counters = registry.snapshot()["counters"]
+        assert "core.repair.local" not in counters
+        assert counters["core.repair.noop"] == 1
+
+    def test_retarget_stores_reversed_dead_edges_sorted(self, grid33):
+        engine = make_engine(grid33)
+        engine.install([gateway_flow("f1", 8)])
+        engine.retarget(frozenset(), frozenset({(1, 0), (4, 3)}))
+        assert engine.dead_edges == frozenset({(0, 1), (3, 4)})
+        assert not engine.alive.has_link((0, 1))
+        assert not engine.alive.has_link((3, 4))
+        assert_valid(engine)
+        again = engine.retarget(frozenset(), frozenset({(0, 1), (3, 4)}))
+        assert again.strategy == "noop"
 
     def test_non_topology_event_is_noop(self, grid33):
         engine = make_engine(grid33)
