@@ -26,6 +26,7 @@ import bisect
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -41,11 +42,15 @@ class MobilityTrace:
     def __init__(self, samples: Iterable[Sample]) -> None:
         series: dict[int, list[tuple[float, float, float]]] = {}
         for t, node, x, y in samples:
-            t, node = float(t), int(node)
+            t, node, x, y = float(t), int(node), float(x), float(y)
+            if not all(map(math.isfinite, (t, x, y))):
+                raise ConfigurationError(
+                    f"trace sample for node {node} is not finite: "
+                    f"t={t}, x={x}, y={y}")
             if t < 0:
                 raise ConfigurationError(
                     f"trace sample for node {node} has negative time {t}")
-            series.setdefault(node, []).append((t, float(x), float(y)))
+            series.setdefault(node, []).append((t, x, y))
         if not series:
             raise ConfigurationError("trace has no samples")
         for node, points in series.items():

@@ -1,5 +1,7 @@
 """Unit tests for repro.mobility.trace: replayed position timelines."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -45,6 +47,22 @@ def test_trace_rejects_empty_duplicate_and_negative_samples():
         MobilityTrace([(1.0, 0, 0.0, 0.0), (1.0, 0, 5.0, 5.0)])
     with pytest.raises(ConfigurationError):
         MobilityTrace([(-1.0, 0, 0.0, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["t", "x", "y"])
+def test_trace_rejects_non_finite_samples(field, bad):
+    # a NaN coordinate would replay as a present node that never links
+    sample = {"t": 1.0, "x": 0.0, "y": 0.0, field: bad}
+    rows = [(0.0, 0, 0.0, 0.0),
+            (sample["t"], 0, sample["x"], sample["y"])]
+    with pytest.raises(ConfigurationError, match="not finite"):
+        MobilityTrace(rows)
+    text = "t,node,x,y\n" + "\n".join(
+        f"{t!r},{node},{x!r},{y!r}" for t, node, x, y in rows) + "\n"
+    with pytest.raises(ConfigurationError, match="not finite"):
+        MobilityTrace.loads(text, "csv")
 
 
 def test_trace_samples_in_canonical_order():
