@@ -544,7 +544,7 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
                                 codec=G729, gateway=0, delay_budget_s=0.1)
         demands = flows.link_demands(frame.frame_duration_s,
                                      frame.data_slot_capacity_bits)
-        cold = SolverEngine(max_indexes=0, max_problems=0)
+        cold = SolverEngine(max_indexes=0)
         conflicts = cold.conflict_index(topology, links=demands.keys())
         constraints = delay_constraints_for(flows, slot_s)
         problem = SchedulingProblem(

@@ -93,8 +93,8 @@ def schedule_for_flows(topology: MeshTopology, flows: FlowSet,
     ``"greedy"`` (first-fit decreasing; delay-oblivious baseline),
     ``"tree"`` (wrap-free ordering on the gateway tree + Bellman-Ford,
     valid when all routes follow tree links).  ``engine`` optionally
-    shares a :class:`~repro.core.engine.SolverEngine` (conflict index +
-    solved-problem cache) across calls.  ``interference=`` swaps the
+    shares a :class:`~repro.core.engine.SolverEngine` (and its conflict
+    index cache) across calls.  ``interference=`` swaps the
     conflict backend (default: the 2-hop protocol model).
     """
     from repro.core.engine import SolverEngine

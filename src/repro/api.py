@@ -67,9 +67,9 @@ class Scenario:
     engine:
         Optional shared :class:`~repro.core.engine.SolverEngine`.  Each
         scenario gets its own engine by default, so repeated
-        :meth:`schedule` calls reuse the cached conflict index and
-        solved-problem table without leaking state between scenarios;
-        pass one explicitly to share caches across scenarios.
+        :meth:`schedule` calls reuse the cached conflict index without
+        leaking state between scenarios; pass one explicitly to share the
+        index cache across scenarios.
     solver:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string:
         ``"exact"``, ``"greedy"``, ``"auto"``) governing how

@@ -27,7 +27,6 @@ link (:data:`_NearSets`) and scans an incidence map for them
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import (AbstractSet, Callable, Iterable, Iterator, Mapping,
                     Optional, Sequence)
 
@@ -53,23 +52,16 @@ class ConflictIndex:
     ``hops`` is the protocol-model distance, or ``None`` for any other
     relation.  Treat instances as frozen: they are shared across every
     consumer of the owning engine.
-
-    :attr:`key` names the relation in the engine's caches: the engine's
-    cache key for indexes it built (made on first read), else
-    ``adhoc/<fingerprint>``, derived from the content.
     """
 
-    __slots__ = ("_key", "hops", "links", "_csr", "_rows",
-                 "_positions", "_fingerprint", "_graph")
+    __slots__ = ("hops", "links", "_csr", "_rows", "_positions", "_graph")
 
     def __init__(self, links: Sequence[Link], rows: list[list[int]],
                  hops: Optional[int] = None) -> None:
-        self._key: "Optional[str | Callable[[], str]]" = None
         self.hops = hops
         self.links: tuple[Link, ...] = tuple(links)
         self._positions = {link: i for i, link in enumerate(self.links)}
         self._rows = rows
-        self._fingerprint: Optional[str] = None
         self._graph: Optional[nx.Graph] = None
         self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -81,31 +73,6 @@ class ConflictIndex:
         return cls(links, [sorted(positions[other]
                                   for other in graph.neighbors(link))
                            for link in links])
-
-    def _attach(self, name: Callable[[], str]) -> "ConflictIndex":
-        """Name a freshly built index after its engine cache entry;
-        ``name()`` makes the string on the first read of :attr:`key`."""
-        self._key = name
-        return self
-
-    @property
-    def key(self) -> str:
-        key = self._key
-        if key is None:
-            return f"adhoc/{self.fingerprint}"
-        if not isinstance(key, str):
-            key = self._key = key()
-        return key
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash: the sorted links, then :meth:`pairs` (memoised)."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(repr(list(self.links)).encode())
-            digest.update(repr(self.pairs()).encode())
-            self._fingerprint = digest.hexdigest()[:16]
-        return self._fingerprint
 
     @property
     def graph(self) -> nx.Graph:

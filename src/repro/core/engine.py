@@ -1,10 +1,9 @@
-"""The incremental solver engine: shared conflict indexes, bounds-first
-probe searches, and cross-layer problem caching.
+"""The incremental solver engine: shared conflict indexes and bounds-first
+probe searches.
 
 The paper line's minimum-slots search (NET-COOP) probes a sequence of
-nearly-identical feasibility ILPs.  A :class:`SolverEngine` exploits that
-structure instead of treating every probe, repair and sweep point as a
-cold solve:
+feasibility ILPs.  A :class:`SolverEngine` keeps every probe, repair and
+sweep point from starting cold:
 
 1. **Cached conflict-relation layer.**  :meth:`SolverEngine.conflict_index`
    returns the immutable :class:`~repro.core.conflict.ConflictIndex` that
@@ -27,37 +26,26 @@ cold solve:
    (``core.engine.ilp_probes`` counts them), and the greedy arm packs it
    once.
 
-3. **Canonical problem hashing.**  :meth:`SolverEngine.solve` keys solved
-   ``(problem, K)`` pairs in an in-process LRU under
-   :func:`canonical_problem_key` -- a content hash over the conflict edges,
-   demands, frame geometry and delay constraints, salted with the package
-   version and source fingerprint exactly like the runtime's task keys --
-   so sweeps that share subproblems hit the cache instead of HiGHS.
-
 Cache scoping and the observability contract
 --------------------------------------------
 :mod:`repro.obs` snapshots are *deterministic*: identical runs must produce
 byte-identical counter JSON, and merged per-task registries must be
 identical for any ``--jobs`` (S33).  A process-global cache would break
-that (the second identical run would count fewer solves), so caches are
-scoped to an **owning object**: :class:`~repro.api.Scenario`,
+that (the second identical run would count fewer index builds), so the
+cache is scoped to an **owning object**: :class:`~repro.api.Scenario`,
 :class:`~repro.core.repair.RepairEngine` and each experiment construct a
-fresh ``SolverEngine()`` whose caches live and die with them, while the
-module-level :func:`default_engine` -- which backs the bare public
-functions -- is *stateless* (no cross-call caches).  A search's result
+fresh ``SolverEngine()`` whose index cache lives and dies with it, while
+the module-level :func:`default_engine` -- which backs the bare public
+functions -- is *stateless* (no cross-call cache).  A search's result
 never depends on cache state: a cached engine and a stateless one return
 the same ``K``, probe log and schedule.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
-import repro
 from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
@@ -72,7 +60,6 @@ from repro.core.greedy import (
     greedy_packings,
 )
 from repro.core.ilp import (
-    DEFAULT_NODE_LIMIT,
     DelayConstraint,
     ILPResult,
     SchedulingProblem,
@@ -89,8 +76,7 @@ from repro.errors import (
     SchedulingError,
     SolverError,
 )
-from repro.fingerprint import source_fingerprint
-from repro.net.topology import Link, MeshTopology, _edges_of
+from repro.net.topology import Link, MeshTopology
 
 #: Solver status of a search decided with no ILP: a packing certificate
 #: met the greedy-clique floor.  Such a result is published as is
@@ -103,83 +89,6 @@ BOUNDS_CLOSED = "bounds-closed"
 PACKING_NODE_LIMIT = 512
 
 
-def _fingerprint_token(topology: MeshTopology) -> tuple:
-    """Cheap structural signature guarding the memoized fingerprint.
-
-    Combines the topology's monotone mutation counter
-    (:meth:`~repro.net.topology.MeshTopology.apply_edge_changes` bumps it)
-    with the row and edge counts, so an in-place mutation invalidates the
-    cache instead of silently serving a stale fingerprint -- and, through
-    it, a stale cached :class:`ConflictIndex`.
-    """
-    return (getattr(topology, "mutations", 0), len(topology.rows),
-            len(topology.edges))
-
-
-def topology_fingerprint(topology: MeshTopology) -> str:
-    """Content hash of a topology's connectivity (nodes + undirected edges).
-
-    Positions and the display name are irrelevant to scheduling, so two
-    topologies with the same connectivity share a fingerprint -- and hence
-    share cached conflict indexes.  The hash is memoized on the topology
-    object, keyed by :func:`_fingerprint_token`, so it survives repeated
-    lookups but never an in-place mutation.
-    """
-    token = _fingerprint_token(topology)
-    cached = getattr(topology, "_repro_fingerprint", None)
-    if isinstance(cached, tuple) and cached[0] == token:
-        return cached[1]
-    fingerprint = _rows_fingerprint(topology.rows.items())
-    try:
-        topology._repro_fingerprint = (token, fingerprint)
-    except AttributeError:  # pragma: no cover - exotic topology subclass
-        pass
-    return fingerprint
-
-
-def _rows_fingerprint(rows) -> str:
-    """:func:`topology_fingerprint` of a collection of sorted ``(node,
-    row)`` pairs (e.g. ``MeshTopology.rows.items()``)."""
-    digest = hashlib.sha256()
-    digest.update(repr([node for node, _ in rows]).encode())
-    digest.update(repr(_edges_of(rows)).encode())
-    return digest.hexdigest()[:16]
-
-
-@functools.lru_cache(maxsize=None)
-def _cache_salt() -> str:
-    """Version + source fingerprint, matching the runtime content-hash keys."""
-    return f"{repro.__version__}:{source_fingerprint()}"
-
-
-def canonical_problem_key(problem: SchedulingProblem,
-                          node_limit: Optional[int] = None) -> str:
-    """Content hash identifying a ``(problem, K)`` pair.
-
-    Two problems share a key iff they have the same conflict edges, the
-    same demands, the same frame geometry (frame length *and* region), the
-    same delay constraints and objective, and the same effective
-    branch-and-cut node budget (``None`` resolves to
-    :data:`~repro.core.ilp.DEFAULT_NODE_LIMIT`) -- a budget change can
-    flip a verdict, so budget-distinct solves must not share a cache
-    entry, while an unset and an explicitly default budget do.  The key
-    is salted with the package version and source fingerprint, the same
-    invalidation discipline as :func:`repro.runtime.tasks.task_key`, so
-    it stays meaningful if persisted next to runtime artifacts.
-    """
-    digest = hashlib.sha256()
-    digest.update(_cache_salt().encode())
-    digest.update(problem.conflicts.fingerprint.encode())
-    digest.update(repr(sorted(problem.demands.items())).encode())
-    digest.update(repr((problem.frame_slots, problem.effective_region,
-                        problem.minimize_max_delay,
-                        DEFAULT_NODE_LIMIT if node_limit is None
-                        else node_limit)).encode())
-    digest.update(repr([(c.name, c.route, c.budget_slots)
-                        for c in problem.delay_constraints]).encode())
-    return digest.hexdigest()[:24]
-
-
 # Nothing calls this: perfbench/tracer.py still wraps the name.
 updated_conflict_edges = None
 
@@ -189,12 +98,12 @@ class SolverEngine:
 
     Parameters
     ----------
-    max_indexes, max_problems:
-        LRU capacities of the conflict-index and solved-problem caches.
-        ``0`` disables a cache entirely -- the configuration of the
-        module-level :func:`default_engine`, which must stay stateless so
-        the deterministic-observability contract holds for the bare public
-        functions.  Each must be a non-bool ``int`` ``>= 0``.
+    max_indexes:
+        LRU capacity of the index cache.  ``0`` disables it entirely --
+        the configuration of the module-level :func:`default_engine`,
+        which must stay stateless so the deterministic-observability
+        contract holds for the bare public functions.  Must be a non-bool
+        ``int`` ``>= 0``.
     policy:
         The engine's default :class:`~repro.core.policy.SolverPolicy`
         (also accepts a mode string or ``None`` for the default
@@ -202,26 +111,21 @@ class SolverEngine:
         explicit ``policy=``/``solver=`` use it; a per-call policy wins.
     """
 
-    def __init__(self, max_indexes: int = 32, max_problems: int = 128,
+    def __init__(self, max_indexes: int = 32,
                  policy: "SolverPolicy | str | None" = None) -> None:
-        for name, size in (("max_indexes", max_indexes),
-                           ("max_problems", max_problems)):
-            if (not isinstance(size, int) or isinstance(size, bool)
-                    or size < 0):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 0, got {size!r}")
+        if (not isinstance(max_indexes, int) or isinstance(max_indexes, bool)
+                or max_indexes < 0):
+            raise ConfigurationError(
+                f"max_indexes must be an integer >= 0, got {max_indexes!r}")
         self.max_indexes = max_indexes
-        self.max_problems = max_problems
         self.policy = SolverPolicy.coerce(policy)
         self._indexes: OrderedDict[tuple, ConflictIndex] = OrderedDict()
-        self._problems: OrderedDict[str, ILPResult] = OrderedDict()
         #: actual-work accounting (plain ints, independent of :mod:`repro.obs`):
         #: cache effectiveness is a property of this engine's lifetime, not
         #: of the workload, so it lives here rather than in the registry.
         self.stats = {
             "index_builds": 0, "index_hits": 0,
-            "ilp_solves": 0, "problem_hits": 0,
-            "ilp_probes": 0,
+            "ilp_solves": 0, "ilp_probes": 0,
         }
 
     # -- conflict-relation layer ---------------------------------------------
@@ -239,57 +143,36 @@ class SolverEngine:
         :func:`~repro.core.conflict.conflict_graph` -- bitwise identical.
         Other models (e.g. :class:`~repro.phy.models.SinrModel`) are keyed
         by their :meth:`~repro.phy.models.InterferenceModel.cache_token`
-        (which folds in positions and parameters -- the topology
-        fingerprint covers connectivity only) and build through the model.
-
-        A protocol-model index is keyed by the topology's row content,
-        ``tuple(topology.rows.items())``: two topologies with equal rows
-        share it, and :meth:`MeshTopology.apply_edge_changes` replaces
-        rows rather than editing them, so a mutated topology never reads
-        its old index.  Its :attr:`ConflictIndex.key` string (with the
-        :func:`topology_fingerprint`) is built on first read.
+        (which folds in positions and parameters -- the rows cover
+        connectivity only) and build through the model; their
+        ``index.hops`` is ``None``, like the exact interference
+        relation's.
         """
         from repro.phy.models import ProtocolModel, coerce_interference
 
         model = coerce_interference(interference)
-        if not isinstance(model, ProtocolModel):
-            return self._model_index(model, topology, links)
-        hops = model.hops
         link_key = None if links is None else tuple(sorted(set(links)))
+        if isinstance(model, ProtocolModel):
+            hops = model.hops
+            kind = ("conflict", hops, link_key)
+
+            def relation() -> ConflictIndex:
+                return conflict_graph(topology, hops=hops, links=link_key)
+        else:
+            kind = ("model", model.cache_token(topology), link_key)
+
+            def relation() -> ConflictIndex:
+                return model.conflict_graph(
+                    topology,
+                    links=None if link_key is None else list(link_key))
 
         def build() -> ConflictIndex:
-            index = conflict_graph(topology, hops=hops, links=link_key)
-            obs.counter("core.interference.protocol_edges").inc(
-                index.num_conflicts)
-            return index
-
-        rows = tuple(topology.rows.items())
-        return self._index_for(
-            ("conflict", rows, hops, link_key), build,
-            lambda: "/".join(map(repr, ("conflict", _rows_fingerprint(rows),
-                                        hops, link_key))))
-
-    def _model_index(self, model, topology: MeshTopology,
-                     links: Optional[Sequence[Link]]) -> ConflictIndex:
-        """Index for a non-protocol interference backend (e.g. SINR).
-
-        Keyed by the model's content token next to the connectivity
-        fingerprint; built through the model, cached in the same LRU as
-        protocol indexes.  ``index.hops`` is ``None``, like the exact
-        interference relation's.
-        """
-        link_key = None if links is None else tuple(sorted(set(links)))
-        key = ("conflict", topology_fingerprint(topology),
-               model.cache_token(topology), link_key)
-
-        def build() -> ConflictIndex:
-            index = model.conflict_graph(
-                topology, links=None if link_key is None else list(link_key))
+            index = relation()
             obs.counter(f"core.interference.{model.kind}_edges").inc(
                 index.num_conflicts)
             return index
 
-        return self._index_for(key, build)
+        return self._index_for(topology, kind, build)
 
     def interference_index(self, topology: MeshTopology) -> ConflictIndex:
         """The (cached) index of the exact interference relation.
@@ -301,24 +184,29 @@ class SolverEngine:
         """
         from repro.phy.interference import interference_graph
 
-        key = ("interference", topology_fingerprint(topology))
-        return self._index_for(key, lambda: interference_graph(topology))
+        return self._index_for(topology, ("interference",),
+                               lambda: interference_graph(topology))
 
-    def _index_for(self, key: tuple, build, name=None) -> ConflictIndex:
-        """The one LRU path of the main index cache.
+    def _index_for(self, topology: MeshTopology, kind: tuple,
+                   build) -> ConflictIndex:
+        """The one LRU path of the index cache, and its one key rule.
 
-        Returns the cached index for ``key``, or caches ``build()``'s
-        index, whose :attr:`ConflictIndex.key` is ``name()`` (called on
-        first read; default: ``key`` joined by ``/``).
+        The key is ``kind`` -- a tag naming the relation, so kinds cannot
+        collide, then whatever else it depends on -- next to the
+        topology's row content, ``tuple(topology.rows.items())``.
+        Topologies with equal rows share an index whatever their name or
+        positions, and :meth:`MeshTopology.apply_edge_changes` replaces
+        rows rather than editing them, so a mutated topology never reads
+        its old index.  Returns the cached index, or caches ``build()``'s.
         """
+        key = (kind, tuple(topology.rows.items()))
         index = self._indexes.get(key)
         if index is not None:
             self._indexes.move_to_end(key)
             self.stats["index_hits"] += 1
             obs.counter("core.engine.index_hits").inc()
             return index
-        index = build()._attach(
-            name or (lambda: "/".join(map(repr, key))))
+        index = build()
         self.stats["index_builds"] += 1
         obs.counter("core.engine.index_builds").inc()
         if self.max_indexes > 0:
@@ -327,33 +215,15 @@ class SolverEngine:
                 self._indexes.popitem(last=False)
         return index
 
-    # -- cached ILP layer -----------------------------------------------------
+    # -- ILP layer ------------------------------------------------------------
 
     def solve(self, problem: SchedulingProblem,
               node_limit: Optional[int] = None) -> ILPResult:
-        """:func:`~repro.core.ilp.solve_schedule_ilp` through the problem cache.
-
-        Cache hits return a private copy (fresh :class:`Schedule` /
-        :class:`TransmissionOrder` objects), so callers may mutate results
-        freely; only deterministic fields are shared, and ``solve_seconds``
-        reports the original solve's wall clock.  ``node_limit`` caps the
-        branch-and-cut tree deterministically (see
-        :func:`~repro.core.ilp.solve_schedule_ilp`) and is part of the
-        cache key.
-        """
-        key = canonical_problem_key(problem, node_limit)
-        cached = self._problems.get(key)
-        if cached is not None:
-            self._problems.move_to_end(key)
-            self.stats["problem_hits"] += 1
-            obs.counter("core.engine.problem_hits").inc()
-            return _copy_result(cached)
+        """:func:`~repro.core.ilp.solve_schedule_ilp`, counted in
+        ``stats["ilp_solves"]``.  ``node_limit`` caps the branch-and-cut
+        tree deterministically."""
         result = solve_schedule_ilp(problem, node_limit=node_limit)
         self.stats["ilp_solves"] += 1
-        if self.max_problems > 0:
-            self._problems[key] = _copy_result(result)
-            while len(self._problems) > self.max_problems:
-                self._problems.popitem(last=False)
         return result
 
     # -- bounds-first minimum-slots search ------------------------------------
@@ -680,22 +550,11 @@ def _packing_descent(view: _Demanded, budgets: _Budgets, frame_slots: int,
     return start if found else None
 
 
-def _copy_result(result: ILPResult) -> ILPResult:
-    """A structurally-fresh copy of an ILP result (cache isolation)."""
-    schedule = result.schedule
-    if schedule is not None:
-        schedule = Schedule(schedule.frame_slots, dict(schedule.items()))
-    order = result.order
-    if order is not None:
-        order = order.copy()
-    return replace(result, schedule=schedule, order=order)
-
-
 #: Module-level default engine backing the bare public functions
 #: (:func:`~repro.core.minslots.minimum_slots` with no ``engine=``).
-#: Deliberately stateless (cache sizes 0): cross-call caches here would
+#: Deliberately stateless (no index cache): a cross-call cache here would
 #: make the deterministic obs counters depend on process history.
-_DEFAULT_ENGINE = SolverEngine(max_indexes=0, max_problems=0)
+_DEFAULT_ENGINE = SolverEngine(max_indexes=0)
 
 
 def default_engine() -> SolverEngine:

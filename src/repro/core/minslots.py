@@ -119,8 +119,7 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
         The :class:`~repro.core.engine.SolverEngine` running the probes
         (default: the stateless module-level engine).  Probe verdicts,
         the probe log and the returned schedule are identical for any
-        engine configuration; a caching engine merely answers repeated
-        probes from its problem cache.
+        engine configuration.
     policy:
         The :class:`~repro.core.policy.SolverPolicy` (or mode string)
         governing *how* to solve a search the bounds leave open: the gap

@@ -1,10 +1,8 @@
 """Content fingerprint of the ``repro`` source tree.
 
-A leaf module -- it imports nothing from :mod:`repro` -- so every layer
-can key its caches on the code that produced them: the runtime's task
-keys (:func:`repro.runtime.tasks.task_key`) and the solver engine's
-canonical problem keys (:func:`repro.core.engine.canonical_problem_key`)
-both fold it in.
+A leaf module -- it imports nothing from :mod:`repro` -- so the runtime's
+task keys (:func:`repro.runtime.tasks.task_key`) can fold in the code
+that produced a cached result.
 """
 
 from __future__ import annotations

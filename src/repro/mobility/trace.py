@@ -107,8 +107,12 @@ class MobilityTrace:
         Round-trips through :meth:`dumps`/:meth:`loads` byte-identically,
         which is how the property tests pin the serialisation format.
         """
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigurationError(
+                f"dt must be positive and finite, got {dt!r}")
+        if horizon_s is not None and not math.isfinite(horizon_s):
+            raise ConfigurationError(
+                f"horizon_s must be finite, got {horizon_s!r}")
         horizon = model.horizon_s if horizon_s is None else float(horizon_s)
         rows: list[Sample] = []
         steps = int(horizon / dt + 1e-9)

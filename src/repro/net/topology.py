@@ -64,9 +64,10 @@ class MeshTopology:
         self.positions = positions or {}
         self.name = name
         #: Monotone mutation counter: bumped by every in-place structural
-        #: change made through :meth:`apply_edge_changes`, so derived caches
-        #: (e.g. the engine's memoized topology fingerprint) can detect that
-        #: this object is no longer the graph they were computed from.
+        #: change made through :meth:`apply_edge_changes`, so state derived
+        #: from the old connectivity (e.g. an admission controller's
+        #: schedule) can detect that this object is no longer the graph
+        #: it was computed from.
         self.mutations = 0
         self._set_rows(rows)
 
@@ -167,17 +168,27 @@ class MeshTopology:
     def hop_distance(self, a: int, b: int) -> int:
         """Hop distance between two nodes (memoises the last source)."""
         if a != self._hop_source:
+            if a not in self.rows:
+                raise self._unknown_node(a)
             self._hop_depths = hop_depths(self.rows, [a])
             self._hop_source = a
-        return self._hop_depths[b]
+        try:
+            return self._hop_depths[b]
+        except KeyError:
+            raise self._unknown_node(b) from None
 
     def eccentricity(self, node: int) -> int:
         """Hop distance from ``node`` to the farthest node (memoised)."""
         depth = self._eccentricities.get(node)
         if depth is None:
+            if node not in self.rows:
+                raise self._unknown_node(node)
             depth = max(hop_depths(self.rows, [node]).values())
             self._eccentricities[node] = depth
         return depth
+
+    def _unknown_node(self, node: int) -> ConfigurationError:
+        return ConfigurationError(f"node {node} is not in {self.name}")
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance in metres (requires positions)."""
@@ -212,11 +223,11 @@ class MeshTopology:
 
         This is the *only* supported way to change a topology after
         construction: it revalidates connectivity (rolling back on
-        failure), rebuilds the canonical link ordering, and bumps
-        :attr:`mutations` so memoized derived state -- most importantly the
-        engine's cached topology fingerprint -- is invalidated instead of
-        silently served stale.  The edit is made on a copy of
-        :attr:`graph`, so node and edge data carry over to the new export.
+        failure), replaces :attr:`rows` (never edits them, so an engine
+        index keyed by the old rows is never served for the new ones),
+        rebuilds the canonical link ordering, and bumps :attr:`mutations`.
+        The edit is made on a copy of :attr:`graph`, so node and edge data
+        carry over to the new export.
         """
         candidate = self.graph.copy()
         for u, v in remove:

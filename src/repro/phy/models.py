@@ -14,9 +14,8 @@ Two backends ship:
 - :class:`ProtocolModel` -- the k-hop protocol model of
   :func:`repro.core.conflict.conflict_graph`, **bitwise-identical** to
   that row builder: its :meth:`~ProtocolModel.cache_token` is the bare
-  hops integer, so engine cache keys and canonical problem hashes are
-  those of a direct build (property-tested in
-  ``tests/test_property_interference.py``).
+  hops integer, so engine cache keys and indexes are those of a direct
+  build (property-tested in ``tests/test_property_interference.py``).
 - :class:`SinrModel` -- physical-model interference from node positions:
   a log-distance :class:`PathLossModel` maps TX power to a pairwise RSS
   matrix; two links conflict iff a concurrent transmission drops either
@@ -254,7 +253,7 @@ class ProtocolModel(InterferenceModel):
 
     The engine keys it by the bare hops integer and builds it with the
     row builder :func:`~repro.core.conflict.conflict_graph`, so its CSR
-    arrays, conflict edges and canonical problem hashes are those of
+    arrays and conflict edges are those of
     ``conflict_graph(topology, hops=k)`` to the letter.
     """
 
@@ -270,8 +269,7 @@ class ProtocolModel(InterferenceModel):
         return conflict_graph(topology, hops=self.hops, links=links)
 
     def cache_token(self, topology: MeshTopology) -> object:
-        # The bare integer: engine keys stay exactly the pre-seam
-        # ("conflict", fingerprint, hops, link_key) tuples.
+        # The bare integer: the engine keys a protocol index by hops.
         return self.hops
 
     def describe(self) -> str:
@@ -547,7 +545,7 @@ class SinrModel(InterferenceModel):
         """Content token for the engine's index cache.
 
         Folds in the model parameters, the node positions (the topology
-        fingerprint in the cache key covers connectivity only) and the
+        rows in the cache key cover connectivity only) and the
         current hysteretic MCS assignment, so a cached index is only
         served while the physics that built it still hold.
         """

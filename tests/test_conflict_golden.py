@@ -1,28 +1,23 @@
-"""Golden content of the conflict relations the solvers hash and model.
+"""Golden content of the conflict relations the solvers model.
 
-:func:`~repro.core.engine.canonical_problem_key` is salted with the
-package version and the source fingerprint, so every edit to ``src/``
-changes every key, and no self-consistency test can tell whether a
-refactor changed the *content* a key covers.  These tests pin it across
-commits:
+No self-consistency test can tell whether a refactor changed the
+*content* of a relation, so these tests pin it across commits:
 
-- the canonical key with the salt held fixed -- a hash over the relation
-  fingerprint (sorted links, then sorted conflict pairs), the demands and
-  the frame geometry -- for each builder: the k-hop protocol model (1 and
-  2 hops, grid and chain), the channel's exact interference relation and
-  an :class:`~repro.phy.models.SinrModel` on a seeded disk mesh;
+- a digest of the relation -- its sorted links, then its sorted conflict
+  pairs -- for each builder: the k-hop protocol model (1 and 2 hops,
+  grid and chain), the channel's exact interference relation and an
+  :class:`~repro.phy.models.SinrModel` on a seeded disk mesh;
 - the ILP's order-variable pairs, decoded from the constraint matrix
   handed to the MILP solver, in variable order.
 
-A digest that moves means the schedules, probe logs or cache keys of
-every consumer may move with it.
+A digest that moves means the schedules and probe logs of every
+consumer may move with it.
 """
 
 import hashlib
 
 import pytest
 
-import repro.core.engine as engine_module
 import repro.core.ilp as ilp_module
 from repro.core.conflict import conflict_graph
 from repro.core.ilp import SchedulingProblem, solve_schedule_ilp
@@ -46,35 +41,35 @@ def _disk():
     return random_disk_topology(12, radio_range=150.0, area=500.0, seed=3)
 
 
-#: name -> (builder of (relation, its sorted links), expected salt-pinned
-#: key, ILP pair count, ILP pair digest)
+#: name -> (builder of (relation, its sorted links), relation digest, ILP
+#: pair count, ILP pair digest)
 GOLDEN = {
     "grid3x3-hop1": (
         lambda: _all_links(lambda t: conflict_graph(t, hops=1),
                            grid_topology(3, 3)),
-        "230ce05856f2963ab5bb7b79", 100, "d7a199ef21fca025"),
+        "06bceb6a2b50e4f5", 100, "d7a199ef21fca025"),
     "grid3x3-hop2": (
         lambda: _all_links(lambda t: conflict_graph(t, hops=2),
                            grid_topology(3, 3)),
-        "a6bf0cd6c262a1212eff2217", 228, "e79fc234ffe46fe1"),
+        "51bc6bf6d987c308", 228, "e79fc234ffe46fe1"),
     "chain6-hop1": (
         lambda: _all_links(lambda t: conflict_graph(t, hops=1),
                            chain_topology(6)),
-        "aa831239c73b4bee6897a8aa", 21, "6b4b9497dac41a4e"),
+        "147362e6420b18b4", 21, "6b4b9497dac41a4e"),
     "chain6-hop2": (
         lambda: _all_links(lambda t: conflict_graph(t, hops=2),
                            chain_topology(6)),
-        "1595fb701469a792a25593d0", 33, "afa41eed01ed13db"),
+        "1b56db8642155310", 33, "afa41eed01ed13db"),
     "grid3x3-subset-hop2": (
         lambda: (conflict_graph(grid_topology(3, 3), hops=2, links=SUBSET),
                  sorted(SUBSET)),
-        "76cda50e1b6f41b6cbca86cb", 12, "32fde47ddffa8c94"),
+        "fff8c2347e28d792", 12, "32fde47ddffa8c94"),
     "grid3x3-exact": (
         lambda: _all_links(interference_graph, grid_topology(3, 3)),
-        "93d001c988470705cb9aa337", 164, "085d6cb8523e6d86"),
+        "74116723d8ced8f0", 164, "085d6cb8523e6d86"),
     "disk12-sinr": (
         lambda: _all_links(SinrModel().conflict_graph, _disk()),
-        "7b71a85ea18124616d0c193c", 765, "8c7fbf350971de56"),
+        "ba9010d6b82c01f4", 765, "8c7fbf350971de56"),
 }
 
 
@@ -82,13 +77,16 @@ class _Captured(Exception):
     """Raised by the recording solver once the model is captured."""
 
 
-@pytest.fixture
-def pinned_salt(monkeypatch):
-    monkeypatch.setattr(engine_module, "_cache_salt", lambda: "golden")
-
-
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _relation_digest(relation) -> str:
+    """SHA-256 of the sorted links, then the sorted conflict pairs."""
+    digest = hashlib.sha256()
+    digest.update(repr(list(relation.links)).encode())
+    digest.update(repr(relation.pairs()).encode())
+    return digest.hexdigest()[:16]
 
 
 def _ilp_pairs(problem, monkeypatch):
@@ -122,12 +120,12 @@ def _ilp_pairs(problem, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_relation_content_is_pinned(name, pinned_salt, monkeypatch):
-    build, key, num_pairs, pair_digest = GOLDEN[name]
+def test_relation_content_is_pinned(name, monkeypatch):
+    build, relation_digest, num_pairs, pair_digest = GOLDEN[name]
     relation, links = build()
     problem = SchedulingProblem(conflicts=relation,
                                 demands={link: 1 for link in links},
                                 frame_slots=len(links))
     pairs = _ilp_pairs(problem, monkeypatch)
-    assert (engine_module.canonical_problem_key(problem), len(pairs),
-            _digest(pairs)) == (key, num_pairs, pair_digest)
+    assert (_relation_digest(relation), len(pairs),
+            _digest(pairs)) == (relation_digest, num_pairs, pair_digest)

@@ -124,13 +124,6 @@ class TestConflictIndex:
         again = ConflictIndex.from_graph(graph)
         assert again.links == conflicts.links
         assert again.pairs() == conflicts.pairs()
-        assert again.fingerprint == conflicts.fingerprint
-
-    def test_unkeyed_index_gets_a_content_key(self, chain5):
-        one = conflict_graph(chain5, hops=2)
-        two = ConflictIndex.from_graph(one.graph)
-        assert one.key == two.key == f"adhoc/{one.fingerprint}"
-        assert one.key != conflict_graph(chain5, hops=1).key
 
 
 @pytest.mark.parametrize("bad", [True, 0, 2.5, "2"])

@@ -9,15 +9,9 @@ from repro.core.engine import (
     BOUNDS_CLOSED,
     ConflictIndex,
     SolverEngine,
-    canonical_problem_key,
     default_engine,
-    topology_fingerprint,
 )
-from repro.core.ilp import (
-    DEFAULT_NODE_LIMIT,
-    DelayConstraint,
-    SchedulingProblem,
-)
+from repro.core.ilp import DelayConstraint
 from repro.core.minslots import minimum_slots
 from repro.core.repair import RepairEngine
 from repro.errors import ConfigurationError
@@ -27,7 +21,7 @@ from repro.net.flows import Flow, FlowSet
 from repro.net.routing import route_all
 from repro.net.topology import chain_topology, grid_topology
 from repro.phy.interference import interference_graph
-from repro.phy.models import ProtocolModel
+from repro.phy.models import ProtocolModel, SinrModel
 
 
 @pytest.fixture
@@ -42,42 +36,24 @@ def _demands(topology, n=4):
     return {link: 1 for link in sorted(topology.links)[:n]}
 
 
-# -- fingerprints and keys -------------------------------------------------
+# -- index keys ------------------------------------------------------------
 
 
 def test_topology_fingerprint_ignores_name_and_positions():
+    # indexes are keyed by the rows alone: a topology that differs only
+    # in name or positions reads the same cached protocol and exact
+    # interference indexes
+    engine = SolverEngine()
     a = chain_topology(5)
     b = chain_topology(5)
     b.name = "other"
-    assert topology_fingerprint(a) == topology_fingerprint(b)
-    assert topology_fingerprint(a) != topology_fingerprint(chain_topology(6))
-
-
-def test_problem_key_sensitive_to_every_field():
-    topo = chain_topology(4)
-    demands = _demands(topo)
-    conflicts = conflict_graph(topo, links=demands.keys())
-    base = SchedulingProblem(conflicts, demands, 16)
-    assert (canonical_problem_key(base)
-            == canonical_problem_key(SchedulingProblem(conflicts, demands,
-                                                       16)))
-    variants = [
-        SchedulingProblem(conflicts, demands, 18),
-        SchedulingProblem(conflicts, demands, 16, region_slots=8),
-        SchedulingProblem(conflicts, {k: v + 1 for k, v in demands.items()},
-                          16),
-        SchedulingProblem(conflicts, demands, 16, minimize_max_delay=True),
-    ]
-    keys = {canonical_problem_key(p) for p in variants}
-    assert canonical_problem_key(base) not in keys
-    assert len(keys) == len(variants)
-    # The node budget is part of the identity: a tighter budget may
-    # reach a different verdict, so it must not share a cache entry --
-    # but an unset budget *is* the default one.
-    assert canonical_problem_key(base, node_limit=100) \
-        != canonical_problem_key(base)
-    assert canonical_problem_key(base, node_limit=DEFAULT_NODE_LIMIT) \
-        == canonical_problem_key(base, node_limit=None)
+    b.positions = {node: (10.0 * x, 3.0 * y)
+                   for node, (x, y) in b.positions.items()}
+    assert engine.conflict_index(b) is engine.conflict_index(a)
+    assert engine.interference_index(b) is engine.interference_index(a)
+    assert engine.conflict_index(chain_topology(6)) is not \
+        engine.conflict_index(a)
+    assert engine.stats["index_builds"] == 3
 
 
 # -- ConflictIndex ---------------------------------------------------------
@@ -147,63 +123,20 @@ def test_topologies_with_equal_rows_share_one_protocol_index(registry):
     assert snap["counters"]["core.engine.index_hits"] == 1
 
 
-@pytest.mark.parametrize("hops, links", [
-    (2, None), (1, None), (2, [(4, 5), (0, 1), (0, 1)])])
-def test_engine_index_key_names_the_topology_fingerprint(hops, links):
-    topology = grid_topology(3, 3)
-    index = SolverEngine().conflict_index(
-        topology, links=links, interference=ProtocolModel(hops))
-    link_key = None if links is None else tuple(sorted(set(links)))
-    assert index.key == "/".join(map(repr, (
-        "conflict", topology_fingerprint(topology), hops, link_key)))
-    # the name is made once, on first read
-    assert index.key is index.key
-
-
-def test_engine_index_key_outlives_a_mutation_of_its_topology():
-    topology = grid_topology(3, 3)
-    name = "/".join(map(repr, (
-        "conflict", topology_fingerprint(topology), 2, None)))
-    index = SolverEngine().conflict_index(topology)
-    topology.apply_edge_changes(remove=[(0, 1)])
-    assert index.key == name
-
-
-@pytest.mark.parametrize("field", ["max_indexes", "max_problems"])
+@pytest.mark.parametrize("field", ["max_indexes"])
 @pytest.mark.parametrize("size", [-1, float("nan"), 2.5, True, "3", None])
 def test_cache_sizes_must_be_non_bool_non_negative_ints(field, size):
     with pytest.raises(ConfigurationError, match=field):
         SolverEngine(**{field: size})
 
 
-def test_problem_cache_returns_equal_but_independent_results(registry):
-    topo = chain_topology(5)
-    demands = _demands(topo)
-    conflicts = conflict_graph(topo, links=demands.keys())
-    problem = SchedulingProblem(conflicts, demands, 16)
-    engine = SolverEngine()
-    first = engine.solve(problem)
-    second = engine.solve(problem)
-    assert engine.stats["ilp_solves"] == 1
-    assert engine.stats["problem_hits"] == 1
-    assert second.schedule.to_dict() == first.schedule.to_dict()
-    assert second.schedule is not first.schedule
-    assert second.order is not first.order
-    snap = registry.snapshot()
-    assert snap["counters"]["core.ilp.solves"] == 1
-    assert snap["counters"]["core.engine.problem_hits"] == 1
-
-
 def test_default_engine_is_stateless():
     engine = default_engine()
-    assert engine.max_indexes == 0 and engine.max_problems == 0
+    assert engine.max_indexes == 0
     topo = chain_topology(4)
-    demands = _demands(topo)
-    conflicts = conflict_graph(topo, links=demands.keys())
-    problem = SchedulingProblem(conflicts, demands, 16)
-    engine.solve(problem)
-    engine.solve(problem)
-    assert engine.stats["problem_hits"] == 0  # nothing retained
+    hits = engine.stats["index_hits"]
+    assert engine.conflict_index(topo) is not engine.conflict_index(topo)
+    assert engine.stats["index_hits"] == hits  # nothing retained
 
 
 # -- gap searches --------------------------------------------------------
@@ -227,19 +160,20 @@ def _upstream_gap_instance():
 
 def test_every_gap_probe_is_an_ilp_and_caching_changes_no_answer():
     conflicts, demands, constraints = _upstream_gap_instance()
-    stateless = SolverEngine(max_indexes=0, max_problems=0)
+    stateless = SolverEngine(max_indexes=0)
     reference = minimum_slots(conflicts, demands, 16, constraints,
                               engine=stateless)
     assert reference.ilp.solver_status != BOUNDS_CLOSED
     assert stateless.stats["ilp_probes"] == len(reference.probes)
     cached = SolverEngine()
-    for ____ in range(2):  # the second search reads the problem cache
+    for ____ in range(2):
         result = minimum_slots(conflicts, demands, 16, constraints,
                                engine=cached)
         assert result.slots == reference.slots
         assert result.probes == reference.probes
         assert result.schedule.to_dict() == reference.schedule.to_dict()
-    assert cached.stats["problem_hits"] > 0
+    # no solved problem is kept: the repeat search solves every probe again
+    assert cached.stats["ilp_solves"] == 2 * stateless.stats["ilp_solves"]
 
 
 def test_descent_closes_a_churn_install_first_fit_misses(registry,
@@ -379,23 +313,48 @@ def test_scenario_shares_engine_across_properties():
 # -- in-place mutation -----------------------------------------------------
 
 
+#: (engine read, cold build) of the exact interference relation and of a
+#: SINR relation
+RELATIONS = [
+    (lambda engine, topology: engine.interference_index(topology),
+     interference_graph),
+    (lambda engine, topology: engine.conflict_index(
+        topology, interference=SinrModel()),
+     SinrModel().conflict_graph),
+]
+
+
+def _assert_cold(index, build, topology):
+    cold = build(topology)
+    assert index.links == cold.links
+    assert index.pairs() == cold.pairs()
+
+
 def test_fingerprint_invalidated_by_in_place_mutation():
-    topology = grid_topology(3, 3)
-    before = topology_fingerprint(topology)
-    topology.apply_edge_changes(remove=[(0, 1)])
-    after = topology_fingerprint(topology)
-    assert after != before
-    topology.apply_edge_changes(add=[(0, 1)])
-    assert topology_fingerprint(topology) == before
+    for read, build in RELATIONS:
+        engine = SolverEngine()
+        topology = grid_topology(3, 3)
+        before = read(engine, topology)
+        topology.apply_edge_changes(remove=[(0, 1)])
+        after = read(engine, topology)
+        assert after is not before and (0, 1) not in after
+        _assert_cold(after, build, topology)
+        topology.apply_edge_changes(add=[(0, 1)])
+        assert read(engine, topology) is before
 
 
 def test_fingerprint_survives_equal_count_edge_swap():
     # remove one edge and add another in a single call: node and edge
-    # counts are unchanged, so only the mutation counter can catch it
-    topology = grid_topology(3, 3)
-    before = topology_fingerprint(topology)
-    topology.apply_edge_changes(add=[(0, 4)], remove=[(0, 1)])
-    assert topology_fingerprint(topology) != before
+    # counts are unchanged, yet the engine must not serve the old index
+    for read, build in RELATIONS:
+        engine = SolverEngine()
+        topology = grid_topology(3, 3)
+        before = read(engine, topology)
+        topology.apply_edge_changes(add=[(0, 4)], remove=[(0, 1)])
+        after = read(engine, topology)
+        assert after is not before
+        assert (0, 4) in after and (0, 1) not in after
+        _assert_cold(after, build, topology)
 
 
 def test_engine_never_serves_a_stale_index_after_mutation(registry):

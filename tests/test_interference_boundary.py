@@ -141,28 +141,29 @@ class TestEntryPoints:
     def test_none_is_the_two_hop_protocol_model(self, name):
         ____, default = ENTRY_POINTS[name](None)
         topology, explicit = ENTRY_POINTS[name](ProtocolModel(2))
-        assert default.key == explicit.key
-        assert default.fingerprint == explicit.fingerprint
+        assert default.links == explicit.links
+        assert default.pairs() == explicit.pairs()
         assert default.hops == explicit.hops == 2
-        assert (explicit.fingerprint
+        assert (explicit.pairs()
                 == conflict_graph(topology, hops=2,
-                                  links=explicit.links).fingerprint)
+                                  links=explicit.links).pairs())
 
     def test_one_hop_protocol_model_is_the_one_hop_relation(self, name):
         topology, index = ENTRY_POINTS[name](ProtocolModel(1))
         assert index.hops == 1
-        assert (index.fingerprint
+        assert (index.pairs()
                 == conflict_graph(topology, hops=1,
-                                  links=index.links).fingerprint)
+                                  links=index.links).pairs())
         ____, two_hop = ENTRY_POINTS[name](None)
-        assert index.key != two_hop.key
+        assert index.pairs() != two_hop.pairs()
 
     def test_sinr_model_passes_through(self, name):
         model = SinrModel()
         topology, index = ENTRY_POINTS[name](model)
         assert index.hops is None
         direct = model.conflict_graph(topology, links=list(index.links))
-        assert index.fingerprint == direct.fingerprint
+        assert index.links == direct.links
+        assert index.pairs() == direct.pairs()
 
     @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
     def test_anything_else_is_rejected(self, name, bad):

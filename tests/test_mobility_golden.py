@@ -56,9 +56,9 @@ def _digest(result) -> str:
 #: motion seed -> digest.  Seed 5 re-selects most (20 changes), seed 15
 #: needs one full re-solve, and seed 19 two, one of them an ILP probe.
 GOLDEN = {
-    5: "79da761cae5714f779c72801caff56f5feb9432978378cd00e584c8d854cee6a",
-    15: "d3d2b4a2057d949c9ef2619cdc6637fa6ba53e53f173dccfccca655ad3f578e0",
-    19: "2e837fd383653a0717f2d8a5754e05aa109e70e6c9324aa214c9e24266127908",
+    5: "3b46b9031d19638edd0b486bbcbf5aba7596ff00846b5aafb63490c01ddec275",
+    15: "da0b9138a262dc2b3f53553c6313a54c6db27c5048b83514de6e69f815f390e0",
+    19: "93f3f7613bfda665fc8f6e44a09299230d035ff4379f8dac195910791efefa92",
 }
 
 

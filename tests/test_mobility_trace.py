@@ -89,6 +89,18 @@ def test_trace_from_model_matches_model_positions():
     assert trace.position(0, 3.5) == model.position(0, 3.5)
 
 
+@pytest.mark.parametrize("argument, kwargs", [
+    ("dt", {"dt": math.nan}),
+    ("dt", {"dt": math.inf}),
+    ("horizon_s", {"dt": 1.0, "horizon_s": math.nan}),
+    ("horizon_s", {"dt": 1.0, "horizon_s": math.inf}),
+], ids=["dt-nan", "dt-inf", "horizon-nan", "horizon-inf"])
+def test_trace_from_model_rejects_non_finite_sampling(argument, kwargs):
+    model = ConstantVelocityModel({0: (0.0, 0.0)}, {0: (1.0, 0.0)}, 5.0)
+    with pytest.raises(ConfigurationError, match=f"^{argument} must be"):
+        MobilityTrace.from_model(model, **kwargs)
+
+
 def test_trace_dump_and_load_follow_the_suffix(tmp_path):
     trace = square_trace()
     for name in ("trace.csv", "trace.jsonl", "trace.ndjson"):

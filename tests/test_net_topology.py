@@ -64,6 +64,19 @@ class TestMeshTopology:
             assert topology.hop_distance(a, b) == depths[a][b]
             assert topology.hop_distance(b, a) == depths[b][a]
 
+    @pytest.mark.parametrize("query", [
+        lambda t: t.eccentricity(99),
+        lambda t: t.hop_distance(99, 99),
+        lambda t: t.hop_distance(0, 99),
+        lambda t: t.hop_distance(99, 0),
+        # the memoised source path: the BFS from 0 has already run
+        lambda t: (t.hop_distance(0, 8), t.hop_distance(0, 99)),
+    ], ids=["eccentricity", "self-distance", "target", "source",
+            "memoised-target"])
+    def test_hop_queries_reject_an_unknown_node(self, grid33, query):
+        with pytest.raises(ConfigurationError, match="node 99 is not in"):
+            query(grid33)
+
     def test_hop_distance_leaves_eccentricities_alone(self, grid33):
         survivor, _ = surviving_topology(grid33, dead_nodes=[8], anchor=0)
         anchor_entry = dict(survivor._eccentricities)

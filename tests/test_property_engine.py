@@ -1,8 +1,8 @@
 """Property-based tests: cached SolverEngine equivalence.
 
-The engine's load-bearing contract: an engine with warm caches --
-conflict indexes and solved problems -- must return *bitwise-identical*
-results to a cold, stateless one (``max_indexes=0, max_problems=0``).
+The engine's load-bearing contract: an engine with a warm index cache
+must return *bitwise-identical* results to a cold, stateless one
+(``max_indexes=0``).
 Same minimum slots, same probe log (regions and verdicts in order), same
 schedule table, on arbitrary small meshes; and repeated searches through
 one engine must not contaminate each other.
@@ -85,11 +85,10 @@ def test_warm_engine_is_bitwise_identical_to_cold(instance):
     """A cache-warm engine answers like a stateless one.
 
     The cached engine searches twice, so its second search reads the
-    conflict-index and problem caches the first one filled.
+    conflict-index cache the first one filled.
     """
     topology, flows = instance
-    cold = _solve(topology, flows,
-                  SolverEngine(max_indexes=0, max_problems=0))
+    cold = _solve(topology, flows, SolverEngine(max_indexes=0))
     cached = SolverEngine()
     for ____ in range(2):
         _assert_identical(_solve(topology, flows, cached), cold)
@@ -185,7 +184,7 @@ def test_exact_policy_is_bitwise_identical_to_the_pre_policy_solver(
     index, demands, constraints = _problem(topology, flows, engine)
 
     # The pre-policy path, verbatim: run_search on a fresh cold engine.
-    reference_engine = SolverEngine(max_indexes=0, max_problems=0)
+    reference_engine = SolverEngine(max_indexes=0)
     reference = reference_engine.run_search(
         index, demands, FRAME.data_slots, tuple(constraints),
         FRAME.data_slots)

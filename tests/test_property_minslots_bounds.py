@@ -13,9 +13,8 @@ meshes (at most 8 demanded links, frames of at most 16 slots) this checks:
 2. the published schedule is conflict-free, lies inside the first ``K``
    slots of a full-length frame and meets every delay budget, with the
    cyclic delay recomputed here rather than by ``core.delay``;
-3. a stateless engine and a cache-warm one (its second search reads the
-   problem cache the first filled) return the same ``K``, probe log and
-   schedule.
+3. a stateless engine and a cache-warm one that has already run the
+   same search return the same ``K``, probe log and schedule.
 
 A second section checks the packing certificate against a brute-force
 oracle on instances of at most 6 demanded links in frames of at most 8
@@ -145,7 +144,7 @@ def _cyclic_delay(schedule, route):
 def test_bounded_search_matches_the_ilp_and_warm_equals_cold(instance):
     conflicts, demands, frame, constraints = instance
     cold = minimum_slots(conflicts, demands, frame, constraints,
-                         engine=SolverEngine(max_indexes=0, max_problems=0),
+                         engine=SolverEngine(max_indexes=0),
                          policy="exact")
 
     # (3) cache-warm == stateless
