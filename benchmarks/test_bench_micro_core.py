@@ -3,11 +3,12 @@
 Unlike the experiment benches (one-shot table generation), these use
 pytest-benchmark's statistical timing to track the cost of the hot
 primitives a deployment would re-run online: conflict-graph and
-conflict-index construction, Bellman-Ford schedule recovery, greedy
-packing, feasibility ILPs, the ILP front end's conflict-clique
-refutation, the delay computation, the S8 check, the packing
-certificate that closes an admission decision, and the mesh work of
-one mobility repair tick, cold and on a warm repair engine.
+conflict-index construction (whole mesh and a repair tick's demanded
+links), Bellman-Ford schedule recovery, greedy packing, feasibility
+ILPs, the ILP front end's conflict-clique refutation, the delay
+computation, the S8 check, the packing certificate that closes an
+admission decision, and the mesh work of one mobility repair tick, cold
+and on a warm repair engine.
 """
 
 import itertools
@@ -70,6 +71,27 @@ def test_bench_micro_conflict_graph(benchmark):
 def test_bench_micro_conflict_graph_churn_mesh(benchmark):
     graph = benchmark(conflict_graph, CHURN_MESH, 2)
     assert graph.num_links == CHURN_MESH.num_links()
+
+
+def test_bench_micro_conflict_graph_churn_demand(benchmark):
+    # The cold build a mesh-churn repair tick pays: the 2-hop relation
+    # over the demanded links only -- the routes of the mesh-churn
+    # workload's four gateway flows (from the farthest nodes but one, the
+    # farthest being the second gateway), 10 links.
+    far = sorted((n for n in CHURN_MESH.nodes if n != 0),
+                 key=lambda n: (CHURN_MESH.hop_distance(0, n), n))
+    links = sorted({link for src in far[-5:-1]
+                    for link in shortest_path_route(CHURN_MESH, src, 0)})
+    index = benchmark(conflict_graph, CHURN_MESH, 2, links)
+    assert index.links == tuple(links) and 8 <= len(links) <= 12
+    # pairwise reference: links conflict iff some endpoints are at most
+    # one hop apart
+    near = dict(nx.all_pairs_shortest_path_length(CHURN_MESH.graph,
+                                                  cutoff=1))
+    assert [list(index.neighbors(a)) for a in links] == [
+        [b for b in links if b != a and any(y in near[x] for x in a
+                                            for y in b)]
+        for a in links]
 
 
 def test_bench_micro_conflict_index_churn_mesh(benchmark):

@@ -19,16 +19,18 @@ Every relation -- k-hop, the channel's exact interference rule
 (:mod:`repro.phy.interference`) and the SINR model -- is a
 :class:`ConflictIndex`: sorted link rows over the canonical link order.
 Every solver layer reads it; its :attr:`~ConflictIndex.graph` is a
-one-way :mod:`networkx` export.  The row builder takes two node sets per
-link (:data:`_NearSets`) and scans an incidence map for them
-(:func:`_conflict_rows`).
+one-way :mod:`networkx` export.  The k-hop relation and the channel's
+exact rule come from one row kernel over link positions
+(:func:`_index_from_masks`): an int bitmask per node names the positions
+of the links leaving and entering it (:func:`_link_bits`), each relation
+ORs those masks over a node's reach once per node, and a link's row is
+the OR of its two endpoints' masks, read out in position order.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import (AbstractSet, Callable, Iterable, Iterator, Mapping,
-                    Optional, Sequence)
+from typing import Iterable, Mapping, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -36,10 +38,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology, hop_depths
 
-#: Row link ``a`` -> (nodes whose outgoing links conflict with ``a``, nodes
-#: whose incoming links do): ``(tb, rb)`` conflicts with ``a`` iff ``tb`` is
-#: in the first set or ``rb`` in the second.  Must define a symmetric relation.
-_NearSets = Callable[[Link], tuple[set[int], set[int]]]
+#: Up to this many links a row's positions are read off its mask one set
+#: bit at a time; wider rows go through numpy a byte at a time.
+_NARROW_LINKS = 32
+#: Mask bytes unpacked per numpy block (bounds the temporaries).
+_BLOCK_BYTES = 1 << 18
+#: ``_BYTE_BITS[b]``: the eight bits of byte ``b``, lowest first.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little")
 
 
 class ConflictIndex:
@@ -67,7 +73,15 @@ class ConflictIndex:
 
     @classmethod
     def from_graph(cls, graph: nx.Graph) -> "ConflictIndex":
-        """The relation of a hand-built :mod:`networkx` graph over links."""
+        """The relation of a hand-built :mod:`networkx` graph over links.
+
+        A self-loop raises :class:`~repro.errors.ConfigurationError`: a
+        link cannot conflict with itself.
+        """
+        loop = next(nx.nodes_with_selfloops(graph), None)
+        if loop is not None:
+            raise ConfigurationError(
+                f"self-loop on {loop}: a link cannot conflict with itself")
         links = sorted(graph.nodes)
         positions = {link: i for i, link in enumerate(links)}
         return cls(links, [sorted(positions[other]
@@ -187,98 +201,138 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
     """
     _check_hops(hops)
     link_list = _resolve_links(topology, links)
-    near = _khop_near_sets(topology, hops)
+    rows = topology.rows
+    out, into = _link_bits(link_list)
+    touching = {node: out.get(node, 0) | into.get(node, 0)
+                for node in out.keys() | into.keys()}
+    # near[x]: the links touching a node within hops - 1 of x
+    if hops == 1:
+        return _index_from_masks(link_list, touching, touching, hops)
+    if hops == 2:
+        near = {node: _union(touching, rows[node], mask)
+                for node, mask in touching.items()}
+        return _index_from_masks(link_list, near, near, hops)
+    reach = {node: hop_depths(rows, (node,), hops - 1).keys()
+             for node in touching}
     # A widened model (hops > 2) whose reach spans the whole mesh from
     # every link is degenerate: all links pairwise conflict, the schedule
     # serialises, and the caller almost certainly mistook ``hops`` for a
     # distance in metres.  hops <= 2 is exempt -- on tiny meshes the
     # 802.16-mandated default legitimately yields a complete conflict
     # graph.
-    if hops > 2 and link_list:
-        num_nodes = topology.num_nodes()
-        if all(len(near(link)[0]) == num_nodes for link in link_list):
-            raise ConfigurationError(
-                f"hops={hops} reaches the whole {num_nodes}-node mesh "
-                "from every link (hops >= network diameter): the "
-                "conflict graph is complete and the schedule degenerates "
-                "to one link per slot. Use a smaller hops value, or an "
-                "SinrModel if you need wider-than-communication "
-                "interference (see docs/interference.md)")
-    return _index_from_rows(link_list, near, hops)
-
-
-def _index_from_rows(link_list: Sequence[Link], near: _NearSets,
-                     hops: Optional[int] = None) -> ConflictIndex:
-    """The :class:`ConflictIndex` of relation ``near`` over ``link_list``."""
-    position = {link: i for i, link in enumerate(link_list)}
-    return ConflictIndex(link_list, [
-        sorted(map(position.__getitem__, partners))
-        for _, partners in _conflict_rows(link_list, near)], hops)
+    num_nodes = topology.num_nodes()
+    if link_list and all(len(reach[u] | reach[v]) == num_nodes
+                         for u, v in link_list):
+        raise ConfigurationError(
+            f"hops={hops} reaches the whole {num_nodes}-node mesh "
+            "from every link (hops >= network diameter): the "
+            "conflict graph is complete and the schedule degenerates "
+            "to one link per slot. Use a smaller hops value, or an "
+            "SinrModel if you need wider-than-communication "
+            "interference (see docs/interference.md)")
+    near = {node: _union(touching, nodes) for node, nodes in reach.items()}
+    return _index_from_masks(link_list, near, near, hops)
 
 
 def _resolve_links(topology: MeshTopology,
                    links: Iterable[Link] | None) -> list[Link]:
-    """All topology links, or the sorted, deduplicated, validated subset."""
+    """All topology links, or the sorted, deduplicated, validated subset.
+
+    Anything but a ``(u, v)`` tuple naming a topology link raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
     if links is None:
         return list(topology.links)
-    link_list = sorted(set(links))
-    for link in link_list:
-        if not topology.has_link(link):
-            raise ConfigurationError(f"{link} is not a link of the topology")
-    return link_list
+    checked = []
+    for link in links:
+        try:
+            valid = (isinstance(link, tuple) and len(link) == 2
+                     and topology.has_link(link))
+        except TypeError:  # an unhashable endpoint
+            valid = False
+        if not valid:
+            raise ConfigurationError(
+                f"{link!r} is not a link of the topology")
+        checked.append(link)
+    return sorted(set(checked))
 
 
-def _khop_near_sets(topology: MeshTopology, hops: int) -> _NearSets:
-    """The k-hop model's near sets: both are ``reach(tx) | reach(rx)``.
+def _link_bits(link_list: Sequence[Link]
+               ) -> tuple[dict[int, int], dict[int, int]]:
+    """Per node, the position bits of the links leaving it and entering it.
 
-    Reach is every node within ``hops - 1``, computed only for endpoints
-    of the rows asked for.
+    Bit ``i`` stands for ``link_list[i]``; a node no link leaves (or
+    enters) has no entry.
     """
-    rows = topology.rows
-    if hops == 2:
-        # reach is the closed neighbourhood, and the endpoints of a link
-        # are each other's neighbours
-        def adjacent(link: Link) -> tuple[set[int], set[int]]:
-            both = {*rows[link[0]], *rows[link[1]]}
-            return both, both
-
-        return adjacent
-    reach: dict[int, AbstractSet[int]] = {}
-
-    def near(link: Link) -> tuple[set[int], set[int]]:
-        for node in link:
-            if node not in reach:
-                reach[node] = hop_depths(rows, (node,), hops - 1).keys()
-        both = reach[link[0]] | reach[link[1]]
-        return both, both
-
-    return near
+    out: dict[int, int] = {}
+    into: dict[int, int] = {}
+    for i, (u, v) in enumerate(link_list):
+        bit = 1 << i
+        out[u] = out.get(u, 0) | bit
+        into[v] = into.get(v, 0) | bit
+    return out, into
 
 
-def _conflict_rows(link_list: Sequence[Link], near: _NearSets
-                   ) -> Iterator[tuple[Link, set[Link]]]:
-    """The relation over ``link_list``, one ``(a, partners)`` row at a time.
+def _union(masks: Mapping[int, int], nodes: Iterable[int],
+           mask: int = 0) -> int:
+    """``mask`` ORed with the masks of ``nodes`` (a node without one adds
+    nothing)."""
+    for node in nodes:
+        mask |= masks.get(node, 0)
+    return mask
 
-    Rows come for every link of ``link_list``, in its order; ``partners``
-    is the set of links conflicting with ``a``.  Candidates come from a
-    node -> links incidence map, so the work is proportional to the
-    output.
+
+def _index_from_masks(link_list: Sequence[Link], tail: Mapping[int, int],
+                      head: Mapping[int, int],
+                      hops: Optional[int] = None) -> ConflictIndex:
+    """The one row kernel: the relation over ``link_list`` as position bits.
+
+    ``tail[u]`` holds the bits of the links that conflict with any link
+    transmitting at ``u`` because of ``u``, ``head[v]`` those of the links
+    that conflict with any link received at ``v`` because of ``v``
+    (:func:`_link_bits` numbers the links).  Row ``i`` of ``(u, v)`` is
+    ``tail[u] | head[v]`` without bit ``i``.  The masks must state a
+    symmetric relation.
     """
-    out_links: dict[int, list[Link]] = {}
-    in_links: dict[int, list[Link]] = {}
-    for link in link_list:
-        out_links.setdefault(link[0], []).append(link)
-        in_links.setdefault(link[1], []).append(link)
-    out_nodes, in_nodes = out_links.keys(), in_links.keys()
-    for a in link_list:
-        out_near, in_near = near(a)
-        partners: set[Link] = set()
-        for node in out_nodes & out_near:
-            partners.update(out_links[node])
-        for node in in_nodes & in_near:
-            partners.update(in_links[node])
-        partners.discard(a)
-        yield a, partners
+    masks = [(tail[u] | head[v]) & ~(1 << i)
+             for i, (u, v) in enumerate(link_list)]
+    return ConflictIndex(link_list, _bit_rows(masks, len(link_list)), hops)
+
+
+def _bit_rows(masks: Sequence[int], width: int) -> list[list[int]]:
+    """The set-bit positions of each mask, ascending.
+
+    Narrow masks pop their lowest bit until none is left.  Wide ones are
+    written out as little-endian bytes, a block of masks at a time, and
+    numpy reads the bits of just the nonzero bytes, which costs
+    O(bytes + output) instead of a big-int step per set bit.
+    """
+    if width <= _NARROW_LINKS:
+        rows = []
+        for mask in masks:
+            row = []
+            while mask:
+                low = mask & -mask
+                row.append(low.bit_length() - 1)
+                mask ^= low
+            rows.append(row)
+        return rows
+    size = (width + 7) // 8
+    step = max(1, _BLOCK_BYTES // size)
+    flat: list[int] = []
+    for start in range(0, len(masks), step):
+        raw = np.frombuffer(b"".join(
+            mask.to_bytes(size, "little")
+            for mask in masks[start:start + step]), np.uint8)
+        nonzero = np.flatnonzero(raw)
+        byte, bit = np.nonzero(_BYTE_BITS[raw[nonzero]])
+        flat += (nonzero[byte] % size * 8 + bit).tolist()
+    rows, at = [], 0
+    for mask in masks:
+        count = mask.bit_count()
+        rows.append(flat[at:at + count])
+        at += count
+    return rows
 
 
 def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:

@@ -51,6 +51,7 @@ from repro.core.conflict import (
     ConflictIndex,
     _clique_weight,
     _Demanded,
+    _resolve_links,
     conflict_graph,
 )
 from repro.core.greedy import (
@@ -151,7 +152,11 @@ class SolverEngine:
         from repro.phy.models import ProtocolModel, coerce_interference
 
         model = coerce_interference(interference)
-        link_key = None if links is None else tuple(sorted(set(links)))
+        try:
+            link_key = None if links is None else tuple(sorted(set(links)))
+        except TypeError:  # an unhashable or unorderable link: name it
+            _resolve_links(topology, links)
+            raise
         if isinstance(model, ProtocolModel):
             hops = model.hops
             kind = ("conflict", hops, link_key)

@@ -25,39 +25,44 @@ reception iff any of:
   receiver);
 - ``ta`` is a radio neighbour of ``rb`` (symmetrically).
 
-This module only states that rule as per-link node sets
-(:func:`_channel_near_sets`); the relation itself comes from the same
-row builder in :mod:`repro.core.conflict` that builds the k-hop protocol
+This module only states that rule as per-node link masks
+(:func:`_channel_index`); the relation itself comes from the same row
+kernel in :mod:`repro.core.conflict` that builds the k-hop protocol
 relations, as a :class:`~repro.core.conflict.ConflictIndex`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.core.conflict import ConflictIndex, _index_from_rows, _NearSets
+from repro.core.conflict import (ConflictIndex, _index_from_masks,
+                                 _link_bits, _union)
 from repro.net.topology import Link, MeshTopology
 from repro.phy.models import InterferenceModel, coerce_interference
 
 
 def interference_graph(topology: MeshTopology) -> ConflictIndex:
     """The exact link-interference relation implied by the channel model."""
-    return _index_from_rows(topology.links, _channel_near_sets(topology))
+    return _channel_index(topology, topology.links)
 
 
-def _channel_near_sets(topology: MeshTopology) -> _NearSets:
-    """The channel rule's near sets for a link ``(ta, ra)``.
+def _channel_index(topology: MeshTopology,
+                   link_list: Sequence[Link]) -> ConflictIndex:
+    """The channel rule over the sorted links ``link_list``.
 
-    Outgoing links from ``{ta, ra} | N(ra)`` and incoming links into
-    ``{ta, ra} | N(ta)`` interfere with it.
+    Link ``(tb, rb)`` interferes with ``(ta, ra)`` iff ``tb`` is in
+    ``{ta, ra} | N(ra)`` or ``rb`` in ``{ta, ra} | N(ta)``.  Split by
+    endpoint: transmitting at ``ta`` meets the links leaving ``ta`` and
+    those entering ``ta`` or a neighbour of it; receiving at ``ra`` meets
+    the links entering ``ra`` and those leaving ``ra`` or a neighbour.
     """
     rows = topology.rows
-
-    def near(link: Link) -> tuple[set[int], set[int]]:
-        ta, ra = link
-        return ({ta, ra, *rows[ra]}, {ta, ra, *rows[ta]})
-
-    return near
+    out, into = _link_bits(link_list)
+    tail = {node: _union(into, (node, *rows[node]), mask)
+            for node, mask in out.items()}
+    head = {node: _union(out, (node, *rows[node]), mask)
+            for node, mask in into.items()}
+    return _index_from_masks(link_list, tail, head)
 
 
 def _truth_graph(topology: MeshTopology,

@@ -8,13 +8,17 @@ No self-consistency test can tell whether a refactor changed the
   grid and chain), the channel's exact interference relation and an
   :class:`~repro.phy.models.SinrModel` on a seeded disk mesh;
 - the ILP's order-variable pairs, decoded from the constraint matrix
-  handed to the MILP solver, in variable order.
+  handed to the MILP solver, in variable order;
+- the rows, as CSR arrays, of the full k-hop and exact indexes of E21's
+  480-node city-scale disk: thousands of links, so every row goes through
+  the wide (numpy) path of the row kernel.
 
 A digest that moves means the schedules and probe logs of every
 consumer may move with it.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -129,3 +133,27 @@ def test_relation_content_is_pinned(name, monkeypatch):
     pairs = _ilp_pairs(problem, monkeypatch)
     assert (_relation_digest(relation), len(pairs),
             _digest(pairs)) == (relation_digest, num_pairs, pair_digest)
+
+
+#: relation -> SHA-256 of the links, then the CSR ``indptr`` and ``indices``
+#: bytes, of that relation over every link of E21's 480-node disk.
+E21_DISK_ROWS = {
+    "hop2": "4e9c250b212f81fbcfd7718f539df502645da5b7b384539c088a6c04710656aa",
+    "exact": "a0fa52217ed781504d29838c4c196ca3090b2392d1f8014781782fd739cefeee",
+}
+
+
+@pytest.mark.parametrize("relation", sorted(E21_DISK_ROWS))
+def test_e21_disk_rows_are_pinned(relation):
+    num_nodes, radio_range = 480, 100.0
+    topology = random_disk_topology(
+        num_nodes, radio_range=radio_range,
+        area=radio_range * math.sqrt(num_nodes * math.pi / 7.0),
+        seed=29 + num_nodes)
+    index = (conflict_graph(topology, hops=2) if relation == "hop2"
+             else interference_graph(topology))
+    assert index.num_links == 3188
+    digest = hashlib.sha256(repr(index.links).encode())
+    digest.update(index.indptr.tobytes())
+    digest.update(index.indices.tobytes())
+    assert digest.hexdigest() == E21_DISK_ROWS[relation]

@@ -9,9 +9,11 @@ from repro.core.conflict import (
     conflict_graph,
     max_conflict_clique_demand,
 )
+from repro.core.engine import SolverEngine
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import default_frame_config
 from repro.net.topology import chain_topology, grid_topology, star_topology
+from repro.phy.models import SinrModel
 from repro.qos.admission import QosAdmissionController
 
 
@@ -115,6 +117,12 @@ class TestConflictIndex:
         with pytest.raises(ConfigurationError, match="not a vertex"):
             conflicts.has_edge((0, 1), (2, 3))
 
+    def test_from_graph_rejects_a_self_loop(self):
+        a, b = (0, 1), (1, 2)
+        graph = nx.Graph([(a, b), (a, a)])
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            ConflictIndex.from_graph(graph)
+
     def test_graph_export_round_trips(self, grid33):
         conflicts = conflict_graph(grid33, hops=2)
         graph = conflicts.graph
@@ -124,6 +132,36 @@ class TestConflictIndex:
         again = ConflictIndex.from_graph(graph)
         assert again.links == conflicts.links
         assert again.pairs() == conflicts.pairs()
+
+
+class TestMalformedLinks:
+    """Every builder names a requested link that is not a ``(u, v)`` link
+    of the topology, whatever its shape."""
+
+    def test_three_tuple_to_conflict_graph(self, grid33):
+        with pytest.raises(ConfigurationError, match=r"\(0, 1, 2\)"):
+            conflict_graph(grid33, 2, links=[(0, 1, 2), (1, 0)])
+
+    def test_three_tuple_to_the_engine(self, grid33):
+        with pytest.raises(ConfigurationError, match=r"\(0, 1, 7\)"):
+            SolverEngine().conflict_index(grid33, links=[(0, 1, 7)])
+
+    def test_three_tuple_to_the_sinr_model(self, grid33):
+        with pytest.raises(ConfigurationError, match=r"\(0, 1, 2\)"):
+            SinrModel().conflict_graph(grid33, links=[(0, 1, 2)])
+
+    @pytest.mark.parametrize("build", [
+        lambda topology, links: conflict_graph(topology, 2, links=links),
+        lambda topology, links: SolverEngine().conflict_index(
+            topology, links=links),
+    ], ids=["conflict_graph", "engine"])
+    def test_list_link(self, grid33, build):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            build(grid33, [[0, 1]])
+
+    def test_one_tuple(self, grid33):
+        with pytest.raises(ConfigurationError, match=r"\(0,\)"):
+            conflict_graph(grid33, 2, links=[(0,)])
 
 
 @pytest.mark.parametrize("bad", [True, 0, 2.5, "2"])

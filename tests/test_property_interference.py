@@ -11,13 +11,15 @@ resolve to the *same* index object, or warm solver state would silently
 fork per spelling).
 
 Both relations -- k-hop and the channel's exact rule -- come from one
-incidence-map builder; the reference tests at the end pin it, and the
-engine's CSR builds, to naive pairwise scans, down to node, edge and
-adjacency order, and check S8 validation on an index against validation
-on its graph.
+row kernel over link-position bitsets; the reference tests at the end pin
+it, and the engine's CSR builds, to naive pairwise scans, down to node,
+edge and adjacency order -- on small generator meshes (narrow rows) and
+on an E21 city-scale disk (wide rows, across numpy blocks) -- and check
+S8 validation on an index against validation on its graph.
 """
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -25,11 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflict import (
-    _index_from_rows,
-    _khop_near_sets,
-    conflict_graph,
-)
+import repro.core.conflict as conflict_module
+from repro.core.conflict import conflict_graph
 from repro.core.engine import SolverEngine
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import ConfigurationError
@@ -38,7 +37,7 @@ from repro.net.topology import (
     grid_topology,
     random_disk_topology,
 )
-from repro.phy.interference import _channel_near_sets, interference_graph
+from repro.phy.interference import _channel_index, interference_graph
 from repro.phy.models import ProtocolModel
 
 HOPS = st.integers(min_value=1, max_value=2)
@@ -124,11 +123,16 @@ def test_identity_survives_in_place_churn(topology, hops, data):
 
 # -- the shared builder against pairwise reference scans --------------------
 
-def _khop_reference(topology, hops, link_list):
-    """The O(L^2) pairwise k-hop scan: link pairs in i < j order."""
-    reach = {node: set(nx.single_source_shortest_path_length(
+def _khop_reach(topology, hops):
+    """Node -> every node within ``hops - 1`` of it, by networkx BFS."""
+    return {node: set(nx.single_source_shortest_path_length(
         topology.graph, node, cutoff=hops - 1))
         for node in topology.graph.nodes}
+
+
+def _khop_reference(topology, hops, link_list):
+    """The O(L^2) pairwise k-hop scan: link pairs in i < j order."""
+    reach = _khop_reach(topology, hops)
     graph = nx.Graph()
     graph.add_nodes_from(link_list)
     for i, a in enumerate(link_list):
@@ -180,24 +184,52 @@ def test_builder_matches_pairwise_reference(relation, topology, data):
                               label="links")
     link_list = links if requested is None else sorted(set(requested))
     if relation == "exact":
-        near = _channel_near_sets(topology)
         reference = _channel_reference(topology, link_list)
         built = (interference_graph(topology) if requested is None
-                 else _index_from_rows(link_list, near))
+                 else _channel_index(topology, link_list))
     else:
         hops = int(relation.split("=")[1])
-        near = _khop_near_sets(topology, hops)
         reference = _khop_reference(topology, hops, link_list)
         try:
             built = conflict_graph(topology, hops=hops, links=requested)
         except ConfigurationError:
             # the degenerate-hops guard: only when every link reaches
             # the whole mesh
-            num_nodes = topology.num_nodes()
+            reach = _khop_reach(topology, hops)
             assert hops > 2 and link_list
-            assert all(len(near(link)[0]) == num_nodes
-                       for link in link_list)
+            assert all(len(reach[u] | reach[v]) == topology.num_nodes()
+                       for u, v in link_list)
             return
+    _assert_same_graph_order(built.graph, reference)
+
+
+def _e21_disk(num_nodes):
+    """E21's random-disk mesh of ``num_nodes`` (~7 neighbours each)."""
+    radio_range = 100.0
+    return random_disk_topology(
+        num_nodes, radio_range=radio_range,
+        area=radio_range * math.sqrt(num_nodes * math.pi / 7.0),
+        seed=29 + num_nodes)
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 10, 1 << 18])
+@pytest.mark.parametrize("relation", ["hops=1", "hops=2", "hops=3",
+                                      "exact"])
+def test_wide_rows_match_pairwise_reference(relation, block_bytes,
+                                            monkeypatch):
+    """Full indexes of E21's 60-node disk, whose rows are unpacked by
+    numpy: in one block, and in many (1 KB blocks of 22 rows each)."""
+    monkeypatch.setattr(conflict_module, "_BLOCK_BYTES", block_bytes)
+    topology = _e21_disk(60)
+    links = topology.links
+    assert len(links) > conflict_module._NARROW_LINKS
+    if relation == "exact":
+        built = interference_graph(topology)
+        reference = _channel_reference(topology, links)
+    else:
+        hops = int(relation.split("=")[1])
+        built = conflict_graph(topology, hops=hops)
+        reference = _khop_reference(topology, hops, links)
     _assert_same_graph_order(built.graph, reference)
 
 
