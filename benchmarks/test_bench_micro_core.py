@@ -7,7 +7,8 @@ conflict-index construction (whole mesh and a repair tick's demanded
 links), Bellman-Ford schedule recovery, greedy packing, feasibility
 ILPs, the ILP front end's conflict-clique refutation, the delay
 computation, the S8 check, the packing certificate that closes an
-admission decision, and the mesh work of one mobility repair tick, cold
+admission decision, a mobility stream's snapshots and its lowering onto
+the fault machinery, and the mesh work of one mobility repair tick, cold
 and on a warm repair engine.
 """
 
@@ -45,7 +46,10 @@ from repro.net.topology import (
 )
 from repro.phy.interference import interference_graph
 from repro.traffic.voip import G729
-from tests.stream_oracle import assert_same_snapshots
+from tests.stream_oracle import (
+    assert_same_snapshots,
+    assert_union_base_matches_from_edges,
+)
 
 TOPOLOGY = grid_topology(4, 4)
 DEMANDS = {link: 1 for link in TOPOLOGY.links}
@@ -209,6 +213,30 @@ def test_bench_micro_stream_snapshots(benchmark):
 
     stream = benchmark(fresh)
     assert_same_snapshots(stream)
+
+
+def test_bench_micro_stream_lowering(benchmark):
+    # A fresh mesh-churn stream's lowering onto the fault machinery, its
+    # snapshots already computed: the union base, the t=0 dead sets and
+    # the fault plan, built once per stream and gateway.
+    motion = RandomWaypointModel(36, 900.0, 10.0, 10.0, seed=5)
+    radio = RadioRangeModel(220.0, hysteresis=0.15)
+
+    def fresh():
+        stream = TopologyStream(motion, radio, dt=0.25)
+        stream.snapshots()
+        return (stream,), {}
+
+    def lower(stream):
+        return stream, stream.fault_plan(0)
+
+    stream, world = benchmark.pedantic(lower, setup=fresh, rounds=50)
+    assert stream.fault_plan(0) is world
+    assert_union_base_matches_from_edges(stream, 0, world.topology,
+                                         world.dropped_nodes)
+    t0_nodes, t0_edges = stream.snapshots()[0][1:]
+    assert world.dead_nodes == frozenset(world.topology.rows) - t0_nodes
+    assert world.dead_edges == frozenset(world.topology.edges) - t0_edges
 
 
 def _churn_world():

@@ -10,6 +10,7 @@ channel/clock/topology layers expose for exactly this purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,27 @@ LINK_KINDS = frozenset({"link_down", "link_up", "link_loss", "control_loss"})
 ALL_KINDS = NODE_KINDS | LINK_KINDS
 #: kinds that change the connectivity graph (and hence trigger repair)
 TOPOLOGY_KINDS = frozenset({"node_down", "node_up", "link_down", "link_up"})
+
+
+def _check_time(at_s: float, what: str) -> None:
+    """Reject an event time that is negative or not finite."""
+    # written so that NaN fails too: every comparison with it is False
+    if not 0 <= at_s < math.inf:
+        raise ConfigurationError(
+            f"{what} time at_s must be non-negative and finite, "
+            f"got {at_s!r}")
+
+
+def _sorted_link(link) -> tuple[int, int]:
+    """An undirected link ``(u, v)`` as its sorted pair."""
+    try:
+        u, v = link
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"link must be a (u, v) node pair, got {link!r}") from None
+    if u == v:
+        raise ConfigurationError(f"degenerate link ({u}, {v})")
+    return (min(u, v), max(u, v))
 
 
 @dataclass(frozen=True)
@@ -60,8 +82,7 @@ class FaultEvent:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{sorted(ALL_KINDS)}")
-        if self.at_s < 0:
-            raise ConfigurationError(f"fault time {self.at_s} is negative")
+        _check_time(self.at_s, "fault")
         if self.kind in NODE_KINDS:
             if self.node is None:
                 raise ConfigurationError(f"{self.kind} fault needs a node")
@@ -74,19 +95,17 @@ class FaultEvent:
             if self.node is not None:
                 raise ConfigurationError(
                     f"{self.kind} fault takes a link, not a node")
-            u, v = self.link
-            if u == v:
-                raise ConfigurationError(f"degenerate link ({u}, {v})")
-            object.__setattr__(self, "link", (min(u, v), max(u, v)))
+            object.__setattr__(self, "link", _sorted_link(self.link))
         if self.kind in ("link_loss", "control_loss"):
             if self.value is None or not 0.0 <= self.value < 1.0:
                 raise ConfigurationError(
                     f"{self.kind} needs a loss rate in [0, 1), "
                     f"got {self.value}")
         elif self.kind == "clock_glitch":
-            if self.value is None:
+            if self.value is None or not math.isfinite(self.value):
                 raise ConfigurationError(
-                    "clock_glitch needs a phase jump value")
+                    "clock_glitch value must be a finite phase jump, "
+                    f"got {self.value!r}")
         elif self.value is not None:
             raise ConfigurationError(
                 f"{self.kind} fault does not take a value")

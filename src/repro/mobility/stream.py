@@ -32,14 +32,9 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.faults.events import FaultEvent
+from repro.faults.events import FaultEvent, _check_time, _sorted_link
 from repro.faults.plan import FaultPlan
-from repro.net.topology import (
-    MeshTopology,
-    _nearest_sources,
-    from_edges,
-    hop_depths,
-)
+from repro.net.topology import MeshTopology, _nearest_sources, hop_depths
 
 #: Delta kinds a stream can emit.
 DELTA_KINDS = frozenset({"link_up", "link_down", "node_join", "node_leave"})
@@ -137,18 +132,14 @@ class TopologyDelta:
             raise ConfigurationError(
                 f"unknown delta kind {self.kind!r}; expected one of "
                 f"{sorted(DELTA_KINDS)}")
-        if self.at_s < 0:
-            raise ConfigurationError(f"delta time {self.at_s} is negative")
+        _check_time(self.at_s, "delta")
         if self.kind.startswith("node"):
             if self.node is None or self.link is not None:
                 raise ConfigurationError(f"{self.kind} delta needs a node")
         else:
             if self.link is None or self.node is not None:
                 raise ConfigurationError(f"{self.kind} delta needs a link")
-            u, v = self.link
-            if u == v:
-                raise ConfigurationError(f"degenerate link ({u}, {v})")
-            object.__setattr__(self, "link", (min(u, v), max(u, v)))
+            object.__setattr__(self, "link", _sorted_link(self.link))
 
     def sort_key(self) -> tuple:
         """Deterministic total order: time, kind, victim."""
@@ -219,6 +210,7 @@ class TopologyStream:
         self._snapshots: Optional[list[tuple[float, frozenset[int],
                                     frozenset[tuple[int, int]]]]] = None
         self._first_seen: dict[int, tuple[float, float]] = {}
+        self._worlds: dict[int, StreamWorld] = {}
 
     def sample_times(self) -> list[float]:
         """The sampling grid ``0, dt, 2*dt, ...`` up to the horizon."""
@@ -336,22 +328,26 @@ class TopologyStream:
         re-seeding).  Nodes that never connect to the gateway's
         component -- even transitively, even briefly -- are dropped: no
         schedule can ever carry their traffic.
+
+        The topology is built straight from rows: each component node's
+        sorted union neighbours, in sorted node order.  No
+        :mod:`networkx` graph is built; :attr:`MeshTopology.graph`
+        exports a plain one on first read.
         """
         nodes, edges = self.union()
         if gateway not in nodes:
             raise ConfigurationError(
                 f"gateway {gateway} never appears in the stream")
-        component = hop_depths(_adjacency(nodes, edges), [gateway])
-        kept_edges = sorted(e for e in edges if e[0] in component)
-        if not kept_edges and len(component) > 1:  # pragma: no cover
-            raise ConfigurationError("union component has no edges")
+        adjacency = _adjacency(nodes, edges)
+        component = hop_depths(adjacency, [gateway])
         if len(component) == 1:
             raise ConfigurationError(
                 f"gateway {gateway} never hears another node; "
                 "no mesh to schedule")
-        positions = {n: self._first_seen[n] for n in sorted(component)}
-        topology = from_edges(kept_edges, name="mobility-union",
-                              positions=positions)
+        rows = {n: tuple(sorted(adjacency[n])) for n in sorted(component)}
+        positions = {n: self._first_seen[n] for n in rows}
+        topology = MeshTopology._from_rows(rows, positions, "mobility-union",
+                                           None)
         return topology, frozenset(nodes.difference(component))
 
     def fault_plan(self, gateway: int = 0) -> StreamWorld:
@@ -359,8 +355,17 @@ class TopologyStream:
 
         The gateway anchors repair, so it must be present in *every*
         snapshot -- a mobile gateway that leaves the field mid-run is a
-        configuration error, not a fault to survive.
+        configuration error, not a fault to survive; that error is
+        raised on every call.
+
+        Computed once per stream and gateway and cached, like
+        :meth:`snapshots`: later calls return the same
+        :class:`StreamWorld`, shared by every caller and read-only to
+        them (:func:`~repro.mobility.run.run_mobility` only reads it).
         """
+        world = self._worlds.get(gateway)
+        if world is not None:
+            return world
         for t, nodes, _ in self.snapshots():
             if gateway not in nodes:
                 raise ConfigurationError(
@@ -386,11 +391,13 @@ class TopologyStream:
                 events.append(FaultEvent(delta.at_s,
                                          _FAULT_KIND[delta.kind],
                                          link=delta.link))
-        return StreamWorld(topology=topology,
-                           dead_nodes=frozenset(dead_nodes),
-                           dead_edges=frozenset(dead_edges),
-                           plan=FaultPlan.scripted(events, topology),
-                           dropped_nodes=dropped)
+        world = StreamWorld(topology=topology,
+                            dead_nodes=frozenset(dead_nodes),
+                            dead_edges=frozenset(dead_edges),
+                            plan=FaultPlan.scripted(events, topology),
+                            dropped_nodes=dropped)
+        self._worlds[gateway] = world
+        return world
 
 
 def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]

@@ -74,8 +74,12 @@ class MeshTopology:
     @classmethod
     def _from_rows(cls, rows: dict[int, tuple[int, ...]],
                    positions: dict[int, tuple[float, float]], name: str,
-                   source: nx.Graph) -> "MeshTopology":
-        """A topology on rows the caller built sorted and connected."""
+                   source: Optional[nx.Graph]) -> "MeshTopology":
+        """A topology on rows the caller built sorted and connected.
+
+        ``source`` is the graph whose data the lazy :attr:`graph` export
+        copies; ``None`` exports a plain :class:`networkx.Graph`.
+        """
         topology = cls.__new__(cls)
         topology._graph = None
         topology._source = source
@@ -119,16 +123,23 @@ class MeshTopology:
     def graph(self) -> nx.Graph:
         """One-way :mod:`networkx` export of the connectivity.
 
-        The caller's graph; a survivor builds one on first access, with
-        sorted nodes and edges and data copied from its base's graph.
+        The caller's graph; a rows-born topology (a survivor, a mobility
+        union base) builds one on first access, with sorted nodes and
+        edges and data copied from its source graph, if it has one.
         """
         if self._graph is None:
             source = self._source
-            graph = source.__class__()
-            graph.graph.update(source.graph)
-            graph.add_nodes_from((n, source.nodes[n]) for n in self.rows)
-            graph.add_edges_from((u, v, source.adj[u][v])
-                                 for u, v in self.edges)
+            if source is None:
+                graph = nx.Graph()
+                graph.add_nodes_from(self.rows)
+                graph.add_edges_from(self.edges)
+            else:
+                graph = source.__class__()
+                graph.graph.update(source.graph)
+                graph.add_nodes_from((n, source.nodes[n])
+                                     for n in self.rows)
+                graph.add_edges_from((u, v, source.adj[u][v])
+                                     for u, v in self.edges)
             self._graph = graph
         return self._graph
 

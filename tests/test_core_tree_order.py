@@ -1,10 +1,12 @@
 """Min-delay ordering on scheduling trees."""
 
+import itertools
+
 import pytest
 
 from repro.core.conflict import conflict_graph
-from repro.core.delay import order_wraps, path_wraps
-from repro.core.ordering import schedule_from_order
+from repro.core.delay import order_wraps, path_delay_slots, path_wraps
+from repro.core.ordering import TransmissionOrder, schedule_from_order
 from repro.core.tree_order import (
     adversarial_tree_order,
     min_delay_tree_order,
@@ -13,7 +15,22 @@ from repro.core.tree_order import (
 )
 from repro.errors import ConfigurationError
 from repro.net.routing import gateway_tree, route_on_tree
-from repro.net.topology import binary_tree_topology, chain_topology, grid_topology
+from repro.net.topology import (
+    binary_tree_topology,
+    chain_topology,
+    grid_topology,
+    star_topology,
+)
+
+#: On a chain of four with the gateway on an inner node, same-depth
+#: uplinks go smallest link first, which puts the near leaf's uplink
+#: between the far leaf's two uplink hops (on the mirror chain, the same
+#: happens to the downlinks): that route takes 3 slots where another
+#: order needs only 2.
+_SLOT_GAP = pytest.mark.xfail(
+    strict=True,
+    reason="wrap-free but not slot-optimal: largest gateway-route delay "
+           "3 slots against a brute-force minimum of 2")
 
 
 class TestTreeDepths:
@@ -81,6 +98,64 @@ class TestMinDelayOrder:
         conflicts = conflict_graph(chain8, hops=2, links=demands.keys())
         schedule = schedule_from_order(conflicts, demands, 16, order)
         assert path_wraps(schedule, route) == 0
+
+
+#: Every small tree: chains of 2-4 nodes and a 3-leaf star, the gateway
+#: at an end and in the middle.
+SMALL_TREES = {
+    "chain2-end": (chain_topology(2), 0),
+    "chain3-end": (chain_topology(3), 0),
+    "chain3-middle": (chain_topology(3), 1),
+    "chain4-end": (chain_topology(4), 0),
+    "chain4-middle": (chain_topology(4), 1),
+    "chain4-middle-mirror": (chain_topology(4), 2),
+    "star3-hub": (star_topology(3), 0),
+    "star3-leaf": (star_topology(3), 1),
+}
+
+
+def _small_tree(name):
+    """The tree order of ``SMALL_TREES[name]`` and a function giving any
+    order's largest delay (slots) and wraps over the gateway routes.
+
+    Every directed tree link carries a unit demand under 2-hop
+    conflicts; an order's schedule is its earliest one in a frame of one
+    slot per link, which every order fits.
+    """
+    topology, gateway = SMALL_TREES[name]
+    tree = gateway_tree(topology, gateway)
+    order = min_delay_tree_order(tree, gateway)
+    demands = {link: 1 for link in order.links()}
+    conflicts = conflict_graph(topology, hops=2, links=demands.keys())
+    routes = [route_on_tree(tree, gateway, *pair)
+              for node in topology.nodes if node != gateway
+              for pair in ((node, gateway), (gateway, node))]
+
+    def worst(candidate):
+        schedule = schedule_from_order(conflicts, demands, len(demands),
+                                       candidate)
+        return (max(path_delay_slots(schedule, route) for route in routes),
+                max(path_wraps(schedule, route) for route in routes))
+
+    return order, worst
+
+
+@pytest.mark.parametrize("name", SMALL_TREES)
+def test_tree_order_is_wrap_free_on_small_trees(name):
+    order, worst = _small_tree(name)
+    assert worst(order)[1] == 0
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_SLOT_GAP) if name.startswith("chain4-middle")
+    else name for name in SMALL_TREES])
+def test_tree_order_matches_brute_force_over_every_order(name):
+    """Over every order of the <= 6 tree links, the tree order's largest
+    gateway-route delay is the minimum."""
+    order, worst = _small_tree(name)
+    best = min(worst(TransmissionOrder.from_ranking(list(ranking)))[0]
+               for ranking in itertools.permutations(order.links()))
+    assert worst(order)[0] == best
 
 
 class TestBaselineOrders:

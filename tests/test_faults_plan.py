@@ -1,5 +1,7 @@
 """Fault events and plans: validation, ordering, seeded stochastic churn."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,32 @@ class TestFaultEvent:
     def test_invalid_events_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             FaultEvent(**bad)
+
+    @pytest.mark.parametrize("bad,field", [
+        (dict(at_s=math.nan, kind="node_down", node=0), "at_s"),
+        (dict(at_s=math.inf, kind="node_down", node=0), "at_s"),
+        (dict(at_s=-math.inf, kind="link_up", link=(0, 1)), "at_s"),
+        (dict(at_s=1.0, kind="clock_glitch", node=1, value=math.nan),
+         "value"),
+        (dict(at_s=1.0, kind="clock_glitch", node=1, value=math.inf),
+         "value"),
+        (dict(at_s=1.0, kind="clock_glitch", node=1, value=-math.inf),
+         "value"),
+        (dict(at_s=1.0, kind="link_down", link=(0, 1, 2)), "link"),
+        (dict(at_s=1.0, kind="link_down", link=(0,)), "link"),
+        (dict(at_s=1.0, kind="link_down", link=7), "link"),
+    ], ids=["at-nan", "at-inf", "at-minus-inf", "glitch-nan", "glitch-inf",
+            "glitch-minus-inf", "link-triple", "link-single", "link-int"])
+    def test_non_finite_or_malformed_fields_name_the_field(self, bad, field):
+        """Rejected with a ConfigurationError, never a bare ValueError."""
+        with pytest.raises(ConfigurationError, match=field):
+            FaultEvent(**bad)
+
+    def test_nan_time_cannot_unorder_a_plan(self):
+        with pytest.raises(ConfigurationError, match="at_s"):
+            FaultPlan([FaultEvent(2.0, "node_down", node=0),
+                       FaultEvent(math.nan, "node_down", node=1),
+                       FaultEvent(1.0, "node_down", node=2)])
 
 
 class TestScriptedPlan:

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.core.engine import SolverEngine
 from repro.errors import ConfigurationError
-from repro.mobility.models import ConstantVelocityModel
+from repro.mobility.models import ConstantVelocityModel, RandomWaypointModel
+from repro.mobility.run import run_mobility
 from repro.mobility.stream import (
     RadioRangeModel,
     TopologyDelta,
@@ -13,6 +15,7 @@ from repro.mobility.stream import (
     gateway_selection,
 )
 from repro.mobility.trace import MobilityTrace
+from repro.net.flows import Flow
 from repro.net.topology import random_disk_topology
 
 
@@ -65,6 +68,21 @@ def test_delta_normalises_links_and_validates():
         TopologyDelta(1.0, "link_down", node=3)
     with pytest.raises(ConfigurationError):
         TopologyDelta(1.0, "link_up", link=(2, 2))
+
+
+@pytest.mark.parametrize("bad,field", [
+    (dict(at_s=math.nan, kind="node_join", node=1), "at_s"),
+    (dict(at_s=math.inf, kind="node_join", node=1), "at_s"),
+    (dict(at_s=-math.inf, kind="link_up", link=(0, 1)), "at_s"),
+    (dict(at_s=1.0, kind="link_up", link=(0, 1, 2)), "link"),
+    (dict(at_s=1.0, kind="link_down", link=(0,)), "link"),
+    (dict(at_s=1.0, kind="link_down", link=7), "link"),
+], ids=["at-nan", "at-inf", "at-minus-inf", "link-triple", "link-single",
+        "link-int"])
+def test_delta_rejects_non_finite_times_and_malformed_links(bad, field):
+    """Rejected with a ConfigurationError, never a bare ValueError."""
+    with pytest.raises(ConfigurationError, match=field):
+        TopologyDelta(**bad)
 
 
 # -- streams ---------------------------------------------------------------
@@ -181,6 +199,60 @@ def test_fault_plan_requires_the_gateway_in_every_snapshot():
     stream = TopologyStream(MobilityTrace(samples), 100.0, dt=1.0)
     with pytest.raises(ConfigurationError):
         stream.fault_plan(gateway=0)
+
+
+def test_fault_plan_is_computed_once_per_gateway_and_shared():
+    samples = [(float(t), 0, 0.0, 0.0) for t in range(7)]
+    samples += [(float(t), 1, 80.0, 0.0) for t in range(7)]
+    samples += [(float(t), 2, 40.0, 30.0) for t in range(2, 7)]
+    stream = TopologyStream(MobilityTrace(samples), 100.0, dt=1.0)
+    world = stream.fault_plan(0)
+    assert stream.fault_plan(0) is world
+    assert stream.fault_plan(gateway=0) is world
+    # another gateway gets its own world, cached in its turn
+    other = stream.fault_plan(1)
+    assert other is not world
+    assert stream.fault_plan(1) is other
+    fresh = TopologyStream(MobilityTrace(samples), 100.0,
+                           dt=1.0).fault_plan(1)
+    assert other.topology.rows == fresh.topology.rows
+    assert (other.dead_nodes, other.dead_edges, other.dropped_nodes) == (
+        fresh.dead_nodes, fresh.dead_edges, fresh.dropped_nodes)
+    assert other.plan.events == fresh.plan.events
+    assert stream.fault_plan(0) is world
+
+
+@pytest.mark.parametrize("gateway", [0, 99])
+def test_missing_gateway_raises_on_every_call(gateway):
+    # gateway 0 is absent before t=2; gateway 99 never appears
+    samples = [(float(t), 0, 0.0, 0.0) for t in range(2, 5)]
+    samples += [(float(t), 1, 50.0, 0.0) for t in range(0, 5)]
+    samples += [(float(t), 2, 90.0, 0.0) for t in range(0, 5)]
+    stream = TopologyStream(MobilityTrace(samples), 100.0, dt=1.0)
+    for _ in range(3):
+        with pytest.raises(ConfigurationError, match=f"gateway {gateway}"):
+            stream.fault_plan(gateway)
+    # a valid gateway on the same stream still lowers
+    assert stream.fault_plan(1).topology.nodes == [0, 1, 2]
+
+
+def test_runs_on_a_shared_world_equal_a_run_on_a_fresh_stream():
+    """A run reads the cached world and leaves it as it found it."""
+    def stream():
+        return TopologyStream(RandomWaypointModel(8, 300.0, 15.0, 8.0,
+                                                  seed=4), 140.0, dt=1.0)
+
+    def run(on):
+        return run_mobility(on, [Flow("f0", src=5, dst=0, rate_bps=64_000,
+                                      delay_budget_s=0.5)],
+                            engine=SolverEngine())
+
+    shared = stream()
+    world = shared.fault_plan(0)
+    first, second = run(shared), run(shared)
+    assert shared.fault_plan(0) is world
+    assert first.local + first.resolve > 0
+    assert first == second == run(stream())
 
 
 # -- gateway selection -----------------------------------------------------

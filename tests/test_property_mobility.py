@@ -9,7 +9,10 @@ over an index of the scheduled links reports exactly the violations of
 the whole-mesh index, and the row-built
 :func:`~repro.net.topology.surviving_topology` has the rows, edges and
 links of the copy, delete and copy-the-component construction kept here
-as the oracle, and a ``networkx`` export equal to it.
+as the oracle, and a ``networkx`` export equal to it.  The stream's
+rows-built union base is checked the same way against
+:func:`~repro.net.topology.from_edges` over the kept union edges
+(``tests/stream_oracle.py``).
 """
 
 import random
@@ -32,6 +35,7 @@ from repro.net.topology import (
     surviving_topology,
 )
 from repro.phy.models import ProtocolModel, SinrModel
+from tests.stream_oracle import assert_union_base_matches_from_edges
 
 
 @st.composite
@@ -62,6 +66,30 @@ def test_repair_under_stream_stays_valid(instance):
     # S8 validity and delay guarantees hold at every churn batch
     assert result.conflict_ok and result.guarantee_ok
     assert result.local + result.resolve + result.noop == len(result.steps)
+
+
+@given(seed=st.integers(min_value=0, max_value=500),
+       num_nodes=st.integers(min_value=2, max_value=12),
+       speed=st.sampled_from([0.0, 5.0, 20.0]),
+       range_m=st.sampled_from([90.0, 140.0, 200.0]))
+@settings(max_examples=40, deadline=None)
+def test_rows_built_union_base_equals_the_from_edges_construction(
+        seed, num_nodes, speed, range_m):
+    """The union base is built from rows; ``from_edges`` is the oracle."""
+    model = RandomWaypointModel(num_nodes, 300.0, speed, horizon_s=6.0,
+                                seed=seed)
+    stream = TopologyStream(model, range_m, dt=1.0)
+    if not any(0 in edge for _, _, edges in stream.snapshots()
+               for edge in edges):
+        # the gateway never hears another node
+        with pytest.raises(ConfigurationError):
+            stream.fault_plan(0)
+        return
+    world = stream.fault_plan(0)
+    assert_union_base_matches_from_edges(stream, 0, world.topology,
+                                         world.dropped_nodes)
+    assert_union_base_matches_from_edges(stream, 0,
+                                         *stream.union_topology(0))
 
 
 @st.composite
