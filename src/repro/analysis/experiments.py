@@ -386,8 +386,8 @@ def e07_ordering_compare(seed: int = 17) -> ExperimentResult:
     for name, topology in cases:
         tree = gateway_tree(topology, 0)
         # One uplink flow from every leaf-most node to the gateway.
-        leaves = [n for n in topology.nodes
-                  if n != 0 and tree.out_degree(n) == 0]
+        parents = set(tree.values())
+        leaves = [n for n in topology.nodes if n != 0 and n not in parents]
         flows = FlowSet()
         for i, leaf in enumerate(leaves):
             flows.add(Flow(f"up{i}", leaf, 0, rate_bps=8000,
@@ -409,7 +409,7 @@ def e07_ordering_compare(seed: int = 17) -> ExperimentResult:
                                for i, r in enumerate(routes)],
             minimize_max_delay=True))
         row: list = [name, len(routes), max_wraps(ilp.schedule)]
-        on_tree = all(tree.has_edge(b, a) or tree.has_edge(a, b)
+        on_tree = all(tree.get(a) == b or tree.get(b) == a
                       for route in routes for a, b in route)
         if on_tree:
             tree_sched = schedule_from_order(

@@ -15,9 +15,9 @@ from typing import Optional
 
 from repro.core.ilp import DelayConstraint, delay_constraints_for
 from repro.core.minslots import MinSlotResult, minimum_slots
-from repro.core.policy import SolverPolicy, require_int
+from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.net.flows import Flow, FlowSet
 from repro.net.routing import shortest_path_route
 from repro.net.topology import Link, MeshTopology

@@ -30,13 +30,15 @@ the OR of its two endpoints' masks, read out in position order.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Link, MeshTopology, hop_depths
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 #: Up to this many links a row's positions are read off its mask one set
 #: bit at a time; wider rows go through numpy a byte at a time.
@@ -78,7 +80,8 @@ class ConflictIndex:
         A self-loop raises :class:`~repro.errors.ConfigurationError`: a
         link cannot conflict with itself.
         """
-        loop = next(nx.nodes_with_selfloops(graph), None)
+        loop = next((link for link in graph.nodes if link in graph.adj[link]),
+                    None)
         if loop is not None:
             raise ConfigurationError(
                 f"self-loop on {loop}: a link cannot conflict with itself")
@@ -92,6 +95,8 @@ class ConflictIndex:
     def graph(self) -> nx.Graph:
         """A :mod:`networkx` export (sorted nodes, pairs in sorted order)."""
         if self._graph is None:
+            import networkx as nx
+
             graph = nx.Graph()
             graph.add_nodes_from(self.links)
             graph.add_edges_from(self.pairs())

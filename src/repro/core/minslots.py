@@ -34,9 +34,9 @@ from repro import obs
 from repro.core.conflict import ConflictIndex, max_conflict_clique_demand
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
-from repro.core.policy import SolverPolicy, require_int
+from repro.core.policy import SolverPolicy
 from repro.core.schedule import Schedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.net.topology import Link
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

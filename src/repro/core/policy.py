@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 #: The accepted ``mode`` spellings, in documentation order.
 SOLVER_MODES = ("exact", "greedy", "auto")
@@ -46,14 +46,6 @@ SOLVER_MODES = ("exact", "greedy", "auto")
 #: paper-scale workload (16-50 node meshes demand well under 100 links)
 #: and comfortably below where the monolithic ILP becomes intractable.
 AUTO_THRESHOLD = 256
-
-
-def require_int(name: str, value: object, minimum: int) -> None:
-    """Reject anything but an ``int >= minimum`` -- a bool included."""
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
-        raise ConfigurationError(
-            f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

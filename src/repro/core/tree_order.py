@@ -24,76 +24,71 @@ count -- the property experiment E2 demonstrates against naive orderings.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Mapping
 
 from repro.core.ordering import TransmissionOrder
 from repro.errors import ConfigurationError
-from repro.net.topology import Link
+from repro.net.topology import Link, hop_depths
 
 
-def tree_depths(tree: nx.DiGraph, root: int) -> dict[int, int]:
-    """Depth of every node in a parent->child directed tree."""
-    if root not in tree:
-        raise ConfigurationError(f"root {root} not in tree")
-    depths = {root: 0}
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for child in tree.successors(node):
-                if child in depths:
-                    raise ConfigurationError("graph is not a tree (revisit)")
-                depths[child] = depths[node] + 1
-                next_frontier.append(child)
-        frontier = next_frontier
-    if len(depths) != tree.number_of_nodes():
-        raise ConfigurationError("graph is not a tree rooted at the given root")
+def tree_depths(tree: Mapping[int, int], root: int) -> dict[int, int]:
+    """Depth of every node of a child -> parent tree map rooted at ``root``
+    (as :func:`repro.net.routing.gateway_tree` returns).
+
+    Raises :class:`~repro.errors.ConfigurationError` when ``root`` is not
+    the tree's root, or when a parent chain cycles or ends short of it.
+    """
+    children: dict[int, list[int]] = {}
+    for child, parent in tree.items():
+        children.setdefault(parent, []).append(child)
+    depths = hop_depths(children, [root])
+    # every child reached from a root that is nobody's child
+    if len(depths) != len(tree) + 1:
+        raise ConfigurationError(f"graph is not a tree rooted at {root}")
     return depths
 
 
-def min_delay_tree_order(tree: nx.DiGraph, root: int) -> TransmissionOrder:
+def min_delay_tree_order(tree: Mapping[int, int],
+                         root: int) -> TransmissionOrder:
     """The wrap-free total order over all directed links of the tree.
 
-    ``tree`` must be a directed tree with edges parent -> child, as produced
+    ``tree`` must be a child -> parent map rooted at ``root``, as produced
     by :func:`repro.net.routing.gateway_tree`.  The order covers both
     directions of every tree edge (uplinks and downlinks).
     """
     depths = tree_depths(tree, root)
-    uplinks: list[Link] = []
-    downlinks: list[Link] = []
-    for parent, child in tree.edges:
-        uplinks.append((child, parent))
-        downlinks.append((parent, child))
     # Deeper uplinks first; ties broken canonically for determinism.
-    uplinks.sort(key=lambda link: (-depths[link[0]], link))
+    uplinks = sorted(tree.items(), key=lambda link: (-depths[link[0]], link))
     # Shallower downlinks first.
-    downlinks.sort(key=lambda link: (depths[link[1]], link))
+    downlinks = sorted(((parent, child) for child, parent in tree.items()),
+                       key=lambda link: (depths[link[1]], link))
     return TransmissionOrder.from_ranking(uplinks + downlinks)
 
 
-def naive_tree_order(tree: nx.DiGraph, root: int) -> TransmissionOrder:
+def naive_tree_order(tree: Mapping[int, int],
+                     root: int) -> TransmissionOrder:
     """The *worst-case-prone* baseline: links in canonical sorted order.
 
     On uplink routes this tends to schedule shallow links before deep ones,
     producing roughly one wrap per hop -- the contrast case in E2/E7.
     """
-    depths = tree_depths(tree, root)  # validates tree-ness
+    tree_depths(tree, root)  # validates tree-ness
     links: list[Link] = []
-    for parent, child in tree.edges:
+    for child, parent in tree.items():
         links.append((child, parent))
         links.append((parent, child))
     return TransmissionOrder.from_ranking(sorted(links))
 
 
-def adversarial_tree_order(tree: nx.DiGraph, root: int) -> TransmissionOrder:
+def adversarial_tree_order(tree: Mapping[int, int],
+                           root: int) -> TransmissionOrder:
     """The maximally wrapping order: the exact reverse of the optimal one.
 
     Every consecutive hop on every uplink or downlink route wraps, so an
     ``h``-hop route suffers ``h - 1`` wraps -- the upper envelope in E2.
     """
     depths = tree_depths(tree, root)
-    uplinks = sorted(((child, parent) for parent, child in tree.edges),
-                     key=lambda link: (depths[link[0]], link))
-    downlinks = sorted(((parent, child) for parent, child in tree.edges),
+    uplinks = sorted(tree.items(), key=lambda link: (depths[link[0]], link))
+    downlinks = sorted(((parent, child) for child, parent in tree.items()),
                        key=lambda link: (-depths[link[1]], link))
     return TransmissionOrder.from_ranking(downlinks + uplinks)

@@ -17,6 +17,14 @@ class ConfigurationError(ReproError):
     """A component was configured with invalid or inconsistent parameters."""
 
 
+def require_int(name: str, value: object, minimum: int) -> None:
+    """Reject anything but an ``int >= minimum`` -- a bool included."""
+    if not isinstance(value, int) or isinstance(value, bool) \
+            or value < minimum:
+        raise ConfigurationError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 class SimulationError(ReproError):
     """The discrete-event simulation reached an invalid internal state."""
 

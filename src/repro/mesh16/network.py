@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.net.routing import gateway_tree
@@ -37,7 +35,8 @@ class ControlPlane:
         self.topology = topology
         self.gateway = gateway
         self.frame_config = frame_config
-        self.tree: nx.DiGraph = gateway_tree(topology, gateway)
+        #: child -> parent scheduling tree (:func:`gateway_tree`)
+        self.tree = gateway_tree(topology, gateway)
         # Depth-ordered node list: gateway, then tier 1, tier 2, ...
         depths = hop_depths(topology.rows, [gateway])
         self.roster: list[int] = sorted(
@@ -84,10 +83,7 @@ class ControlPlane:
 
     def parent(self, node: int) -> Optional[int]:
         """The node's parent on the scheduling tree (None for the gateway)."""
-        if node == self.gateway:
-            return None
-        predecessors = list(self.tree.predecessors(node))
-        return predecessors[0] if predecessors else None
+        return self.tree.get(node)
 
     def depth(self, node: int) -> int:
         return self.depths[node]

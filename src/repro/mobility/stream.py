@@ -34,7 +34,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.faults.events import FaultEvent, _check_time, _sorted_link
 from repro.faults.plan import FaultPlan
-from repro.net.topology import MeshTopology, _nearest_sources, hop_depths
+from repro.net.topology import (
+    MeshTopology,
+    _adjacency,
+    _nearest_sources,
+    hop_depths,
+)
 
 #: Delta kinds a stream can emit.
 DELTA_KINDS = frozenset({"link_up", "link_down", "node_join", "node_leave"})
@@ -328,11 +333,6 @@ class TopologyStream:
         re-seeding).  Nodes that never connect to the gateway's
         component -- even transitively, even briefly -- are dropped: no
         schedule can ever carry their traffic.
-
-        The topology is built straight from rows: each component node's
-        sorted union neighbours, in sorted node order.  No
-        :mod:`networkx` graph is built; :attr:`MeshTopology.graph`
-        exports a plain one on first read.
         """
         nodes, edges = self.union()
         if gateway not in nodes:
@@ -346,8 +346,7 @@ class TopologyStream:
                 "no mesh to schedule")
         rows = {n: tuple(sorted(adjacency[n])) for n in sorted(component)}
         positions = {n: self._first_seen[n] for n in rows}
-        topology = MeshTopology._from_rows(rows, positions, "mobility-union",
-                                           None)
+        topology = MeshTopology._from_rows(rows, positions, "mobility-union")
         return topology, frozenset(nodes.difference(component))
 
     def fault_plan(self, gateway: int = 0) -> StreamWorld:
@@ -398,17 +397,6 @@ class TopologyStream:
                             dropped_nodes=dropped)
         self._worlds[gateway] = world
         return world
-
-
-def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
-               ) -> dict[int, list[int]]:
-    """Neighbour lists of ``nodes`` over the ``edges`` between them."""
-    adjacency: dict[int, list[int]] = {n: [] for n in nodes}
-    for u, v in edges:
-        if u in adjacency and v in adjacency:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    return adjacency
 
 
 def gateway_selection(nodes: Iterable[int],

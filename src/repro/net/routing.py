@@ -12,11 +12,34 @@ Two routing modes cover the paper line's scenarios:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Mapping, Optional
 
 from repro.errors import RoutingError
 from repro.net.flows import Flow, FlowSet
 from repro.net.topology import Link, MeshTopology
+
+
+def _bfs_parents(topology: MeshTopology, source: int,
+                 stop: Optional[int] = None) -> dict[int, int]:
+    """BFS parent of every node reached from ``source`` (``source`` maps
+    to itself), expanding neighbours in sorted order.
+
+    The first discovery fixes a node's parent, so the tree path from
+    ``source`` to any node is the lexicographically smallest min-hop
+    path.  The search ends after the level that reaches ``stop``.
+    """
+    parents = {source: source}
+    frontier = [source]
+    rows = topology.rows
+    while frontier and stop not in parents:
+        following = []
+        for node in frontier:
+            for neighbor in rows[node]:
+                if neighbor not in parents:
+                    parents[neighbor] = node
+                    following.append(neighbor)
+        frontier = following
+    return parents
 
 
 def shortest_path_route(topology: MeshTopology, src: int, dst: int) -> list[Link]:
@@ -31,25 +54,7 @@ def shortest_path_route(topology: MeshTopology, src: int, dst: int) -> list[Link
         raise RoutingError(f"src == dst == {src}")
     if not (topology.has_node(src) and topology.has_node(dst)):
         raise RoutingError(f"unknown endpoint in ({src}, {dst})")
-    # BFS with sorted neighbours; parent pointers give the lexicographically
-    # smallest shortest path.
-    parents: dict[int, int] = {src: src}
-    frontier = [src]
-    while frontier and dst not in parents:
-        next_frontier: list[int] = []
-        for node in frontier:
-            for neighbor in topology.neighbors(node):
-                if neighbor not in parents:
-                    parents[neighbor] = node
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    if dst not in parents:
-        raise RoutingError(f"no route from {src} to {dst}")
-    path = [dst]
-    while path[-1] != src:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return [(a, b) for a, b in zip(path, path[1:])]
+    return route_on_tree(_bfs_parents(topology, src, stop=dst), src, src, dst)
 
 
 def route_all(topology: MeshTopology, flows: FlowSet) -> FlowSet:
@@ -77,63 +82,50 @@ def choose_gateway(topology: MeshTopology) -> int:
     return min(topology.nodes, key=topology.eccentricity)
 
 
-def gateway_tree(topology: MeshTopology, gateway: int) -> nx.DiGraph:
-    """BFS scheduling tree rooted at ``gateway``.
+def gateway_tree(topology: MeshTopology, gateway: int) -> dict[int, int]:
+    """BFS scheduling tree rooted at ``gateway``, as a child -> parent map.
 
-    Returns a directed graph with edges pointing *away* from the gateway
-    (parent -> child), mirroring the 802.16 mesh network-entry tree.  Each
-    node's parent is its min-hop neighbour with the smallest id, so the tree
-    is deterministic.
+    Every node but the gateway maps to its parent, mirroring the 802.16
+    mesh network-entry tree.  The tree path from the gateway to each node
+    is the lexicographically smallest min-hop path, i.e. exactly
+    :func:`shortest_path_route` from the gateway, so the tree is
+    deterministic.  (A node's parent is *not* always its smallest min-hop
+    neighbour: the path through a smaller grandparent wins first.)
     """
     if not topology.has_node(gateway):
         raise RoutingError(f"gateway {gateway} is not in the topology")
-    tree = nx.DiGraph()
-    tree.add_node(gateway)
-    visited = {gateway}
-    frontier = [gateway]
-    while frontier:
-        next_frontier: list[int] = []
-        for node in frontier:
-            for neighbor in topology.neighbors(node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    tree.add_edge(node, neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
+    tree = _bfs_parents(topology, gateway)
+    del tree[gateway]
     return tree
 
 
-def route_on_tree(tree: nx.DiGraph, gateway: int, src: int, dst: int) -> list[Link]:
+def route_on_tree(tree: Mapping[int, int], gateway: int, src: int,
+                  dst: int) -> list[Link]:
     """Route src -> dst along tree edges (up to the meeting node, then down).
 
+    ``tree`` is a child -> parent map such as :func:`gateway_tree` returns.
     For gateway traffic (``dst == gateway`` or ``src == gateway``) this is a
     pure up- or down-tree path; otherwise it goes up to the lowest common
     ancestor and back down, as 802.16 mesh forwarding does.
     """
     if src == dst:
         raise RoutingError(f"src == dst == {src}")
-    for node in (src, dst):
-        if node not in tree:
-            raise RoutingError(f"node {node} is not on the scheduling tree")
 
     def path_to_root(node: int) -> list[int]:
         path = [node]
         while path[-1] != gateway:
-            preds = list(tree.predecessors(path[-1]))
-            if len(preds) != 1:
-                raise RoutingError(
-                    f"node {path[-1]} has {len(preds)} parents; not a tree")
-            path.append(preds[0])
+            # off the tree, or a parent chain that cycles
+            if path[-1] not in tree or len(path) > len(tree):
+                raise RoutingError(f"node {node} is not on the scheduling "
+                                   f"tree rooted at {gateway}")
+            path.append(tree[path[-1]])
         return path
 
     up_src = path_to_root(src)       # src ... gateway
     up_dst = path_to_root(dst)       # dst ... gateway
-    ancestors_of_dst = set(up_dst)
-    # Climb from src until we hit an ancestor of dst (the LCA).
-    lca_index = next(i for i, node in enumerate(up_src)
-                     if node in ancestors_of_dst)
-    lca = up_src[lca_index]
-    upward = up_src[:lca_index + 1]                    # src ... lca
-    downward = list(reversed(up_dst[:up_dst.index(lca)]))  # (lca,) ... dst minus lca
-    path = upward + downward
+    # Drop the climb the two share above the lowest common ancestor.
+    while len(up_src) > 1 and len(up_dst) > 1 and up_src[-2] == up_dst[-2]:
+        up_src.pop()
+        up_dst.pop()
+    path = up_src + up_dst[-2::-1]   # src ... lca ... dst
     return [(a, b) for a, b in zip(path, path[1:])]

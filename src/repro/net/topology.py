@@ -13,12 +13,14 @@ indices are stable across scheduler implementations.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional
 
-import networkx as nx
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import networkx as nx
 
 #: A directed link: (transmitter node id, receiver node id).
 Link = tuple[int, int]
@@ -36,7 +38,8 @@ class MeshTopology:
     ----------
     graph:
         Undirected :class:`networkx.Graph` of radio connectivity.  Node ids
-        must be integers.  It becomes the topology's :attr:`graph`.
+        must be integers.  Only its nodes and adjacency are read; the
+        topology keeps no reference to it.
     positions:
         Optional mapping node id -> (x, y) metres, used by distance-based
         propagation models and plotting.
@@ -47,20 +50,9 @@ class MeshTopology:
     def __init__(self, graph: nx.Graph,
                  positions: Optional[dict[int, tuple[float, float]]] = None,
                  name: str = "mesh") -> None:
-        if graph.number_of_nodes() == 0:
-            raise ConfigurationError("topology must have at least one node")
-        if not all(isinstance(n, int) for n in graph.nodes):
-            raise ConfigurationError("topology node ids must be integers")
-        loop = next(nx.nodes_with_selfloops(graph), None)
-        if loop is not None:
-            # a self-loop would make a node its own radio neighbour
-            raise ConfigurationError(f"degenerate edge ({loop}, {loop})")
-        rows = _rows_of(graph)
-        if not _is_connected(rows):
-            raise ConfigurationError("topology must be connected")
-        self._graph: Optional[nx.Graph] = graph
-        #: graph whose node, edge and graph data a lazy export copies
-        self._source: Optional[nx.Graph] = None
+        if graph.is_directed():
+            raise ConfigurationError("topology graph must be undirected")
+        rows = _checked_rows(graph.adj)
         self.positions = positions or {}
         self.name = name
         #: Monotone mutation counter: bumped by every in-place structural
@@ -73,16 +65,10 @@ class MeshTopology:
 
     @classmethod
     def _from_rows(cls, rows: dict[int, tuple[int, ...]],
-                   positions: dict[int, tuple[float, float]], name: str,
-                   source: Optional[nx.Graph]) -> "MeshTopology":
-        """A topology on rows the caller built sorted and connected.
-
-        ``source`` is the graph whose data the lazy :attr:`graph` export
-        copies; ``None`` exports a plain :class:`networkx.Graph`.
-        """
+                   positions: dict[int, tuple[float, float]], name: str
+                   ) -> "MeshTopology":
+        """A topology on rows the caller built sorted and connected."""
         topology = cls.__new__(cls)
-        topology._graph = None
-        topology._source = source
         topology.positions = positions
         topology.name = name
         topology.mutations = 0
@@ -93,6 +79,7 @@ class MeshTopology:
         #: node -> sorted neighbour tuple, in sorted node order
         self.rows = rows
         # derived from the rows on first read
+        self._graph: Optional[nx.Graph] = None
         self._edges: Optional[list[tuple[int, int]]] = None
         self._links: Optional[list[Link]] = None
         self._link_index: Optional[dict[Link, int]] = None
@@ -107,7 +94,8 @@ class MeshTopology:
         """Undirected edges ``(u, v)``, ``u < v``, sorted (built on first
         read)."""
         if self._edges is None:
-            self._edges = _edges_of(self.rows.items())
+            self._edges = [(u, v) for u, row in self.rows.items()
+                           for v in row if u < v]
         return self._edges
 
     @property
@@ -121,25 +109,14 @@ class MeshTopology:
 
     @property
     def graph(self) -> nx.Graph:
-        """One-way :mod:`networkx` export of the connectivity.
-
-        The caller's graph; a rows-born topology (a survivor, a mobility
-        union base) builds one on first access, with sorted nodes and
-        edges and data copied from its source graph, if it has one.
-        """
+        """One-way :mod:`networkx` export of the connectivity: sorted
+        nodes and edges, built on first read."""
         if self._graph is None:
-            source = self._source
-            if source is None:
-                graph = nx.Graph()
-                graph.add_nodes_from(self.rows)
-                graph.add_edges_from(self.edges)
-            else:
-                graph = source.__class__()
-                graph.graph.update(source.graph)
-                graph.add_nodes_from((n, source.nodes[n])
-                                     for n in self.rows)
-                graph.add_edges_from((u, v, source.adj[u][v])
-                                     for u, v in self.edges)
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self.rows)
+            graph.add_edges_from(self.edges)
             self._graph = graph
         return self._graph
 
@@ -233,29 +210,14 @@ class MeshTopology:
         """Mutate connectivity in place, keeping every invariant intact.
 
         This is the *only* supported way to change a topology after
-        construction: it revalidates connectivity (rolling back on
+        construction.  Edges in ``remove`` go first (absent ones are
+        ignored), then edges in ``add``, whose endpoints must be nodes.
+        It revalidates the topology (leaving it untouched on
         failure), replaces :attr:`rows` (never edits them, so an engine
         index keyed by the old rows is never served for the new ones),
         rebuilds the canonical link ordering, and bumps :attr:`mutations`.
-        The edit is made on a copy of :attr:`graph`, so node and edge data
-        carry over to the new export.
         """
-        candidate = self.graph.copy()
-        for u, v in remove:
-            if candidate.has_edge(u, v):
-                candidate.remove_edge(u, v)
-        for u, v in add:
-            if u not in candidate or v not in candidate:
-                raise ConfigurationError(
-                    f"cannot add edge ({u}, {v}): unknown node")
-            if u == v:
-                raise ConfigurationError(f"degenerate edge ({u}, {v})")
-            candidate.add_edge(u, v)
-        rows = _rows_of(candidate)
-        if not _is_connected(rows):
-            raise ConfigurationError(
-                "edge changes would disconnect the topology")
-        self._graph = candidate
+        rows = _checked_rows(self.rows, add, remove)
         self.mutations += 1
         self._set_rows(rows)
 
@@ -264,15 +226,67 @@ class MeshTopology:
                 f"links={self.num_links()})")
 
 
-def _rows_of(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
-    return {n: tuple(sorted(graph.adj[n])) for n in sorted(graph.nodes)}
+def _checked_rows(adjacency: Mapping[int, Iterable[int]],
+                  add: Iterable[tuple[int, int]] = (),
+                  remove: Iterable[tuple[int, int]] = ()
+                  ) -> dict[int, tuple[int, ...]]:
+    """Sorted rows of ``adjacency`` (node -> neighbours, symmetric) with
+    the undirected ``remove`` edges dropped, then the ``add`` edges added.
+
+    Raises :class:`~repro.errors.ConfigurationError` unless the result
+    is a topology: a connected simple graph on one or more int (not
+    bool) node ids.  An edge must be a node pair, and an added edge's
+    endpoints must be nodes.
+    """
+    sets: dict[int, set[int]] = {}
+    for node, row in adjacency.items():
+        if not isinstance(node, int) or isinstance(node, bool):
+            raise ConfigurationError(
+                f"topology node ids must be integers, got {node!r}")
+        sets[node] = set(row)
+    for u, v in _pairs(remove):
+        sets.get(u, set()).discard(v)
+        sets.get(v, set()).discard(u)
+    for u, v in _pairs(add):
+        if u not in sets or v not in sets:
+            raise ConfigurationError(
+                f"cannot add edge ({u}, {v}): unknown node")
+        sets[u].add(v)
+        sets[v].add(u)
+    for node, row in sets.items():
+        if node in row:
+            # a self-loop would make a node its own radio neighbour
+            raise ConfigurationError(f"degenerate edge ({node}, {node})")
+    if not sets:
+        raise ConfigurationError("topology must have at least one node")
+    rows = {n: tuple(sorted(sets[n])) for n in sorted(sets)}
+    if not _is_connected(rows):
+        raise ConfigurationError("topology must be connected")
+    return rows
 
 
-def _edges_of(rows: Iterable[tuple[int, tuple[int, ...]]]
-              ) -> list[tuple[int, int]]:
-    """The undirected edges ``(u, v)``, ``u < v``, of sorted ``(node,
-    row)`` pairs (e.g. ``MeshTopology.rows.items()``), in sorted order."""
-    return [(u, v) for u, row in rows for v in row if u < v]
+def _pairs(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``edges`` as a list of node pairs, or a ConfigurationError."""
+    pairs = []
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"edge {edge!r} is not a node pair") from None
+        pairs.append((u, v))
+    return pairs
+
+
+def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+               ) -> dict[int, list[int]]:
+    """Neighbour lists of ``nodes`` over the ``edges`` between them."""
+    adjacency: dict[int, list[int]] = {n: [] for n in nodes}
+    for u, v in edges:
+        if u in adjacency and v in adjacency:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    return adjacency
 
 
 def hop_depths(adjacency: Mapping[int, Iterable[int]],
@@ -307,11 +321,11 @@ def chain_topology(num_nodes: int, spacing: float = 100.0) -> MeshTopology:
     every multihop path is forced and spatial reuse kicks in beyond the
     conflict distance.
     """
-    if num_nodes < 1:
-        raise ConfigurationError("chain needs at least 1 node")
-    graph = nx.path_graph(num_nodes)
+    require_int("chain num_nodes", num_nodes, 1)
+    rows = {i: tuple(n for n in (i - 1, i + 1) if 0 <= n < num_nodes)
+            for i in range(num_nodes)}
     positions = {i: (i * spacing, 0.0) for i in range(num_nodes)}
-    return MeshTopology(graph, positions, name=f"chain{num_nodes}")
+    return MeshTopology._from_rows(rows, positions, f"chain{num_nodes}")
 
 
 def grid_topology(rows: int, cols: int, spacing: float = 100.0) -> MeshTopology:
@@ -320,14 +334,20 @@ def grid_topology(rows: int, cols: int, spacing: float = 100.0) -> MeshTopology:
     Grids approximate planned metro mesh deployments and are the standard
     topology in the paper line's VoIP capacity experiments (E1/E5).
     """
-    if rows < 1 or cols < 1:
-        raise ConfigurationError("grid dimensions must be positive")
-    grid = nx.grid_2d_graph(rows, cols)
-    mapping = {(r, c): r * cols + c for r, c in grid.nodes}
-    graph = nx.relabel_nodes(grid, mapping)
-    positions = {r * cols + c: (c * spacing, r * spacing)
-                 for r in range(rows) for c in range(cols)}
-    return MeshTopology(graph, positions, name=f"grid{rows}x{cols}")
+    require_int("grid rows", rows, 1)
+    require_int("grid cols", cols, 1)
+    adjacency = {}
+    positions = {}
+    for r in range(rows):
+        for c in range(cols):
+            node = r * cols + c
+            adjacency[node] = tuple(
+                node + step for step, ok in ((-cols, r > 0), (-1, c > 0),
+                                             (1, c + 1 < cols),
+                                             (cols, r + 1 < rows)) if ok)
+            positions[node] = (c * spacing, r * spacing)
+    return MeshTopology._from_rows(adjacency, positions,
+                                   f"grid{rows}x{cols}")
 
 
 def star_topology(num_leaves: int, spacing: float = 100.0) -> MeshTopology:
@@ -336,14 +356,14 @@ def star_topology(num_leaves: int, spacing: float = 100.0) -> MeshTopology:
     Stars have a fully conflicting link set (every link shares the hub), so
     they lower-bound spatial reuse; useful as a scheduling worst case.
     """
-    if num_leaves < 1:
-        raise ConfigurationError("star needs at least 1 leaf")
-    graph = nx.star_graph(num_leaves)
+    require_int("star num_leaves", num_leaves, 1)
+    rows = {0: tuple(range(1, num_leaves + 1))}
     positions = {0: (0.0, 0.0)}
     for i in range(1, num_leaves + 1):
+        rows[i] = (0,)
         angle = 2 * math.pi * (i - 1) / num_leaves
         positions[i] = (spacing * math.cos(angle), spacing * math.sin(angle))
-    return MeshTopology(graph, positions, name=f"star{num_leaves}")
+    return MeshTopology._from_rows(rows, positions, f"star{num_leaves}")
 
 
 def binary_tree_topology(depth: int, spacing: float = 100.0) -> MeshTopology:
@@ -352,11 +372,13 @@ def binary_tree_topology(depth: int, spacing: float = 100.0) -> MeshTopology:
     Trees are the topology class for which the ToN 2009 min-delay ordering
     algorithm is exact (experiment E7).
     """
-    if depth < 0:
-        raise ConfigurationError("tree depth must be non-negative")
-    graph = nx.balanced_tree(2, depth)
+    require_int("tree depth", depth, 0)
+    size = 2 ** (depth + 1) - 1
+    rows: dict[int, tuple[int, ...]] = {}
     positions: dict[int, tuple[float, float]] = {}
-    for node in graph.nodes:
+    for node in range(size):
+        rows[node] = tuple(n for n in ((node - 1) // 2, 2 * node + 1,
+                                       2 * node + 2) if 0 <= n < size)
         level = int(math.log2(node + 1))
         index_in_level = node - (2 ** level - 1)
         width = 2 ** level
@@ -364,7 +386,7 @@ def binary_tree_topology(depth: int, spacing: float = 100.0) -> MeshTopology:
             (index_in_level - (width - 1) / 2) * spacing * 2 ** (depth - level),
             level * spacing,
         )
-    return MeshTopology(graph, positions, name=f"btree{depth}")
+    return MeshTopology._from_rows(rows, positions, f"btree{depth}")
 
 
 def random_disk_topology(num_nodes: int, radio_range: float,
@@ -389,32 +411,35 @@ def random_disk_topology(num_nodes: int, radio_range: float,
     irregular conflict graphs that stress the schedulers differently from
     grids.
     """
-    if num_nodes < 1:
-        raise ConfigurationError("need at least one node")
-    if radio_range <= 0 or area <= 0:
-        raise ConfigurationError("radio_range and area must be positive")
+    require_int("random disk num_nodes", num_nodes, 1)
+    require_int("random disk max_tries", max_tries, 1)
+    # written so that NaN fails too
+    if not (radio_range > 0 and 0 < area < math.inf):
+        raise ConfigurationError(
+            "radio_range must be positive and area positive and finite, "
+            f"got {radio_range!r} and {area!r}")
     from repro.sim.random import resolve_rng
 
     rng = resolve_rng(rng, seed, what="random_disk_topology")
+    # every pair i < j in row-major order, so each node's neighbours come
+    # out sorted: the smaller ones as i, then the larger ones as j
+    i, j = np.triu_indices(num_nodes, k=1)
     try_seeds = []
     for _ in range(max_tries):
         try_seed = int(rng.integers(0, 2 ** 32))
         try_seeds.append(try_seed)
         coords = np.random.default_rng(try_seed).uniform(
             0.0, area, size=(num_nodes, 2))
-        graph = nx.Graph()
-        graph.add_nodes_from(range(num_nodes))
-        # every pair i < j in row-major order, so edges go in as a
-        # pairwise loop would add them
-        i, j = np.triu_indices(num_nodes, k=1)
         close = np.hypot(coords[i, 0] - coords[j, 0],
                          coords[i, 1] - coords[j, 1]) <= radio_range
-        graph.add_edges_from(zip(i[close].tolist(), j[close].tolist()))
-        if num_nodes == 1 or nx.is_connected(graph):
-            positions = {i: (float(coords[i][0]), float(coords[i][1]))
-                         for i in range(num_nodes)}
-            return MeshTopology(graph, positions,
-                                name=f"disk{num_nodes}")
+        adjacency = _adjacency(range(num_nodes),
+                               zip(i[close].tolist(), j[close].tolist()))
+        rows = {n: tuple(row) for n, row in adjacency.items()}
+        if _is_connected(rows):
+            positions = {n: (float(coords[n][0]), float(coords[n][1]))
+                         for n in range(num_nodes)}
+            return MeshTopology._from_rows(rows, positions,
+                                           f"disk{num_nodes}")
     raise ConfigurationError(
         f"failed to draw a connected random-disk topology in {max_tries} "
         f"tries (seed={seed if seed is not None else 'external rng'}, "
@@ -426,9 +451,9 @@ def from_edges(edges: Iterable[tuple[int, int]], name: str = "custom",
                positions: Optional[dict[int, tuple[float, float]]] = None,
                ) -> MeshTopology:
     """Build a topology from an explicit undirected edge list."""
-    graph = nx.Graph()
-    graph.add_edges_from(edges)
-    return MeshTopology(graph, positions, name=name)
+    pairs = _pairs(edges)
+    rows = _checked_rows({n: () for pair in pairs for n in pair}, pairs)
+    return MeshTopology._from_rows(rows, positions or {}, name)
 
 
 def surviving_topology(topology: MeshTopology,
@@ -502,10 +527,8 @@ def _survivor_of(topology: MeshTopology,
     survivor_rows = {n: live[n] for n in sorted(component)}
     positions = {n: topology.positions[n] for n in survivor_rows
                  if n in topology.positions}
-    source = (topology._graph if topology._graph is not None
-              else topology._source)
     survivor = MeshTopology._from_rows(survivor_rows, positions,
-                                       f"{topology.name}-survivor", source)
+                                       f"{topology.name}-survivor")
     survivor._eccentricities[anchor] = depth
     return survivor, frozenset(topology.rows).difference(survivor_rows)
 

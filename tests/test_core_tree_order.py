@@ -45,10 +45,11 @@ class TestTreeDepths:
             tree_depths(tree, 99)
 
     def test_non_tree_rejected(self):
-        import networkx as nx
-        graph = nx.DiGraph([(0, 1), (0, 2), (1, 3), (2, 3)])
-        with pytest.raises(ConfigurationError):
-            tree_depths(graph, 0)
+        for tree in ({1: 0, 2: 3, 3: 2},   # 2 and 3 are each other's parent
+                     {1: 0, 2: 5},         # 2's parent chain ends at 5
+                     {1: 0, 0: 1}):        # the root has a parent
+            with pytest.raises(ConfigurationError):
+                tree_depths(tree, 0)
 
 
 class TestMinDelayOrder:
@@ -76,12 +77,12 @@ class TestMinDelayOrder:
         order = min_delay_tree_order(tree, 0)
         links = set(order.links())
         assert (1, 0) in links and (0, 1) in links
-        assert len(links) == 2 * tree.number_of_edges()
+        assert len(links) == 2 * len(tree)
 
     def test_uplinks_before_downlinks(self, btree2):
         tree = gateway_tree(btree2, 0)
         order = min_delay_tree_order(tree, 0)
-        for parent, child in tree.edges:
+        for child, parent in tree.items():
             assert order.precedes((child, parent), (parent, child))
 
     def test_deeper_uplinks_first(self, chain5):
@@ -170,7 +171,7 @@ class TestBaselineOrders:
     def test_naive_order_is_total_over_tree_links(self, btree2):
         tree = gateway_tree(btree2, 0)
         order = naive_tree_order(tree, 0)
-        assert len(order.links()) == 2 * tree.number_of_edges()
+        assert len(order.links()) == 2 * len(tree)
 
     def test_adversarial_no_worse_possible(self, chain5):
         # h-hop route has at most h-1 consecutive pairs, so h-1 wraps is

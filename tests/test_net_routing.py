@@ -10,6 +10,13 @@ from repro.net.routing import (
     route_on_tree,
     shortest_path_route,
 )
+from repro.net.topology import (
+    binary_tree_topology,
+    chain_topology,
+    grid_topology,
+    random_disk_topology,
+    star_topology,
+)
 
 
 class TestShortestPath:
@@ -61,18 +68,43 @@ class TestRouteAll:
 class TestGatewayTree:
     def test_chain_tree_is_the_chain(self, chain5):
         tree = gateway_tree(chain5, 0)
-        assert set(tree.edges) == {(0, 1), (1, 2), (2, 3), (3, 4)}
+        assert {(parent, child) for child, parent in tree.items()} == {
+            (0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_every_node_reached(self, grid33):
         tree = gateway_tree(grid33, 4)
-        assert tree.number_of_nodes() == 9
-        assert tree.number_of_edges() == 8
+        # child -> parent: the gateway has none
+        assert set(tree) | {4} == set(range(9))
+        assert len(tree) == 8
 
     def test_parents_are_min_hop(self, grid33):
         tree = gateway_tree(grid33, 0)
         # node 4 (centre) is 2 hops from gateway 0; its parent must be a
         # 1-hop node (1 or 3), deterministically the smallest: 1
-        assert list(tree.predecessors(4)) == [1]
+        assert tree[4] == 1
+
+    def test_parent_is_not_always_the_smallest_min_hop_neighbour(self):
+        # the tree path from the gateway is the lexicographically smallest
+        # min-hop path, which can run through a larger last hop
+        disk = random_disk_topology(20, 250.0, 800.0, seed=0)
+        tree = gateway_tree(disk, 0)
+        depth = {n: disk.hop_distance(0, n) for n in disk.nodes}
+        assert min(n for n in disk.neighbors(15)
+                   if depth[n] == depth[15] - 1) == 7
+        assert tree[15] == 16
+
+    @pytest.mark.parametrize("topology", [
+        chain_topology(6), grid_topology(3, 4), grid_topology(4, 4),
+        binary_tree_topology(3), star_topology(5),
+        *(random_disk_topology(20, 250.0, 800.0, seed=s) for s in range(6)),
+    ], ids=lambda t: t.name)
+    def test_tree_paths_are_the_shortest_path_routes(self, topology):
+        for gateway in topology.nodes:
+            tree = gateway_tree(topology, gateway)
+            for node in topology.nodes:
+                if node != gateway:
+                    assert (route_on_tree(tree, gateway, gateway, node)
+                            == shortest_path_route(topology, gateway, node))
 
     def test_unknown_gateway_rejected(self, chain5):
         with pytest.raises(RoutingError):

@@ -121,6 +121,34 @@ class TestMeshTopology:
             MeshTopology(nx.Graph([(0, 1), (1, 1)]))
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: random_disk_topology(5, 100.0, 200.0, max_tries=0, seed=1),
+     "max_tries"),
+    (lambda: random_disk_topology(5, 100.0, 200.0, max_tries=-1, seed=1),
+     "max_tries"),
+    (lambda: random_disk_topology(5, float("nan"), 200.0, seed=1),
+     "radio_range"),
+    (lambda: random_disk_topology(5, 100.0, float("inf"), seed=1), "area"),
+    (lambda: chain_topology(2.5), "num_nodes"),
+    (lambda: chain_topology(True), "num_nodes"),
+    (lambda: grid_topology(2.0, 2), "rows"),
+    (lambda: star_topology(1.5), "num_leaves"),
+    (lambda: binary_tree_topology(1.5), "depth"),
+    (lambda: MeshTopology(nx.DiGraph([(0, 1), (1, 2)])), "undirected"),
+    (lambda: MeshTopology(nx.DiGraph([(1, 0), (1, 2)])), "undirected"),
+    (lambda: from_edges([(0, 1, 2)]), "node pair"),
+    (lambda: from_edges([(True, 2)]), "integers"),
+    (lambda: chain_topology(3).apply_edge_changes(remove=[(0,)]),
+     "node pair"),
+], ids=["disk-max-tries-0", "disk-max-tries-negative", "disk-nan-range",
+        "disk-infinite-area", "chain-float", "chain-bool", "grid-float",
+        "star-float", "btree-float", "digraph-chain", "digraph-fork",
+        "edge-triple", "bool-node", "remove-single"])
+def test_bad_topology_input_raises_configuration_error(build, match):
+    with pytest.raises(ConfigurationError, match=match):
+        build()
+
+
 class TestChain:
     def test_structure(self):
         topo = chain_topology(4)

@@ -239,17 +239,10 @@ def test_one_pass_survivor_equals_the_two_copy_construction(instance):
     assert list(got.rows) == sorted(want.graph.nodes)
     assert got.links == want.links
     assert got.edges == want.edges
-    # the export: the oracle's nodes, edges and data, in sorted order
+    # the export: the oracle's nodes and edges, in sorted order
     assert nx.utils.graphs_equal(got.graph, want.graph)
     assert list(got.graph.nodes) == sorted(want.graph.nodes)
     assert list(got.graph.edges) == got.edges
-    assert list(got.graph.edges(data=True)) == sorted(
-        (*sorted((u, v)), d) for u, v, d in want.graph.edges(data=True))
-    # the survivor owns its data: nothing aliases the base's dicts
-    assert not any(got.graph.nodes[n] is graph.nodes[n] for n in got.graph)
-    assert not any(got.graph.adj[u][v] is graph.adj[u][v]
-                   for u, v in got.graph.edges)
-    assert got.graph.graph is not graph.graph
     assert got.positions == want.positions
     assert got.name == want.name
     if isolate:
