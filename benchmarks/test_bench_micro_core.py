@@ -285,7 +285,7 @@ def test_bench_micro_mobility_tick(benchmark):
         live = _update_live_rows({}, union.rows, union.rows, dead_nodes,
                                  dead_edges)
         survivor, _ = _survivor_of(union, live, 0)
-        nearest, _ = _nearest_sources(live, gateways)
+        nearest = _nearest_sources(live, gateways)
         links = sorted({link for src in sources
                         for link in shortest_path_route(survivor, src, 0)})
         index = SolverEngine(max_indexes=0).conflict_index(survivor,
@@ -329,7 +329,7 @@ def test_bench_micro_mobility_warm_tick(benchmark):
 
     def tick(repair):
         repair.retarget(dead_nodes, dead_edges)
-        nearest, _ = _nearest_sources(repair.live_rows, gateways)
+        nearest = _nearest_sources(repair.live_rows, gateways)
         return repair, nearest
 
     repair, nearest = benchmark.pedantic(tick, setup=warm, rounds=20)

@@ -51,10 +51,10 @@ from repro.net.flows import Flow, FlowSet
 from repro.net.routing import gateway_tree, route_all
 from repro.net.topology import (
     MeshTopology,
+    bfs_levels,
     binary_tree_topology,
     chain_topology,
     grid_topology,
-    hop_depths,
     random_disk_topology,
 )
 from repro.overlay.guard import required_guard_s, slot_overhead_fraction
@@ -1411,8 +1411,8 @@ def _e21_instance(num_nodes: int, num_flows: int, seed: int,
     while len(pairs) < num_flows and tries < num_flows * 50:
         tries += 1
         src = nodes[int(rng.integers(len(nodes)))]
-        near = sorted(v for v, hops in hop_depths(
-            topology.rows, [src], cutoff=3).items() if hops > 0)
+        reach, _ = bfs_levels(topology.rows, [src], cutoff=3)
+        near = sorted(reach.keys() - {src})
         if not near:
             continue
         dst = near[int(rng.integers(len(near)))]

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net.topology import Link, MeshTopology, hop_depths
+from repro.net.topology import Link, MeshTopology, bfs_levels
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import networkx as nx
@@ -217,7 +217,7 @@ def conflict_graph(topology: MeshTopology, hops: int = 2,
         near = {node: _union(touching, rows[node], mask)
                 for node, mask in touching.items()}
         return _index_from_masks(link_list, near, near, hops)
-    reach = {node: hop_depths(rows, (node,), hops - 1).keys()
+    reach = {node: bfs_levels(rows, (node,), hops - 1)[0].keys()
              for node in touching}
     # A widened model (hops > 2) whose reach spans the whole mesh from
     # every link is degenerate: all links pairwise conflict, the schedule

@@ -20,6 +20,11 @@ the order (shallower downlinks first).  Every consecutive pair is therefore
 ordered forward in the frame, so a packet traverses its whole route within
 one frame: end-to-end delay is at most one frame length regardless of hop
 count -- the property experiment E2 demonstrates against naive orderings.
+
+"Minimum-delay" is minimum in frames: zero wraps, so at most one frame of
+delay on every tree route, but not always the fewest slots.  Same-depth
+ties go by link id, which on a 4-node chain with an inner gateway costs a
+route 3 slots where 2 suffice (``tests/test_core_tree_order.py``'s xfails).
 """
 
 from __future__ import annotations
@@ -50,7 +55,8 @@ def tree_depths(tree: Mapping[int, int], root: int) -> dict[int, int]:
 
 def min_delay_tree_order(tree: Mapping[int, int],
                          root: int) -> TransmissionOrder:
-    """The wrap-free total order over all directed links of the tree.
+    """The wrap-free total order over all directed links of the tree: at
+    most one frame on every tree route, not always the fewest slots.
 
     ``tree`` must be a child -> parent map rooted at ``root``, as produced
     by :func:`repro.net.routing.gateway_tree`.  The order covers both

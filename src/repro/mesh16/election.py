@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
 from repro.mesh16.network import ControlPlane
-from repro.net.topology import MeshTopology, hop_depths
+from repro.net.topology import MeshTopology, bfs_levels
 
 
 def election_hash(node: int, opportunity: int) -> int:
@@ -75,7 +75,7 @@ class ElectionControlPlane(ControlPlane):
         #: nodes within two hops (the competition neighbourhood), per node
         self._neighborhood: dict[int, frozenset[int]] = {}
         for node in topology.nodes:
-            reach = hop_depths(topology.rows, [node], cutoff=2)
+            reach, _ = bfs_levels(topology.rows, [node], cutoff=2)
             self._neighborhood[node] = frozenset(reach) - {node}
         self._winners: list[frozenset[int]] = []
         self._next_eligible: dict[int, int] = {n: 0 for n in topology.nodes}

@@ -20,8 +20,8 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.mesh16.frame import MeshFrameConfig
-from repro.net.routing import gateway_tree
-from repro.net.topology import MeshTopology, hop_depths
+from repro.net.routing import _gateway_bfs
+from repro.net.topology import MeshTopology
 
 
 class ControlPlane:
@@ -35,14 +35,15 @@ class ControlPlane:
         self.topology = topology
         self.gateway = gateway
         self.frame_config = frame_config
-        #: child -> parent scheduling tree (:func:`gateway_tree`)
-        self.tree = gateway_tree(topology, gateway)
+        #: child -> parent scheduling tree (:func:`gateway_tree`), whose
+        #: BFS levels also give the depths and the roster
+        self.tree, levels = _gateway_bfs(topology, gateway)
+        self.depths = {node: depth for depth, level in enumerate(levels)
+                       for node in level}
         # Depth-ordered node list: gateway, then tier 1, tier 2, ...
-        depths = hop_depths(topology.rows, [gateway])
-        self.roster: list[int] = sorted(
-            topology.nodes, key=lambda n: (depths[n], n))
+        self.roster: list[int] = [node for level in levels
+                                  for node in sorted(level)]
         self._position = {node: i for i, node in enumerate(self.roster)}
-        self.depths = depths
 
     def owner(self, frame_index: int, control_slot: int) -> int:
         """The node owning control opportunity ``control_slot`` of a frame."""

@@ -120,7 +120,8 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
 
     ``gateway`` anchors repair (it must be present in every snapshot);
     ``gateways`` is the candidate set for nearest-gateway selection
-    (default: just the anchor, under which re-selection is trivially 0).
+    (default: just the anchor, under which re-selection is trivially 0);
+    every candidate must be an int node of the gateway's union component.
     ``engine`` shares a :class:`SolverEngine` across runs -- E20 passes
     a fresh one per speed, so its ``index_builds`` count covers that
     run alone.
@@ -141,9 +142,17 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
         raise ConfigurationError(
             "packet_interval_s must be positive and finite, got "
             f"{packet_interval_s!r}")
+    selection_gateways = tuple(gateways) if gateways else (gateway,)
+    for entry in (gateway, *selection_gateways):
+        if isinstance(entry, bool) or not isinstance(entry, int):
+            raise ConfigurationError(f"gateway {entry!r} is not a node id")
     world = stream.fault_plan(gateway)
     flows = list(flows)
     union_nodes = set(world.topology.rows)
+    stray = sorted(set(selection_gateways) - union_nodes)
+    if stray:
+        raise ConfigurationError(f"gateway candidate(s) {stray} never "
+                                 "join the gateway's component")
     for flow in flows:
         bad = {flow.src, flow.dst} - union_nodes
         if bad:
@@ -166,12 +175,10 @@ def run_mobility(stream: TopologyStream, flows: Iterable[Flow],
     for link in sorted(world.dead_edges):
         injector.apply(FaultEvent(0.0, "link_down", link=link))
 
-    selection_gateways = tuple(gateways) if gateways else (gateway,)
-
     def nearest_gateways() -> dict[int, int]:
         # gateway_selection over the live mesh, unreached nodes left out:
         # the repair engine's live rows follow the injector's dead sets
-        return _nearest_sources(repair.live_rows, selection_gateways)[0]
+        return _nearest_sources(repair.live_rows, selection_gateways)
 
     selection = nearest_gateways()
 

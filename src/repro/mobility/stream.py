@@ -38,7 +38,7 @@ from repro.net.topology import (
     MeshTopology,
     _adjacency,
     _nearest_sources,
-    hop_depths,
+    bfs_levels,
 )
 
 #: Delta kinds a stream can emit.
@@ -339,7 +339,7 @@ class TopologyStream:
             raise ConfigurationError(
                 f"gateway {gateway} never appears in the stream")
         adjacency = _adjacency(nodes, edges)
-        component = hop_depths(adjacency, [gateway])
+        component, _ = bfs_levels(adjacency, [gateway])
         if len(component) == 1:
             raise ConfigurationError(
                 f"gateway {gateway} never hears another node; "
@@ -411,5 +411,5 @@ def gateway_selection(nodes: Iterable[int],
     route-stability cost of mobility.
     """
     node_set = set(nodes)
-    nearest, _ = _nearest_sources(_adjacency(node_set, edges), gateways)
+    nearest = _nearest_sources(_adjacency(node_set, edges), gateways)
     return {n: nearest.get(n) for n in sorted(node_set)}

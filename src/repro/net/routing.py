@@ -1,45 +1,24 @@
 """Routing: turning flows into ordered link paths.
 
-Two routing modes cover the paper line's scenarios:
+Two routing modes cover the paper line's scenarios.  Both read the one row
+BFS, :func:`~repro.net.topology.bfs_levels`: its parent map gives the
+lexicographically smallest min-hop path from the source to every node.
 
-- **Shortest path** between arbitrary endpoints (min hop count, ties broken
-  deterministically by node id) -- used for peer-to-peer VoIP flows.
-- **Gateway tree**: a BFS tree rooted at a gateway node; all traffic to or
-  from the gateway follows tree edges.  This is the 802.16 mesh "scheduling
-  tree" on which the centralized scheduler and the ToN tree-ordering
-  algorithm operate.
+- **Shortest path** between arbitrary endpoints: the parent chain of a BFS
+  stopped at the destination -- used for peer-to-peer VoIP flows.
+- **Gateway tree**: the whole parent map of a BFS from a gateway node; all
+  traffic to or from the gateway follows tree edges.  This is the 802.16
+  mesh "scheduling tree" on which the centralized scheduler and the ToN
+  tree-ordering algorithm operate.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import RoutingError
 from repro.net.flows import Flow, FlowSet
-from repro.net.topology import Link, MeshTopology
-
-
-def _bfs_parents(topology: MeshTopology, source: int,
-                 stop: Optional[int] = None) -> dict[int, int]:
-    """BFS parent of every node reached from ``source`` (``source`` maps
-    to itself), expanding neighbours in sorted order.
-
-    The first discovery fixes a node's parent, so the tree path from
-    ``source`` to any node is the lexicographically smallest min-hop
-    path.  The search ends after the level that reaches ``stop``.
-    """
-    parents = {source: source}
-    frontier = [source]
-    rows = topology.rows
-    while frontier and stop not in parents:
-        following = []
-        for node in frontier:
-            for neighbor in rows[node]:
-                if neighbor not in parents:
-                    parents[neighbor] = node
-                    following.append(neighbor)
-        frontier = following
-    return parents
+from repro.net.topology import Link, MeshTopology, bfs_levels
 
 
 def shortest_path_route(topology: MeshTopology, src: int, dst: int) -> list[Link]:
@@ -54,7 +33,8 @@ def shortest_path_route(topology: MeshTopology, src: int, dst: int) -> list[Link
         raise RoutingError(f"src == dst == {src}")
     if not (topology.has_node(src) and topology.has_node(dst)):
         raise RoutingError(f"unknown endpoint in ({src}, {dst})")
-    return route_on_tree(_bfs_parents(topology, src, stop=dst), src, src, dst)
+    parents, _ = bfs_levels(topology.rows, [src], stop=dst)
+    return route_on_tree(parents, src, src, dst)
 
 
 def route_all(topology: MeshTopology, flows: FlowSet) -> FlowSet:
@@ -92,11 +72,17 @@ def gateway_tree(topology: MeshTopology, gateway: int) -> dict[int, int]:
     deterministic.  (A node's parent is *not* always its smallest min-hop
     neighbour: the path through a smaller grandparent wins first.)
     """
+    return _gateway_bfs(topology, gateway)[0]
+
+
+def _gateway_bfs(topology: MeshTopology, gateway: int
+                 ) -> tuple[dict[int, int], list[list[int]]]:
+    """:func:`gateway_tree` and its BFS levels (the gateway at depth 0)."""
     if not topology.has_node(gateway):
         raise RoutingError(f"gateway {gateway} is not in the topology")
-    tree = _bfs_parents(topology, gateway)
+    tree, levels = bfs_levels(topology.rows, [gateway])
     del tree[gateway]
-    return tree
+    return tree, levels
 
 
 def route_on_tree(tree: Mapping[int, int], gateway: int, src: int,

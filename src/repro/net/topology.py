@@ -171,7 +171,7 @@ class MeshTopology:
         if depth is None:
             if node not in self.rows:
                 raise self._unknown_node(node)
-            depth = max(hop_depths(self.rows, [node]).values())
+            depth = len(bfs_levels(self.rows, [node])[1]) - 1
             self._eccentricities[node] = depth
         return depth
 
@@ -289,27 +289,46 @@ def _adjacency(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
     return adjacency
 
 
+def bfs_levels(rows: Mapping[int, Iterable[int]], sources: Iterable[int],
+               cutoff: Optional[int] = None, stop: Optional[int] = None
+               ) -> tuple[dict[int, int], list[list[int]]]:
+    """The one level-synchronous multi-source BFS over ``rows`` (e.g.
+    :attr:`MeshTopology.rows`): each reached node's parent (a source is
+    its own) and the levels, ``levels[d]`` the nodes ``d`` hops from the
+    nearest source (a source without a row stays at level 0).
+
+    Levels expand in order, neighbours in row order, and a node's first
+    discovery fixes its parent: over sorted rows the parent path from one
+    source is the lexicographically smallest min-hop path, and from sorted
+    sources every parent chain ends at the smallest nearest source.  The
+    walk stops after level ``cutoff``, or after the level reaching ``stop``.
+    """
+    parents = {source: source for source in sources}
+    levels = [list(parents)]
+    while len(levels) - 1 != cutoff and stop not in parents:
+        following = []
+        for u in levels[-1]:
+            for v in rows.get(u, ()):
+                if v not in parents:
+                    parents[v] = u
+                    following.append(v)
+        if not following:
+            break
+        levels.append(following)
+    return parents, levels
+
+
 def hop_depths(adjacency: Mapping[int, Iterable[int]],
                sources: Iterable[int],
                cutoff: Optional[int] = None) -> dict[int, int]:
-    """Multi-source BFS over ``adjacency`` (e.g. :attr:`MeshTopology.rows`):
-    hops from the nearest source to each node within ``cutoff``."""
-    depths = dict.fromkeys(sources, 0)
-    frontier, depth = list(depths), 0
-    while frontier and depth != cutoff:
-        depth += 1
-        following = []
-        for u in frontier:
-            for v in adjacency.get(u, ()):
-                if v not in depths:
-                    depths[v] = depth
-                    following.append(v)
-        frontier = following
-    return depths
+    """Hops from the nearest source to each node within ``cutoff``
+    (:func:`bfs_levels`)."""
+    return {node: depth for depth, level in enumerate(
+        bfs_levels(adjacency, sources, cutoff)[1]) for node in level}
 
 
 def _is_connected(rows: dict[int, tuple[int, ...]]) -> bool:
-    return len(hop_depths(rows, [next(iter(rows))])) == len(rows)
+    return len(bfs_levels(rows, [next(iter(rows))])[0]) == len(rows)
 
 
 # -- generators -----------------------------------------------------------
@@ -477,10 +496,7 @@ def surviving_topology(topology: MeshTopology,
     ``dead_edges`` pairs are undirected; ``(u, v)`` and ``(v, u)`` are the
     same edge.  Dead entries that do not exist in the base topology are
     ignored, so callers can pass accumulated fault state verbatim.
-
-    This is the cold path of the repair engine's tick: it builds every
-    live row (:func:`_update_live_rows`) and runs the same anchor BFS
-    (:func:`_survivor_of`).
+    This is the repair engine's cold path (every live row rebuilt).
     """
     live = _update_live_rows({}, topology.rows, topology.rows,
                              frozenset(dead_nodes), frozenset(dead_edges))
@@ -523,41 +539,24 @@ def _survivor_of(topology: MeshTopology,
     if anchor not in live:
         raise ConfigurationError(
             f"anchor node {anchor} is dead or not in the topology")
-    component, depth = _nearest_sources(live, (anchor,))
+    component, levels = bfs_levels(live, (anchor,))
     survivor_rows = {n: live[n] for n in sorted(component)}
     positions = {n: topology.positions[n] for n in survivor_rows
                  if n in topology.positions}
     survivor = MeshTopology._from_rows(survivor_rows, positions,
                                        f"{topology.name}-survivor")
-    survivor._eccentricities[anchor] = depth
+    survivor._eccentricities[anchor] = len(levels) - 1
     return survivor, frozenset(topology.rows).difference(survivor_rows)
 
 
 def _nearest_sources(rows: Mapping[int, Iterable[int]],
-                     sources: Iterable[int]) -> tuple[dict[int, int], int]:
-    """Nearest source by hops for every node the sources reach.
-
-    One level-synchronous multi-source BFS over ``rows`` (e.g. live rows,
-    :func:`_update_live_rows`, whose keys are the live nodes).  Ties go
-    to the smallest source id: the sources start the queue in sorted
-    order and every node inherits its discoverer's source, so each level
-    stays sorted by source and a node is first reached from the smallest
-    of its nearest sources.  Sources outside ``rows`` reach nothing;
-    unreached nodes are absent.  Also returns the depth of the last level
-    (0 when the sources reach nothing else).
-    """
-    nearest = {source: source for source in sorted(set(sources))
-               if source in rows}
-    frontier, depth = list(nearest), 0
-    while True:
-        following = []
-        for u in frontier:
-            source = nearest[u]
-            for v in rows[u]:
-                if v not in nearest:
-                    nearest[v] = source
-                    following.append(v)
-        if not following:
-            return nearest, depth
-        frontier = following
-        depth += 1
+                     sources: Iterable[int]) -> dict[int, int]:
+    """Nearest source by hops of every node the sources reach, ties to the
+    smallest source id; sources outside ``rows`` (e.g. dead nodes of live
+    rows, :func:`_update_live_rows`) reach nothing."""
+    parents, _ = bfs_levels(rows, sorted({s for s in sources if s in rows}))
+    nearest: dict[int, int] = {}
+    # in discovery order parents come first; a source is its own parent
+    for node, parent in parents.items():
+        nearest[node] = nearest.get(parent, parent)
+    return nearest

@@ -1,6 +1,7 @@
 """Unit tests for repro.mobility.run: the stream -> repair driver."""
 
 import math
+import re
 import sys
 
 import networkx as nx
@@ -82,6 +83,22 @@ def test_run_mobility_counts_gateway_reselection():
                           gateways=(0, 3))
     assert result.reselections > 0
 
+
+
+@pytest.mark.parametrize("kwargs, entry", [
+    ({"gateways": (0, 999)}, 999),
+    ({"gateways": (0, -1)}, -1),
+    ({"gateways": (0, True)}, True),
+    ({"gateways": (0, "x")}, "x"),
+    ({"gateway": True}, True),
+    ({"gateway": 1.0}, 1.0),
+], ids=["unknown", "negative", "bool", "str", "bool-anchor",
+        "float-anchor"])
+def test_run_mobility_rejects_bad_gateways_up_front(kwargs, entry):
+    # a candidate that is not an int node of the union topology would be
+    # ignored (or read as node 1) and skew the re-selection count
+    with pytest.raises(ConfigurationError, match=re.escape(repr(entry))):
+        run_mobility(drive_by_stream(), flows((3, 0)), **kwargs)
 
 def test_run_mobility_static_stream_is_lossless():
     positions = {0: (0.0, 0.0), 1: (80.0, 0.0), 2: (0.0, 80.0)}

@@ -13,11 +13,11 @@ from repro.net.topology import (
     chain_topology,
     from_edges,
     grid_topology,
-    hop_depths,
     random_disk_topology,
     star_topology,
     surviving_topology,
 )
+from tests.bfs_reference import hop_depths
 
 
 class TestMeshTopology:

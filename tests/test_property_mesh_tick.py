@@ -41,10 +41,11 @@ from repro.net.topology import (
     MeshTopology,
     _nearest_sources,
     _update_live_rows,
+    bfs_levels,
     from_edges,
-    hop_depths,
     surviving_topology,
 )
+from tests.bfs_reference import hop_depths
 
 
 @st.composite
@@ -110,7 +111,7 @@ def test_nearest_gateway_kernel_matches_per_gateway_bfs(world):
     reference = _reference_selection(
         *_present(topology, dead_nodes, dead_edges), gateways)
     live = _live_rows(topology, dead_nodes, dead_edges)
-    nearest, _ = _nearest_sources(live, gateways)
+    nearest = _nearest_sources(live, gateways)
     assert nearest == {n: g for n, g in reference.items() if g is not None}
     # dead edges given in either orientation are the same edges
     flipped = frozenset((v, u) for u, v in dead_edges)
@@ -131,9 +132,10 @@ def test_gateway_selection_matches_per_gateway_bfs(world):
 def test_selection_ties_go_to_the_smallest_gateway():
     # 2 is two hops from both gateways; 1 and 3 are one hop from one each
     rows = {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2, 4), 4: (3,)}
-    nearest, depth = _nearest_sources(rows, [4, 0])
-    assert nearest == {0: 0, 4: 4, 1: 0, 3: 4, 2: 0}
-    assert depth == 2
+    assert _nearest_sources(rows, [4, 0]) == {0: 0, 4: 4, 1: 0, 3: 4, 2: 0}
+    # the kernel it reads: 2 descends from 0 through its parent 1
+    assert bfs_levels(rows, [0, 4]) == ({0: 0, 4: 4, 1: 0, 3: 4, 2: 1},
+                                        [[0, 4], [1, 3], [2]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,7 +254,7 @@ def test_incremental_survivor_matches_cold_survivor(walk):
         assert engine.unreachable == unreachable
         assert (engine.alive.eccentricity(gateway)
                 == survivor.eccentricity(gateway))
-        assert (_nearest_sources(engine.live_rows, gateways)[0]
+        assert (_nearest_sources(engine.live_rows, gateways)
                 == _union_rows_selection(topology.rows, gateways,
                                          dead_nodes, dead_edges))
 
