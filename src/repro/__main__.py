@@ -120,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
             cache = ResultCache(args.cache_dir)
         for key in sorted(ALL_EXPERIMENTS,
                           key=lambda k: int(k[1:])):
-            doc = (ALL_EXPERIMENTS[key].__doc__ or "").strip().splitlines()
+            run = ALL_EXPERIMENTS[key].run
+            doc = (run.__doc__ or "").strip().splitlines()
             status = ""
             if cache is not None:
                 tasks = shard_experiment(key)

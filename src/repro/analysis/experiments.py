@@ -1,10 +1,14 @@
-"""The reconstructed experiment suite (E1-E16 in DESIGN.md).
+"""The reconstructed experiment suite (E1-E23 in DESIGN.md; E22 retired).
 
 Each function runs one experiment end-to-end and returns an
 :class:`ExperimentResult` with the rows a paper table/figure would plot.
-Benchmarks (``benchmarks/test_bench_eXX_*.py``) call these with their
-default (laptop-scale) parameters and print the tables; EXPERIMENTS.md
-records the measured shapes against the expected ones.
+Next to each function, one :class:`Experiment` declaration in
+:data:`ALL_EXPERIMENTS` holds everything else about it: its shard axis,
+the reduced parameters the tier-1 identity test pins, the benchmark
+parameters ``benchmarks/test_bench_experiments.py`` runs, its trailing
+wall-clock columns, and a shape check that fails when a table does not
+show the shape the paper predicts.  EXPERIMENTS.md records the measured
+shapes against the expected ones.
 
 All experiments are deterministic given their ``seed``.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.scenarios import (
@@ -83,6 +87,71 @@ class ExperimentResult:
         return text
 
 
+def _expect(holds: bool, claim: str) -> None:
+    """Fail a shape check with ``claim``, the expectation that broke.
+
+    A plain ``assert`` would vanish under ``python -O``.
+    """
+    if not holds:
+        raise AssertionError(claim)
+
+
+def _records(result: ExperimentResult) -> list[dict]:
+    """``result``'s rows as ``{header: cell}`` dicts."""
+    return [dict(zip(result.headers, row)) for row in result.rows]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the suite knows about one experiment, in one place.
+
+    ``run`` builds the table.  ``shape`` raises :class:`AssertionError`
+    when a table lacks the shape the paper predicts; :meth:`check` runs
+    it after the checks every table owes.  ``reduced`` are the small
+    parameters the tier-1 identity test runs and pins, and ``bench`` the
+    overrides of ``run``'s defaults the benchmark suite runs; both
+    tables must pass the check.  ``shard_axis`` names the sweep
+    parameter whose values give independent rows (a fresh RNG registry,
+    or pure arithmetic, per value), so the runtime can fan it out across
+    workers; ``None`` runs the experiment as one task.  The last
+    ``wall_columns`` columns are measured timings, which differ between
+    any two runs.
+    """
+
+    id: str
+    run: Callable[..., ExperimentResult]
+    shape: Callable[[ExperimentResult], None]
+    shard_axis: Optional[str] = None
+    reduced: Mapping[str, Any] = field(default_factory=dict)
+    bench: Mapping[str, Any] = field(default_factory=dict)
+    wall_columns: int = 0
+
+    def check(self, result: ExperimentResult) -> None:
+        """Raise :class:`AssertionError` unless ``result`` is a
+        well-formed table of this experiment with the expected shape."""
+        _expect(result.experiment == self.id
+                and f"[{self.id}]" in result.table(),
+                f"{result.experiment} is not a table of {self.id}")
+        _expect(bool(result.rows), f"{self.id} produced no rows")
+        _expect(all(len(row) == len(result.headers) for row in result.rows),
+                f"{self.id} has a row that does not match its headers")
+        self.shape(result)
+
+
+#: Every experiment's declaration, keyed by id (E22 is retired).
+ALL_EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _declare(experiment_id: str, run: Callable[..., ExperimentResult],
+             **facts: Any) -> Callable:
+    """Decorate a shape check: declare ``experiment_id`` with it."""
+    def register(shape: Callable[[ExperimentResult], None]) -> Callable:
+        ALL_EXPERIMENTS[experiment_id] = Experiment(experiment_id, run,
+                                                    shape, **facts)
+        return shape
+    return register
+
+
 # ---------------------------------------------------------------------------
 # E1: minimum guaranteed slots vs number of VoIP calls
 # ---------------------------------------------------------------------------
@@ -129,6 +198,18 @@ def e01_min_slots(call_counts: Sequence[int] = (1, 2, 3, 4, 5, 6),
                             greedy.frame_slots, greedy_wraps,
                             search.feasible])
     return result
+
+
+@_declare("E1", e01_min_slots, shard_axis="call_counts",
+          reduced={"call_counts": (1, 2)})
+def _e01_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    _expect(all(r["ilp_slots"] is not None for r in rows),
+            "every offered load is schedulable")
+    slots = [r["ilp_slots"] for r in rows]
+    _expect(slots == sorted(slots), "min slots grow with load")
+    _expect(all(r["ilp_slots"] >= r["lower_bound"] for r in rows),
+            "the ILP never needs fewer slots than the lower bound")
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +264,25 @@ def e02_delay_vs_hops(hop_counts: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
     return result
 
 
+@_declare("E2", e02_delay_vs_hops, shard_axis="hop_counts",
+          reduced={"hop_counts": (2, 4, 6)})
+def _e02_shape(result: ExperimentResult) -> None:
+    frame_ms = 10.0  # the default frame
+    rows = _records(result)
+    for r in rows:
+        _expect(r["ilp_ms"] <= r["tree_ms"] + 1e-9,
+                "the ILP order is never slower than the tree order")
+        _expect(r["tree_ms"] <= r["adversarial_ms"],
+                "the tree order is never slower than the adversarial one")
+        _expect(r["ilp_wraps"] == 0, "the ILP order never wraps")
+        _expect(r["ilp_ms"] <= frame_ms and r["tree_ms"] <= frame_ms,
+                "delay-aware orders stay within one frame at any hop count")
+        _expect(r["adversarial_ms"] >= (r["hops"] - 1) * frame_ms * 0.9,
+                "the adversarial order pays ~a frame per hop")
+    _expect(rows[-1]["adversarial_ms"] > rows[0]["adversarial_ms"],
+            "adversarial delay grows with hops")
+
+
 # ---------------------------------------------------------------------------
 # E3: delay vs frame duration
 # ---------------------------------------------------------------------------
@@ -216,6 +316,21 @@ def e03_delay_vs_frame(frame_durations_ms: Sequence[float] = (4, 8, 10, 16,
             frame_ms, good_slots * slot_ms, bad_slots * slot_ms,
             (path_wraps(bad, route) + 1) * frame_ms + frame_ms])
     return result
+
+
+@_declare("E3", e03_delay_vs_frame, shard_axis="frame_durations_ms",
+          reduced={"frame_durations_ms": (4, 8, 16)})
+def _e03_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    first = rows[0]
+    for r in rows:
+        scale = r["frame_ms"] / first["frame_ms"]
+        for arm in ("min_delay_order_ms", "adversarial_order_ms"):
+            _expect(math.isclose(r[arm], first[arm] * scale, rel_tol=1e-6,
+                                 abs_tol=1e-12),
+                    "delay is linear in frame duration")
+        _expect(r["adversarial_order_ms"] > 5 * r["min_delay_order_ms"],
+                "the adversarial order is several times the good order")
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +370,26 @@ def e04_overhead(drift_ppms: Sequence[float] = (5, 10, 20, 50),
             result.rows.append([drift, interval, guard * 1e6, overhead,
                                 capacity])
     return result
+
+
+# The reduced parameters are the defaults: E4 is arithmetic, and its
+# check reads corners that a smaller sweep lacks.
+@_declare("E4", e04_overhead, shard_axis="drift_ppms")
+def _e04_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    guard = {(r["drift_ppm"], r["resync_s"]): r["guard_us"] for r in rows}
+    capacity = {(r["drift_ppm"], r["resync_s"]): r["slot_capacity_bits"]
+                for r in rows}
+    _expect(guard[(50, 1.0)] > guard[(5, 1.0)], "guard grows with drift")
+    _expect(guard[(10, 10.0)] > guard[(10, 0.1)],
+            "guard grows with the resync interval")
+    _expect(guard[(50, 10.0)] > guard[(10, 0.1)],
+            "guard grows with drift and interval together")
+    _expect(capacity[(50, 10.0)] < capacity[(10, 0.1)],
+            "capacity shrinks as the guard grows")
+    _expect(capacity[(50, 10.0)] == 0, "the extreme corner is unusable")
+    _expect(capacity[(5, 0.1)] > 2000,
+            "the benign corner keeps most of the slot")
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +458,23 @@ def e05_voip_capacity(call_counts: Sequence[int] = (2, 4, 6, 8, 10),
     return result
 
 
+@_declare("E5", e05_voip_capacity, shard_axis="call_counts",
+          reduced={"call_counts": (2, 8), "duration_s": 1.0})
+def _e05_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    _expect(all(r["tdma_ok"] == r["tdma_admitted"] for r in rows),
+            "every admitted TDMA call meets QoS")
+    light, heavy = rows[0], rows[-1]
+    _expect(light["tdma_ok"] == light["offered_calls"],
+            "TDMA carries every call at light load")
+    _expect(light["dcf_ok"] == light["offered_calls"],
+            "DCF is clean at light load")
+    _expect(heavy["dcf_ok"] < heavy["offered_calls"],
+            "DCF degrades past the knee")
+    _expect(heavy["dcf_loss"] > light["dcf_loss"],
+            "DCF loss grows with load")
+
+
 # ---------------------------------------------------------------------------
 # E6: delay distribution -- TDMA bounded, DCF heavy-tailed
 # ---------------------------------------------------------------------------
@@ -358,6 +510,19 @@ def e06_delay_cdf(num_calls: int = 6, duration_s: float = 4.0,
     result.notes = (f"tdma loss {tdma.total_loss_fraction():.4f}, "
                     f"dcf loss {dcf.total_loss_fraction():.4f}")
     return result
+
+
+@_declare("E6", e06_delay_cdf, reduced={"num_calls": 4, "duration_s": 1.5},
+          bench={"duration_s": 3.0})
+def _e06_shape(result: ExperimentResult) -> None:
+    tdma = {r["percentile"]: r["tdma_ms"] for r in _records(result)}
+    dcf = {r["percentile"]: r["dcf_ms"] for r in _records(result)}
+    _expect(tdma["max"] < 3 * tdma["p50"] + 1.0,
+            "TDMA's max barely exceeds its median (bounded service)")
+    _expect(tdma["max"] - tdma["p50"] < 5.0,
+            "TDMA delay is capped within ~half a frame")
+    _expect(dcf["max"] - dcf["p50"] > tdma["max"] - tdma["p50"],
+            "DCF's tail exceeds TDMA's")
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +591,19 @@ def e07_ordering_compare(seed: int = 17) -> ExperimentResult:
     return result
 
 
+@_declare("E7", e07_ordering_compare)
+def _e07_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    for r in rows:
+        _expect(r["ilp"] == 0, f"{r['topology']}: the ILP reaches 0 wraps")
+        _expect(r["tree"] is None or r["tree"] == 0,
+                f"{r['topology']}: the tree algorithm matches the ILP")
+        _expect(r["greedy"] >= r["ilp"] and r["random"] >= r["ilp"],
+                f"{r['topology']}: no baseline beats the ILP")
+    _expect(any(r["greedy"] > 0 or r["random"] > 0 for r in rows),
+            "a baseline wraps somewhere, or the comparison is vacuous")
+
+
 # ---------------------------------------------------------------------------
 # E8: synchronization error over time
 # ---------------------------------------------------------------------------
@@ -469,6 +647,19 @@ def e08_sync_error(duration_s: float = 5.0, drift_ppm: float = 10.0,
     return result
 
 
+@_declare("E8", e08_sync_error, reduced={"duration_s": 2.5},
+          bench={"duration_s": 6.0})
+def _e08_shape(result: ExperimentResult) -> None:
+    arms = {r["arm"]: r for r in _records(result)}
+    synced = arms["sync_on"]
+    _expect(arms["sync_off"]["max_error_us"] > 3 * synced["max_error_us"],
+            "free-running error dwarfs the synced plateau")
+    _expect(synced["max_error_us"] < synced["guard_us"],
+            "synced error stays within the guard")
+    _expect(synced["slot_collisions"] == 0,
+            "no slot collisions while synced")
+
+
 # ---------------------------------------------------------------------------
 # E9: goodput efficiency vs slot length
 # ---------------------------------------------------------------------------
@@ -505,6 +696,18 @@ def e09_goodput_efficiency(slot_durations_us: Sequence[float] = (300, 400,
             slot_overhead_fraction(config.data_slot_s, config.guard_s,
                                    phy.plcp_overhead_s)])
     return result
+
+
+@_declare("E9", e09_goodput_efficiency, shard_axis="slot_durations_us",
+          reduced={"slot_durations_us": (400, 800, 2000)})
+def _e09_shape(result: ExperimentResult) -> None:
+    efficiency = [r["efficiency"] for r in _records(result)]
+    _expect(efficiency == sorted(efficiency),
+            "efficiency rises with slot length")
+    _expect(all(0 <= e < 1 for e in efficiency),
+            "efficiency is a fraction below 1")
+    _expect(efficiency[0] < 0.35, "short slots are overhead-dominated")
+    _expect(efficiency[-1] > 0.8, "long slots approach the channel rate")
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +767,23 @@ def e10_solver_scaling(grid_sizes: Sequence[tuple[int, int]] = ((2, 2),
     return result
 
 
+@_declare("E10", e10_solver_scaling, shard_axis="grid_sizes",
+          reduced={"grid_sizes": ((2, 2), (3, 3))}, wall_columns=2)
+def _e10_shape(result: ExperimentResult) -> None:
+    _expect(result.headers[-2:] == ["ilp_seconds", "bf_seconds"],
+            "the two measured timings come last")
+    rows = _records(result)
+    variables = [r["ilp_vars"] for r in rows]
+    _expect(variables == sorted(variables), "ILP variables grow with mesh")
+    for r in rows:
+        _expect(r["bf_seconds"] < 0.05, "BF recovery stays ~instant")
+        _expect(r["min_slots"] is not None, "every instance is schedulable")
+        # every search closes between the greedy-clique floor and the
+        # first-fit certificate, so no search pays an ILP probe
+        _expect(r["probes"] == 1 and r["cold_ilp_solves"] == 0,
+                "every E10 search closes between the bounds")
+
+
 # ---------------------------------------------------------------------------
 # E11: spatial reuse under the k-hop conflict model
 # ---------------------------------------------------------------------------
@@ -599,6 +819,23 @@ def e11_spatial_reuse(chain_lengths: Sequence[int] = (4, 6, 8, 10, 12, 16),
     return result
 
 
+@_declare("E11", e11_spatial_reuse, shard_axis="chain_lengths",
+          reduced={"chain_lengths": (4, 8, 12)})
+def _e11_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    one_hop = [r["slots_1hop"] for r in rows]
+    two_hop = [r["slots_2hop"] for r in rows]
+    _expect(two_hop[-3] == two_hop[-2] == two_hop[-1],
+            "2-hop slots saturate")
+    _expect(one_hop[-3] == one_hop[-1], "1-hop slots saturate")
+    _expect(rows[-1]["directed_links"] > rows[0]["directed_links"],
+            "demand keeps growing with the chain")
+    _expect(all(one <= two for one, two in zip(one_hop, two_hop)),
+            "wider interference needs more slots")
+    _expect(rows[-1]["utilization_2hop"] > 2.0,
+            "utilization shows real reuse")
+
+
 # ---------------------------------------------------------------------------
 # E12: VoIP MOS at and over the DCF knee
 # ---------------------------------------------------------------------------
@@ -632,6 +869,23 @@ def e12_voip_mos(call_counts: Sequence[int] = (4, 8), duration_s: float = 2.0,
             count, len(admitted), min(tdma_mos), min(dcf_mos),
             sum(tdma_mos) / len(tdma_mos), sum(dcf_mos) / len(dcf_mos)])
     return result
+
+
+# The DCF collapse (worst MOS < 2.5 at 8 calls) needs 2 s: at 1 s the
+# worst DCF call still scores 2.88.
+@_declare("E12", e12_voip_mos, shard_axis="call_counts",
+          reduced={"call_counts": (4, 8), "duration_s": 2.0})
+def _e12_shape(result: ExperimentResult) -> None:
+    _expect(len(result.rows) == 2, "one moderate and one heavy load")
+    moderate, heavy = _records(result)
+    _expect(moderate["tdma_worst_mos"] > 3.8,
+            "TDMA calls sit near the codec MOS ceiling")
+    _expect(heavy["tdma_worst_mos"] > 3.8,
+            "TDMA protects admitted calls at heavy load")
+    _expect(heavy["dcf_worst_mos"] < 2.5,
+            "DCF's worst call collapses past the knee")
+    _expect(heavy["tdma_worst_mos"] - heavy["dcf_worst_mos"] > 1.0,
+            "TDMA's worst call beats DCF's past the knee")
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +950,32 @@ def e13_channel_errors(error_rates: Sequence[float] = (0.0, 0.01, 0.03,
     return result
 
 
+@_declare("E13", e13_channel_errors, shard_axis="error_rates",
+          reduced={"error_rates": (0.0, 0.05), "duration_s": 1.0})
+def _e13_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    clean, worst = rows[0], rows[-1]
+    _expect(clean["tdma_loss"] == clean["tdma_arq_loss"]
+            == clean["dcf_loss"] == 0.0, "a clean channel loses nothing")
+    losses = [r["tdma_loss"] for r in rows]
+    _expect(losses == sorted(losses) and worst["tdma_loss"] > 0.05,
+            "plain TDMA loss grows with the error rate")
+    _expect(worst["tdma_arq_loss"] <= worst["tdma_loss"] / 3,
+            "slot-ARQ recovers most loss")
+    _expect(worst["dcf_loss"] <= worst["tdma_loss"] / 3,
+            "DCF ARQ recovers most loss")
+    # loss only removes samples, shifting the p95 by at most a sample
+    # spacing; the ARQ arm pays real delay
+    _expect(abs(worst["tdma_p95_ms"] - clean["tdma_p95_ms"])
+            < 0.05 * clean["tdma_p95_ms"],
+            "plain TDMA delay is pinned by the schedule")
+    _expect(worst["tdma_arq_p95_ms"] > clean["tdma_arq_p95_ms"],
+            "slot-ARQ pays for recovery in delay")
+    _expect(worst["arq_retx"] > 0
+            and worst["dcf_retries"] > clean["dcf_retries"],
+            "retransmissions grow with the error rate")
+
+
 # ---------------------------------------------------------------------------
 # E14: distributed (DSCH handshake) vs centralized (ILP) scheduling
 # ---------------------------------------------------------------------------
@@ -737,6 +1017,19 @@ def e14_distributed_vs_centralized() -> ExperimentResult:
             f"{len(demands) - len(outcome.unserved)}/{len(demands)}",
             outcome.messages, outcome.opportunities_used])
     return result
+
+
+@_declare("E14", e14_distributed_vs_centralized)
+def _e14_shape(result: ExperimentResult) -> None:
+    for r in _records(result):
+        links, central = r["links"], r["central_slots"]
+        makespan = r["distributed_makespan"]
+        _expect(r["served"] == f"{links}/{links}",
+                f"{r['case']}: demand stranded")
+        _expect(r["messages"] == 3 * links,
+                f"{r['case']}: three messages per link")
+        _expect(makespan <= 2 * central and central <= 2 * makespan,
+                f"{r['case']}: within 2x of the centralized region")
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +1130,24 @@ def e15_control_plane(duration_s: float = 3.0, drift_ppm: float = 10.0,
     return result
 
 
+@_declare("E15", e15_control_plane, reduced={"duration_s": 1.5})
+def _e15_shape(result: ExperimentResult) -> None:
+    guard_us = default_frame_config().guard_s * 1e6
+    beacons = {}
+    for r in _records(result):
+        arm = f"{r['topology']}/{r['plane']}"
+        _expect(r["max_sync_error_us"] < guard_us / 2,
+                f"{arm}: sync too loose")
+        _expect(r["control_collisions"] == 0, f"{arm}: control collisions")
+        _expect(r["voip_loss"] == 0, f"{arm}: VoIP loss")
+        beacons[r["topology"], r["plane"]] = r["beacons_sent"]
+    for topology in ("grid3x3", "chain10"):
+        _expect(beacons[topology, "roster"] >= beacons[topology, "election"],
+                f"{topology}: the roster packs every control opportunity")
+    _expect(beacons["chain10", "election"] >= beacons["grid3x3", "election"],
+            "the sparse chain recovers more density than the grid")
+
+
 # ---------------------------------------------------------------------------
 # E16: multi-service -- best-effort capacity left over vs guaranteed load
 # ---------------------------------------------------------------------------
@@ -893,6 +1204,20 @@ def e16_two_class(call_counts: Sequence[int] = (0, 1, 2, 3, 4, 5, 6),
             sum(two.best_effort_grants.values()),
             two.grant_fraction(be_demands)])
     return result
+
+
+@_declare("E16", e16_two_class, shard_axis="call_counts",
+          reduced={"call_counts": (0, 2, 4)})
+def _e16_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    _expect(all(r["guaranteed_region"] is not None for r in rows),
+            "every guaranteed load is schedulable")
+    regions = [r["guaranteed_region"] for r in rows]
+    fractions = [r["be_grant_fraction"] for r in rows]
+    _expect(regions == sorted(regions), "the guaranteed region grows")
+    _expect(fractions == sorted(fractions, reverse=True),
+            "the best-effort grant fraction shrinks monotonically")
+    _expect(fractions[0] > 2 * fractions[-1], "the squeeze is substantial")
 
 
 def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
@@ -998,6 +1323,22 @@ def e17_churn(churn_rates: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
                     "windows use one frame per ILP probe, an underestimate "
                     "of the re-solve's real cost (E10)")
     return result
+
+
+@_declare("E17", e17_churn, shard_axis="churn_rates",
+          reduced={"churn_rates": (4.0, 16.0), "num_calls": 5})
+def _e17_shape(result: ExperimentResult) -> None:
+    for r in _records(result):
+        rate = f"{r['churn_per_min']}/min"
+        _expect(r["events"] > 0, f"{rate}: churn happens")
+        _expect(r["local"] > 0, f"{rate}: local repair fires")
+        _expect(r["repair_frames"] < r["resolve_frames"],
+                f"{rate}: repair converges faster than the re-solve")
+        _expect(r["lost_repair"] <= r["lost_resolve"],
+                f"{rate}: repair never loses more than re-solving")
+        _expect(r["conflict_ok"] is True and r["guarantee_ok"] is True,
+                f"{rate}: the live schedule stays S8-clean and every "
+                "carried call meets its guarantee after every event")
 
 
 # ---------------------------------------------------------------------------
@@ -1211,6 +1552,33 @@ def e18_control_loss(loss_rates: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
     return result
 
 
+@_declare("E18", e18_control_loss, shard_axis="loss_rates")
+def _e18_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    resilient = [r for r in rows if r["resilient"]]
+    legacy = [r for r in rows if not r["resilient"]]
+    _expect(bool(resilient and legacy), "both arms are present")
+    for r in resilient:
+        _expect(r["loss_rate"] <= 0.3, "the sweep stays at or below 30%")
+        _expect(r["s8_violations"] == 0,
+                "the resilient arm never executes conflicting maps")
+        _expect(r["guard_violations"] == 0,
+                "holdover keeps transmissions out of guard time")
+        _expect(r["mute_events"] >= 1,
+                "the blacked-out victim fail-safe mutes")
+        _expect(r["commits"] == 6,
+                "all three floods (plus transitions) commit")
+        _expect(r["refloods"] > 0 and r["transitions"] > 0,
+                "epoch re-floods and transition versions fire")
+        _expect(0.0 < r["mean_commit_s"] < 1.0,
+                "coverage-acked commit stays sub-second")
+        _expect(r["stale_nodes_end"] == 0,
+                "re-floods catch the victim back up")
+    for r in legacy:
+        _expect(r["s8_violations"] + r["guard_violations"] > 0,
+                "the legacy arm desyncs under the same loss")
+
+
 def _e19_workload(frame: MeshFrameConfig):
     """The mixed-class saturating workload E19 runs (3-node chain).
 
@@ -1301,6 +1669,38 @@ def e19_scheduler_bakeoff(disciplines: Sequence[str] = ("strict", "wrr",
     return result
 
 
+@_declare("E19", e19_scheduler_bakeoff, shard_axis="disciplines")
+def _e19_shape(result: ExperimentResult) -> None:
+    rows = {r["discipline"]: r for r in _records(result)}
+    _expect(set(rows) == {"strict", "wrr", "drr", "edf"},
+            "all four disciplines ran")
+    # reserved grants carry UGS whatever the arbitration
+    for name, r in rows.items():
+        _expect(r["ugs_viol"] == 0, f"{name}: UGS contract broken")
+        _expect(r["nrtps_min_met"] == 1, f"{name}: nrtPS rate floor broken")
+    for name in ("strict", "edf"):
+        _expect(rows[name]["rtps_viol"] == 0,
+                f"{name}: a deadline-aware discipline meets rtPS latency")
+        _expect(rows[name]["be_starved"] == 1,
+                f"{name}: a deadline-aware discipline starves the multi-hop BE flow")
+    for name in ("wrr", "drr"):
+        _expect(rows[name]["rtps_viol"] > 0
+                and rows[name]["rtps_p95_ms"] > rows["strict"]["rtps_p95_ms"]
+                and rows[name]["be_starved"] == 0,
+                f"{name}: round robin trades rtPS latency for BE survival")
+    _expect(rows["drr"]["be_share"] > rows["strict"]["be_share"]
+            and rows["drr"]["jain_flow"] > rows["strict"]["jain_flow"]
+            and rows["wrr"]["jain_flow"] > rows["edf"]["jain_flow"],
+            "round robin is the fairer side of the trade")
+    _expect(rows["edf"]["rtps_viol"] <= rows["strict"]["rtps_viol"],
+            "EDF never violates rtPS more often than strict priority")
+    # the only idle grants are pipeline fill while the first packets
+    # cross hop one (400 frames is the default run)
+    total = 400 * default_frame_config().data_slots
+    for name, r in rows.items():
+        _expect(r["idle_grants"] / total < 0.01, f"{name}: not saturating")
+
+
 # ---------------------------------------------------------------------------
 # E20: QoS under mobility -- validity, goodput and repair load vs node speed
 # ---------------------------------------------------------------------------
@@ -1380,6 +1780,29 @@ def e20_mobility(speeds: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0),
                     "attachment of the far flows rather than repair "
                     "latency")
     return result
+
+
+@_declare("E20", e20_mobility, shard_axis="speeds")
+def _e20_shape(result: ExperimentResult) -> None:
+    rows = _records(result)
+    _expect(any(r["speed_mps"] >= 10.0 for r in rows),
+            "the sweep reaches vehicular speeds")
+    for r in rows:
+        speed = r["speed_mps"]
+        _expect(bool(r["conflict_ok"] and r["guarantee_ok"]),
+                f"schedule validity survives mobility at {speed} m/s")
+        _expect(0.0 <= r["goodput"] <= 1.0, "goodput is a fraction")
+        if speed == 0.0:
+            _expect(r["batches"] == 0 and r["reselect"] == 0,
+                    "a static field generates no topology churn")
+            continue
+        _expect(r["batches"] > 0 and r["events"] > 0,
+                f"motion at {speed} m/s churns the topology")
+        _expect(r["local"] + r["resolve"] == r["batches"],
+                "every churn batch is answered by a repair strategy")
+    reselect = {r["speed_mps"]: r["reselect"] for r in rows}
+    _expect(reselect[max(reselect)] > reselect[min(reselect)],
+            "gateway re-selection grows with node speed")
 
 
 # ---------------------------------------------------------------------------
@@ -1537,6 +1960,23 @@ def e21_zoned_scaling(sizes: Sequence[tuple[int, int]] = ((24, 16),
     return result
 
 
+@_declare("E21", e21_zoned_scaling, shard_axis="sizes",
+          reduced={"sizes": ((24, 16), (60, 45))},
+          bench={"sizes": ((24, 16), (80, 60), (240, 180))},
+          wall_columns=2)
+def _e21_shape(result: ExperimentResult) -> None:
+    for r in _records(result):
+        mesh = f"{r['nodes']} nodes"
+        _expect(r["status"] == BOUNDS_CLOSED and r["slots"] == r["floor"],
+                f"{mesh}: the search closes at its floor with no ILP")
+        _expect(r["greedy_slots"] is not None,
+                f"{mesh}: the greedy arm produces a schedule")
+        _expect(r["greedy_slots"] >= r["slots"],
+                f"{mesh}: greedy never beats K")
+        _expect(r["s8_ok"] is True, f"{mesh}: the schedule is S8-clean")
+        _expect(r["s30_ok"] is True, f"{mesh}: the schedule meets S30")
+
+
 # ---------------------------------------------------------------------------
 # E23: interference backends -- protocol model vs SINR ground truth
 # ---------------------------------------------------------------------------
@@ -1644,27 +2084,25 @@ def e23_interference_backends(
     return result
 
 
-ALL_EXPERIMENTS = {
-    "E1": e01_min_slots,
-    "E2": e02_delay_vs_hops,
-    "E3": e03_delay_vs_frame,
-    "E4": e04_overhead,
-    "E5": e05_voip_capacity,
-    "E6": e06_delay_cdf,
-    "E7": e07_ordering_compare,
-    "E8": e08_sync_error,
-    "E9": e09_goodput_efficiency,
-    "E10": e10_solver_scaling,
-    "E11": e11_spatial_reuse,
-    "E12": e12_voip_mos,
-    "E13": e13_channel_errors,
-    "E14": e14_distributed_vs_centralized,
-    "E15": e15_control_plane,
-    "E16": e16_two_class,
-    "E17": e17_churn,
-    "E18": e18_control_loss,
-    "E19": e19_scheduler_bakeoff,
-    "E20": e20_mobility,
-    "E21": e21_zoned_scaling,
-    "E23": e23_interference_backends,
-}
+_E23_SWEEP = {"cs_multipliers": (1.0, 2.5), "duration_s": 1.0}
+
+
+@_declare("E23", e23_interference_backends, shard_axis="cs_multipliers",
+          reduced=_E23_SWEEP, bench=_E23_SWEEP)
+def _e23_shape(result: ExperimentResult) -> None:
+    _expect(len(result.rows) == 2,
+            "one narrow and one wide carrier-sense range")
+    narrow, wide = rows = _records(result)
+    for r in rows:
+        _expect(r["uncovered"] > 0,
+                "the SINR truth exposes pairs the 2-hop model misses")
+        _expect(r["sinr_s8_ok"] is True,
+                "the SINR-backend schedule is S8-clean against its graph")
+        _expect(r["proto_viol_vs_sinr"] > 0,
+                "the protocol schedule collides under the SINR truth")
+        _expect(r["sinr_slots"] >= r["proto_slots"],
+                "the denser SINR graph never needs fewer slots")
+    _expect(narrow["hidden"] > 0,
+            "a narrow carrier-sense range leaves hidden-node pairs")
+    _expect(narrow["hidden"] > wide["hidden"],
+            "widening carrier sense shrinks the hidden-node set")

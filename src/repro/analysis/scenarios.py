@@ -53,9 +53,6 @@ class ScenarioResult:
     #: scenario-specific extras (sync errors, queue stats, ...)
     extras: dict[str, object] = field(default_factory=dict)
 
-    def worst_flow(self, metric: str = "p95_delay_s") -> FlowQoS:
-        return max(self.qos.values(), key=lambda q: getattr(q, metric))
-
     def total_loss_fraction(self) -> float:
         sent = sum(q.sent for q in self.qos.values())
         received = sum(q.received for q in self.qos.values())

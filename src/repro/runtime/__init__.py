@@ -22,7 +22,6 @@ from repro.runtime.runner import (
     run_experiments,
 )
 from repro.runtime.tasks import (
-    SHARD_AXES,
     Task,
     TaskResult,
     make_task,
@@ -39,7 +38,6 @@ __all__ = [
     "CachedEntry",
     "ExperimentOutcome",
     "ResultCache",
-    "SHARD_AXES",
     "Task",
     "TaskResult",
     "dedupe_ids",

@@ -14,9 +14,10 @@ that wants whole experiments rather than raw tasks) calls.  It
    reporting outcomes *in requested order*.
 
 Sharding is deterministic and row-order preserving: each shard is the
-experiment called with a singleton sweep axis, and every experiment in
-:data:`~repro.runtime.tasks.SHARD_AXES` draws its randomness per axis
-value, so the merged table is identical to a monolithic serial run.
+experiment called with a singleton sweep axis, and every experiment
+whose declaration in :data:`~repro.analysis.experiments.ALL_EXPERIMENTS`
+names a shard axis draws its randomness per axis value, so the merged
+table is identical to a monolithic serial run.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ the ``repro`` source tree, so editing any module invalidates cached
 results computed with the old code (see
 :func:`repro.fingerprint.source_fingerprint`).
 
-Experiments with an embarrassingly parallel sweep axis (e.g. E1's
-``call_counts``) can be *sharded* into one task per axis value with
-:func:`shard_experiment`; :func:`merge_experiment_results` stitches the
-per-shard tables back together in axis order, row-for-row identical to
-a monolithic run (each loop iteration builds its own
-:class:`~repro.sim.random.RngRegistry`, so shards are independent).
+Experiments that declare a shard axis (e.g. E1's ``call_counts``, see
+:class:`repro.analysis.experiments.Experiment`) are *sharded* into one
+task per axis value with :func:`shard_experiment`;
+:func:`merge_experiment_results` stitches the per-shard tables back
+together in axis order, row-for-row identical to a monolithic run (each
+loop iteration builds its own :class:`~repro.sim.random.RngRegistry`,
+so shards are independent).
 """
 
 from __future__ import annotations
@@ -37,31 +38,6 @@ from repro.fingerprint import source_fingerprint
 TargetLike = Union[str, Callable]
 
 _EXPERIMENT_ID = re.compile(r"^E\d+$")
-
-#: Experiments whose leading sweep parameter produces independent rows
-#: (fresh RNG registry / pure arithmetic per iteration), so the suite can
-#: fan the axis out across workers.  Experiments absent here (E6, E7, E8,
-#: E14, E15) run as a single task.
-SHARD_AXES: dict[str, str] = {
-    "E1": "call_counts",
-    "E2": "hop_counts",
-    "E3": "frame_durations_ms",
-    "E4": "drift_ppms",
-    "E5": "call_counts",
-    "E9": "slot_durations_us",
-    "E10": "grid_sizes",
-    "E11": "chain_lengths",
-    "E12": "call_counts",
-    "E13": "error_rates",
-    "E16": "call_counts",
-    "E17": "churn_rates",
-    "E18": "loss_rates",
-    "E19": "disciplines",
-    "E20": "speeds",
-    "E21": "sizes",
-    "E23": "cs_multipliers",
-}
-
 
 def _jsonify(value: Any) -> Any:
     """Map ``value`` onto a canonical JSON-compatible structure.
@@ -169,7 +145,7 @@ def resolve_target(task: Task) -> Callable:
         from repro.analysis.experiments import ALL_EXPERIMENTS
 
         try:
-            return ALL_EXPERIMENTS[task.target]
+            return ALL_EXPERIMENTS[task.target].run
         except KeyError:
             raise ConfigurationError(
                 f"unknown experiment {task.target!r}; see --list") from None
@@ -220,11 +196,11 @@ class TaskResult:
 # Experiment sharding
 # ---------------------------------------------------------------------------
 
-def _check_params(experiment_id: str, fn: Callable,
-                  params: Mapping[str, Any]) -> None:
-    """Reject a key ``fn`` does not take, or a sweep axis that is no list."""
+def _check_params(experiment, params: Mapping[str, Any]) -> None:
+    """Reject a key ``experiment.run`` does not take, or a shard-axis
+    value that is no list."""
     try:
-        accepted = inspect.signature(fn).parameters
+        accepted = inspect.signature(experiment.run).parameters
     except (TypeError, ValueError):
         return
     if not any(p.kind is inspect.Parameter.VAR_KEYWORD
@@ -232,13 +208,13 @@ def _check_params(experiment_id: str, fn: Callable,
         unknown = sorted(set(params) - set(accepted))
         if unknown:
             raise ConfigurationError(
-                f"{experiment_id} takes no parameter "
+                f"{experiment.id} takes no parameter "
                 f"{', '.join(map(repr, unknown))}; it takes "
                 f"{', '.join(accepted)}")
-    axis = SHARD_AXES.get(experiment_id)
+    axis = experiment.shard_axis
     if axis in params and not isinstance(params[axis], (list, tuple)):
         raise ConfigurationError(
-            f"{experiment_id} parameter {axis!r} is its sweep axis and "
+            f"{experiment.id} parameter {axis!r} is its sweep axis and "
             f"needs a list of values, got {params[axis]!r}")
 
 
@@ -259,20 +235,21 @@ def shard_experiment(experiment_id: str,
 
     experiment_id = experiment_id.upper()
     params = dict(params or {})
-    fn = ALL_EXPERIMENTS.get(experiment_id)
-    if fn is None:
+    experiment = ALL_EXPERIMENTS.get(experiment_id)
+    if experiment is None:
         return [make_task(experiment_id, params)]
-    _check_params(experiment_id, fn, params)
-    axis = SHARD_AXES.get(experiment_id)
+    _check_params(experiment, params)
+    axis = experiment.shard_axis
     if axis is None:
         return [make_task(experiment_id, params)]
     if axis in params:
         values = tuple(params[axis])
     else:
         try:
-            values = tuple(inspect.signature(fn).parameters[axis].default)
+            values = tuple(
+                inspect.signature(experiment.run).parameters[axis].default)
         except (KeyError, TypeError, ValueError):
-            # Replaced experiment without the sweep axis in its
+            # Replaced run function without the sweep axis in its
             # signature: run it unsharded.
             return [make_task(experiment_id, params)]
     if len(values) <= 1:

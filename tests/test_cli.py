@@ -1,6 +1,7 @@
 """Command-line experiment runner."""
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -126,7 +127,8 @@ def test_failing_experiment_exits_nonzero_with_summary(
     def explode(**kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setitem(ALL_EXPERIMENTS, "E9", explode)
+    monkeypatch.setitem(ALL_EXPERIMENTS, "E9",
+                        replace(ALL_EXPERIMENTS["E9"], run=explode))
     report = tmp_path / "report.md"
     assert main(["E9", "E3", "--no-cache", "--report", str(report)]) == 1
     captured = capsys.readouterr()

@@ -192,3 +192,27 @@ class TestShedOrder:
         ctl.request(ugs("u0", 1))
         key = ctl.shed_key()
         assert sorted(["b0", "u0"], key=key) == ["u0", "b0"]
+
+
+def test_bench_e19_admission_gate():
+    """Acceptance check riding the bake-off scenario: a UGS flow the
+    min-slots search cannot carry is rejected, and admitted once the
+    incumbent releases its reservation."""
+    frame = default_frame_config()
+    slot_rate = frame.data_slot_capacity_bits / frame.frame_duration_s
+
+    def ugs(name):
+        rate = 2 * slot_rate
+        return ServiceFlow(name, 2, 0, ServiceClass.UGS, TrafficContract(
+            min_reserved_rate_bps=rate, max_sustained_rate_bps=rate,
+            max_latency_s=0.05))
+
+    ctl = QosAdmissionController(chain_topology(3), frame,
+                                 guaranteed_region_slots=4)
+    assert ctl.request(ugs("voip0")).admitted
+    rejected = ctl.request(ugs("voip1"), park_on_reject=True)
+    assert not rejected.admitted
+    ctl.release("voip0")
+    outcomes = ctl.readmit_parked()
+    assert [d.flow.name for d in outcomes] == ["voip1"]
+    assert outcomes[0].admitted

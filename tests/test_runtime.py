@@ -3,6 +3,7 @@ and experiment-level orchestration."""
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.pool import run_tasks
 from repro.runtime.runner import dedupe_ids, run_experiments
 from repro.runtime.tasks import (
-    SHARD_AXES,
     make_task,
     merge_experiment_results,
     resolve_target,
@@ -70,7 +70,7 @@ def test_source_fingerprint_is_stable_within_process():
 
 
 def test_resolve_experiment_id_case_insensitive():
-    assert resolve_target(make_task("e9")) is ALL_EXPERIMENTS["E9"]
+    assert resolve_target(make_task("e9")) is ALL_EXPERIMENTS["E9"].run
 
 
 def test_resolve_dotted_path():
@@ -102,12 +102,15 @@ def test_unknown_targets_rejected():
         make_task(1234)
 
 
-def test_shard_axes_name_real_parameters():
+def test_declarations_name_real_parameters():
     import inspect
 
-    for exp_id, axis in SHARD_AXES.items():
-        signature = inspect.signature(ALL_EXPERIMENTS[exp_id])
-        assert axis in signature.parameters, (exp_id, axis)
+    for exp_id, declared in ALL_EXPERIMENTS.items():
+        assert declared.id == exp_id
+        accepted = inspect.signature(declared.run).parameters
+        axis = [] if declared.shard_axis is None else [declared.shard_axis]
+        for key in [*axis, *declared.reduced, *declared.bench]:
+            assert key in accepted, (exp_id, key)
 
 
 def test_shard_expansion_covers_axis():
@@ -124,7 +127,7 @@ def test_unshardable_experiment_is_one_task():
 
 
 def test_sharded_run_merges_to_serial_table():
-    serial = ALL_EXPERIMENTS["E9"]()
+    serial = ALL_EXPERIMENTS["E9"].run()
     shards = [run_task(t) for t in shard_experiment("E9")]
     merged = merge_experiment_results(shards)
     assert merged.headers == serial.headers
@@ -276,7 +279,7 @@ def test_mapping_round_trip(cache):
 
 
 def test_experiment_result_round_trips_table_exactly(cache):
-    result = ALL_EXPERIMENTS["E9"]()
+    result = ALL_EXPERIMENTS["E9"].run()
     task = make_task("E9")
     cache.put(task, result, wall_s=0.1)
     loaded = cache.get(task).value
@@ -378,7 +381,7 @@ def test_dedupe_ids_preserves_order():
 
 
 def test_sharded_experiment_matches_direct_call(tmp_path):
-    direct = ALL_EXPERIMENTS["E9"]()
+    direct = ALL_EXPERIMENTS["E9"].run()
     outcomes = run_experiments(["E9"], jobs=1,
                                cache_dir=str(tmp_path / "c"))
     assert len(outcomes) == 1
@@ -412,7 +415,8 @@ def test_failure_isolated_per_experiment(tmp_path, monkeypatch):
         calls.append(kwargs)
         raise RuntimeError("synthetic experiment failure")
 
-    monkeypatch.setitem(ALL_EXPERIMENTS, "E9", explode)
+    monkeypatch.setitem(ALL_EXPERIMENTS, "E9",
+                        replace(ALL_EXPERIMENTS["E9"], run=explode))
     outcomes = run_experiments(["E9", "E3"], jobs=1, use_cache=False,
                                cache_dir=str(tmp_path))
     by_id = {o.experiment: o for o in outcomes}
