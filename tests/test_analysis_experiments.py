@@ -1,9 +1,12 @@
-"""Experiment harness tests beyond the declared shape checks.
+"""Experiment harness tests beyond the identity test.
 
 Each experiment's shape check lives in its declaration in
 :mod:`repro.analysis.experiments` and runs on its reduced-parameter
-table in ``tests/test_experiment_identity.py``.  What stays here: a
-boundary error, a reference implementation and the registry's ids.
+table, built through the runner, in ``tests/test_experiment_identity.py``.
+The ``test_eNN_shape`` tests here call five cheap experiments' own
+functions directly at the same parameters, so the check also holds off
+the runner's path.  The rest: a boundary error, a reference
+implementation and the registry's ids.
 """
 
 import pytest
@@ -12,11 +15,32 @@ from repro.analysis import experiments as ex
 from repro.errors import ConfigurationError
 
 
+def _check_reduced(experiment: str) -> None:
+    declared = ex.ALL_EXPERIMENTS[experiment]
+    declared.check(declared.run(**declared.reduced))
+
+
+def test_e05_shape():
+    _check_reduced("E5")
+
+
 def test_e05_rejects_a_load_with_no_admitted_call():
     # a one-slot budget no multi-hop call can meet leaves nothing to run
     with pytest.raises(ConfigurationError, match="no flow could be admitted"):
         ex.e05_voip_capacity(call_counts=(1,), duration_s=0.2,
                              delay_target_s=0.001)
+
+
+def test_e10_shape():
+    _check_reduced("E10")
+
+
+def test_e12_shape():
+    _check_reduced("E12")
+
+
+def test_e14_shape():
+    _check_reduced("E14")
 
 
 def test_e16_matches_pre_qos_implementation():
@@ -61,6 +85,10 @@ def test_e16_matches_pre_qos_implementation():
             two.grant_fraction(be_demands)])
 
     assert ex.e16_two_class(call_counts=call_counts).rows == legacy_rows
+
+
+def test_e17_shape():
+    _check_reduced("E17")
 
 
 def test_registry_lists_all():
