@@ -7,15 +7,17 @@ conflict-index construction (whole mesh and a repair tick's demanded
 links), Bellman-Ford schedule recovery, greedy packing, feasibility
 ILPs, the ILP front end's conflict-clique refutation, the delay
 computation, the S8 check, the packing certificate that closes an
-admission decision, a mobility stream's snapshots and its lowering onto
-the fault machinery, and the mesh work of one mobility repair tick, cold
-and on a warm repair engine.
+admission decision and the whole decision, a mobility stream's
+snapshots and its lowering onto the fault machinery, and the mesh work
+of one mobility repair tick, cold and on a warm repair engine.
 """
 
 import itertools
 
 import networkx as nx
 
+import repro.core.admission as admission
+from repro.core.admission import AdmissionController
 from repro.core.conflict import (
     _Demanded,
     _greedy_clique_demand,
@@ -189,6 +191,50 @@ def test_bench_micro_packing_certificate_admission_grid(benchmark):
     assert result.schedule.makespan() <= floor
     assert result.max_delay_slots <= min(c.budget_slots
                                          for c in constraints)
+
+
+def test_bench_micro_admission_decision(benchmark, monkeypatch):
+    # One voip-admission decision: a sixth G.729 gateway call offered to
+    # try_admit with five admitted.  It closes on the bounds, and nothing
+    # reads the schedule inside the timed call.
+    frame = default_frame_config()
+    calls = [Flow(f"call{i}", src, dst, rate_bps=G729.wire_rate_bps,
+                  delay_budget_s=0.05)
+             for i, (src, dst) in enumerate(
+                 [(1, 0), (0, 2), (3, 0), (0, 5), (6, 0), (0, 7)])]
+    searches = []
+    search = admission.minimum_slots
+
+    def recording(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    def admitted_five():
+        controller = AdmissionController(
+            ADMISSION_GRID, frame_slots=frame.data_slots,
+            frame_duration_s=frame.frame_duration_s,
+            slot_capacity_bits=frame.data_slot_capacity_bits)
+        for flow in calls[:-1]:
+            assert controller.try_admit(flow).admitted
+        return (controller, calls[-1]), {}
+
+    monkeypatch.setattr(admission, "minimum_slots", recording)
+    controllers = []
+
+    def decide(controller, flow):
+        controllers.append(controller)
+        return controller.try_admit(flow)
+
+    decision = benchmark.pedantic(decide, setup=admitted_five, rounds=50)
+    assert decision.admitted
+    assert searches[-1].ilp.solver_status == BOUNDS_CLOSED
+    controller = controllers[-1]
+    schedule = decision.schedule
+    assert schedule is controller.schedule
+    assert schedule.violations(controller.conflicts) == []
+    budget = int(0.05 / controller.slot_duration_s)
+    assert all(path_delay_slots(schedule, flow.route) <= budget
+               for flow in controller.admitted)
 
 
 def test_bench_micro_violations_churn_mesh(benchmark):

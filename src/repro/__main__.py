@@ -118,19 +118,25 @@ def main(argv: list[str] | None = None) -> int:
         cache = None
         if not args.no_cache:
             cache = ResultCache(args.cache_dir)
-        for key in sorted(ALL_EXPERIMENTS,
-                          key=lambda k: int(k[1:])):
-            run = ALL_EXPERIMENTS[key].run
-            doc = (run.__doc__ or "").strip().splitlines()
-            status = ""
-            if cache is not None:
-                tasks = shard_experiment(key)
-                hits = sum(1 for t in tasks if cache.get(t) is not None)
-                status = ("cached" if hits == len(tasks)
-                          else f"partial {hits}/{len(tasks)}" if hits
-                          else "uncached")
-                status = f"[{status:<8}] "
-            print(f"{key:>4}  {status}{doc[0] if doc else ''}")
+        try:
+            for key in sorted(ALL_EXPERIMENTS,
+                              key=lambda k: int(k[1:])):
+                run = ALL_EXPERIMENTS[key].run
+                doc = (run.__doc__ or "").strip().splitlines()
+                status = ""
+                if cache is not None:
+                    tasks = shard_experiment(key)
+                    hits = sum(1 for t in tasks if cache.get(t) is not None)
+                    status = ("cached" if hits == len(tasks)
+                              else f"partial {hits}/{len(tasks)}" if hits
+                              else "uncached")
+                    status = f"[{status:<8}] "
+                print(f"{key:>4}  {status}{doc[0] if doc else ''}")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (``--list | head``): stop quietly,
+            # with stdout on devnull so the flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
     params = {}

@@ -340,6 +340,30 @@ def _bit_rows(masks: Sequence[int], width: int) -> list[list[int]]:
     return rows
 
 
+def _demand_pass(demands: Mapping[Link, int]) -> tuple[list[Link], int, int]:
+    """The one walk over a search's demands.
+
+    Returns the positively demanded links (in the mapping's order), the
+    heaviest single demand and the heaviest node clique: the demand on
+    all links touching one node, which mutually conflict under any
+    k >= 1 model.  A negative demand raises
+    :class:`~repro.errors.ConfigurationError` naming the first one.
+    """
+    demanded = []
+    largest = 0
+    per_node: dict[int, int] = {}
+    for link, demand in demands.items():
+        if demand < 0:
+            raise ConfigurationError(f"negative demand on {link}")
+        for node in link:
+            per_node[node] = per_node.get(node, 0) + demand
+        if demand > 0:
+            demanded.append(link)
+            if demand > largest:
+                largest = demand
+    return demanded, largest, max(per_node.values(), default=0)
+
+
 def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     """A lower bound on frame slots: the heaviest known clique of conflicts.
 
@@ -355,16 +379,7 @@ def max_conflict_clique_demand(demands: Mapping[Link, int]) -> int:
     floor with a packing certificate and probes the ILP only for the gap
     above it (see :meth:`repro.core.engine.SolverEngine.run_search`).
     """
-    best = 0
-    per_node: dict[int, int] = {}
-    for link, demand in demands.items():
-        if demand < 0:
-            raise ConfigurationError(f"negative demand on {link}")
-        for node in link:
-            per_node[node] = per_node.get(node, 0) + demand
-    if per_node:
-        best = max(per_node.values())
-    return best
+    return _demand_pass(demands)[2]
 
 
 class _Demanded:
@@ -373,24 +388,38 @@ class _Demanded:
     Local index ``i`` is the ``i``-th link with positive demand in sorted
     (canonical) order: :attr:`links` names it, :attr:`demand` holds its
     slots and :attr:`near` its conflicting demanded links as local
-    indices, in the index's row order.  Every kernel of a search (the
-    greedy clique, first fit, the packing descent, the S8 and budget
-    checks) reads these lists instead of resolving links again.  A
-    demanded link missing from ``conflicts`` raises
+    indices, in the index's row order.  :attr:`heaviest` is every local
+    index, heaviest demand first (ties: canonical order) -- the order of
+    first-fit decreasing and of the greedy clique.  Every kernel of a
+    search (the greedy clique, first fit, the packing descent, the S8 and
+    budget checks) reads these lists instead of resolving links again.
+    ``demanded`` is the positively demanded links when the caller has
+    already walked ``demands`` (:func:`_demand_pass`).  A demanded link
+    missing from ``conflicts`` raises
     :class:`~repro.errors.ConfigurationError`.
     """
 
-    __slots__ = ("links", "demand", "local", "near")
+    __slots__ = ("links", "demand", "heaviest", "local", "near")
 
     def __init__(self, conflicts: ConflictIndex,
-                 demands: Mapping[Link, int]) -> None:
-        self.links = sorted(link for link, d in demands.items() if d > 0)
-        self.demand = [demands[link] for link in self.links]
-        self.local = {link: i for i, link in enumerate(self.links)}
-        positions = list(map(conflicts.position, self.links))
-        at = {p: i for i, p in enumerate(positions)}
+                 demands: Mapping[Link, int],
+                 demanded: Optional[list[Link]] = None) -> None:
+        if demanded is None:
+            demanded = [link for link, d in demands.items() if d > 0]
+        self.links = links = sorted(demanded)
+        self.demand = demand = [demands[link] for link in links]
+        self.heaviest = sorted(range(len(demand)), key=demand.__getitem__,
+                               reverse=True)
+        self.local = {link: i for i, link in enumerate(links)}
+        positions = conflicts._positions
+        at = {}
+        for i, link in enumerate(links):
+            p = positions.get(link)
+            if p is None:
+                conflicts.position(link)  # raises: missing from the relation
+            at[p] = i
         rows = conflicts._rows
-        self.near = [[at[q] for q in rows[p] if q in at] for p in positions]
+        self.near = [[at[q] for q in rows[p] if q in at] for p in at]
 
 
 def _greedy_clique_demand(conflicts: ConflictIndex,
@@ -422,7 +451,7 @@ def _clique_weight(view: _Demanded, region: int) -> int:
         return best
     # Bit r stands for the r-th heaviest demanded link (ties: canonical
     # order), so the lowest set bit of a candidate mask is the next pick.
-    heaviest = sorted(range(len(demand)), key=lambda i: (-demand[i], i))
+    heaviest = view.heaviest
     rank = [0] * len(demand)
     bit = [0] * len(demand)
     for r, i in enumerate(heaviest):

@@ -50,13 +50,13 @@ from repro import obs
 from repro.core.conflict import (
     ConflictIndex,
     _clique_weight,
+    _demand_pass,
     _Demanded,
     _resolve_links,
     conflict_graph,
 )
 from repro.core.greedy import (
     _first_fit,
-    _processing_order,
     greedy_minimum_slots,
     greedy_packings,
 )
@@ -66,11 +66,12 @@ from repro.core.ilp import (
     SchedulingProblem,
     solve_schedule_ilp,
 )
+from repro.core.minslots import MinSlotResult
 from repro.core.ordering import TransmissionOrder
 # Bound here only for perfbench/tracer.py, which wraps this name.
 from repro.core.ordering import schedule_from_order  # noqa: F401
 from repro.core.policy import SolverPolicy
-from repro.core.schedule import Schedule, SlotBlock, _overlapping_pairs
+from repro.core.schedule import Schedule, _overlapping_pairs
 from repro.errors import (
     ConfigurationError,
     InfeasibleScheduleError,
@@ -238,7 +239,7 @@ class SolverEngine:
                    delay_constraints: Sequence[DelayConstraint],
                    ceiling: int,
                    node_limit_per_probe: Optional[int] = None,
-                   gap_arm: str = "exact"):
+                   gap_arm: "str | SolverPolicy" = "exact"):
         """The min-slot search behind :func:`~repro.core.minslots.minimum_slots`.
 
         Two bounds come first, whatever the arm.  The *floor* is the
@@ -253,7 +254,10 @@ class SolverEngine:
         :data:`BOUNDS_CLOSED`.  A search with nothing demanded is decided
         here too, by one ILP probe at region 1.
 
-        Only the gap ``[floor, ceiling]`` reaches ``gap_arm``.
+        Only the gap ``[floor, ceiling]`` reaches ``gap_arm``, a
+        :class:`~repro.core.policy.SolverPolicy` whose
+        :meth:`~repro.core.policy.SolverPolicy.resolve_mode` picks the arm
+        from the number of demanded links, or the arm itself.
         ``"exact"`` probes it upward from the floor, one ILP per region,
         and returns the first feasible region -- the paper's linear
         search; a gap that ends infeasible pays one probe per region.
@@ -270,9 +274,10 @@ class SolverEngine:
         verdict regardless of machine load -- which is what keeps solves
         bitwise-identical between serial and parallel runs.
         """
-        from repro.core.minslots import MinSlotResult, demand_lower_bound
-
-        lower = max(1, demand_lower_bound(demands))
+        # The search's one walk over the demands: the negative-demand
+        # check, the demanded links and demand_lower_bound.
+        demanded, largest, clique = _demand_pass(demands)
+        lower = max(1, largest, clique)
         probes: list[tuple[int, bool]] = []
 
         def log(region: int, feasible: bool) -> None:
@@ -303,18 +308,18 @@ class SolverEngine:
             return result
 
         def finish(slots: Optional[int], ilp: Optional[ILPResult],
-                   bound: int = lower) -> "MinSlotResult":
+                   bound: int = lower) -> MinSlotResult:
             return MinSlotResult(slots=slots, ilp=ilp, lower_bound=bound,
                                  probes=probes)
 
-        if not any(d > 0 for d in demands.values()):
+        if not demanded:
             empty = probe(1)
             return finish(0 if empty.feasible else None, empty, 0)
 
         if lower > ceiling:
             return finish(None, None)
 
-        view = _Demanded(conflicts, demands)
+        view = _Demanded(conflicts, demands, demanded)
         floor = max(lower, _clique_weight(view, ceiling))
         if floor > ceiling:
             log(ceiling, False)
@@ -326,6 +331,8 @@ class SolverEngine:
             log(floor, True)
             return finish(floor, certificate)
 
+        if not isinstance(gap_arm, str):
+            gap_arm = gap_arm.resolve_mode(len(view.links))
         if gap_arm == "greedy":
             return greedy_minimum_slots(
                 conflicts, demands, frame_slots, delay_constraints,
@@ -420,15 +427,17 @@ def _packing_certificate(conflicts: ConflictIndex,
 
     Budgets are checked on start slots at the full frame length, so a
     wrap costs the frame, not the packed region.  The packing that
-    passes is checked conflict-free (S8) and published as the result's
-    schedule, with the order its start slots induce, the largest route
-    delay and :data:`BOUNDS_CLOSED`.
+    passes is checked conflict-free (S8) on its start slots and published
+    as the result's schedule, with the order its start slots induce, the
+    largest route delay and :data:`BOUNDS_CLOSED`.  Both keep the start
+    slots and build their blocks and ranks when first used
+    (:meth:`Schedule._packed`, :meth:`TransmissionOrder._packed`), so a
+    caller that reads only the verdict never pays for them.
     """
     demand = view.demand
     budgets = _Budgets(view, delay_constraints)
     try:
-        start = _first_fit(view, _processing_order(demand, "demand", None),
-                           region, "demand")
+        start = _first_fit(view, view.heaviest, region, "demand")
     except InfeasibleScheduleError:
         delays = None
     else:
@@ -452,12 +461,9 @@ def _packing_certificate(conflicts: ConflictIndex,
         raise SchedulingError(
             f"packing has {len(clashes)} conflicting overlaps")
     links = view.links
-    schedule = Schedule(frame_slots, {
-        link: SlotBlock(start[i], demand[i]) for i, link in enumerate(links)})
-    order = TransmissionOrder(
-        {link: float(start[i]) for i, link in enumerate(links)})
-    return ILPResult(True, schedule, order, max(delays, default=None), 0.0,
-                     BOUNDS_CLOSED, 0, 0)
+    return ILPResult(True, Schedule._packed(frame_slots, links, start, demand),
+                     TransmissionOrder._packed(links, start),
+                     max(delays, default=None), 0.0, BOUNDS_CLOSED, 0, 0)
 
 
 def _packing_descent(view: _Demanded, budgets: _Budgets, frame_slots: int,

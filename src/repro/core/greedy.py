@@ -44,23 +44,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 GREEDY_PORTFOLIO = ("demand", "index")
 
 
-def _processing_order(demand: Sequence[int], strategy: str,
-                      rng: Optional[np.random.Generator]) -> list[int]:
+def _processing_order(view: _Demanded, strategy: str,
+                      rng: Optional[np.random.Generator]) -> Sequence[int]:
     """The order a strategy places a search's demanded links in.
 
-    Local indices of a :class:`~repro.core.conflict._Demanded` view,
-    whose canonical order is the ``"index"`` strategy's.
+    Local indices of ``view``, whose canonical order is the ``"index"``
+    strategy's.
     """
+    count = len(view.demand)
     if strategy == "index":
-        return list(range(len(demand)))
+        return range(count)
     if strategy == "demand":
         # Heaviest demand first (classic first-fit-decreasing), canonical
         # tie-break for determinism.
-        return sorted(range(len(demand)), key=lambda i: (-demand[i], i))
+        return view.heaviest
     if strategy == "random":
         if rng is None:
             raise ConfigurationError("strategy='random' requires an rng")
-        return [int(i) for i in rng.permutation(len(demand))]
+        return [int(i) for i in rng.permutation(count)]
     raise ConfigurationError(f"unknown greedy strategy {strategy!r}")
 
 
@@ -115,7 +116,7 @@ def greedy_schedule(conflicts: ConflictIndex, demands: Mapping[Link, int],
         order) or ``"random"`` (a shuffled order drawn from ``rng``).
     """
     view = _Demanded(conflicts, demands)
-    order = _processing_order(view.demand, strategy, rng)
+    order = _processing_order(view, strategy, rng)
     start = _first_fit(view, order, frame_slots, strategy)
     demand = view.demand
     span = max((start[i] + demand[i] for i in order), default=1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.core.conflict import ConflictIndex, max_conflict_clique_demand
+from repro.core.conflict import ConflictIndex, _demand_pass
 from repro.core.ilp import DelayConstraint, ILPResult
 from repro.core.ordering import TransmissionOrder
 from repro.core.policy import SolverPolicy
@@ -93,10 +93,11 @@ def demand_lower_bound(demands: Mapping[Link, int]) -> int:
 
     The max of (a) the largest single-link demand and (b) the heaviest
     node-induced conflict clique (all links touching one node mutually
-    conflict).
+    conflict), from the same walk over ``demands`` that starts every
+    search.
     """
-    largest = max((d for d in demands.values() if d > 0), default=0)
-    return max(largest, max_conflict_clique_demand(demands))
+    ____, largest, clique = _demand_pass(demands)
+    return max(largest, clique)
 
 
 def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
@@ -138,13 +139,12 @@ def minimum_slots(conflicts: ConflictIndex, demands: Mapping[Link, int],
     ceiling = frame_slots if eff.max_region is None else eff.max_region
     if ceiling > frame_slots:
         raise ConfigurationError("max_region cannot exceed frame_slots")
-    demanded = sum(1 for d in demands.values() if d > 0)
     with obs.span("core.minslots.search", frame_slots=frame_slots):
         obs.counter("core.minslots.searches").inc()
         outcome = engine.run_search(
             conflicts, demands, frame_slots, delay_constraints, ceiling,
             node_limit_per_probe=eff.node_limit_per_probe,
-            gap_arm=eff.resolve_mode(demanded))
+            gap_arm=eff)
     obs.histogram("core.minslots.probes_per_search").observe(
         outcome.iterations)
     if not outcome.feasible:

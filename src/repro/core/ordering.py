@@ -12,7 +12,8 @@ packet suffers along its path -- and hence its delay to within one frame.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.bellman_ford import DifferenceConstraints
 from repro.core.conflict import ConflictIndex, _pairs_among
@@ -43,6 +44,26 @@ class TransmissionOrder:
         #: (a, b) -> True iff a precedes b, for pairs where rank comparison
         #: is not the source of truth (ILP solutions).
         self._pairs = dict(pair_overrides or {})
+
+    @classmethod
+    def _packed(cls, links: Sequence[Link],
+                start: Sequence[int]) -> "TransmissionOrder":
+        """The order start slots ``start[i]`` of ``links[i]`` induce, as
+        :meth:`from_schedule` gives it, ranks built when first used.
+
+        The caller leaves the sequences unchanged.
+        """
+        order = cls.__new__(cls)
+        order._starts = (links, start)
+        order._pairs = {}
+        return order
+
+    @cached_property
+    def _ranks(self) -> dict[Link, float]:
+        """A :meth:`_packed` order's ranks, built on first use (every
+        other order sets them in ``__init__``)."""
+        links, start = self._starts
+        return {link: float(start[i]) for i, link in enumerate(links)}
 
     @classmethod
     def from_ranking(cls, links_in_order: Iterable[Link]) -> "TransmissionOrder":

@@ -12,7 +12,15 @@ not wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.net.topology import Link
@@ -90,6 +98,29 @@ class Schedule:
         if assignments:
             for link, block in assignments.items():
                 self.assign(link, block)
+
+    @classmethod
+    def _packed(cls, frame_slots: int, links: Sequence[Link],
+                start: Sequence[int], length: Sequence[int]) -> "Schedule":
+        """``links[i]`` on ``[start[i], start[i] + length[i])``, blocks
+        built when the schedule is first used.
+
+        The caller guarantees every block is a valid one inside the frame
+        (a search's certificate packs inside its region) and leaves the
+        sequences unchanged.
+        """
+        schedule = cls.__new__(cls)
+        schedule.frame_slots = frame_slots
+        schedule._packing = (links, start, length)
+        return schedule
+
+    @cached_property
+    def _blocks(self) -> dict[Link, SlotBlock]:
+        """A :meth:`_packed` schedule's blocks, built on first use (every
+        other schedule sets them in ``__init__``)."""
+        links, start, length = self._packing
+        return {link: SlotBlock(start[i], length[i])
+                for i, link in enumerate(links)}
 
     def assign(self, link: Link, block: SlotBlock) -> None:
         """Assign ``block`` to ``link`` (replacing any previous assignment)."""

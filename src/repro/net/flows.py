@@ -10,7 +10,7 @@ per-link slot demands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ConfigurationError
@@ -76,8 +76,10 @@ class Flow:
         return len(self.route)
 
     def with_route(self, route: Iterable[Link]) -> "Flow":
-        """Return a copy of this flow carrying the given route."""
-        return replace(self, route=tuple(route))
+        """Return a copy of this flow carrying the given route (validated
+        like any :class:`Flow`)."""
+        return Flow(self.name, self.src, self.dst, self.rate_bps,
+                    self.delay_budget_s, tuple(route))
 
     def slots_per_frame(self, frame_duration_s: float,
                         slot_capacity_bits: float) -> int:

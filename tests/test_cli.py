@@ -1,6 +1,9 @@
 """Command-line experiment runner."""
 
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,6 +22,27 @@ def test_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "E1" in out and "E14" in out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered",
+                                                       "buffered"])
+def test_list_into_a_closed_pipe_exits_quietly(tmp_path, unbuffered):
+    """``--list | head`` : the reader closes the pipe before the listing
+    is written (at each ``print`` when unbuffered, at the final flush
+    otherwise); the CLI stops with status 0 and no traceback."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--list", "--no-cache"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=300) == 0, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_list_annotates_cache_status(capsys):

@@ -253,3 +253,160 @@ class TestConfiguration:
     def test_slot_duration(self):
         ctrl = controller(frame_slots=10)
         assert ctrl.slot_duration_s == pytest.approx(0.001)
+
+
+# -- certificates published on read ----------------------------------------
+
+#: (grid, calls seed, delay budget) of every pinned decision sequence of
+#: tests/test_admission_golden.py: the six voip-admission pools, the
+#: 12 ms sequence the packing descent decides and the 15 ms 3x3 sequence
+#: that reaches the greedy rung and one ILP gap search.
+PUBLISHED_SEQUENCES = (
+    [((2, 4), seed, 0.05) for seed in (8, 11, 12, 13, 14, 19)]
+    + [((2, 4), 11, 0.012), ((3, 3), 10, 0.015)])
+
+
+def _eager(result):
+    """The schedule (as ``to_dict``) and order ranks a search publishes,
+    built eagerly now: from a copy of a certificate's start slots, or
+    read off a solver's schedule."""
+    from repro.core.engine import BOUNDS_CLOSED
+    from repro.core.schedule import Schedule, SlotBlock
+
+    schedule = result.schedule
+    if result.ilp.solver_status != BOUNDS_CLOSED:
+        return schedule.to_dict(), dict(result.order._ranks)
+    links, start, length = map(list, schedule._packing)
+    built = Schedule(schedule.frame_slots, {
+        link: SlotBlock(start[i], length[i]) for i, link in enumerate(links)})
+    return built.to_dict(), {link: float(start[i])
+                             for i, link in enumerate(links)}
+
+
+def _replay(grid, seed, budget, monkeypatch):
+    """Play a pinned sequence (offer, release every other admitted call,
+    re-offer the rejected), reading no schedule.  Returns the controller
+    and, per decision, ``(kind, decision or None, search result or None,
+    schedule, expected)``: the controller's schedule after the decision
+    and the eager build it must equal."""
+    import repro.core.admission as admission
+    from repro.mesh16.frame import default_frame_config
+    from repro.net.topology import grid_topology
+    from tests.test_admission_golden import _calls
+
+    searches = []
+    real_minimum_slots = admission.minimum_slots
+
+    def spy(*args, **kwargs):
+        searches.append(real_minimum_slots(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(admission, "minimum_slots", spy)
+    topology = grid_topology(*grid)
+    frame = default_frame_config()
+    ctrl = AdmissionController(
+        topology, frame_slots=frame.data_slots,
+        frame_duration_s=frame.frame_duration_s,
+        slot_capacity_bits=frame.data_slot_capacity_bits)
+    records = []
+    expected = None  # the eager build of ctrl.schedule
+
+    def offer(flow):
+        nonlocal expected
+        decision = ctrl.try_admit(flow)
+        result = searches[-1]
+        if decision.admitted:
+            expected = _eager(result)
+            assert decision.schedule is result.schedule
+        records.append(("offer", decision, result, ctrl.schedule, expected))
+        return decision
+
+    admitted, rejected = [], []
+    for flow in _calls(topology, seed, budget):
+        (admitted if offer(flow).admitted else rejected).append(flow)
+    for flow in admitted[::2]:
+        before = len(searches)
+        ctrl.release(flow.name)
+        result = searches[-1] if len(searches) > before else None
+        expected = None if result is None else _eager(result)
+        records.append(("release", None, result, ctrl.schedule, expected))
+    for flow in rejected:
+        offer(flow)
+    return ctrl, records
+
+
+#: SHA-256 prefix of call6's search in the 15 ms 3x3 sequence: slots,
+#: probe log, solver status and schedule.
+ILP_DECIDED_DIGEST = "4437f1162a247cc6"
+
+
+class TestPublishedOnRead:
+    @pytest.mark.parametrize("grid, seed, budget", PUBLISHED_SEQUENCES)
+    def test_every_decision_keeps_the_schedule_it_was_made_with(
+            self, grid, seed, budget, monkeypatch):
+        from repro.core.engine import BOUNDS_CLOSED
+
+        ctrl, records = _replay(grid, seed, budget, monkeypatch)
+        assert ctrl.schedule is records[-1][3]
+        closed = [result for ____, ____, result, ____, ____ in records
+                  if result is not None and result.feasible
+                  and result.ilp.solver_status == BOUNDS_CLOSED]
+        assert closed
+        for result in closed:  # no decision built its certificate
+            assert "_blocks" not in vars(result.schedule)
+            assert "_ranks" not in vars(result.order)
+        for kind, decision, result, schedule, expected in records:
+            if kind == "offer":
+                # a rejected call keeps the schedule from before it
+                assert decision.schedule is schedule
+            if expected is None:
+                assert schedule is None
+                continue
+            # read only now, after every later offer and release
+            assert schedule.to_dict() == expected[0]
+            if result is not None and result.schedule is schedule:
+                assert dict(result.order._ranks) == expected[1]
+                assert result.order is result.order
+                if result.ilp.solver_status == BOUNDS_CLOSED:
+                    assert result.order._pairs == {}
+            # built once: every later read returns the same blocks
+            link = schedule.links()[0]
+            assert schedule.block(link) is schedule.block(link)
+            assert schedule.to_dict() == expected[0]
+
+    def test_the_ilp_decided_search_publishes_its_solver_schedule(
+            self, monkeypatch):
+        """The 15 ms 3x3 sequence's one ILP gap search (call6) publishes
+        the solver's schedule, built eagerly and pinned."""
+        import hashlib
+
+        from repro.core.engine import BOUNDS_CLOSED
+
+        ctrl, records = _replay((3, 3), 10, 0.015, monkeypatch)
+        decided = [(decision, result) for ____, decision, result, ____, ____
+                   in records if result is not None and result.feasible
+                   and result.ilp.solver_status != BOUNDS_CLOSED]
+        assert [decision.flow.name for decision, ____ in decided] == ["call6"]
+        (decision, result), = decided
+        assert "_blocks" in vars(result.schedule)
+        assert result.schedule.violations(ctrl.conflicts) == []
+        digest = hashlib.sha256(repr((
+            result.slots, result.probes, result.ilp.solver_status,
+            result.schedule.to_dict())).encode()).hexdigest()[:16]
+        assert digest == ILP_DECIDED_DIGEST
+
+    def test_qos_request_builds_no_schedule(self):
+        from repro.mesh16.frame import default_frame_config
+        from repro.qos.admission import QosAdmissionController
+        from repro.qos.model import ServiceClass, ServiceFlow, TrafficContract
+
+        qos = QosAdmissionController(chain_topology(5),
+                                     default_frame_config())
+        flow = ServiceFlow("rt", 4, 0, ServiceClass.RTPS, TrafficContract(
+            min_reserved_rate_bps=64_000, max_latency_s=0.1))
+        decision = qos.request(flow)
+        assert decision.admitted
+        assert decision.schedule is qos.schedule
+        assert "_blocks" not in vars(decision.schedule)
+        assert decision.schedule.violations(qos._core.conflicts) == []
+        assert decision.schedule.makespan() <= qos.slots_used

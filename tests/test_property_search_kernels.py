@@ -16,7 +16,12 @@ through :meth:`~repro.core.conflict.ConflictIndex.neighbors` and
 - :func:`~repro.core.conflict._greedy_clique_demand`;
 - the engine's budget check: the same verdict, every route's delay, and
   the same :class:`~repro.errors.SchedulingError` for a route through an
-  undemanded link.
+  undemanded link;
+- the search's one pass over its demands (:func:`_demand_pass` and the
+  :class:`_Demanded` view it feeds) against the separate walks it
+  replaced: ``demand_lower_bound``, ``max_conflict_clique_demand``, the
+  view, the first-fit orders and the clique order, with zero and
+  negative demands and demanded links missing from the index.
 
 A demanded link missing from the index raises
 :class:`~repro.errors.ConfigurationError` in every kernel.  Relations
@@ -32,14 +37,17 @@ from hypothesis import strategies as st
 
 from repro.core.conflict import (
     ConflictIndex,
+    _demand_pass,
     _Demanded,
     _greedy_clique_demand,
     conflict_graph,
+    max_conflict_clique_demand,
 )
 from repro.core.delay import path_delay_slots
 from repro.core.engine import _Budgets
-from repro.core.greedy import greedy_schedule
+from repro.core.greedy import _processing_order, greedy_schedule
 from repro.core.ilp import DelayConstraint
+from repro.core.minslots import demand_lower_bound, minimum_slots
 from repro.core.schedule import Schedule, SlotBlock
 from repro.errors import (
     ConfigurationError,
@@ -146,6 +154,51 @@ def _old_budget_delays(packed, frame_slots, constraints):
     return [path_delay_slots(schedule, c.route) for c in constraints]
 
 
+# -- the separate walks over a search's demands (oracle copies) --------------
+
+def _walk_clique_bound(demands):
+    best = 0
+    per_node = {}
+    for link, demand in demands.items():
+        if demand < 0:
+            raise ConfigurationError(f"negative demand on {link}")
+        for node in link:
+            per_node[node] = per_node.get(node, 0) + demand
+    if per_node:
+        best = max(per_node.values())
+    return best
+
+
+def _walk_lower_bound(demands):
+    largest = max((d for d in demands.values() if d > 0), default=0)
+    return max(largest, _walk_clique_bound(demands))
+
+
+def _walk_view(conflicts, demands):
+    """(links, demand, local, near) as the view built them with a walk
+    of its own, resolving every link through ``position``."""
+    links = sorted(link for link, d in demands.items() if d > 0)
+    demand = [demands[link] for link in links]
+    local = {link: i for i, link in enumerate(links)}
+    positions = list(map(conflicts.position, links))
+    at = {p: i for i, p in enumerate(positions)}
+    rows = conflicts._rows
+    near = [[at[q] for q in rows[p] if q in at] for p in positions]
+    return links, demand, local, near
+
+
+def _walk_processing_order(demand, strategy, rng):
+    if strategy == "index":
+        return list(range(len(demand)))
+    if strategy == "demand":
+        return sorted(range(len(demand)), key=lambda i: (-demand[i], i))
+    if strategy == "random":
+        if rng is None:
+            raise ConfigurationError("strategy='random' requires an rng")
+        return [int(i) for i in rng.permutation(len(demand))]
+    raise ConfigurationError(f"unknown greedy strategy {strategy!r}")
+
+
 def _outcome(function, *args, **kwargs):
     """``("ok", value)`` or ``(exception type, message)``."""
     try:
@@ -235,6 +288,18 @@ def budget_instances(draw):
     return view, starts, frame, constraints, packed
 
 
+@st.composite
+def signed_demand_instances(draw):
+    """(conflicts, demands) with zero and negative demands, and demanded
+    links that may be missing from ``conflicts``."""
+    topology, conflicts = draw(relations())
+    demands = draw(st.dictionaries(st.sampled_from(list(topology.links)),
+                                   st.integers(-3, 4), max_size=12))
+    if draw(st.booleans()):  # most draws: no negative demand
+        demands = {link: abs(d) for link, d in demands.items()}
+    return conflicts, demands
+
+
 STRATEGIES = ("demand", "index", "random")
 
 
@@ -318,3 +383,70 @@ def test_a_demanded_link_missing_from_the_index_is_refused():
             kernel()
     # undemanded links need not be in the index
     assert _greedy_clique_demand(conflicts, {(0, 1): 1, (2, 3): 0}, 4) == 1
+
+
+def _view_of(view):
+    return view.links, view.demand, view.local, view.near
+
+
+@given(signed_demand_instances(), st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_matches_the_separate_walks(instance, seed):
+    conflicts, demands = instance
+    # the bounds: same value, or the same negative-demand error
+    lower = _outcome(demand_lower_bound, demands)
+    assert lower == _outcome(_walk_lower_bound, demands)
+    clique = _outcome(max_conflict_clique_demand, demands)
+    assert clique == _outcome(_walk_clique_bound, demands)
+    passed = _outcome(_demand_pass, demands)
+    assert passed[0] == lower[0]
+    expected = _outcome(_walk_view, conflicts, demands)
+    # the view, with or without the pass's demanded links: same lists, or
+    # the same missing-link error (negative demands are not its check)
+    assert _outcome(lambda: _view_of(_Demanded(conflicts, demands))) \
+        == expected
+    if passed[0] != "ok":
+        return
+    demanded, largest, node_clique = passed[1]
+    assert max(largest, node_clique) == lower[1]
+    assert node_clique == clique[1]
+    assert _outcome(lambda: _view_of(_Demanded(conflicts, demands,
+                                                demanded))) == expected
+    if expected[0] != "ok":
+        return
+    view = _Demanded(conflicts, demands, demanded)
+    demand = view.demand
+    # first-fit decreasing and the greedy clique share one order
+    assert view.heaviest == sorted(range(len(demand)),
+                                   key=lambda i: (-demand[i], i))
+    for strategy in STRATEGIES:
+        assert list(_processing_order(
+            view, strategy, np.random.default_rng(seed))) \
+            == _walk_processing_order(demand, strategy,
+                                      np.random.default_rng(seed))
+
+
+@given(signed_demand_instances(), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_a_search_raises_what_the_walks_raised_in_the_same_order(
+        instance, frame_slots):
+    """A negative demand is refused first (the first one in the mapping's
+    order); a demanded link missing from the index only when the search
+    reads the relation, i.e. unless nothing is demanded or the node
+    clique alone refutes the frame (the first missing link in canonical
+    order)."""
+    conflicts, demands = instance
+    outcome = _outcome(minimum_slots, conflicts, demands, frame_slots)
+    try:
+        lower = max(1, _walk_lower_bound(demands))
+    except ConfigurationError as exc:
+        assert outcome == (ConfigurationError, str(exc))
+        return
+    demanded = sorted(link for link, d in demands.items() if d > 0)
+    missing = [link for link in demanded if link not in conflicts]
+    if demanded and lower <= frame_slots and missing:
+        with pytest.raises(ConfigurationError) as exc:
+            conflicts.position(missing[0])
+        assert outcome == (ConfigurationError, str(exc.value))
+    else:
+        assert outcome[0] == "ok"
